@@ -1,16 +1,13 @@
 """P1 — multi-core sharded Monte-Carlo: worker scaling and determinism.
 
-Times the spawned-stream sharded Monte-Carlo path (``jobs=``) against the
-legacy single-stream kernel on a small benchmark grid (Raft n=25 at three
-failure probabilities), from 1 to ``MAX_JOBS`` workers over both thread
-and process pools, plus the engine-level :class:`ExecutionPolicy` path on
-a mixed Monte-Carlo scenario set.  Beyond throughput it pins the PR's two
-correctness contracts:
-
-* ``jobs=1`` (and ``jobs`` unset) stays on the legacy single stream —
-  results are asserted bit-identical to the pre-sharding baseline;
-* spawned-stream results are asserted identical across every worker count
-  and executor mode (the shard plan depends only on the trial budget).
+Times the spawned-stream sharded Monte-Carlo path with ``jobs=`` set
+against the same shards run in the calling thread (``jobs`` unset) on a
+small benchmark grid (Raft n=25 at three failure probabilities), from 1
+to ``MAX_JOBS`` workers over both thread and process pools, plus the
+engine-level :class:`ExecutionPolicy` path on a mixed Monte-Carlo scenario
+set.  Beyond throughput it pins the determinism contract: results are
+asserted identical with ``jobs`` unset and across every worker count and
+executor mode (the shard plan depends only on the trial budget).
 
 Emits ``BENCH_parallel.json`` at the repo root, recording ``cpu_count``:
 the ≥2x scaling expectation only applies on multi-core hosts, and the
@@ -68,7 +65,7 @@ def measure_monte_carlo() -> dict:
     cells = _grid_cells()
     total_trials = TRIALS * len(cells)
 
-    def run_legacy():
+    def run_unset():
         return [
             monte_carlo_reliability(spec, fleet, trials=TRIALS, seed=SEED)
             for spec, fleet in cells
@@ -77,8 +74,7 @@ def measure_monte_carlo() -> dict:
     def run_jobs(jobs: int, pool: str):
         return [
             monte_carlo_reliability(
-                spec, fleet, trials=TRIALS, seed=SEED, jobs=jobs, pool=pool,
-                sharding="spawn" if jobs == 1 else "auto",
+                spec, fleet, trials=TRIALS, seed=SEED, jobs=jobs, pool=pool
             )
             for spec, fleet in cells
         ]
@@ -86,36 +82,22 @@ def measure_monte_carlo() -> dict:
     # Warm NumPy dispatch + verdict masks off the clock.
     monte_carlo_reliability(cells[0][0], cells[0][1], trials=1000, seed=0)
 
-    legacy_seconds, legacy_results = _best(run_legacy)
-
-    # jobs=1 under the default ("auto") sharding stays on the legacy single
-    # stream: bit-identical to the pre-sharding baseline.
-    jobs1_auto = [
-        monte_carlo_reliability(spec, fleet, trials=TRIALS, seed=SEED, jobs=1)
-        for spec, fleet in cells
-    ]
-    assert jobs1_auto == legacy_results, (
-        "jobs=1 must stay bit-identical to the legacy single-stream baseline"
-    )
+    serial_seconds, serial_results = _best(run_unset)
 
     scaling = []
-    spawn_reference = None
     for pool in ("thread", "process"):
         for jobs in range(1, MAX_JOBS + 1):
             seconds, results = _best(lambda j=jobs, p=pool: run_jobs(j, p))
-            if spawn_reference is None:
-                spawn_reference = results
-            else:
-                assert results == spawn_reference, (
-                    f"spawned-stream results changed at jobs={jobs} pool={pool}"
-                )
+            assert results == serial_results, (
+                f"results changed from jobs unset at jobs={jobs} pool={pool}"
+            )
             scaling.append(
                 {
                     "jobs": jobs,
                     "pool": pool,
                     "seconds": seconds,
                     "trials_per_sec": total_trials / seconds,
-                    "speedup_vs_legacy": legacy_seconds / seconds,
+                    "speedup_vs_serial": serial_seconds / seconds,
                 }
             )
 
@@ -129,13 +111,12 @@ def measure_monte_carlo() -> dict:
         "trials_per_cell": TRIALS,
         "cells": len(cells),
         "seed": SEED,
-        "legacy_trials_per_sec": total_trials / legacy_seconds,
-        "legacy_seconds": legacy_seconds,
+        "serial_trials_per_sec": total_trials / serial_seconds,
+        "serial_seconds": serial_seconds,
         "scaling": scaling,
-        "speedup_jobs4_vs_jobs1": best_jobs4["speedup_vs_legacy"],
+        "speedup_jobs4_vs_serial": best_jobs4["speedup_vs_serial"],
         "best_jobs4_pool": best_jobs4["pool"],
-        "jobs1_bit_identical_to_baseline": True,
-        "spawn_deterministic_across_jobs_and_pools": True,
+        "deterministic_across_jobs_and_pools": True,
     }
 
 
@@ -167,7 +148,7 @@ def measure_engine() -> dict:
     process4_seconds, process4 = _best(
         lambda: run_with(ExecutionPolicy(mode="process", jobs=MAX_JOBS))
     )
-    assert thread1 == thread4 == process4, (
+    assert serial_results == thread1 == thread4 == process4, (
         "EngineResult values must not depend on worker count or pool mode"
     )
     return {
@@ -197,16 +178,16 @@ def measure_all() -> dict:
 def _print_report(payload: dict) -> None:
     mc = payload["monte_carlo"]
     rows = [
-        ["legacy single stream", "1", "-", f"{mc['legacy_trials_per_sec']:,.0f}", "1.00x"],
+        ["calling thread", "unset", "-", f"{mc['serial_trials_per_sec']:,.0f}", "1.00x"],
     ]
     for row in mc["scaling"]:
         rows.append(
             [
-                "spawned-stream shards",
+                "worker pool",
                 str(row["jobs"]),
                 row["pool"],
                 f"{row['trials_per_sec']:,.0f}",
-                f"{row['speedup_vs_legacy']:.2f}x",
+                f"{row['speedup_vs_serial']:.2f}x",
             ]
         )
     print_table(
@@ -232,12 +213,11 @@ def test_parallel_scaling():
     payload = measure_all()
     _print_report(payload)
     mc = payload["monte_carlo"]
-    assert mc["jobs1_bit_identical_to_baseline"]
-    assert mc["spawn_deterministic_across_jobs_and_pools"]
+    assert mc["deterministic_across_jobs_and_pools"]
     assert payload["engine"]["policy_deterministic_across_jobs"]
     if payload["cpu_count"] >= MAX_JOBS:
-        assert mc["speedup_jobs4_vs_jobs1"] >= 2.0, (
-            f"jobs={MAX_JOBS} only {mc['speedup_jobs4_vs_jobs1']:.2f}x over jobs=1 "
+        assert mc["speedup_jobs4_vs_serial"] >= 2.0, (
+            f"jobs={MAX_JOBS} only {mc['speedup_jobs4_vs_serial']:.2f}x over serial "
             f"on {payload['cpu_count']} CPUs"
         )
     else:

@@ -1,14 +1,14 @@
 """P6 — supervised campaign runtime: dispatch overhead and recovery latency.
 
-Times the fault-tolerant runtime (:mod:`repro.engine.runtime`) against the
-bare sharded dispatcher on crash-free campaigns — the supervised loop adds
-deadline tracking, retry bookkeeping and result journal hooks, and the
-target is ≤5% overhead when nothing fails — and measures how quickly a
-supervised process pool recovers from injected worker kills (chaos
+Times the one shard dispatcher (:mod:`repro.runtime`) against an inline
+loop over the same shards on a crash-free campaign — the supervised loop
+adds deadline tracking, retry bookkeeping and result journal hooks, and
+the target is ≤5% overhead when nothing fails — and measures how quickly
+a supervised process pool recovers from injected worker kills (chaos
 ``kill`` faults, the ``BrokenProcessPool`` requeue path).
 
 Bit-identity is asserted throughout: the supervised tally must equal the
-bare tally, and kill-recovered campaign results must equal the clean run.
+inline loop's, and kill-recovered campaign results must equal the clean run.
 
 Emits ``BENCH_runtime.json`` at the repo root, recording ``cpu_count``
 and ``cpu_limited`` (recovery latency on a single-core container includes
@@ -29,7 +29,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.kernels import monte_carlo_tally_sharded
+from repro.analysis.kernels import (
+    merge_tallies,
+    monte_carlo_tally,
+    monte_carlo_tally_sharded,
+    plan_shards,
+    spawn_shard_generators,
+)
 from repro.engine import ChaosPlan, ShardFault, Supervision
 from repro.faults.mixture import uniform_fleet
 from repro.protocols.raft import RaftSpec
@@ -77,31 +83,37 @@ def _tally(mode: str, jobs: int, supervision: Supervision | None = None, chaos=N
     return tally
 
 
+def _inline_tally():
+    """The same shards with no dispatcher at all: the overhead comparand."""
+    plan = plan_shards(TRIALS, SHARD_TRIALS)
+    rngs = spawn_shard_generators(SEED, plan.num_shards)
+    return merge_tallies(
+        [
+            monte_carlo_tally(SPEC, FLEET, shard, rng)
+            for shard, rng in zip(plan.shards, rngs)
+        ]
+    )
+
+
 def measure_overhead() -> dict:
-    """Supervised vs bare dispatch on crash-free campaigns (the ≤5% gate)."""
+    """Supervised dispatch vs an inline loop, crash-free (the ≤5% gate)."""
     # Warm NumPy dispatch and the verdict-mask cache off the clock.
     _tally("serial", 1)
 
-    rows = []
-    for mode, jobs in (("serial", 1), ("thread", 2)):
-        bare_seconds, bare = _best(lambda m=mode, j=jobs: _tally(m, j))
-        supervised_seconds, supervised = _best(
-            lambda m=mode, j=jobs: _tally(
-                m, j, supervision=Supervision(retries=2, timeout=60.0)
-            )
-        )
-        assert supervised == bare, (
-            f"supervised tally diverged from bare tally in {mode} mode"
-        )
-        rows.append(
-            {
-                "mode": mode,
-                "jobs": jobs,
-                "bare_seconds": bare_seconds,
-                "supervised_seconds": supervised_seconds,
-                "overhead_fraction": supervised_seconds / bare_seconds - 1.0,
-            }
-        )
+    bare_seconds, bare = _best(_inline_tally)
+    supervised_seconds, supervised = _best(
+        lambda: _tally("serial", 1, supervision=Supervision(retries=2, timeout=60.0))
+    )
+    assert supervised == bare, "supervised tally diverged from the inline loop"
+    rows = [
+        {
+            "mode": "serial",
+            "jobs": 1,
+            "bare_seconds": bare_seconds,
+            "supervised_seconds": supervised_seconds,
+            "overhead_fraction": supervised_seconds / bare_seconds - 1.0,
+        }
+    ]
     return {
         "trials": TRIALS,
         "shard_trials": SHARD_TRIALS,
@@ -161,7 +173,7 @@ def _print_report(payload: dict) -> None:
         f"P6: supervised runtime overhead, Raft n={N}, "
         f"{overhead['trials']:,} trials in {overhead['shards']} shards "
         f"({payload['cpu_count']} CPUs visible)",
-        ["mode", "jobs", "bare s", "supervised s", "overhead"],
+        ["mode", "jobs", "inline loop s", "supervised s", "overhead"],
         [
             [
                 row["mode"],

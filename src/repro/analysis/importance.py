@@ -7,6 +7,12 @@ failures from *inflated* per-node probabilities ``q_u``, then reweight each
 trial by the likelihood ratio ``Π (p_u/q_u)^{x_u} ((1-p_u)/(1-q_u))^{1-x_u}``.
 The estimator stays unbiased while concentrating samples where violations
 actually occur.
+
+Like plain Monte-Carlo, the trial budget always splits into
+``SeedSequence``-spawned shards (:func:`repro.analysis.kernels.plan_shards`)
+whose weight moments merge in shard order, so an estimate is a function of
+``(trials, seed, shard_trials)`` and ``jobs=``/``pool=`` only choose where
+the shards run.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from repro.analysis.config import FailureConfig, FaultKind
 from repro.analysis.result import Estimate
 from repro.errors import EstimationError, InvalidConfigurationError
 from repro.faults.mixture import Fleet
+from repro.runtime import run_supervised
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -32,8 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class ImportanceResult:
     """Outcome of an importance-sampled rare-event estimation.
 
-    ``shards`` records how many spawned-stream shards produced the estimate
-    (1 for the legacy single-stream mode).
+    ``shards`` records how many spawned-stream shards produced the estimate.
     """
 
     violation: Estimate
@@ -119,7 +125,6 @@ def importance_sample_violation(
     tilt: Sequence[float] | None = None,
     failure_kind: FaultKind = FaultKind.CRASH,
     jobs: int | None = None,
-    sharding: str = "auto",
     shard_trials: int | None = None,
     pool: str = "process",
 ) -> ImportanceResult:
@@ -129,11 +134,10 @@ def importance_sample_violation(
     derived from the smallest violating failure count.  All failures are
     assigned ``failure_kind`` (use BYZANTINE for worst-case BFT analysis).
 
-    ``jobs > 1`` (or ``sharding="spawn"``) shards the trial budget across a
-    worker pool with per-shard ``SeedSequence``-spawned streams; per-shard
-    weight moments merge in shard order, so the estimate depends on
-    ``(trials, seed, shard_trials)`` but never on the worker count.  The
-    legacy single-stream mode stays the seeded default (bit-compatible).
+    The trial budget is sharded with per-shard ``SeedSequence``-spawned
+    streams and per-shard weight moments merge in shard order, so the
+    estimate depends on ``(trials, seed, shard_trials)`` but never on
+    ``jobs`` or ``pool`` (which only pick where the shards run).
     """
     if fleet.n != spec.n:
         raise InvalidConfigurationError(f"fleet has {fleet.n} nodes but spec expects {spec.n}")
@@ -179,70 +183,47 @@ def importance_sample_violation(
 
     from repro.analysis.kernels import (
         plan_shards,
-        run_sharded,
         spawn_shard_generators,
-        use_spawned_streams,
         verdict_masks,
     )
 
     log_ratio_fail = np.log(np.maximum(p, 1e-300)) - np.log(tilt_arr)
     log_ratio_ok = np.log1p(-p) - np.log1p(-tilt_arr)
 
-    if use_spawned_streams(jobs, sharding):
-        plan = plan_shards(trials, shard_trials)
-        rngs = spawn_shard_generators(seed, plan.num_shards)
-        if spec.symmetric:
-            verdict_masks(spec)  # warm the per-spec cache outside the pool
-        payloads = [
-            (
-                spec,
-                predicate,
-                check,
-                tilt_arr,
-                log_ratio_fail,
-                log_ratio_ok,
-                shard,
-                rng,
-                failure_kind,
-            )
-            for shard, rng in zip(plan.shards, rngs)
-        ]
-        moments = run_sharded(
-            _weights_shard, payloads, jobs=jobs or 1, mode=pool
-        )
-        # Merge the per-shard weight moments in shard order: the estimate is
-        # a pure function of the plan, independent of the worker count.
-        weight_sum = weight_sq_sum = 0.0
-        for shard_sum, shard_sq_sum in moments:
-            weight_sum += shard_sum
-            weight_sq_sum += shard_sq_sum
-        mean = weight_sum / trials
-        if trials > 1:
-            variance = max(0.0, (weight_sq_sum - trials * mean * mean) / (trials - 1))
-            stderr = math.sqrt(variance / trials)
-        else:
-            stderr = float("nan")
-        shards = plan.num_shards
-    else:
-        rng = as_generator(seed)
-        weights = _tilted_violation_weights(
+    plan = plan_shards(trials, shard_trials)
+    rngs = spawn_shard_generators(seed, plan.num_shards)
+    if spec.symmetric:
+        verdict_masks(spec)  # warm the per-spec cache outside the pool
+    payloads = [
+        (
             spec,
             predicate,
             check,
             tilt_arr,
             log_ratio_fail,
             log_ratio_ok,
-            trials,
+            shard,
             rng,
             failure_kind,
         )
-        mean = float(weights.mean())
-        stderr = (
-            float(weights.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("nan")
-        )
-        weight_sum = float(weights.sum())
-        weight_sq_sum = float((weights**2).sum())
-        shards = 1
+        for shard, rng in zip(plan.shards, rngs)
+    ]
+    # Default supervision: one attempt per shard, so no payload is rebuilt.
+    moments, _report = run_supervised(
+        _weights_shard, payloads, jobs=jobs or 1, mode=pool
+    )
+    # Merge the per-shard weight moments in shard order: the estimate is
+    # a pure function of the plan, independent of the worker count.
+    weight_sum = weight_sq_sum = 0.0
+    for shard_sum, shard_sq_sum in moments:
+        weight_sum += shard_sum
+        weight_sq_sum += shard_sq_sum
+    mean = weight_sum / trials
+    if trials > 1:
+        variance = max(0.0, (weight_sq_sum - trials * mean * mean) / (trials - 1))
+        stderr = math.sqrt(variance / trials)
+    else:
+        stderr = float("nan")
 
     ess = weight_sum**2 / weight_sq_sum if weight_sq_sum > 0 else 0.0
     if weight_sum == 0.0:
@@ -250,14 +231,14 @@ def importance_sample_violation(
         # than a misleading hard zero.
         upper = 3.0 / trials  # rule-of-three scaled by min weight ≈ conservative
         estimate = Estimate(value=0.0, stderr=0.0, ci_low=0.0, ci_high=upper)
-        return ImportanceResult(estimate, trials, tuple(tilt_arr), 0.0, shards)
+        return ImportanceResult(estimate, trials, tuple(tilt_arr), 0.0, plan.num_shards)
     estimate = Estimate(
         value=mean,
         stderr=stderr,
         ci_low=max(0.0, mean - 1.96 * stderr),
         ci_high=min(1.0, mean + 1.96 * stderr),
     )
-    return ImportanceResult(estimate, trials, tuple(tilt_arr), ess, shards)
+    return ImportanceResult(estimate, trials, tuple(tilt_arr), ess, plan.num_shards)
 
 
 def _weights_shard(payload) -> tuple[float, float]:

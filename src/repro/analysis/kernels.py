@@ -26,13 +26,13 @@ flexible estimator APIs in :mod:`repro.analysis` run at NumPy speed:
   *distinct* configuration, not per trial.
 
 * **Sharded execution** — :func:`plan_shards` splits a trial budget into
-  worker-count-independent shard blocks, :func:`spawn_shard_generators`
+  worker-count-independent shard blocks, :func:`spawn_shard_sequences`
   gives each shard an independent ``SeedSequence``-spawned stream, and
-  :func:`monte_carlo_tally_sharded` fans the shards over a thread or
-  process pool (:func:`run_sharded`), merging tallies in shard order.
-  Legacy single-stream sampling stays the seeded default for
-  bit-compatibility; spawned streams engage only when parallelism is
-  requested (see :func:`use_spawned_streams`).
+  :func:`monte_carlo_tally_sharded` maps the shards through
+  :func:`repro.runtime.run_supervised` (in the calling thread, or over a
+  thread or process pool), merging tallies in shard order.  Spawned
+  streams are the only sampling contract: a seeded estimate is a function
+  of ``(trials, seed, shard_trials)`` and never of where the shards ran.
 
 * **One-pass Birnbaum** — :func:`loo_weighted_products` combines prefix
   count-DPs with a backward weight recursion to produce all ``n``
@@ -58,6 +58,7 @@ from repro.analysis.config import FailureConfig, FaultKind
 from repro.analysis.result import Estimate, ReliabilityResult
 from repro.errors import InvalidConfigurationError
 from repro.faults.mixture import Fleet
+from repro.runtime import run_supervised
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.protocols.base import ProtocolSpec
@@ -471,9 +472,6 @@ _SHARD_GRAIN = 16
 #: overhead dominates the vectorized tally.
 _MIN_SHARD_TRIALS = 4096
 
-#: Executor modes accepted by :func:`run_sharded`.
-EXECUTOR_MODES = ("serial", "thread", "process")
-
 
 @dataclass(frozen=True)
 class ShardPlan:
@@ -540,8 +538,7 @@ def spawn_shard_generators(seed, count: int) -> list[np.random.Generator]:
 
     Generator view of :func:`spawn_shard_sequences` (one per child, same
     spawn order).  Child streams are statistically independent of each
-    other *and* of the legacy single stream, which is why spawned-stream
-    mode is opt-in rather than the seeded default.
+    other.
     """
     return [
         np.random.default_rng(child) for child in spawn_shard_sequences(seed, count)
@@ -560,56 +557,6 @@ def rebuild_shard_generators(
     stream-boundary module (see ``repro.contracts``).
     """
     return [np.random.default_rng(child) for child in children]
-
-
-def use_spawned_streams(jobs: int | None, sharding: str) -> bool:
-    """Resolve the stream mode from a ``jobs``/``sharding`` parameter pair.
-
-    ``"legacy"`` forces the historical single stream (and therefore serial
-    execution), ``"spawn"`` forces per-shard streams, and ``"auto"`` — the
-    default everywhere — keeps legacy bit-compatibility for ``jobs`` unset
-    or 1 and switches to spawned streams only when parallelism is requested.
-    """
-    if sharding == "legacy":
-        if jobs is not None and jobs > 1:
-            raise InvalidConfigurationError(
-                "legacy single-stream sampling is inherently serial; "
-                "use sharding='spawn' (or 'auto') to run with jobs > 1"
-            )
-        return False
-    if sharding == "spawn":
-        return True
-    if sharding == "auto":
-        return jobs is not None and jobs > 1
-    raise InvalidConfigurationError(
-        f"unknown sharding mode {sharding!r}; expected 'auto', 'legacy' or 'spawn'"
-    )
-
-
-def run_sharded(worker, payloads: Sequence, *, jobs: int, mode: str = "process") -> list:
-    """Map ``worker`` over shard payloads, preserving shard order.
-
-    ``jobs <= 1`` (or a single payload, or ``mode='serial'``) runs in-process
-    — the degenerate pool every sharded estimator uses for its determinism
-    guarantee.  ``'thread'`` uses a thread pool (NumPy kernels release the
-    GIL for much of the tally), ``'process'`` a fork-based process pool
-    (fully parallel Python; payloads and results must pickle).  Results come
-    back in payload order regardless of completion order, so merges are
-    deterministic under any worker count.
-
-    This is the *bare* dispatch — one attempt per shard, first worker
-    exception propagates.  It delegates to
-    :func:`repro.engine.runtime.dispatch`; callers that want timeouts,
-    retries, degradation or checkpointing use
-    :func:`repro.engine.runtime.run_supervised` instead (the engine
-    backends route there when the :class:`~repro.engine.execution.ExecutionPolicy`
-    asks for supervision).
-    """
-    # Lazy import: kernels sits below the engine layer, and nothing calls
-    # run_sharded while the engine package is importing, so there's no cycle.
-    from repro.engine.runtime import dispatch
-
-    return dispatch(worker, payloads, jobs=jobs, mode=mode)
 
 
 def merge_tallies(tallies: Sequence[BatchTally]) -> BatchTally:
@@ -642,35 +589,27 @@ def monte_carlo_tally_sharded(
     supervision=None,
     chaos=None,
 ) -> tuple[BatchTally, ShardPlan]:
-    """Spawned-stream Monte-Carlo tally, fanned out over a worker pool.
+    """Spawned-stream Monte-Carlo tally, mapped through the shard runtime.
 
     The trial budget is split by :func:`plan_shards`, each shard draws from
-    its own :func:`spawn_shard_generators` stream, and the per-shard tallies
+    its own :func:`spawn_shard_sequences` stream, and the per-shard tallies
     are merged in shard order — so the result depends on ``(trials, seed,
     shard_trials)`` but never on ``jobs`` or ``mode``.
 
-    With ``supervision`` (a :class:`repro.engine.runtime.Supervision`) the
-    fan-out runs under the fault-tolerant runtime: failed shards retry on a
-    generator rebuilt from the *same* spawned child, so a retried run stays
-    bit-identical to a clean one; under ``on_shard_failure='degrade'`` the
-    surviving shards merge into a smaller tally (``tally.trials`` reports
-    the effective count).  ``chaos`` injects worker faults for self-tests.
+    ``supervision`` (a :class:`repro.runtime.Supervision`; default: one
+    attempt per shard, worker errors propagate unchanged) adds timeouts and
+    retries: a failed shard retries on a generator rebuilt from the *same*
+    spawned child, so a retried run stays bit-identical to a clean one;
+    under ``on_shard_failure='degrade'`` the surviving shards merge into a
+    smaller tally (``tally.trials`` reports the effective count).
+    ``chaos`` injects worker faults for self-tests.
     """
     plan = plan_shards(trials, shard_trials)
     children = spawn_shard_sequences(seed, plan.num_shards)
     if spec.symmetric:
         verdict_masks(spec)  # warm the per-spec cache once, outside the pool
-    payloads = [
-        (spec, fleet, shard, np.random.default_rng(child))
-        for shard, child in zip(plan.shards, children)
-    ]
-    if supervision is None and chaos is None:
-        tallies = run_sharded(_tally_shard, payloads, jobs=jobs, mode=mode)
-        return merge_tallies(tallies), plan
 
-    from repro.engine.runtime import run_supervised
-
-    def rebuild(index: int):
+    def build(index: int):
         # Thread/serial workers advance the payload generator in place, so a
         # retry must restart the stream from the original spawned child.
         return (
@@ -682,11 +621,11 @@ def monte_carlo_tally_sharded(
 
     tallies, _report = run_supervised(
         _tally_shard,
-        payloads,
+        [build(index) for index in range(plan.num_shards)],
         jobs=jobs,
         mode=mode,
         supervision=supervision,
-        rebuild=rebuild,
+        rebuild=build,
         chaos=chaos,
     )
     return merge_tallies([tally for tally in tallies if tally is not None]), plan

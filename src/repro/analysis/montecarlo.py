@@ -8,23 +8,19 @@ violation count is zero (common when probing many-nines systems).
 
 Sampling itself is delegated to the vectorized kernels in
 :mod:`repro.analysis.kernels`: trials are drawn as chunked ``(m, n)``
-uniform blocks and classified with array ops.  Because the blocks consume
-the generator stream in the same (trial, node) order as the historical
-per-trial loop, seeded runs reproduce the exact tallies of earlier
-releases; only the wall-clock changed.
+uniform blocks and classified with array ops, consuming each generator
+stream in the same (trial, node) order as a per-trial loop.
 
-Multi-core throughput comes from the ``jobs=`` parameter: trial budgets are
-split into worker-count-independent shard blocks, each sampling its own
-``SeedSequence``-spawned stream, fanned over a thread or process pool and
-merged in shard order.  Sharded results are deterministic in ``(trials,
-seed, shard_trials)`` — never in the worker count — while the legacy
-single-stream mode remains the seeded default for bit-compatibility.
+Independent-trial budgets are always split into worker-count-independent
+shard blocks, each sampling its own ``SeedSequence``-spawned stream and
+merged in shard order: an estimate is a function of ``(trials, seed,
+shard_trials)`` alone.  ``jobs=``/``pool=`` only choose where the shards
+run — the calling thread, a thread pool or a process pool.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,10 +69,6 @@ def estimate_from_counts(successes: int, trials: int) -> Estimate:
     return Estimate(value=phat, stderr=stderr, ci_low=low, ci_high=high)
 
 
-#: Historical private alias (predates the public name).
-_estimate = estimate_from_counts
-
-
 def sample_configuration(fleet: Fleet, rng: np.random.Generator) -> FailureConfig:
     """Draw one configuration with independent per-node trinomial outcomes."""
     draws = rng.random(fleet.n)
@@ -91,16 +83,6 @@ def sample_configuration(fleet: Fleet, rng: np.random.Generator) -> FailureConfi
     return FailureConfig(tuple(kinds))
 
 
-@dataclass(frozen=True)
-class MonteCarloReport:
-    """Raw tallies from a Monte-Carlo run (exposed for diagnostics)."""
-
-    trials: int
-    safe_count: int
-    live_count: int
-    both_count: int
-
-
 def monte_carlo_reliability(
     spec: "ProtocolSpec",
     fleet: Fleet,
@@ -108,7 +90,6 @@ def monte_carlo_reliability(
     trials: int = 100_000,
     seed: SeedLike = None,
     jobs: int | None = None,
-    sharding: str = "auto",
     shard_trials: int | None = None,
     pool: str = "process",
 ) -> ReliabilityResult:
@@ -119,68 +100,40 @@ def monte_carlo_reliability(
     classification, verdict-mask tallies for symmetric specs and
     unique-row dedup for asymmetric ones.
 
-    **Execution modes.**  With ``jobs`` unset (or 1) the uniform stream is
-    consumed in the same (trial, node) order as the historical per-trial
-    loop, so a given seed produces exactly the tallies it always did.
-    ``jobs > 1`` switches to *spawned-stream* sharding: the trial budget is
-    split by :func:`repro.analysis.kernels.plan_shards` into blocks whose
-    count depends only on ``(trials, shard_trials)``, each block samples an
-    independent ``SeedSequence``-spawned stream, and tallies merge in shard
-    order — results are identical for any worker count, but differ from the
-    legacy single stream.  ``sharding`` pins the mode explicitly
-    (``"legacy"``/``"spawn"``; ``"auto"`` keys off ``jobs``), and ``pool``
-    picks the executor (``"thread"``/``"process"``/``"serial"``).
+    The trial budget is split by :func:`repro.analysis.kernels.plan_shards`
+    into blocks whose count depends only on ``(trials, shard_trials)``,
+    each block samples an independent ``SeedSequence``-spawned stream, and
+    tallies merge in shard order — so the estimate is identical for any
+    ``jobs`` (unset runs the shards in the calling thread) and any ``pool``
+    (``"thread"``/``"process"``/``"serial"``).
     """
-    from repro.analysis.kernels import monte_carlo_tally_sharded, use_spawned_streams
+    from repro.analysis.kernels import monte_carlo_tally_sharded
 
     if fleet.n != spec.n:
         raise InvalidConfigurationError(f"fleet has {fleet.n} nodes but spec expects {spec.n}")
     if trials <= 0:
         raise InvalidConfigurationError(f"trials must be positive, got {trials}")
-    if use_spawned_streams(jobs, sharding):
-        tally, plan = monte_carlo_tally_sharded(
-            spec,
-            fleet,
-            trials,
-            seed,
-            jobs=jobs or 1,
-            shard_trials=shard_trials,
-            mode=pool,
-        )
-        report = MonteCarloReport(trials, tally.safe, tally.live, tally.both)
-        detail = (
-            f"{trials} independent trials over {plan.num_shards} "
-            f"spawned-stream shards, Wilson 95% CIs"
-        )
-    else:
-        rng = as_generator(seed)
-        report = _run_trials(spec, fleet, trials, rng)
-        detail = f"{trials} independent trials, Wilson 95% CIs"
+    tally, plan = monte_carlo_tally_sharded(
+        spec,
+        fleet,
+        trials,
+        seed,
+        jobs=jobs or 1,
+        shard_trials=shard_trials,
+        mode=pool,
+    )
     return ReliabilityResult(
         protocol=spec.name,
         n=fleet.n,
-        safe=_estimate(report.safe_count, trials),
-        live=_estimate(report.live_count, trials),
-        safe_and_live=_estimate(report.both_count, trials),
+        safe=estimate_from_counts(tally.safe, trials),
+        live=estimate_from_counts(tally.live, trials),
+        safe_and_live=estimate_from_counts(tally.both, trials),
         method="monte-carlo",
-        detail=detail,
+        detail=(
+            f"{trials} independent trials over {plan.num_shards} "
+            f"spawned-stream shards, Wilson 95% CIs"
+        ),
     )
-
-
-def _run_trials(
-    spec: "ProtocolSpec", fleet: Fleet, trials: int, rng: np.random.Generator
-) -> MonteCarloReport:
-    """Batched trial runner; seeded streams match the old per-trial loop.
-
-    The pre-kernel implementation memoised per-configuration verdicts in an
-    unbounded-until-200k ``dict[FailureConfig, ...]``; the vectorized path
-    obsoletes it — symmetric verdicts are O(1) mask lookups and asymmetric
-    predicates run once per distinct sampled row via ``np.unique``.
-    """
-    from repro.analysis.kernels import monte_carlo_tally
-
-    tally = monte_carlo_tally(spec, fleet, trials, rng)
-    return MonteCarloReport(trials, tally.safe, tally.live, tally.both)
 
 
 def monte_carlo_correlated(
@@ -215,9 +168,9 @@ def monte_carlo_correlated(
     return ReliabilityResult(
         protocol=spec.name,
         n=spec.n,
-        safe=_estimate(tally.safe, trials),
-        live=_estimate(tally.live, trials),
-        safe_and_live=_estimate(tally.both, trials),
+        safe=estimate_from_counts(tally.safe, trials),
+        live=estimate_from_counts(tally.live, trials),
+        safe_and_live=estimate_from_counts(tally.both, trials),
         method="monte-carlo-correlated",
         detail=f"{trials} trials over {type(model).__name__}",
     )

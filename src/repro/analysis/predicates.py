@@ -13,7 +13,7 @@ from typing import Callable
 from repro._rng import SeedLike, as_generator
 from repro.analysis.config import FailureConfig
 from repro.analysis.exact import DEFAULT_MAX_CONFIGS, enumerate_configurations
-from repro.analysis.montecarlo import _estimate
+from repro.analysis.montecarlo import estimate_from_counts
 from repro.analysis.result import Estimate
 from repro.errors import InvalidConfigurationError
 from repro.faults.mixture import Fleet
@@ -54,4 +54,4 @@ def monte_carlo_predicate(
         raise InvalidConfigurationError(f"trials must be positive, got {trials}")
     rng = as_generator(seed)
     hits = predicate_tally(fleet, predicate, trials, rng)
-    return _estimate(hits, trials)
+    return estimate_from_counts(hits, trials)

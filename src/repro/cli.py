@@ -37,12 +37,13 @@ Byzantine attack campaigns are plain JSON::
 
 ``raft``/``pbft``/``sweep``/``scenarios``/``query`` take ``--jobs N`` to
 fan work over ``N`` worker processes (sharded counting-DP sweeps;
-spawned-stream Monte-Carlo; simulation replica fan-out).  Results are
-identical for any ``N``; leaving ``--jobs`` unset keeps the serial
-legacy-stream path, byte-identical to older releases.
+spawned-stream Monte-Carlo; simulation replica fan-out).  ``--jobs`` only
+decides where shards run: results are identical for any ``N`` and for
+``--jobs`` unset (everything in the calling process), and identical to
+what the ``serve`` daemon answers for the same query.
 
-``query`` additionally takes the fault-tolerance flags of the supervised
-campaign runtime (:mod:`repro.engine.runtime`): ``--timeout SECONDS``
+``query`` additionally takes the fault-tolerance flags of the shard
+runtime (:mod:`repro.runtime`): ``--timeout SECONDS``
 bounds each campaign shard's wall clock, ``--retries K`` re-executes a
 failed shard up to ``K`` times (bit-identically — retried shards replay
 the same spawned stream), ``--on-shard-failure degrade`` keeps a partial
@@ -69,14 +70,14 @@ from repro.protocols.raft import RaftSpec
 def _policy_from_args(args: argparse.Namespace):
     """Translate ``--jobs`` (and fault-tolerance flags) into a policy.
 
-    ``--jobs`` unset keeps the serial legacy-stream path (byte-identical
-    output).  Any explicit ``N >= 1`` switches to spawned-stream sharding
-    over ``N`` worker processes — the printed numbers are identical for
-    every ``N`` (shard plans never depend on the worker count); negative
-    means one worker per CPU.  ``--timeout``/``--retries``/
+    ``--jobs`` unset runs every shard in the calling process; an explicit
+    ``N >= 1`` runs them on ``N`` worker processes; negative means one
+    worker per CPU.  The printed numbers are identical in every case
+    (sampling always draws from spawned per-shard streams, and shard plans
+    never depend on the worker count).  ``--timeout``/``--retries``/
     ``--on-shard-failure``/``--resume`` (where the subcommand offers
-    them) route execution through the supervised campaign runtime; none
-    of them changes any printed value.
+    them) set the campaign supervision knobs; none of them changes any
+    printed value.
     """
     from repro.engine import ExecutionPolicy
 

@@ -19,16 +19,16 @@ Rule families (``repro-analyze lint --explain RULE-ID`` for details):
     code threads ``rng``/``seed`` parameters (the PR 3 spawn contract).
 ``wall-clock``
     No ``time.time``/``datetime.now``/``perf_counter``/``os.urandom``/
-    ``uuid`` in deterministic paths; supervision (``engine.runtime``) and
+    ``uuid`` in deterministic paths; supervision (``repro.runtime``) and
     provenance timing are declared clock boundaries (PR 6).
 ``iter-order``
     No unsorted set iteration anywhere; no raw dict-view iteration inside
     codec methods (``to_dict``/``cache_key``/...) — hash order must never
     leak into serialized or hashed output.
 ``pool-safety``
-    Workers handed to ``run_sharded``/``run_supervised`` must be
-    module-level callables — lambdas/closures break process-pool pickling
-    only at runtime (PR 3/PR 6).
+    Workers handed to ``run_supervised`` must be module-level callables
+    — lambdas/closures break process-pool pickling only at runtime
+    (PR 3/PR 6).
 ``cache-key-coverage``
     Every field of the frozen query/scenario/plan dataclasses must flow
     into both ``to_dict`` and the cache key (including out-of-class key

@@ -55,7 +55,7 @@ class LintConfig:
 
     #: Function names (worker-arg position 0) that hand callables to
     #: thread/process pools — workers must be module-level for pickling.
-    pool_entry_points: Tuple[str, ...] = ("run_sharded", "run_supervised", "dispatch")
+    pool_entry_points: Tuple[str, ...] = ("run_supervised",)
 
     #: Method names whose bodies feed serialized/hashed output; unsorted
     #: dict-view iteration inside them is an ordering hazard.
@@ -88,7 +88,7 @@ class LintConfig:
     #: before the guarding lock is released.  Scoped because ordinary file
     #: output (reports, plots) legitimately trades durability for speed.
     journal_paths: Tuple[str, ...] = (
-        "*runtime.py",  # CampaignCheckpoint journals (PR 6)
+        "*repro/runtime.py",  # CampaignCheckpoint journals (PR 6)
         "*chaos.py",  # chaos-harness crash markers piggyback on the journal
         "*journal*",
         "*checkpoint*",
@@ -126,7 +126,7 @@ DEFAULT_CONFIG = LintConfig(
         "wall-clock": (
             # Supervision reads real deadlines/backoff clocks by design;
             # no estimator output flows from them (PR 6).
-            "*repro/engine/runtime.py",
+            "*repro/runtime.py",
             # Provenance timing (Provenance.seconds) is metrology, not an
             # input to any answer.
             "*repro/engine/engine.py",

@@ -29,8 +29,8 @@ class PoolSafetyRule(Rule):
     id = "pool-safety"
     summary = "pool workers must be module-level callables (picklable)"
     rationale = """
-``run_sharded``/``run_supervised`` fan payloads over thread *or* process
-pools depending on the :class:`ExecutionPolicy`; a lambda or closure
+``run_supervised`` fans payloads over thread *or* process pools
+depending on the :class:`ExecutionPolicy`; a lambda or closure
 worker happens to work under threads, then fails to pickle (or silently
 captures stale state) the first time a user passes ``mode="process"`` —
 exactly the class of late failure PR 6 hardened the runtime against.
@@ -38,13 +38,13 @@ Workers must be module-level functions or picklable callable instances;
 closures belong in the *payloads*, which are built in the parent.
 """
     bad_example = """
-run_sharded(lambda payload: simulate(spec, payload), payloads, jobs=4)
+run_supervised(lambda payload: simulate(spec, payload), payloads, jobs=4)
 """
     good_example = """
 def _simulate_chunk(payload):          # module level: pickles cleanly
     return simulate(*payload)
 
-run_sharded(_simulate_chunk, payloads, jobs=4)
+run_supervised(_simulate_chunk, payloads, jobs=4)
 """
 
     def check_file(

@@ -34,13 +34,14 @@ partitions, bursts and Byzantine adversary mixes.  Answers come back as a
 typed :class:`AnswerSet` whose :class:`Provenance` records backend, batch
 and shard counts.
 
-Campaign execution is fault-tolerant: an :class:`ExecutionPolicy` with
-supervision knobs (``timeout``, ``retries``, ``on_shard_failure``,
-``checkpoint_dir``) routes shard fan-out through
-:func:`repro.engine.runtime.run_supervised` — per-shard timeouts, retries
-that re-execute the same spawned stream bit-identically, worker-loss
-recovery, graceful degradation with ``degraded`` provenance, and
-checkpoint/resume journals (:class:`~repro.engine.runtime.CampaignCheckpoint`).
+Every shard fan-out goes through one dispatcher,
+:func:`repro.runtime.run_supervised` (re-exported here), and campaign
+execution is fault-tolerant: an :class:`ExecutionPolicy`'s supervision
+knobs (``timeout``, ``retries``, ``on_shard_failure``,
+``checkpoint_dir``) add per-shard timeouts, retries that re-execute the
+same spawned stream bit-identically, worker-loss recovery, graceful
+degradation with ``degraded`` provenance, and checkpoint/resume journals
+(:class:`~repro.runtime.CampaignCheckpoint`).
 :mod:`repro.engine.chaos` injects deterministic worker faults to prove
 every recovery path in CI.
 """
@@ -53,13 +54,6 @@ from repro.engine.chaos import (
 )
 from repro.engine.engine import ReliabilityEngine, default_engine
 from repro.engine.execution import ExecutionPolicy
-from repro.engine.runtime import (
-    CampaignCheckpoint,
-    RunReport,
-    Supervision,
-    dispatch,
-    run_supervised,
-)
 from repro.engine.query import (
     AvailabilityQuery,
     MTTFQuery,
@@ -98,6 +92,12 @@ from repro.engine.scenario import (
     spec_from_dict,
     spec_to_dict,
 )
+from repro.runtime import (
+    CampaignCheckpoint,
+    RunReport,
+    Supervision,
+    run_supervised,
+)
 
 __all__ = [
     "Scenario",
@@ -113,7 +113,6 @@ __all__ = [
     "Supervision",
     "RunReport",
     "CampaignCheckpoint",
-    "dispatch",
     "run_supervised",
     "ChaosPlan",
     "ShardFault",

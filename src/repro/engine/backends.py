@@ -5,8 +5,8 @@ Each backend answers one same-kind batch of queries from a single
 
 ``reliability``
     Delegates the scenarios back to the engine's scenario planner, so the
-    whole PR 2/3 machinery (shared counting-DP sweeps, LRU memo, policy
-    fan-out, spawned-stream sharding) applies unchanged; the resulting
+    shared counting-DP sweeps, LRU memo, policy fan-out and spawned-stream
+    sampling shards apply unchanged; the resulting
     outcomes are re-wrapped as :class:`~repro.engine.result.Answer`\\ s.
 ``availability`` / ``mttf``
     CTMC questions batched *per chain*: queries whose
@@ -30,16 +30,17 @@ Each backend answers one same-kind batch of queries from a single
     campaign cache keys carry the plan's canonical form and the
     correlation model, so adversary mixes never share memo entries.
 
-    Campaigns are *not* all-or-nothing: a policy with supervision knobs
-    (``timeout``, ``retries``, ``on_shard_failure``, ``checkpoint_dir``)
-    routes the fan-out through :func:`repro.engine.runtime.run_supervised`
-    — failed shards retry on generators rebuilt from the same spawned
-    children (bit-identical), a broken pool requeues only the in-flight
-    shards, ``on_shard_failure="degrade"`` returns a partial answer over
-    the surviving replicas with ``degraded`` provenance instead of
-    raising, and ``checkpoint_dir`` journals completed shards so an
-    interrupted campaign resumes bit-identically.  Degraded answers never
-    enter the memo (a later run may complete the campaign).
+    Campaigns are *not* all-or-nothing: the fan-out always goes through
+    :func:`repro.runtime.run_supervised` under the policy's supervision
+    knobs (``timeout``, ``retries``, ``on_shard_failure``,
+    ``checkpoint_dir``) — failed shards retry on generators rebuilt from
+    the same spawned children (bit-identical), a broken pool requeues
+    only the in-flight shards, ``on_shard_failure="degrade"`` returns a
+    partial answer over the surviving replicas with ``degraded``
+    provenance instead of raising, and ``checkpoint_dir`` journals
+    completed shards so an interrupted campaign resumes bit-identically.
+    Degraded answers never enter the memo (a later run may complete the
+    campaign).
 
 Deterministic time-domain answers (Markov always; simulation when the
 scenario seed is an ``int``) participate in the engine's bounded LRU memo
@@ -69,6 +70,7 @@ from repro.engine.result import (
 )
 from repro.errors import EstimationError
 from repro.obs.trace import current_tracer, resolve_context
+from repro.runtime import CampaignCheckpoint, run_supervised
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.engine import ReliabilityEngine
@@ -422,8 +424,6 @@ def _campaign_checkpoint(policy: "ExecutionPolicy", key, shards: int):
         return None
     from pathlib import Path
 
-    from repro.engine.runtime import CampaignCheckpoint
-
     digest = CampaignCheckpoint.digest(key)
     return CampaignCheckpoint(
         Path(policy.checkpoint_dir) / f"campaign-{digest}.jsonl",
@@ -443,11 +443,9 @@ def simulation_backend(
     from repro.analysis.kernels import (
         plan_shards,
         rebuild_shard_generators,
-        run_sharded,
         spawn_shard_sequences,
     )
     from repro.analysis.montecarlo import estimate_from_counts
-    from repro.engine.runtime import run_supervised
 
     answers: list[Answer] = []
     for query in queries:
@@ -473,7 +471,6 @@ def simulation_backend(
             "campaign",
             label=query.label or "",
             replicas=query.replicas,
-            supervised=policy.supervision is not None,
         ) as campaign_span:
             # One spawned stream per *replica* (not per shard): replica i's
             # verdict depends only on (seed, i), making the campaign invariant
@@ -509,33 +506,25 @@ def simulation_backend(
                     span_context,
                 )
 
-            payloads = [build_payload(bounds) for bounds in slices]
-            jobs = policy.jobs if policy.parallel else 1
-            mode = policy.mode if policy.parallel else "serial"
-            supervision = policy.supervision
-            if supervision is None:
-                chunks = run_sharded(_campaign_chunk, payloads, jobs=jobs, mode=mode)
-                report = None
-            else:
-                chunks, report = run_supervised(
-                    _campaign_chunk,
-                    payloads,
-                    jobs=jobs,
-                    mode=mode,
-                    supervision=supervision,
-                    rebuild=lambda index, slices=slices, build=build_payload: build(
-                        slices[index]
-                    ),
-                    checkpoint=_campaign_checkpoint(policy, key, plan.num_shards),
-                    chaos=policy.chaos,
-                )
+            chunks, report = run_supervised(
+                _campaign_chunk,
+                [build_payload(bounds) for bounds in slices],
+                jobs=policy.jobs,
+                mode=policy.mode,
+                supervision=policy.supervision,
+                rebuild=lambda index, slices=slices, build=build_payload: build(
+                    slices[index]
+                ),
+                checkpoint=_campaign_checkpoint(policy, key, plan.num_shards),
+                chaos=policy.chaos,
+            )
         verdicts = [
             verdict
             for chunk_result in chunks
             if chunk_result is not None
             for verdict in chunk_result
         ]
-        degraded = report is not None and report.degraded
+        degraded = report.degraded
         effective = len(verdicts)
         if degraded and not effective:
             raise EstimationError(

@@ -2,7 +2,7 @@
 
 The simulator injects faults into *clusters*; this module dogfoods the
 same idea onto the execution layer, so every recovery path of
-:func:`repro.engine.runtime.run_supervised` can be proven in CI instead
+:func:`repro.runtime.run_supervised` can be proven in CI instead
 of trusted.  A :class:`ChaosPlan` marks deterministically chosen shards
 with worker faults:
 
@@ -172,7 +172,7 @@ class ChaosPlan:
         )
 
     def bind(self, worker, mode: str) -> "ChaosWorker":
-        """Wrap ``worker`` for :func:`repro.engine.runtime.run_supervised`."""
+        """Wrap ``worker`` for :func:`repro.runtime.run_supervised`."""
         return ChaosWorker(worker, self, mode)
 
 

@@ -44,6 +44,7 @@ from repro.engine.registry import (
 from repro.engine.result import AnswerSet, EngineResult, Provenance, ScenarioOutcome
 from repro.engine.scenario import Scenario, ScenarioSet
 from repro.obs.trace import current_span, current_tracer
+from repro.runtime import run_supervised
 
 # Importing the backends module registers the built-in query backends
 # (reliability / availability / mttf / simulation) with the registry.
@@ -86,8 +87,8 @@ class ReliabilityEngine:
         disables cross-run caching; in-run deduplication still applies.
     policy:
         Default :class:`~repro.engine.ExecutionPolicy` for :meth:`run`
-        calls that do not pass one.  The default is serial execution —
-        byte-identical to the pre-policy engine.
+        calls that do not pass one.  The default is serial execution;
+        answers are byte-identical under every policy.
     """
 
     def __init__(
@@ -211,8 +212,7 @@ class ReliabilityEngine:
         in default to ``ReliabilityQuery``) routes each row to its kind's
         backend and returns an :class:`~repro.engine.AnswerSet` — see
         :meth:`_run_queries`.  A bare :class:`ScenarioSet` takes the
-        historical scenario path below, bit-identical to every release
-        since PR 2.
+        scenario path below.
 
         Outcomes come back in submission order.  Counting scenarios are
         grouped by fleet size into shared DP sweeps over the *unique*
@@ -223,11 +223,10 @@ class ReliabilityEngine:
         ``policy`` (default: the engine's constructor policy, itself
         defaulting to serial) picks the executor: a thread or process
         policy fans independent scenarios across workers, sweeps counting
-        DP chunks concurrently, and switches the built-in sampling
-        estimators to spawned-stream sharding.  Result values depend only
-        on the scenarios and the policy's ``shard_trials`` — never on the
-        worker count or executor mode — and the serial policy is
-        byte-identical to the pre-policy engine.
+        DP chunks concurrently, and runs the sampling estimators'
+        spawned-stream shards on the pool.  Result values depend only on
+        the scenarios and the policy's ``shard_trials`` — never on the
+        worker count or executor mode.
         """
         if isinstance(scenarios, QuerySet):
             return self._run_queries(list(scenarios), policy)
@@ -250,7 +249,6 @@ class ReliabilityEngine:
         self, scenarios: list, active: ExecutionPolicy
     ) -> EngineResult:
         """Scenario-path planner body (contract documented on :meth:`run`)."""
-        spawned = active.spawned_streams
         items = list(scenarios)
         outcomes: list[ScenarioOutcome | None] = [None] * len(items)
         groups: dict[int, list[tuple[int, Scenario, tuple | None, tuple]]] = {}
@@ -282,8 +280,8 @@ class ReliabilityEngine:
             )
             # Cache keys carry the estimator *function*, not its name, so
             # re-registering an estimator naturally invalidates its cached
-            # answers.  Generator seeds are stateful — each historical call
-            # advanced the stream — so only value seeds are reusable.
+            # answers.  Generator seeds are stateful — each run advances
+            # the parent's spawn counter — so only value seeds are reusable.
             key = None
             if correlation is None:
                 if method == "counting" or method == "exact":
@@ -296,12 +294,10 @@ class ReliabilityEngine:
                         scenario.trials,
                         int(scenario.seed),
                         scenario.failure_kind,
+                        # Sampled values depend on the shard plan — and on
+                        # nothing else about the policy.
+                        active.shard_trials,
                     )
-                    # Spawned-stream values differ from legacy single-stream
-                    # ones, and depend on the shard size: both join the key
-                    # so policy families never share sampling cache entries.
-                    if spawned:
-                        key = key + ("spawn", active.shard_trials)
                 if use_memo and key is not None:
                     with self._lock:
                         cached = self._memo.get(key)
@@ -438,9 +434,11 @@ class ReliabilityEngine:
         child started without fork resolves estimators from a *fresh*
         registry import, so overrides, shadowed built-ins and third-party
         registrations must stay with their function objects; correlation
-        models are process-local).
+        models are process-local).  The fan-out runs under the runtime's
+        default supervision — one attempt, an estimator's exception
+        propagates unchanged; the policy's retry/degrade knobs belong to
+        simulation campaigns, whose answers can say they are partial.
         """
-        from repro.analysis.kernels import run_sharded
         from repro.engine.registry import is_stock_estimator
 
         pool_items: list[tuple[int, Scenario, str, EstimatorFn, tuple | None]] = []
@@ -474,7 +472,7 @@ class ReliabilityEngine:
                     )
                     return result, shards, time.perf_counter() - start
 
-                completed = run_sharded(
+                completed, _ = run_supervised(
                     # repro: allow[pool-safety] -- thread-only branch; never pickled
                     worker, pool_items, jobs=policy.jobs, mode="thread"
                 )
@@ -483,7 +481,7 @@ class ReliabilityEngine:
                     (scenario, method, policy)
                     for _, scenario, method, _, _ in pool_items
                 ]
-                completed = run_sharded(
+                completed, _ = run_supervised(
                     _run_single_in_worker, payloads, jobs=policy.jobs, mode="process"
                 )
 
@@ -585,16 +583,15 @@ class ReliabilityEngine:
         # chunk order — bit-identical to the serial sweep.
         ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
         if policy.parallel and len(ranges) > 1:
-            from repro.analysis.kernels import run_sharded
-
             sweep = lambda bounds: joint_count_pmf_batch(  # noqa: E731
                 crash[bounds[0] : bounds[1]], byz[bounds[0] : bounds[1]]
             )
             for wave_start in range(0, len(ranges), policy.jobs):
                 wave = ranges[wave_start : wave_start + policy.jobs]
-                for (lo, hi), pmfs in zip(
-                    wave, run_sharded(sweep, wave, jobs=policy.jobs, mode="thread")
-                ):
+                swept, _ = run_supervised(
+                    sweep, wave, jobs=policy.jobs, mode="thread"
+                )
+                for (lo, hi), pmfs in zip(wave, swept):
                     reduce_chunk(lo, hi, pmfs)
         else:
             for lo, hi in ranges:

@@ -1,20 +1,24 @@
-"""Execution policies: how the engine spreads a scenario set across cores.
+"""Execution policies: where the engine runs a scenario set's shards.
 
 An :class:`ExecutionPolicy` is the engine-level counterpart of the
-``jobs=`` parameter on the sampling estimators: it picks an executor
-(``serial`` / ``thread`` / ``process``), a worker count and an optional
-shard size, and :meth:`repro.engine.ReliabilityEngine.run` uses it to
+``jobs=``/``pool=`` parameters on the sampling estimators: it picks an
+executor (``serial`` / ``thread`` / ``process``), a worker count and an
+optional shard size, and :meth:`repro.engine.ReliabilityEngine.run` uses
+it to
 
 * fan independent single-estimator scenarios out over the pool,
 * sweep the chunks of a shared counting-DP group concurrently, and
-* switch the built-in sampling estimators to spawned-stream sharding
-  (worker-count-independent, see :mod:`repro.analysis.kernels`).
+* run the sampling estimators' spawned-stream shards and the simulation
+  campaigns' replica chunks on that pool.
 
-The determinism contract mirrors the kernel layer's: every value in an
+A policy decides *where* shards run — never what numbers come out or
+which dispatcher runs them.  Every value in an
 :class:`~repro.engine.EngineResult` depends on the scenarios and on
-``shard_trials`` — never on ``mode`` or ``jobs``.  With no policy (or the
-default :data:`SERIAL`), execution and results are byte-identical to the
-pre-policy engine, including the legacy single-stream sampling mode.
+``shard_trials`` only: sampling always draws from ``SeedSequence.spawn``
+children (see :mod:`repro.analysis.kernels`) and every fan-out goes
+through :func:`repro.runtime.run_supervised`, so the default
+:data:`SERIAL` policy, a thread pool and a process pool of any size give
+byte-identical answers.
 """
 
 from __future__ import annotations
@@ -23,10 +27,7 @@ import os
 from dataclasses import dataclass
 
 from repro.errors import InvalidConfigurationError
-from repro.engine.runtime import FAILURE_MODES, Supervision
-
-#: Executor modes a policy may request.
-POLICY_MODES = ("serial", "thread", "process")
+from repro.runtime import EXECUTOR_MODES, Supervision
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ class ExecutionPolicy:
     """How one :meth:`ReliabilityEngine.run` call executes.
 
     ``mode``
-        ``"serial"`` — the historical in-process loop (the default);
+        ``"serial"`` — every shard runs in the calling thread (the default);
         ``"thread"`` — a thread pool (NumPy kernels release the GIL for
         much of the hot path, and nothing needs to pickle);
         ``"process"`` — a fork-based process pool (fully parallel Python;
@@ -48,8 +49,8 @@ class ExecutionPolicy:
         of the determinism key (a different shard size is a different
         spawned-stream plan).
     ``timeout`` / ``retries`` / ``backoff`` / ``on_shard_failure``
-        Fault-tolerance knobs, forwarded to the supervised runtime as a
-        :class:`~repro.engine.runtime.Supervision` (see
+        Fault-tolerance knobs of simulation campaigns, forwarded to the
+        shard runtime as a :class:`~repro.runtime.Supervision` (see
         :attr:`supervision`).  None of them changes any result value —
         a retried shard re-executes the same spawned stream, so they are
         *not* part of the determinism key.  ``on_shard_failure="degrade"``
@@ -77,9 +78,9 @@ class ExecutionPolicy:
     chaos: object | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in POLICY_MODES:
+        if self.mode not in EXECUTOR_MODES:
             raise InvalidConfigurationError(
-                f"unknown execution mode {self.mode!r}; expected one of {POLICY_MODES}"
+                f"unknown execution mode {self.mode!r}; expected one of {EXECUTOR_MODES}"
             )
         if not isinstance(self.jobs, int) or isinstance(self.jobs, bool):
             raise InvalidConfigurationError(
@@ -103,16 +104,14 @@ class ExecutionPolicy:
                 raise InvalidConfigurationError(
                     f"shard_trials must be positive, got {self.shard_trials}"
                 )
-        if self.on_shard_failure not in FAILURE_MODES:
-            raise InvalidConfigurationError(
-                f"unknown on_shard_failure {self.on_shard_failure!r}; "
-                f"expected one of {FAILURE_MODES}"
-            )
-        # Delegate timeout/retries/backoff validation to Supervision so the
+        # Delegate the supervision knobs' validation to Supervision so the
         # policy and the runtime can never disagree on what's legal.
-        self._supervision()
+        self.supervision
 
-    def _supervision(self) -> Supervision:
+    @property
+    def supervision(self) -> Supervision:
+        """The :class:`~repro.runtime.Supervision` campaigns run under
+        (the runtime's one-attempt default when no knob is set)."""
         return Supervision(
             timeout=self.timeout,
             retries=self.retries,
@@ -121,40 +120,8 @@ class ExecutionPolicy:
         )
 
     @property
-    def supervised(self) -> bool:
-        """Whether this policy asks for the fault-tolerant runtime.
-
-        True when any supervision knob, the checkpoint directory or chaos
-        injection departs from the defaults; the bare dispatcher handles
-        everything else (and stays on the historical fast path).
-        """
-        return (
-            self.timeout is not None
-            or self.retries != 0
-            or self.on_shard_failure != "raise"
-            or self.checkpoint_dir is not None
-            or self.chaos is not None
-        )
-
-    @property
-    def supervision(self) -> Supervision | None:
-        """The runtime :class:`~repro.engine.runtime.Supervision`, if any."""
-        return self._supervision() if self.supervised else None
-
-    @property
     def parallel(self) -> bool:
         """Whether this policy runs work outside the calling thread."""
-        return self.mode != "serial"
-
-    @property
-    def spawned_streams(self) -> bool:
-        """Whether sampling estimators use per-shard spawned streams.
-
-        Any non-serial policy does — including ``jobs=1`` — so that the
-        same policy family gives identical values at every worker count.
-        The serial policy keeps the legacy single stream (bit-compatible
-        with the pre-policy engine).
-        """
         return self.mode != "serial"
 
     @classmethod
@@ -163,12 +130,11 @@ class ExecutionPolicy:
     ) -> "ExecutionPolicy":
         """CLI-style constructor: ``--jobs N`` → a policy.
 
-        ``None``/``0`` → the serial (legacy-stream) policy.  Any explicit
-        ``N >= 1`` → a spawned-stream policy with ``N`` workers in
-        ``mode`` — including ``N = 1``, so the numbers a user sees are
-        identical for *every* ``--jobs`` value, as documented.  Negative
-        → one worker per available CPU (still the same numbers: shard
-        plans never depend on the worker count).  Extra keyword arguments
+        ``None``/``0`` → the serial policy.  Any explicit ``N >= 1`` →
+        ``N`` workers in ``mode``.  Negative → one worker per available
+        CPU.  The numbers a user sees are identical for *every* value,
+        unset included: shard plans never depend on the worker count or
+        the executor.  Extra keyword arguments
         (``timeout=...``, ``retries=...``, ``on_shard_failure=...``,
         ``checkpoint_dir=...``) forward to the policy so ``--jobs`` and
         the fault-tolerance flags compose; supervision on a serial policy
@@ -206,13 +172,11 @@ class ExecutionPolicy:
         partial, provenance-flagged answer instead of a 500
         (``on_shard_failure="degrade"``), and completed shards journal to
         ``checkpoint_dir`` so a daemon restart resumes campaigns instead
-        of recomputing them.  The mode is always ``"thread"`` — even at
-        ``jobs=1`` — so sampling stays on the spawned-stream plan and the
-        numbers a client sees are identical for every ``--jobs`` value
-        (the :meth:`from_jobs` contract); threads rather than processes
-        because the campaign payloads share the daemon's warm engine and
-        the NumPy kernels release the GIL on the hot path.  As everywhere
-        else, none of the supervision knobs changes any answer value.
+        of recomputing them.  The mode is always ``"thread"`` — threads
+        rather than processes because the campaign payloads share the
+        daemon's warm engine and the NumPy kernels release the GIL on the
+        hot path.  As everywhere else, neither the mode nor any
+        supervision knob changes an answer value.
         """
         if jobs is not None and jobs < 0:
             jobs = os.cpu_count() or 1
@@ -227,5 +191,5 @@ class ExecutionPolicy:
         )
 
 
-#: The default policy: the historical serial, legacy-stream execution.
+#: The default policy: every shard in the calling thread.
 SERIAL = ExecutionPolicy()

@@ -152,7 +152,6 @@ def _importance_impl(
     scenario: Scenario,
     *,
     jobs: int | None = None,
-    sharding: str = "auto",
     shard_trials: int | None = None,
     pool: str = "process",
 ) -> ReliabilityResult:
@@ -169,7 +168,6 @@ def _importance_impl(
             seed=scenario.seed,
             failure_kind=scenario.failure_kind,
             jobs=jobs,
-            sharding=sharding,
             shard_trials=shard_trials,
             pool=pool,
         )
@@ -216,20 +214,24 @@ def estimate_under_policy(
     """Run one estimator under an :class:`~repro.engine.ExecutionPolicy`.
 
     Returns ``(result, shards)``.  Only the built-in sampling estimators
-    understand policies: under a spawned-stream policy they shard their
-    trial budget (worker-count-independently) and the shard count lands in
-    the scenario's provenance.  Everything else — exact estimators,
-    per-engine overrides, third-party registrations, correlated scenarios
-    (whose models draw from one shared stream) — runs unchanged with
-    ``shards=1``.  ``jobs`` overrides the estimator-level worker count;
-    the engine passes 1 when it is already parallel at scenario
-    granularity, so pools never nest.
+    understand policies: they run their spawned-stream shards on the
+    policy's executor with the policy's ``shard_trials``, and the shard
+    count lands in the scenario's provenance.  Everything else — exact
+    estimators, per-engine overrides, third-party registrations,
+    correlated scenarios (whose models draw from one shared stream) — runs
+    unchanged with ``shards=1``.  ``jobs`` overrides the estimator-level
+    worker count; the engine passes 1 when it is already parallel at
+    scenario granularity, so pools never nest.
     """
-    if policy is None or not policy.spawned_streams:
+    if scenario.correlation is not None or estimator_fn not in (
+        BUILTIN_MONTE_CARLO,
+        BUILTIN_IMPORTANCE,
+    ):
         return estimator_fn(scenario), 1
+    from repro.analysis.kernels import plan_shards
+
     workers = policy.jobs if jobs is None else jobs
-    if estimator_fn is BUILTIN_MONTE_CARLO and scenario.correlation is None:
-        from repro.analysis.kernels import plan_shards
+    if estimator_fn is BUILTIN_MONTE_CARLO:
         from repro.analysis.montecarlo import monte_carlo_reliability
 
         result = monte_carlo_reliability(
@@ -238,23 +240,17 @@ def estimate_under_policy(
             trials=scenario.trials,
             seed=scenario.seed,
             jobs=workers,
-            sharding="spawn",
             shard_trials=policy.shard_trials,
-            pool=policy.mode if workers > 1 else "serial",
+            pool=policy.mode,
         )
-        return result, plan_shards(scenario.trials, policy.shard_trials).num_shards
-    if estimator_fn is BUILTIN_IMPORTANCE and scenario.correlation is None:
-        from repro.analysis.kernels import plan_shards
-
+    else:
         result = _importance_impl(
             scenario,
             jobs=workers,
-            sharding="spawn",
             shard_trials=policy.shard_trials,
-            pool=policy.mode if workers > 1 else "serial",
+            pool=policy.mode,
         )
-        return result, plan_shards(scenario.trials, policy.shard_trials).num_shards
-    return estimator_fn(scenario), 1
+    return result, plan_shards(scenario.trials, policy.shard_trials).num_shards
 
 
 __all__ = [

@@ -28,9 +28,9 @@ from repro.analysis.result import (
     nines,
 )
 from repro.engine.query import Query
-from repro.engine.runtime import RunReport
 from repro.engine.scenario import Scenario
 from repro.faults.curves import HOURS_PER_YEAR
+from repro.runtime import RunReport
 
 
 @dataclass(frozen=True)
@@ -38,23 +38,24 @@ class Provenance:
     """How one question's numbers were obtained.
 
     ``shards`` counts the spawned-stream shards a sampling estimator (or a
-    simulation campaign) split its budget into under an
-    :class:`~repro.engine.ExecutionPolicy` (1 for exact estimators and for
-    the legacy single-stream mode).  ``backend`` names the query backend
-    that produced a time-domain answer; it is empty on the legacy
-    scenario path, whose provenance strings are frozen by golden tests.
+    simulation campaign) split its budget into — a function of the budget
+    and the policy's ``shard_trials``, never of the executor (1 for exact
+    estimators).  ``backend`` names the query backend that produced a
+    time-domain answer; it is empty on the bare-``ScenarioSet`` path,
+    whose provenance strings are frozen by golden tests.
 
-    ``degraded`` marks a partial answer: the supervised runtime dropped
+    ``degraded`` marks a partial answer: the shard runtime dropped
     ``dropped_shards`` after exhausting their retries (opt-in via
     ``ExecutionPolicy(on_shard_failure="degrade")``), and
     ``effective_trials`` is the trial/replica count actually aggregated.
     All three stay at their defaults on complete answers so complete-run
     provenance (including :meth:`describe` strings and JSON forms) is
-    byte-identical with and without supervision.
+    byte-identical whatever the supervision knobs.
 
-    ``report`` carries the full :class:`~repro.engine.runtime.RunReport`
-    of a supervised execution (attempts, timeouts, retries, rebuilds,
-    restores).  It is execution telemetry, not part of the answer: it
+    ``report`` carries the full :class:`~repro.runtime.RunReport` of a
+    computed campaign (attempts, timeouts, retries, rebuilds, restores;
+    ``None`` on memo hits and non-campaign answers).  It is execution
+    telemetry, not part of the answer: it
     never enters :meth:`Answer.to_dict` (recovery must not change output
     bytes) — surfacing layers (``repro-analyze query --json``, the serve
     ndjson stream) attach it as a separate ``"run"`` key.

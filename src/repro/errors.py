@@ -36,7 +36,7 @@ class ShardExecutionError(ReproError, RuntimeError):
     """A supervised shard exhausted its retry budget (or its worker pool
     could not be kept alive) and the execution policy said to raise.
 
-    Raised by :mod:`repro.engine.runtime` with the failing shard's index
+    Raised by :mod:`repro.runtime` with the failing shard's index
     and failure kind in the message; the original worker exception, when
     there is one, is chained as ``__cause__``.
     """

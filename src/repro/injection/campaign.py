@@ -20,7 +20,7 @@ never perturbs the other.
 
 **Execution.**  The simulation backend fans replicas across workers and,
 under a supervising :class:`~repro.engine.ExecutionPolicy`, through the
-fault-tolerant runtime (:mod:`repro.engine.runtime`): a crashed or hung
+fault-tolerant runtime (:mod:`repro.runtime`): a crashed or hung
 shard of replicas retries on generators rebuilt from the same spawned
 children — sound precisely because of the stream contract above — and
 :func:`repro.engine.chaos.chaos_from_fault_plan` turns a

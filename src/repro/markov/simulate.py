@@ -79,17 +79,14 @@ def simulate_trajectory(
     return Trajectory(tuple(states), tuple(times))
 
 
-def _trajectory_streams(seed: SeedLike, trials: int, sharding: str):
+def _trajectory_streams(seed: SeedLike, trials: int):
     """Per-trajectory generators for the batch helpers below (lazily).
 
-    ``"legacy"`` (the default) keeps the historical behaviour — one shared
-    generator advanced trajectory after trajectory, bit-identical to every
-    release before spawned streams existed.  ``"spawn"`` derives one
-    ``SeedSequence`` child per *trajectory* (PR 3's worker-count-
-    independence contract): trajectory ``t`` depends only on ``(seed, t)``,
-    so a ``trials=N`` run is a bit-identical prefix of a ``trials=M > N``
-    run and trajectories can be fanned across workers in any chunking
-    without changing a single draw.
+    One ``SeedSequence`` child per *trajectory* (the worker-count-
+    independence contract of :mod:`repro.analysis.kernels`): trajectory
+    ``t`` depends only on ``(seed, t)``, so a ``trials=N`` run is a
+    bit-identical prefix of a ``trials=M > N`` run and trajectories can be
+    fanned across workers in any chunking without changing a single draw.
 
     Children are spawned one at a time as the iterator is consumed —
     repeated ``spawn(1)`` calls advance the parent's child counter exactly
@@ -98,18 +95,11 @@ def _trajectory_streams(seed: SeedLike, trials: int, sharding: str):
     keeping memory O(1) for million-trajectory sweeps instead of
     materialising every generator up front.
     """
-    if sharding == "legacy":
-        rng = as_generator(seed)
-        return (rng for _ in range(trials))
-    if sharding == "spawn":
-        if isinstance(seed, np.random.Generator):
-            seq = seed.bit_generator.seed_seq
-        else:
-            seq = np.random.SeedSequence(seed)
-        return (np.random.default_rng(seq.spawn(1)[0]) for _ in range(trials))
-    raise InvalidConfigurationError(
-        f"unknown sharding mode {sharding!r}; expected 'legacy' or 'spawn'"
-    )
+    if isinstance(seed, np.random.Generator):
+        seq = seed.bit_generator.seed_seq
+    else:
+        seq = np.random.SeedSequence(seed)
+    return (np.random.default_rng(seq.spawn(1)[0]) for _ in range(trials))
 
 
 def sample_absorption_times(
@@ -120,19 +110,18 @@ def sample_absorption_times(
     trials: int = 1_000,
     horizon: float = float("inf"),
     seed: SeedLike = None,
-    sharding: str = "legacy",
 ) -> np.ndarray:
     """Sampled hitting times of the absorbing set (``inf`` when censored).
 
     Against :meth:`ContinuousTimeMarkovChain.expected_time_to_absorption`
     this exposes the full distribution — MTTDL's long tail included.
-    ``sharding="spawn"`` gives every trajectory its own spawned
-    ``SeedSequence`` stream (see :func:`_trajectory_streams`); the default
-    keeps the legacy shared-generator draws bit-identical.
+    Every trajectory draws from its own spawned ``SeedSequence`` stream
+    (see :func:`_trajectory_streams`), so a shorter run is a prefix of a
+    longer one.
     """
     if trials <= 0:
         raise InvalidConfigurationError("trials must be positive")
-    streams = _trajectory_streams(seed, trials, sharding)
+    streams = _trajectory_streams(seed, trials)
     absorbing_set = set(absorbing)
     bounded_horizon = horizon if np.isfinite(horizon) else 1e12
     times = np.empty(trials)
@@ -155,18 +144,16 @@ def empirical_availability(
     horizon: float,
     trials: int = 200,
     seed: SeedLike = None,
-    sharding: str = "legacy",
 ) -> float:
     """Fraction of simulated time spent in ``up_states`` (validates π).
 
-    ``sharding="spawn"`` switches to per-trajectory spawned streams (see
-    :func:`_trajectory_streams`); the summed up-time is accumulated in
-    trajectory order either way, so the value depends only on
-    ``(trials, seed, sharding)``.
+    Trajectories draw from per-trajectory spawned streams (see
+    :func:`_trajectory_streams`) and the summed up-time is accumulated in
+    trajectory order, so the value depends only on ``(trials, seed)``.
     """
     if horizon <= 0 or trials <= 0:
         raise InvalidConfigurationError("horizon and trials must be positive")
-    streams = _trajectory_streams(seed, trials, sharding)
+    streams = _trajectory_streams(seed, trials)
     up = set(up_states)
     total_up = 0.0
     for rng in streams:

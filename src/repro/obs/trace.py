@@ -14,7 +14,7 @@ Design constraints (they shape everything here):
   budget.
 * **Survives the pool hop.**  A :class:`SpanContext` is a picklable
   ``(trace_id, span_id)`` pair.  Shard payloads carry one across
-  ``run_sharded``/``run_supervised``; workers call :func:`resolve_context`
+  ``run_supervised``; workers call :func:`resolve_context`
   to re-attach to the live tracer.  Thread-pool workers share the process
   and find it; forked process-pool children fail the pid check and degrade
   to the no-op tracer (the supervisor still records their attempt timeline

@@ -1,26 +1,17 @@
-"""Fault-tolerant shard execution: the supervised campaign runtime.
+"""Fault-tolerant shard execution: the one dispatcher every fan-out uses.
 
 Every sharded execution path in this repository — spawned-stream
-Monte-Carlo tallies, engine scenario fan-out, simulation campaigns —
-used to assume a perfect executor: one hung or crashed worker killed the
-whole run, and a long rare-event campaign restarted from zero.  This
-module is the runtime that survives its own failures the way the
-simulated clusters survive theirs:
-
-* :func:`dispatch` — the bare pool fan-out previously inlined in
-  :func:`repro.analysis.kernels.run_sharded` (which now delegates here).
-  Thread pools propagate the *chronologically first* worker exception
-  with its original traceback instead of whichever future the submission
-  order iterated first, so a root cause is never masked by secondary
-  cancellation errors.
-
-* :func:`run_supervised` — the fault-tolerant dispatcher.  Per-shard
-  wall-clock **timeouts**; bounded **retry** with exponential backoff;
-  **worker-loss recovery** (a ``BrokenProcessPool`` or dead worker
-  requeues only the in-flight shards onto a rebuilt pool instead of
-  raising); **graceful degradation** (a shard that exhausts its retries
-  can be dropped and reported instead of failing the campaign); and
-  **checkpoint/resume** through a :class:`CampaignCheckpoint` journal.
+Monte-Carlo and importance-sampling shards, engine scenario fan-out,
+counting-DP waves, simulation campaigns — maps its payloads through
+:func:`run_supervised`.  With the default :class:`Supervision` that is one
+attempt per shard and the chronologically first worker exception
+propagating *as itself*; the knobs add per-shard wall-clock **timeouts**,
+bounded **retry** with exponential backoff, **worker-loss recovery** (a
+``BrokenProcessPool`` or dead worker requeues only the in-flight shards
+onto a rebuilt pool instead of raising), **graceful degradation** (a
+shard that exhausts its retries can be dropped and reported instead of
+failing the campaign) and **checkpoint/resume** through a
+:class:`CampaignCheckpoint` journal.
 
 **Determinism contract.**  A retried shard must be bit-identical to a
 first-try shard.  Workers may mutate their payload's generator in place
@@ -31,13 +22,20 @@ which reconstructs shard ``index``'s payload from its original
 :func:`repro.analysis.kernels.spawn_shard_sequences`).  Rebuilding from
 the same child sequence yields the same stream, so every jobs/mode
 invariance contract survives timeouts, retries and pool rebuilds.
-Results merge in shard order regardless of completion order, exactly as
-in the bare dispatcher.
+Results merge in shard order regardless of completion order.
+
+**Error contract.**  With ``retries=0`` and ``on_shard_failure="raise"``
+(the defaults) a worker exception is re-raised unchanged, original
+traceback included — an estimator's ``InvalidConfigurationError`` is what
+the CLI prints and what the daemon maps to a 422, at any worker count.
+:class:`~repro.errors.ShardExecutionError` is reserved for what has no
+single original to re-raise: exhausted retries, timeouts and
+unattributed worker loss.
 
 Layering note: this module depends only on the standard library,
-:mod:`repro.errors`, and the stdlib-only :mod:`repro.obs` tracing layer,
-so the analysis kernels can delegate to it without an import cycle
-through the engine package.
+:mod:`repro.errors`, and the stdlib-only :mod:`repro.obs` tracing layer;
+it sits below :mod:`repro.analysis` and :mod:`repro.engine`, which both
+import it at module top.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ from repro.errors import InvalidConfigurationError, ShardExecutionError
 from repro.obs import clock as obs_clock
 from repro.obs.trace import current_tracer
 
-#: Executor modes accepted by :func:`dispatch` / :func:`run_supervised`.
+#: Executor modes of :func:`run_supervised` (and of an ``ExecutionPolicy``).
 EXECUTOR_MODES = ("serial", "thread", "process")
 
 #: What to do with a shard that exhausted its retries.
@@ -86,8 +84,10 @@ class Supervision:
         Base of the exponential retry delay: attempt ``k``'s retry waits
         ``backoff * 2**(k-1)`` seconds before resubmission.
     ``on_shard_failure``
-        ``"raise"`` (default): a shard that exhausts its retries raises
-        :class:`~repro.errors.ShardExecutionError`, chaining the original
+        ``"raise"`` (default): with ``retries=0`` a worker exception
+        propagates as itself; a shard that exhausts a non-zero retry
+        budget (or times out, or is lost with its worker) raises
+        :class:`~repro.errors.ShardExecutionError`, chaining the last
         worker exception.  ``"degrade"``: the shard is dropped, its
         result slot stays ``None``, and the :class:`RunReport` records the
         drop so callers can return a partial, provenance-flagged answer.
@@ -375,7 +375,7 @@ class CampaignCheckpoint:
 
 
 # ---------------------------------------------------------------------------
-# Bare dispatch (the run_sharded fast path)
+# Supervised dispatch
 # ---------------------------------------------------------------------------
 def _make_pool(mode: str, workers: int):
     if mode == "thread":
@@ -400,40 +400,6 @@ def _check_mode(mode: str) -> None:
         )
 
 
-def dispatch(worker, payloads: Sequence, *, jobs: int, mode: str = "process") -> list:
-    """Map ``worker`` over shard payloads, preserving shard order.
-
-    ``jobs <= 1`` (or a single payload, or ``mode='serial'``) runs
-    in-process — the degenerate pool every sharded estimator uses for its
-    determinism guarantee.  ``'thread'`` uses a thread pool, ``'process'``
-    a fork-based process pool.  On a thread-pool worker exception, the
-    *chronologically first* exception is raised with its original
-    traceback and the not-yet-started shards are cancelled — submission
-    order can no longer mask the root cause behind secondary errors.
-    """
-    _check_mode(mode)
-    count = len(payloads)
-    if jobs <= 1 or count <= 1 or mode == "serial":
-        return [worker(payload) for payload in payloads]
-    workers = min(jobs, count)
-    with _make_pool(mode, workers) as pool:
-        if mode == "thread":
-            from concurrent.futures import as_completed
-
-            futures = [pool.submit(worker, payload) for payload in payloads]
-            for future in as_completed(futures):
-                error = future.exception()
-                if error is not None:
-                    for pending in futures:
-                        pending.cancel()
-                    raise error
-            return [future.result() for future in futures]
-        return list(pool.map(worker, payloads))
-
-
-# ---------------------------------------------------------------------------
-# Supervised dispatch
-# ---------------------------------------------------------------------------
 class _ShardDropped(Exception):
     """Internal control flow: current shard failed permanently (degrade)."""
 
@@ -466,8 +432,11 @@ def run_supervised(
     checkpoint: CampaignCheckpoint | None = None,
     chaos=None,
 ) -> tuple[list, RunReport]:
-    """Fault-tolerant :func:`dispatch`: returns ``(results, report)``.
+    """Map ``worker`` over shard payloads: returns ``(results, report)``.
 
+    ``jobs <= 1`` (or a single payload, or ``mode='serial'``) runs in the
+    calling thread; ``'thread'`` uses a thread pool, ``'process'`` a
+    fork-based process pool (payloads and results must pickle).
     ``results`` holds one entry per payload in shard order; dropped
     shards (degrade mode only) leave ``None`` in their slot and are
     listed in the report.  ``rebuild(index)`` must return a fresh,
@@ -577,6 +546,10 @@ def run_supervised(
                 )
                 return time.monotonic() + delay
             if sup.on_shard_failure == "raise":
+                if sup.retries == 0 and kind == "error" and error is not None:
+                    # One attempt, one failure: there is an original to
+                    # re-raise, so callers see exactly what the worker saw.
+                    raise error
                 raise ShardExecutionError(
                     f"shard {index} failed permanently after "
                     f"{failures_used[index]} attempt(s) (last failure: {kind}); "

@@ -15,7 +15,7 @@ Prometheus-style histograms per query kind (``query_latency_by_kind``).
 Everything else is plain monotonic counters, including the campaign
 aggregates lifted from answer :class:`~repro.engine.result.Provenance`
 (shard counts, degradation, cache hits) — the service-level view of the
-supervised runtime's :class:`~repro.engine.runtime.RunReport` outcomes.
+supervised runtime's :class:`~repro.runtime.RunReport` outcomes.
 
 :func:`render_prometheus` turns one snapshot into the Prometheus text
 exposition format for ``GET /metrics?format=prometheus``.

@@ -331,18 +331,28 @@ class TestMonteCarloKernel:
         assert estimate.value == hits / 3_000
 
     def test_importance_sampling_matches_reference_loop(self):
-        """Batched tilted sampler reproduces the per-trial loop's estimate."""
-        spec, fleet = RaftSpec(9), uniform_fleet(9, 0.01)
-        result = importance_sample_violation(
-            spec, fleet, predicate="live", trials=20_000, seed=1
+        """The batched shard kernel reproduces the per-trial loop's weights."""
+        from repro.analysis.importance import (
+            _tilted_violation_weights,
+            default_tilt,
+            minimal_violating_failures,
         )
-        # Reference: per-trial tilted loop (seed implementation).
-        import math
 
+        spec, fleet = RaftSpec(9), uniform_fleet(9, 0.01)
         p = np.array(fleet.failure_probabilities)
-        tilt = np.array(result.tilt)
+        k_min = minimal_violating_failures(
+            spec, predicate="live", failure_kind=FaultKind.CRASH
+        )
+        tilt = np.array(default_tilt(fleet, k_min))
         lrf = np.log(np.maximum(p, 1e-300)) - np.log(tilt)
         lro = np.log1p(-p) - np.log1p(-tilt)
+        batched = _tilted_violation_weights(
+            spec, "live", spec.is_live, tilt, lrf, lro, 20_000,
+            as_generator(1), FaultKind.CRASH,
+        )
+        # Reference: per-trial tilted loop (seed implementation), same stream.
+        import math
+
         rng = as_generator(1)
         weights = np.zeros(20_000)
         for t in range(20_000):
@@ -352,7 +362,8 @@ class TestMonteCarloKernel:
             )
             if not spec.is_live(config):
                 weights[t] = math.exp(float(np.where(failed, lrf, lro).sum()))
-        assert result.violation.value == pytest.approx(float(weights.mean()), rel=1e-9)
+        assert batched.mean() == pytest.approx(float(weights.mean()), rel=1e-9)
+        assert np.flatnonzero(batched).tolist() == np.flatnonzero(weights).tolist()
 
     def test_importance_sampling_asymmetric_spec(self):
         spec, fleet = _asymmetric_pair()

@@ -141,7 +141,7 @@ class TestWallClock:
         def deadline(budget):
             return time.monotonic() + budget
         """
-        inside = run(source, path="repro/engine/runtime.py", rules=["wall-clock"])
+        inside = run(source, path="repro/runtime.py", rules=["wall-clock"])
         outside = run(source, path="repro/sim/cluster.py", rules=["wall-clock"])
         assert inside == []
         assert rule_ids(outside) == ["wall-clock"]
@@ -208,7 +208,7 @@ class TestPoolSafety:
         findings = run(
             """
             def campaign(payloads):
-                return run_sharded(lambda p: p * 2, payloads, jobs=4)
+                return run_supervised(lambda p: p * 2, payloads, jobs=4)
             """,
             rules=["pool-safety"],
         )
@@ -245,7 +245,7 @@ class TestPoolSafety:
                 return payload * 2
 
             def campaign(payloads):
-                return run_sharded(_chunk_worker, payloads, jobs=4)
+                return run_supervised(_chunk_worker, payloads, jobs=4)
             """,
             rules=["pool-safety"],
         )

@@ -163,7 +163,7 @@ class TestCache:
         assert engine.cache_misses == 1
 
     def test_generator_seed_never_cached(self):
-        """Generator seeds are stateful: every call must advance the stream."""
+        """Generator seeds are stateful: every run must advance the parent."""
         import numpy as np
 
         engine = ReliabilityEngine()
@@ -173,11 +173,13 @@ class TestCache:
             spec=spec, fleet=fleet, method="monte-carlo", trials=400, seed=rng
         )
         first = engine.run_one(scenario)
-        state = rng.bit_generator.state["state"]["state"]
+        spawned = rng.bit_generator.seed_seq.n_children_spawned
         second = engine.run_one(scenario)
         assert not second.provenance.cache_hit
-        # The second run consumed the shared stream, as analyze always did.
-        assert rng.bit_generator.state["state"]["state"] != state
+        # The second run spawned fresh shard streams off the shared parent,
+        # so back-to-back runs on one generator draw different samples.
+        assert rng.bit_generator.seed_seq.n_children_spawned > spawned
+        assert second.result != first.result
         assert first.result == analyze(
             spec, fleet, method="monte-carlo", trials=400, seed=np.random.default_rng(7)
         )

@@ -1,14 +1,11 @@
 """Sharded execution: shard planning, stream spawning, and the determinism
 contracts of the multi-core layer.
 
-The two regression guarantees pinned here:
-
-* **Worker-count independence** — under spawned-stream mode, tallies,
-  estimates and whole :class:`EngineResult`s are identical for ``jobs=1``
-  and ``jobs=4``, across thread and process pools.
-* **Legacy bit-compatibility** — with ``jobs`` unset (or 1, or a serial
-  policy) every path produces byte-identical results to the historical
-  single-stream implementations.
+The regression guarantee pinned here is **executor independence**:
+sampling always draws from spawned per-shard streams, so tallies,
+estimates and whole :class:`EngineResult`s are identical with ``jobs``
+unset, ``jobs=1`` and ``jobs=4``, under the serial policy and across
+thread and process pools — and memo entries are shared between them.
 """
 
 from __future__ import annotations
@@ -22,9 +19,7 @@ from repro.analysis.kernels import (
     monte_carlo_tally,
     monte_carlo_tally_sharded,
     plan_shards,
-    run_sharded,
     spawn_shard_generators,
-    use_spawned_streams,
 )
 from repro.analysis.montecarlo import monte_carlo_reliability
 from repro.engine import (
@@ -82,24 +77,6 @@ class TestShardPlanning:
         big = [rng.random(4).tolist() for rng in spawn_shard_generators(3, 5)]
         assert big[:2] == small
 
-    def test_stream_mode_resolution(self):
-        assert not use_spawned_streams(None, "auto")
-        assert not use_spawned_streams(1, "auto")
-        assert use_spawned_streams(2, "auto")
-        assert use_spawned_streams(None, "spawn")
-        assert not use_spawned_streams(None, "legacy")
-        with pytest.raises(InvalidConfigurationError):
-            use_spawned_streams(4, "legacy")
-        with pytest.raises(InvalidConfigurationError):
-            use_spawned_streams(2, "banana")
-
-    def test_run_sharded_preserves_payload_order(self):
-        double = lambda x: x * 2  # noqa: E731
-        for mode in ("serial", "thread"):
-            assert run_sharded(double, list(range(8)), jobs=4, mode=mode) == [
-                0, 2, 4, 6, 8, 10, 12, 14,
-            ]
-
     def test_merge_tallies_sums_fields(self):
         spec, fleet = RaftSpec(3), uniform_fleet(3, 0.1)
         rng = np.random.default_rng(0)
@@ -111,7 +88,7 @@ class TestShardPlanning:
 
 
 class TestShardDeterminism:
-    """jobs=1 vs jobs=4 identical (spawned-stream mode); legacy unchanged."""
+    """jobs unset vs jobs=1 vs jobs=4 identical, on every pool."""
 
     SPEC = RaftSpec(7)
     FLEET = uniform_fleet(7, 0.05)
@@ -130,8 +107,7 @@ class TestShardDeterminism:
 
     def test_reliability_identical_across_jobs(self):
         one = monte_carlo_reliability(
-            self.SPEC, self.FLEET, trials=30_000, seed=42,
-            jobs=1, sharding="spawn", pool="serial",
+            self.SPEC, self.FLEET, trials=30_000, seed=42, jobs=1, pool="serial"
         )
         four_t = monte_carlo_reliability(
             self.SPEC, self.FLEET, trials=30_000, seed=42, jobs=4, pool="thread"
@@ -142,37 +118,33 @@ class TestShardDeterminism:
         assert one == four_t == four_p
 
     def test_legacy_results_byte_identical_when_jobs_unset(self):
-        from repro._rng import as_generator
-
+        """The pre-``jobs`` call form answers exactly what ``jobs=N`` does."""
         unset = monte_carlo_reliability(self.SPEC, self.FLEET, trials=20_000, seed=9)
         jobs_one = monte_carlo_reliability(
             self.SPEC, self.FLEET, trials=20_000, seed=9, jobs=1
         )
-        assert unset == jobs_one
-        # ... and both match the raw legacy kernel stream exactly.
-        tally = monte_carlo_tally(self.SPEC, self.FLEET, 20_000, as_generator(9))
+        jobs_two = monte_carlo_reliability(
+            self.SPEC, self.FLEET, trials=20_000, seed=9, jobs=2, pool="thread"
+        )
+        assert unset == jobs_one == jobs_two
+        # ... and all match per-shard kernel tallies over the spawned streams.
+        plan = plan_shards(20_000)
+        tally = merge_tallies(
+            [
+                monte_carlo_tally(self.SPEC, self.FLEET, shard, rng)
+                for shard, rng in zip(
+                    plan.shards, spawn_shard_generators(9, plan.num_shards)
+                )
+            ]
+        )
         assert unset.safe.value == tally.safe / 20_000
         assert unset.safe_and_live.value == tally.both / 20_000
-        assert "shards" not in unset.detail
-
-    def test_spawn_differs_from_legacy_but_agrees_statistically(self):
-        legacy = monte_carlo_reliability(self.SPEC, self.FLEET, trials=40_000, seed=5)
-        spawned = monte_carlo_reliability(
-            self.SPEC, self.FLEET, trials=40_000, seed=5, jobs=2, pool="thread"
-        )
-        assert legacy != spawned  # different streams by design
-        assert abs(legacy.safe_and_live.value - spawned.safe_and_live.value) < 0.01
-
-    def test_legacy_mode_rejects_parallel_jobs(self):
-        with pytest.raises(InvalidConfigurationError):
-            monte_carlo_reliability(
-                self.SPEC, self.FLEET, trials=1000, seed=1, jobs=4, sharding="legacy"
-            )
+        assert f"{plan.num_shards} spawned-stream shards" in unset.detail
 
     def test_importance_identical_across_jobs(self):
         kwargs = dict(predicate="live", trials=12_000, seed=3)
         one = importance_sample_violation(
-            self.SPEC, self.FLEET, jobs=1, sharding="spawn", pool="serial", **kwargs
+            self.SPEC, self.FLEET, jobs=1, pool="serial", **kwargs
         )
         four = importance_sample_violation(
             self.SPEC, self.FLEET, jobs=4, pool="thread", **kwargs
@@ -184,8 +156,11 @@ class TestShardDeterminism:
         kwargs = dict(predicate="live", trials=12_000, seed=3)
         a = importance_sample_violation(self.SPEC, self.FLEET, **kwargs)
         b = importance_sample_violation(self.SPEC, self.FLEET, jobs=1, **kwargs)
-        assert a == b
-        assert a.shards == 1
+        c = importance_sample_violation(
+            self.SPEC, self.FLEET, jobs=2, pool="thread", **kwargs
+        )
+        assert a == b == c
+        assert a.shards == plan_shards(12_000).num_shards
 
 
 def _mixed_scenarios() -> ScenarioSet:
@@ -229,11 +204,13 @@ class TestEnginePolicy:
         scenarios = _mixed_scenarios()
         baseline = ReliabilityEngine().run(scenarios)
         serial = ReliabilityEngine().run(scenarios, policy=ExecutionPolicy())
-        assert baseline.results == serial.results
-        # The serial policy keeps legacy details (no shard annotations).
-        for outcome in baseline:
-            assert "shards" not in outcome.result.detail
-            assert outcome.provenance.shards == 1
+        threaded = ReliabilityEngine().run(
+            scenarios, policy=ExecutionPolicy(mode="thread", jobs=4)
+        )
+        assert baseline.results == serial.results == threaded.results
+        # Provenance is a function of the shard plan, not of the executor.
+        for ours, theirs in zip(baseline, threaded):
+            assert ours.provenance.shards == theirs.provenance.shards
 
     def test_exact_values_unchanged_under_parallel_policy(self):
         scenarios = _mixed_scenarios()
@@ -260,6 +237,8 @@ class TestEnginePolicy:
         assert "shards[8]" in outcome.provenance.describe()
 
     def test_policy_and_legacy_cache_entries_do_not_collide(self):
+        """Seeded sampling entries are keyed by the shard plan alone: the
+        executor shares them, a different ``shard_trials`` does not."""
         engine = ReliabilityEngine()
         scenario = Scenario(
             spec=RaftSpec(5),
@@ -268,16 +247,20 @@ class TestEnginePolicy:
             trials=20_000,
             seed=4,
         )
-        legacy = engine.run_one(scenario).result
-        spawned = engine.run_one(
+        serial = engine.run_one(scenario)
+        assert not serial.provenance.cache_hit
+        threaded = engine.run_one(
             scenario, policy=ExecutionPolicy(mode="thread", jobs=2)
-        ).result
-        assert legacy != spawned
-        # Each mode hits its own cache entry on re-run.
-        assert engine.run_one(scenario).result == legacy
-        again = engine.run_one(scenario, policy=ExecutionPolicy(mode="thread", jobs=2))
-        assert again.result == spawned
-        assert again.provenance.cache_hit
+        )
+        assert threaded.provenance.cache_hit
+        assert threaded.result == serial.result
+        resharded = engine.run_one(
+            scenario, policy=ExecutionPolicy(mode="thread", jobs=2, shard_trials=5_000)
+        )
+        assert not resharded.provenance.cache_hit
+        assert resharded.result != serial.result
+        again = engine.run_one(scenario, policy=ExecutionPolicy(shard_trials=5_000))
+        assert again.provenance.cache_hit and again.result == resharded.result
 
     def test_policy_validation(self):
         with pytest.raises(InvalidConfigurationError):
@@ -292,14 +275,12 @@ class TestEnginePolicy:
     def test_from_jobs(self):
         assert not ExecutionPolicy.from_jobs(None).parallel
         assert not ExecutionPolicy.from_jobs(0).parallel
-        # An *explicit* --jobs 1 opts into spawned streams, so the CLI's
-        # "identical numbers for any N" contract includes N=1.
         one = ExecutionPolicy.from_jobs(1)
-        assert one.spawned_streams and one.jobs == 1
+        assert one.parallel and one.jobs == 1
         policy = ExecutionPolicy.from_jobs(3)
         assert policy.mode == "process" and policy.jobs == 3
         negative = ExecutionPolicy.from_jobs(-1)
-        assert negative.jobs >= 1 and negative.spawned_streams
+        assert negative.jobs >= 1 and negative.parallel
 
     def test_engine_default_policy_constructor(self):
         scenarios = _mixed_scenarios()

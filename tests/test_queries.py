@@ -500,50 +500,30 @@ class TestEngineDispatch:
 
 
 class TestMarkovSimulateStreams:
-    def test_legacy_default_unchanged(self):
-        import numpy as np
-
-        from repro.markov.simulate import sample_absorption_times
-
-        model = ClusterMarkovModel(3, 0.01, 0.0)
-        chain = model.chain(absorbing_at=2)
-        legacy = sample_absorption_times(chain, 0, [2], trials=20, seed=5)
-        explicit = sample_absorption_times(
-            chain, 0, [2], trials=20, seed=5, sharding="legacy"
-        )
-        assert np.array_equal(legacy, explicit)
-
     def test_spawned_streams_are_prefix_stable(self):
         import numpy as np
 
-        from repro.markov.simulate import sample_absorption_times
+        from repro.analysis.kernels import spawn_shard_generators
+        from repro.markov.simulate import sample_absorption_times, simulate_trajectory
 
         model = ClusterMarkovModel(3, 0.01, 0.0)
         chain = model.chain(absorbing_at=2)
-        short = sample_absorption_times(
-            chain, 0, [2], trials=8, seed=5, sharding="spawn"
-        )
-        long = sample_absorption_times(
-            chain, 0, [2], trials=16, seed=5, sharding="spawn"
-        )
+        short = sample_absorption_times(chain, 0, [2], trials=8, seed=5)
+        long = sample_absorption_times(chain, 0, [2], trials=16, seed=5)
         assert np.array_equal(short, long[:8])
-        # legacy shared-stream draws do NOT have this property
-        legacy_short = sample_absorption_times(chain, 0, [2], trials=8, seed=5)
-        legacy_long = sample_absorption_times(chain, 0, [2], trials=16, seed=5)
-        assert np.array_equal(legacy_short, legacy_long[:8])  # prefix of same stream
-        assert not np.array_equal(long, legacy_long)
+        # trajectory t depends on (seed, t) alone: it is what child t of the
+        # seed's SeedSequence draws, whatever ran before it.
+        last = spawn_shard_generators(5, 16)[15]
+        alone = simulate_trajectory(chain, 0, horizon=1e12, absorbing=[2], seed=last)
+        assert alone.end_time == long[15]
 
     def test_empirical_availability_spawn_deterministic(self):
         from repro.markov.simulate import empirical_availability
 
         model = ClusterMarkovModel(3, 0.05, 0.5)
         chain = model.chain()
-        a = empirical_availability(
-            chain, 0, [0, 1], horizon=50.0, trials=16, seed=9, sharding="spawn"
-        )
-        b = empirical_availability(
-            chain, 0, [0, 1], horizon=50.0, trials=16, seed=9, sharding="spawn"
-        )
+        a = empirical_availability(chain, 0, [0, 1], horizon=50.0, trials=16, seed=9)
+        b = empirical_availability(chain, 0, [0, 1], horizon=50.0, trials=16, seed=9)
         assert a == b
         assert 0.0 <= a <= 1.0
 
@@ -555,14 +535,6 @@ class TestMarkovSimulateStreams:
         from repro.analysis.kernels import spawn_shard_generators
         from repro.markov.simulate import _trajectory_streams
 
-        lazy = [rng.random(3) for rng in _trajectory_streams(17, 5, "spawn")]
+        lazy = [rng.random(3) for rng in _trajectory_streams(17, 5)]
         eager = [rng.random(3) for rng in spawn_shard_generators(17, 5)]
         assert all(np.array_equal(a, b) for a, b in zip(lazy, eager))
-
-    def test_unknown_sharding_rejected(self):
-        from repro.markov.simulate import sample_absorption_times
-
-        model = ClusterMarkovModel(3, 0.01, 0.0)
-        chain = model.chain(absorbing_at=2)
-        with pytest.raises(InvalidConfigurationError, match="sharding"):
-            sample_absorption_times(chain, 0, [2], trials=4, seed=1, sharding="fnord")

@@ -23,7 +23,6 @@ from repro.analysis.kernels import (
     merge_tallies,
     monte_carlo_tally_sharded,
     plan_shards,
-    run_sharded,
     spawn_shard_generators,
     spawn_shard_sequences,
 )
@@ -40,7 +39,6 @@ from repro.engine import (
     SimulationQuery,
     Supervision,
     chaos_from_fault_plan,
-    dispatch,
     run_supervised,
 )
 from repro.errors import (
@@ -74,30 +72,46 @@ def _sleep_forever(payload):
 
 
 # ---------------------------------------------------------------------------
-# Bare dispatch (run_sharded fast path)
+# Default dispatch: run_supervised with no supervision knobs
 # ---------------------------------------------------------------------------
 class TestDispatch:
     def test_serial_thread_process_agree(self):
         payloads = list(range(7))
         expected = [p * p for p in payloads]
         for jobs, mode in ((1, "serial"), (3, "thread"), (2, "process")):
-            assert dispatch(_square, payloads, jobs=jobs, mode=mode) == expected
-
-    def test_run_sharded_delegates_to_dispatch(self):
-        assert run_sharded(_square, [2, 3], jobs=2, mode="thread") == [4, 9]
+            results, report = run_supervised(_square, payloads, jobs=jobs, mode=mode)
+            assert results == expected
+            assert report == RunReport(shards=7, completed=7, attempts=7)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(InvalidConfigurationError, match="executor mode"):
-            dispatch(_square, [1, 2], jobs=2, mode="greenlet")
+            run_supervised(_square, [1, 2], jobs=2, mode="greenlet")
 
     def test_thread_mode_raises_first_exception_not_first_submitted(self):
-        # Shard 0 fails *late*, shard 2 fails immediately.  The old
-        # pool.map iteration would surface shard 0's error (submission
-        # order); the fixed dispatcher surfaces the chronologically first
-        # failure so the root cause is never masked.
+        # Shard 0 fails *late*, shard 2 fails immediately.  A pool.map
+        # iteration would surface shard 0's error (submission order); the
+        # dispatcher surfaces the chronologically first failure — as
+        # itself, not wrapped — so the root cause is never masked.
         payloads = [("boom", 0.4), ("ok", 0.0), ("boom", 0.0)]
+        with pytest.raises(ValueError, match="boom after 0.0") as excinfo:
+            run_supervised(_slow_then_raise, payloads, jobs=3, mode="thread")
+        frames = [entry.name for entry in excinfo.traceback]
+        assert "_slow_then_raise" in frames  # original traceback preserved
+
+    @pytest.mark.parametrize(
+        "jobs,mode", [(1, "serial"), (2, "thread"), (2, "process")]
+    )
+    def test_single_attempt_failure_propagates_as_itself(self, jobs, mode):
+        payloads = [("ok", 0.0), ("boom", 0.0)]
         with pytest.raises(ValueError, match="boom after 0.0"):
-            dispatch(_slow_then_raise, payloads, jobs=3, mode="thread")
+            run_supervised(_slow_then_raise, payloads, jobs=jobs, mode=mode)
+        # A retry budget means there is no single original: wrap and chain.
+        with pytest.raises(ShardExecutionError, match="shard 1") as excinfo:
+            run_supervised(
+                _slow_then_raise, payloads, jobs=jobs, mode=mode,
+                supervision=Supervision(retries=1, backoff=0.0),
+            )
+        assert isinstance(excinfo.value.__cause__, ValueError)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +157,8 @@ class TestValidation:
             ExecutionPolicy(on_shard_failure="panic")
 
     def test_policy_supervision_property(self):
-        assert ExecutionPolicy().supervision is None
-        assert ExecutionPolicy(mode="thread", jobs=4).supervision is None
+        assert ExecutionPolicy().supervision == Supervision()
+        assert ExecutionPolicy(mode="thread", jobs=4).supervision == Supervision()
         sup = ExecutionPolicy(retries=2, timeout=3.0).supervision
         assert sup == Supervision(retries=2, timeout=3.0)
 
@@ -155,7 +169,7 @@ class TestValidation:
 
 
 # ---------------------------------------------------------------------------
-# Supervised execution equals bare execution when nothing fails
+# Supervision knobs change nothing when nothing fails
 # ---------------------------------------------------------------------------
 class TestSupervisedCleanRuns:
     @pytest.mark.parametrize(
@@ -170,7 +184,7 @@ class TestSupervisedCleanRuns:
             mode=mode,
             supervision=Supervision(retries=2, timeout=20.0),
         )
-        assert results == dispatch(_square, payloads, jobs=jobs, mode=mode)
+        assert results == [_square(payload) for payload in payloads]
         assert report == RunReport(shards=5, completed=5, attempts=5)
         assert not report.degraded
 
