@@ -4,13 +4,19 @@ Foundation of :mod:`repro.sim`: a priority queue of timestamped callbacks
 with a monotonically increasing sequence number as tiebreak, so identical
 seeds always replay identical executions — the property every simulator
 test and every failure-injection experiment relies on.
+
+Heap entries are plain tuples ``(time, seq, action, handle)``, so the heap
+orders them with C tuple comparison.  Invariant: ``seq`` is unique per
+scheduler, so comparison is decided by ``(time, seq)`` and never reaches
+``action`` — actions need not be comparable, and event order is exactly
+schedule order among equal times.  ``handle`` is ``None`` for events
+posted through :meth:`EventScheduler.post_after`, which nobody can cancel.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.errors import SimulationError
@@ -18,45 +24,32 @@ from repro.errors import SimulationError
 Action = Callable[[], None]
 
 
-@dataclass(order=True)
-class _ScheduledEvent:
-    time: float
-    seq: int
-    action: Action = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    executed: bool = field(default=False, compare=False)
-
-
 class EventHandle:
-    """Cancellation token for a scheduled event."""
+    """A scheduled event's cancellation token."""
 
-    __slots__ = ("_event", "_scheduler")
+    __slots__ = ("time", "cancelled", "_fired", "_scheduler")
 
-    def __init__(self, event: _ScheduledEvent, scheduler: "EventScheduler"):
-        self._event = event
+    def __init__(self, time: float, scheduler: "EventScheduler"):
+        #: Virtual time the event is due.
+        self.time = time
+        #: True once :meth:`cancel` was called (even after the event ran).
+        self.cancelled = False
+        self._fired = False
         self._scheduler = scheduler
 
     def cancel(self) -> None:
         """Prevent the event from firing (idempotent)."""
-        if not self._event.cancelled:
-            self._event.cancelled = True
-            if not self._event.executed:
+        if not self.cancelled:
+            self.cancelled = True
+            if not self._fired:
                 self._scheduler._pending -= 1
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
-
-    @property
-    def time(self) -> float:
-        return self._event.time
 
 
 class EventScheduler:
     """Single-threaded event loop with virtual time (seconds)."""
 
     def __init__(self) -> None:
-        self._queue: list[_ScheduledEvent] = []
+        self._queue: list[tuple[float, int, Action, Optional[EventHandle]]] = []
         self._sequence = itertools.count()
         self._now = 0.0
         self._processed = 0
@@ -85,10 +78,10 @@ class EventScheduler:
         """Schedule ``action`` at absolute virtual time ``time``."""
         if time < self._now:
             raise SimulationError(f"cannot schedule at {time} before now={self._now}")
-        event = _ScheduledEvent(time=time, seq=next(self._sequence), action=action)
-        heapq.heappush(self._queue, event)
+        handle = EventHandle(time, self)
+        heapq.heappush(self._queue, (time, next(self._sequence), action, handle))
         self._pending += 1
-        return EventHandle(event, self)
+        return handle
 
     def schedule_after(self, delay: float, action: Action) -> EventHandle:
         """Schedule ``action`` after a non-negative ``delay``."""
@@ -96,48 +89,71 @@ class EventScheduler:
             raise SimulationError(f"negative delay {delay}")
         return self.schedule_at(self._now + delay, action)
 
+    def post_after(self, delay: float, action: Action) -> None:
+        """Like :meth:`schedule_after` for an event nobody will cancel.
+
+        No handle is built — the per-message path of the network.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay}")
+        heapq.heappush(
+            self._queue, (self._now + delay, next(self._sequence), action, None)
+        )
+        self._pending += 1
+
     def step(self) -> bool:
         """Execute the next event; return False when the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            event.executed = True
+        queue = self._queue
+        while queue:
+            time, _, action, handle = heapq.heappop(queue)
+            if handle is not None:
+                if handle.cancelled:
+                    continue
+                handle._fired = True
             self._pending -= 1
-            self._now = event.time
+            self._now = time
             self._processed += 1
-            event.action()
+            action()
             return True
         return False
 
     def run_until(self, t_end: float, *, max_events: Optional[int] = None) -> None:
         """Run events up to virtual time ``t_end`` (inclusive).
 
-        ``max_events`` guards against livelock in buggy protocols; exceeding
-        it raises :class:`SimulationError` rather than spinning forever.
+        ``max_events`` guards against livelock in buggy protocols: once
+        that many events have run and another is still due, this raises
+        :class:`SimulationError` rather than spinning forever.
         """
         if t_end < self._now:
             raise SimulationError(f"t_end={t_end} precedes now={self._now}")
+        queue = self._queue
+        heappop = heapq.heappop
         executed = 0
-        while self._queue:
-            head = self._queue[0]
-            if head.cancelled:
-                heapq.heappop(self._queue)
+        # The body of ``step`` inlined: this loop is the simulator's hot path.
+        while queue and queue[0][0] <= t_end:
+            time, _, action, handle = queue[0]
+            if handle is not None and handle.cancelled:
+                heappop(queue)
                 continue
-            if head.time > t_end:
-                break
-            self.step()
-            executed += 1
-            if max_events is not None and executed > max_events:
+            if executed == max_events:
                 raise SimulationError(
                     f"exceeded {max_events} events before t={t_end}; likely livelock"
                 )
+            heappop(queue)
+            if handle is not None:
+                handle._fired = True
+            executed += 1
+            self._pending -= 1
+            self._now = time
+            self._processed += 1
+            action()
         self._now = t_end
 
     def run_to_completion(self, *, max_events: int = 1_000_000) -> None:
-        """Drain the queue entirely (bounded by ``max_events``)."""
+        """Run every live event (at most ``max_events`` before raising)."""
         executed = 0
-        while self.step():
-            executed += 1
-            if executed > max_events:
+        while self._pending:
+            if executed == max_events:
                 raise SimulationError(f"exceeded {max_events} events; likely livelock")
+            self.step()
+            executed += 1

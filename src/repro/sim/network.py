@@ -10,9 +10,11 @@ randomness flows from a single seeded generator for reproducibility.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
 
@@ -76,19 +78,7 @@ class LogNormalLatency(LatencyModel):
             raise InvalidConfigurationError("median and sigma must be positive")
 
     def sample(self, rng: np.random.Generator) -> float:
-        import math
-
         return float(rng.lognormal(mean=math.log(self.median), sigma=self.sigma))
-
-
-@dataclass(frozen=True)
-class Envelope:
-    """A message in flight."""
-
-    src: int
-    dst: int
-    payload: object
-    send_time: float
 
 
 class Network:
@@ -112,12 +102,12 @@ class Network:
         self._extra_delay = 0.0
         self._rng = as_generator(seed)
         self._processes: dict[int, "Process"] = {}
+        #: Attached node ids in ascending order — the broadcast order.
+        self._node_ids: tuple[int, ...] = ()
         self._partition: Optional[tuple[frozenset[int], ...]] = None
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
-        #: Optional hook called for every delivered message (tracing).
-        self.delivery_hook: Optional[Callable[[Envelope], None]] = None
 
     # ------------------------------------------------------------------
     # Topology management
@@ -126,6 +116,7 @@ class Network:
         if process.node_id in self._processes:
             raise SimulationError(f"node id {process.node_id} already attached")
         self._processes[process.node_id] = process
+        self._node_ids = tuple(sorted(self._processes))
 
     def set_partition(self, groups: Iterable[Iterable[int]]) -> None:
         """Split the network; only same-group pairs can communicate."""
@@ -162,8 +153,7 @@ class Network:
         self._extra_delay = seconds
 
     def _partitioned(self, src: int, dst: int) -> bool:
-        if self._partition is None:
-            return False
+        """Whether the installed partition separates ``src`` from ``dst``."""
         for group in self._partition:
             if src in group:
                 return dst not in group
@@ -178,34 +168,31 @@ class Network:
         if dst not in self._processes:
             raise SimulationError(f"unknown destination node {dst}")
         self.messages_sent += 1
-        if self._partitioned(src, dst):
+        if self._partition is not None and self._partitioned(src, dst):
             self.messages_dropped += 1
             return
         if self._drop_probability > 0.0 and self._rng.random() < self._drop_probability:
             self.messages_dropped += 1
             return
-        envelope = Envelope(src=src, dst=dst, payload=payload, send_time=self._scheduler.now)
         delay = self._latency.sample(self._rng) + self._extra_delay
-        self._scheduler.schedule_after(delay, lambda: self._deliver(envelope))
+        self._scheduler.post_after(delay, partial(self._deliver, src, dst, payload))
 
     def broadcast(self, src: int, payload: object, *, include_self: bool = False) -> None:
         """Send ``payload`` to every attached node (optionally including src)."""
-        for node_id in sorted(self._processes):
+        for node_id in self._node_ids:
             if node_id == src and not include_self:
                 continue
             self.send(src, node_id, payload)
 
-    def _deliver(self, envelope: Envelope) -> None:
-        process = self._processes.get(envelope.dst)
-        if process is None or not process.is_running:
+    def _deliver(self, src: int, dst: int, payload: object) -> None:
+        process = self._processes[dst]
+        if not process.is_running:
             self.messages_dropped += 1
             return
         # Re-check the partition at delivery time: a partition that formed
         # mid-flight cuts the message off, matching real fabric behaviour.
-        if self._partitioned(envelope.src, envelope.dst):
+        if self._partition is not None and self._partitioned(src, dst):
             self.messages_dropped += 1
             return
         self.messages_delivered += 1
-        if self.delivery_hook is not None:
-            self.delivery_hook(envelope)
-        process.on_message(envelope.src, envelope.payload)
+        process.on_message(src, payload)

@@ -10,6 +10,7 @@ scheduler.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -85,14 +86,12 @@ class Process(ABC):
     # Messaging
     # ------------------------------------------------------------------
     def send(self, dst: int, payload: object) -> None:
-        if not self.is_running:
-            return
-        self._network.send(self.node_id, dst, payload)
+        if self._running and not self._crashed:
+            self._network.send(self.node_id, dst, payload)
 
     def broadcast(self, payload: object, *, include_self: bool = False) -> None:
-        if not self.is_running:
-            return
-        self._network.broadcast(self.node_id, payload, include_self=include_self)
+        if self._running and not self._crashed:
+            self._network.broadcast(self.node_id, payload, include_self=include_self)
 
     # ------------------------------------------------------------------
     # Timers
@@ -100,8 +99,9 @@ class Process(ABC):
     def set_timer(self, name: str, delay: float) -> None:
         """(Re)arm a named timer; fires ``on_timer(name)`` after ``delay``."""
         self.cancel_timer(name)
-        handle = self._scheduler.schedule_after(delay, lambda: self._fire_timer(name))
-        self._timers[name] = handle
+        self._timers[name] = self._scheduler.schedule_after(
+            delay, partial(self._fire_timer, name)
+        )
 
     def cancel_timer(self, name: str) -> None:
         handle = self._timers.pop(name, None)
@@ -113,7 +113,7 @@ class Process(ABC):
 
     def _fire_timer(self, name: str) -> None:
         self._timers.pop(name, None)
-        if self.is_running:
+        if self._running and not self._crashed:
             self.on_timer(name)
 
     # ------------------------------------------------------------------

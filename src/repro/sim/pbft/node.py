@@ -200,7 +200,7 @@ class PBFTNode(Process):
     def emit_commit(self, view: int, seq: int, digest: object) -> None:
         """Broadcast this replica's commit vote (Byzantine override point)."""
         key = (view, seq, digest)
-        if self.commit_votes[key] is not None and self.node_id in self.commit_votes[key]:
+        if self.node_id in self.commit_votes[key]:
             return  # already voted
         self.broadcast(
             Commit(view=view, seq=seq, digest=digest, node_id=self.node_id),
