@@ -38,7 +38,9 @@ class Process(ABC):
         self._rng = rng
         self._running = False
         self._crashed = False
+        #: Armed timers: the queued wake-up and the deadline it serves.
         self._timers: dict[str, EventHandle] = {}
+        self._deadlines: dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -69,6 +71,7 @@ class Process(ABC):
         for handle in self._timers.values():
             handle.cancel()
         self._timers.clear()
+        self._deadlines.clear()
         self.on_crash()
 
     def recover(self) -> None:
@@ -97,22 +100,51 @@ class Process(ABC):
     # Timers
     # ------------------------------------------------------------------
     def set_timer(self, name: str, delay: float) -> None:
-        """(Re)arm a named timer; fires ``on_timer(name)`` after ``delay``."""
-        self.cancel_timer(name)
-        self._timers[name] = self._scheduler.schedule_after(
-            delay, partial(self._fire_timer, name)
-        )
+        """(Re)arm a named timer; ``on_timer(name)`` fires once, ``delay`` from now.
+
+        Deferred-deadline contract: the timer fires exactly once, at the
+        deadline of the *last* ``set_timer`` call (``now + delay`` as
+        computed in that call), however often it was re-armed before.
+        Pushing a deadline *later* only records it — the wake-up already
+        queued is left alone and, finding the deadline moved, re-posts
+        itself at the recorded deadline — so a protocol may re-arm a
+        timeout on every message without touching the event queue.  Only a
+        deadline that moves *earlier* cancels the queued wake-up and pushes
+        a new one.  An early wake-up is a scheduler event but never calls
+        ``on_timer``.
+        """
+        deadline = self._scheduler.now + delay
+        handle = self._timers.get(name)
+        if handle is None or deadline < handle.time:
+            # Schedule before cancelling: a deadline in the past raises and
+            # must leave the armed timer as it was.
+            self._wake_at(name, deadline)
+            if handle is not None:
+                handle.cancel()
+        self._deadlines[name] = deadline
 
     def cancel_timer(self, name: str) -> None:
         handle = self._timers.pop(name, None)
         if handle is not None:
             handle.cancel()
+            del self._deadlines[name]
 
     def has_timer(self, name: str) -> bool:
         return name in self._timers
 
+    def _wake_at(self, name: str, time: float) -> None:
+        self._timers[name] = self._scheduler.schedule_at(
+            time, partial(self._fire_timer, name)
+        )
+
     def _fire_timer(self, name: str) -> None:
-        self._timers.pop(name, None)
+        deadline = self._deadlines[name]
+        if deadline > self._scheduler.now:
+            # Woke early: the deadline was pushed later since this wake-up
+            # was queued.
+            self._wake_at(name, deadline)
+            return
+        del self._timers[name], self._deadlines[name]
         if self._running and not self._crashed:
             self.on_timer(name)
 

@@ -13,6 +13,7 @@ from repro.sim.pbft.messages import (
     Prepare,
     PreparedProof,
     PrePrepare,
+    Status,
     ViewChange,
 )
 from repro.sim.pbft.node import PBFTNode, pbft_node_factory
@@ -30,5 +31,6 @@ __all__ = [
     "Commit",
     "ViewChange",
     "NewView",
+    "Status",
     "PreparedProof",
 ]

@@ -18,7 +18,7 @@ the simulator can demonstrate both sides of the predicate.
 from __future__ import annotations
 
 from repro.sim.cluster import NodeFactory
-from repro.sim.pbft.messages import Commit, Prepare, PrePrepare
+from repro.sim.pbft.messages import Commit, Prepare, PrePrepare, Status
 from repro.sim.pbft.node import PBFTNode
 
 
@@ -46,8 +46,7 @@ class DoubleVoter(PBFTNode):
         if msg.view != self.view or src != self.primary_of(msg.view):
             return
         # No equivocation refusal: prepare for whatever arrives.
-        self.preprepared[(msg.view, msg.seq)] = msg.value
-        self.emit_prepare(msg.view, msg.seq, msg.value)
+        self._accept_preprepare((msg.view, msg.seq), msg.value)
 
     def _handle_prepare(self, msg: Prepare) -> None:
         if msg.view != self.view:
@@ -88,10 +87,20 @@ class SilentByzantine(PBFTNode):
     def send_preprepare(self, message: PrePrepare) -> None:
         pass
 
-    def emit_prepare(self, view: int, seq: int, digest: object) -> None:
+    def emit_prepare(
+        self, view: int, seq: int, digest: object, to: int | None = None
+    ) -> None:
         pass
 
-    def emit_commit(self, view: int, seq: int, digest: object) -> None:
+    def emit_commit(
+        self, view: int, seq: int, digest: object, to: int | None = None
+    ) -> None:
+        pass
+
+    def _retransmit(self) -> None:
+        pass
+
+    def _handle_status(self, msg: Status) -> None:
         pass
 
     def _start_view_change(self, new_view: int) -> None:

@@ -63,3 +63,16 @@ class NewView:
 
     new_view: int
     preprepares: tuple[PrePrepare, ...]
+
+
+@dataclass(frozen=True)
+class Status:
+    """Retransmission request: ``node_id`` has unfinished work in ``view``.
+
+    ``executed`` are the sequence numbers it has executed; a receiver
+    re-sends its own messages for the other slots of that view.
+    """
+
+    view: int
+    executed: frozenset[int]
+    node_id: int

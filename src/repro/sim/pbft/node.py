@@ -30,16 +30,32 @@ from repro.sim.pbft.messages import (
     Prepare,
     PreparedProof,
     PrePrepare,
+    Status,
     ViewChange,
 )
 from repro.sim.trace import TraceRecorder
 
 
 class PBFTNode(Process):
-    """One (honest) PBFT replica."""
+    """One (honest) PBFT replica.
+
+    Retransmission schedule.  Every vote (prepare, commit) is broadcast
+    once.  The ``retry`` timer is armed only while the replica has
+    unfinished work — a pending request, or an accepted slot of its view
+    it has not executed; a replica with nothing to wait for schedules
+    nothing.  Each firing re-examines the pending requests and broadcasts
+    a :class:`~repro.sim.pbft.messages.Status`; every replica that gets it
+    (the sender too) re-sends the sender its own pre-prepare, prepare and
+    commit for the slots the sender has not executed, so a lost commit is
+    re-sent even by a peer that executed the slot long ago.  While the
+    work stays unfinished the delay between firings doubles from
+    ``RETRY_INTERVAL`` up to ``PROGRESS_TIMEOUT``; progress — a new
+    pending value, the first acceptance of a slot, an execution, entering
+    a view, recovery — restarts it at ``RETRY_INTERVAL``.
+    """
 
     PROGRESS_TIMEOUT = 0.5  # seconds without progress before view change
-    RETRY_INTERVAL = 0.05  # pending-request re-examination cadence
+    RETRY_INTERVAL = 0.05  # first retransmission delay after progress
 
     def __init__(
         self,
@@ -75,6 +91,9 @@ class PBFTNode(Process):
         self.pending: list[object] = []
         self.view_change_votes: dict[int, dict[int, ViewChange]] = defaultdict(dict)
         self._proposed_values: set[object] = set()  # primary-side dedup
+        #: Votes already broadcast: (message class, view, seq, digest).
+        self._votes_sent: set[tuple[type, int, int, object]] = set()
+        self._retry_delay = self.RETRY_INTERVAL  # current retransmission back-off
 
     # ------------------------------------------------------------------
     # Roles and lifecycle
@@ -87,12 +106,12 @@ class PBFTNode(Process):
         return self.primary_of(self.view) == self.node_id
 
     def on_start(self) -> None:
-        self.set_timer("retry", self.RETRY_INTERVAL)
+        pass  # nothing to retry yet: ``retry`` is armed by the first request
 
     def on_recover(self) -> None:
         # PBFT replicas persist their message log; the simulator keeps the
-        # in-memory state and merely resumes timers.
-        self.set_timer("retry", self.RETRY_INTERVAL)
+        # in-memory state and merely resumes retransmission.
+        self._restart_retry()
 
     def on_timer(self, name: str) -> None:
         if name == "progress":
@@ -100,24 +119,54 @@ class PBFTNode(Process):
         elif name == "retry":
             self._drive_pending()
             self._retransmit()
+            if self._has_outstanding_work():
+                self._retry_delay = min(2 * self._retry_delay, self.PROGRESS_TIMEOUT)
+                self.set_timer("retry", self._retry_delay)
+
+    def _has_outstanding_work(self) -> bool:
+        """A pending request, or an accepted slot of this view not yet executed."""
+        if self.pending:
+            return True
+        return any(
+            view == self.view and seq not in self.executed
+            for view, seq in self.preprepared
+        )
+
+    def _restart_retry(self) -> None:
+        """Progress was made: retransmit at the shortest interval again."""
+        self._retry_delay = self.RETRY_INTERVAL
+        if self._has_outstanding_work():
             self.set_timer("retry", self.RETRY_INTERVAL)
+        else:
+            self.cancel_timer("retry")
 
     def _retransmit(self) -> None:
-        """Re-emit votes for unexecuted slots (lossy-network recovery).
+        """Ask every replica, this one included, to re-send what it lacks.
 
-        Vote sets are idempotent, so periodic rebroadcast of this
-        replica's prepare/commit votes (and the primary's pre-prepares)
-        implements PBFT's message-retransmission requirement.
+        A sender cannot tell which of its messages a peer lost, and a peer
+        that executed a slot no longer retries it; so the replica with
+        unfinished work says what it has executed and each receiver
+        answers with its own messages for the other slots of the view
+        (:meth:`_handle_status`).  The copy to itself recovers votes lost
+        on the loop-back path.
         """
-        for (view, seq), digest in list(self.preprepared.items()):
-            if view != self.view or seq in self.executed:
+        self.broadcast(
+            Status(view=self.view, executed=frozenset(self.executed), node_id=self.node_id),
+            include_self=True,
+        )
+
+    def _handle_status(self, msg: Status) -> None:
+        """Re-send ``msg.node_id`` this replica's messages for its open slots."""
+        if msg.view != self.view:
+            return
+        for (view, seq), digest in self.preprepared.items():
+            if view != msg.view or seq in msg.executed:
                 continue
             if self.is_primary:
-                self.broadcast(PrePrepare(view=view, seq=seq, value=digest))
-            self.emit_prepare(view, seq, digest)
-        for view, seq, digest in list(self.prepared_local):
-            if view == self.view and seq not in self.executed:
-                self.emit_commit(view, seq, digest)
+                self.send(msg.node_id, PrePrepare(view=view, seq=seq, value=digest))
+            self.emit_prepare(view, seq, digest, to=msg.node_id)
+            if (Commit, view, seq, digest) in self._votes_sent:
+                self.emit_commit(view, seq, digest, to=msg.node_id)
 
     # ------------------------------------------------------------------
     # Client interface
@@ -127,6 +176,7 @@ class PBFTNode(Process):
             return
         if value not in self.pending:
             self.pending.append(value)
+            self._restart_retry()
         self._drive_pending()
         if not self.has_timer("progress"):
             self.set_timer("progress", self.PROGRESS_TIMEOUT)
@@ -143,6 +193,9 @@ class PBFTNode(Process):
         seq = self.next_seq
         self.next_seq += 1
         self._proposed_values.add(value)
+        # The primary holds its own assignment from the start, so it can
+        # re-send the pre-prepare (to itself too) if the first copy is lost.
+        self.preprepared[(self.view, seq)] = value
         message = PrePrepare(view=self.view, seq=seq, value=value)
         self.send_preprepare(message)
 
@@ -164,6 +217,8 @@ class PBFTNode(Process):
             self._handle_view_change(payload)
         elif isinstance(payload, NewView):
             self._handle_new_view(src, payload)
+        elif isinstance(payload, Status):
+            self._handle_status(payload)
 
     def _handle_preprepare(self, src: int, msg: PrePrepare) -> None:
         if msg.view != self.view or src != self.primary_of(msg.view):
@@ -171,15 +226,43 @@ class PBFTNode(Process):
         key = (msg.view, msg.seq)
         if key in self.preprepared and self.preprepared[key] != msg.value:
             return  # equivocation detected: refuse the second assignment
-        self.preprepared[key] = msg.value
-        self.emit_prepare(msg.view, msg.seq, msg.value)
+        self._accept_preprepare(key, msg.value)
 
-    def emit_prepare(self, view: int, seq: int, digest: object) -> None:
-        """Broadcast this replica's prepare vote (Byzantine override point)."""
-        self.broadcast(
-            Prepare(view=view, seq=seq, digest=digest, node_id=self.node_id),
-            include_self=True,
-        )
+    def _accept_preprepare(self, key: tuple[int, int], value: object) -> None:
+        first = key not in self.preprepared
+        self.preprepared[key] = value
+        if first:
+            self._restart_retry()
+        self.emit_prepare(key[0], key[1], value)
+
+    def emit_prepare(
+        self, view: int, seq: int, digest: object, to: int | None = None
+    ) -> None:
+        """Send this replica's prepare vote (Byzantine override point)."""
+        self._send_vote(Prepare, view, seq, digest, to)
+
+    def _send_vote(
+        self,
+        kind: type[Prepare] | type[Commit],
+        view: int,
+        seq: int,
+        digest: object,
+        to: int | None,
+    ) -> None:
+        """Broadcast a vote (self included) unless that was done before.
+
+        Each vote is broadcast once, however many duplicate pre-prepares,
+        late prepares and echoed commits ask for it again; a copy lost on
+        the way is re-sent to the peer that reports unfinished work
+        (``to``, see :meth:`_handle_status`).
+        """
+        if to is not None:
+            self.send(to, kind(view, seq, digest, self.node_id))
+            return
+        key = (kind, view, seq, digest)
+        if key not in self._votes_sent:
+            self._votes_sent.add(key)
+            self.broadcast(kind(view, seq, digest, self.node_id), include_self=True)
 
     def _handle_prepare(self, msg: Prepare) -> None:
         if msg.view != self.view:
@@ -197,15 +280,11 @@ class PBFTNode(Process):
             self.emit_commit(msg.view, msg.seq, msg.digest)
             self._try_execute(msg.view, msg.seq, msg.digest)
 
-    def emit_commit(self, view: int, seq: int, digest: object) -> None:
-        """Broadcast this replica's commit vote (Byzantine override point)."""
-        key = (view, seq, digest)
-        if self.node_id in self.commit_votes[key]:
-            return  # already voted
-        self.broadcast(
-            Commit(view=view, seq=seq, digest=digest, node_id=self.node_id),
-            include_self=True,
-        )
+    def emit_commit(
+        self, view: int, seq: int, digest: object, to: int | None = None
+    ) -> None:
+        """Send this replica's commit vote (Byzantine override point)."""
+        self._send_vote(Commit, view, seq, digest, to)
 
     def _handle_commit(self, msg: Commit) -> None:
         if msg.view != self.view:
@@ -238,6 +317,7 @@ class PBFTNode(Process):
             self.set_timer("progress", self.PROGRESS_TIMEOUT)
         else:
             self.cancel_timer("progress")
+        self._restart_retry()
 
     # ------------------------------------------------------------------
     # View changes
@@ -283,16 +363,20 @@ class PBFTNode(Process):
             PrePrepare(view=new_view, seq=seq, value=proof.digest)
             for seq, proof in sorted(carried.items())
         )
-        self.view = new_view
+        self._enter_view(new_view)
         self.next_seq = max((p.seq for p in preprepares), default=0) + 1
         self._proposed_values = {p.value for p in preprepares}
         self._trace.record_event(self.now, self.node_id, "new-view", f"view={new_view}")
         self.broadcast(NewView(new_view=new_view, preprepares=preprepares), include_self=True)
 
+    def _enter_view(self, view: int) -> None:
+        self.view = view
+        self._restart_retry()
+
     def _handle_new_view(self, src: int, msg: NewView) -> None:
         if msg.new_view < self.view or src != self.primary_of(msg.new_view):
             return
-        self.view = msg.new_view
+        self._enter_view(msg.new_view)
         for preprepare in msg.preprepares:
             self._handle_preprepare(src, preprepare)
         # Give the new primary a chance before suspecting it too.

@@ -92,7 +92,8 @@ class RaftNode(Process):
     # ------------------------------------------------------------------
     def _arm_election_timer(self) -> None:
         low, high = self.ELECTION_TIMEOUT
-        self.set_timer("election", float(self._rng.uniform(low, high)))
+        # Bit-identical to ``float(rng.uniform(low, high))``, one draw each.
+        self.set_timer("election", low + (high - low) * self._rng.random())
 
     def on_timer(self, name: str) -> None:
         if name == "election":

@@ -104,14 +104,10 @@ class SampledQuorumLeader(SampledQuorumReplica):
         self.pending_values: dict[int, object] = {}  # volatile until committed
         self.committed: dict[int, object] = {}
 
-    def on_start(self) -> None:
-        self.set_timer("retry", self.RETRY_INTERVAL)
-
     def on_timer(self, name: str) -> None:
         if name == "retry":
             for slot in self.pending_values:
-                if slot not in self.committed:
-                    self._replicate(slot)
+                self._replicate(slot)
             self.set_timer("retry", self.RETRY_INTERVAL)
 
     def on_client_request(self, value: object) -> None:
@@ -131,6 +127,9 @@ class SampledQuorumLeader(SampledQuorumReplica):
             self.acks[slot].add(self.node_id)
         self._replicate(slot)
         self._maybe_commit(slot)
+        # ``retry`` runs only while some slot awaits its acks.
+        if self.pending_values and not self.has_timer("retry"):
+            self.set_timer("retry", self.RETRY_INTERVAL)
 
     def _replicate(self, slot: int) -> None:
         value = self.pending_values[slot]
@@ -151,6 +150,8 @@ class SampledQuorumLeader(SampledQuorumReplica):
         if slot in self.committed or self.acks[slot] < self.sampled_quorums[slot]:
             return
         value = self.pending_values.pop(slot)
+        if not self.pending_values:
+            self.cancel_timer("retry")
         self.committed[slot] = value
         self.learned[slot] = value
         self._trace.record_commit(self.now, self.node_id, slot, value)

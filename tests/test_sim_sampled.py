@@ -118,3 +118,33 @@ class TestLossyNetwork:
         cluster.run_until(10.0)
         leader = cluster.nodes[0]
         assert set(leader.committed.values()) == {f"lossy{i}" for i in range(4)}
+
+
+class TestRetryTimer:
+    def test_armed_only_while_a_slot_awaits_acks(self):
+        cluster = Cluster(6, sampled_quorum_factory(quorum_size=3), seed=5)
+        leader = cluster.nodes[0]
+        cluster.start()
+        cluster.run_until(0.1)
+        assert not leader.has_timer("retry")
+        cluster.submit("doomed")
+        victim = next(iter(leader.sampled_quorums[1] - {0}))
+        cluster.nodes[victim].crash()
+        cluster.run_until(1.0)
+        assert 1 in leader.pending_values and leader.has_timer("retry")
+        cluster.nodes[victim].recover()
+        cluster.run_until(1.2)
+        assert 1 in leader.committed and not leader.has_timer("retry")
+
+    def test_nothing_scheduled_after_the_last_commit(self):
+        """The leader's retry stops with its last open slot, so the run
+        drains instead of ticking until the livelock guard trips."""
+        cluster = Cluster(12, sampled_quorum_factory(quorum_size=3), seed=0)
+        cluster.start()
+        for i in range(5):
+            cluster.submit(f"v{i}", at=0.2 + 0.1 * i)
+        cluster.scheduler.run_to_completion(max_events=10_000)
+        assert cluster.scheduler.pending_events == 0
+        assert set(cluster.nodes[0].committed.values()) == {f"v{i}" for i in range(5)}
+        for process in cluster.nodes:
+            assert set(process.learned.values()) == {f"v{i}" for i in range(5)}
