@@ -105,7 +105,7 @@ def measure_grid() -> dict:
         return [counting_reliability(s.spec, s.fleet) for s in grid]
 
     def engine_run():
-        return ReliabilityEngine().run(grid).results
+        return ReliabilityEngine().run(grid).values
 
     analyze_seconds, analyze_results = _best(analyze_loop)
     scalar_seconds, scalar_results = _best(scalar_loop)
@@ -121,7 +121,7 @@ def measure_grid() -> dict:
     start = time.perf_counter()
     cached = engine.run(grid)
     cached_seconds = time.perf_counter() - start
-    assert cached.results == engine_results
+    assert cached.values == engine_results
     assert cached.cache_hits == len(grid)
 
     return {

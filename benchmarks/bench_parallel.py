@@ -137,8 +137,8 @@ def measure_engine() -> dict:
     def run_with(policy: ExecutionPolicy | None):
         engine = ReliabilityEngine(cache_size=0)
         if policy is None:
-            return engine.run(scenarios).results
-        return engine.run(scenarios, policy=policy).results
+            return engine.run(scenarios).values
+        return engine.run(scenarios, policy=policy).values
 
     serial_seconds, serial_results = _best(lambda: run_with(None))
     thread1 = run_with(ExecutionPolicy(mode="thread", jobs=1))
@@ -149,7 +149,7 @@ def measure_engine() -> dict:
         lambda: run_with(ExecutionPolicy(mode="process", jobs=MAX_JOBS))
     )
     assert serial_results == thread1 == thread4 == process4, (
-        "EngineResult values must not depend on worker count or pool mode"
+        "AnswerSet values must not depend on worker count or pool mode"
     )
     return {
         "scenarios": len(scenarios),

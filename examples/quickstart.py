@@ -2,10 +2,11 @@
 """Quickstart: probabilistic reliability of a consensus deployment.
 
 Reproduces the paper's headline numbers in a dozen lines, using the
-Scenario/Engine front door: every reliability question is a `Scenario`,
-batches of questions are a `ScenarioSet`, and the `ReliabilityEngine`
-picks estimators, shares DP sweeps across same-size scenarios, and caches
-repeated questions.
+engine's one front door: a deployment is a `Scenario`, a question about
+it is a `Query` (a bare scenario asks for its reliability), and
+`ReliabilityEngine.run` answers any batch of them with an `AnswerSet` —
+picking estimators, sharing DP sweeps across same-size scenarios, and
+caching repeated questions.
 
 Run:  python examples/quickstart.py
 """
@@ -28,33 +29,37 @@ def main() -> None:
     engine = default_engine()
 
     # -- 1. "Raft with N=3 is only 3 nines safe and live" (§1) ----------
+    # run_query answers one question; `.value` is the ReliabilityResult,
+    # `.provenance` says how it was computed.
     question = Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, p_fail=0.01))
-    result = engine.run_one(question).result
-    print("3-node Raft, 1% node failure probability:")
+    answer = engine.run_query(question)
+    result = answer.value
+    print(f"3-node Raft, 1% node failure probability [{answer.provenance.describe()}]:")
     print(f"  safe:          {format_probability(result.safe.value)}")
     print(f"  live:          {format_probability(result.live.value)}")
     print(f"  safe & live:   {format_probability(result.safe_and_live.value)}"
           f"  ({nines(result.safe_and_live.value):.2f} nines)")
 
     # -- 2. Nine flaky nodes buy the same guarantee (§3) ----------------
-    cheap = engine.run_one(
+    cheap = engine.run_query(
         Scenario(spec=RaftSpec(9), fleet=uniform_fleet(9, p_fail=0.08))
-    ).result
+    ).value
     print("\n9-node Raft on 8%-failure spot instances:")
     print(f"  safe & live:   {format_probability(cheap.safe_and_live.value)}")
     print("  -> same nines; at 10x cheaper nodes this is a ~3.3x cost cut")
 
     # -- 3. PBFT's quorum sizes hide a safety/liveness dial (§3) --------
-    # A ScenarioSet runs the whole sweep in one engine submission.
+    # A ScenarioSet runs the whole sweep in one engine submission; the
+    # reply is an AnswerSet, one Answer per scenario in order.
     sweep = ScenarioSet.build(
         Scenario(spec=PBFTSpec(n), fleet=byzantine_fleet(n, 0.01), label=f"N={n}")
         for n in (4, 5, 7)
     )
     print("\nPBFT at p=1% (every failure Byzantine):")
-    for outcome in engine.run(sweep):
-        r = outcome.result
+    for answer in engine.run(sweep):
+        r = answer.value
         print(
-            f"  {outcome.scenario.label}: safe {format_probability(r.safe.value):>12}  "
+            f"  {answer.scenario.label}: safe {format_probability(r.safe.value):>12}  "
             f"live {format_probability(r.live.value):>9}"
         )
     print("  -> 5 nodes are dramatically safer than 4, and safer than 7")
@@ -79,12 +84,12 @@ def main() -> None:
     )
     policy = ExecutionPolicy(mode="thread", jobs=2)
     print("\n25-node Raft under sampled failures, sharded across 2 workers:")
-    for outcome in engine.run(big, policy=policy):
-        r = outcome.result
+    for answer in engine.run(big, policy=policy):
+        r = answer.value
         print(
-            f"  {outcome.scenario.label}: safe&live "
+            f"  {answer.scenario.label}: safe&live "
             f"{format_probability(r.safe_and_live.value)}  "
-            f"[{outcome.provenance.describe()}]"
+            f"[{answer.provenance.describe()}]"
         )
     print("  -> worker count never changes the numbers, only the wall-clock")
 

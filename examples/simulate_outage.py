@@ -5,9 +5,9 @@ The paper's §2 warns that faults cluster (rollouts, rack incidents) and
 that the f-threshold model hides the resulting risk.  This example builds
 the same deployment twice and compares:
 
-* the analytical view — independent vs correlated failure models, asked
-  through the engine's Scenario front door;
-* the campaign view — a SimulationQuery through the same engine: many
+* the analytical view — independent vs correlated failure models, each
+  a Scenario answered by ``run_query(...).value``;
+* the campaign view — a SimulationQuery through the same front door: many
   seeded executions of the deployment, audited for agreement/progress,
   reported as violation rates with Wilson bounds;
 * the executable view — a discrete-event Raft cluster suffering the
@@ -37,8 +37,8 @@ def analytical_comparison() -> None:
     fleet = uniform_fleet(N, P_FAIL)
     spec = RaftSpec(N)
     engine = default_engine()
-    independent = engine.run_one(Scenario(spec=spec, fleet=fleet)).result
-    correlated = engine.run_one(
+    independent = engine.run_query(Scenario(spec=spec, fleet=fleet)).value
+    correlated = engine.run_query(
         Scenario(
             spec=spec,
             fleet=fleet,
@@ -46,7 +46,7 @@ def analytical_comparison() -> None:
             trials=200_000,
             seed=7,
         )
-    ).result
+    ).value
     print("analytical view (5-node Raft, 5% node failures):")
     print(f"  independent faults:   S&L {format_probability(independent.safe_and_live.value)}")
     print(f"  + rack-0 PDU shock:   S&L {format_probability(correlated.safe_and_live.value)}"

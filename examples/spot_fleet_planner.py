@@ -8,10 +8,11 @@ paper's argument (§3): with probabilistic analysis you can buy the SLO
 with whatever hardware is cheapest, instead of defaulting to "3 reliable
 nodes".
 
-The planner routes through the Scenario/Engine API: the whole
-(SKU × size) grid is one ScenarioSet submission, so every cluster size is
-a single shared counting-DP sweep across SKUs and repeated questions hit
-the engine's cache (visible below via engine cache statistics).
+The planner routes through the engine's one front door: the whole
+(SKU × size) grid is one `ReliabilityEngine.run` submission of
+scenarios, so every cluster size is a single shared counting-DP sweep
+across SKUs and repeated questions hit the engine's memo (visible below
+via engine cache statistics).
 
 Run:  python examples/spot_fleet_planner.py
 """

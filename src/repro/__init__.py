@@ -10,14 +10,15 @@ attacks through seeded simulation campaigns.
 
 Quickstart
 ----------
-The front door is the Scenario/Engine API: describe each reliability
-question as a :class:`Scenario`, submit batches as a :class:`ScenarioSet`,
-and let the :class:`ReliabilityEngine` pick estimators, share DP sweeps
-and cache repeats:
+The front door is the Query/Engine API: describe each deployment as a
+:class:`Scenario`, submit one with ``run_query`` or a batch (a
+:class:`ScenarioSet`, a mixed :class:`QuerySet`) with ``run``, and the
+:class:`ReliabilityEngine` picks estimators, shares DP sweeps, caches
+repeats and replies with an :class:`AnswerSet`:
 
 >>> from repro import RaftSpec, Scenario, default_engine, uniform_fleet
 >>> scenario = Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, 0.01))
->>> round(default_engine().run_one(scenario).result.safe_and_live.value, 6)
+>>> round(default_engine().run_query(scenario).value.safe_and_live.value, 6)
 0.999702
 
 The classic one-shot helper is a shim over the same engine:
@@ -31,7 +32,6 @@ The classic one-shot helper is a shim over the same engine:
 from repro.engine import (
     AnswerSet,
     AvailabilityQuery,
-    EngineResult,
     MTTFQuery,
     QuerySet,
     ReliabilityEngine,
@@ -89,7 +89,6 @@ __all__ = [
     "MTTFQuery",
     "SimulationQuery",
     "ReliabilityEngine",
-    "EngineResult",
     "AnswerSet",
     "default_engine",
     "register_estimator",

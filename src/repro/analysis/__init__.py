@@ -1,18 +1,18 @@
 """Probability estimators: Safe/Live aggregation over configurations (§3).
 
-**The front door is the Scenario/Engine API** (:mod:`repro.engine`): build
+**The front door is the Query/Engine API** (:mod:`repro.engine`): build
 a :class:`~repro.engine.Scenario` per reliability question, submit a
 :class:`~repro.engine.ScenarioSet` to a
 :class:`~repro.engine.ReliabilityEngine`, and the engine picks estimators,
 deduplicates repeated questions through its memo cache, and batches
 same-size symmetric scenarios into shared counting-DP sweeps::
 
-    from repro.engine import Scenario, ScenarioSet, default_engine
+    from repro.engine import ScenarioSet, default_engine
 
     grid = ScenarioSet.grid(protocols=("raft", "pbft"),
                             sizes=(3, 5, 7), probabilities=(0.01, 0.05))
-    for outcome in default_engine().run(grid):
-        print(outcome.scenario.label, outcome.result, outcome.provenance)
+    for answer in default_engine().run(grid):
+        print(answer.scenario.label, answer.value, answer.provenance.describe())
 
 This package provides the estimators the engine's registry plugs in:
 
@@ -109,10 +109,6 @@ from typing import TYPE_CHECKING, Sequence
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.protocols.base import ProtocolSpec
 
-#: Above this configuration count, `analyze` stops considering enumeration.
-#: (Kept in sync with :data:`repro.engine.engine.EXACT_BUDGET`.)
-_EXACT_BUDGET = 1 << 20
-
 
 def analyze(
     spec: "ProtocolSpec",
@@ -124,8 +120,8 @@ def analyze(
 ) -> ReliabilityResult:
     """Compute Safe/Live/Safe&Live reliability for a deployment.
 
-    .. deprecated:: prefer the Scenario/Engine API —
-       ``default_engine().run_one(Scenario(spec=spec, fleet=fleet))`` —
+    .. deprecated:: prefer the Query/Engine API —
+       ``default_engine().run_query(Scenario(spec=spec, fleet=fleet))`` —
        which adds batching, caching and provenance.  This shim submits a
        single scenario to the default engine and stays for compatibility;
        outputs are bit-identical to the historical estimator dispatch.
@@ -138,7 +134,7 @@ def analyze(
     from repro.engine import Scenario, default_engine
 
     scenario = Scenario(spec=spec, fleet=fleet, method=method, trials=trials, seed=seed)
-    return default_engine().run_one(scenario).result
+    return default_engine().run_query(scenario).value
 
 
 def analyze_batch(
@@ -151,7 +147,7 @@ def analyze_batch(
 ) -> list[ReliabilityResult]:
     """Reliability for many same-size fleets against one spec, batched.
 
-    .. deprecated:: prefer the Scenario/Engine API —
+    .. deprecated:: prefer the Query/Engine API —
        ``default_engine().run(ScenarioSet(...))`` — which batches across
        *specs* as well as fleets and reports provenance.  This shim wraps
        the fleets into one scenario set; per-fleet values are bit-identical
@@ -171,7 +167,7 @@ def analyze_batch(
         Scenario(spec=spec, fleet=fleet, method=method, trials=trials, seed=seed)
         for fleet in fleets
     ]
-    return default_engine().run(scenarios).results
+    return default_engine().run(scenarios).values
 
 
 __all__ = [

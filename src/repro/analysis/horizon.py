@@ -90,7 +90,7 @@ def reliability_over_horizon(
         )
         for index, (start, fleet) in enumerate(zip(starts, fleets))
     ]
-    results = default_engine().run(scenarios).results
+    results = default_engine().run(scenarios).values
     return [
         WindowPoint(
             window_index=index,

@@ -8,22 +8,22 @@ Subcommands::
     repro-analyze table2                          # reproduce paper Table 2
     repro-analyze plan  --target-nines 3.5        # cheapest plan for a target
     repro-analyze sweep --n 25 --p 0.01,0.02,0.05 # batched what-if sweep
-    repro-analyze scenarios deployments.json      # JSON scenario file -> engine
-    repro-analyze query questions.json            # mixed query kinds -> engine
+    repro-analyze query questions.json            # JSON query file -> engine
+    repro-analyze scenarios deployments.json      # (alias of `query`)
     repro-analyze sensitivity --n 7 --p 0.08,0.08,0.08,0.08,0.01,0.01,0.01
     repro-analyze committee --n 100 --p 0.01 --target-nines 4
     repro-analyze mttf --n 5 --afr 0.08 --mttr-hours 24 [--json]
 
 Every estimation routes through the reliability engine
 (:mod:`repro.engine`), so sweeps and tables share batched DP sweeps and
-the engine's memo cache.  ``scenarios`` is the front door for arbitrary
-reliability workloads: a JSON file of scenario dicts (or a grid
-description) runs through :meth:`ReliabilityEngine.run` and prints
-per-scenario results with provenance.  ``query`` generalizes it to the
-time domain: one JSON file may mix ``reliability``, ``availability``,
-``mttf`` and ``simulation`` questions, each routed to its engine backend
-(shared CTMC solves; sharded simulation campaigns).  ``mttf`` itself is
-answered by those backends.  ``simulation`` rows accept a ``"faults"``
+the engine's memo cache.  ``query`` (alias: ``scenarios``) is the front
+door for arbitrary workloads: one JSON file — a list of scenario dicts, a
+``{"grid": ...}`` description, or rows mixing ``reliability``,
+``availability``, ``mttf`` and ``simulation`` questions — runs through
+:meth:`ReliabilityEngine.run`, each row routed to its engine backend
+(shared DP sweeps and CTMC solves; sharded simulation campaigns), and
+prints per-row answers with provenance.  ``mttf`` itself is answered by
+those backends.  ``simulation`` rows accept a ``"faults"``
 section — a declarative :mod:`repro.injection` fault plan of typed events
 (``crash``, ``partition``, ``loss-burst``, ``delay-burst``,
 ``correlated-burst``) plus an adversary mix — so outage replays and
@@ -35,7 +35,7 @@ Byzantine attack campaigns are plain JSON::
                             "groups": [[0, 1], [2, 3]],
                             "at": 2.0, "heal_at": 4.0}]}}
 
-``raft``/``pbft``/``sweep``/``scenarios``/``query`` take ``--jobs N`` to
+``raft``/``pbft``/``sweep``/``query`` take ``--jobs N`` to
 fan work over ``N`` worker processes (sharded counting-DP sweeps;
 spawned-stream Monte-Carlo; simulation replica fan-out).  ``--jobs`` only
 decides where shards run: results are identical for any ``N`` and for
@@ -118,10 +118,10 @@ def _cmd_raft(args: argparse.Namespace) -> int:
     from repro.engine import Scenario, default_engine
 
     spec = RaftSpec(args.n, q_per=args.q_per, q_vc=args.q_vc)
-    result = default_engine().run_one(
+    result = default_engine().run_query(
         Scenario(spec=spec, fleet=uniform_fleet(args.n, args.p)),
         policy=_policy_from_args(args),
-    ).result
+    ).value
     _print_table(
         ["N", "|Qper|", "|Qvc|", "Safe %", "Live %", "Safe and Live %"],
         [[
@@ -140,10 +140,10 @@ def _cmd_pbft(args: argparse.Namespace) -> int:
     from repro.engine import Scenario, default_engine
 
     spec = PBFTSpec(args.n)
-    result = default_engine().run_one(
+    result = default_engine().run_query(
         Scenario(spec=spec, fleet=byzantine_fleet(args.n, args.p)),
         policy=_policy_from_args(args),
-    ).result
+    ).value
     _print_table(
         ["N", "|Qeq|", "|Qper|", "|Qvc|", "|Qvc_t|", "Safe %", "Live %", "Safe and Live %"],
         [[
@@ -245,7 +245,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     results = default_engine().run(
         [Scenario(spec=spec, fleet=fleet) for fleet in fleets],
         policy=_policy_from_args(args),
-    ).results
+    ).values
     rows = [
         [
             f"{p:.4f}",
@@ -257,65 +257,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ]
     print(f"Sweep: {spec.name} n={args.n}, {len(fleets)} fleets in one kernel batch")
     _print_table(["p_fail", "Safe %", "Live %", "Safe and Live %"], rows)
-    return 0
-
-
-def _cmd_scenarios(args: argparse.Namespace) -> int:
-    """Run a JSON scenario file through the reliability engine."""
-    import json
-    from pathlib import Path
-
-    from repro.engine import ScenarioSet, default_engine
-    from repro.errors import ReproError
-
-    path = Path(args.file)
-    if not path.exists():
-        raise SystemExit(f"scenario file not found: {path}")
-    try:
-        scenario_set = ScenarioSet.from_json(path.read_text())
-    except (ReproError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise SystemExit(f"invalid scenario file {path}: {exc}")
-    if not len(scenario_set):
-        raise SystemExit(f"scenario file {path} contains no scenarios")
-    engine_result = default_engine().run(scenario_set, policy=_policy_from_args(args))
-    if args.json:
-        payload = [
-            {
-                "label": outcome.scenario.label,
-                "protocol": outcome.result.protocol,
-                "n": outcome.result.n,
-                "method": outcome.result.method,
-                "safe": outcome.result.safe.value,
-                "live": outcome.result.live.value,
-                "safe_and_live": outcome.result.safe_and_live.value,
-                "estimator": outcome.provenance.estimator,
-                "cache_hit": outcome.provenance.cache_hit,
-                "batched": outcome.provenance.batched,
-            }
-            for outcome in engine_result
-        ]
-        print(json.dumps(payload, indent=2))
-        return 0
-    rows = [
-        [
-            row["label"],
-            row["protocol"],
-            row["N"],
-            row["Safe %"],
-            row["Live %"],
-            row["Safe and Live %"],
-            row["via"],
-        ]
-        for row in engine_result.table()
-    ]
-    print(
-        f"Scenarios: {len(engine_result)} run through the engine "
-        f"({engine_result.cache_hits} cache hits)"
-    )
-    _print_table(
-        ["scenario", "protocol", "N", "Safe %", "Live %", "Safe and Live %", "via"],
-        rows,
-    )
     return 0
 
 
@@ -657,16 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_flag(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
-    scenarios = sub.add_parser(
-        "scenarios", help="run a JSON scenario file through the reliability engine"
-    )
-    scenarios.add_argument("file", help="path to a scenario JSON file")
-    scenarios.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON results"
-    )
-    _add_jobs_flag(scenarios)
-    scenarios.set_defaults(func=_cmd_scenarios)
-
     sensitivity = sub.add_parser(
         "sensitivity", help="rank nodes by Birnbaum importance (liveness)"
     )
@@ -698,8 +629,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     query = sub.add_parser(
         "query",
-        help="run a mixed JSON query file (reliability/availability/mttf/"
-        "simulation; simulation rows may embed fault plans)",
+        aliases=["scenarios"],
+        help="run a JSON query or scenario file (reliability/availability/"
+        "mttf/simulation rows; simulation rows may embed fault plans)",
     )
     query.add_argument("file", help="path to a query JSON file")
     query.add_argument(

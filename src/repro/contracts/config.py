@@ -128,8 +128,10 @@ DEFAULT_CONFIG = LintConfig(
             # no estimator output flows from them (PR 6).
             "*repro/runtime.py",
             # Provenance timing (Provenance.seconds) is metrology, not an
-            # input to any answer.
-            "*repro/engine/engine.py",
+            # input to any answer: the backends time what they compute
+            # (the engine itself — memo, overrides, kind router — reads
+            # no clock).
+            "*repro/engine/planner.py",
             "*repro/engine/backends.py",
             # The serving daemon measures request latency and uptime —
             # wall-clock by nature (PR 8); no answer value flows from
@@ -161,7 +163,7 @@ DEFAULT_CONFIG = LintConfig(
         ),
     ),
     field_exemptions={
-        # Estimator *name* is resolved before keying: the engine keys on
+        # Estimator *name* is resolved before keying: the planner keys on
         # the concrete resolved method (see Scenario.cache_key docstring).
         "Scenario.method": "cache_key takes the post-'auto' resolved_method",
         # Provenance-only metadata: never influences estimator output.

@@ -1,38 +1,38 @@
-"""Scenario/Engine API: the batched front door to reliability analysis.
+"""Query/Engine API: the one front door to reliability analysis.
 
 The paper's pitch is that consensus deployments should report guarantees
 the way S3 reports durability — nines computed from explicit failure
-scenarios.  This package makes the *scenario* the first-class object:
+scenarios.  This package makes the *question* the first-class object: a
+:class:`Scenario` pins a deployment (spec, fleet, estimator budget), a
+:class:`Query` couples it with a question kind, and every submission —
+one scenario, a sweep, a mixed JSON query file — goes through
+:meth:`ReliabilityEngine.run` and comes back as an :class:`AnswerSet`:
 
->>> from repro.engine import Scenario, ScenarioSet, default_engine
+>>> from repro.engine import Scenario, default_engine
 >>> from repro import RaftSpec, uniform_fleet
->>> outcome = default_engine().run_one(
+>>> answer = default_engine().run_query(
 ...     Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, 0.01)))
->>> round(outcome.result.safe_and_live.value, 6)
+>>> round(answer.value.safe_and_live.value, 6)
 0.999702
+>>> answer.provenance.describe()
+'reliability:counting/solo'
 
-Sweeps submit a :class:`ScenarioSet` — built by hand, from the
-:meth:`ScenarioSet.grid` builder, or from a JSON scenario file — and the
-:class:`ReliabilityEngine` plans the execution: shared counting-DP sweeps
-for same-size symmetric scenarios, a bounded memo cache for repeated
-questions, and the pluggable estimator registry for everything else.
-Every consumer in this repository (``analyze``/``analyze_batch``, the
-planner, committee search, horizon sweeps, the CLI) now routes through
-here, so batch execution is the default path, not something each caller
-reinvents.
-
-Beyond point reliability, the engine answers *time-domain* questions
-through the same front door: a :class:`Query` couples a scenario with a
-question kind (:class:`ReliabilityQuery`, :class:`AvailabilityQuery`,
-:class:`MTTFQuery`, :class:`SimulationQuery`) and a mixed
-:class:`QuerySet` routes each row to the backend registered for its kind
-(:func:`register_backend`), batching same-chain CTMC solves and fanning
-simulation replicas across the :class:`ExecutionPolicy` pool.
-:class:`SimulationQuery` campaigns accept a declarative
+A bare :class:`Scenario` is a :class:`ReliabilityQuery`; a
+:class:`ScenarioSet` — built by hand, from the :meth:`ScenarioSet.grid`
+builder, or from JSON — is a batch of them.  The engine routes each row
+to the backend registered for its kind (:func:`register_backend`):
+``reliability`` is the scenario planner (shared counting-DP sweeps for
+same-size symmetric scenarios, a bounded memo for repeated questions,
+the pluggable estimator registry for everything else);
+:class:`AvailabilityQuery` and :class:`MTTFQuery` batch same-chain CTMC
+solves; :class:`SimulationQuery` campaigns fan seeded replicas across the
+:class:`ExecutionPolicy` pool and accept a declarative
 :class:`repro.injection.FaultPlan` (``faults=``) describing outages,
-partitions, bursts and Byzantine adversary mixes.  Answers come back as a
-typed :class:`AnswerSet` whose :class:`Provenance` records backend, batch
-and shard counts.
+partitions, bursts and Byzantine adversary mixes.  Every consumer in this
+repository (``analyze``/``analyze_batch``, the planner, committee search,
+horizon sweeps, the CLI, the daemon) routes through here, and each
+answer's :class:`Provenance` records backend, estimator, batch and shard
+counts.
 
 Every shard fan-out goes through one dispatcher,
 :func:`repro.runtime.run_supervised` (re-exported here), and campaign
@@ -77,10 +77,8 @@ from repro.engine.result import (
     Answer,
     AnswerSet,
     AvailabilityAnswer,
-    EngineResult,
     MTTFAnswer,
     Provenance,
-    ScenarioOutcome,
     SimulationAnswer,
 )
 from repro.engine.backends import register_simulation_factory
@@ -118,8 +116,6 @@ __all__ = [
     "ShardFault",
     "ChaosInjectedError",
     "chaos_from_fault_plan",
-    "EngineResult",
-    "ScenarioOutcome",
     "Answer",
     "AnswerSet",
     "AvailabilityAnswer",

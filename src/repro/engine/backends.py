@@ -1,13 +1,9 @@
-"""Built-in query backends: reliability, availability, MTTF, simulation.
+"""Built-in time-domain query backends: availability, MTTF, simulation.
 
 Each backend answers one same-kind batch of queries from a single
-:meth:`~repro.engine.ReliabilityEngine.run` call:
+:meth:`~repro.engine.ReliabilityEngine.run` call (the ``reliability``
+backend — the scenario planner — lives in :mod:`repro.engine.planner`):
 
-``reliability``
-    Delegates the scenarios back to the engine's scenario planner, so the
-    shared counting-DP sweeps, LRU memo, policy fan-out and spawned-stream
-    sampling shards apply unchanged; the resulting
-    outcomes are re-wrapped as :class:`~repro.engine.result.Answer`\\ s.
 ``availability`` / ``mttf``
     CTMC questions batched *per chain*: queries whose
     :meth:`~repro.engine.query._MarkovQuery.chain_key` matches share one
@@ -59,6 +55,7 @@ from repro.engine.query import (
     MTTFQuery,
     Query,
     SimulationQuery,
+    canonical_query_key,
 )
 from repro.engine.registry import register_backend
 from repro.engine.result import (
@@ -76,28 +73,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.engine import ReliabilityEngine
     from repro.engine.execution import ExecutionPolicy
     from repro.protocols.base import ProtocolSpec
-
-
-# ---------------------------------------------------------------------------
-# Reliability: delegate to the scenario planner
-# ---------------------------------------------------------------------------
-@register_backend("reliability")
-def reliability_backend(
-    engine: "ReliabilityEngine",
-    queries: Sequence[Query],
-    policy: "ExecutionPolicy",
-) -> list[Answer]:
-    from dataclasses import replace
-
-    outcomes = engine.run([query.scenario for query in queries], policy=policy)
-    return [
-        Answer(
-            query=query,
-            value=outcome.result,
-            provenance=replace(outcome.provenance, backend="reliability"),
-        )
-        for query, outcome in zip(queries, outcomes)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -413,18 +388,27 @@ def _decode_verdicts(rows):
     return [ReplicaVerdict(*(bool(flag) for flag in row)) for row in rows]
 
 
-def _campaign_checkpoint(policy: "ExecutionPolicy", key, shards: int):
+def _campaign_checkpoint(
+    policy: "ExecutionPolicy", query: SimulationQuery, key, shards: int
+):
     """The campaign's checkpoint journal, or ``None`` when not resumable.
 
-    Checkpointing needs a stable campaign identity, so it requires both a
-    policy ``checkpoint_dir`` and a memoisable cache key (int seed,
-    hashable correlation) — the same precondition as the engine memo.
+    A journal must be found again by a *later process*, so it is named by
+    a digest of the query's canonical JSON form — the string the daemon
+    single-flights on — never by the memo key, whose resolved behaviour
+    functions ``repr`` to a memory address.  Resuming therefore needs a
+    policy ``checkpoint_dir``, a memoisable campaign (int seed) and a
+    serializable one: correlation models are process-local objects.
     """
-    if policy.checkpoint_dir is None or key is None:
+    if (
+        policy.checkpoint_dir is None
+        or key is None
+        or query.scenario.correlation is not None
+    ):
         return None
     from pathlib import Path
 
-    digest = CampaignCheckpoint.digest(key)
+    digest = CampaignCheckpoint.digest(canonical_query_key(query))
     return CampaignCheckpoint(
         Path(policy.checkpoint_dir) / f"campaign-{digest}.jsonl",
         key=digest,
@@ -452,19 +436,16 @@ def simulation_backend(
         scenario = query.scenario
         seed = scenario.seed
         key = _campaign_cache_key(query)
-        if key is not None:
-            cached = engine.cache_lookup(key)
-            if cached is not None:
-                answers.append(
-                    Answer(
-                        query,
-                        cached,
-                        Provenance(
-                            estimator="des", cache_hit=True, backend="simulation"
-                        ),
-                    )
+        cached = engine.cache_lookup(key)
+        if cached is not None:
+            answers.append(
+                Answer(
+                    query,
+                    cached,
+                    Provenance(estimator="des", cache_hit=True, backend="simulation"),
                 )
-                continue
+            )
+            continue
         start = time.perf_counter()
         tracer = current_tracer()
         with tracer.span(
@@ -515,7 +496,7 @@ def simulation_backend(
                 rebuild=lambda index, slices=slices, build=build_payload: build(
                     slices[index]
                 ),
-                checkpoint=_campaign_checkpoint(policy, key, plan.num_shards),
+                checkpoint=_campaign_checkpoint(policy, query, key, plan.num_shards),
                 chaos=policy.chaos,
             )
         verdicts = [

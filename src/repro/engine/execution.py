@@ -13,7 +13,7 @@ it to
 
 A policy decides *where* shards run — never what numbers come out or
 which dispatcher runs them.  Every value in an
-:class:`~repro.engine.EngineResult` depends on the scenarios and on
+:class:`~repro.engine.AnswerSet` depends on the queries and on
 ``shard_trials`` only: sampling always draws from ``SeedSequence.spawn``
 children (see :mod:`repro.analysis.kernels`) and every fan-out goes
 through :func:`repro.runtime.run_supervised`, so the default

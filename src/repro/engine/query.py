@@ -112,6 +112,20 @@ class Query:
         return payload
 
 
+def canonical_query_key(query: Query) -> str:
+    """The process-independent identity of a query: its canonical JSON form.
+
+    Two queries with equal dict forms compile to bit-identical work (the
+    dict form round-trips every field, enforced by the cache-key-coverage
+    contract), so one execution can serve both.  Unlike the backends'
+    in-process memo keys — which carry resolved function objects so that
+    re-registration invalidates them — this string means the same thing
+    in every interpreter: the daemon single-flights on it and campaign
+    checkpoint journals are named by its digest.
+    """
+    return json.dumps(query.to_dict(), sort_keys=True, default=repr)
+
+
 _QUERY_KINDS: dict[str, Type[Query]] = {}
 
 

@@ -14,9 +14,10 @@ kind: a backend answers a whole same-kind batch of
 :class:`~repro.engine.query.Query` objects at once — which is what lets
 the Markov backends share one CTMC solve across a batch and the
 simulation backend fan replicas over an
-:class:`~repro.engine.ExecutionPolicy` pool.  The built-ins
-(``reliability``, ``availability``, ``mttf``, ``simulation``) live in
-:mod:`repro.engine.backends`; :func:`register_backend` makes third-party
+:class:`~repro.engine.ExecutionPolicy` pool.  The built-ins live in
+:mod:`repro.engine.planner` (``reliability``) and
+:mod:`repro.engine.backends` (``availability``, ``mttf``,
+``simulation``); :func:`register_backend` makes third-party
 question kinds addressable from ``QuerySet`` rows and the CLI's JSON
 query files with no engine changes.
 """
@@ -51,7 +52,9 @@ def register_backend(kind: str) -> Callable[[BackendFn], BackendFn]:
     estimator registry), every query of its kind from one ``run`` call in
     submission order, and the active
     :class:`~repro.engine.ExecutionPolicy`; it must return one
-    :class:`~repro.engine.result.Answer` per query, in order.
+    :class:`~repro.engine.result.Answer` per query, in order.  A backend
+    talks to the engine through ``cache_lookup`` / ``cache_store`` /
+    ``estimator()`` only — it never calls ``engine.run``.
     Re-registering a kind replaces the previous backend.
     """
 
@@ -220,7 +223,7 @@ def estimate_under_policy(
     estimators, per-engine overrides, third-party registrations,
     correlated scenarios (whose models draw from one shared stream) — runs
     unchanged with ``shards=1``.  ``jobs`` overrides the estimator-level
-    worker count; the engine passes 1 when it is already parallel at
+    worker count; the planner passes 1 when it is already parallel at
     scenario granularity, so pools never nest.
     """
     if scenario.correlation is not None or estimator_fn not in (

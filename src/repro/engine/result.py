@@ -1,19 +1,17 @@
 """Engine results: per-question answers plus execution provenance.
 
-An :class:`EngineResult` answers two questions at once: *what are the
-numbers* (the per-scenario :class:`~repro.analysis.result.ReliabilityResult`
-values, in submission order, bit-identical to the scalar estimators) and
-*how were they produced* (which estimator ran, whether the memo cache or a
-shared DP batch served the scenario, and how long it took) — the
-provenance an operator needs to trust a wall of nines.
+An :class:`AnswerSet` — the ordered result of one
+:meth:`~repro.engine.ReliabilityEngine.run` submission — answers two
+questions at once: *what are the numbers* (one typed value per query, in
+submission order, bit-identical to the scalar estimators and builders)
+and *how were they produced* (which backend and estimator ran, whether
+the memo or a shared batch served the row, how many shards, how long) —
+the provenance an operator needs to trust a wall of nines.
 
-The Query/Answer generalisation keeps the same shape for the time domain:
-an :class:`Answer` pairs a :class:`~repro.engine.query.Query` with a typed
-value — a ``ReliabilityResult``, an :class:`AvailabilityAnswer`, an
-:class:`MTTFAnswer` or a :class:`SimulationAnswer` — plus a
-:class:`Provenance` that records the backend, batch and shard counts; an
-:class:`AnswerSet` is the ordered result of one mixed-kind
-:meth:`~repro.engine.ReliabilityEngine.run` submission.
+An :class:`Answer` pairs a :class:`~repro.engine.query.Query` with its
+value — a :class:`~repro.analysis.result.ReliabilityResult`, an
+:class:`AvailabilityAnswer`, an :class:`MTTFAnswer` or a
+:class:`SimulationAnswer` — and a :class:`Provenance`.
 """
 
 from __future__ import annotations
@@ -40,9 +38,9 @@ class Provenance:
     ``shards`` counts the spawned-stream shards a sampling estimator (or a
     simulation campaign) split its budget into — a function of the budget
     and the policy's ``shard_trials``, never of the executor (1 for exact
-    estimators).  ``backend`` names the query backend that produced a
-    time-domain answer; it is empty on the bare-``ScenarioSet`` path,
-    whose provenance strings are frozen by golden tests.
+    estimators).  ``backend`` names the query backend that produced the
+    answer — the query's kind, whichever door the query came in through
+    (:meth:`describe` reads ``reliability:counting/batch[8]``).
 
     ``degraded`` marks a partial answer: the shard runtime dropped
     ``dropped_shards`` after exhausting their retries (opt-in via
@@ -82,62 +80,6 @@ class Provenance:
             suffix += f"/degraded[{len(self.dropped_shards)}]"
         head = f"{self.backend}:{self.estimator}" if self.backend else self.estimator
         return f"{head}/{source}{suffix}"
-
-
-@dataclass(frozen=True)
-class ScenarioOutcome:
-    """One scenario, its reliability result, and how it was computed."""
-
-    scenario: Scenario
-    result: ReliabilityResult
-    provenance: Provenance
-
-
-@dataclass(frozen=True)
-class EngineResult:
-    """Ordered outcomes of one :meth:`ReliabilityEngine.run` call."""
-
-    outcomes: tuple[ScenarioOutcome, ...] = field(default_factory=tuple)
-
-    def __len__(self) -> int:
-        return len(self.outcomes)
-
-    def __iter__(self) -> Iterator[ScenarioOutcome]:
-        return iter(self.outcomes)
-
-    def __getitem__(self, index: int) -> ScenarioOutcome:
-        return self.outcomes[index]
-
-    @property
-    def results(self) -> list[ReliabilityResult]:
-        """Per-scenario reliability results in submission order."""
-        return [outcome.result for outcome in self.outcomes]
-
-    @property
-    def cache_hits(self) -> int:
-        return sum(1 for outcome in self.outcomes if outcome.provenance.cache_hit)
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(outcome.provenance.seconds for outcome in self.outcomes)
-
-    def table(self) -> list[dict[str, str]]:
-        """Paper-style rows with a provenance column for CLI rendering."""
-        rows = []
-        for outcome in self.outcomes:
-            scenario, result = outcome.scenario, outcome.result
-            rows.append(
-                {
-                    "label": scenario.label or f"{result.protocol}/n={result.n}",
-                    "protocol": result.protocol,
-                    "N": str(result.n),
-                    "Safe %": format_probability(result.safe.value),
-                    "Live %": format_probability(result.live.value),
-                    "Safe and Live %": format_probability(result.safe_and_live.value),
-                    "via": outcome.provenance.describe(),
-                }
-            )
-        return rows
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ projected for — into one frozen value that can be hashed (for the engine's
 memo cache), grouped (for batched execution) and serialized (for the CLI's
 JSON scenario files).
 
-:class:`ScenarioSet` is the unit of work submitted to
-:class:`repro.engine.ReliabilityEngine`: an ordered collection of
-scenarios, with a :meth:`ScenarioSet.grid` builder for the
+:class:`ScenarioSet` is an ordered batch of scenarios —
+:class:`repro.engine.ReliabilityEngine` answers each as a reliability
+query — with a :meth:`ScenarioSet.grid` builder for the
 sizes × probabilities × protocols sweeps every consumer of this library
 ends up writing.
 
@@ -234,11 +234,13 @@ class Scenario:
         an explicit *value* seed) are cacheable.  Unseeded sampling,
         generator-object seeds (stateful: every historical call advanced
         the stream) and correlated scenarios are not.  ``resolved_method``
-        is the concrete estimator the engine picked after ``"auto"``
-        resolution; pass ``fleet_key`` when already computed to avoid
-        rebuilding it.  (The engine inlines this logic on its hot path,
-        keying on the estimator function rather than the name; this method
-        is the readable reference.)
+        is the concrete estimator picked after ``"auto"`` resolution; pass
+        ``fleet_key`` when already computed to avoid rebuilding it.
+
+        This *is* the key the reliability planner stores under
+        (:mod:`repro.engine.planner`), which appends only what the engine
+        side owns: the resolved estimator function and, for seeded
+        sampling, the policy's ``shard_trials``.
         """
         if self.correlation is not None:
             return None
@@ -303,7 +305,7 @@ class Scenario:
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class ScenarioSet:
-    """An ordered batch of scenarios — the engine's unit of work."""
+    """An ordered batch of scenarios (each one a reliability query)."""
 
     scenarios: tuple[Scenario, ...] = field(default_factory=tuple)
 

@@ -70,7 +70,7 @@ def _mean_committee_reliability(
         Scenario(spec=spec, fleet=_subfleet(fleet, members), method="counting")
         for members in committees
     ]
-    results = default_engine().run(scenarios).results
+    results = default_engine().run(scenarios).values
     safe = live = both = 0.0
     for result in results:
         safe += result.safe.value

@@ -87,10 +87,10 @@ def evaluate_plan(
     byzantine_fraction: float = 0.0,
 ) -> PlanEvaluation:
     """Exact reliability of one deployment plan under the given protocol."""
-    outcome = default_engine().run_one(
+    answer = default_engine().run_query(
         _plan_scenario(plan, spec_factory, byzantine_fraction)
     )
-    return PlanEvaluation(plan, outcome.result)
+    return PlanEvaluation(plan, answer.value)
 
 
 def evaluate_plans(
@@ -107,11 +107,8 @@ def evaluate_plans(
     scenarios = [
         _plan_scenario(plan, spec_factory, byzantine_fraction) for plan in plans
     ]
-    engine_result = default_engine().run(scenarios)
-    return [
-        PlanEvaluation(plan, result)
-        for plan, result in zip(plans, engine_result.results)
-    ]
+    values = default_engine().run(scenarios).values
+    return [PlanEvaluation(plan, result) for plan, result in zip(plans, values)]
 
 
 def find_cheapest_plan(

@@ -19,20 +19,9 @@ execution (which still completes and warms the engine memo).
 from __future__ import annotations
 
 import asyncio
-import json
 from typing import Awaitable, Callable
 
-
-def canonical_query_key(query) -> str:
-    """The coalescing identity of a query: its canonical JSON form.
-
-    Two queries with equal dict forms compile to bit-identical work (the
-    dict form round-trips every field, enforced by the cache-key-coverage
-    contract), so one execution can serve both.  Keying on the serialized
-    form rather than the engine's internal memo keys keeps the daemon
-    independent of per-backend key layouts.
-    """
-    return json.dumps(query.to_dict(), sort_keys=True, default=repr)
+from repro.engine.query import canonical_query_key  # noqa: F401  (re-export)
 
 
 class InflightRegistry:

@@ -79,6 +79,8 @@ class TestCommittee:
 
 
 class TestScenarios:
+    """``scenarios`` is an alias of ``query``: same parser, same output."""
+
     def test_scenario_file_end_to_end(self, capsys, tmp_path):
         path = tmp_path / "deployments.json"
         path.write_text(
@@ -93,11 +95,19 @@ class TestScenarios:
             ]}
             """
         )
+        from repro.engine import default_engine
+
+        default_engine().cache_clear()
         assert main(["scenarios", str(path)]) == 0
         out = capsys.readouterr().out
         assert "headline" in out
         assert "99.970%" in out  # the paper's 3-node Raft cell
         assert "99.941%" in out  # the paper's 4-node PBFT cell
+        assert "reliability:counting/" in out  # provenance column
+        # Same subcommand under two names: byte-identical output.
+        default_engine().cache_clear()
+        assert main(["query", str(path)]) == 0
+        assert capsys.readouterr().out == out
 
     def test_grid_shorthand_and_json_output(self, capsys, tmp_path):
         import json
@@ -110,16 +120,20 @@ class TestScenarios:
         assert main(["scenarios", str(path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload) == 4
-        assert all(row["estimator"] == "counting" for row in payload)
+        assert all(row["kind"] == row["backend"] == "reliability" for row in payload)
+        assert all(row["answer"]["method"] == "counting" for row in payload)
+        assert [row["answer"]["n"] for row in payload] == [3, 3, 5, 5]
+        assert payload[0]["answer"]["protocol"] == "Raft"
+        assert 0.0 < payload[0]["answer"]["safe_and_live"] <= payload[0]["answer"]["live"]
 
     def test_missing_file(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit, match="not found"):
             main(["scenarios", "/nonexistent/scenarios.json"])
 
     def test_invalid_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"scenarios": [{"spec": {"protocol": "fnord"}}]}')
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit, match="unknown protocol 'fnord'"):
             main(["scenarios", str(path)])
 
 
@@ -324,19 +338,16 @@ class TestJobsFlag:
             ' "probabilities": [0.01], "method": "monte-carlo",'
             ' "trials": 20000, "seed": 7}}'
         )
-        import json
+        from repro.engine import default_engine
 
-        def values(text):
-            # Drop provenance flags: the second run legitimately hits the
-            # default engine's memo cache; the numbers must not move.
-            return [
-                {k: v for k, v in row.items() if k not in ("cache_hit", "batched")}
-                for row in json.loads(text)
-            ]
+        def run(jobs):
+            # A cold memo per run, so every --jobs value really computes:
+            # whole rows (values *and* shard-plan provenance) must agree.
+            default_engine().cache_clear()
+            assert main(["scenarios", str(path), "--json", "--jobs", jobs]) == 0
+            return capsys.readouterr().out
 
-        assert main(["scenarios", str(path), "--json", "--jobs", "1"]) == 0
-        first = capsys.readouterr().out
-        assert main(["scenarios", str(path), "--json", "--jobs", "2"]) == 0
-        assert values(capsys.readouterr().out) == values(first)
-        assert main(["scenarios", str(path), "--json", "--jobs", "3"]) == 0
-        assert values(capsys.readouterr().out) == values(first)
+        first = run("1")
+        assert '"cache_hit": false' in first and '"shards": 5' in first
+        assert run("2") == first
+        assert run("3") == first

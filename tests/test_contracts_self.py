@@ -84,6 +84,17 @@ def test_subtree_lint_agrees_with_full_tree():
     assert result.new == (), f"engine subtree lint disagrees:\n{rendered}"
 
 
+def test_engine_core_reads_no_clock():
+    """The engine proper (memo, overrides, kind router) is clock-free:
+    provenance timing lives in the backends' modules, which hold the only
+    engine-package entries of the wall-clock allowlist."""
+    allow = DEFAULT_CONFIG.rule_allow["wall-clock"]
+    assert not any(pattern.endswith("engine/engine.py") for pattern in allow)
+    assert "*repro/engine/planner.py" in allow
+    result = lint_paths([PACKAGE_ROOT / "engine" / "engine.py"], rules=["wall-clock"])
+    assert result.files_checked == 1 and result.new == ()
+
+
 # ---------------------------------------------------------------------------
 # Runtime registry agreement (the dynamic half of registry-drift)
 # ---------------------------------------------------------------------------

@@ -60,8 +60,8 @@ class TestEquivalence:
     @pytest.mark.parametrize("spec,fleet", ZOO, ids=lambda v: repr(v))
     def test_run_one_matches_analyze(self, spec, fleet):
         engine = ReliabilityEngine()
-        outcome = engine.run_one(Scenario(spec=spec, fleet=fleet, seed=11))
-        assert outcome.result == analyze(spec, fleet, seed=11)
+        answer = engine.run_query(Scenario(spec=spec, fleet=fleet, seed=11))
+        assert answer.value == analyze(spec, fleet, seed=11)
 
     def test_batched_counting_bit_identical_to_analyze(self):
         """Mixed-protocol grid: shared DP sweeps, full dataclass equality."""
@@ -71,7 +71,7 @@ class TestEquivalence:
             probabilities=(0.01, 0.02, 0.08),
         )
         engine = ReliabilityEngine()
-        results = engine.run(grid).results
+        results = engine.run(grid).values
         legacy = [analyze(s.spec, s.fleet) for s in grid]
         assert results == legacy  # Estimate values, method and detail alike
 
@@ -79,17 +79,17 @@ class TestEquivalence:
         """Raft and PBFT scenarios of one size land in the same DP group."""
         fleet_a = uniform_fleet(5, 0.03)
         fleet_b = uniform_fleet(5, 0.04, byzantine_fraction=1.0)
-        outcomes = ReliabilityEngine().run(
+        answers = ReliabilityEngine().run(
             [
                 Scenario(spec=RaftSpec(5), fleet=fleet_a),
                 Scenario(spec=PBFTSpec(5), fleet=fleet_b),
                 Scenario(spec=BenOrSpec(5), fleet=fleet_a),
             ]
         )
-        assert all(o.provenance.batched for o in outcomes)
-        assert all(o.provenance.batch_size == 3 for o in outcomes)
-        for outcome in outcomes:
-            assert outcome.result == analyze(outcome.scenario.spec, outcome.scenario.fleet)
+        assert all(o.provenance.batched for o in answers)
+        assert all(o.provenance.batch_size == 3 for o in answers)
+        for answer in answers:
+            assert answer.value == analyze(answer.scenario.spec, answer.scenario.fleet)
 
     def test_analyze_batch_matches_engine(self):
         spec = RaftSpec(5)
@@ -97,16 +97,16 @@ class TestEquivalence:
         batch = analyze_batch(spec, fleets)
         engine_results = ReliabilityEngine().run(
             [Scenario(spec=spec, fleet=fleet) for fleet in fleets]
-        ).results
+        ).values
         assert batch == engine_results
 
     def test_explicit_methods_match_legacy(self, mixed_fleet):
         spec = RaftSpec(7)
         for method in ("counting", "exact", "monte-carlo"):
-            outcome = ReliabilityEngine().run_one(
+            answer = ReliabilityEngine().run_query(
                 Scenario(spec=spec, fleet=mixed_fleet, method=method, trials=4_000, seed=5)
             )
-            assert outcome.result == analyze(
+            assert answer.value == analyze(
                 spec, mixed_fleet, method=method, trials=4_000, seed=5
             )
 
@@ -116,28 +116,28 @@ class TestEquivalence:
         fleet = uniform_fleet(5, 0.05)
         model = CommonShockModel(fleet, (rollout_shock(fleet, 0.02),))
         spec = RaftSpec(5)
-        outcome = ReliabilityEngine().run_one(
+        answer = ReliabilityEngine().run_query(
             Scenario(spec=spec, fleet=fleet, correlation=model, trials=6_000, seed=2)
         )
-        assert outcome.result == monte_carlo_correlated(spec, model, trials=6_000, seed=2)
-        assert outcome.provenance.estimator == "monte-carlo"
+        assert answer.value == monte_carlo_correlated(spec, model, trials=6_000, seed=2)
+        assert answer.provenance.estimator == "monte-carlo"
 
     def test_unknown_method_raises_like_analyze(self, small_cft_fleet):
         with pytest.raises(EstimationError):
-            ReliabilityEngine().run_one(
+            ReliabilityEngine().run_query(
                 Scenario(spec=RaftSpec(3), fleet=small_cft_fleet, method="fnord")
             )
 
     def test_counting_on_asymmetric_raises_like_legacy(self):
         spec, fleet = ReliabilityAwareRaftSpec(6, pinned=(0, 1)), _mixed_fleet(6)
         with pytest.raises(InvalidConfigurationError):
-            ReliabilityEngine().run_one(
+            ReliabilityEngine().run_query(
                 Scenario(spec=spec, fleet=fleet, method="counting")
             )
 
     def test_size_mismatch_raises(self):
         with pytest.raises(InvalidConfigurationError):
-            ReliabilityEngine().run_one(
+            ReliabilityEngine().run_query(
                 Scenario(spec=RaftSpec(5), fleet=uniform_fleet(3, 0.01))
             )
 
@@ -146,18 +146,18 @@ class TestCache:
     def test_repeat_run_hits_cache(self):
         engine = ReliabilityEngine()
         scenario = Scenario(spec=RaftSpec(5), fleet=uniform_fleet(5, 0.02))
-        first = engine.run_one(scenario)
-        second = engine.run_one(scenario)
+        first = engine.run_query(scenario)
+        second = engine.run_query(scenario)
         assert not first.provenance.cache_hit
         assert second.provenance.cache_hit
-        assert first.result == second.result
+        assert first.value == second.value
 
     def test_in_run_duplicates_answered_once(self):
         engine = ReliabilityEngine()
         scenario = Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, 0.01))
-        outcomes = engine.run([scenario, scenario, scenario])
-        assert [o.provenance.cache_hit for o in outcomes] == [False, True, True]
-        assert len({id(o.result) for o in outcomes} ) == 1
+        answers = engine.run([scenario, scenario, scenario])
+        assert [o.provenance.cache_hit for o in answers] == [False, True, True]
+        assert len({id(o.value) for o in answers} ) == 1
         # Counter hygiene: duplicates are hits, never negative misses.
         assert engine.cache_hits == 2
         assert engine.cache_misses == 1
@@ -172,15 +172,15 @@ class TestCache:
         scenario = Scenario(
             spec=spec, fleet=fleet, method="monte-carlo", trials=400, seed=rng
         )
-        first = engine.run_one(scenario)
+        first = engine.run_query(scenario)
         spawned = rng.bit_generator.seed_seq.n_children_spawned
-        second = engine.run_one(scenario)
+        second = engine.run_query(scenario)
         assert not second.provenance.cache_hit
         # The second run spawned fresh shard streams off the shared parent,
         # so back-to-back runs on one generator draw different samples.
         assert rng.bit_generator.seed_seq.n_children_spawned > spawned
-        assert second.result != first.result
-        assert first.result == analyze(
+        assert second.value != first.value
+        assert first.value == analyze(
             spec, fleet, method="monte-carlo", trials=400, seed=np.random.default_rng(7)
         )
 
@@ -188,53 +188,74 @@ class TestCache:
         """Two distinct spec instances with equal parameters dedup."""
         engine = ReliabilityEngine()
         fleet = uniform_fleet(5, 0.02)
-        engine.run_one(Scenario(spec=RaftSpec(5), fleet=fleet))
-        hit = engine.run_one(Scenario(spec=RaftSpec(5), fleet=fleet))
+        engine.run_query(Scenario(spec=RaftSpec(5), fleet=fleet))
+        hit = engine.run_query(Scenario(spec=RaftSpec(5), fleet=fleet))
         assert hit.provenance.cache_hit
 
     def test_different_quorums_do_not_collide(self):
         engine = ReliabilityEngine()
         fleet = uniform_fleet(5, 0.1)
-        default = engine.run_one(Scenario(spec=RaftSpec(5), fleet=fleet))
-        flexible = engine.run_one(
+        default = engine.run_query(Scenario(spec=RaftSpec(5), fleet=fleet))
+        flexible = engine.run_query(
             Scenario(spec=RaftSpec(5, q_per=2, q_vc=4), fleet=fleet)
         )
         assert not flexible.provenance.cache_hit
-        assert flexible.result.live.value != default.result.live.value
+        assert flexible.value.live.value != default.value.live.value
 
     def test_unseeded_monte_carlo_never_cached(self):
         engine = ReliabilityEngine()
         spec, fleet = ReliabilityAwareRaftSpec(6, pinned=(0, 1)), _mixed_fleet(6)
         scenario = Scenario(spec=spec, fleet=fleet, method="monte-carlo", trials=500)
-        assert not engine.run_one(scenario).provenance.cache_hit
-        assert not engine.run_one(scenario).provenance.cache_hit
+        assert not engine.run_query(scenario).provenance.cache_hit
+        assert not engine.run_query(scenario).provenance.cache_hit
 
     def test_seeded_monte_carlo_cached(self):
         engine = ReliabilityEngine()
         spec, fleet = ReliabilityAwareRaftSpec(6, pinned=(0, 1)), _mixed_fleet(6)
         scenario = Scenario(spec=spec, fleet=fleet, method="monte-carlo", trials=500, seed=9)
-        engine.run_one(scenario)
-        assert engine.run_one(scenario).provenance.cache_hit
+        engine.run_query(scenario)
+        assert engine.run_query(scenario).provenance.cache_hit
 
     def test_cache_bound_evicts_lru(self):
         engine = ReliabilityEngine(cache_size=2)
         fleets = [uniform_fleet(3, p) for p in (0.01, 0.02, 0.03)]
         for fleet in fleets:
-            engine.run_one(Scenario(spec=RaftSpec(3), fleet=fleet))
+            engine.run_query(Scenario(spec=RaftSpec(3), fleet=fleet))
         # Oldest entry evicted; newest two still cached.
-        assert not engine.run_one(
+        assert not engine.run_query(
             Scenario(spec=RaftSpec(3), fleet=fleets[0])
         ).provenance.cache_hit
-        assert engine.run_one(
+        assert engine.run_query(
             Scenario(spec=RaftSpec(3), fleet=fleets[2])
         ).provenance.cache_hit
+
+    def test_memo_key_is_scenario_cache_key(self):
+        """The planner stores under ``Scenario.cache_key`` — the method the
+        cache-key-coverage contract lints — plus only what the engine side
+        owns: the estimator function and, when sampling, ``shard_trials``."""
+        from repro.engine import ExecutionPolicy
+
+        engine = ReliabilityEngine()
+        exact = Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, 0.01))
+        sampled = Scenario(
+            spec=RaftSpec(5),
+            fleet=uniform_fleet(5, 0.05),
+            method="monte-carlo",
+            trials=500,
+            seed=9,
+        )
+        engine.run([exact, sampled], policy=ExecutionPolicy(shard_trials=250))
+        assert set(engine._memo) == {
+            exact.cache_key("counting") + (get_estimator("counting"),),
+            sampled.cache_key("monte-carlo") + (get_estimator("monte-carlo"), 250),
+        }
 
     def test_cache_clear(self):
         engine = ReliabilityEngine()
         scenario = Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, 0.01))
-        engine.run_one(scenario)
+        engine.run_query(scenario)
         engine.cache_clear()
-        assert not engine.run_one(scenario).provenance.cache_hit
+        assert not engine.run_query(scenario).provenance.cache_hit
 
 
 class TestRegistry:
@@ -244,7 +265,7 @@ class TestRegistry:
             assert name in names
 
     def test_importance_estimator_produces_result(self):
-        outcome = ReliabilityEngine().run_one(
+        answer = ReliabilityEngine().run_query(
             Scenario(
                 spec=RaftSpec(5),
                 fleet=uniform_fleet(5, 0.05),
@@ -253,8 +274,8 @@ class TestRegistry:
                 seed=1,
             )
         )
-        assert outcome.result.method == "importance"
-        assert 0.0 <= outcome.result.safe_and_live.value <= 1.0
+        assert answer.value.method == "importance"
+        assert 0.0 <= answer.value.safe_and_live.value <= 1.0
 
     def test_global_registration_reaches_engines(self):
         calls = []
@@ -273,14 +294,14 @@ class TestRegistry:
             )
 
         try:
-            outcome = ReliabilityEngine().run_one(
+            answer = ReliabilityEngine().run_query(
                 Scenario(
                     spec=RaftSpec(3),
                     fleet=uniform_fleet(3, 0.01),
                     method="test-constant",
                 )
             )
-            assert outcome.result.safe.value == 0.5
+            assert answer.value.safe.value == 0.5
             assert len(calls) == 1
         finally:
             from repro.engine import registry
@@ -294,8 +315,8 @@ class TestRegistry:
         scenario = Scenario(
             spec=RaftSpec(3), fleet=uniform_fleet(3, 0.01), method="counting"
         )
-        warm = engine.run_one(scenario)
-        assert warm.result.method == "counting"
+        warm = engine.run_query(scenario)
+        assert warm.value.method == "counting"
 
         def stub(s):
             value = Estimate.exact(0.125)
@@ -309,9 +330,9 @@ class TestRegistry:
             )
 
         engine.register("counting", stub)
-        shadowed = engine.run_one(scenario)
+        shadowed = engine.run_query(scenario)
         assert not shadowed.provenance.cache_hit
-        assert shadowed.result.method == "stub"
+        assert shadowed.value.method == "stub"
 
     def test_counting_override_honored_for_batchable_scenarios(self):
         """The shared DP sweep must not bypass a shadowed counting estimator."""
@@ -332,7 +353,7 @@ class TestRegistry:
             Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, p), method="counting")
             for p in (0.01, 0.02, 0.03)
         ]
-        results = engine.run(scenarios).results
+        results = engine.run(scenarios).values
         assert all(r.method == "stub" for r in results)
 
     def test_per_engine_override_shadows_builtin(self):
@@ -348,16 +369,16 @@ class TestRegistry:
             )
 
         engine = ReliabilityEngine(estimators={"exact": fake_counting})
-        outcome = engine.run_one(
+        answer = engine.run_query(
             Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, 0.01), method="exact")
         )
-        assert outcome.result.method == "fake"
+        assert answer.value.method == "fake"
         # The global registry is untouched.
         assert get_estimator("exact") is not fake_counting
-        clean = ReliabilityEngine().run_one(
+        clean = ReliabilityEngine().run_query(
             Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, 0.01), method="exact")
         )
-        assert clean.result.method == "exact"
+        assert clean.value.method == "exact"
 
 
 class TestSerialization:
@@ -401,8 +422,8 @@ class TestSerialization:
         # Round-tripped scenarios answer identically.
         engine = ReliabilityEngine()
         assert (
-            engine.run_one(restored).result
-            == engine.run_one(scenario).result
+            engine.run_query(restored).value
+            == engine.run_query(scenario).value
         )
 
     def test_scenario_set_json_round_trip(self):
@@ -482,5 +503,5 @@ class TestDefaultEngine:
         analyze(spec, fleet)
         # The shim warmed the shared cache: the engine now answers the
         # same scenario without recomputing.
-        outcome = engine.run_one(Scenario(spec=RaftSpec(9), fleet=fleet))
-        assert outcome.provenance.cache_hit
+        answer = engine.run_query(Scenario(spec=RaftSpec(9), fleet=fleet))
+        assert answer.provenance.cache_hit

@@ -97,7 +97,7 @@ class TestExactAgreement:
             Scenario(spec=c.spec, fleet=c.fleet, method="counting", label=c.label)
             for c in cells
         )
-        batched = ReliabilityEngine().run(scenarios).results
+        batched = ReliabilityEngine().run(scenarios).values
         for cell, result in zip(cells, batched):
             scalar = counting_reliability(cell.spec, cell.fleet)
             for metric in METRICS:

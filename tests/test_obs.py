@@ -321,8 +321,8 @@ class TestBitIdentity:
         with use_tracer(tracer):
             ReliabilityEngine().run(campaign_queries(), policy=policy)
         names = {record.name for record in exporter.records}
+        assert "engine.run" not in names  # one door: no nested planner span
         assert {
-            "engine.run",
             "engine.queries",
             "backend.simulation",
             "backend.reliability",
@@ -336,17 +336,23 @@ class TestBitIdentity:
         shards = [r for r in exporter.records if r.name == "shard"]
         assert all(r.attributes["outcome"] == "ok" for r in shards)
 
-    def test_engine_run_span_counts_memo_hits(self):
+    def test_reliability_backend_span_counts_memo_hits(self):
         exporter = InMemoryExporter()
         tracer = Tracer.for_key(("memo",), exporter=exporter)
         engine = ReliabilityEngine()
         scenarios = [scenario(3, 0.1, seed=None), scenario(5, 0.1, seed=None)]
+        policy = ExecutionPolicy(mode="thread", jobs=2)
         with use_tracer(tracer):
-            engine.run(scenarios)
-            engine.run(scenarios)  # all hits the second time
-        runs = [r for r in exporter.records if r.name == "engine.run"]
+            engine.run(scenarios, policy=policy)
+            engine.run(scenarios, policy=policy)  # all hits the second time
+        runs = [r for r in exporter.records if r.name == "backend.reliability"]
         assert runs[0].attributes["memo_misses"] == 2
+        assert runs[0].attributes["memo_hits"] == 0
         assert runs[1].attributes["memo_hits"] == 2
+        assert runs[1].attributes["memo_misses"] == 0
+        assert all(r.attributes["mode"] == "thread" for r in runs)
+        assert all(r.attributes["jobs"] == 2 for r in runs)
+        assert not [r for r in exporter.records if r.name == "engine.run"]
 
 
 # ---------------------------------------------------------------------------

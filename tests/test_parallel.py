@@ -3,7 +3,7 @@ contracts of the multi-core layer.
 
 The regression guarantee pinned here is **executor independence**:
 sampling always draws from spawned per-shard streams, so tallies,
-estimates and whole :class:`EngineResult`s are identical with ``jobs``
+estimates and whole :class:`AnswerSet`s are identical with ``jobs``
 unset, ``jobs=1`` and ``jobs=4``, under the serial policy and across
 thread and process pools — and memo entries are shared between them.
 """
@@ -198,7 +198,7 @@ class TestEnginePolicy:
         one = ReliabilityEngine().run(scenarios, policy=ExecutionPolicy(mode="thread", jobs=1))
         four = ReliabilityEngine().run(scenarios, policy=ExecutionPolicy(mode="thread", jobs=4))
         proc = ReliabilityEngine().run(scenarios, policy=ExecutionPolicy(mode="process", jobs=4))
-        assert one.results == four.results == proc.results
+        assert one.values == four.values == proc.values
 
     def test_legacy_engine_result_byte_identical_when_policy_unset(self):
         scenarios = _mixed_scenarios()
@@ -207,7 +207,7 @@ class TestEnginePolicy:
         threaded = ReliabilityEngine().run(
             scenarios, policy=ExecutionPolicy(mode="thread", jobs=4)
         )
-        assert baseline.results == serial.results == threaded.results
+        assert baseline.values == serial.values == threaded.values
         # Provenance is a function of the shard plan, not of the executor.
         for ours, theirs in zip(baseline, threaded):
             assert ours.provenance.shards == theirs.provenance.shards
@@ -220,10 +220,10 @@ class TestEnginePolicy:
         )
         for s, p in zip(serial, parallel):
             if p.provenance.estimator in ("counting", "exact"):
-                assert s.result == p.result
+                assert s.value == p.value
 
     def test_provenance_records_shard_count(self):
-        outcome = ReliabilityEngine().run_one(
+        outcome = ReliabilityEngine().run_query(
             Scenario(
                 spec=RaftSpec(5),
                 fleet=uniform_fleet(5, 0.05),
@@ -247,20 +247,20 @@ class TestEnginePolicy:
             trials=20_000,
             seed=4,
         )
-        serial = engine.run_one(scenario)
+        serial = engine.run_query(scenario)
         assert not serial.provenance.cache_hit
-        threaded = engine.run_one(
+        threaded = engine.run_query(
             scenario, policy=ExecutionPolicy(mode="thread", jobs=2)
         )
         assert threaded.provenance.cache_hit
-        assert threaded.result == serial.result
-        resharded = engine.run_one(
+        assert threaded.value == serial.value
+        resharded = engine.run_query(
             scenario, policy=ExecutionPolicy(mode="thread", jobs=2, shard_trials=5_000)
         )
         assert not resharded.provenance.cache_hit
-        assert resharded.result != serial.result
-        again = engine.run_one(scenario, policy=ExecutionPolicy(shard_trials=5_000))
-        assert again.provenance.cache_hit and again.result == resharded.result
+        assert resharded.value != serial.value
+        again = engine.run_query(scenario, policy=ExecutionPolicy(shard_trials=5_000))
+        assert again.provenance.cache_hit and again.value == resharded.value
 
     def test_policy_validation(self):
         with pytest.raises(InvalidConfigurationError):
@@ -288,7 +288,7 @@ class TestEnginePolicy:
         baseline = ReliabilityEngine().run(
             scenarios, policy=ExecutionPolicy(mode="thread", jobs=1)
         )
-        assert engine.run(scenarios).results == baseline.results
+        assert engine.run(scenarios).values == baseline.values
 
     def test_overrides_still_honored_under_process_policy(self):
         from repro.analysis.counting import counting_reliability
@@ -312,7 +312,7 @@ class TestEnginePolicy:
         result = engine.run(scenarios, policy=ExecutionPolicy(mode="process", jobs=2))
         assert len(calls) == 3  # ran in-process, through the override
         reference = counting_reliability(RaftSpec(3), uniform_fleet(3, 0.01))
-        assert all(o.result == reference for o in result)
+        assert all(o.value == reference for o in result)
 
     def test_generator_seed_scenarios_run_deterministically_in_order(self):
         def build(policy):
@@ -328,7 +328,7 @@ class TestEnginePolicy:
                 )
                 for i in range(3)
             ]
-            return ReliabilityEngine().run(scenarios, policy=policy).results
+            return ReliabilityEngine().run(scenarios, policy=policy).values
 
         one = build(ExecutionPolicy(mode="thread", jobs=1))
         four = build(ExecutionPolicy(mode="thread", jobs=4))

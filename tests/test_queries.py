@@ -18,7 +18,6 @@ from repro.engine import (
     Answer,
     AnswerSet,
     AvailabilityQuery,
-    EngineResult,
     ExecutionPolicy,
     MTTFQuery,
     Provenance,
@@ -402,13 +401,84 @@ class TestSimulationBackend:
 
 
 class TestEngineDispatch:
-    def test_bare_scenarios_still_return_engine_result(self):
+    def test_scenario_and_query_doors_are_one(self):
+        """A ScenarioSet and its QuerySet.from_scenarios twin are the same
+        submission: same values and provenance, one memo, same counters."""
+        scenarios = ScenarioSet.build(
+            [
+                scenario(3),
+                scenario(5),
+                scenario(5),  # in-run duplicate
+                scenario(5, 0.04),
+                scenario(7, 0.02, method="monte-carlo", trials=2_000, seed=5),
+            ]
+        )
+        bare_engine, wrapped_engine = ReliabilityEngine(), ReliabilityEngine()
+        bare = bare_engine.run(scenarios)
+        wrapped = wrapped_engine.run(QuerySet.from_scenarios(scenarios))
+        assert isinstance(bare, AnswerSet) and isinstance(wrapped, AnswerSet)
+        assert bare.values == wrapped.values
+        describe = [a.provenance.describe() for a in bare]
+        assert describe == [a.provenance.describe() for a in wrapped]
+        assert describe == [
+            "reliability:counting/solo",
+            "reliability:counting/batch[2]",
+            "reliability:counting/cache",
+            "reliability:counting/batch[2]",
+            "reliability:monte-carlo/solo",
+        ]
+        assert (bare_engine.cache_hits, bare_engine.cache_misses) == (
+            wrapped_engine.cache_hits,
+            wrapped_engine.cache_misses,
+        ) == (1, 4)
+        # One memo: what either door stored, the other door hits.
+        again = bare_engine.run(QuerySet.from_scenarios(scenarios))
+        assert all(a.provenance.cache_hit for a in again)
+        assert again.values == bare.values
+        assert wrapped_engine.run(scenarios).cache_hits == len(scenarios)
+
+    def test_backend_override_is_honoured_for_bare_scenarios(self):
         engine = ReliabilityEngine()
-        result = engine.run(ScenarioSet.build([scenario(3), scenario(5)]))
-        assert isinstance(result, EngineResult)
-        assert not isinstance(result, AnswerSet)
-        # unchanged provenance strings (no backend prefix) on the legacy path
-        assert result[0].provenance.describe().startswith("counting/")
+        marker = object()
+
+        def fake_backend(eng, queries, policy):
+            return [
+                Answer(q, marker, Provenance(estimator="fake", backend="reliability"))
+                for q in queries
+            ]
+
+        engine.register_backend("reliability", fake_backend)
+        scenarios = ScenarioSet.build([scenario(3), scenario(5)])
+        assert engine.run(scenarios).values == [marker, marker]
+        assert engine.run(QuerySet.from_scenarios(scenarios)).values == [marker, marker]
+        assert engine.run_query(scenario(3)).value is marker
+
+    def test_no_builtin_backend_reenters_the_engine(self):
+        """Backends reach the engine through its memo and registry only."""
+
+        class OneDoor(ReliabilityEngine):
+            depth = 0
+
+            def run(self, items, policy=None):
+                assert self.depth == 0, "a backend called back into engine.run"
+                self.depth += 1
+                try:
+                    return super().run(items, policy)
+                finally:
+                    self.depth -= 1
+
+        answers = OneDoor().run(
+            [
+                scenario(3),
+                scenario(5, 0.02, method="monte-carlo", trials=1_000, seed=1),
+                MTTFQuery.from_afr(scenario(5), afr=0.08, mttr_hours=24.0),
+                AvailabilityQuery.from_afr(scenario(5), afr=0.08, mttr_hours=24.0),
+                SimulationQuery(scenario(3, 0.1, seed=2), replicas=2, duration=4.0),
+            ]
+        )
+        assert [a.kind for a in answers] == [
+            "reliability", "reliability", "mttf", "availability", "simulation",
+        ]
 
     def test_mixed_queries_and_scenarios_coerce(self):
         engine = ReliabilityEngine()
@@ -425,7 +495,7 @@ class TestEngineDispatch:
 
     def test_reliability_answers_match_scenario_path(self):
         engine = ReliabilityEngine()
-        plain = engine.run([scenario(5, 0.03)])[0].result
+        plain = engine.run([scenario(5, 0.03)])[0].value
         engine2 = ReliabilityEngine()
         answer = engine2.run(QuerySet.from_scenarios([scenario(5, 0.03)]))[0]
         assert answer.value == plain

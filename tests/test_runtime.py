@@ -534,6 +534,61 @@ class TestEngineCampaignRecovery:
         assert second[0].provenance.cache_hit
 
 
+_RESUME_SCRIPT = """
+import json, sys
+from repro.engine import ExecutionPolicy, ReliabilityEngine, Scenario, SimulationQuery
+from repro.faults.mixture import byzantine_fleet
+from repro.protocols.pbft import PBFTSpec
+
+query = SimulationQuery(
+    Scenario(spec=PBFTSpec(4), fleet=byzantine_fleet(4, 0.1), seed=7), replicas=8
+)
+policy = ExecutionPolicy(shard_trials=1, checkpoint_dir=sys.argv[1])
+answer = ReliabilityEngine().run_query(query, policy=policy)
+print(json.dumps({
+    "answer": answer.to_dict(),
+    "shards": answer.provenance.shards,
+    "restored": answer.provenance.report.restored,
+}, sort_keys=True))
+"""
+
+
+class TestCrossProcessResume:
+    def test_byzantine_campaign_resumes_in_a_second_process(self, tmp_path):
+        """A journal is found again by a later interpreter.
+
+        The campaign memo key of a Byzantine-capable campaign holds the
+        resolved behaviour *functions*, whose ``repr`` embeds a memory
+        address — naming the journal after it orphaned one file per
+        process and ``--resume`` restored nothing.  The journal is named
+        by the query's canonical JSON form instead.
+        """
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+
+        def run():
+            done = subprocess.run(
+                [sys.executable, "-c", _RESUME_SCRIPT, str(tmp_path)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            return json.loads(done.stdout)
+
+        first, second = run(), run()
+        assert first["shards"] == second["shards"] == 8
+        assert first["restored"] == 0
+        assert second["restored"] == second["shards"]
+        assert json.dumps(first["answer"], sort_keys=True) == json.dumps(
+            second["answer"], sort_keys=True
+        )
+        assert len(list(tmp_path.glob("campaign-*.jsonl"))) == 1
+
+
 # ---------------------------------------------------------------------------
 # Dogfooding: a declarative FaultPlan attacks the runtime itself
 # ---------------------------------------------------------------------------
