@@ -306,7 +306,9 @@ def _campaign_chunk(payload):
     record their chunk as a worker-track slice; process-pool children
     degrade to the no-op tracer (see
     :func:`repro.obs.trace.resolve_context`).  Tracing never touches the
-    generators, so verdicts are bit-identical with tracing on or off.
+    generators, so verdicts are bit-identical with tracing on or off.  The
+    span carries ``sim_seconds`` / ``horizon_seconds`` / ``early_exits`` /
+    ``events``: how much virtual time the chunk actually simulated.
     """
     from repro.injection import run_replica
 
@@ -317,8 +319,8 @@ def _campaign_chunk(payload):
     commands = _command_schedule(query.commands)
     with tracer.span(
         "campaign.chunk", parent=parent, track="workers", replicas=len(rngs)
-    ):
-        return [
+    ) as span:
+        verdicts = [
             run_replica(
                 scenario.spec,
                 scenario.fleet,
@@ -333,6 +335,14 @@ def _campaign_chunk(payload):
             )
             for rng in rngs
         ]
+        # How much of the horizon the chunk had to simulate (replicas stop
+        # when their verdict is final) — on the span, never in the answer.
+        runs = [verdict.run for verdict in verdicts]
+        span.set("horizon_seconds", query.duration * len(runs))
+        span.set("sim_seconds", sum(run.sim_seconds for run in runs))
+        span.set("early_exits", sum(run.sim_seconds < query.duration for run in runs))
+        span.set("events", sum(run.events for run in runs))
+        return verdicts
 
 
 def _campaign_cache_key(query: SimulationQuery):

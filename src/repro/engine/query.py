@@ -375,6 +375,12 @@ class SimulationQuery(Query):
     spawned-stream contract), so answers depend only on
     ``(replicas, seed)`` — never on the
     :class:`~repro.engine.ExecutionPolicy` worker count or shard size.
+
+    ``duration`` is the *horizon* of each replica in virtual seconds — the
+    instant its verdict is read — not an amount of simulation to burn: a
+    replica stops at the first checkpoint where the frozen-log certificate
+    (:meth:`repro.sim.cluster.Cluster.verdict_final`) proves the verdict
+    can no longer change, which is the verdict at ``duration``.
     """
 
     kind: ClassVar[str] = "simulation"

@@ -261,14 +261,33 @@ def compile_faults(
     )
 
 
+#: Virtual seconds between the frozen-log checkpoints of a replica.  The
+#: certificate needs it wider than the network's delay bound; a network
+#: slower than this simply never lets a replica stop early.
+CHECKPOINT_INTERVAL = 0.25
+
+
+@dataclass(frozen=True)
+class ReplicaRun:
+    """How much of a replica was simulated — observability, never an answer."""
+
+    sim_seconds: float
+    events: int
+
+
 @dataclass(frozen=True)
 class ReplicaVerdict:
-    """Audited outcome of one replica run (the backend's tally unit)."""
+    """Audited outcome of one replica run (the backend's tally unit).
+
+    ``run`` rides along for tracing only: it is excluded from equality and
+    not journalled, so restored and fresh verdicts compare equal.
+    """
 
     unsafe: bool
     stalled: bool
     predicate_mismatch: bool
     partition_era_only: bool
+    run: ReplicaRun | None = field(default=None, compare=False, repr=False)
 
 
 def run_replica(
@@ -289,9 +308,23 @@ def run_replica(
     Everything stochastic draws from ``rng`` — the replica's private
     spawned stream — so the verdict depends only on that stream.
     ``commands`` is the ``(value, submit_time)`` workload schedule.
+
+    ``duration`` is a *horizon*, not a budget to burn: once the last
+    command is submitted the run is sliced every
+    :data:`CHECKPOINT_INTERVAL` and stops at the first checkpoint where
+    the cluster's frozen-log certificate holds
+    (:meth:`repro.sim.cluster.Cluster.verdict_final`, which carries the
+    proof) — every node that can still run holds the same log with every
+    command in it, every running node has applied all of it, and nothing
+    sent before the previous checkpoint is still in flight.  From there
+    the audit below cannot change, so the verdict is the one the full
+    horizon would give.  Only nodes that make the promise (Raft) ever
+    certify; PBFT, Byzantine overrides and third-party nodes run to
+    ``duration``, as does any replica whose certificate never holds
+    (a stalled one, an unbounded latency model).
     """
     from repro.sim.checker import audit_run
-    from repro.sim.cluster import Cluster
+    from repro.sim.cluster import MAX_EVENTS, Cluster
 
     compiled = compile_faults(
         plan,
@@ -314,7 +347,17 @@ def run_replica(
     cluster.start()
     for value, at in commands:
         cluster.submit(value, at=at)
-    cluster.run_until(duration)
+    scheduler = cluster.scheduler
+    checkpoint = max((at for _, at in commands), default=0.0)
+    while True:
+        checkpoint = min(checkpoint, duration)
+        # The livelock guard bounds the replica, not each slice.
+        cluster.run_until(
+            checkpoint, max_events=MAX_EVENTS - scheduler.processed_events
+        )
+        if checkpoint >= duration or cluster.verdict_final():
+            break
+        checkpoint += CHECKPOINT_INTERVAL
 
     config = compiled.config
     correct = sorted(set(range(fleet.n)) - set(config.failed_indices))
@@ -333,4 +376,5 @@ def run_replica(
         stalled=not verdict.live,
         predicate_mismatch=verdict.live != predicted_live,
         partition_era_only=bool(missing) and set(missing) == set(partition_era),
+        run=ReplicaRun(sim_seconds=checkpoint, events=scheduler.processed_events),
     )

@@ -21,7 +21,7 @@ from repro.sim.trace import TraceRecorder
 
 @dataclass(frozen=True)
 class AgreementViolation:
-    """Two correct nodes decided different values for one slot."""
+    """Two decisions of one slot differ — two correct nodes', or one node's own."""
 
     slot: int
     node_a: int
@@ -68,22 +68,24 @@ def check_agreement(
 
     With ``correct_nodes`` given, only their commits are audited — Byzantine
     nodes may claim anything; consensus only promises agreement among the
-    correct.
+    correct.  Every commit record counts, not a node's last word per slot:
+    a node that decides two different values for one slot violates
+    agreement with itself (``node_a == node_b``), while a recovered node
+    deciding the same value again is legal.
     """
-    committed = trace.committed_by_node()
-    audited = (
-        {node: slots for node, slots in committed.items() if node in set(correct_nodes)}
-        if correct_nodes is not None
-        else committed
-    )
+    audited = None if correct_nodes is None else set(correct_nodes)
+    decided: dict[int, dict[int, list[object]]] = {}  # node -> slot -> distinct values
+    for record in trace.commits:
+        if audited is None or record.node_id in audited:
+            values = decided.setdefault(record.node_id, {}).setdefault(record.slot, [])
+            if record.value not in values:
+                values.append(record.value)
     canonical: dict[int, tuple[int, object]] = {}  # slot -> (first node, value)
     violations: list[AgreementViolation] = []
-    for node_id in sorted(audited):
-        for slot, value in sorted(audited[node_id].items()):
-            if slot not in canonical:
-                canonical[slot] = (node_id, value)
-            else:
-                first_node, first_value = canonical[slot]
+    for node_id in sorted(decided):
+        for slot, values in sorted(decided[node_id].items()):
+            for value in values:
+                first_node, first_value = canonical.setdefault(slot, (node_id, value))
                 if first_value != value:
                     violations.append(
                         AgreementViolation(

@@ -22,6 +22,9 @@ from repro.sim.network import LatencyModel, Network
 from repro.sim.node import Process
 from repro.sim.trace import TraceRecorder
 
+#: Livelock guard: the most events one run may execute (see ``run_until``).
+MAX_EVENTS = 2_000_000
+
 #: Builds protocol node ``i`` of ``n``; receives its own RNG stream.
 NodeFactory = Callable[[int, int, EventScheduler, Network, np.random.Generator, TraceRecorder], Process]
 
@@ -65,6 +68,13 @@ class Cluster:
             )
             self.network.attach(process)
             self.nodes.append(process)
+        self._overridden = bool(overrides)
+        #: Every value handed to :meth:`submit`, fired yet or not.
+        self._commands: list[object] = []
+        #: Latest scheduled recovery per node (absent = none scheduled).
+        self._recoveries: dict[int, float] = {}
+        #: ``(time, token)`` of the last :meth:`verdict_final` checkpoint.
+        self._checkpoint: tuple[float, object] | None = None
 
     @property
     def n(self) -> int:
@@ -82,8 +92,80 @@ class Cluster:
         for process in self.nodes:
             process.start()
 
-    def run_until(self, t_end: float, *, max_events: int = 2_000_000) -> None:
+    def run_until(self, t_end: float, *, max_events: int = MAX_EVENTS) -> None:
         self.scheduler.run_until(t_end, max_events=max_events)
+
+    def verdict_final(self) -> bool:
+        """Checkpoint between ``run_until`` slices: can the audit still change?
+
+        The *frozen-log certificate*.  Call a node **live** if it is
+        running or still has a recovery scheduled; any other node never
+        runs again.  This returns True when
+
+        1. no node was overridden, every live node makes the
+           :meth:`Process.frozen_log` promise for the values ever handed
+           to :meth:`submit` (fired yet or not), and the logs they return
+           are all equal — call that log *L*;
+        2. the previous checkpoint satisfied (1) with the same token — the
+           live nodes and their log versions, so no live log was written
+           in between; and
+        3. that checkpoint lies more than :meth:`Network.delay_bound` in
+           the past (never, under an unbounded latency model).
+
+        Then no node that has never crashed records another commit,
+        whatever crashes, recoveries, partitions, loss, delay bursts or
+        elections are still to come: :func:`repro.sim.checker.audit_run`
+        over never-crashed nodes — what ``run_replica`` audits — gives the
+        same verdict on the trace so far as at any later horizon.  (It
+        assumes what every caller here does: commands enter through
+        :meth:`submit` and nothing is scheduled on the cluster from
+        outside after the run starts.)
+
+        *Proof.*  Let T0 < T1 be the two checkpoints.  The live set only
+        shrinks, so by (2) every node live at T1 held *L* throughout
+        [T0, T1].  A message sent before T0 was delayed by at most the
+        bound, so by (3) it has landed: everything in flight at T1, and
+        everything sent later, comes from a node that held *L* when it
+        sent.  Suppose a live node writes its log after T1, and take the
+        first such write.  Until then every running node holds *L*, so by
+        the nodes' promise the write is neither a proposal (*L* holds
+        every client value) nor the effect of a message (its sender held
+        *L*) — a contradiction.  Logs therefore stay *L* for ever; a
+        running node has decided all of *L* and decides a slot once, so it
+        records nothing more.  A node that restarts later decides the same
+        *L* again, but it has crashed, and dropped or delayed messages only
+        remove deliveries.
+        """
+        token = self._frozen_log_token()
+        previous, self._checkpoint = self._checkpoint, (self.now, token)
+        return (
+            token is not None
+            and previous is not None
+            and previous[1] == token
+            and self.now - previous[0] > self.network.delay_bound()
+        )
+
+    def _frozen_log_token(self) -> tuple[tuple[int, int], ...] | None:
+        """Clause (1) of :meth:`verdict_final`: live ``(node, version)`` pairs."""
+        if self._overridden:
+            return None
+        now = self.now
+        common = None
+        token = []
+        for process in self.nodes:
+            node_id = process.node_id
+            if process.is_crashed and self._recoveries.get(node_id, 0.0) <= now:
+                continue  # down for good: no recovery still to come
+            promise = process.frozen_log(self._commands)
+            if promise is None:
+                return None
+            version, log = promise
+            if common is None:
+                common = log
+            elif log != common:
+                return None
+            token.append((node_id, version))
+        return tuple(token)
 
     # ------------------------------------------------------------------
     # Failure control
@@ -109,6 +191,7 @@ class Cluster:
                 self.trace.record_event(self.scheduler.now, node_id, "recover")
 
         self.scheduler.schedule_at(time, do_recover)
+        self._recoveries[node_id] = max(time, self._recoveries.get(node_id, time))
 
     # ------------------------------------------------------------------
     # Network control (partitions and degradation bursts)
@@ -173,6 +256,8 @@ class Cluster:
         forward it, mirroring clients that broadcast/retry until they find
         the leader).
         """
+        self._commands.append(value)
+
         def do_submit() -> None:
             for process in self.nodes:
                 handler = getattr(process, "on_client_request", None)

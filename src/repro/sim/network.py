@@ -29,6 +29,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class LatencyModel(ABC):
     """Distribution of one-way message delays (seconds)."""
 
+    #: Largest delay :meth:`sample` can return; ``inf`` = no bound known
+    #: (the default, so a third-party model never lets a run stop early).
+    upper_bound: float = math.inf
+
     @abstractmethod
     def sample(self, rng: np.random.Generator) -> float:
         """Draw one delay."""
@@ -44,6 +48,10 @@ class FixedLatency(LatencyModel):
         if self.delay < 0:
             raise InvalidConfigurationError("delay must be non-negative")
 
+    @property
+    def upper_bound(self) -> float:
+        return self.delay
+
     def sample(self, rng: np.random.Generator) -> float:
         return self.delay
 
@@ -58,6 +66,10 @@ class UniformLatency(LatencyModel):
     def __post_init__(self) -> None:
         if not 0 <= self.low <= self.high:
             raise InvalidConfigurationError(f"invalid latency range [{self.low}, {self.high}]")
+
+    @property
+    def upper_bound(self) -> float:
+        return self.high
 
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.uniform(self.low, self.high))
@@ -100,6 +112,7 @@ class Network:
         #: Construction-time drop probability; bursts restore to this.
         self.base_drop_probability = drop_probability
         self._extra_delay = 0.0
+        self._max_extra_delay = 0.0
         self._rng = as_generator(seed)
         self._processes: dict[int, "Process"] = {}
         #: Attached node ids in ascending order — the broadcast order.
@@ -151,6 +164,16 @@ class Network:
         if seconds < 0:
             raise InvalidConfigurationError("extra delay must be non-negative")
         self._extra_delay = seconds
+        self._max_extra_delay = max(self._max_extra_delay, seconds)
+
+    def delay_bound(self) -> float:
+        """Upper bound on the delay of every message sent *so far*.
+
+        The latency model's bound plus the largest extra delay that has
+        been in force; ``inf`` for an unbounded model.  Later bursts may
+        raise it — it bounds what is already in flight, not the future.
+        """
+        return self._latency.upper_bound + self._max_extra_delay
 
     def _partitioned(self, src: int, dst: int) -> bool:
         """Whether the installed partition separates ``src`` from ``dst``."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from functools import partial
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -167,6 +167,31 @@ class Process(ABC):
 
     def on_recover(self) -> None:  # pragma: no cover - optional hook
         """Called when the node recovers (default: nothing)."""
+
+    def frozen_log(self, commands: Sequence[object]) -> Optional[tuple[int, object]]:
+        """This node's share of the frozen-log certificate, or ``None``.
+
+        ``commands`` are the values clients have handed the cluster.  A
+        node that returns ``(version, log)`` promises all of the following
+        (:meth:`repro.sim.cluster.Cluster.verdict_final` turns the
+        promises of all nodes into a stopping rule and states the proof):
+
+        * ``log`` is its durable log — what it restarts from after a crash
+          — compared across nodes with ``==``, and ``version`` changes
+          whenever that log is written;
+        * the log holds every value in ``commands``, and the node proposes
+          a new entry only for a client value its log does not hold;
+        * while every node it hears from holds an equal log, nothing it
+          receives makes it write its own;
+        * if it is running, it has decided its whole log and decides a
+          slot at most once between restarts.
+
+        The default makes no promise, so a cluster with any such node
+        (PBFT, a Byzantine override, a third-party protocol) always runs
+        to its horizon.  A subclass that changes what the inherited
+        promise rests on must override this too.
+        """
+        return None
 
     def __repr__(self) -> str:
         state = "crashed" if self._crashed else ("up" if self._running else "new")

@@ -24,6 +24,9 @@ class RaftLog:
 
     def __init__(self) -> None:
         self._entries: list[LogEntry] = []
+        #: Number of writes (appends and truncations) so far: two reads of
+        #: the same version saw the same log *and no write in between*.
+        self.version = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -60,6 +63,7 @@ class RaftLog:
     def append(self, entry: LogEntry) -> int:
         """Append one entry; returns its index."""
         self._entries.append(entry)
+        self.version += 1
         return len(self._entries)
 
     def matches(self, prev_index: int, prev_term: int) -> bool:
@@ -82,9 +86,9 @@ class RaftLog:
             if position < len(self._entries):
                 if self._entries[position].term != entry.term:
                     del self._entries[position:]
-                    self._entries.append(entry)
+                    self.append(entry)
             else:
-                self._entries.append(entry)
+                self.append(entry)
 
     def contains_value(self, value: object) -> bool:
         """Leader-side dedup: is ``value`` already in the log?"""

@@ -87,6 +87,28 @@ class RaftNode(Process):
         self._recorded_commit = 0
         self._arm_election_timer()
 
+    def frozen_log(self, commands):
+        """See :meth:`Process.frozen_log`.  Why Raft can promise it:
+
+        the log is written in two places only.  ``_leader_append`` dedups
+        against the log, and the values it is ever called with are client
+        values (``on_client_request`` directly, or ``_pending`` on winning
+        an election) — all of them already in a log that holds
+        ``commands``.  ``overwrite_from`` installs a leader's suffix, which
+        is a no-op when the leader's log equals this one.  A running node
+        with ``_recorded_commit == commit_index == last_index`` has
+        recorded every slot, and ``commit_index`` never exceeds
+        ``last_index`` again once the log stops changing.
+        """
+        log = self.log
+        if self.is_running and not (
+            self._recorded_commit == self.commit_index == log.last_index
+        ):
+            return None
+        if not all(log.contains_value(value) for value in commands):
+            return None
+        return log.version, log.entries_from(1)
+
     # ------------------------------------------------------------------
     # Timers
     # ------------------------------------------------------------------

@@ -336,6 +336,29 @@ class TestBitIdentity:
         shards = [r for r in exporter.records if r.name == "shard"]
         assert all(r.attributes["outcome"] == "ok" for r in shards)
 
+    def test_campaign_chunks_report_how_much_they_simulated(self):
+        exporter = InMemoryExporter()
+        tracer = Tracer.for_key(("early-exit",), exporter=exporter)
+        policy = ExecutionPolicy.from_jobs(2, mode="thread", timeout=30.0, retries=1)
+        with use_tracer(tracer):
+            answers = ReliabilityEngine().run(campaign_queries(), policy=policy)
+        chunks = [r.attributes for r in exporter.records if r.name == "campaign.chunk"]
+        assert sum(chunk["replicas"] for chunk in chunks) == 8
+        for chunk in chunks:
+            assert chunk["horizon_seconds"] == 5.0 * chunk["replicas"]
+            assert 0 < chunk["sim_seconds"] <= chunk["horizon_seconds"]
+            assert 0 <= chunk["early_exits"] <= chunk["replicas"]
+            assert chunk["events"] > 0
+        # Raft replicas whose verdict is final stop short of the horizon.
+        assert sum(chunk["early_exits"] for chunk in chunks) > 0
+        assert sum(c["sim_seconds"] for c in chunks) < sum(
+            c["horizon_seconds"] for c in chunks
+        )
+        # On the span only: the answer payload never mentions it.
+        payload = json.dumps([answer.to_dict() for answer in answers])
+        for key in ("sim_seconds", "horizon_seconds", "early_exits"):
+            assert key not in payload
+
     def test_reliability_backend_span_counts_memo_hits(self):
         exporter = InMemoryExporter()
         tracer = Tracer.for_key(("memo",), exporter=exporter)

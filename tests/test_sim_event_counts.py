@@ -23,6 +23,17 @@ of re-broadcasting every open slot on every tick; each PBFT vote is
 broadcast once.  A fault-free PBFT replica now sends exactly the
 protocol's messages: per command 4 pre-prepares, 16 prepares and 16
 commits (72 for two commands, against 104 before).
+
+Since the frozen-log early exit a campaign's Raft replica stops at the
+first checkpoint where its verdict is final, so the campaign path no
+longer runs the counts in ``EXPECTED`` for Raft.  They are kept, as they
+were, by driving ``compile_faults -> Cluster -> run_until(6.0)`` directly
+(``test_full_horizon_counts_are_pinned``: they still guard event order
+over a whole horizon, and ``Cluster.run_until`` alone never stops early),
+and the counts the campaign path now runs are pinned once beside them in
+``EARLY_EXIT`` (exit time, then the same four counters).  Every verdict
+column is unchanged, and so is every PBFT row on both paths: PBFT makes no
+frozen-log promise and runs to the horizon.
 """
 
 from __future__ import annotations
@@ -32,7 +43,11 @@ import pytest
 import repro.sim.cluster as cluster_module
 from repro.analysis.kernels import rebuild_shard_generators, spawn_shard_sequences
 from repro.engine import Scenario, SimulationQuery
-from repro.engine.backends import _campaign_chunk
+from repro.engine.backends import (
+    _campaign_chunk,
+    _command_schedule,
+    _node_factory_for,
+)
 from repro.faults.mixture import uniform_fleet
 from repro.injection import (
     Adversary,
@@ -41,9 +56,12 @@ from repro.injection import (
     LossBurst,
     PartitionEvent,
     ReplicaVerdict,
+    behaviour_factory,
+    compile_faults,
 )
 from repro.protocols.pbft import PBFTSpec
 from repro.protocols.raft import RaftSpec
+from repro.sim.checker import audit_run
 
 SEED = 2026
 REPLICAS = 4
@@ -76,9 +94,9 @@ def _query(name, seed=SEED, replicas=REPLICAS) -> SimulationQuery:
     )
 
 
-#: Per replica: (processed_events, messages_sent, messages_delivered,
-#: messages_dropped), then (unsafe, stalled, predicate_mismatch,
-#: partition_era_only).
+#: Per replica over the full 6 s horizon: (processed_events, messages_sent,
+#: messages_delivered, messages_dropped), then (unsafe, stalled,
+#: predicate_mismatch, partition_era_only).
 EXPECTED = {
     "crash_raft": [
         ((1660, 1371, 1182, 189), (False, False, False, False)),
@@ -103,6 +121,25 @@ EXPECTED = {
         ((1531, 1347, 1187, 160), (False, False, False, False)),
         ((1744, 1602, 1378, 224), (False, False, False, False)),
         ((1676, 1484, 1359, 125), (False, False, False, False)),
+    ],
+}
+
+#: What the campaign path runs of the Raft rows above: the virtual time at
+#: which the replica's frozen-log certificate held, then the four counters
+#: at that instant.  Same streams, same verdicts.
+EARLY_EXIT = {
+    "crash_raft": [
+        (1.6, (416, 342, 300, 42)),
+        (1.6, (472, 392, 392, 0)),
+        (1.6, (482, 400, 400, 0)),
+        (1.6, (472, 392, 392, 0)),
+    ],
+    # Every event of the outage plan falls after 1.6 s: the same prefix.
+    "outage_raft": [
+        (1.6, (416, 342, 300, 42)),
+        (1.6, (472, 392, 392, 0)),
+        (1.6, (482, 400, 400, 0)),
+        (1.6, (472, 392, 392, 0)),
     ],
 }
 
@@ -146,6 +183,21 @@ VERDICTS_16 = {
 }
 
 
+def _counts(cluster):
+    return (
+        cluster.scheduler.processed_events,
+        cluster.network.messages_sent,
+        cluster.network.messages_delivered,
+        cluster.network.messages_dropped,
+    )
+
+
+def _replica_streams(query: SimulationQuery):
+    return rebuild_shard_generators(
+        spawn_shard_sequences(query.scenario.seed, query.replicas)
+    )
+
+
 def _drive(query: SimulationQuery, monkeypatch):
     """One chunk through the backend's own worker entry point, keeping the
     clusters it builds so their counters can be read afterwards."""
@@ -157,29 +209,86 @@ def _drive(query: SimulationQuery, monkeypatch):
             clusters.append(self)
 
     monkeypatch.setattr(cluster_module, "Cluster", RecordingCluster)
-    rngs = rebuild_shard_generators(
-        spawn_shard_sequences(query.scenario.seed, query.replicas)
-    )
-    verdicts = _campaign_chunk((query, rngs, None))
+    verdicts = _campaign_chunk((query, _replica_streams(query), None))
     assert len(clusters) == len(verdicts) == query.replicas
-    return [
-        (
-            (
-                cluster.scheduler.processed_events,
-                cluster.network.messages_sent,
-                cluster.network.messages_delivered,
-                cluster.network.messages_dropped,
-            ),
-            verdict,
-        )
-        for cluster, verdict in zip(clusters, verdicts)
-    ]
+    return [(_counts(cluster), verdict) for cluster, verdict in zip(clusters, verdicts)]
+
+
+def full_horizon_replica(query: SimulationQuery, rng):
+    """The reference a replica is held to: the public pieces ``run_replica``
+    is made of, on the same stream, with one ``run_until(duration)``."""
+    scenario = query.scenario
+    spec, fleet = scenario.spec, scenario.fleet
+    commands = _command_schedule(query.commands)
+    compiled = compile_faults(
+        query.faults,
+        fleet=fleet,
+        duration=query.duration,
+        crash_window=query.crash_window,
+        correlation=scenario.correlation,
+        failure_kind=scenario.failure_kind,
+        rng=rng,
+    )
+    overrides = {
+        node: behaviour_factory(behaviour, spec)
+        for node, behaviour in compiled.behaviours.items()
+    }
+    cluster = cluster_module.Cluster(
+        fleet.n, _node_factory_for(spec), seed=rng, node_overrides=overrides or None
+    )
+    compiled.apply(cluster)
+    compiled.apply_network(cluster)
+    cluster.start()
+    for value, at in commands:
+        cluster.submit(value, at=at)
+    cluster.run_until(query.duration)
+    config = compiled.config
+    verdict = audit_run(
+        cluster.trace,
+        [value for value, _ in commands],
+        correct_nodes=sorted(set(range(fleet.n)) - set(config.failed_indices)),
+        partition_windows=compiled.partition_windows,
+        submit_times=dict(commands),
+    )
+    missing = verdict.liveness.missing
+    return cluster, ReplicaVerdict(
+        unsafe=not verdict.safe,
+        stalled=not verdict.live,
+        predicate_mismatch=verdict.live != spec.is_live(config),
+        partition_era_only=bool(missing)
+        and set(missing) == set(verdict.liveness.partition_era),
+    )
+
+
+def _expected(name):
+    return [(counts, ReplicaVerdict(*flags)) for counts, flags in EXPECTED[name]]
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_full_horizon_counts_are_pinned(name):
+    query = _query(name)
+    observed = []
+    for rng in _replica_streams(query):
+        cluster, verdict = full_horizon_replica(query, rng)
+        assert cluster.now == query.duration
+        observed.append((_counts(cluster), verdict))
+    assert observed == _expected(name)
 
 
 @pytest.mark.parametrize("name", sorted(SHAPES))
 def test_counts_and_verdicts_are_pinned(name, monkeypatch):
     observed = _drive(_query(name), monkeypatch)
-    expected = [(counts, ReplicaVerdict(*flags)) for counts, flags in EXPECTED[name]]
+    expected = _expected(name)
+    if name in EARLY_EXIT:
+        assert [verdict.run.sim_seconds for _, verdict in observed] == [
+            exit_time for exit_time, _ in EARLY_EXIT[name]
+        ]
+        expected = [
+            (counts, verdict)
+            for (_, counts), (_, verdict) in zip(EARLY_EXIT[name], expected)
+        ]
+    else:
+        assert all(verdict.run.sim_seconds == 6.0 for _, verdict in observed)
     assert observed == expected
 
 

@@ -123,6 +123,20 @@ class TestChecker:
         trace = self._trace_with([(1, 0, 1, "a"), (1, 1, 1, "b")])
         assert check_agreement(trace, correct_nodes=[0]).holds
 
+    def test_a_node_disagreeing_with_itself_is_a_violation(self):
+        # Last-write-wins would read node 0 as having decided only "a".
+        trace = self._trace_with([(1, 0, 1, "b"), (2, 0, 1, "a"), (2, 1, 1, "a")])
+        verdict = check_agreement(trace, correct_nodes=[0, 1])
+        assert not verdict.holds
+        first = verdict.violations[0]
+        assert (first.node_a, first.node_b, first.slot) == (0, 0, 1)
+        assert (first.value_a, first.value_b) == ("b", "a")
+        assert check_agreement(trace, correct_nodes=[1]).holds
+
+    def test_a_recovered_node_may_decide_the_same_value_again(self):
+        trace = self._trace_with([(1, 0, 1, "a"), (1, 1, 1, "a"), (5, 0, 1, "a")])
+        assert check_agreement(trace).holds
+
     def test_completion(self):
         trace = self._trace_with([(1, 0, 1, "a"), (1, 1, 1, "a")])
         assert check_completion(trace, ["a"], correct_nodes=[0, 1]).holds
