@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro._stats import binom_cdf
 from repro.analysis.result import Estimate, ReliabilityResult
 from repro.errors import InvalidConfigurationError
 from repro.faults.mixture import Fleet
@@ -123,13 +124,8 @@ def counting_reliability(spec: "ProtocolSpec", fleet: Fleet) -> ReliabilityResul
 def binomial_tail(n: int, p: float, at_most: int) -> float:
     """``P(X <= at_most)`` for ``X ~ Binomial(n, p)`` — closed-form oracle.
 
-    Used by tests to cross-check the DP against an independent
-    implementation (scipy's regularised incomplete beta).
+    Cross-checks the DP against an independent implementation: a sum of
+    log-space binomial terms (:func:`repro._stats.binom_cdf`), itself held
+    against SciPy's regularised incomplete beta by the tests.
     """
-    from scipy import stats
-
-    if at_most < 0:
-        return 0.0
-    if at_most >= n:
-        return 1.0
-    return float(stats.binom.cdf(at_most, n, p))
+    return binom_cdf(at_most, n, p)

@@ -41,6 +41,10 @@ Rule families (``repro-analyze lint --explain RULE-ID`` for details):
 ``registry-drift``
     Every ``register_query_kind`` class has a ``register_backend`` twin
     and vice versa, so a new query kind can't land half-wired (PR 4).
+``import-discipline``
+    Every ``import``/``from ... import`` — module-top or function-local —
+    resolves to the standard library, ``numpy`` or ``repro``; SciPy is a
+    test-only oracle (PR 19's ``repro._stats``).
 ``lock-guard``
     Attributes a class writes under a lock are shared state — accesses on
     lock-free paths race the guarded writers (the pre-PR-8 engine memo

@@ -1,15 +1,17 @@
 """Structural rules: pool safety, cache-key coverage, exception hygiene,
-registry drift.
+registry drift, import discipline.
 
 These families guard the engine's execution and caching contracts: workers
 handed to process pools must survive pickling, memo keys must cover every
 field that changes an answer, worker errors must be attributed or
-re-raised, and a query kind must never land half-wired into the registry.
+re-raised, a query kind must never land half-wired into the registry, and
+the package imports nothing beyond the standard library and NumPy.
 """
 
 from __future__ import annotations
 
 import ast
+import sys
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.contracts.config import path_matches
@@ -530,3 +532,59 @@ def latency_backend(engine, queries, policy): ...
                 and isinstance(deco.args[0], ast.Constant)
             ):
                 yield str(deco.args[0].value), deco
+
+
+# ---------------------------------------------------------------------------
+# Import discipline
+# ---------------------------------------------------------------------------
+#: Top-level packages the runtime may import: the standard library, NumPy
+#: and the package itself.
+_RUNTIME_IMPORT_ROOTS = sys.stdlib_module_names | {"numpy", "repro"}
+
+
+@register_rule
+class ImportDisciplineRule(Rule):
+    id = "import-discipline"
+    summary = "runtime imports resolve to the stdlib, numpy or repro"
+    rationale = """
+The ground rule "dependencies stay stdlib + NumPy" was prose until PR 19:
+ten SciPy import sites (four module-top, on the path of every command)
+cost each process ~1 s and ~60 MB to reach six small functions.  Those
+now live in ``repro._stats`` and SciPy is a test-only oracle.  A
+function-local import is no loophole — it defers the bill to the first
+call and makes the footprint depend on which query arrived — so the rule
+reads every ``import``/``from ... import`` statement, nested or not.
+"""
+    bad_example = """
+def binomial_tail(n, p, at_most):
+    from scipy import stats            # function-local: still a dependency
+    return float(stats.binom.cdf(at_most, n, p))
+"""
+    good_example = """
+from repro._stats import binom_cdf     # stdlib math + numpy underneath
+"""
+
+    def check_file(
+        self, ctx: FileContext, project: Project, config
+    ) -> Iterator[Finding]:
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Import):
+                modules = [item.name for item in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                if module.split(".")[0] in _RUNTIME_IMPORT_ROOTS:
+                    continue
+                yield Finding(
+                    path=ctx.path,
+                    line=node.lineno,
+                    col=node.col_offset,
+                    rule=self.id,
+                    message=(
+                        f"import of `{module}` — the runtime depends on the "
+                        "standard library and numpy only; use repro._stats or "
+                        "move the dependency behind the tests"
+                    ),
+                )

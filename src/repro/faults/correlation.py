@@ -30,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from repro._rng import SeedLike, as_generator
+from repro._stats import log_beta, log_binom
 from repro.errors import InvalidConfigurationError, InvalidProbabilityError
 from repro.faults.mixture import Fleet
 
@@ -295,24 +296,12 @@ class BetaBinomialContagion(CorrelationModel):
         n, a, b = self.n_nodes, self.alpha, self.beta
         ks = np.arange(n + 1)
         log_pmf = (
-            _log_comb(n, ks)
-            + _log_beta(ks + a, n - ks + b)
-            - _log_beta(a, b)
+            log_binom(n, ks)
+            + log_beta(ks + a, n - ks + b)
+            - log_beta(a, b)
         )
         pmf = np.exp(log_pmf)
         return pmf / pmf.sum()
-
-
-def _log_comb(n: int, k: np.ndarray) -> np.ndarray:
-    from scipy.special import gammaln
-
-    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-
-
-def _log_beta(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    from scipy.special import gammaln
-
-    return gammaln(a) + gammaln(b) - gammaln(a + b)
 
 
 def rollout_shock(fleet: Fleet, probability: float, *, lethality: float = 1.0) -> ShockGroup:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
+from repro._stats import minimize_bounded
 from repro.errors import FittingError, InvalidConfigurationError
 from repro.faults.curves import (
     ConstantHazard,
@@ -107,14 +107,13 @@ def fit_weibull(
         )
         return -log_lik
 
-    result = optimize.minimize_scalar(
-        negative_profile_log_lik, bounds=shape_bounds, method="bounded"
+    shape, negative_log_lik, converged = minimize_bounded(
+        negative_profile_log_lik, *shape_bounds
     )
-    if not result.success:
-        raise FittingError(f"Weibull shape optimisation failed: {result.message}")
-    shape = float(result.x)
+    if not converged:
+        raise FittingError("Weibull shape optimisation failed: evaluation budget exhausted")
     scale = float((durations_arr**shape).sum() / failures) ** (1.0 / shape)
-    return CurveFit(WeibullCurve(shape, scale), -float(result.fun), 2, "weibull")
+    return CurveFit(WeibullCurve(shape, scale), -float(negative_log_lik), 2, "weibull")
 
 
 def fit_piecewise_hazard(

@@ -9,8 +9,10 @@ steady-state availability under repair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+from repro._stats import binom_sf
 from repro.errors import InvalidConfigurationError
 from repro.markov.chain import ContinuousTimeMarkovChain, TransitionRates
 
@@ -134,12 +136,9 @@ class ClusterMarkovModel:
         Diagnostic linking the Markov view to the paper's per-window
         failure-probability view.
         """
-        from scipy import stats
-        import math
-
         p_window = -math.expm1(-self.failure_rate_per_hour * window_hours)
         max_failed = self.n - quorum_size
-        return float(stats.binom.sf(max_failed, self.n, p_window))
+        return binom_sf(max_failed, self.n, p_window)
 
 
 def mttf_comparison(

@@ -15,6 +15,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
+from repro._stats import ctmc_transient
 from repro.errors import InvalidConfigurationError
 
 State = Hashable
@@ -152,14 +153,10 @@ class ContinuousTimeMarkovChain:
         return float(np.clip(probs[position[start_idx]], 0.0, 1.0))
 
     def transient_distribution(self, start: State, t_hours: float) -> dict[State, float]:
-        """Distribution after ``t_hours`` starting from ``start`` (matrix exponential)."""
+        """Distribution after ``t_hours`` starting from ``start`` (uniformization)."""
         if t_hours < 0:
             raise InvalidConfigurationError("time must be non-negative")
-        from scipy.linalg import expm
-
         p0 = np.zeros(self.n_states)
         p0[self.index_of(start)] = 1.0
-        pt = p0 @ expm(self.generator * t_hours)
-        pt = np.clip(pt, 0.0, None)
-        pt = pt / pt.sum()
+        pt = ctmc_transient(self.generator, p0, t_hours)
         return {state: float(pt[i]) for i, state in enumerate(self.states)}

@@ -18,6 +18,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
+from repro._stats import normal_isf
 from repro.errors import InvalidConfigurationError
 
 
@@ -110,17 +111,10 @@ class PhiAccrualDetector:
         if len(self._intervals) < 2:
             return float("inf")
         mean, std = self._statistics()
-        z = _normal_isf(10.0 ** (-target))
+        z = normal_isf(10.0 ** (-target))
         return mean + z * std
 
 
 def _normal_sf(z: float) -> float:
     """Standard normal survival function."""
     return 0.5 * math.erfc(z / math.sqrt(2.0))
-
-
-def _normal_isf(p: float) -> float:
-    """Inverse survival function via scipy (exact, no approximation drift)."""
-    from scipy import stats
-
-    return float(stats.norm.isf(p))

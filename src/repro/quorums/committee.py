@@ -17,9 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import stats
-
 from repro._rng import SeedLike, as_generator
+from repro._stats import binom_cdf, hypergeom_pmf
 from repro.errors import InvalidConfigurationError
 
 
@@ -51,8 +50,10 @@ def committee_faulty_count_pmf(n: int, n_faulty: int, committee_size: int) -> li
         raise InvalidConfigurationError(f"n_faulty={n_faulty} outside [0, {n}]")
     if not 0 < committee_size <= n:
         raise InvalidConfigurationError(f"committee_size={committee_size} outside (0, {n}]")
-    rv = stats.hypergeom(n, n_faulty, committee_size)
-    return [float(rv.pmf(j)) for j in range(committee_size + 1)]
+    return [
+        hypergeom_pmf(j, n, n_faulty, committee_size)
+        for j in range(committee_size + 1)
+    ]
 
 
 def prob_committee_fraction_safe(
@@ -95,7 +96,7 @@ class CommitteeReliability:
         iid, so the faulty count is Binomial(committee_size, p_fail).
         """
         limit = math.ceil(self.max_faulty_fraction * self.committee_size) - 1
-        return float(stats.binom.cdf(limit, self.committee_size, self.p_fail))
+        return binom_cdf(limit, self.committee_size, self.p_fail)
 
     def expected_committee_faulty(self) -> float:
         return self.committee_size * self.p_fail
@@ -114,7 +115,7 @@ def smallest_bft_committee(p_fail: float, target_nines: float, *, max_size: int 
     target = 1.0 - 10.0 ** (-target_nines)
     for size in range(1, max_size + 1):
         limit = math.ceil(size / 3.0) - 1
-        if float(stats.binom.cdf(limit, size, p_fail)) >= target:
+        if binom_cdf(limit, size, p_fail) >= target:
             return size
     raise InvalidConfigurationError(
         f"no committee up to {max_size} meets {target_nines} nines at p={p_fail}"

@@ -20,8 +20,7 @@ import itertools
 import math
 from typing import Sequence
 
-from scipy import stats
-
+from repro._stats import binom_sf, hypergeom_pmf
 from repro.analysis.counting import poisson_binomial_pmf
 from repro.errors import InvalidConfigurationError
 
@@ -29,8 +28,7 @@ from repro.errors import InvalidConfigurationError
 def prob_random_quorums_overlap(n: int, k1: int, k2: int) -> float:
     """P(two independent uniform subsets of sizes k1, k2 share a node)."""
     _check_sizes(n, k1, k2)
-    rv = stats.hypergeom(n, k1, k2)
-    return float(1.0 - rv.pmf(0))
+    return 1.0 - hypergeom_pmf(0, n, k1, k2)
 
 
 def prob_random_quorums_overlap_in_correct(n: int, k1: int, k2: int, p_fail: float) -> float:
@@ -43,10 +41,9 @@ def prob_random_quorums_overlap_in_correct(n: int, k1: int, k2: int, p_fail: flo
     """
     _check_sizes(n, k1, k2)
     _check_probability(p_fail)
-    rv = stats.hypergeom(n, k1, k2)
     total = 0.0
     for m in range(1, min(k1, k2) + 1):
-        mass = float(rv.pmf(m))
+        mass = hypergeom_pmf(m, n, k1, k2)
         if mass > 0.0:
             total += mass * (1.0 - p_fail**m)
     return total
@@ -72,7 +69,7 @@ def prob_failure_count_reaches(n: int, p_fail: float, threshold: int) -> float:
         return 1.0
     if threshold > n:
         return 0.0
-    return float(stats.binom.sf(threshold - 1, n, p_fail))
+    return binom_sf(threshold - 1, n, p_fail)
 
 
 def prob_threshold_pair_intersects_in_correct(

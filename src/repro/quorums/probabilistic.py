@@ -13,9 +13,8 @@ from __future__ import annotations
 import math
 from typing import FrozenSet, Iterator
 
-from scipy import stats
-
 from repro._rng import SeedLike, as_generator
+from repro._stats import hypergeom_pmf
 from repro.errors import InvalidConfigurationError
 from repro.quorums.system import QuorumSystem
 
@@ -60,13 +59,11 @@ class ProbabilisticQuorums(QuorumSystem):
     # ------------------------------------------------------------------
     def overlap_pmf(self) -> list[float]:
         """PMF of |Q1 ∩ Q2| for two independent uniform quorums (hypergeometric)."""
-        rv = stats.hypergeom(self.n, self.k, self.k)
-        return [float(rv.pmf(m)) for m in range(self.k + 1)]
+        return [hypergeom_pmf(m, self.n, self.k, self.k) for m in range(self.k + 1)]
 
     def intersection_probability(self) -> float:
         """P(two independent quorums share at least one node)."""
-        rv = stats.hypergeom(self.n, self.k, self.k)
-        return float(1.0 - rv.pmf(0))
+        return 1.0 - hypergeom_pmf(0, self.n, self.k, self.k)
 
     def intersection_in_correct_probability(self, p_fail: float) -> float:
         """P(two quorums share ≥1 *correct* node), iid node failures.

@@ -7,7 +7,7 @@ resident behind a small stdlib-asyncio HTTP front end:
 * ``POST /v1/query`` — a ``Query``/``QuerySet`` JSON document; add
   ``?stream=1`` for chunked JSON-lines progress (one line per answer as
   it completes).
-* ``GET /healthz`` — liveness + uptime.
+* ``GET /healthz`` — liveness, uptime and peak resident set size.
 * ``GET /metrics`` — request/latency/coalescing counters plus the engine
   cache and campaign-degradation aggregates.
 

@@ -18,9 +18,10 @@ hot paths release the GIL; campaign fan-out adds its own policy workers
 per query), while the asyncio loop only parses, routes and streams.
 Long campaigns can opt into progress streaming
 (``POST /v1/query?stream=1`` → chunked JSON lines, one per answer as it
-completes).  ``GET /healthz`` and ``GET /metrics`` expose liveness and
-the service counters (request counts, latency percentiles, engine cache
-hit rate, coalescing and campaign/degradation aggregates).
+completes).  ``GET /healthz`` and ``GET /metrics`` expose liveness, the
+process's peak resident set size and the service counters (request
+counts, latency percentiles, engine cache hit rate, coalescing and
+campaign/degradation aggregates).
 
 Determinism note: the daemon never changes any answer value.  Its
 policy (:meth:`~repro.engine.ExecutionPolicy.for_service`) is a
@@ -51,7 +52,11 @@ from repro.serve.http import (
     write_chunk,
     write_response,
 )
-from repro.serve.metrics import ServiceMetrics, render_prometheus
+from repro.serve.metrics import (
+    ServiceMetrics,
+    process_max_rss_bytes,
+    render_prometheus,
+)
 from repro.obs.trace import (
     NULL_TRACER,
     Tracer,
@@ -264,6 +269,7 @@ class ReliabilityService:
                 {
                     "status": "ok",
                     "uptime_seconds": time.monotonic() - self._started_at,
+                    "max_rss_bytes": process_max_rss_bytes(),
                 }
             ).encode("utf-8")
             await write_response(writer, 200, body, keep_alive=request.keep_alive)
@@ -275,6 +281,7 @@ class ReliabilityService:
                 engine=self.engine,
                 extra={
                     "uptime_seconds": time.monotonic() - self._started_at,
+                    "max_rss_bytes": process_max_rss_bytes(),
                     "inflight_queries": len(self.inflight),
                 },
             )

@@ -24,6 +24,8 @@ exposition format for ``GET /metrics?format=prometheus``.
 from __future__ import annotations
 
 import math
+import resource
+import sys
 import threading
 from collections import deque
 
@@ -54,6 +56,15 @@ HISTOGRAM_BUCKETS = (
 _OTHER_ROUTE = "other"
 
 _KNOWN_ROUTES = ("/healthz", "/metrics")
+
+
+def process_max_rss_bytes() -> int:
+    """Peak resident set size of this process so far, in bytes.
+
+    ``ru_maxrss`` is kilobytes on Linux and bytes on macOS.
+    """
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak if sys.platform == "darwin" else peak * 1024
 
 
 class ServiceMetrics:
@@ -378,5 +389,12 @@ def render_prometheus(snapshot: dict) -> str:
     if "uptime_seconds" in snapshot:
         family("repro_uptime_seconds", "gauge", "Daemon uptime.")
         sample("repro_uptime_seconds", None, snapshot["uptime_seconds"])
+    if "max_rss_bytes" in snapshot:
+        family(
+            "repro_process_max_rss_bytes",
+            "gauge",
+            "Peak resident set size of the daemon process.",
+        )
+        sample("repro_process_max_rss_bytes", None, snapshot["max_rss_bytes"])
 
     return "\n".join(lines) + "\n"

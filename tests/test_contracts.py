@@ -530,6 +530,64 @@ class TestRegistryDrift:
 
 
 # ---------------------------------------------------------------------------
+# import-discipline
+# ---------------------------------------------------------------------------
+class TestImportDiscipline:
+    def test_fires_on_module_top_third_party_imports(self):
+        findings = run(
+            """
+            import scipy.optimize
+            from scipy import stats
+            import requests as http
+            """,
+            rules=["import-discipline"],
+        )
+        assert rule_ids(findings) == ["import-discipline"] * 3
+        assert "scipy.optimize" in findings[0].message
+
+    def test_fires_on_function_local_import(self):
+        findings = run(
+            """
+            def binomial_tail(n, p, at_most):
+                from scipy import stats
+                return float(stats.binom.cdf(at_most, n, p))
+            """,
+            rules=["import-discipline"],
+        )
+        assert rule_ids(findings) == ["import-discipline"]
+        assert findings[0].line == 3
+
+    def test_quiet_on_stdlib_numpy_repro_and_relative_imports(self):
+        findings = run(
+            """
+            from __future__ import annotations
+
+            import math, os.path
+            import numpy.linalg
+            import numpy as np
+            from numpy.random import SeedSequence
+            from statistics import NormalDist
+            from repro._stats import binom_cdf
+            from . import sibling
+            from .sibling import helper
+            from ..errors import ReproError
+
+            def late():
+                import resource
+                return resource
+            """,
+            path="repro/pkg/mod.py",
+            rules=["import-discipline"],
+        )
+        assert findings == []
+
+    def test_default_config_has_no_allow_entry(self):
+        # The rule is unconditional: a boundary module for third-party
+        # imports is exactly what it exists to prevent.
+        assert "import-discipline" not in DEFAULT_CONFIG.rule_allow
+
+
+# ---------------------------------------------------------------------------
 # Suppressions, parse errors, config scoping
 # ---------------------------------------------------------------------------
 class TestSuppressions:
@@ -710,6 +768,7 @@ class TestReports:
             "cache-key-coverage",
             "except-hygiene",
             "registry-drift",
+            "import-discipline",
             "lock-guard",
             "lock-order",
             "async-hygiene",

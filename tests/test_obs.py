@@ -515,7 +515,9 @@ class TestPrometheus:
         metrics.record_query_latency("simulation", 0.3)
         metrics.record_query_latency("simulation", 0.002)
         metrics.record_answer(_answer_stub(shards=4))
-        return metrics.snapshot(extra={"uptime_seconds": 12.5})
+        return metrics.snapshot(
+            extra={"uptime_seconds": 12.5, "max_rss_bytes": 50331648}
+        )
 
     def test_exposition_shape(self):
         text = render_prometheus(self._snapshot())
@@ -528,6 +530,8 @@ class TestPrometheus:
         )
         assert 'repro_request_latency_seconds{quantile="0.5",route="/v1/query"}' in text
         assert "repro_uptime_seconds 12.5" in text
+        assert "# TYPE repro_process_max_rss_bytes gauge" in text
+        assert "repro_process_max_rss_bytes 50331648" in text
 
     def test_histogram_buckets_are_cumulative(self):
         text = render_prometheus(self._snapshot())

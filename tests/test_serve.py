@@ -78,6 +78,11 @@ class TestRouting:
         assert status == 200
         assert body["status"] == "ok"
         assert body["uptime_seconds"] >= 0.0
+        # The daemon's own footprint: a peak, so it is positive, at least
+        # an interpreter's worth, and never falls between two reads.
+        assert body["max_rss_bytes"] > 5 * 2**20
+        _status, later = get(server.port, "/healthz")
+        assert later["max_rss_bytes"] >= body["max_rss_bytes"]
 
     def test_unknown_path_404(self, server):
         status, body = get(server.port, "/nope")
@@ -338,6 +343,7 @@ class TestMetrics:
         assert metrics["queries_total"] == 6
         assert metrics["answers_total"] == 6
         assert metrics["requests_total"] >= 2
+        assert metrics["max_rss_bytes"] > 5 * 2**20
         assert metrics["engine_cache"]["hits"] >= 3
         assert metrics["engine_cache"]["max_size"] == 4096
         assert 0.0 < metrics["engine_cache"]["hit_rate"] <= 1.0
