@@ -19,8 +19,9 @@ Rule families (``repro-analyze lint --explain RULE-ID`` for details):
     code threads ``rng``/``seed`` parameters (the PR 3 spawn contract).
 ``wall-clock``
     No ``time.time``/``datetime.now``/``perf_counter``/``os.urandom``/
-    ``uuid`` in deterministic paths; supervision (``repro.runtime``) and
-    provenance timing are declared clock boundaries (PR 6).
+    ``uuid`` in deterministic paths; supervision (``repro.runtime``),
+    the daemon (``repro.serve``) and the tracer's clock shim
+    (``repro.obs``) are the declared clock boundaries.
 ``iter-order``
     No unsorted set iteration anywhere; no raw dict-view iteration inside
     codec methods (``to_dict``/``cache_key``/...) — hash order must never
@@ -31,9 +32,9 @@ Rule families (``repro-analyze lint --explain RULE-ID`` for details):
     (PR 3/PR 6).
 ``cache-key-coverage``
     Every field of the frozen query/scenario/plan dataclasses must flow
-    into both ``to_dict`` and the cache key (including out-of-class key
-    builders like the campaign key) — the ``behaviour_build`` drift class
-    from PR 5's review, caught statically.
+    into both ``to_dict`` and the class's ``cache_key`` (helper methods,
+    inherited ones included, are followed) — the ``behaviour_build``
+    drift class from PR 5's review, caught statically.
 ``except-hygiene``
     No bare ``except:``; a broad ``except Exception`` must re-raise or
     use the bound error (attribution into a ``RunReport`` counts) — the
@@ -82,7 +83,7 @@ from repro.contracts.checker import (
     save_baseline,
     split_against_baseline,
 )
-from repro.contracts.config import DEFAULT_CONFIG, KeyBinding, LintConfig
+from repro.contracts.config import DEFAULT_CONFIG, LintConfig
 from repro.contracts.core import Finding, Rule, register_rule, registered_rules
 from repro.contracts.report import render_json, render_sarif, render_text
 
@@ -90,7 +91,6 @@ __all__ = [
     "ContractViolationError",
     "DEFAULT_CONFIG",
     "Finding",
-    "KeyBinding",
     "LintConfig",
     "LintResult",
     "Rule",

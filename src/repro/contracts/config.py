@@ -28,22 +28,6 @@ def path_matches(path: str, patterns: Tuple[str, ...]) -> bool:
 
 
 @dataclass(frozen=True)
-class KeyBinding:
-    """A module-level function that builds the memo key for a dataclass.
-
-    Some cache keys live outside the class they cover (the simulation
-    campaign key is assembled by ``_campaign_cache_key`` in
-    ``engine/backends.py``).  Binding the function to its class lets the
-    coverage rule demand that every field of the class is read — directly
-    or through the class's own key helper methods — by that function.
-    """
-
-    function: str  # module-level function name
-    class_name: str  # dataclass whose fields it must cover
-    path_pattern: str = "*"  # where the function is defined
-
-
-@dataclass(frozen=True)
 class LintConfig:
     """Everything the rules need to know about one codebase's contracts."""
 
@@ -75,9 +59,6 @@ class LintConfig:
     #: Globs of modules whose frozen dataclasses must keep
     #: ``to_dict``/``cache_key`` field coverage complete.
     cache_key_modules: Tuple[str, ...] = ()
-
-    #: Out-of-class cache-key builders (see :class:`KeyBinding`).
-    key_bindings: Tuple[KeyBinding, ...] = ()
 
     #: "ClassName.field" -> justification for exemption from coverage.
     #: Provenance-only fields (labels, display hints) belong here.
@@ -127,12 +108,6 @@ DEFAULT_CONFIG = LintConfig(
             # Supervision reads real deadlines/backoff clocks by design;
             # no estimator output flows from them (PR 6).
             "*repro/runtime.py",
-            # Provenance timing (Provenance.seconds) is metrology, not an
-            # input to any answer: the backends time what they compute
-            # (the engine itself — memo, overrides, kind router — reads
-            # no clock).
-            "*repro/engine/planner.py",
-            "*repro/engine/backends.py",
             # The serving daemon measures request latency and uptime —
             # wall-clock by nature (PR 8); no answer value flows from
             # either, which tests/test_serve.py proves by bit-comparing
@@ -152,20 +127,13 @@ DEFAULT_CONFIG = LintConfig(
         "*repro/engine/query.py",
         "*repro/injection/plan.py",
     ),
-    key_bindings=(
-        # The campaign memo key lives in the backend, not on the query:
-        # every SimulationQuery field must flow into it (this is the rule
-        # that catches behaviour_build-style provenance drift statically).
-        KeyBinding(
-            function="_campaign_cache_key",
-            class_name="SimulationQuery",
-            path_pattern="*repro/engine/backends.py",
-        ),
-    ),
     field_exemptions={
-        # Estimator *name* is resolved before keying: the planner keys on
+        # Estimator *name* is resolved before keying: a row is keyed on
         # the concrete resolved method (see Scenario.cache_key docstring).
         "Scenario.method": "cache_key takes the post-'auto' resolved_method",
+        # The base class opts out of the memo; each concrete kind that
+        # opts in builds its own key, and that key is checked in full.
+        "Query.scenario": "the base cache_key is None: never reusable",
         # Provenance-only metadata: never influences estimator output.
         "Scenario.label": "display-only provenance",
         "Scenario.window_hours": "display-only provenance (horizon stamp)",

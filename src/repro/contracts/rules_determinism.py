@@ -103,10 +103,12 @@ Estimator, simulator and injection code must produce the same answer for
 the same ``(inputs, seed)`` on every run and every host.  ``time.time``,
 ``datetime.now``, ``perf_counter``, ``os.urandom`` and ``uuid`` reads
 break that the moment their value flows into a result, a cache key or a
-trace.  Supervision genuinely needs deadlines (``repro.runtime``) and
-provenance records wall time (``Provenance.seconds``) — those modules are
-declared clock boundaries in the config; everywhere else sim-time comes
-from the event scheduler, not the host clock.
+trace.  Supervision genuinely needs deadlines (``repro.runtime``), the
+daemon measures request latency (``repro.serve``) and spans are
+timestamped through one shim (``repro.obs``) — those are the declared
+clock boundaries in the config; everywhere else sim-time comes from the
+event scheduler, not the host clock, and what a computation cost is read
+off its span, never stored in its answer.
 """
     bad_example = """
 def audit(trace):

@@ -141,6 +141,9 @@ class _ClassInfo:
             for item in node.body
             if isinstance(item, ast.FunctionDef)
         }
+        #: What ``self.<name>`` can resolve to: own methods, plus inherited
+        #: ones once :func:`_class_index` has seen the whole project.
+        self.helpers: Dict[str, ast.FunctionDef] = dict(self.methods)
         self.own_fields: Tuple[str, ...] = tuple(
             item.target.id
             for item in node.body
@@ -154,15 +157,16 @@ class _ClassInfo:
         """Names read as ``self.<name>`` by a method, helpers included.
 
         Reading ``self.helper`` (attribute or call) unions the helper
-        method's own reads, so ``cache_key -> self.fleet_key()`` covers the
-        fields ``fleet_key`` touches; a call of a ``_FULL_COVERAGE_CALLS``
-        helper on ``self`` covers everything (returned as ``{"*"}``).
+        method's own reads — inherited helpers included — so
+        ``cache_key -> self.fleet_key()`` covers the fields ``fleet_key``
+        touches; a call of a ``_FULL_COVERAGE_CALLS`` helper on ``self``
+        covers everything (returned as ``{"*"}``).
         """
         seen = set() if seen is None else seen
         if method_name in seen:
             return set()
         seen.add(method_name)
-        method = self.methods.get(method_name)
+        method = self.helpers.get(method_name)
         if method is None:
             return set()
         reads: Set[str] = set()
@@ -180,7 +184,7 @@ class _ClassInfo:
                 and node.value.id == "self"
             ):
                 reads.add(node.attr)
-                if node.attr in self.methods:
+                if node.attr in self.helpers:
                     nested = self.reads_of(node.attr, seen)
                     if "*" in nested:
                         return {"*"}
@@ -194,12 +198,15 @@ def _class_index(project: Project) -> Dict[str, _ClassInfo]:
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ClassDef):
                 index[node.name] = _ClassInfo(ctx, node)
+    for info in index.values():
+        for ancestor in _lineage(info, index):
+            for name, method in ancestor.methods.items():
+                info.helpers.setdefault(name, method)
     return index
 
 
-def _all_fields(info: _ClassInfo, index: Dict[str, _ClassInfo]) -> Tuple[str, ...]:
-    """Own plus inherited dataclass fields (base classes resolved by name)."""
-    names: List[str] = []
+def _lineage(info: _ClassInfo, index: Dict[str, _ClassInfo]) -> Iterator[_ClassInfo]:
+    """The class, then its ancestors (base classes resolved by name)."""
     stack = [info]
     seen = set()
     while stack:
@@ -207,10 +214,13 @@ def _all_fields(info: _ClassInfo, index: Dict[str, _ClassInfo]) -> Tuple[str, ..
         if current.name in seen:
             continue
         seen.add(current.name)
-        names.extend(current.own_fields)
-        for base in current.base_names:
-            if base in index:
-                stack.append(index[base])
+        yield current
+        stack.extend(index[base] for base in current.base_names if base in index)
+
+
+def _all_fields(info: _ClassInfo, index: Dict[str, _ClassInfo]) -> Tuple[str, ...]:
+    """Own plus inherited dataclass fields."""
+    names = [name for current in _lineage(info, index) for name in current.own_fields]
     return tuple(dict.fromkeys(names))
 
 
@@ -220,8 +230,8 @@ class CacheKeyCoverageRule(Rule):
     summary = "every dataclass field must flow into to_dict and cache_key"
     rationale = """
 The engine memoises answers by frozen-value keys; a field added to a
-query/scenario/plan but forgotten in ``cache_key`` (or an out-of-class
-key builder) makes two *different* questions share one cache entry — the
+query/scenario/plan but forgotten in ``cache_key`` makes two *different*
+questions share one cache entry — the
 ``behaviour_build`` drift PR 5's review caught by hand, now caught
 statically.  The same goes for ``to_dict``: a field missing from the
 codec silently drops on the first JSON round-trip.  Provenance-only
@@ -263,71 +273,10 @@ class Plan:
                     site=info.methods[method_name],
                     config=config,
                 )
-        yield from self._binding_findings(project, index, config)
-
-    def _binding_findings(self, project: Project, index, config) -> Iterator[Finding]:
-        for binding in config.key_bindings:
-            info = index.get(binding.class_name)
-            if info is None:
-                continue
-            for ctx in project.files:
-                if not path_matches(ctx.path, (binding.path_pattern,)):
-                    continue
-                for node in ast.walk(ctx.tree):
-                    if (
-                        isinstance(node, ast.FunctionDef)
-                        and node.name == binding.function
-                        and node.args.args
-                    ):
-                        param = node.args.args[0].arg
-                        reads = self._param_reads(node, param, info)
-                        yield from self._coverage_findings(
-                            info,
-                            _all_fields(info, index),
-                            reads,
-                            where=f"{ctx.path}::{binding.function}",
-                            site=node,
-                            config=config,
-                            ctx=ctx,
-                        )
-
-    @staticmethod
-    def _param_reads(fn: ast.FunctionDef, param: str, info: _ClassInfo) -> Set[str]:
-        """Fields of ``info`` read off ``param`` (class key helpers chased)."""
-        reads: Set[str] = set()
-        for node in ast.walk(fn):
-            attr = None
-            if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == param
-            ):
-                attr = node.attr
-            elif (
-                # one indirection deep: `scenario = query.scenario` is
-                # still query.scenario at the read site; deeper aliasing
-                # is out of scope for a syntactic pass.
-                isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Attribute)
-                and isinstance(node.value.value, ast.Name)
-                and node.value.value.id == param
-            ):
-                reads.add(node.value.attr)
-                continue
-            if attr is None:
-                continue
-            reads.add(attr)
-            if attr in info.methods:
-                nested = info.reads_of(attr)
-                if "*" in nested:
-                    return {"*"}
-                reads |= nested
-        return reads
 
     def _coverage_findings(
-        self, info, required, reads, *, where, site, config, ctx=None
+        self, info, required, reads, *, where, site, config
     ) -> Iterator[Finding]:
-        ctx = info.ctx if ctx is None else ctx
         if "*" in reads:
             return
         for field_name in required:
@@ -336,7 +285,7 @@ class Plan:
             if config.exempt_field(info.name, field_name):
                 continue
             yield Finding(
-                path=ctx.path,
+                path=info.ctx.path,
                 line=site.lineno,
                 col=site.col_offset,
                 rule=self.id,

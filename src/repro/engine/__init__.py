@@ -19,11 +19,15 @@ one scenario, a sweep, a mixed JSON query file — goes through
 
 A bare :class:`Scenario` is a :class:`ReliabilityQuery`; a
 :class:`ScenarioSet` — built by hand, from the :meth:`ScenarioSet.grid`
-builder, or from JSON — is a batch of them.  The engine routes each row
-to the backend registered for its kind (:func:`register_backend`):
+builder, or from JSON — is a batch of them.  The engine answers each row
+through one memo path — probe its bounded LRU memo under the row's own
+:meth:`Query.cache_key`, fold in-batch duplicates, compute the distinct
+misses, store — and only the misses reach the backend registered for the
+kind (:func:`register_backend`), which returns one :class:`Answer` per
+row and never reads or writes the memo:
 ``reliability`` is the scenario planner (shared counting-DP sweeps for
-same-size symmetric scenarios, a bounded memo for repeated questions,
-the pluggable estimator registry for everything else);
+same-size symmetric scenarios, the pluggable estimator registry for
+everything else);
 :class:`AvailabilityQuery` and :class:`MTTFQuery` batch same-chain CTMC
 solves; :class:`SimulationQuery` campaigns fan seeded replicas across the
 :class:`ExecutionPolicy` pool and accept a declarative

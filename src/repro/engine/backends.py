@@ -1,8 +1,11 @@
 """Built-in time-domain query backends: availability, MTTF, simulation.
 
-Each backend answers one same-kind batch of queries from a single
-:meth:`~repro.engine.ReliabilityEngine.run` call (the ``reliability``
-backend — the scenario planner — lives in :mod:`repro.engine.planner`):
+Each backend computes one same-kind batch of *distinct* questions — the
+rows of a single :meth:`~repro.engine.ReliabilityEngine.run` call that the
+engine could not answer from its memo — and returns one
+:class:`~repro.engine.result.Answer` per row, in order; it never reads or
+writes the memo (the ``reliability`` backend — the scenario planner —
+lives in :mod:`repro.engine.planner`):
 
 ``availability`` / ``mttf``
     CTMC questions batched *per chain*: queries whose
@@ -22,9 +25,7 @@ backend — the scenario planner — lives in :mod:`repro.engine.planner`):
     worker count or executor mode.  Each replica's faults — sampled or
     correlated window outcomes, crash-recovery, partitions, bursts and
     Byzantine behaviours — are compiled from the query's
-    :class:`repro.injection.FaultPlan` by :func:`repro.injection.run_replica`;
-    campaign cache keys carry the plan's canonical form and the
-    correlation model, so adversary mixes never share memo entries.
+    :class:`repro.injection.FaultPlan` by :func:`repro.injection.run_replica`.
 
     Campaigns are *not* all-or-nothing: the fan-out always goes through
     :func:`repro.runtime.run_supervised` under the policy's supervision
@@ -35,20 +36,20 @@ backend — the scenario planner — lives in :mod:`repro.engine.planner`):
     partial answer over the surviving replicas with ``degraded``
     provenance instead of raising, and ``checkpoint_dir`` journals
     completed shards so an interrupted campaign resumes bit-identically.
-    Degraded answers never enter the memo (a later run may complete the
-    campaign).
+    The engine never stores a ``degraded`` answer (a later run may
+    complete the campaign).
 
-Deterministic time-domain answers (Markov always; simulation when the
-scenario seed is an ``int``) participate in the engine's bounded LRU memo
-under kind-prefixed keys, so repeated questions — a planner loop asking
-for the same availability, a re-submitted query file — are answered from
-cache with ``cache_hit`` provenance exactly like reliability scenarios.
+Which answers are reusable is the query classes' business
+(:meth:`~repro.engine.query.Query.cache_key`: Markov always; simulation
+when the scenario seed is an ``int``), and serving repeated questions
+from the memo is the engine's.
 """
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Callable, Sequence
+
+import numpy as np
 
 from repro.engine.query import (
     AvailabilityQuery,
@@ -89,57 +90,28 @@ def _cluster_model(query):
     )
 
 
-def _run_markov_kind(
-    engine: "ReliabilityEngine",
-    queries: Sequence[Query],
-    *,
-    kind: str,
-    question_key,
-    answer_pending,
-) -> list[Answer]:
+def _run_markov_kind(queries: Sequence[Query], *, kind: str, answer_chain) -> list[Answer]:
     """Shared per-chain scaffolding of the two CTMC backends.
 
-    Groups queries by :meth:`~repro.engine.query._MarkovQuery.chain_key`,
-    serves memo hits (keys are ``(kind, chain_key) + question_key(q)``),
-    and hands each chain's remaining queries to ``answer_pending`` — which
-    performs at most one CTMC solve per distinct linear system and returns
-    one value per query, in order.
+    Groups queries by :meth:`~repro.engine.query._MarkovQuery.chain_key`
+    and hands each chain's queries to ``answer_chain`` — which performs at
+    most one CTMC solve per distinct linear system and returns one value
+    per query, in order.
     """
     answers: list[Answer | None] = [None] * len(queries)
-    groups: dict[tuple, list[int]] = {}
+    chains: dict[tuple, list[int]] = {}
     for index, query in enumerate(queries):
-        groups.setdefault(query.chain_key(), []).append(index)
-    for chain_key, indices in groups.items():
-        start = time.perf_counter()
-        batch_size = len(indices)
-        pending: list[tuple[int, tuple]] = []
-        for index in indices:
-            query = queries[index]
-            key = (kind, chain_key) + question_key(query)
-            cached = engine.cache_lookup(key)
-            if cached is not None:
-                answers[index] = Answer(
-                    query,
-                    cached,
-                    Provenance(estimator="ctmc", cache_hit=True, backend=kind),
-                )
-            else:
-                pending.append((index, key))
-        if not pending:
-            continue
-        values = answer_pending([queries[index] for index, _ in pending])
-        share = (time.perf_counter() - start) / len(pending)
+        chains.setdefault(query.chain_key(), []).append(index)
+    for indices in chains.values():
+        values = answer_chain([queries[index] for index in indices])
         provenance = Provenance(
             estimator="ctmc",
-            batched=batch_size > 1,
-            batch_size=batch_size,
-            seconds=share,
+            batched=len(indices) > 1,
+            batch_size=len(indices),
             backend=kind,
         )
-        for (index, key), value in zip(pending, values):
-            engine.cache_store(key, value)
+        for index, value in zip(indices, values):
             answers[index] = Answer(queries[index], value, provenance)
-    assert all(answer is not None for answer in answers)
     return answers  # type: ignore[return-value]
 
 
@@ -149,8 +121,8 @@ def availability_backend(
     queries: Sequence[AvailabilityQuery],
     policy: "ExecutionPolicy",
 ) -> list[Answer]:
-    def answer_pending(pending: Sequence[AvailabilityQuery]):
-        model = _cluster_model(pending[0])
+    def answer_chain(chain: Sequence[AvailabilityQuery]):
+        model = _cluster_model(chain[0])
         pi = model.steady_state_distribution()  # the one solve for this chain
         return [
             AvailabilityAnswer(
@@ -167,16 +139,10 @@ def availability_backend(
                     )
                 ),
             )
-            for query in pending
+            for query in chain
         ]
 
-    return _run_markov_kind(
-        engine,
-        queries,
-        kind="availability",
-        question_key=lambda q: (q.resolved_quorum, q.window_hours),
-        answer_pending=answer_pending,
-    )
+    return _run_markov_kind(queries, kind="availability", answer_chain=answer_chain)
 
 
 @register_backend("mttf")
@@ -185,8 +151,8 @@ def mttf_backend(
     queries: Sequence[MTTFQuery],
     policy: "ExecutionPolicy",
 ) -> list[Answer]:
-    def answer_pending(pending: Sequence[MTTFQuery]):
-        model = _cluster_model(pending[0])
+    def answer_chain(chain: Sequence[MTTFQuery]):
+        model = _cluster_model(chain[0])
         hitting_times: dict[int, float] = {}  # threshold -> one solve each
 
         def mean_hours(threshold: int) -> float:
@@ -207,16 +173,10 @@ def mttf_backend(
                 mttf_hours=mean_hours(query.n - query.resolved_quorum + 1),
                 mttdl_hours=mean_hours(query.resolved_persistence_quorum),
             )
-            for query in pending
+            for query in chain
         ]
 
-    return _run_markov_kind(
-        engine,
-        queries,
-        kind="mttf",
-        question_key=lambda q: (q.resolved_quorum, q.resolved_persistence_quorum),
-        answer_pending=answer_pending,
-    )
+    return _run_markov_kind(queries, kind="mttf", answer_chain=answer_chain)
 
 
 # ---------------------------------------------------------------------------
@@ -345,45 +305,6 @@ def _campaign_chunk(payload):
         return verdicts
 
 
-def _campaign_cache_key(query: SimulationQuery):
-    """Memo key for a seeded campaign, or ``None`` when not reusable.
-
-    The key distinguishes everything that changes compiled faults: the
-    fault plan's canonical form, the *resolved* Byzantine behaviour
-    implementations (so re-registering a behaviour invalidates answers
-    computed with the old one), the correlation model (hashable frozen
-    models only — a third-party unhashable model simply opts the campaign
-    out of the memo) and the sampled-outcome kind, alongside the PR 4
-    components (spec, fleet, budget, seed).
-    """
-    import numpy as np
-
-    scenario = query.scenario
-    seed = scenario.seed
-    if not isinstance(seed, (int, np.integer)):
-        return None
-    correlation = scenario.correlation
-    if correlation is not None:
-        try:
-            hash(correlation)
-        except TypeError:
-            return None
-    return (
-        "simulation",
-        scenario.spec.grouping_key(),
-        scenario.fleet_key(),
-        query.replicas,
-        query.duration,
-        query.commands,
-        query.crash_window,
-        int(seed),
-        query.fault_key(),
-        query.behaviour_key(),
-        correlation,
-        scenario.failure_kind,
-    )
-
-
 def _encode_verdicts(verdicts) -> list[list[bool]]:
     """Checkpoint form of one shard's verdict list (4 bools per replica)."""
     return [
@@ -398,21 +319,19 @@ def _decode_verdicts(rows):
     return [ReplicaVerdict(*(bool(flag) for flag in row)) for row in rows]
 
 
-def _campaign_checkpoint(
-    policy: "ExecutionPolicy", query: SimulationQuery, key, shards: int
-):
+def _campaign_checkpoint(policy: "ExecutionPolicy", query: SimulationQuery, shards: int):
     """The campaign's checkpoint journal, or ``None`` when not resumable.
 
     A journal must be found again by a *later process*, so it is named by
     a digest of the query's canonical JSON form — the string the daemon
     single-flights on — never by the memo key, whose resolved behaviour
     functions ``repr`` to a memory address.  Resuming therefore needs a
-    policy ``checkpoint_dir``, a memoisable campaign (int seed) and a
+    policy ``checkpoint_dir``, a repeatable campaign (int seed) and a
     serializable one: correlation models are process-local objects.
     """
     if (
         policy.checkpoint_dir is None
-        or key is None
+        or not isinstance(query.scenario.seed, (int, np.integer))
         or query.scenario.correlation is not None
     ):
         return None
@@ -442,22 +361,8 @@ def simulation_backend(
     from repro.analysis.montecarlo import estimate_from_counts
 
     answers: list[Answer] = []
+    tracer = current_tracer()
     for query in queries:
-        scenario = query.scenario
-        seed = scenario.seed
-        key = _campaign_cache_key(query)
-        cached = engine.cache_lookup(key)
-        if cached is not None:
-            answers.append(
-                Answer(
-                    query,
-                    cached,
-                    Provenance(estimator="des", cache_hit=True, backend="simulation"),
-                )
-            )
-            continue
-        start = time.perf_counter()
-        tracer = current_tracer()
         with tracer.span(
             "campaign",
             label=query.label or "",
@@ -470,7 +375,7 @@ def simulation_backend(
             # *children* (not generators) is what makes retries and resumes
             # bit-identical: a shard's payload can be rebuilt from the same
             # children at any time.
-            children = spawn_shard_sequences(seed, query.replicas)
+            children = spawn_shard_sequences(query.scenario.seed, query.replicas)
             chunk = policy.shard_trials or max(
                 1, -(-query.replicas // _SIM_SHARD_GRAIN)
             )
@@ -506,7 +411,7 @@ def simulation_backend(
                 rebuild=lambda index, slices=slices, build=build_payload: build(
                     slices[index]
                 ),
-                checkpoint=_campaign_checkpoint(policy, query, key, plan.num_shards),
+                checkpoint=_campaign_checkpoint(policy, query, plan.num_shards),
                 chaos=policy.chaos,
             )
         verdicts = [
@@ -535,18 +440,15 @@ def simulation_backend(
             liveness_violation_rate=estimate_from_counts(stalled, effective),
             partition_era_liveness_violations=partition_era,
         )
-        # A degraded answer is a partial view of the campaign: it never
-        # enters the memo (a later run may complete it) and its provenance
+        # A degraded answer is a partial view of the campaign: its
+        # provenance says so (the engine therefore never stores it) and
         # carries the dropped shard ids and the effective replica count.
-        if key is not None and not degraded:
-            engine.cache_store(key, value)
         answers.append(
             Answer(
                 query,
                 value,
                 Provenance(
                     estimator="des",
-                    seconds=time.perf_counter() - start,
                     shards=plan.num_shards,
                     backend="simulation",
                     degraded=degraded,

@@ -4,26 +4,32 @@ Every submission is a :class:`~repro.engine.query.Query` and every reply
 an :class:`~repro.engine.result.AnswerSet`.  :meth:`ReliabilityEngine.run`
 coerces what it is given — bare scenarios become
 :class:`~repro.engine.query.ReliabilityQuery` rows — groups the rows by
-kind, and hands each group to the backend registered for that kind
-(:func:`repro.engine.registry.register_backend`).  All the planning lives
-behind that boundary: the scenario planner (memo dedup, shared counting-DP
-sweeps, pool fan-out) *is* the ``reliability`` backend
-(:mod:`repro.engine.planner`); the CTMC and simulation backends live in
-:mod:`repro.engine.backends`.  What stays here is what every backend
-shares: the bounded LRU memo, the per-engine estimator/backend overrides,
-and the kind router.  No backend calls back into :meth:`run`.
+kind, and answers each group through the one memo path: probe the bounded
+LRU memo under the row's own :meth:`~repro.engine.query.Query.cache_key`,
+fold in-batch duplicates onto the first row that asks, hand the *distinct
+misses* to the backend registered for the kind
+(:func:`repro.engine.registry.register_backend`), and store what comes
+back.  Backends compute, the engine remembers: the scenario planner
+(shared counting-DP sweeps, pool fan-out) is the ``reliability`` backend
+(:mod:`repro.engine.planner`), the CTMC and simulation backends live in
+:mod:`repro.engine.backends`, and none of them reads or writes the memo
+or calls back into :meth:`run`.  What stays here is what every kind
+shares: the memo, the per-engine estimator/backend overrides, and the
+kind router.  The engine package reads no clock — spans time what runs.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Iterable, Mapping
+from dataclasses import replace
+from functools import lru_cache
+from typing import Iterable, Mapping, Sequence
 
 from repro.engine.execution import SERIAL, ExecutionPolicy
 from repro.engine.query import Query, QuerySet, coerce_query
 from repro.engine.registry import BackendFn, EstimatorFn, get_backend, get_estimator
-from repro.engine.result import Answer, AnswerSet
+from repro.engine.result import Answer, AnswerSet, Provenance
 from repro.engine.scenario import Scenario, ScenarioSet
 from repro.errors import EstimationError
 from repro.obs.trace import current_tracer
@@ -34,8 +40,15 @@ import repro.engine.backends  # noqa: F401  (import-for-effect)
 import repro.engine.planner  # noqa: F401  (import-for-effect)
 
 
+@lru_cache(maxsize=256)
+def _hit_provenance(estimator: str, backend: str) -> Provenance:
+    """What a memo hit reports; shared by every entry of one estimator and
+    backend, so a stored row costs the memo a 2-tuple and nothing else."""
+    return Provenance(estimator, cache_hit=True, backend=backend)
+
+
 class ReliabilityEngine:
-    """Batching, caching facade over the estimator registry.
+    """Kind router and bounded LRU memo in front of the query backends.
 
     Parameters
     ----------
@@ -86,8 +99,13 @@ class ReliabilityEngine:
         return override if override is not None else get_backend(kind)
 
     def register_backend(self, kind: str, fn: BackendFn) -> None:
-        """Install a per-engine query-backend override."""
+        """Install a per-engine query-backend override.
+
+        Memo keys do not name the backend, so the memo is cleared: rows
+        the replaced backend answered must not be served as ``fn``'s.
+        """
         self._backend_overrides[kind] = fn
+        self.cache_clear()
 
     # -- memo cache --------------------------------------------------------
     def cache_clear(self) -> None:
@@ -109,14 +127,14 @@ class ReliabilityEngine:
         }
 
     def cache_lookup(self, key: tuple | None):
-        """The memo probe every backend answers a row through.
+        """The memo probe :meth:`run` answers every row through.
 
         Counts exactly one hit or one miss per call and refreshes LRU
         recency on a hit.  An uncacheable row (``key=None``) and a
         disabled memo (``cache_size=0``) are misses like any other: the
-        row is about to be computed.  Backends other than the reliability
-        planner prefix their keys with the query kind; the planner's keys
-        start with a spec grouping tuple, so kinds never collide.
+        row is about to be computed.  Kinds other than ``reliability``
+        prefix their keys with the kind; reliability keys start with a
+        spec grouping tuple, so kinds never collide.
         """
         with self._lock:
             value = self._memo.get(key)
@@ -153,11 +171,15 @@ class ReliabilityEngine:
         """Answer a batch of queries, in submission order.
 
         Rows are grouped by kind (submission order preserved within each
-        group) and each group is handed to the backend registered for
-        that kind — per-engine overrides first, then the global registry.
-        Backends batch internally (shared DP sweeps, shared CTMC solves,
-        sharded replica fan-out) and serve repeated questions from the
-        memo; answers are scattered back into submission order.
+        group).  Within a group every row is probed in the memo under its
+        own ``cache_key``; the distinct misses go, in one call, to the
+        backend registered for the kind — per-engine overrides first, then
+        the global registry — which batches internally (shared DP sweeps,
+        shared CTMC solves, sharded replica fan-out); computed answers are
+        stored and everything is scattered back into submission order.
+        Each submitted row counts exactly one memo hit or one miss: an
+        in-batch duplicate counts one miss (the row that computes) and
+        then hits.
 
         ``policy`` (default: the engine's constructor policy, itself
         defaulting to serial) picks the executor the backends fan work
@@ -181,19 +203,73 @@ class ReliabilityEngine:
                     mode=active.mode,
                     jobs=active.jobs,
                 ) as span:
-                    group = backend(self, [queries[i] for i in indices], active)
-                    if tracer.enabled:
-                        hits = sum(1 for a in group if a.provenance.cache_hit)
-                        span.set("memo_hits", hits)
-                        span.set("memo_misses", len(group) - hits)
-                if len(group) != len(indices):
-                    raise EstimationError(
-                        f"backend for {kind!r} returned {len(group)} answers "
-                        f"for {len(indices)} queries"
+                    misses = self._answer_kind(
+                        kind, backend, queries, indices, answers, active
                     )
-                for index, answer in zip(indices, group):
-                    answers[index] = answer
+                    span.set("memo_hits", len(indices) - misses)
+                    span.set("memo_misses", misses)
         return AnswerSet(tuple(answers))
+
+    def _answer_kind(
+        self,
+        kind: str,
+        backend: BackendFn,
+        queries: Sequence[Query],
+        indices: Sequence[int],
+        answers: list,
+        policy: ExecutionPolicy,
+    ) -> int:
+        """The memo path of one kind group; returns how many rows computed.
+
+        Probe, in-batch dedup, one backend call over the distinct misses,
+        store — all in submission order, so hit/miss counts and the LRU's
+        recency order are a pure function of the submission.  A row whose
+        key is ``None`` is never shared or stored, and neither is a
+        ``degraded`` answer (a later run may complete the campaign).  If
+        the backend raises, none of this group's rows is stored.
+        """
+        firsts: list[tuple[int, tuple | None]] = []  # per miss: (row, key)
+        slots: dict[tuple, int] = {}  # key -> position in ``firsts``
+        duplicates: list[tuple[int, int, tuple]] = []  # (row, slot, key)
+        estimator, shard_trials = self.estimator, policy.shard_trials
+        for index in indices:
+            query = queries[index]
+            key = query.cache_key(estimator, shard_trials)
+            slot = slots.get(key) if key is not None else None
+            if slot is not None:
+                duplicates.append((index, slot, key))
+                continue
+            cached = self.cache_lookup(key)
+            if cached is not None:
+                value, provenance = cached
+                answers[index] = Answer(query, value, provenance)
+                continue
+            if key is not None:
+                slots[key] = len(firsts)
+            firsts.append((index, key))
+        if not firsts:
+            return 0
+        computed = backend(self, [queries[index] for index, _ in firsts], policy)
+        if len(computed) != len(firsts):
+            raise EstimationError(
+                f"backend for {kind!r} returned {len(computed)} answers "
+                f"for {len(firsts)} queries"
+            )
+        for (index, key), answer in zip(firsts, computed):
+            answers[index] = answer
+            made = answer.provenance
+            if not made.degraded:
+                hit = _hit_provenance(made.estimator, made.backend)
+                self.cache_store(key, (answer.value, hit))
+        for index, slot, key in duplicates:
+            self.cache_lookup(key)  # the duplicate's memo hit (and recency)
+            source = computed[slot]
+            answers[index] = Answer(
+                queries[index],
+                source.value,
+                replace(source.provenance, cache_hit=True, shards=1, report=None),
+            )
+        return len(firsts)
 
 
 _DEFAULT_ENGINE: ReliabilityEngine | None = None

@@ -1,17 +1,15 @@
 """The ``reliability`` backend: a planner over the estimator registry.
 
-Every :class:`~repro.engine.query.ReliabilityQuery` of one
-:meth:`~repro.engine.ReliabilityEngine.run` call lands here as one batch,
-and the planner
+Every :class:`~repro.engine.query.ReliabilityQuery` that
+:meth:`~repro.engine.ReliabilityEngine.run` could not answer from its memo
+lands here as one batch of *distinct* questions (the engine has already
+folded repeats, within the batch and across runs), and the planner
 
-1. **deduplicates** — identical (spec, fleet, estimator) questions are
-   answered once, both within the batch and across runs via the engine's
-   bounded LRU memo;
-2. **batches** — symmetric counting scenarios of the same fleet size share
+1. **batches** — symmetric counting scenarios of the same fleet size share
    one vectorized joint-count DP sweep (one DP per *fleet*, reused across
    every spec of that size), the multi-spec batching the kernel layer was
    built for;
-3. **falls back** — everything else routes through the estimator registry
+2. **falls back** — everything else routes through the estimator registry
    one scenario at a time, fanned across the policy's pool when there is
    one.
 
@@ -20,18 +18,13 @@ batched DP reproduces :func:`repro.analysis.counting.joint_count_pmf`
 operation-for-operation and the reductions use the ordered
 :func:`repro.analysis.kernels.masked_sum`.
 
-Like every backend, the planner talks to the engine only through
-``cache_lookup`` / ``cache_store`` / ``estimator()``.  A memo key is
-:meth:`Scenario.cache_key <repro.engine.scenario.Scenario.cache_key>`
-plus the two things only the engine side knows: the resolved estimator
-*function* (so re-registering an estimator invalidates its answers) and,
-for seeded sampling, the policy's ``shard_trials`` (sampled values depend
-on the shard plan — and on nothing else about the policy).
+Like every backend, the planner only computes: it returns one
+:class:`~repro.engine.result.Answer` per row it was given, takes nothing
+from the engine but ``estimator()``, and never reads or writes the memo.
 """
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
@@ -47,44 +40,24 @@ from repro.engine.registry import (
 )
 from repro.engine.result import Answer, Provenance
 from repro.engine.scenario import Scenario
-from repro.obs.trace import current_span, current_tracer
+from repro.obs.trace import current_tracer
 from repro.runtime import run_supervised
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.engine import ReliabilityEngine
     from repro.engine.execution import ExecutionPolicy
 
-#: Above this configuration count, auto selection stops considering
-#: enumeration (the historical ``analyze`` threshold).
-EXACT_BUDGET = 1 << 20
-
 #: Cap on floats materialised per batched-DP chunk (~32 MB of float64).
 _BATCH_CHUNK_FLOATS = 1 << 22
 
-class _Row(NamedTuple):
-    """One planned (not memo-served) row of a batch."""
 
-    index: int  # submission position
+class _Row(NamedTuple):
+    """One row of a batch, with its estimator resolved."""
+
+    index: int  # position in the batch
     query: Query
     method: str  # resolved: never "auto"
     estimator_fn: EstimatorFn
-    key: tuple | None  # memo key; None when not reusable
-    fleet_key: tuple
-
-
-def _resolve_method(scenario: Scenario) -> str:
-    """Auto estimator selection — the exact policy ``analyze`` always used."""
-    if scenario.method != "auto":
-        return scenario.method
-    if scenario.correlation is not None:
-        return "monte-carlo"
-    if scenario.spec.symmetric:
-        return "counting"
-    from repro.analysis.exact import configuration_count
-
-    if configuration_count(scenario.fleet) <= EXACT_BUDGET:
-        return "exact"
-    return "monte-carlo"
 
 
 def _provenance(method: str, **fields) -> Provenance:
@@ -97,44 +70,22 @@ def reliability_backend(
     queries: Sequence[Query],
     policy: "ExecutionPolicy",
 ) -> list[Answer]:
-    """Plan and answer one batch of reliability rows, in submission order.
+    """Plan and answer one batch of distinct reliability rows, in order.
 
     Counting scenarios are grouped by fleet size into shared DP sweeps
     over the *unique* fleets of each group; every other scenario runs
-    through its estimator individually.  Identical questions — within the
-    batch or remembered from earlier runs — are answered from the memo:
-    an in-batch duplicate counts one miss (the row that computes) and
-    then hits.  Values depend only on the scenarios and the policy's
-    ``shard_trials`` — never on the worker count or executor mode.
+    through its estimator individually.  Values depend only on the
+    scenarios and the policy's ``shard_trials`` — never on the worker
+    count or executor mode.
     """
     answers: list[Answer | None] = [None] * len(queries)
     groups: dict[int, list[_Row]] = {}
     singles: list[_Row] = []
-    inflight: dict[tuple, int] = {}
-    aliases: list[tuple[int, int, tuple]] = []  # (duplicate, first, key)
-
     for index, query in enumerate(queries):
         scenario = query.scenario
-        method = _resolve_method(scenario)
+        method = scenario.resolved_method()
         estimator_fn = engine.estimator(method)
-        fleet_key = scenario.fleet_key()
-        key = scenario.cache_key(method, fleet_key=fleet_key)
-        if key is not None:
-            if method == "counting" or method == "exact":
-                key += (estimator_fn,)
-            else:
-                key += (estimator_fn, policy.shard_trials)
-            first = inflight.get(key)
-            if first is not None:
-                aliases.append((index, first, key))
-                continue
-        cached = engine.cache_lookup(key)
-        if cached is not None:
-            answers[index] = Answer(query, cached, _provenance(method, cache_hit=True))
-            continue
-        if key is not None:
-            inflight[key] = index
-        row = _Row(index, query, method, estimator_fn, key, fleet_key)
+        row = _Row(index, query, method, estimator_fn)
         # Invalid counting combinations (asymmetric spec, size mismatch)
         # fall through to the scalar estimator so they raise the exact
         # errors counting_reliability always raised.  The shared DP sweep
@@ -155,39 +106,22 @@ def reliability_backend(
         if len(group) == 1:
             singles.append(group[0])
         else:
-            _run_counting_group(engine, group, answers, policy)
-    _run_singles(engine, singles, answers, policy)
-
-    for index, first, key in aliases:
-        source = answers[first]
-        assert source is not None
-        engine.cache_lookup(key)  # the duplicate's memo hit (and recency)
-        answers[index] = Answer(
-            queries[index],
-            source.value,
-            _provenance(
-                source.provenance.estimator,
-                cache_hit=True,
-                batched=source.provenance.batched,
-                batch_size=source.provenance.batch_size,
-            ),
-        )
+            _run_counting_group(group, answers, policy)
+    _run_singles(singles, answers, policy)
     return answers  # type: ignore[return-value]
 
 
 def _run_single_in_worker(
     payload: tuple[EstimatorFn, Scenario, "ExecutionPolicy", int | None]
-) -> tuple[ReliabilityResult, int, float]:
-    """One timed estimation: ``(result, shards, seconds)``.
+) -> tuple[ReliabilityResult, int]:
+    """One estimation: ``(result, shards)``.
 
     Module-level so a process pool can pickle it; the stock estimators it
     is sent there with pickle by reference, so a child resolves them from
     its own registry import.
     """
     estimator_fn, scenario, policy, jobs = payload
-    start = time.perf_counter()
-    result, shards = estimate_under_policy(estimator_fn, scenario, policy, jobs=jobs)
-    return result, shards, time.perf_counter() - start
+    return estimate_under_policy(estimator_fn, scenario, policy, jobs=jobs)
 
 
 def _pool_safe(row: _Row, policy: "ExecutionPolicy") -> bool:
@@ -211,7 +145,6 @@ def _pool_safe(row: _Row, policy: "ExecutionPolicy") -> bool:
 
 
 def _run_singles(
-    engine: "ReliabilityEngine",
     singles: Sequence[_Row],
     answers: list[Answer | None],
     policy: "ExecutionPolicy",
@@ -224,13 +157,11 @@ def _run_singles(
     overhead: it runs here with the full estimator-level fan-out instead.
     Each scenario is computed exactly as it would be alone (its sampling
     streams are spawned per scenario), so values are identical at any
-    worker count.  Memo writes and answer assembly stay in the calling
-    thread — pooled rows first, then the rest, each in submission order —
-    so the LRU's recency order is deterministic too.  The fan-out runs
-    under the runtime's default supervision — one attempt, an estimator's
-    exception propagates unchanged; the policy's retry/degrade knobs
-    belong to simulation campaigns, whose answers can say they are
-    partial.
+    worker count.  The rows that stay here run in submission order, in
+    the calling thread.  The fan-out runs under the runtime's default
+    supervision — one attempt, an estimator's exception propagates
+    unchanged; the policy's retry/degrade knobs belong to simulation
+    campaigns, whose answers can say they are partial.
     """
     pooled: list[_Row] = []
     local: list[_Row] = []
@@ -239,13 +170,7 @@ def _run_singles(
     if len(pooled) < 2:
         pooled, local = [], list(singles)
 
-    def finish(row: _Row, completed: tuple[ReliabilityResult, int, float]) -> None:
-        result, shards, seconds = completed
-        engine.cache_store(row.key, result)
-        answers[row.index] = Answer(
-            row.query, result, _provenance(row.method, seconds=seconds, shards=shards)
-        )
-
+    results: list[tuple[ReliabilityResult, int]] = []
     if pooled:
         results, _ = run_supervised(
             _run_single_in_worker,
@@ -253,17 +178,17 @@ def _run_singles(
             jobs=policy.jobs,
             mode=policy.mode,
         )
-        for row, completed in zip(pooled, results):
-            finish(row, completed)
-    for row in local:
-        finish(
-            row,
-            _run_single_in_worker((row.estimator_fn, row.query.scenario, policy, None)),
+    results = list(results) + [
+        _run_single_in_worker((row.estimator_fn, row.query.scenario, policy, None))
+        for row in local
+    ]
+    for row, (result, shards) in zip(pooled + local, results):
+        answers[row.index] = Answer(
+            row.query, result, _provenance(row.method, shards=shards)
         )
 
 
 def _run_counting_group(
-    engine: "ReliabilityEngine",
     group: Sequence[_Row],
     answers: list[Answer | None],
     policy: "ExecutionPolicy",
@@ -284,91 +209,70 @@ def _run_counting_group(
         verdict_masks,
     )
 
-    start = time.perf_counter()
     n = group[0].query.scenario.fleet.n
-    unique_index: dict[tuple, int] = {}
-    unique_fleets: list = []
-    # Scenarios sharing a spec (by grouping key) reduce together.
-    by_spec: dict[tuple, list[tuple[_Row, int]]] = {}
-    for row in group:
-        scenario = row.query.scenario
-        slot = unique_index.get(row.fleet_key)
-        if slot is None:
-            slot = len(unique_fleets)
-            unique_index[row.fleet_key] = slot
-            unique_fleets.append(scenario.fleet)
-        by_spec.setdefault(scenario.spec.grouping_key(), []).append((row, slot))
-
-    crash = np.array([fleet.crash_probabilities for fleet in unique_fleets])
-    byz = np.array([fleet.byzantine_probabilities for fleet in unique_fleets])
-    chunk = max(1, _BATCH_CHUNK_FLOATS // ((n + 1) * (n + 1)))
-    total = crash.shape[0]
-
+    provenance = _provenance("counting", batched=True, batch_size=len(group))
     detail = f"joint count DP over {(n + 1) * (n + 2) // 2} count pairs"
-    computed: list[tuple[_Row, ReliabilityResult]] = []
+    # One span per shared DP sweep: how many scenarios amortised how many
+    # unique-fleet DPs, and what the batch cost.
+    with current_tracer().span(
+        "engine.counting_group", n=n, batch_size=len(group)
+    ) as span:
+        unique_index: dict[tuple, int] = {}
+        unique_fleets: list = []
+        # Scenarios sharing a spec (by grouping key) reduce together.
+        by_spec: dict[tuple, list[tuple[_Row, int]]] = {}
+        for row in group:
+            scenario = row.query.scenario
+            slot = unique_index.setdefault(scenario.fleet_key(), len(unique_fleets))
+            if slot == len(unique_fleets):
+                unique_fleets.append(scenario.fleet)
+            by_spec.setdefault(scenario.spec.grouping_key(), []).append((row, slot))
+        span.set("fleets", len(unique_fleets))
 
-    def reduce_chunk(lo: int, hi: int, pmfs: np.ndarray) -> None:
-        for members in by_spec.values():
-            selected = [entry for entry in members if lo <= entry[1] < hi]
-            if not selected:
-                continue
-            spec = selected[0][0].query.scenario.spec
-            safe_v, live_v, both_v = reliability_values_batch(
-                pmfs[[slot - lo for _, slot in selected]], verdict_masks(spec)
-            )
-            for position, (row, _) in enumerate(selected):
-                result = ReliabilityResult(
-                    protocol=spec.name,
-                    n=n,
-                    safe=Estimate.exact(float(safe_v[position])),
-                    live=Estimate.exact(float(live_v[position])),
-                    safe_and_live=Estimate.exact(float(both_v[position])),
-                    method="counting",
-                    detail=detail,
+        crash = np.array([fleet.crash_probabilities for fleet in unique_fleets])
+        byz = np.array([fleet.byzantine_probabilities for fleet in unique_fleets])
+        chunk = max(1, _BATCH_CHUNK_FLOATS // ((n + 1) * (n + 1)))
+        total = crash.shape[0]
+
+        def reduce_chunk(lo: int, hi: int, pmfs: np.ndarray) -> None:
+            for members in by_spec.values():
+                selected = [entry for entry in members if lo <= entry[1] < hi]
+                if not selected:
+                    continue
+                spec = selected[0][0].query.scenario.spec
+                safe_v, live_v, both_v = reliability_values_batch(
+                    pmfs[[slot - lo for _, slot in selected]], verdict_masks(spec)
                 )
-                engine.cache_store(row.key, result)
-                computed.append((row, result))
+                for position, (row, _) in enumerate(selected):
+                    result = ReliabilityResult(
+                        protocol=spec.name,
+                        n=n,
+                        safe=Estimate.exact(float(safe_v[position])),
+                        live=Estimate.exact(float(live_v[position])),
+                        safe_and_live=Estimate.exact(float(both_v[position])),
+                        method="counting",
+                        detail=detail,
+                    )
+                    answers[row.index] = Answer(row.query, result, provenance)
 
-    # Sweep and reduce one fleet-chunk at a time so peak memory stays
-    # near the chunk cap: only a bounded number of chunks' PMFs are live,
-    # never the whole group's.  Per-fleet values are chunk-independent,
-    # so the split changes nothing bit-wise.  Under a parallel policy the
-    # DP sweeps of up to ``jobs`` chunks run concurrently in threads (the
-    # DP releases the GIL inside NumPy; PMFs never cross a process
-    # boundary) while every reduction and cache write happens here, in
-    # chunk order — bit-identical to the serial sweep.
-    ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-    if policy.parallel and len(ranges) > 1:
-        sweep = lambda bounds: joint_count_pmf_batch(  # noqa: E731
-            crash[bounds[0] : bounds[1]], byz[bounds[0] : bounds[1]]
-        )
-        for wave_start in range(0, len(ranges), policy.jobs):
-            wave = ranges[wave_start : wave_start + policy.jobs]
-            swept, _ = run_supervised(sweep, wave, jobs=policy.jobs, mode="thread")
-            for (lo, hi), pmfs in zip(wave, swept):
-                reduce_chunk(lo, hi, pmfs)
-    else:
-        for lo, hi in ranges:
-            reduce_chunk(lo, hi, joint_count_pmf_batch(crash[lo:hi], byz[lo:hi]))
-    finished = time.perf_counter()
-    tracer = current_tracer()
-    if tracer.enabled:
-        # One span per shared DP sweep: how many scenarios amortised how
-        # many unique-fleet DPs, and what the batch cost wall-clock.
-        tracer.record_span(
-            "engine.counting_group",
-            start,
-            finished,
-            parent=current_span(),
-            n=n,
-            batch_size=len(group),
-            fleets=len(unique_fleets),
-        )
-    provenance = _provenance(
-        "counting",
-        batched=True,
-        batch_size=len(group),
-        seconds=(finished - start) / len(group),
-    )
-    for row, result in computed:
-        answers[row.index] = Answer(row.query, result, provenance)
+        # Sweep and reduce one fleet-chunk at a time so peak memory stays
+        # near the chunk cap: only a bounded number of chunks' PMFs are
+        # live, never the whole group's.  Per-fleet values are
+        # chunk-independent, so the split changes nothing bit-wise.  Under
+        # a parallel policy the DP sweeps of up to ``jobs`` chunks run
+        # concurrently in threads (the DP releases the GIL inside NumPy;
+        # PMFs never cross a process boundary) while every reduction
+        # happens here, in chunk order — bit-identical to the serial sweep.
+        ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+        if policy.parallel and len(ranges) > 1:
+            sweep = lambda bounds: joint_count_pmf_batch(  # noqa: E731
+                crash[bounds[0] : bounds[1]], byz[bounds[0] : bounds[1]]
+            )
+            for wave_start in range(0, len(ranges), policy.jobs):
+                wave = ranges[wave_start : wave_start + policy.jobs]
+                swept, _ = run_supervised(sweep, wave, jobs=policy.jobs, mode="thread")
+                for (lo, hi), pmfs in zip(wave, swept):
+                    reduce_chunk(lo, hi, pmfs)
+        else:
+            for lo, hi in ranges:
+                reduce_chunk(lo, hi, joint_count_pmf_batch(crash[lo:hi], byz[lo:hi]))

@@ -33,7 +33,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from typing import ClassVar, Iterable, Iterator, Mapping, Type
+from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Type
+
+import numpy as np
 
 from repro.errors import InvalidConfigurationError
 from repro.faults.afr import afr_to_hourly_rate
@@ -48,6 +50,9 @@ from repro.protocols.raft import RaftSpec, majority
 #: ``_COMMAND_INTERVAL`` after that (the bench_sim_validation cadence).
 _COMMANDS_START = 1.0
 _COMMAND_INTERVAL = 0.1
+
+#: What the engine hands :meth:`Query.cache_key`: estimator name → function.
+EstimatorLookup = Callable[[str], Callable]
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +79,24 @@ class Query:
     @property
     def label(self) -> str:
         return self.scenario.label
+
+    def cache_key(
+        self, estimator: EstimatorLookup, shard_trials: int | None
+    ) -> tuple | None:
+        """The engine's memo key for this question, or ``None``.
+
+        Each kind builds its key here, in one place, from its own fields
+        plus the two things only the engine side knows, which
+        :meth:`~repro.engine.ReliabilityEngine.run` passes in: its
+        ``estimator`` resolver (name → function, so a key can carry the
+        resolved *function* and re-registering an estimator invalidates
+        its answers) and the policy's ``shard_trials`` (seeded sampling
+        depends on the shard plan — and on nothing else about the policy).
+        ``None`` means the answer is not reusable: the row is computed
+        every time and never stored.  That is the default — a kind opts
+        into the memo by overriding this.
+        """
+        return None
 
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> dict:
@@ -117,11 +140,11 @@ def canonical_query_key(query: Query) -> str:
 
     Two queries with equal dict forms compile to bit-identical work (the
     dict form round-trips every field, enforced by the cache-key-coverage
-    contract), so one execution can serve both.  Unlike the backends'
-    in-process memo keys — which carry resolved function objects so that
-    re-registration invalidates them — this string means the same thing
-    in every interpreter: the daemon single-flights on it and campaign
-    checkpoint journals are named by its digest.
+    contract), so one execution can serve both.  Unlike the in-process
+    memo keys of :meth:`Query.cache_key` — which carry resolved function
+    objects so that re-registration invalidates them — this string means
+    the same thing in every interpreter: the daemon single-flights on it
+    and campaign checkpoint journals are named by its digest.
     """
     return json.dumps(query.to_dict(), sort_keys=True, default=repr)
 
@@ -179,6 +202,19 @@ class ReliabilityQuery(Query):
     """
 
     kind: ClassVar[str] = "reliability"
+
+    def cache_key(
+        self, estimator: EstimatorLookup, shard_trials: int | None
+    ) -> tuple | None:
+        """:meth:`Scenario.cache_key` plus the resolved estimator function
+        and, when the estimator samples, ``shard_trials``."""
+        method = self.scenario.resolved_method()
+        key = self.scenario.cache_key(method)
+        if key is None:
+            return None
+        if method == "counting" or method == "exact":
+            return key + (estimator(method),)
+        return key + (estimator(method), shard_trials)
 
 
 @dataclass(frozen=True)
@@ -306,6 +342,9 @@ class AvailabilityQuery(_MarkovQuery):
         if self.window_hours is not None and self.window_hours <= 0:
             raise InvalidConfigurationError("window_hours must be positive")
 
+    def cache_key(self, estimator: EstimatorLookup, shard_trials: int | None) -> tuple:
+        return (self.kind, self.chain_key(), self.resolved_quorum, self.window_hours)
+
     @classmethod
     def _coerce(cls, payload: dict) -> dict:
         payload = super()._coerce(payload)
@@ -343,6 +382,14 @@ class MTTFQuery(_MarkovQuery):
             self.resolved_quorum
             if self.persistence_quorum is None
             else self.persistence_quorum
+        )
+
+    def cache_key(self, estimator: EstimatorLookup, shard_trials: int | None) -> tuple:
+        return (
+            self.kind,
+            self.chain_key(),
+            self.resolved_quorum,
+            self.resolved_persistence_quorum,
         )
 
     @classmethod
@@ -534,6 +581,46 @@ class SimulationQuery(Query):
         from repro.injection.plan import DEFAULT_PLAN
 
         return (DEFAULT_PLAN if self.faults is None else self.faults).cache_key()
+
+    def cache_key(
+        self, estimator: EstimatorLookup, shard_trials: int | None
+    ) -> tuple | None:
+        """Memo key for a seeded campaign, or ``None`` when not reusable.
+
+        The key distinguishes everything that changes compiled faults: the
+        fault plan's canonical form, the *resolved* Byzantine behaviour
+        implementations (so re-registering a behaviour invalidates answers
+        computed with the old one), the correlation model (hashable frozen
+        models only — a third-party unhashable model simply opts the
+        campaign out of the memo) and the sampled-outcome kind, alongside
+        spec, fleet, budget and seed.  Replica ``i`` draws from child ``i``
+        of the seed, so neither argument matters: verdicts do not depend
+        on the shard plan and no estimator is involved.
+        """
+        scenario = self.scenario
+        seed = scenario.seed
+        if not isinstance(seed, (int, np.integer)):
+            return None
+        correlation = scenario.correlation
+        if correlation is not None:
+            try:
+                hash(correlation)
+            except TypeError:
+                return None
+        return (
+            self.kind,
+            scenario.spec.grouping_key(),
+            scenario.fleet_key(),
+            self.replicas,
+            self.duration,
+            self.commands,
+            self.crash_window,
+            int(seed),
+            self.fault_key(),
+            self.behaviour_key(),
+            correlation,
+            scenario.failure_kind,
+        )
 
     @classmethod
     def _coerce(cls, payload: dict) -> dict:

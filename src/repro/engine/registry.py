@@ -10,9 +10,10 @@ them addressable from ``Scenario.method`` and the CLI's JSON scenario
 files with no engine changes.
 
 The *backend* registry is the same idea one level up, keyed by query
-kind: a backend answers a whole same-kind batch of
-:class:`~repro.engine.query.Query` objects at once — which is what lets
-the Markov backends share one CTMC solve across a batch and the
+kind: a backend computes a whole same-kind batch of
+:class:`~repro.engine.query.Query` objects at once — the distinct rows of
+one ``run`` call that the engine's memo could not answer — which is what
+lets the Markov backends share one CTMC solve across a batch and the
 simulation backend fan replicas over an
 :class:`~repro.engine.ExecutionPolicy` pool.  The built-ins live in
 :mod:`repro.engine.planner` (``reliability``) and
@@ -36,8 +37,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 EstimatorFn = Callable[[Scenario], ReliabilityResult]
 
-#: A backend answers one same-kind batch: ``(engine, queries, policy)`` →
-#: one :class:`~repro.engine.result.Answer` per query, in order.
+#: A backend computes one same-kind batch of distinct memo misses:
+#: ``(engine, queries, policy)`` → one
+#: :class:`~repro.engine.result.Answer` per query, in order.
 BackendFn = Callable[..., "Sequence[Answer]"]
 
 _ESTIMATORS: Dict[str, EstimatorFn] = {}
@@ -48,14 +50,17 @@ def register_backend(kind: str) -> Callable[[BackendFn], BackendFn]:
     """Decorator: publish ``fn`` as the backend answering ``kind`` queries.
 
     ``fn(engine, queries, policy)`` receives the submitting
-    :class:`~repro.engine.ReliabilityEngine` (for its memo cache and the
-    estimator registry), every query of its kind from one ``run`` call in
-    submission order, and the active
+    :class:`~repro.engine.ReliabilityEngine` (for its ``estimator()``
+    resolver), the *distinct* queries of its kind from one ``run`` call
+    that missed the memo, in submission order, and the active
     :class:`~repro.engine.ExecutionPolicy`; it must return one
-    :class:`~repro.engine.result.Answer` per query, in order.  A backend
-    talks to the engine through ``cache_lookup`` / ``cache_store`` /
-    ``estimator()`` only — it never calls ``engine.run``.
-    Re-registering a kind replaces the previous backend.
+    :class:`~repro.engine.result.Answer` per query, in order.  Backends
+    compute, the engine remembers: the engine probes, deduplicates and
+    stores under each row's :meth:`~repro.engine.query.Query.cache_key`
+    (never a ``degraded`` answer), so a backend must not read or write the
+    memo, and it never calls ``engine.run``.  Re-registering a kind
+    replaces the previous backend; engines that already answered rows of
+    the kind keep them until ``cache_clear()``.
     """
 
     def decorator(fn: BackendFn) -> BackendFn:
@@ -95,7 +100,7 @@ def register_estimator(name: str) -> Callable[[EstimatorFn], EstimatorFn]:
 
 
 def get_estimator(name: str) -> EstimatorFn:
-    """Look up an estimator; error message matches the legacy ``analyze``."""
+    """Look up the estimator published under ``name``."""
     try:
         return _ESTIMATORS[name]
     except KeyError:

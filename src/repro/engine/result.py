@@ -5,8 +5,9 @@ An :class:`AnswerSet` — the ordered result of one
 questions at once: *what are the numbers* (one typed value per query, in
 submission order, bit-identical to the scalar estimators and builders)
 and *how were they produced* (which backend and estimator ran, whether
-the memo or a shared batch served the row, how many shards, how long) —
-the provenance an operator needs to trust a wall of nines.
+the memo or a shared batch served the row, how many shards) — the
+provenance an operator needs to trust a wall of nines.  How long it took
+is not part of an answer: :mod:`repro.obs` spans time what runs.
 
 An :class:`Answer` pairs a :class:`~repro.engine.query.Query` with its
 value — a :class:`~repro.analysis.result.ReliabilityResult`, an
@@ -63,7 +64,6 @@ class Provenance:
     cache_hit: bool = False
     batched: bool = False
     batch_size: int = 1
-    seconds: float = 0.0
     shards: int = 1
     backend: str = ""
     degraded: bool = False
@@ -313,10 +313,6 @@ class AnswerSet:
     @property
     def cache_hits(self) -> int:
         return sum(1 for answer in self.answers if answer.provenance.cache_hit)
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(answer.provenance.seconds for answer in self.answers)
 
     def table(self) -> list[dict[str, str]]:
         """Mixed-kind rows for CLI rendering."""

@@ -42,6 +42,10 @@ from repro.protocols.raft import FlexibleRaftSpec, RaftSpec
 #: Estimator names the default registry provides (see repro.engine.registry).
 KNOWN_METHODS = ("auto", "counting", "exact", "monte-carlo", "importance")
 
+#: Above this configuration count, auto selection stops considering
+#: enumeration (the historical ``analyze`` threshold).
+EXACT_BUDGET = 1 << 20
+
 
 # ---------------------------------------------------------------------------
 # Spec codecs: (de)serialization of the protocol zoo
@@ -215,6 +219,26 @@ class Scenario:
     def n(self) -> int:
         return self.fleet.n
 
+    def resolved_method(self) -> str:
+        """The concrete estimator name ``method`` stands for.
+
+        ``"auto"`` picks exactly as ``analyze`` always has: Monte-Carlo
+        under a correlation model, the counting DP for symmetric specs,
+        enumeration while the fleet has at most :data:`EXACT_BUDGET`
+        configurations, Monte-Carlo beyond that.
+        """
+        if self.method != "auto":
+            return self.method
+        if self.correlation is not None:
+            return "monte-carlo"
+        if self.spec.symmetric:
+            return "counting"
+        from repro.analysis.exact import configuration_count
+
+        if configuration_count(self.fleet) <= EXACT_BUDGET:
+            return "exact"
+        return "monte-carlo"
+
     def fleet_key(self) -> tuple:
         """Hashable identity of the fleet's failure probabilities.
 
@@ -225,28 +249,24 @@ class Scenario:
         """
         return tuple((node.p_crash, node.p_byzantine) for node in self.fleet.nodes)
 
-    def cache_key(
-        self, resolved_method: str, *, fleet_key: tuple | None = None
-    ) -> tuple | None:
+    def cache_key(self, resolved_method: str) -> tuple | None:
         """Memo-cache key, or ``None`` when the outcome is not reusable.
 
         Deterministic estimations (counting/exact, and sampling runs with
         an explicit *value* seed) are cacheable.  Unseeded sampling,
         generator-object seeds (stateful: every historical call advanced
         the stream) and correlated scenarios are not.  ``resolved_method``
-        is the concrete estimator picked after ``"auto"`` resolution; pass
-        ``fleet_key`` when already computed to avoid rebuilding it.
+        is :meth:`resolved_method`'s answer.
 
-        This *is* the key the reliability planner stores under
-        (:mod:`repro.engine.planner`), which appends only what the engine
-        side owns: the resolved estimator function and, for seeded
-        sampling, the policy's ``shard_trials``.
+        This *is* the key a reliability row is memoised under:
+        :meth:`ReliabilityQuery.cache_key
+        <repro.engine.query.ReliabilityQuery.cache_key>` appends only what
+        the engine side owns — the resolved estimator function and, for
+        seeded sampling, the policy's ``shard_trials``.
         """
         if self.correlation is not None:
             return None
-        if fleet_key is None:
-            fleet_key = self.fleet_key()
-        base = (self.spec.grouping_key(), fleet_key, resolved_method)
+        base = (self.spec.grouping_key(), self.fleet_key(), resolved_method)
         if resolved_method in ("counting", "exact"):
             # Exact answers are budget-independent: any trials/seed hits.
             return base

@@ -176,11 +176,6 @@ class ReliabilityService:
         else:
             self._trace_exporter = None
             self.tracer = NULL_TRACER
-        # canonical query key -> span id of the single execution that
-        # answered it; coalesced joiners link here.  Only populated while
-        # tracing is on (bounded by distinct query keys, like the memo).
-        self._exec_spans: dict = {}
-        self._exec_lock = threading.Lock()
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> asyncio.AbstractServer:
@@ -411,11 +406,11 @@ class ReliabilityService:
             "serve.query", kind=query.kind, label=query.label or ""
         ) as query_span:
             try:
-                answer, joined = await self.inflight.run(
+                (answer, executed_by), joined = await self.inflight.run(
                     key,
                     lambda: loop.run_in_executor(
                         self._pool,
-                        partial(self._run_query, query, query_span.context(), key),
+                        partial(self._run_query, query, query_span.context()),
                     ),
                 )
             except Exception as error:
@@ -429,14 +424,17 @@ class ReliabilityService:
                 # A coalesced joiner never executed anything: record the
                 # link to the one execution span that answered it.
                 query_span.set("coalesced", True)
-                with self._exec_lock:
-                    query_span.link(self._exec_spans.get(key))
+                query_span.link(executed_by)
         self.metrics.record_query(coalesced=joined)
         self.metrics.record_answer(answer)
         return index, answer, None, joined
 
-    def _run_query(self, query, span_context=None, key=None):
+    def _run_query(self, query, span_context=None):
         """Executor-thread entry: one query through the shared warm engine.
+
+        Returns ``(answer, span id of this execution)`` — the shared
+        in-flight result, so a coalesced joiner can link to the execution
+        that answered it (``None`` with tracing off).
 
         Per-query submissions (rather than whole request batches) are
         what make single-flight coalescing and streaming possible; the
@@ -453,15 +451,13 @@ class ReliabilityService:
         """
         tracer = self.tracer
         if not tracer.enabled:
-            return self.engine.run([query], policy=self.policy)[0]
+            return self.engine.run([query], policy=self.policy)[0], None
         with tracer.span(
             "query.execute", parent=span_context, track="executor", kind=query.kind
         ) as execute_span:
-            if key is not None:
-                with self._exec_lock:
-                    self._exec_spans[key] = execute_span.span_id
             with use_tracer(tracer):
-                return self.engine.run([query], policy=self.policy)[0]
+                answer = self.engine.run([query], policy=self.policy)[0]
+            return answer, execute_span.span_id
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import pytest
 
 from repro.contracts import (
     DEFAULT_CONFIG,
-    KeyBinding,
     LintConfig,
     LintResult,
     lint_sources,
@@ -368,46 +367,42 @@ class TestCacheKeyCoverage:
         )
         assert findings == []
 
-    def test_key_binding_catches_out_of_class_drift(self):
-        sources = {
-            "app/keyed.py": textwrap.dedent(
-                """
-                from dataclasses import dataclass
+    def test_in_class_campaign_key_catches_drift(self):
+        """The campaign key moved from a bound module-level function onto
+        ``SimulationQuery.cache_key``; the ordinary in-class pass must
+        still catch a field the key forgot — through helper methods the
+        class inherits, too."""
+        source = """
+            from dataclasses import dataclass
 
-                @dataclass(frozen=True)
-                class Job:
-                    replicas: int = 1
-                    duration: float = 1.0
-                """
-            ),
-            "app/backend.py": textwrap.dedent(
-                """
-                def _job_cache_key(job):
-                    return ("job", job.replicas)
-                """
-            ),
-        }
-        config = coverage_config(
-            key_bindings=(
-                KeyBinding(
-                    function="_job_cache_key",
-                    class_name="Job",
-                    path_pattern="*backend.py",
-                ),
-            )
+            @dataclass(frozen=True)
+            class Query:
+                scenario: str = ""
+
+                def seed_key(self):
+                    return (self.scenario,)
+
+            @dataclass(frozen=True)
+            class Campaign(Query):
+                replicas: int = 1
+                duration: float = 1.0
+                faults: tuple = ()
+
+                def fault_key(self):
+                    return self.faults
+
+                def cache_key(self, estimator, shard_trials):
+                    return ("campaign", self.seed_key(), self.replicas, {tail})
+        """
+        kwargs = dict(
+            path="app/keyed.py", rules=["cache-key-coverage"], config=coverage_config()
         )
-        findings = lint_sources(sources, config=config, rules=["cache-key-coverage"])
+        findings = run(source.format(tail="self.fault_key()"), **kwargs)
         assert rule_ids(findings) == ["cache-key-coverage"]
-        assert "duration" in findings[0].message
-        assert findings[0].path == "app/backend.py"
-
-        sources["app/backend.py"] = textwrap.dedent(
-            """
-            def _job_cache_key(job):
-                return ("job", job.replicas, job.duration)
-            """
+        assert "Campaign.cache_key does not cover field `duration`" in (
+            findings[0].message
         )
-        assert lint_sources(sources, config=config, rules=["cache-key-coverage"]) == []
+        assert run(source.format(tail="self.duration, self.fault_key()"), **kwargs) == []
 
 
 # ---------------------------------------------------------------------------

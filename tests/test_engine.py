@@ -9,20 +9,28 @@ bit-identical to calling the legacy free functions directly.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
+from typing import ClassVar
 
+import numpy as np
 import pytest
 
 from repro.analysis import analyze, analyze_batch
 from repro.analysis.result import Estimate, ReliabilityResult
 from repro.engine import (
+    Answer,
+    AvailabilityQuery,
+    Provenance,
+    Query,
     ReliabilityEngine,
     Scenario,
     ScenarioSet,
+    SimulationQuery,
     default_engine,
     register_estimator,
     registered_estimators,
 )
-from repro.engine.registry import get_estimator
+from repro.engine.registry import get_backend, get_estimator
 from repro.errors import EstimationError, InvalidConfigurationError
 from repro.faults.correlation import CommonShockModel, rollout_shock
 from repro.faults.mixture import Fleet, NodeModel, uniform_fleet
@@ -256,6 +264,143 @@ class TestCache:
         engine.run_query(scenario)
         engine.cache_clear()
         assert not engine.run_query(scenario).provenance.cache_hit
+
+
+@dataclass(frozen=True)
+class _EchoQuery(Query):
+    """A third-party kind: it says what makes two questions the same and
+    nothing else about caching."""
+
+    kind: ClassVar[str] = "test-echo"
+    factor: int = 1
+
+    def cache_key(self, estimator, shard_trials):
+        return (self.kind, self.scenario.fleet_key(), self.factor)
+
+
+def _recording(engine, kind, *, degraded=(), delegate=False):
+    """Install a backend for ``kind`` that records each batch it is given.
+
+    It never mentions the memo.  ``delegate`` answers through the built-in
+    backend; otherwise every row gets a stub value, ``degraded`` for the
+    calls (by ordinal) listed.
+    """
+    batches: list[list] = []
+
+    def backend(eng, queries, policy):
+        batches.append(list(queries))
+        if delegate:
+            return get_backend(kind)(eng, queries, policy)
+        flag = len(batches) - 1 in degraded
+        return [
+            Answer(q, ("stub", len(batches)), Provenance("stub", backend=kind, degraded=flag))
+            for q in queries
+        ]
+
+    engine.register_backend(kind, backend)
+    return batches
+
+
+class TestMemoSeam:
+    """Backends compute, the engine remembers: probe, in-batch dedup, hit
+    provenance and store live in ``ReliabilityEngine.run`` for every kind."""
+
+    def test_third_party_kind_is_memoised_for_free(self):
+        engine = ReliabilityEngine()
+        batches = _recording(engine, "test-echo")
+        query = _EchoQuery(Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, 0.01)))
+        first = engine.run_query(query)
+        second = engine.run_query(query)
+        assert len(batches) == 1
+        assert not first.provenance.cache_hit
+        assert second.provenance.cache_hit
+        assert second.value == first.value
+        assert second.provenance.estimator == first.provenance.estimator == "stub"
+        assert second.provenance.describe() == "test-echo:stub/cache"
+        # A different question of the same kind is a different entry.
+        engine.run_query(_EchoQuery(query.scenario, factor=2))
+        assert len(batches) == 2
+        assert (engine.cache_hits, engine.cache_misses) == (1, 2)
+
+    def test_identical_markov_rows_in_one_batch_compute_once(self):
+        engine = ReliabilityEngine()
+        batches = _recording(engine, "availability", delegate=True)
+        query = AvailabilityQuery.from_afr(
+            Scenario(spec=RaftSpec(5), fleet=uniform_fleet(5, 0.01)),
+            afr=0.08,
+            mttr_hours=24.0,
+        )
+        answers = engine.run([query, query])
+        assert [len(batch) for batch in batches] == [1]
+        assert [a.provenance.cache_hit for a in answers] == [False, True]
+        assert answers[0].value is answers[1].value
+        assert (engine.cache_hits, engine.cache_misses) == (1, 1)
+        # batch_size counts rows computed, not rows submitted.
+        assert answers[0].provenance.describe() == "availability:ctmc/solo"
+
+    def test_degraded_answer_is_returned_but_never_stored(self):
+        engine = ReliabilityEngine()
+        batches = _recording(engine, "test-echo", degraded={0})
+        query = _EchoQuery(Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, 0.01)))
+        partial = engine.run_query(query)
+        assert partial.provenance.degraded and not partial.provenance.cache_hit
+        assert engine.cache_info()["size"] == 0
+        complete = engine.run_query(query)  # recomputed, not the partial view
+        assert len(batches) == 2
+        assert not complete.provenance.degraded and not complete.provenance.cache_hit
+        assert complete.value != partial.value
+        served = engine.run_query(query)  # the complete answer was stored
+        assert len(batches) == 2
+        assert served.provenance.cache_hit and served.value == complete.value
+
+    def test_rows_without_a_key_each_reach_the_backend(self):
+        class Unhashable(CommonShockModel):
+            __hash__ = None
+
+        engine = ReliabilityEngine()
+        reliability = _recording(engine, "reliability")
+        simulation = _recording(engine, "simulation")
+        spec, fleet = RaftSpec(3), uniform_fleet(3, 0.05)
+        unseeded = Scenario(spec=spec, fleet=fleet, method="monte-carlo", trials=10)
+        stateful = Scenario(
+            spec=spec, fleet=fleet, method="monte-carlo", trials=10,
+            seed=np.random.default_rng(3),
+        )
+        campaign = SimulationQuery(
+            Scenario(
+                spec=spec, fleet=fleet, seed=7,
+                correlation=Unhashable(fleet, (rollout_shock(fleet, 0.5),)),
+            ),
+            replicas=2,
+            duration=4.0,
+        )
+        answers = engine.run([unseeded, unseeded, stateful, stateful, campaign, campaign])
+        assert [len(batch) for batch in reliability] == [4]
+        assert [len(batch) for batch in simulation] == [2]
+        assert not any(a.provenance.cache_hit for a in answers)
+        assert (engine.cache_hits, engine.cache_misses) == (0, 6)
+        assert engine.cache_info()["size"] == 0
+
+    def test_disabled_memo_still_dedups_inside_one_run(self):
+        engine = ReliabilityEngine(cache_size=0)
+        batches = _recording(engine, "reliability", delegate=True)
+        scenario = Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, 0.01))
+        answers = engine.run([scenario, scenario])
+        assert [len(batch) for batch in batches] == [1]
+        assert [a.provenance.cache_hit for a in answers] == [False, True]
+        assert answers[1].value is answers[0].value
+        # ...and nothing outlives the run.
+        assert not engine.run_query(scenario).provenance.cache_hit
+        assert [len(batch) for batch in batches] == [1, 1]
+
+    def test_backend_override_drops_what_the_old_backend_answered(self):
+        engine = ReliabilityEngine()
+        scenario = Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, 0.01))
+        builtin = engine.run_query(scenario)
+        _recording(engine, "reliability")
+        replaced = engine.run_query(scenario)
+        assert not replaced.provenance.cache_hit
+        assert replaced.value != builtin.value
 
 
 class TestRegistry:
