@@ -517,7 +517,10 @@ _BLOCKING_IO_METHODS = frozenset(
 )
 
 #: Engine entry points: a direct call runs a full batch computation on
-#: the event loop thread.
+#: the event loop thread.  ``recall`` is deliberately absent — it answers
+#: from the memo or returns ``None``, never computing, and holds the engine
+#: lock for dict operations only — so it is the one engine call an
+#: ``async def`` may make directly.
 _ENGINE_RUN_METHODS = frozenset({"run", "run_query", "run_queries"})
 
 _TASK_SPAWNERS = frozenset({"create_task", "ensure_future"})
@@ -557,7 +560,9 @@ One blocking call inside ``async def`` stalls *every* request the daemon
 is serving — the event loop has exactly one thread.  ``time.sleep``,
 ``os.fsync``, file I/O, ``subprocess`` and direct engine runs belong in
 ``asyncio.to_thread``/``run_in_executor`` (handing the *function* to the
-executor, never calling it inline).  The rule also flags coroutine calls
+executor, never calling it inline).  The one engine call allowed on the
+loop is ``engine.recall(...)``: a memo probe that never computes.  The
+rule also flags coroutine calls
 whose result is discarded (the coroutine never runs — Python only warns
 at garbage-collection time) and ``create_task``/``ensure_future``
 results that are neither stored nor awaited (the task is eligible for GC
@@ -571,6 +576,7 @@ async def handle(self, request):
 """
     good_example = """
 async def handle(self, request):
+    answer = self.engine.recall(query)     # memo only: never computes
     answers = await asyncio.to_thread(self.engine.run, queries)
     self._audit_task = asyncio.create_task(self._audit())
 """
@@ -616,7 +622,8 @@ async def handle(self, request):
             elif call.func.attr in _ENGINE_RUN_METHODS and _engineish(call.func.value):
                 reason = (
                     f"direct `.{call.func.attr}()` on an engine runs a full "
-                    "batch computation on the event loop thread"
+                    "batch computation on the event loop thread (only "
+                    "`.recall()`, which never computes, may run there)"
                 )
         if reason is None:
             return

@@ -13,9 +13,12 @@ back.  Backends compute, the engine remembers: the scenario planner
 (shared counting-DP sweeps, pool fan-out) is the ``reliability`` backend
 (:mod:`repro.engine.planner`), the CTMC and simulation backends live in
 :mod:`repro.engine.backends`, and none of them reads or writes the memo
-or calls back into :meth:`run`.  What stays here is what every kind
-shares: the memo, the per-engine estimator/backend overrides, and the
-kind router.  The engine package reads no clock — spans time what runs.
+or calls back into :meth:`run`.  :meth:`ReliabilityEngine.recall` is the
+probe alone — one row from the memo or ``None``, never a computation —
+for callers that must not block (the daemon's event loop).  What stays
+here is what every kind shares: the memo, the per-engine
+estimator/backend overrides, and the kind router.  The engine package
+reads no clock — spans time what runs.
 """
 
 from __future__ import annotations
@@ -126,22 +129,24 @@ class ReliabilityEngine:
             "hit_rate": (hits / lookups) if lookups else 0.0,
         }
 
-    def cache_lookup(self, key: tuple | None):
-        """The memo probe :meth:`run` answers every row through.
+    def cache_lookup(self, key: tuple | None, *, count_miss: bool = True):
+        """The memo probe every row is answered through.
 
         Counts exactly one hit or one miss per call and refreshes LRU
         recency on a hit.  An uncacheable row (``key=None``) and a
         disabled memo (``cache_size=0``) are misses like any other: the
-        row is about to be computed.  Kinds other than ``reliability``
-        prefix their keys with the kind; reliability keys start with a
-        spec grouping tuple, so kinds never collide.
+        row is about to be computed.  :meth:`recall` passes
+        ``count_miss=False`` — the :meth:`run` that follows a failed
+        recall counts the row's one miss.  Kinds other than
+        ``reliability`` prefix their keys with the kind; reliability keys
+        start with a spec grouping tuple, so kinds never collide.
         """
         with self._lock:
             value = self._memo.get(key)
             if value is not None:
                 self._memo.move_to_end(key)
                 self.cache_hits += 1
-            else:
+            elif count_miss:
                 self.cache_misses += 1
         return value
 
@@ -162,6 +167,40 @@ class ReliabilityEngine:
     ) -> Answer:
         """Answer a single query (cache-aware, no cross-query batching)."""
         return self.run([query], policy=policy)[0]
+
+    def recall(
+        self, query: Query | Scenario, policy: ExecutionPolicy | None = None
+    ) -> Answer | None:
+        """Answer one row from the memo alone, or ``None``; never computes.
+
+        A hit is the answer :meth:`run` would give for the same row — same
+        key, one hit counted, LRU recency refreshed — without a backend
+        lookup or a batch around it, so it is safe on a thread that must
+        not block (the daemon's event loop).  A miss counts nothing: the
+        caller follows it with :meth:`run`, which counts the row's one
+        miss, so every submitted row is still exactly one hit or one miss.
+
+        Traced, a hit exports the ``engine.queries`` → ``backend.<kind>``
+        pair :meth:`run` would; a miss exports nothing (the ``run`` that
+        follows opens its own).
+        """
+        active = policy if policy is not None else self._policy
+        query = coerce_query(query)
+        key = query.cache_key(self.estimator, active.shard_trials)
+        tracer = current_tracer()
+        with tracer.span("engine.queries", queries=1, kinds=1) as queries_span:
+            with tracer.span(
+                f"backend.{query.kind}", queries=1, mode=active.mode, jobs=active.jobs
+            ) as backend_span:
+                cached = self.cache_lookup(key, count_miss=False)
+                if cached is None:
+                    backend_span.discard()
+                    queries_span.discard()
+                    return None
+                backend_span.set("memo_hits", 1)
+                backend_span.set("memo_misses", 0)
+        value, provenance = cached
+        return Answer(query, value, provenance)
 
     def run(
         self,

@@ -159,15 +159,21 @@ def _fleet_to_dict(fleet: Fleet) -> dict:
 
 def _fleet_from_dict(data: Mapping) -> Fleet:
     if "nodes" in data:
-        return Fleet(
-            tuple(
-                NodeModel(
-                    p_crash=float(node.get("p_crash", 0.0)),
-                    p_byzantine=float(node.get("p_byzantine", 0.0)),
-                )
-                for node in data["nodes"]
+        # Fleets are mostly runs of equal nodes: build one frozen NodeModel
+        # per run and share it.  The first of every run is validated, so
+        # NaN and out-of-range input is rejected exactly as before.
+        nodes: list[NodeModel] = []
+        previous = model = None
+        for node in data["nodes"]:
+            pair = (
+                float(node.get("p_crash", 0.0)),
+                float(node.get("p_byzantine", 0.0)),
             )
-        )
+            if pair != previous:
+                model = NodeModel(p_crash=pair[0], p_byzantine=pair[1])
+                previous = pair
+            nodes.append(model)
+        return Fleet(tuple(nodes))
     if "uniform" in data:
         spec = dict(data["uniform"])
         return uniform_fleet(

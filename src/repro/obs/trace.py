@@ -165,6 +165,9 @@ class _NullSpan:
     def finish(self) -> None:
         pass
 
+    def discard(self) -> None:
+        pass
+
     def context(self) -> None:
         return None
 
@@ -291,6 +294,16 @@ class Span:
                 links=tuple(self._links),
             )
         )
+
+    def discard(self) -> None:
+        """Close the span without exporting it.
+
+        For a span opened around a probe that may find nothing to report
+        (a memo lookup that misses): the trace then holds no record of
+        it, and a later :meth:`finish` or ``with`` exit is a no-op.
+        """
+        if self.end is None:
+            self.end = self.start
 
     def __enter__(self) -> "Span":
         self._token = _ACTIVE.set(self)

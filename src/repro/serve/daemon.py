@@ -15,7 +15,12 @@ interrupted campaigns bit-identically instead of recomputing them.
 
 Request execution happens on a bounded thread pool (the engine's NumPy
 hot paths release the GIL; campaign fan-out adds its own policy workers
-per query), while the asyncio loop only parses, routes and streams.
+per query), while the asyncio loop parses, routes, streams — and answers
+what the memo already holds: every row is first put to
+:meth:`~repro.engine.ReliabilityEngine.recall`, which never computes, so
+a memoised row is answered on the loop without the canonical key,
+single-flight or the pool (and cannot queue behind a saturated one), and
+only the rows that miss are executed.
 Long campaigns can opt into progress streaming
 (``POST /v1/query?stream=1`` → chunked JSON lines, one per answer as it
 completes).  ``GET /healthz`` and ``GET /metrics`` expose liveness, the
@@ -78,6 +83,16 @@ def _answer_row(answer) -> dict:
     if report is not None:
         row["run"] = report.to_dict()
     return row
+
+
+def _stream_line(outcome) -> bytes:
+    """One ``(index, answer, error, joined)`` outcome as its ndjson line."""
+    index, answer, error, _joined = outcome
+    if error is not None:
+        line = {"index": index, "error": str(error)}
+    else:
+        line = {"index": index, **_answer_row(answer)}
+    return (json.dumps(line) + "\n").encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -221,13 +236,32 @@ class ReliabilityService:
                 if request is None:
                     break
                 started = time.perf_counter()
+                keep_alive = request.keep_alive
                 with self.tracer.span(
                     "http.request",
                     track="http",
                     method=request.method,
                     path=request.path,
                 ) as request_span:
-                    status = await self._dispatch(request, writer)
+                    try:
+                        status = await self._dispatch(request, writer)
+                    except (ConnectionResetError, BrokenPipeError):
+                        raise
+                    except Exception as error:
+                        # Nothing a route anticipated (a body nested deeper
+                        # than the parser recurses is the known case): the
+                        # client still gets an answer, and then a fresh
+                        # connection, since how much of a response went
+                        # out before the error is unknown.
+                        status = 400 if isinstance(error, RecursionError) else 500
+                        keep_alive = False
+                        request_span.set("error", type(error).__name__)
+                        await self._error_response(
+                            writer,
+                            status,
+                            f"{type(error).__name__}: {error}",
+                            keep_alive=False,
+                        )
                     request_span.set("status", status)
                 self.metrics.record_request(
                     request.method,
@@ -235,7 +269,7 @@ class ReliabilityService:
                     status,
                     time.perf_counter() - started,
                 )
-                if not request.keep_alive:
+                if not keep_alive:
                     break
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
             # The client went away (or the server is shutting down)
@@ -327,14 +361,32 @@ class ReliabilityService:
             return await self._error_response(writer, 400, "no queries in payload")
         stream = request.query.get("stream") not in (None, "", "0")
         started = time.perf_counter()
-        tasks = [
-            asyncio.ensure_future(self._tagged_answer(index, query))
-            for index, query in enumerate(query_set)
-        ]
+        # One pass on the loop resolves every row the memo already holds;
+        # only the rows that miss pay for single-flight and the executor.
+        outcomes, missed = [], []
+        for index, query in enumerate(query_set):
+            outcome = self._recall(index, query)
+            if outcome is None:
+                missed.append((index, query))
+            else:
+                outcomes.append(outcome)
         if stream:
             self.metrics.record_streamed_request()
-            return await self._stream_answers(request, writer, tasks, started)
-        outcomes = await asyncio.gather(*tasks)
+            tasks = [
+                asyncio.ensure_future(self._tagged_answer(index, query))
+                for index, query in missed
+            ]
+            return await self._stream_answers(request, writer, outcomes, tasks, started)
+        if missed:
+            if len(missed) == 1:
+                outcomes.append(await self._tagged_answer(*missed[0]))
+            else:
+                outcomes.extend(
+                    await asyncio.gather(
+                        *(self._tagged_answer(index, query) for index, query in missed)
+                    )
+                )
+            outcomes.sort(key=lambda outcome: outcome[0])
         failures = [
             (index, error) for index, _, error, _ in outcomes if error is not None
         ]
@@ -365,43 +417,82 @@ class ReliabilityService:
         return 200
 
     async def _stream_answers(
-        self, request: HttpRequest, writer, tasks, started: float
+        self, request: HttpRequest, writer, outcomes, tasks, started: float
     ) -> int:
         """Chunked JSON-lines: one row per answer as it completes.
 
-        Completion order, each line tagged with its submission ``index``
-        — a long campaign's finished answers arrive while slower ones
-        still run; the final line is the run summary.
+        Completion order — rows the memo held (``outcomes``) first, then
+        the ``tasks`` of the rows that missed as each finishes — each line
+        tagged with its submission ``index``: a long campaign's finished
+        answers arrive while slower ones still run; the final line is the
+        run summary.
         """
         await start_chunked_response(writer, 200, keep_alive=request.keep_alive)
-        answered = errors = coalesced = 0
+        for outcome in outcomes:
+            await write_chunk(writer, _stream_line(outcome))
         for finished in asyncio.as_completed(tasks):
-            index, answer, error, joined = await finished
-            coalesced += 1 if joined else 0
-            if error is not None:
-                errors += 1
-                line: dict = {"index": index, "error": str(error)}
-            else:
-                answered += 1
-                line = {"index": index}
-                line.update(_answer_row(answer))
-            await write_chunk(writer, (json.dumps(line) + "\n").encode("utf-8"))
+            outcome = await finished
+            outcomes.append(outcome)
+            await write_chunk(writer, _stream_line(outcome))
+        errors = sum(1 for _, _, error, _ in outcomes if error is not None)
         summary = {
             "done": True,
-            "answers": answered,
+            "answers": len(outcomes) - errors,
             "errors": errors,
-            "coalesced": coalesced,
+            "coalesced": sum(1 for _, _, _, joined in outcomes if joined),
             "seconds": time.perf_counter() - started,
         }
         await write_chunk(writer, (json.dumps(summary) + "\n").encode("utf-8"))
         await end_chunked_response(writer)
         return 200
 
+    def _recall(self, index: int, query):
+        """Loop-side half of a row: its outcome if the memo holds the answer.
+
+        ``None`` is a miss — nothing counted, no span exported — and the
+        row goes on to :meth:`_tagged_answer`.  A hit is answered right
+        here: :meth:`~repro.engine.ReliabilityEngine.recall` never
+        computes and takes the engine lock for dict operations only, so
+        the loop does not block, and the row skips the canonical key,
+        single-flight and the executor hop (it cannot queue behind a
+        saturated pool either).  Traced, a hit exports the tree an
+        executed row does, its ``query.execute`` on ``track="loop"``;
+        ``use_tracer`` is what lets the engine's spans nest there, the
+        tracer being context-local.
+        """
+        tracer = self.tracer
+        started = time.perf_counter()
+        with tracer.span(
+            "serve.query", kind=query.kind, label=query.label or ""
+        ) as query_span:
+            try:
+                if not tracer.enabled:
+                    answer = self.engine.recall(query, self.policy)
+                else:
+                    with tracer.span(
+                        "query.execute", track="loop", kind=query.kind
+                    ) as execute_span, use_tracer(tracer):
+                        answer = self.engine.recall(query, self.policy)
+                        if answer is None:
+                            execute_span.discard()
+            except Exception as error:
+                query_span.set("error", type(error).__name__)
+                self.metrics.record_served(
+                    query.kind, time.perf_counter() - started
+                )
+                return index, None, error, False
+            if answer is None:
+                query_span.discard()
+                return None
+            query_span.set("memo_hit", True)
+        self.metrics.record_served(query.kind, time.perf_counter() - started, answer)
+        return index, answer, None, False
+
     async def _tagged_answer(self, index: int, query):
         """(index, answer, error, joined) — never raises, streams need all."""
         key = canonical_query_key(query)
         loop = asyncio.get_running_loop()
-        query_started = time.perf_counter()
+        started = time.perf_counter()
         with self.tracer.span(
             "serve.query", kind=query.kind, label=query.label or ""
         ) as query_span:
@@ -415,18 +506,18 @@ class ReliabilityService:
                 )
             except Exception as error:
                 query_span.set("error", type(error).__name__)
-                return index, None, error, False
-            finally:
-                self.metrics.record_query_latency(
-                    query.kind, time.perf_counter() - query_started
+                self.metrics.record_served(
+                    query.kind, time.perf_counter() - started
                 )
+                return index, None, error, False
             if joined:
                 # A coalesced joiner never executed anything: record the
                 # link to the one execution span that answered it.
                 query_span.set("coalesced", True)
                 query_span.link(executed_by)
-        self.metrics.record_query(coalesced=joined)
-        self.metrics.record_answer(answer)
+        self.metrics.record_served(
+            query.kind, time.perf_counter() - started, answer, coalesced=joined
+        )
         return index, answer, None, joined
 
     def _run_query(self, query, span_context=None):

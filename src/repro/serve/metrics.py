@@ -115,14 +115,22 @@ class ServiceMetrics:
             if status >= 400:
                 self.error_responses += 1
 
-    def record_query(self, *, coalesced: bool) -> None:
-        with self._lock:
-            self.queries_total += 1
-            if coalesced:
-                self.coalesced_total += 1
+    def record_served(
+        self, kind: str, seconds: float, answer=None, *, coalesced: bool = False
+    ) -> None:
+        """One served row, under one lock round trip.
 
-    def record_query_latency(self, kind: str, seconds: float) -> None:
-        """Fold one query execution time into its kind's histogram."""
+        ``seconds`` always lands in the kind's latency histogram; a row
+        that produced an ``answer`` (``None``: it failed) also counts as a
+        query and an answer, and its provenance folds into the campaign
+        aggregates.  Rows answered from the memo on the event loop and
+        rows that went through the executor record the same way.
+        """
+        slot = len(HISTOGRAM_BUCKETS)  # +Inf
+        for index, bound in enumerate(HISTOGRAM_BUCKETS):
+            if seconds <= bound:
+                slot = index
+                break
         with self._lock:
             buckets = self._kind_buckets.get(kind)
             if buckets is None:
@@ -131,30 +139,26 @@ class ServiceMetrics:
                 )
                 self._kind_sum[kind] = 0.0
                 self._kind_count[kind] = 0
-            slot = len(HISTOGRAM_BUCKETS)  # +Inf
-            for index, bound in enumerate(HISTOGRAM_BUCKETS):
-                if seconds <= bound:
-                    slot = index
-                    break
             buckets[slot] += 1
             self._kind_sum[kind] += seconds
             self._kind_count[kind] += 1
-
-    def record_streamed_request(self) -> None:
-        with self._lock:
-            self.streamed_requests += 1
-
-    def record_answer(self, answer) -> None:
-        """Fold one answer's provenance into the campaign aggregates."""
-        provenance = answer.provenance
-        with self._lock:
+            if answer is None:
+                return
+            provenance = answer.provenance
+            self.queries_total += 1
             self.answers_total += 1
+            if coalesced:
+                self.coalesced_total += 1
             if provenance.cache_hit:
                 self.answer_cache_hits += 1
             self.campaign_shards += provenance.shards
             if provenance.degraded:
                 self.degraded_answers += 1
                 self.dropped_shards += len(provenance.dropped_shards)
+
+    def record_streamed_request(self) -> None:
+        with self._lock:
+            self.streamed_requests += 1
 
     # -- reporting ---------------------------------------------------------
     def snapshot(self, *, engine=None, extra: dict | None = None) -> dict:

@@ -369,6 +369,37 @@ class TestAsyncHygiene:
         assert rule_ids(findings) == ["async-hygiene", "async-hygiene"]
         assert "open()" in messages and "engine" in messages
 
+    def test_recall_is_the_one_engine_call_allowed_on_the_loop(self):
+        findings = run(
+            """
+            import asyncio
+
+            async def handle(self, query):
+                answer = self._engine.recall(query, self.policy)
+                if answer is None:
+                    answer = await asyncio.to_thread(self._engine.run_query, query)
+                return answer
+            """,
+            rules=["async-hygiene"],
+        )
+        assert findings == []
+
+    def test_a_recall_miss_does_not_license_running_inline(self):
+        findings = run(
+            """
+            async def handle(self, query):
+                answer = self.engine.recall(query)
+                if answer is None:
+                    answer = self.engine.run_query(query)
+                return answer or self.engine.run([query])[0]
+            """,
+            rules=["async-hygiene"],
+        )
+        assert rule_ids(findings) == ["async-hygiene", "async-hygiene"]
+        assert ".run_query()" in findings[0].message
+        assert ".run()" in findings[1].message
+        assert all(".recall()" in f.message for f in findings)
+
     def test_stays_quiet_when_routed_through_executor(self):
         findings = run(
             """

@@ -20,6 +20,7 @@ from repro.analysis.result import Estimate, ReliabilityResult
 from repro.engine import (
     Answer,
     AvailabilityQuery,
+    ExecutionPolicy,
     Provenance,
     Query,
     ReliabilityEngine,
@@ -31,7 +32,11 @@ from repro.engine import (
     registered_estimators,
 )
 from repro.engine.registry import get_backend, get_estimator
-from repro.errors import EstimationError, InvalidConfigurationError
+from repro.errors import (
+    EstimationError,
+    InvalidConfigurationError,
+    InvalidProbabilityError,
+)
 from repro.faults.correlation import CommonShockModel, rollout_shock
 from repro.faults.mixture import Fleet, NodeModel, uniform_fleet
 from repro.protocols.benor import BenOrSpec, ByzantineBenOrSpec
@@ -241,8 +246,6 @@ class TestCache:
         """The planner stores under ``Scenario.cache_key`` — the method the
         cache-key-coverage contract lints — plus only what the engine side
         owns: the estimator function and, when sampling, ``shard_trials``."""
-        from repro.engine import ExecutionPolicy
-
         engine = ReliabilityEngine()
         exact = Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, 0.01))
         sampled = Scenario(
@@ -401,6 +404,84 @@ class TestMemoSeam:
         replaced = engine.run_query(scenario)
         assert not replaced.provenance.cache_hit
         assert replaced.value != builtin.value
+
+
+class TestRecall:
+    """``recall`` answers one row from the memo alone: a hit is ``run``'s
+    hit, a miss is silent, and the ``run`` that follows counts it."""
+
+    def test_hit_is_the_answer_run_gives_and_counts_one_hit(self):
+        engine = ReliabilityEngine()
+        scenario = Scenario(spec=RaftSpec(5), fleet=uniform_fleet(5, 0.02))
+        computed = engine.run_query(scenario)
+        recalled = engine.recall(scenario)
+        assert (engine.cache_hits, engine.cache_misses) == (1, 1)
+        assert recalled.value is computed.value
+        assert recalled.provenance.cache_hit
+        again = engine.run_query(scenario)
+        assert recalled.to_dict() == again.to_dict()
+        assert recalled.provenance == again.provenance
+
+    def test_miss_counts_nothing_and_the_run_after_it_counts_one_miss(self):
+        engine = ReliabilityEngine()
+        batches = _recording(engine, "reliability", delegate=True)
+        scenario = Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, 0.01))
+        assert engine.recall(scenario) is None
+        assert engine.recall(scenario) is None
+        assert (engine.cache_hits, engine.cache_misses) == (0, 0)
+        assert batches == []  # never computes
+        engine.run_query(scenario)
+        assert (engine.cache_hits, engine.cache_misses) == (0, 1)
+
+    def test_recall_refreshes_recency(self):
+        engine = ReliabilityEngine(cache_size=2)
+        old, neighbour, newcomer = (
+            Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, p))
+            for p in (0.01, 0.02, 0.03)
+        )
+        engine.run([old, neighbour])
+        assert engine.recall(old) is not None  # now younger than its neighbour
+        engine.run_query(newcomer)  # evicts the least recently used entry
+        assert engine.recall(old) is not None
+        assert engine.recall(neighbour) is None
+
+    def test_policy_shard_trials_is_part_of_the_key(self):
+        engine = ReliabilityEngine()
+        sampled = Scenario(
+            spec=RaftSpec(5), fleet=uniform_fleet(5, 0.05),
+            method="monte-carlo", trials=500, seed=9,
+        )
+        engine.run_query(sampled, policy=ExecutionPolicy(shard_trials=250))
+        assert engine.recall(sampled, ExecutionPolicy(shard_trials=100)) is None
+        assert engine.recall(sampled, ExecutionPolicy(shard_trials=250)) is not None
+
+    def test_rows_that_are_never_stored_are_never_recalled(self):
+        spec, fleet = RaftSpec(3), uniform_fleet(3, 0.05)
+        unseeded = Scenario(spec=spec, fleet=fleet, method="monte-carlo", trials=10)
+        engine = ReliabilityEngine()
+        engine.run_query(unseeded)  # key=None
+        assert engine.recall(unseeded) is None
+
+        disabled = ReliabilityEngine(cache_size=0)
+        scenario = Scenario(spec=spec, fleet=fleet)
+        disabled.run_query(scenario)
+        assert disabled.recall(scenario) is None
+
+        partial = ReliabilityEngine()
+        _recording(partial, "test-echo", degraded={0})
+        query = _EchoQuery(scenario)
+        assert partial.run_query(query).provenance.degraded
+        assert partial.recall(query) is None
+
+        for probe in (engine, disabled, partial):
+            assert probe.cache_hits == 0
+
+    def test_backend_override_drops_what_recall_could_have_served(self):
+        engine = ReliabilityEngine()
+        scenario = Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, 0.01))
+        engine.run_query(scenario)
+        _recording(engine, "reliability")
+        assert engine.recall(scenario) is None
 
 
 class TestRegistry:
@@ -615,6 +696,31 @@ class TestSerialization:
         )
         with pytest.raises(InvalidConfigurationError):
             scenario.to_dict()
+
+    def test_fleet_parse_shares_runs_of_equal_nodes_and_validates_each_run(self):
+        def parse(nodes):
+            return Scenario.from_dict(
+                {"spec": {"protocol": "raft", "n": len(nodes)}, "fleet": {"nodes": nodes}}
+            ).fleet
+
+        a, b = {"p_crash": 0.01}, {"p_crash": 0.02, "p_byzantine": 0.001}
+        fleet = parse([a, a, b, b, a])
+        assert fleet == Fleet(
+            (NodeModel(0.01), NodeModel(0.01), NodeModel(0.02, 0.001),
+             NodeModel(0.02, 0.001), NodeModel(0.01))
+        )
+        assert fleet[0] is fleet[1] and fleet[2] is fleet[3]
+        # A bad node is rejected wherever its run starts, NaN included
+        # (json.loads hands out one shared NaN object, equal to itself by
+        # identity inside a tuple — the run's first node is still checked).
+        for bad in ({"p_crash": 1.5}, {"p_crash": -0.1}, {"p_crash": 0.6, "p_byzantine": 0.6}):
+            with pytest.raises(InvalidProbabilityError):
+                parse([a, a, bad, bad])
+        with pytest.raises(InvalidProbabilityError):
+            ScenarioSet.from_json(
+                '[{"spec": {"protocol": "raft", "n": 3}, "fleet": {"nodes": '
+                '[{"p_crash": 0.1}, {"p_crash": NaN}, {"p_crash": NaN}]}}]'
+            )
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(InvalidConfigurationError):

@@ -121,6 +121,17 @@ class TestTracer:
         assert record.attributes["error"] == "ValueError"
         assert record.end >= record.start
 
+    def test_discarded_span_is_never_exported(self):
+        exporter = InMemoryExporter()
+        tracer = Tracer.for_key(("t",), exporter=exporter)
+        with tracer.span("kept"):
+            with tracer.span("probe") as probe:
+                probe.discard()
+            assert current_span().name == "kept"  # the context still unwinds
+        probe.finish()  # a no-op after discard
+        assert [r.name for r in exporter.records] == ["kept"]
+        NULL_SPAN.discard()  # the no-op span takes the same call
+
     def test_events_attributes_and_links_round_into_the_record(self):
         exporter = InMemoryExporter()
         tracer = Tracer.for_key(("t",), exporter=exporter)
@@ -378,6 +389,27 @@ class TestBitIdentity:
         assert not [r for r in exporter.records if r.name == "engine.run"]
 
 
+    def test_recall_exports_the_run_tree_on_a_hit_and_nothing_on_a_miss(self):
+        exporter = InMemoryExporter()
+        tracer = Tracer.for_key(("recall",), exporter=exporter)
+        engine = ReliabilityEngine()
+        policy = ExecutionPolicy(mode="thread", jobs=2)
+        row = scenario(3, 0.1, seed=None)
+        with use_tracer(tracer):
+            assert engine.recall(row, policy) is None
+            assert exporter.records == []
+            engine.run([row], policy=policy)
+            exporter.clear()
+            assert engine.recall(row, policy) is not None
+        queries, backend = sorted(exporter.records, key=lambda r: r.name, reverse=True)
+        assert (queries.name, backend.name) == ("engine.queries", "backend.reliability")
+        assert backend.parent_id == queries.span_id
+        assert queries.attributes == {"queries": 1, "kinds": 1}
+        assert backend.attributes == {
+            "queries": 1, "mode": "thread", "jobs": 2, "memo_hits": 1, "memo_misses": 0,
+        }
+
+
 # ---------------------------------------------------------------------------
 # Metrics: percentiles, per-route reservoirs, concurrency, prometheus
 # ---------------------------------------------------------------------------
@@ -429,10 +461,12 @@ class TestPerRouteReservoirs:
 
     def test_query_kind_histograms(self):
         metrics = ServiceMetrics()
-        metrics.record_query_latency("simulation", 0.3)
-        metrics.record_query_latency("simulation", 120.0)
-        metrics.record_query_latency("reliability", 0.004)
+        metrics.record_served("simulation", 0.3)
+        metrics.record_served("simulation", 120.0)
+        metrics.record_served("reliability", 0.004, _answer_stub())
         snapshot = metrics.snapshot()
+        # A row that failed (no answer) is timed but is not a served query.
+        assert snapshot["queries_total"] == snapshot["answers_total"] == 1
         kinds = snapshot["query_latency_by_kind"]
         assert kinds["simulation"]["count"] == 2
         assert kinds["simulation"]["buckets"]["0.5"] == 1
@@ -464,10 +498,11 @@ class TestMetricsConcurrency:
                 start.wait()
                 for i in range(per_thread):
                     metrics.record_request("POST", "/v1/query", 200, 0.001 * worker)
-                    metrics.record_query(coalesced=i % 2 == 0)
-                    metrics.record_query_latency("simulation", 0.01)
-                    metrics.record_answer(
-                        _answer_stub(cache_hit=i % 4 == 0, shards=2)
+                    metrics.record_served(
+                        "simulation",
+                        0.01,
+                        _answer_stub(cache_hit=i % 4 == 0, shards=2),
+                        coalesced=i % 2 == 0,
                     )
                     metrics.record_streamed_request()
             except BaseException as exc:  # pragma: no cover - failure path
@@ -511,10 +546,8 @@ class TestPrometheus:
         metrics = ServiceMetrics()
         metrics.record_request("POST", "/v1/query", 200, 0.01)
         metrics.record_request("GET", "/healthz", 200, 0.001)
-        metrics.record_query(coalesced=False)
-        metrics.record_query_latency("simulation", 0.3)
-        metrics.record_query_latency("simulation", 0.002)
-        metrics.record_answer(_answer_stub(shards=4))
+        metrics.record_served("simulation", 0.3, _answer_stub(shards=4))
+        metrics.record_served("simulation", 0.002)
         return metrics.snapshot(
             extra={"uptime_seconds": 12.5, "max_rss_bytes": 50331648}
         )
@@ -600,6 +633,64 @@ class TestServeObservability:
         query_span = next(s for s in slices if s["name"] == "serve.query")
         execute = next(s for s in slices if s["name"] == "query.execute")
         assert execute["args"]["parent_id"] == query_span["args"]["span_id"]
+
+    def test_warm_hit_and_miss_span_trees(self, tmp_path):
+        """A row the memo holds is answered on the loop and still exports
+        the tree an executed row does; the probe of a row that misses
+        leaves no span of its own."""
+        trace_path = tmp_path / "serve-trace.jsonl"
+        payload = QuerySet.build(
+            [ReliabilityQuery(scenario(5, 0.05, seed=None))]
+        ).to_json()
+        bodies = []
+        for config in (
+            ServiceConfig(port=0, trace_path=str(trace_path)),
+            ServiceConfig(port=0),
+        ):
+            with BackgroundServer(config) as running:
+                replies = [_post(running.port, payload) for _ in range(2)]
+            assert [status for status, _ in replies] == [200, 200]
+            for _status, body in replies:
+                body.pop("seconds")
+            bodies.append(json.dumps([body for _status, body in replies]))
+        assert bodies[0] == bodies[1]  # tracing changes no byte of an answer
+
+        records = read_jsonl_spans(trace_path)
+        by_id = {r.span_id: r for r in records}
+
+        def subtree(root):
+            def under(record):
+                while record.parent_id is not None:
+                    if record.parent_id == root.span_id:
+                        return True
+                    record = by_id[record.parent_id]
+                return False
+
+            return [r for r in records if under(r)]
+
+        miss_request, hit_request = sorted(
+            (r for r in records if r.name == "http.request"), key=lambda r: r.start
+        )
+        miss = {r.name: r for r in subtree(miss_request)}
+        assert sorted(r.name for r in subtree(miss_request)) == [
+            "backend.reliability", "engine.queries", "query.execute", "serve.query",
+        ]
+        assert miss["query.execute"].track == "executor"
+        assert "memo_hit" not in miss["serve.query"].attributes
+        assert miss["backend.reliability"].attributes["memo_misses"] == 1
+
+        chain = sorted(subtree(hit_request), key=lambda r: r.span_id)
+        assert [r.name for r in chain] == [
+            "serve.query", "query.execute", "engine.queries", "backend.reliability",
+        ]
+        for parent, child in zip([hit_request] + chain, chain):
+            assert child.parent_id == parent.span_id
+        query_span, execute, _queries, backend = chain
+        assert query_span.attributes["memo_hit"] is True
+        assert execute.track == "loop"
+        assert execute.attributes["kind"] == "reliability"
+        assert backend.attributes["memo_hits"] == 1
+        assert backend.attributes["memo_misses"] == 0
 
     def test_coalesced_joiner_links_the_single_execution(self, tmp_path):
         trace_path = tmp_path / "coalesce-trace.json"

@@ -25,6 +25,7 @@ from repro.engine import (
     QuerySet,
     ReliabilityEngine,
     Scenario,
+    ScenarioSet,
     SimulationQuery,
 )
 from repro.faults.mixture import uniform_fleet
@@ -57,6 +58,21 @@ def get(port: int, path: str) -> tuple[int, dict]:
         conn.request("GET", path)
         response = conn.getresponse()
         return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+def post_stream(port: int, payload: str) -> list[dict]:
+    """POST ``?stream=1`` and return the ndjson lines (summary last)."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
+    try:
+        conn.request("POST", "/v1/query?stream=1", body=payload)
+        response = conn.getresponse()
+        assert response.status == 200
+        return [
+            json.loads(line)
+            for line in response.read().decode().strip().split("\n")
+        ]
     finally:
         conn.close()
 
@@ -108,6 +124,34 @@ class TestRouting:
         status, body = post(server.port, '{"queries": []}')
         assert status == 400
         assert "no queries" in body["error"]
+
+    def test_body_nested_past_the_parser_is_answered_400(self, server):
+        """``json.loads`` raises RecursionError, which no route names: the
+        client used to get a closed socket and no response at all."""
+        _status, before = get(server.port, "/metrics")
+        status, body = post(server.port, "[" * 100_000)
+        assert status == 400
+        assert "RecursionError" in body["error"]
+        _status, after = get(server.port, "/metrics")
+        assert after["error_responses"] == before["error_responses"] + 1
+        assert after["responses"]["POST /v1/query -> 400"] >= 1
+        # ...and the daemon is none the worse for it.
+        assert post(server.port, GRID_PAYLOAD)[0] == 200
+
+    def test_unanticipated_route_error_is_answered_500(self):
+        def broken_snapshot(**kwargs):
+            raise RuntimeError("snapshot exploded")
+
+        with BackgroundServer(ServiceConfig(port=0)) as running:
+            metrics = running.service.metrics
+            metrics.snapshot = broken_snapshot
+            status, body = get(running.port, "/metrics")
+            del metrics.snapshot
+            _status, after = get(running.port, "/metrics")
+        assert status == 500
+        assert body["error"] == "RuntimeError: snapshot exploded"
+        assert after["error_responses"] == 1
+        assert after["responses"]["GET /metrics -> 500"] == 1
 
     def test_oversized_body_413(self):
         config = ServiceConfig(port=0, max_body_bytes=64)
@@ -259,6 +303,171 @@ class TestCoalescing:
         same = MTTFQuery.from_afr(scenario(5), afr=0.08, mttr_hours=24.0)
         assert canonical_query_key(one) == canonical_query_key(same)
         assert canonical_query_key(one) != canonical_query_key(two)
+
+
+class TestRecallOnTheLoop:
+    """A memoised row is answered on the event loop — ``engine.recall``
+    before single-flight and the executor — and nothing a client or
+    ``/metrics`` can see tells the two paths apart."""
+
+    @staticmethod
+    def rows(*sizes_and_ps) -> str:
+        return ScenarioSet.build(scenario(n, p) for n, p in sizes_and_ps).to_json()
+
+    def test_engine_cache_moves_once_per_submitted_row(self):
+        """Hits (one of them an in-batch duplicate), misses and a coalesced
+        joiner in one request, plain and streamed: every submitted row is
+        one hit, one miss, or one join of an in-flight execution."""
+        with BackgroundServer(ServiceConfig(port=0)) as running:
+            status, warm = post(running.port, self.rows((3, 0.01), (5, 0.01)))
+            assert (status, warm["cache_hits"]) == (200, 0)
+            _status, metrics = get(running.port, "/metrics")
+            cache = metrics["engine_cache"]
+            assert (cache["hits"], cache["misses"]) == (0, 2)
+
+            mixed = self.rows((3, 0.01), (7, 0.02), (7, 0.02), (5, 0.01), (3, 0.01))
+            status, body = post(running.port, mixed)
+            assert status == 200
+            assert [row["cache_hit"] for row in body["answers"]] == [
+                True, False, False, True, True,
+            ]
+            assert (body["cache_hits"], body["coalesced"]) == (3, 1)
+            _status, metrics = get(running.port, "/metrics")
+            cache = metrics["engine_cache"]
+            assert (cache["hits"], cache["misses"]) == (3, 3)
+            assert metrics["coalesced_total"] == 1
+            assert metrics["queries_total"] == metrics["answers_total"] == 7
+
+            streamed = self.rows((3, 0.01), (9, 0.02), (9, 0.02), (7, 0.02))
+            lines = post_stream(running.port, streamed)
+            assert lines[-1] == {
+                "done": True, "answers": 4, "errors": 0, "coalesced": 1,
+                "seconds": lines[-1]["seconds"],
+            }
+            # The rows the memo held are written first, in submission order.
+            assert [line["index"] for line in lines[:2]] == [0, 3]
+            assert sorted(line["index"] for line in lines[:-1]) == [0, 1, 2, 3]
+            _status, metrics = get(running.port, "/metrics")
+            cache = metrics["engine_cache"]
+            assert (cache["hits"], cache["misses"]) == (5, 4)
+            assert metrics["coalesced_total"] == 2
+            assert metrics["queries_total"] == 11
+            assert (
+                cache["hits"] + cache["misses"] + metrics["coalesced_total"]
+                == metrics["queries_total"]
+            )
+            assert metrics["campaigns"]["answer_cache_hits"] == 5
+            assert metrics["query_latency_by_kind"]["reliability"]["count"] == 11
+
+    def test_hit_is_byte_identical_to_the_executor_paths(self):
+        payload = ScenarioSet.build(
+            [scenario(3, 0.01, label="kept"), scenario(5, 0.02)]
+        ).to_json()
+
+        def warm_reply(engine):
+            with BackgroundServer(ServiceConfig(port=0), engine=engine) as running:
+                post(running.port, payload)
+                status, body = post(running.port, payload)
+                lines = post_stream(running.port, payload)
+            assert status == 200
+            body.pop("seconds")
+            lines[-1].pop("seconds")
+            return json.dumps(body), json.dumps(lines)
+
+        executor_only = ReliabilityEngine()
+        executor_only.recall = lambda query, policy=None: None  # every row misses
+        assert warm_reply(ReliabilityEngine()) == warm_reply(executor_only)
+        assert executor_only.cache_hits == 4
+
+    def test_warm_requests_submit_nothing_to_the_pool(self):
+        payload = self.rows((5, 0.03))
+        with BackgroundServer(ServiceConfig(port=0)) as running:
+            pool = running.service._pool
+            submitted = []
+            submit = pool.submit
+
+            def counting_submit(fn, *args, **kwargs):
+                submitted.append(fn)
+                return submit(fn, *args, **kwargs)
+
+            pool.submit = counting_submit
+            assert post(running.port, payload)[0] == 200
+            assert len(submitted) == 1  # the cold one computed on the pool
+            for _ in range(64):
+                status, body = post(running.port, payload)
+                assert (status, body["cache_hits"]) == (200, 1)
+            assert len(submitted) == 1
+            assert len(running.service.inflight) == 0
+
+    def test_memoised_query_does_not_queue_behind_a_saturated_pool(self):
+        engine = ReliabilityEngine()
+        entered, release = threading.Event(), threading.Event()
+
+        def parked_backend(eng, queries, policy):
+            entered.set()
+            release.wait(timeout=60)
+            return [
+                Answer(q, 1.0, Provenance(estimator="parked", backend="mttf"))
+                for q in queries
+            ]
+
+        engine.register_backend("mttf", parked_backend)
+        memoised = self.rows((5, 0.04))
+        blocking = QuerySet.build(
+            [MTTFQuery.from_afr(scenario(5), afr=0.08, mttr_hours=24.0)]
+        ).to_json()
+        config = ServiceConfig(port=0, executor_workers=1)
+        with BackgroundServer(config, engine=engine) as running:
+            assert post(running.port, memoised)[0] == 200
+            parked: list = []
+            holder = threading.Thread(
+                target=lambda: parked.append(post(running.port, blocking))
+            )
+            holder.start()
+            try:
+                assert entered.wait(timeout=30)  # the one worker is taken
+                conn = http.client.HTTPConnection(
+                    "127.0.0.1", running.port, timeout=10
+                )
+                try:
+                    conn.request("POST", "/v1/query", body=memoised)
+                    response = conn.getresponse()
+                    body = json.loads(response.read())
+                finally:
+                    conn.close()
+                assert (response.status, body["cache_hits"]) == (200, 1)
+                assert not parked  # ...while the worker is still parked
+            finally:
+                release.set()
+                holder.join(timeout=60)
+            assert not holder.is_alive()
+            assert parked[0][0] == 200
+
+    def test_error_raised_on_the_loop_is_the_rows_outcome(self):
+        """``cache_key``/``recall`` raising on the loop reads like the
+        executor path raising: 422 for a library error, 500 otherwise."""
+        from repro.errors import EstimationError
+
+        for error, expected in (
+            (EstimationError("no such estimator"), 422),
+            (RuntimeError("recall exploded"), 500),
+        ):
+            engine = ReliabilityEngine()
+
+            def raising(query, policy=None, error=error):
+                raise error
+
+            engine.recall = raising
+            with BackgroundServer(ServiceConfig(port=0), engine=engine) as running:
+                status, body = post(running.port, self.rows((3, 0.01), (5, 0.01)))
+                lines = post_stream(running.port, self.rows((3, 0.01)))
+                _status, metrics = get(running.port, "/metrics")
+            assert status == expected
+            assert body == {"error": str(error), "failed_index": 0, "failures": 2}
+            assert lines[0] == {"index": 0, "error": str(error)}
+            assert lines[-1]["errors"] == 1
+            assert metrics["queries_total"] == 0
+            assert metrics["query_latency_by_kind"]["reliability"]["count"] == 3
 
 
 class TestStreaming:
