@@ -37,6 +37,17 @@ def spawn(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in rng.bit_generator.seed_seq.spawn(count)]
 
 
+def stream_position(rng: np.random.Generator) -> tuple:
+    """Everything a holder of ``rng`` can advance, as one comparable value.
+
+    Any draw moves the bit generator's state; :func:`spawn` moves only the
+    seed sequence's child counter.  Two equal positions of one generator
+    therefore mean nothing was drawn from it, or derived from it, between.
+    """
+    bit_generator = rng.bit_generator
+    return bit_generator.state, bit_generator.seed_seq.n_children_spawned
+
+
 def stable_stream(root_seed: int, *labels: object) -> np.random.Generator:
     """Return a generator keyed by ``root_seed`` and a tuple of labels.
 

@@ -11,7 +11,10 @@ mechanically:
   class's own lock discipline protects (attributes *written* while a
   lock is held), then flag accesses on paths where no protecting lock is
   held — including through private helper methods that are only ever
-  called under the lock.
+  called under the lock.  Its fan-out form covers state with no class
+  around it: one fresh mutable container placed in every payload of a
+  pool call is shared by every thread-mode worker, and must travel with
+  a lock or a written reason.
 - ``lock-order``: build a project-wide acquired-while-holding graph over
   named locks and report cycles as potential deadlocks.
 - ``async-hygiene``: inside ``async def``, ban blocking calls
@@ -43,6 +46,7 @@ from repro.contracts.core import (
     Rule,
     call_name,
     is_lock_constructor_call,
+    is_lockish_name,
     register_rule,
     walk_lock_regions,
     with_lock_tokens,
@@ -73,6 +77,27 @@ _MUTATOR_CALLS = frozenset(
         "update",
     }
 )
+
+
+#: Constructors of a fresh, empty-or-copied mutable container.
+_CONTAINER_CONSTRUCTORS = frozenset(
+    {"dict", "list", "set", "bytearray", "defaultdict", "OrderedDict", "Counter", "deque"}
+)
+
+
+def _fresh_container(value: ast.AST) -> Optional[str]:
+    """``{}`` / ``[]`` / ``set()`` / ``dict(...)`` ... -> its kind, else ``None``."""
+    if isinstance(value, (ast.Dict, ast.DictComp)):
+        return "dict"
+    if isinstance(value, (ast.List, ast.ListComp)):
+        return "list"
+    if isinstance(value, (ast.Set, ast.SetComp)):
+        return "set"
+    if isinstance(value, ast.Call):
+        name = call_name(value)
+        if name in _CONTAINER_CONSTRUCTORS:
+            return name
+    return None
 
 
 def _self_attr(node: ast.AST) -> Optional[str]:
@@ -171,6 +196,16 @@ private helpers that are only ever called with the lock held — the
 ``_load_locked`` idiom needs no annotation.  Construction
 (``__init__``-family methods) is exempt: no other thread has a
 reference yet.
+
+The fan-out form needs no class: a function that builds one fresh
+mutable container (``{}``, ``[]``, ``set()``, ``dict(...)`` ...) and
+puts that same object into every payload of a pool entry point
+(``run_supervised``) has handed every thread-mode worker a reference to
+it — and every process-mode worker a silent private copy.  The finding
+lands on the line that creates the container.  Build one per payload,
+send a lock along in the same payload tuple, or write down on that line
+why unlocked sharing is harmless (a campaign's replica-reuse table is:
+racing writers store equal values).
 """
     bad_example = """
 class Cache:
@@ -180,19 +215,129 @@ class Cache:
 
     def get(self, key):
         return self._entries.get(key)    # lock-free read races put()
+
+def fan_out(shards):
+    seen = {}                            # one dict ...
+    run_supervised(_work, [(shard, seen) for shard in shards], jobs=4)
 """
     good_example = """
     def get(self, key):
         with self._lock:
             return self._entries.get(key)
+
+def fan_out(shards):
+    run_supervised(_work, [(shard, {}) for shard in shards], jobs=4)
 """
 
     def check_file(
         self, ctx: FileContext, project: Project, config
     ) -> Iterator[Finding]:
+        # Only a file that names a pool entry point can fan out through one.
+        entry_points = frozenset(
+            name
+            for name in getattr(config, "pool_entry_points", ())
+            if name in ctx.source
+        )
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ClassDef):
                 yield from self._check_class(ctx, node)
+            elif entry_points and isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef)
+            ):
+                yield from self._check_fan_out(ctx, node, entry_points)
+
+    def _check_fan_out(
+        self, ctx: FileContext, func: ast.AST, entry_points: frozenset
+    ) -> Iterator[Finding]:
+        """One fresh container in every payload of a pool call in ``func``."""
+        own = list(_own_nodes(func))
+        pool_calls = [
+            node
+            for node in own
+            if isinstance(node, ast.Call)
+            and call_name(node) in entry_points
+            and len(node.args) >= 2
+        ]
+        if not pool_calls:
+            return
+        #: name -> the assignment that binds it by plain name in this body.
+        assigned: Dict[str, ast.AST] = {}
+        for node in own:
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target = node.targets[0]
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                target = node.target
+            else:
+                continue
+            if isinstance(target, ast.Name):
+                assigned[target.id] = node
+        builders = {
+            item.name: item
+            for item in ast.walk(func)
+            if item is not func and isinstance(item, ast.FunctionDef)
+        }
+
+        def payload_names(expr: ast.AST, depth: int = 0) -> Iterator[str]:
+            """Outer names that are direct elements of the payload tuples."""
+            if depth > 4:
+                return
+            if isinstance(expr, ast.Name) and expr.id in assigned:
+                yield from payload_names(assigned[expr.id].value, depth + 1)
+            elif isinstance(expr, (ast.ListComp, ast.GeneratorExp)):
+                yield from payload_names(expr.elt, depth + 1)
+            elif isinstance(expr, ast.List):
+                for element in expr.elts:
+                    yield from payload_names(element, depth + 1)
+            elif isinstance(expr, ast.Tuple):
+                for element in expr.elts:
+                    if isinstance(element, ast.Name):
+                        yield element.id
+            elif isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
+                builder = builders.get(expr.func.id)
+                if builder is None:
+                    return
+                # ``def build(bounds, table=table)``: a defaulted parameter
+                # is the outer object its default names.
+                args = builder.args
+                positional = args.posonlyargs + args.args
+                defaults = (
+                    [None] * (len(positional) - len(args.defaults))
+                    + args.defaults
+                    + args.kw_defaults
+                )
+                outer = {
+                    param.arg: default.id if isinstance(default, ast.Name) else None
+                    for param, default in zip(positional + args.kwonlyargs, defaults)
+                }
+                for node in _own_nodes(builder):
+                    if isinstance(node, ast.Return) and node.value is not None:
+                        for name in payload_names(node.value, depth + 1):
+                            resolved = outer.get(name, name)
+                            if resolved is not None:
+                                yield resolved
+
+        for call in pool_calls:
+            names = list(payload_names(call.args[1]))
+            if any(is_lockish_name(name) for name in names):
+                continue  # a lock rides in the same payload
+            for name in sorted(set(names)):
+                site = assigned.get(name)
+                kind = _fresh_container(site.value) if site is not None else None
+                if kind is None:
+                    continue
+                yield Finding(
+                    path=ctx.path,
+                    line=site.lineno,
+                    col=site.col_offset,
+                    rule=self.id,
+                    message=(
+                        f"`{name}` is one {kind} placed in every payload of "
+                        f"`{call_name(call)}(...)` in `{func.name}` — thread-mode "
+                        "workers share it with no lock (process-mode workers "
+                        "each get a copy); build one per payload, send a lock "
+                        "with it, or justify the lock-free sharing inline"
+                    ),
+                )
 
     def _check_class(self, ctx: FileContext, cls: ast.ClassDef) -> Iterator[Finding]:
         lock_attrs = _class_lock_attrs(cls)

@@ -26,6 +26,11 @@ lives in :mod:`repro.engine.planner`):
     correlated window outcomes, crash-recovery, partitions, bursts and
     Byzantine behaviours — are compiled from the query's
     :class:`repro.injection.FaultPlan` by :func:`repro.injection.run_replica`.
+    ``replicas`` counts sampled fault realisations, not simulations: a
+    replica whose realisation equals one the campaign already ran, in a
+    run that read no random stream, takes that run's verdict
+    (``run_replica`` carries the proof).  The table of such verdicts lives
+    exactly as long as the campaign and is never journalled.
 
     Campaigns are *not* all-or-nothing: the fan-out always goes through
     :func:`repro.runtime.run_supervised` under the policy's supervision
@@ -268,11 +273,18 @@ def _campaign_chunk(payload):
     :func:`repro.obs.trace.resolve_context`).  Tracing never touches the
     generators, so verdicts are bit-identical with tracing on or off.  The
     span carries ``sim_seconds`` / ``horizon_seconds`` / ``early_exits`` /
-    ``events``: how much virtual time the chunk actually simulated.
+    ``events`` — how much virtual time the chunk actually simulated — and
+    ``reused``, the replicas it did not simulate at all.
+
+    The fourth is the campaign's reuse table (see ``run_replica``): one
+    dict for every shard of the campaign in serial and thread mode, a
+    pickled copy per payload in process mode.  A payload without one is a
+    campaign of this one chunk.
     """
     from repro.injection import run_replica
 
-    query, rngs, span_context = payload
+    query, rngs, span_context, *table = payload
+    reuse = table[0] if table else {}
     tracer, parent = resolve_context(span_context)
     scenario = query.scenario
     node_factory = _node_factory_for(scenario.spec)
@@ -292,16 +304,22 @@ def _campaign_chunk(payload):
                 plan=query.faults,
                 correlation=scenario.correlation,
                 failure_kind=scenario.failure_kind,
+                reuse=reuse,
             )
             for rng in rngs
         ]
-        # How much of the horizon the chunk had to simulate (replicas stop
-        # when their verdict is final) — on the span, never in the answer.
+        # How much of the horizon the chunk had to simulate (a replica stops
+        # when its verdict is final, and is not run at all when the campaign
+        # already holds it) — on the span, never in the answer.
         runs = [verdict.run for verdict in verdicts]
+        simulated = [run for run in runs if not run.reused]
         span.set("horizon_seconds", query.duration * len(runs))
-        span.set("sim_seconds", sum(run.sim_seconds for run in runs))
-        span.set("early_exits", sum(run.sim_seconds < query.duration for run in runs))
-        span.set("events", sum(run.events for run in runs))
+        span.set("reused", len(runs) - len(simulated))
+        span.set("sim_seconds", sum(run.sim_seconds for run in simulated))
+        span.set(
+            "early_exits", sum(run.sim_seconds < query.duration for run in simulated)
+        )
+        span.set("events", sum(run.events for run in simulated))
         return verdicts
 
 
@@ -392,14 +410,30 @@ def simulation_backend(
             # tracing is disabled — payload shape is identical either way).
             span_context = campaign_span.context()
 
+            # This campaign's verdicts of runs that read no random stream,
+            # by fault realisation (see run_replica).  It rides every
+            # payload — the default plan is one replica a shard, so a table
+            # per shard would never hit — and is dropped with the campaign.
+            # Unlocked on purpose: a worker's write is one dict store of a
+            # finished verdict, and two workers racing on a key store equal
+            # verdicts (the verdict is a function of the key), so a lost
+            # update costs one repeated run and never an answer.
+            # repro: allow[lock-guard] -- racing writers store equal values
+            reuse: dict = {}
+
             def build_payload(
-                bounds, query=query, children=children, span_context=span_context
+                bounds,
+                query=query,
+                children=children,
+                span_context=span_context,
+                reuse=reuse,
             ):
                 low, high = bounds
                 return (
                     query,
                     rebuild_shard_generators(children[low:high]),
                     span_context,
+                    reuse,
                 )
 
             chunks, report = run_supervised(
@@ -414,12 +448,18 @@ def simulation_backend(
                 checkpoint=_campaign_checkpoint(policy, query, plan.num_shards),
                 chaos=policy.chaos,
             )
-        verdicts = [
-            verdict
-            for chunk_result in chunks
-            if chunk_result is not None
-            for verdict in chunk_result
-        ]
+            verdicts = [
+                verdict
+                for chunk_result in chunks
+                if chunk_result is not None
+                for verdict in chunk_result
+            ]
+            # Runs executed now: restored shards carry no run, reused
+            # replicas did not have one.
+            campaign_span.set(
+                "distinct_runs",
+                sum(v.run is not None and not v.run.reused for v in verdicts),
+            )
         degraded = report.degraded
         effective = len(verdicts)
         if degraded and not effective:

@@ -428,6 +428,13 @@ class SimulationQuery(Query):
     replica stops at the first checkpoint where the frozen-log certificate
     (:meth:`repro.sim.cluster.Cluster.verdict_final`) proves the verdict
     can no longer change, which is the verdict at ``duration``.
+
+    ``replicas`` counts sampled fault realisations, not simulations:
+    every replica compiles its own faults, and one whose realisation
+    equals that of an earlier replica of this campaign whose run read no
+    random stream takes that run's verdict instead of repeating it
+    (:func:`repro.injection.run_replica` states the rule and the proof).
+    The tallies are those of ``replicas`` independent runs either way.
     """
 
     kind: ClassVar[str] = "simulation"

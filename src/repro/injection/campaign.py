@@ -6,7 +6,9 @@ crash/recovery schedule, Byzantine behaviour assignments and network
 operations — drawing every stochastic choice from that replica's private
 spawned stream.  :func:`run_replica` then executes the replica end to end
 (build cluster, inject, drive the workload, audit) and returns the
-verdict tuple the simulation backend aggregates.
+verdict tuple the simulation backend aggregates — or, when the campaign
+already ran an equal realisation in a run that read no random stream,
+returns that run's verdict without executing anything.
 
 **Stream contract.**  The default plan consumes the replica stream in the
 exact order the pre-fault-plan backend did — one window-configuration
@@ -30,8 +32,8 @@ its self-tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Hashable, MutableMapping, Sequence
 
 import numpy as np
 
@@ -119,7 +121,7 @@ class FaultSchedule:
         self.network_ops.append((kind, float(at), value, closing))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompiledFaults:
     """One replica's concrete fault realisation.
 
@@ -130,6 +132,10 @@ class CompiledFaults:
     ``(node, crash, recover)`` downtime intervals (``recover=None`` =
     terminal); ``behaviours`` maps Byzantine node ids to registry
     behaviour names.
+
+    Two realisations are equal, and hash alike, when their
+    :meth:`realisation_key` is — every field, since every field reaches
+    the cluster or the audit.
     """
 
     config: FailureConfig
@@ -137,6 +143,30 @@ class CompiledFaults:
     behaviours: dict[int, str]
     network_ops: tuple[NetworkOp, ...]
     partition_windows: tuple[tuple[float, float], ...]
+
+    def realisation_key(self) -> tuple:
+        """All five fields as one tuple, ``behaviours`` as sorted pairs.
+
+        Network ops keep their declaration order: it breaks ties between
+        same-instant ops in :meth:`apply_network`.  Hashable whenever the
+        plan's events put only hashable values into their network ops
+        (every built-in event does).
+        """
+        return (
+            self.config,
+            self.outages,
+            tuple(sorted(self.behaviours.items())),
+            self.network_ops,
+            self.partition_windows,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CompiledFaults):
+            return NotImplemented
+        return self.realisation_key() == other.realisation_key()
+
+    def __hash__(self) -> int:
+        return hash(self.realisation_key())
 
     def crashed_nodes(self) -> frozenset[int]:
         return frozenset(node for node, _, _ in self.outages)
@@ -267,12 +297,26 @@ def compile_faults(
 CHECKPOINT_INTERVAL = 0.25
 
 
+#: Most verdicts one campaign's reuse table holds.  A full table stops
+#: storing (what is in it keeps serving): a million replicas with a sampled
+#: crash time each are a million distinct realisations, none worth keeping.
+REUSE_TABLE_CAP = 1024
+
+
 @dataclass(frozen=True)
 class ReplicaRun:
-    """How much of a replica was simulated — observability, never an answer."""
+    """How much of a replica was simulated — observability, never an answer.
+
+    ``reused`` marks a replica that was not simulated at all: its verdict
+    is the stored one of an equal realisation of the same campaign.
+    """
 
     sim_seconds: float
     events: int
+    reused: bool = False
+
+
+_REUSED = ReplicaRun(sim_seconds=0.0, events=0, reused=True)
 
 
 @dataclass(frozen=True)
@@ -280,7 +324,7 @@ class ReplicaVerdict:
     """Audited outcome of one replica run (the backend's tally unit).
 
     ``run`` rides along for tracing only: it is excluded from equality and
-    not journalled, so restored and fresh verdicts compare equal.
+    not journalled, so restored, reused and fresh verdicts compare equal.
     """
 
     unsafe: bool
@@ -302,8 +346,9 @@ def run_replica(
     plan: FaultPlan | None = None,
     correlation: "CorrelationModel | None" = None,
     failure_kind: FaultKind = FaultKind.CRASH,
+    reuse: MutableMapping[Hashable, ReplicaVerdict] | None = None,
 ) -> ReplicaVerdict:
-    """One seeded execution: compile faults, run the cluster, audit the trace.
+    """One seeded replica: compile faults, run the cluster, audit the trace.
 
     Everything stochastic draws from ``rng`` — the replica's private
     spawned stream — so the verdict depends only on that stream.
@@ -322,6 +367,39 @@ def run_replica(
     certify; PBFT, Byzantine overrides and third-party nodes run to
     ``duration``, as does any replica whose certificate never holds
     (a stalled one, an unbounded latency model).
+
+    **A replica is sampled always and simulated once per distinct run.**
+    ``reuse`` is the table of *one campaign* — replicas that share
+    ``spec``, ``fleet``, ``node_factory``, ``duration`` and ``commands``
+    and differ only in ``rng`` (absent: a campaign of this one replica).
+    The faults are compiled first, draw for draw, whatever the table
+    holds: the replica's own stream decides its realisation.  A verdict
+    stored under an equal :meth:`CompiledFaults.realisation_key` is then
+    returned as this replica's (``run.reused``); otherwise the replica is
+    built, run and audited as above, and its verdict is stored only if
+    :meth:`repro.sim.cluster.Cluster.drew_randomness` is False afterwards.
+
+    *Proof that a reused verdict is the one the replica would compute.*
+    A run is a deterministic program of the node and behaviour factories,
+    ``n``, the compiled realisation, the command schedule, ``duration``,
+    the latency model and the cluster's ``n + 1`` streams — the
+    scheduler orders events by ``(time, insertion)`` and no simulator
+    module reads a clock or an ambient generator (``wall-clock``,
+    ``rng-discipline``: the one thing this rests on).  Let replica A have
+    stored under key *k*.  Its streams stood, after the audit, where they
+    stood at construction, so no event of A read a stream: A's trace is a
+    function of the other inputs alone.  Replica B of the same campaign
+    with key *k* has those inputs equal — the key is every field of the
+    realisation, the rest is the campaign's — so B's first event is A's,
+    reads no stream either, and by induction so does every later one: B
+    executes A's events, stops at A's checkpoint, and its audit, over an
+    equal trace and an equal ``config``, gives A's four flags.  Raft
+    (random election timeouts), a loss burst in force and
+    ``UniformLatency`` / ``LogNormalLatency`` all draw, so they never
+    store; they pay the ``n + 1`` comparisons and nothing else.
+
+    A key that cannot be hashed (a third-party event putting a list into
+    a network op) is a realisation that is never reused, not an error.
     """
     from repro.sim.checker import audit_run
     from repro.sim.cluster import MAX_EVENTS, Cluster
@@ -335,6 +413,16 @@ def run_replica(
         failure_kind=failure_kind,
         rng=rng,
     )
+    if reuse is None:
+        reuse = {}
+    key = compiled.realisation_key()
+    try:
+        stored = reuse.get(key)
+    except TypeError:
+        key = stored = None
+    if stored is not None:
+        return replace(stored, run=_REUSED)
+
     overrides = {
         node: behaviour_factory(name, spec)
         for node, name in compiled.behaviours.items()
@@ -371,10 +459,19 @@ def run_replica(
     predicted_live = spec.is_live(config)
     missing = verdict.liveness.missing
     partition_era = verdict.liveness.partition_era
-    return ReplicaVerdict(
+    result = ReplicaVerdict(
         unsafe=not verdict.safe,
         stalled=not verdict.live,
         predicate_mismatch=verdict.live != predicted_live,
         partition_era_only=bool(missing) and set(missing) == set(partition_era),
         run=ReplicaRun(sim_seconds=checkpoint, events=scheduler.processed_events),
     )
+    # The one store: behind the stream check, so only a run that is a
+    # function of its key is ever served to another replica.
+    if (
+        key is not None
+        and len(reuse) < REUSE_TABLE_CAP
+        and not cluster.drew_randomness()
+    ):
+        reuse[key] = result
+    return result

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro._rng import SeedLike, as_generator, spawn
+from repro._rng import SeedLike, as_generator, spawn, stream_position
 from repro.errors import InvalidConfigurationError, SimulationError
 from repro.sim.events import EventScheduler
 from repro.sim.network import LatencyModel, Network
@@ -51,7 +51,9 @@ class Cluster:
                     f"node override id {node_id} outside cluster of {n}"
                 )
         root = as_generator(seed)
-        network_rng, *node_rngs = spawn(root, n + 1)
+        network_rng, *node_rngs = streams = spawn(root, n + 1)
+        #: Every stream the run can read, with where it stood when handed out.
+        self._streams = [(rng, stream_position(rng)) for rng in streams]
         self.scheduler = EventScheduler()
         self.trace = TraceRecorder()
         self.network = Network(
@@ -144,6 +146,22 @@ class Cluster:
             and previous[1] == token
             and self.now - previous[0] > self.network.delay_bound()
         )
+
+    def drew_randomness(self) -> bool:
+        """Has the network or any node read its stream since construction?
+
+        The cluster hands out ``n + 1`` spawned streams — the network's and
+        one per node, overridden nodes included — and nothing else in a run
+        holds a source of randomness (``rng-discipline``).  Each is compared
+        with its position at construction, so the answer is observed, not
+        promised: fixed timeouts, a constant latency model and a loss-free
+        network leave every stream where it was, and one election timeout,
+        one loss draw or one sampled delay moves one.  False means the trace
+        so far is a function of what the cluster was built and scheduled
+        with alone (:func:`repro.injection.run_replica` carries the proof
+        and the use).
+        """
+        return any(stream_position(rng) != start for rng, start in self._streams)
 
     def _frozen_log_token(self) -> tuple[tuple[int, int], ...] | None:
         """Clause (1) of :meth:`verdict_final`: live ``(node, version)`` pairs."""

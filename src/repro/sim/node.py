@@ -188,8 +188,11 @@ class Process(ABC):
 
         The default makes no promise, so a cluster with any such node
         (PBFT, a Byzantine override, a third-party protocol) always runs
-        to its horizon.  A subclass that changes what the inherited
-        promise rests on must override this too.
+        to its horizon — every run that is executed does; a campaign
+        executes one per distinct fault realisation when the run reads no
+        random stream (:func:`repro.injection.run_replica`).  A subclass
+        that changes what the inherited promise rests on must override
+        this too.
         """
         return None
 

@@ -205,6 +205,140 @@ class TestLockGuard:
         assert findings == []
 
 
+class TestLockGuardFanOut:
+    """One mutable object in every pool payload is worker-shared state."""
+
+    def test_fires_on_one_dict_in_every_payload(self):
+        findings = run(
+            """
+            from repro.runtime import run_supervised
+
+            def _work(payload):
+                shard, seen = payload
+                seen[shard] = True
+
+            def fan_out(shards):
+                seen = {}
+                return run_supervised(
+                    _work, [(shard, seen) for shard in shards], jobs=4
+                )
+            """,
+            rules=["lock-guard"],
+        )
+        assert rule_ids(findings) == ["lock-guard"]
+        assert "`seen` is one dict" in findings[0].message
+        assert "run_supervised" in findings[0].message
+        assert findings[0].line == 9  # where the container is created
+
+    def test_fires_through_a_payload_builder_and_its_defaults(self):
+        # The simulation backend's shape: a nested builder, the table bound
+        # as a defaulted parameter, the payload list built by comprehension.
+        findings = run(
+            """
+            def campaign(queries, policy):
+                for query in queries:
+                    table: dict = {}
+                    slices = []
+
+                    def build_payload(bounds, query=query, shared=table):
+                        low, high = bounds
+                        return (query, low, high, shared)
+
+                    run_supervised(
+                        _chunk,
+                        [build_payload(bounds) for bounds in slices],
+                        jobs=policy.jobs,
+                    )
+            """,
+            rules=["lock-guard"],
+        )
+        assert rule_ids(findings) == ["lock-guard"]
+        assert "`table` is one dict" in findings[0].message
+
+    def test_fires_through_a_named_payload_list(self):
+        findings = run(
+            """
+            def fan_out(shards):
+                log = list()
+                payloads = [(shard, log) for shard in shards]
+                return run_supervised(_work, payloads, jobs=2)
+            """,
+            rules=["lock-guard"],
+        )
+        assert rule_ids(findings) == ["lock-guard"]
+        assert "`log` is one list" in findings[0].message
+
+    def test_stays_quiet_when_nothing_mutable_is_shared(self):
+        findings = run(
+            """
+            def fan_out(shards, config):
+                order = []                       # parent-only bookkeeping
+                for shard in shards:
+                    order.append(shard)
+                frozen = tuple(order)
+                return run_supervised(
+                    _work,
+                    [(shard, {}, frozen, config) for shard in order],  # a dict each
+                    jobs=4,
+                )
+
+            def not_a_pool(shards):
+                seen = {}
+                return [handle((shard, seen)) for shard in shards]
+            """,
+            rules=["lock-guard"],
+        )
+        assert findings == []
+
+    def test_stays_quiet_when_a_lock_rides_in_the_payload(self):
+        findings = run(
+            """
+            import threading
+
+            def fan_out(shards):
+                seen = {}
+                seen_lock = threading.Lock()
+                return run_supervised(
+                    _work, [(shard, seen, seen_lock) for shard in shards], jobs=4,
+                    mode="thread",
+                )
+            """,
+            rules=["lock-guard"],
+        )
+        assert findings == []
+
+    def test_inline_allow_on_the_creating_line_is_the_justification(self):
+        findings = run(
+            """
+            def fan_out(shards):
+                # repro: allow[lock-guard] -- racing writers store equal values
+                seen = {}
+                return run_supervised(
+                    _work, [(shard, seen) for shard in shards], jobs=4
+                )
+            """,
+            rules=["lock-guard"],
+        )
+        assert findings == []
+
+    def test_the_campaign_reuse_table_is_seen_and_justified_in_place(self):
+        # The product's one worker-shared mutable: the rule finds it when the
+        # justification is taken away, so the clean self-lint is not silence.
+        from pathlib import Path
+
+        import repro.engine.backends as backends
+
+        source = Path(backends.__file__).read_text(encoding="utf-8")
+        assert source.count("repro: allow[lock-guard]") == 1
+        path = "repro/engine/backends.py"
+        assert run(source, path=path, rules=["lock-guard"]) == []
+        stripped = source.replace("repro: allow[lock-guard]", "because:")
+        findings = run(stripped, path=path, rules=["lock-guard"])
+        assert rule_ids(findings) == ["lock-guard"]
+        assert "`reuse` is one dict" in findings[0].message
+        assert "simulation_backend" in findings[0].message
+
+
 # ---------------------------------------------------------------------------
 # lock-order
 # ---------------------------------------------------------------------------

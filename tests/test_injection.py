@@ -601,6 +601,88 @@ class TestCompileFaults:
             assert recover is None or crash < recover < 200.0
 
 
+class TestRealisationKey:
+    """``CompiledFaults`` is hashable, and equal exactly when every field is."""
+
+    @staticmethod
+    def _compile(plan=None, *, p=0.0, seed=0, n=4):
+        return compile_faults(
+            plan,
+            fleet=uniform_fleet(n, p),
+            duration=8.0,
+            crash_window=(0.0, 1.0),
+            rng=np.random.default_rng(seed),
+        )
+
+    def test_the_default_plan_compiles_to_something_hashable(self):
+        # frozen=True plus a dict field used to generate a __hash__ that
+        # raised "unhashable type: 'dict'".
+        compiled = self._compile(None)
+        assert isinstance(hash(compiled), int)
+        assert compiled.behaviours == {} and hasattr(compiled.behaviours, "items")
+
+    def test_two_replicas_that_compile_equal_hash_equal(self):
+        plan = FaultPlan(
+            events=(
+                CrashStop(node=1, at=2.0),
+                PartitionEvent(groups=((0, 1), (2, 3)), at=3.0, heal_at=4.0),
+            ),
+            adversary=Adversary(nodes=(0, 2)),
+        )
+        # Different streams, nothing sampled that differs: one realisation.
+        a, b = self._compile(plan, seed=1), self._compile(plan, seed=2)
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert a.realisation_key() == b.realisation_key()
+        assert len({a, b}) == 1
+
+    def test_a_sampled_crash_time_is_a_different_realisation(self):
+        a = self._compile(None, p=0.999, seed=1)
+        b = self._compile(None, p=0.999, seed=2)
+        assert a.config == b.config  # everyone crashed in both...
+        assert a != b  # ...at different instants
+
+    @staticmethod
+    def _plan(*, node=1, at=2.0, drop=0.2, primary="equivocate", split=False):
+        events = [
+            CrashStop(node=node, at=at),
+            LossBurst(at=3.0, until=4.0, drop_probability=drop),
+        ]
+        if split:
+            events.append(
+                PartitionEvent(groups=((0, 1), (2, 3)), at=5.0, heal_at=6.0)
+            )
+        return FaultPlan(
+            events=tuple(events),
+            adversary=Adversary(nodes=(0,), primary_behaviour=primary),
+        )
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"at": 2.5},  # one outage time
+            {"node": 2},  # one node kind: node 2 is CRASH, node 1 CORRECT
+            {"primary": "silent"},  # one behaviour name
+            {"drop": 0.3},  # one network op
+            {"split": True},  # one partition window
+        ],
+        ids=["outage-time", "node-kind", "behaviour", "network-op", "partition"],
+    )
+    def test_one_differing_field_is_a_different_key(self, change):
+        a, b = self._compile(self._plan()), self._compile(self._plan(**change))
+        assert a.realisation_key() != b.realisation_key()
+        assert a != b and len({a, b}) == 2
+
+    def test_same_instant_network_ops_keep_their_declaration_order(self):
+        # apply_network breaks ties by insertion order, so the order is
+        # part of what runs.
+        first = DelayBurst(at=1.0, until=2.0, extra_delay=0.01)
+        second = LossBurst(at=1.0, until=2.0, drop_probability=0.1)
+        a = self._compile(FaultPlan(events=(first, second)))
+        b = self._compile(FaultPlan(events=(second, first)))
+        assert a != b
+
+
 # ---------------------------------------------------------------------------
 # Behaviour registry
 # ---------------------------------------------------------------------------
