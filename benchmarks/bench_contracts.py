@@ -1,4 +1,4 @@
-"""P7 — contract checker throughput: full-repo lint must stay under 3 s.
+"""P7 — contract checker throughput: full-repo lint must stay under 1.25 s.
 
 The self-lint test (``tests/test_contracts_self.py``) runs inside tier-1,
 so the checker's wall time is paid on every ``pytest -x -q``; this
@@ -31,10 +31,12 @@ PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
 BASELINE = REPO_ROOT / "tests" / "data" / "contracts_baseline.json"
 
 REPEATS = 5
-# Raised from 2.0 when the four concurrency families (lock-guard,
-# lock-order, async-hygiene, journal-durability) joined the pass — the
-# per_rule split in BENCH_contracts.json shows where the budget goes.
-TARGET_SECONDS = 3.0
+# Lowered from 3.0 when every rule began reading one shared traversal per
+# file (FileContext.nodes_of): 2.29 s -> 0.89 s on the 2-vCPU host that
+# recorded BENCH_contracts.json, gated with the margin the 3.0 s gate had
+# over its own 2.20 s sample (x1.37).  Each per_rule row parses and
+# indexes every file for itself, so the rows do not sum to the full pass.
+TARGET_SECONDS = 1.25
 
 
 def _best(fn, repeats: int = REPEATS):
@@ -85,7 +87,7 @@ def _print_report(payload: dict) -> None:
     print_table(
         f"P7: full lint of src/repro — {payload['files_checked']} files, "
         f"{payload['new_findings']} new finding(s) "
-        f"(target < {payload['target_seconds']:.1f}s)",
+        f"(target < {payload['target_seconds']:.2f}s)",
         ["pass", "seconds", "findings"],
         [["all rules", f"{payload['full_lint_seconds']:.3f}", str(payload["new_findings"])]]
         + [
@@ -103,7 +105,7 @@ def test_contract_lint_wall_time():
     assert payload["consistent_with_warm_run"], "lint findings not deterministic"
     assert payload["full_lint_seconds"] < TARGET_SECONDS, (
         f"full-repo lint took {payload['full_lint_seconds']:.2f}s — over the "
-        f"{TARGET_SECONDS:.1f}s budget tier-1 pays on every run"
+        f"{TARGET_SECONDS:.2f}s budget tier-1 pays on every run"
     )
 
 

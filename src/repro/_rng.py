@@ -9,7 +9,7 @@ makes whole-experiment runs reproducible from a single seed.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -46,21 +46,3 @@ def stream_position(rng: np.random.Generator) -> tuple:
     """
     bit_generator = rng.bit_generator
     return bit_generator.state, bit_generator.seed_seq.n_children_spawned
-
-
-def stable_stream(root_seed: int, *labels: object) -> np.random.Generator:
-    """Return a generator keyed by ``root_seed`` and a tuple of labels.
-
-    The same (seed, labels) pair always produces the same stream, regardless
-    of call order — handy for per-entity streams such as "node 3's failure
-    clock in trial 17".
-    """
-    mixed = hash((root_seed,) + tuple(labels)) & 0xFFFF_FFFF_FFFF_FFFF
-    return np.random.default_rng(mixed)
-
-
-def optional_choice(rng: Optional[np.random.Generator], seed: SeedLike) -> np.random.Generator:
-    """Pick ``rng`` if given, otherwise build one from ``seed``."""
-    if rng is not None:
-        return rng
-    return as_generator(seed)

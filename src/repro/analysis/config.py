@@ -24,10 +24,6 @@ class FaultKind(enum.Enum):
     CRASH = "crash"
     BYZANTINE = "byzantine"
 
-    @property
-    def is_failure(self) -> bool:
-        return self is not FaultKind.CORRECT
-
 
 @dataclass(frozen=True)
 class FailureConfig:
@@ -134,9 +130,6 @@ class FailureConfig:
     @property
     def num_failed(self) -> int:
         return self.num_crashed + self.num_byzantine
-
-    def is_correct(self, index: int) -> bool:
-        return self.kinds[index] is FaultKind.CORRECT
 
     def with_kind(self, index: int, kind: FaultKind) -> "FailureConfig":
         """Return a configuration with node ``index`` reassigned to ``kind``."""

@@ -351,6 +351,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.engine import QuerySet, default_engine
+    from repro.engine.result import wire_row
     from repro.errors import ReproError
 
     path = Path(args.file)
@@ -374,14 +375,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     else:
         answers = default_engine().run(query_set, policy=_policy_from_args(args))
     if args.json:
-        rows = []
-        for answer in answers:
-            row = answer.to_dict()
-            report = answer.provenance.report
-            if report is not None:
-                row["run"] = report.to_dict()
-            rows.append(row)
-        print(json.dumps(rows, indent=2))
+        print(json.dumps([wire_row(answer) for answer in answers], indent=2))
         return 0
     rows = [
         [row["label"], row["kind"], row["N"], row["answer"], row["via"]]

@@ -7,9 +7,10 @@ changes an answer, and worker errors that are attributed instead of
 swallowed.  Until now these were enforced only *dynamically*, by
 bit-identity tests that can't see a violation until someone writes the
 exact regression.  This package enforces the statically-detectable
-classes at the AST level — stdlib :mod:`ast`, no new dependencies — and
-runs in tier-1 (``tests/test_contracts_self.py``) so a violation fails
-``pytest -x -q`` before it can ship.
+classes at the AST level — stdlib :mod:`ast`, no new dependencies, one
+traversal per file shared by every rule — and runs in tier-1
+(``tests/test_contracts_self.py``) so a violation fails ``pytest -x -q``
+before it can ship.
 
 Rule families (``repro-analyze lint --explain RULE-ID`` for details):
 
@@ -39,9 +40,6 @@ Rule families (``repro-analyze lint --explain RULE-ID`` for details):
     No bare ``except:``; a broad ``except Exception`` must re-raise or
     use the bound error (attribution into a ``RunReport`` counts) — the
     swallowed-worker-error class PR 6 fixed by hand.
-``registry-drift``
-    Every ``register_query_kind`` class has a ``register_backend`` twin
-    and vice versa, so a new query kind can't land half-wired (PR 4).
 ``import-discipline``
     Every ``import``/``from ... import`` — module-top or function-local —
     resolves to the standard library, ``numpy`` or ``repro``; SciPy is a

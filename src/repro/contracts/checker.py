@@ -1,8 +1,10 @@
 """Lint driver: walk sources, run rules, apply allowlists and baselines.
 
 Two-pass by design: every file is parsed first (so cross-file rules like
-``registry-drift`` and ``cache-key-coverage`` see the whole project),
-then each rule runs over the :class:`~repro.contracts.core.Project`.
+``lock-order`` and ``cache-key-coverage`` see the whole project), then
+each rule runs over the :class:`~repro.contracts.core.Project`, reading
+each file's nodes from the one traversal its
+:class:`~repro.contracts.core.FileContext` makes.
 Findings are filtered through the config's path allowlists and inline
 ``# repro: allow[rule-id]`` suppressions, and optionally compared against
 a committed baseline so only *new* violations fail CI.

@@ -1,8 +1,10 @@
 """Core types of the contract checker: findings, rules, file/project context.
 
 The checker is a plain :mod:`ast` pass — no new dependencies, no runtime
-imports of the code under analysis.  Each :class:`Rule` walks parsed
-sources and yields :class:`Finding`\\ s; the driver in
+imports of the code under analysis.  Each file is walked once
+(:meth:`FileContext.nodes_of` serves every rule from that one traversal);
+each :class:`Rule` reads the nodes it judges and yields
+:class:`Finding`\\ s; the driver in
 :mod:`repro.contracts.checker` applies the path-scoped allowlist
 (:mod:`repro.contracts.config`), inline ``# repro: allow[rule-id]``
 suppressions and an optional committed baseline before anything reaches a
@@ -19,6 +21,8 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from typing import ClassVar, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -98,7 +102,32 @@ class FileContext:
                 return True
         return False
 
+    # -- the file's one traversal -----------------------------------------
+    @cached_property
+    def _by_class(self) -> Dict[type, List[Tuple[int, ast.AST]]]:
+        """Every node of the file under its class, each with its position
+        in :func:`ast.walk`'s breadth-first order — built by the one
+        whole-module walk a lint run makes of this file."""
+        index: Dict[type, List[Tuple[int, ast.AST]]] = {}
+        for position, node in enumerate(ast.walk(self.tree)):
+            index.setdefault(type(node), []).append((position, node))
+        return index
+
+    def nodes_of(self, *classes: type) -> List[ast.AST]:
+        """The file's nodes of exactly these classes, in ``ast.walk`` order.
+
+        What ``[n for n in ast.walk(ctx.tree) if isinstance(n, classes)]``
+        returns, read off the shared index instead of re-walking: rules
+        judging whole files ask here; only a walk of one function, class
+        or handler body is a rule's own.
+        """
+        found = [pair for cls in classes for pair in self._by_class.get(cls, ())]
+        if len(classes) > 1:
+            found.sort(key=itemgetter(0))
+        return [node for _, node in found]
+
     # -- import-alias resolution ------------------------------------------
+    @cached_property
     def import_aliases(self) -> Dict[str, str]:
         """Local name -> fully qualified name, from every import statement.
 
@@ -108,23 +137,19 @@ class FileContext:
         module path) — good enough for contract checks, which only care
         about absolute stdlib/numpy targets.
         """
-        cached = getattr(self, "_aliases", None)
-        if cached is not None:
-            return cached
         aliases: Dict[str, str] = {}
-        for node in ast.walk(self.tree):
+        for node in self.nodes_of(ast.Import, ast.ImportFrom):
             if isinstance(node, ast.Import):
                 for item in node.names:
                     local = item.asname or item.name.split(".")[0]
                     target = item.name if item.asname else item.name.split(".")[0]
                     aliases[local] = target
-            elif isinstance(node, ast.ImportFrom) and node.module:
+            elif node.module:
                 for item in node.names:
                     if item.name == "*":
                         continue
                     local = item.asname or item.name
                     aliases[local] = f"{node.module}.{item.name}"
-        self._aliases = aliases
         return aliases
 
     def qualified_name(self, node: ast.AST) -> Optional[str]:
@@ -140,7 +165,7 @@ class FileContext:
             node = node.value
         if not isinstance(node, ast.Name):
             return None
-        head = self.import_aliases().get(node.id)
+        head = self.import_aliases.get(node.id)
         if head is None:
             return None
         parts.append(head)
@@ -162,7 +187,7 @@ class Rule:
 
     Subclasses set the class attributes and implement either
     :meth:`check_file` (per-file rules) or :meth:`check_project`
-    (cross-file rules such as registry drift).
+    (cross-file rules such as cache-key coverage).
     """
 
     id: ClassVar[str] = ""
@@ -348,12 +373,6 @@ def walk_lock_regions(
 
     for stmt in getattr(func, "body", ()):
         yield from visit(stmt, frozenset())
-
-
-def iter_calls(tree: ast.AST) -> Iterator[ast.Call]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            yield node
 
 
 def call_name(call: ast.Call) -> Optional[str]:

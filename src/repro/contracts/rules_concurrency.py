@@ -238,13 +238,11 @@ def fan_out(shards):
             for name in getattr(config, "pool_entry_points", ())
             if name in ctx.source
         )
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ClassDef):
-                yield from self._check_class(ctx, node)
-            elif entry_points and isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
-                yield from self._check_fan_out(ctx, node, entry_points)
+        for cls in ctx.nodes_of(ast.ClassDef):
+            yield from self._check_class(ctx, cls)
+        if entry_points:
+            for func in ctx.nodes_of(ast.FunctionDef, ast.AsyncFunctionDef):
+                yield from self._check_fan_out(ctx, func, entry_points)
 
     def _check_fan_out(
         self, ctx: FileContext, func: ast.AST, entry_points: frozenset
@@ -544,15 +542,12 @@ def transfer(src, dst):
         for ctx in project.files:
             class_of: Dict[int, ast.ClassDef] = {}
             class_locks: Dict[int, frozenset] = {}
-            for cls in ast.walk(ctx.tree):
-                if isinstance(cls, ast.ClassDef):
-                    class_locks[id(cls)] = _class_lock_attrs(cls)
-                    for item in cls.body:
-                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                            class_of[id(item)] = cls
-            for node in ast.walk(ctx.tree):
-                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
+            for cls in ctx.nodes_of(ast.ClassDef):
+                class_locks[id(cls)] = _class_lock_attrs(cls)
+                for item in cls.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        class_of[id(item)] = cls
+            for node in ctx.nodes_of(ast.FunctionDef, ast.AsyncFunctionDef):
                 cls = class_of.get(id(node))
                 class_name = cls.name if cls is not None else None
                 lock_attrs = (
@@ -734,16 +729,12 @@ async def handle(self, request):
         async_names: Set[str] = set()
         sync_names: Set[str] = set()
         for ctx in project.files:
-            for node in ast.walk(ctx.tree):
-                if isinstance(node, ast.AsyncFunctionDef):
-                    async_names.add(node.name)
-                elif isinstance(node, ast.FunctionDef):
-                    sync_names.add(node.name)
+            async_names.update(f.name for f in ctx.nodes_of(ast.AsyncFunctionDef))
+            sync_names.update(f.name for f in ctx.nodes_of(ast.FunctionDef))
         coroutine_names = async_names - sync_names
         for ctx in project.files:
-            for node in ast.walk(ctx.tree):
-                if isinstance(node, ast.AsyncFunctionDef):
-                    yield from self._check_async_def(ctx, node, coroutine_names)
+            for func in ctx.nodes_of(ast.AsyncFunctionDef):
+                yield from self._check_async_def(ctx, func, coroutine_names)
 
     def _check_async_def(
         self, ctx: FileContext, func: ast.AsyncFunctionDef, coroutine_names: Set[str]
@@ -875,9 +866,8 @@ def record(self, entry):
         patterns = tuple(getattr(config, "journal_paths", ()))
         if not path_matches(ctx.path, patterns):
             return
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_function(ctx, node)
+        for func in ctx.nodes_of(ast.FunctionDef, ast.AsyncFunctionDef):
+            yield from self._check_function(ctx, func)
 
     def _check_function(self, ctx: FileContext, func: ast.AST) -> Iterator[Finding]:
         events = list(walk_lock_regions(func))

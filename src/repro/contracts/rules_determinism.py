@@ -71,9 +71,7 @@ def sample(spec, trials, *, rng):      # caller threads the stream
     def check_file(
         self, ctx: FileContext, project: Project, config
     ) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in ctx.nodes_of(ast.Call):
             name = ctx.qualified_name(node.func)
             if name is None:
                 continue
@@ -123,9 +121,7 @@ def audit(trace, now):                 # sim-time threaded by the scheduler
     def check_file(
         self, ctx: FileContext, project: Project, config
     ) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in ctx.nodes_of(ast.Call):
             name = ctx.qualified_name(node.func)
             if name in _CLOCK_CALLS:
                 yield Finding(
@@ -146,6 +142,10 @@ def audit(trace, now):                 # sim-time threaded by the scheduler
 _ORDER_NEUTRAL_CALLS = frozenset(
     {"sorted", "set", "frozenset", "sum", "min", "max", "len", "any", "all"}
 )
+
+
+#: Where iteration order is decided: ``for`` statements and comprehensions.
+_ITERATION_SITES = (ast.For, ast.AsyncFor, ast.comprehension)
 
 
 def _is_set_expr(node: ast.AST) -> bool:
@@ -192,75 +192,58 @@ def cache_key(self):
     def check_file(
         self, ctx: FileContext, project: Project, config
     ) -> Iterator[Finding]:
-        neutral = self._order_neutral_nodes(ctx.tree)
-        codec_bodies = self._codec_function_nodes(ctx.tree, config)
-        for scope_node, in_codec in self._iteration_sites(ctx.tree, codec_bodies):
-            for iter_node in self._iter_exprs(scope_node):
-                if id(iter_node) in neutral:
-                    continue
-                if _is_set_expr(iter_node):
-                    what = "a set"
-                elif in_codec and _is_dict_view(iter_node):
-                    what = f"dict .{iter_node.func.attr}()"
-                else:
-                    continue
-                yield Finding(
-                    path=ctx.path,
-                    line=iter_node.lineno,
-                    col=iter_node.col_offset,
-                    rule=self.id,
-                    message=(
-                        f"iterating {what} without sorted() "
-                        + (
-                            "inside a codec method — ordering leaks into "
-                            "serialized/hashed output"
-                            if in_codec
-                            else "— set order is hash/insertion dependent; "
-                            "wrap in sorted() or consume order-neutrally"
-                        )
-                    ),
-                )
+        neutral = self._order_neutral_nodes(ctx)
+        codec_sites = self._codec_sites(ctx, config)
+        for site in ctx.nodes_of(*_ITERATION_SITES):
+            iter_node = site.iter
+            in_codec = id(site) in codec_sites
+            if id(iter_node) in neutral:
+                continue
+            if _is_set_expr(iter_node):
+                what = "a set"
+            elif in_codec and _is_dict_view(iter_node):
+                what = f"dict .{iter_node.func.attr}()"
+            else:
+                continue
+            yield Finding(
+                path=ctx.path,
+                line=iter_node.lineno,
+                col=iter_node.col_offset,
+                rule=self.id,
+                message=(
+                    f"iterating {what} without sorted() "
+                    + (
+                        "inside a codec method — ordering leaks into "
+                        "serialized/hashed output"
+                        if in_codec
+                        else "— set order is hash/insertion dependent; "
+                        "wrap in sorted() or consume order-neutrally"
+                    )
+                ),
+            )
 
     @staticmethod
-    def _codec_function_nodes(tree: ast.Module, config) -> Set[int]:
+    def _codec_sites(ctx: FileContext, config) -> Set[int]:
+        """ids of the for/comprehension nodes inside a codec method."""
         names = set(config.codec_methods)
         return {
-            id(node)
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and node.name in names
+            id(site)
+            for func in ctx.nodes_of(ast.FunctionDef, ast.AsyncFunctionDef)
+            if func.name in names
+            for site in ast.walk(func)
+            if isinstance(site, _ITERATION_SITES)
         }
 
     @staticmethod
-    def _iteration_sites(tree, codec_bodies):
-        """Yield (for/comprehension node, inside-codec-method flag)."""
-
-        def walk(node, in_codec):
-            here = in_codec or id(node) in codec_bodies
-            if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
-                yield node, here
-            for child in ast.iter_child_nodes(node):
-                yield from walk(child, here)
-
-        yield from walk(tree, False)
-
-    @staticmethod
-    def _iter_exprs(node):
-        if isinstance(node, (ast.For, ast.AsyncFor)):
-            yield node.iter
-        elif isinstance(node, ast.comprehension):
-            yield node.iter
-
-    @staticmethod
-    def _order_neutral_nodes(tree: ast.Module) -> Set[int]:
+    def _order_neutral_nodes(ctx: FileContext) -> Set[int]:
         """ids of iterable expressions consumed order-neutrally.
 
         ``sorted(x)`` neutralizes ``x``; ``sorted(f(v) for v in x)``
         neutralizes the generator *and* its source iterables.
         """
         neutral: Set[int] = set()
-        for node in ast.walk(tree):
-            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+        for node in ctx.nodes_of(ast.Call):
+            if not isinstance(node.func, ast.Name):
                 continue
             if node.func.id not in _ORDER_NEUTRAL_CALLS:
                 continue

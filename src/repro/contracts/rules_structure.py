@@ -1,18 +1,18 @@
 """Structural rules: pool safety, cache-key coverage, exception hygiene,
-registry drift, import discipline.
+import discipline.
 
 These families guard the engine's execution and caching contracts: workers
 handed to process pools must survive pickling, memo keys must cover every
 field that changes an answer, worker errors must be attributed or
-re-raised, a query kind must never land half-wired into the registry, and
-the package imports nothing beyond the standard library and NumPy.
+re-raised, and the package imports nothing beyond the standard library and
+NumPy.
 """
 
 from __future__ import annotations
 
 import ast
 import sys
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 from repro.contracts.config import path_matches
 from repro.contracts.core import (
@@ -53,30 +53,10 @@ run_supervised(_simulate_chunk, payloads, jobs=4)
         self, ctx: FileContext, project: Project, config
     ) -> Iterator[Finding]:
         entry_points = set(config.pool_entry_points)
-        findings: List[Finding] = []
-
-        def visit(node: ast.AST, local_defs: Set[str]) -> None:
-            if isinstance(node, ast.Call):
-                worker = self._worker_arg(node, entry_points)
-                if worker is not None:
-                    findings.extend(self._judge(ctx, node, worker, local_defs))
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                # Defs nested inside this one are closures from the POV of
-                # any pool call made while they are in scope.
-                nested = set(local_defs)
-                for child in ast.walk(node):
-                    if child is not node and isinstance(
-                        child, (ast.FunctionDef, ast.AsyncFunctionDef)
-                    ):
-                        nested.add(child.name)
-                for child in ast.iter_child_nodes(node):
-                    visit(child, nested)
-                return
-            for child in ast.iter_child_nodes(node):
-                visit(child, local_defs)
-
-        visit(ctx.tree, set())
-        yield from findings
+        for call in ctx.nodes_of(ast.Call):
+            worker = self._worker_arg(call, entry_points)
+            if worker is not None:
+                yield from self._judge(ctx, call, worker)
 
     @staticmethod
     def _worker_arg(call: ast.Call, entry_points: Set[str]) -> Optional[ast.AST]:
@@ -93,16 +73,30 @@ run_supervised(_simulate_chunk, payloads, jobs=4)
             return call.args[0]
         return None
 
+    @staticmethod
+    def _closures_around(ctx: FileContext, call: ast.Call) -> Set[str]:
+        """Names of the defs nested in any function or lambda enclosing
+        ``call`` — closures from the POV of a pool call made there."""
+        names: Set[str] = set()
+        for scope in ctx.nodes_of(ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda):
+            inner = list(ast.walk(scope))
+            if any(node is call for node in inner):
+                names.update(
+                    node.name
+                    for node in inner
+                    if node is not scope
+                    and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                )
+        return names
+
     def _judge(
-        self,
-        ctx: FileContext,
-        call: ast.Call,
-        worker: ast.AST,
-        local_defs: Set[str],
+        self, ctx: FileContext, call: ast.Call, worker: ast.AST
     ) -> Iterator[Finding]:
         if any(isinstance(sub, ast.Lambda) for sub in ast.walk(worker)):
             reason = "a lambda"
-        elif isinstance(worker, ast.Name) and worker.id in local_defs:
+        elif isinstance(worker, ast.Name) and worker.id in self._closures_around(
+            ctx, call
+        ):
             reason = f"the nested function `{worker.id}`"
         else:
             return
@@ -195,9 +189,8 @@ class _ClassInfo:
 def _class_index(project: Project) -> Dict[str, _ClassInfo]:
     index: Dict[str, _ClassInfo] = {}
     for ctx in project.files:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ClassDef):
-                index[node.name] = _ClassInfo(ctx, node)
+        for node in ctx.nodes_of(ast.ClassDef):
+            index[node.name] = _ClassInfo(ctx, node)
     for info in index.values():
         for ancestor in _lineage(info, index):
             for name, method in ancestor.methods.items():
@@ -332,9 +325,7 @@ except Exception as error:
     def check_file(
         self, ctx: FileContext, project: Project, config
     ) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
+        for node in ctx.nodes_of(ast.ExceptHandler):
             if node.type is None:
                 yield Finding(
                     path=ctx.path,
@@ -387,103 +378,6 @@ except Exception as error:
 
 
 # ---------------------------------------------------------------------------
-# Registry drift
-# ---------------------------------------------------------------------------
-@register_rule
-class RegistryDriftRule(Rule):
-    id = "registry-drift"
-    summary = "every registered query kind needs a backend, and vice versa"
-    rationale = """
-A query kind is wired in two registries: ``register_query_kind`` makes it
-parseable from JSON, ``register_backend`` makes it answerable.  A kind
-registered in only one of them parses-but-never-answers (or answers a
-kind no file can express) — and nothing fails until a user submits one.
-The self-lint test additionally asserts the runtime registries agree
-after import, so dynamically-registered kinds are held to the same bar.
-"""
-    bad_example = """
-@register_query_kind
-@dataclass(frozen=True)
-class LatencyQuery(Query):
-    kind = "latency"                   # parseable...
-# ...but no @register_backend("latency") anywhere: never answerable
-"""
-    good_example = """
-@register_backend("latency")
-def latency_backend(engine, queries, policy): ...
-"""
-
-    def check_project(self, project: Project, config) -> Iterator[Finding]:
-        kinds: Dict[str, Tuple[FileContext, ast.ClassDef]] = {}
-        backends: Dict[str, Tuple[FileContext, ast.AST]] = {}
-        saw_kind_registry = saw_backend_registry = False
-        for ctx in project.files:
-            for node in ast.walk(ctx.tree):
-                if isinstance(node, ast.ClassDef) and "register_query_kind" in set(
-                    decorator_names(node)
-                ):
-                    saw_kind_registry = True
-                    kind = self._class_kind(node)
-                    if kind:
-                        kinds[kind] = (ctx, node)
-                for kind, deco in self._backend_registrations(node):
-                    saw_backend_registry = True
-                    backends[kind] = (ctx, deco)
-        # Either registry absent from the lint scope (single-file runs):
-        # nothing meaningful to cross-check.
-        if not (saw_kind_registry and saw_backend_registry):
-            return
-        for kind, (ctx, node) in sorted(kinds.items()):
-            if kind not in backends:
-                yield Finding(
-                    path=ctx.path,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    rule=self.id,
-                    message=f"query kind {kind!r} has no register_backend({kind!r}) "
-                    "— it parses from JSON but can never be answered",
-                )
-        for kind, (ctx, node) in sorted(backends.items()):
-            if kind not in kinds:
-                yield Finding(
-                    path=ctx.path,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    rule=self.id,
-                    message=f"backend registered for kind {kind!r} but no "
-                    "register_query_kind class declares it — unreachable from "
-                    "query files",
-                )
-
-    @staticmethod
-    def _class_kind(node: ast.ClassDef) -> Optional[str]:
-        for item in node.body:
-            target = None
-            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                target, value = item.target.id, item.value
-            elif isinstance(item, ast.Assign) and len(item.targets) == 1 and isinstance(
-                item.targets[0], ast.Name
-            ):
-                target, value = item.targets[0].id, item.value
-            if target == "kind" and isinstance(value, ast.Constant):
-                return str(value.value)
-        return None
-
-    @staticmethod
-    def _backend_registrations(node: ast.AST):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return
-        for deco in node.decorator_list:
-            if (
-                isinstance(deco, ast.Call)
-                and call_name(deco) == "register_backend"
-                and deco.args
-                and isinstance(deco.args[0], ast.Constant)
-            ):
-                yield str(deco.args[0].value), deco
-
-
-# ---------------------------------------------------------------------------
 # Import discipline
 # ---------------------------------------------------------------------------
 #: Top-level packages the runtime may import: the standard library, NumPy
@@ -516,10 +410,10 @@ from repro._stats import binom_cdf     # stdlib math + numpy underneath
     def check_file(
         self, ctx: FileContext, project: Project, config
     ) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes_of(ast.Import, ast.ImportFrom):
             if isinstance(node, ast.Import):
                 modules = [item.name for item in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            elif node.level == 0:
                 modules = [node.module]
             else:
                 continue

@@ -23,8 +23,11 @@ builder, or from JSON — is a batch of them.  The engine answers each row
 through one memo path — probe its bounded LRU memo under the row's own
 :meth:`Query.cache_key`, fold in-batch duplicates, compute the distinct
 misses, store — and only the misses reach the backend registered for the
-kind (:func:`register_backend`), which returns one :class:`Answer` per
-row and never reads or writes the memo:
+kind, which returns one :class:`Answer` per row and never reads or writes
+the memo.  A kind is registered once: :func:`register_backend` takes the
+:class:`Query` subclass, and that one decorator makes the kind parseable
+from JSON rows (:func:`query_from_dict`) and answerable
+(:func:`registered_kinds` lists them):
 ``reliability`` is the scenario planner (shared counting-DP sweeps for
 same-size symmetric scenarios, the pluggable estimator registry for
 everything else);
@@ -66,16 +69,14 @@ from repro.engine.query import (
     ReliabilityQuery,
     SimulationQuery,
     query_from_dict,
-    register_query_kind,
-    registered_query_kinds,
 )
 from repro.engine.registry import (
     get_backend,
     get_estimator,
     register_backend,
     register_estimator,
-    registered_backends,
     registered_estimators,
+    registered_kinds,
 )
 from repro.engine.result import (
     Answer,
@@ -132,9 +133,7 @@ __all__ = [
     "registered_estimators",
     "register_backend",
     "get_backend",
-    "registered_backends",
-    "register_query_kind",
-    "registered_query_kinds",
+    "registered_kinds",
     "query_from_dict",
     "register_simulation_factory",
     "SpecCodec",

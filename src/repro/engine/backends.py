@@ -120,7 +120,7 @@ def _run_markov_kind(queries: Sequence[Query], *, kind: str, answer_chain) -> li
     return answers  # type: ignore[return-value]
 
 
-@register_backend("availability")
+@register_backend(AvailabilityQuery)
 def availability_backend(
     engine: "ReliabilityEngine",
     queries: Sequence[AvailabilityQuery],
@@ -150,7 +150,7 @@ def availability_backend(
     return _run_markov_kind(queries, kind="availability", answer_chain=answer_chain)
 
 
-@register_backend("mttf")
+@register_backend(MTTFQuery)
 def mttf_backend(
     engine: "ReliabilityEngine",
     queries: Sequence[MTTFQuery],
@@ -365,7 +365,7 @@ def _campaign_checkpoint(policy: "ExecutionPolicy", query: SimulationQuery, shar
     )
 
 
-@register_backend("simulation")
+@register_backend(SimulationQuery)
 def simulation_backend(
     engine: "ReliabilityEngine",
     queries: Sequence[SimulationQuery],

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 import numpy as np
 
 from repro.analysis.result import Estimate, ReliabilityResult
-from repro.engine.query import Query
+from repro.engine.query import Query, ReliabilityQuery
 from repro.engine.registry import (
     BUILTIN_COUNTING,
     EstimatorFn,
@@ -64,7 +64,7 @@ def _provenance(method: str, **fields) -> Provenance:
     return Provenance(estimator=method, backend="reliability", **fields)
 
 
-@register_backend("reliability")
+@register_backend(ReliabilityQuery)
 def reliability_backend(
     engine: "ReliabilityEngine",
     queries: Sequence[Query],

@@ -25,22 +25,25 @@ A :class:`Query` couples a scenario with a question kind:
 :class:`QuerySet` is the mixed-kind batch the engine executes; it carries
 the same dict/JSON codecs as :class:`~repro.engine.ScenarioSet`, so one
 ``scenarios.json`` file can mix reliability, availability, MTTF and
-simulation questions.  Each kind routes to a backend registered via
-:func:`repro.engine.registry.register_backend`.
+simulation questions.  A kind is wired once:
+:func:`repro.engine.registry.register_backend` takes the query class, and
+the same table entry is what :func:`query_from_dict` parses rows with and
+what the engine routes them to.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Type
+from typing import Callable, ClassVar, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from repro.errors import InvalidConfigurationError
 from repro.faults.afr import afr_to_hourly_rate
 from repro.faults.mixture import uniform_fleet
-from repro.engine.scenario import Scenario, ScenarioSet
+from repro.engine.registry import _KINDS
+from repro.engine.scenario import Scenario, ScenarioSet, _finite_int, _require_mapping
 from repro.injection.plan import FaultPlan
 from repro.injection.plan import jsonable_value as _jsonable
 from repro.protocols.raft import RaftSpec, majority
@@ -62,14 +65,14 @@ EstimatorLookup = Callable[[str], Callable]
 class Query:
     """Base class: one scenario plus a question kind.
 
-    Subclasses set :attr:`kind` (the backend-registry key) and add their
+    Subclasses set :attr:`kind` (the kind-table key) and add their
     question parameters as dataclass fields; those fields round-trip
     through :meth:`to_dict` / :func:`query_from_dict` automatically.
     """
 
     scenario: Scenario
 
-    #: Backend-registry key; also the ``"kind"`` field of the dict form.
+    #: Kind-table key; also the ``"kind"`` field of the dict form.
     kind: ClassVar[str] = ""
 
     @property
@@ -113,7 +116,7 @@ class Query:
     @classmethod
     def from_dict(cls, data: Mapping) -> "Query":
         """Rebuild a query of this class from its dict form."""
-        payload = dict(data)
+        payload = dict(_require_mapping("query row", data))
         payload.pop("kind", None)
         scenario_data = payload.pop("scenario", None)
         if scenario_data is None:
@@ -149,27 +152,6 @@ def canonical_query_key(query: Query) -> str:
     return json.dumps(query.to_dict(), sort_keys=True, default=repr)
 
 
-_QUERY_KINDS: dict[str, Type[Query]] = {}
-
-
-def register_query_kind(cls: Type[Query]) -> Type[Query]:
-    """Class decorator: make ``cls`` addressable by its :attr:`Query.kind`.
-
-    Registration feeds :func:`query_from_dict` (and therefore the CLI's
-    JSON query files); the *execution* backend is registered separately
-    via :func:`repro.engine.registry.register_backend` under the same
-    kind string.  Idempotent per kind — last registration wins.
-    """
-    if not cls.kind:
-        raise InvalidConfigurationError(f"{cls.__name__} must define a non-empty kind")
-    _QUERY_KINDS[cls.kind] = cls
-    return cls
-
-
-def registered_query_kinds() -> tuple[str, ...]:
-    return tuple(sorted(_QUERY_KINDS))
-
-
 def query_from_dict(data: Mapping) -> Query:
     """Rebuild any registered query from its dict form.
 
@@ -178,19 +160,18 @@ def query_from_dict(data: Mapping) -> Query:
     :class:`ReliabilityQuery` — the shape every pre-query scenario file
     already used.
     """
-    if "kind" not in data:
+    if "kind" not in _require_mapping("query row", data):
         scenario_data = data.get("scenario", data)
         return ReliabilityQuery(Scenario.from_dict(scenario_data))
     kind = str(data["kind"])
-    cls = _QUERY_KINDS.get(kind)
-    if cls is None:
+    entry = _KINDS.get(kind)
+    if entry is None:
         raise InvalidConfigurationError(
-            f"unknown query kind {kind!r}; registered: {sorted(_QUERY_KINDS)}"
+            f"unknown query kind {kind!r}; registered: {sorted(_KINDS)}"
         )
-    return cls.from_dict(data)
+    return entry[0].from_dict(data)
 
 
-@register_query_kind
 @dataclass(frozen=True)
 class ReliabilityQuery(Query):
     """Point reliability of the scenario — the engine's historical question.
@@ -312,13 +293,12 @@ class _MarkovQuery(Query):
             if name in payload:
                 payload[name] = float(payload[name])
         if "repair_slots" in payload:
-            payload["repair_slots"] = int(payload["repair_slots"])
+            payload["repair_slots"] = _finite_int("repair_slots", payload["repair_slots"])
         if payload.get("quorum_size") is not None:
-            payload["quorum_size"] = int(payload["quorum_size"])
+            payload["quorum_size"] = _finite_int("quorum_size", payload["quorum_size"])
         return payload
 
 
-@register_query_kind
 @dataclass(frozen=True)
 class AvailabilityQuery(_MarkovQuery):
     """Steady-state availability of a ``resolved_quorum`` quorum under repair.
@@ -353,7 +333,6 @@ class AvailabilityQuery(_MarkovQuery):
         return payload
 
 
-@register_query_kind
 @dataclass(frozen=True)
 class MTTFQuery(_MarkovQuery):
     """Mean time to losing liveness (MTTF) and to losing data (MTTDL).
@@ -396,11 +375,12 @@ class MTTFQuery(_MarkovQuery):
     def _coerce(cls, payload: dict) -> dict:
         payload = super()._coerce(payload)
         if payload.get("persistence_quorum") is not None:
-            payload["persistence_quorum"] = int(payload["persistence_quorum"])
+            payload["persistence_quorum"] = _finite_int(
+                "persistence_quorum", payload["persistence_quorum"]
+            )
         return payload
 
 
-@register_query_kind
 @dataclass(frozen=True)
 class SimulationQuery(Query):
     """A campaign of seeded discrete-event protocol executions.
@@ -574,10 +554,6 @@ class SimulationQuery(Query):
             behaviour_build(mix.primary_behaviour, spec) if primary else None,
         )
 
-    def seed_root(self):
-        """The stream the per-replica ``SeedSequence`` children spawn from."""
-        return self.scenario.seed
-
     def fault_key(self) -> tuple:
         """Hashable identity of the fault plan (campaign cache component).
 
@@ -632,11 +608,11 @@ class SimulationQuery(Query):
     @classmethod
     def _coerce(cls, payload: dict) -> dict:
         if "replicas" in payload:
-            payload["replicas"] = int(payload["replicas"])
+            payload["replicas"] = _finite_int("replicas", payload["replicas"])
         if "duration" in payload:
             payload["duration"] = float(payload["duration"])
         if "commands" in payload:
-            payload["commands"] = int(payload["commands"])
+            payload["commands"] = _finite_int("commands", payload["commands"])
         if "crash_window" in payload:
             payload["crash_window"] = tuple(float(e) for e in payload["crash_window"])
         if payload.get("faults") is not None:

@@ -1,4 +1,4 @@
-"""Pluggable estimator and backend registries for the reliability engine.
+"""The estimator registry and the query-kind table of the reliability engine.
 
 Every estimator is a callable ``(Scenario) -> ReliabilityResult`` published
 under a name.  The four built-ins mirror the historical free functions —
@@ -9,26 +9,30 @@ scenario carries a model) and ``importance`` (tilted rare-event sampling)
 them addressable from ``Scenario.method`` and the CLI's JSON scenario
 files with no engine changes.
 
-The *backend* registry is the same idea one level up, keyed by query
-kind: a backend computes a whole same-kind batch of
-:class:`~repro.engine.query.Query` objects at once — the distinct rows of
-one ``run`` call that the engine's memo could not answer — which is what
-lets the Markov backends share one CTMC solve across a batch and the
-simulation backend fan replicas over an
-:class:`~repro.engine.ExecutionPolicy` pool.  The built-ins live in
-:mod:`repro.engine.planner` (``reliability``) and
+The *kind* table is the same idea one level up: one
+:func:`register_backend` decorator takes a
+:class:`~repro.engine.query.Query` subclass and publishes, under its
+``kind`` string, both the class (so
+:func:`~repro.engine.query.query_from_dict` can parse the kind from
+``QuerySet`` rows and the CLI's JSON query files) and the backend that
+answers it — a kind that parses but can never be answered, or the
+converse, cannot be written down.  A backend computes a whole same-kind
+batch of queries at once — the distinct rows of one ``run`` call that the
+engine's memo could not answer — which is what lets the Markov backends
+share one CTMC solve across a batch and the simulation backend fan
+replicas over an :class:`~repro.engine.ExecutionPolicy` pool.  The
+built-ins live in :mod:`repro.engine.planner` (``reliability``) and
 :mod:`repro.engine.backends` (``availability``, ``mttf``,
-``simulation``); :func:`register_backend` makes third-party
-question kinds addressable from ``QuerySet`` rows and the CLI's JSON
-query files with no engine changes.
+``simulation``); a third-party question kind needs the one decorator and
+no engine changes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence, TYPE_CHECKING
+from typing import Callable, Dict, Sequence, Type, TYPE_CHECKING
 
 from repro.analysis.result import ReliabilityResult
-from repro.errors import EstimationError
+from repro.errors import EstimationError, InvalidConfigurationError
 from repro.engine.scenario import Scenario
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -43,12 +47,17 @@ EstimatorFn = Callable[[Scenario], ReliabilityResult]
 BackendFn = Callable[..., "Sequence[Answer]"]
 
 _ESTIMATORS: Dict[str, EstimatorFn] = {}
-_BACKENDS: Dict[str, BackendFn] = {}
+
+#: ``Query.kind`` → (query class, backend): the one place a kind is wired.
+_KINDS: Dict[str, tuple[Type[Query], BackendFn]] = {}
 
 
-def register_backend(kind: str) -> Callable[[BackendFn], BackendFn]:
-    """Decorator: publish ``fn`` as the backend answering ``kind`` queries.
+def register_backend(query_cls: Type[Query]) -> Callable[[BackendFn], BackendFn]:
+    """Decorator: publish ``fn`` as the backend answering ``query_cls``.
 
+    One registration makes the kind both parseable —
+    :func:`~repro.engine.query.query_from_dict` rebuilds ``query_cls``
+    from rows whose ``"kind"`` is ``query_cls.kind`` — and answerable.
     ``fn(engine, queries, policy)`` receives the submitting
     :class:`~repro.engine.ReliabilityEngine` (for its ``estimator()``
     resolver), the *distinct* queries of its kind from one ``run`` call
@@ -59,12 +68,17 @@ def register_backend(kind: str) -> Callable[[BackendFn], BackendFn]:
     stores under each row's :meth:`~repro.engine.query.Query.cache_key`
     (never a ``degraded`` answer), so a backend must not read or write the
     memo, and it never calls ``engine.run``.  Re-registering a kind
-    replaces the previous backend; engines that already answered rows of
-    the kind keep them until ``cache_clear()``.
+    replaces the previous class and backend; engines that already answered
+    rows of the kind keep them until ``cache_clear()``.
     """
+    kind = query_cls.kind
+    if not kind:
+        raise InvalidConfigurationError(
+            f"{query_cls.__name__} must define a non-empty kind"
+        )
 
     def decorator(fn: BackendFn) -> BackendFn:
-        _BACKENDS[kind] = fn
+        _KINDS[kind] = (query_cls, fn)
         return fn
 
     return decorator
@@ -73,16 +87,17 @@ def register_backend(kind: str) -> Callable[[BackendFn], BackendFn]:
 def get_backend(kind: str) -> BackendFn:
     """Look up the backend answering ``kind`` queries."""
     try:
-        return _BACKENDS[kind]
+        return _KINDS[kind][1]
     except KeyError:
         raise EstimationError(
             f"no backend registered for query kind {kind!r}; "
-            f"registered: {sorted(_BACKENDS)}"
+            f"registered: {sorted(_KINDS)}"
         )
 
 
-def registered_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
+def registered_kinds() -> tuple[str, ...]:
+    """Every kind that can be parsed from a query row and answered."""
+    return tuple(sorted(_KINDS))
 
 
 def register_estimator(name: str) -> Callable[[EstimatorFn], EstimatorFn]:
@@ -269,5 +284,5 @@ __all__ = [
     "registered_estimators",
     "register_backend",
     "get_backend",
-    "registered_backends",
+    "registered_kinds",
 ]

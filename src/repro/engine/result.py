@@ -290,6 +290,21 @@ class Answer:
         return data
 
 
+def wire_row(answer: Answer) -> dict:
+    """What both doors print for one answer: its dict plus the supervision
+    ``run`` report when one exists.
+
+    The report rides ``Provenance.report`` and is attached here — at the
+    wire layer — rather than inside :meth:`Answer.to_dict`, so recovered
+    and clean campaigns keep byte-identical answer payloads.
+    """
+    row = answer.to_dict()
+    report = answer.provenance.report
+    if report is not None:
+        row["run"] = report.to_dict()
+    return row
+
+
 @dataclass(frozen=True)
 class AnswerSet:
     """Ordered answers of one mixed-kind :meth:`ReliabilityEngine.run` call."""

@@ -24,7 +24,8 @@ serializable — correlation structures are process-local objects.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -157,14 +158,34 @@ def _fleet_to_dict(fleet: Fleet) -> dict:
     }
 
 
+def _require_mapping(what: str, data) -> Mapping:
+    """``data`` if it is a JSON object.  Rows arrive from outside the
+    program, and a list or a number where an object belongs must be the
+    doors' ``InvalidConfigurationError``, not an ``AttributeError``."""
+    if not isinstance(data, (dict, Mapping)):
+        raise InvalidConfigurationError(
+            f"{what} must be an object, got {type(data).__name__}"
+        )
+    return data
+
+
+def _finite_int(name: str, value) -> int:
+    """``int(value)``, with JSON's ``1e400`` / ``NaN`` (which ``int``
+    answers with ``OverflowError`` / ``ValueError``) rejected by name."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise InvalidConfigurationError(f"{name} must be a finite integer, got {value}")
+    return int(value)
+
+
 def _fleet_from_dict(data: Mapping) -> Fleet:
-    if "nodes" in data:
+    if "nodes" in _require_mapping("fleet", data):
         # Fleets are mostly runs of equal nodes: build one frozen NodeModel
         # per run and share it.  The first of every run is validated, so
         # NaN and out-of-range input is rejected exactly as before.
         nodes: list[NodeModel] = []
         previous = model = None
         for node in data["nodes"]:
+            _require_mapping("fleet node", node)
             pair = (
                 float(node.get("p_crash", 0.0)),
                 float(node.get("p_byzantine", 0.0)),
@@ -177,7 +198,7 @@ def _fleet_from_dict(data: Mapping) -> Fleet:
     if "uniform" in data:
         spec = dict(data["uniform"])
         return uniform_fleet(
-            int(spec["n"]),
+            _finite_int("n", spec["n"]),
             float(spec["p_fail"]),
             byzantine_fraction=float(spec.get("byzantine_fraction", 0.0)),
         )
@@ -280,9 +301,6 @@ class Scenario:
             return None
         return base + (self.trials, int(self.seed), self.failure_kind)
 
-    def with_label(self, label: str) -> "Scenario":
-        return replace(self, label=label)
-
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> dict:
         """JSON-ready form; raises for process-local correlation models."""
@@ -309,6 +327,7 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Scenario":
+        _require_mapping("scenario", data)
         kind_name = str(data.get("failure_kind", "crash")).upper()
         try:
             kind = FaultKind[kind_name]
@@ -318,7 +337,7 @@ class Scenario:
             spec=spec_from_dict(data["spec"]),
             fleet=_fleet_from_dict(data["fleet"]),
             method=str(data.get("method", "auto")),
-            trials=int(data.get("trials", 100_000)),
+            trials=_finite_int("trials", data.get("trials", 100_000)),
             seed=data.get("seed"),
             failure_kind=kind,
             window_hours=data.get("window_hours"),
@@ -467,7 +486,7 @@ class ScenarioSet:
                     probabilities=tuple(grid.get("probabilities", (0.01,))),
                     byzantine_fraction=None if fraction is None else float(fraction),
                     method=str(grid.get("method", "auto")),
-                    trials=int(grid.get("trials", 100_000)),
+                    trials=_finite_int("trials", grid.get("trials", 100_000)),
                     seed=grid.get("seed"),
                 )
             if "scenarios" in data:

@@ -471,6 +471,16 @@ class Adversary:
             raise InvalidConfigurationError("adversary behaviours must be non-empty")
 
     def behaviour_for(self, node: int) -> str:
+        """The behaviour ``node`` runs when Byzantine — keyed on the node's
+        id, not on its role.
+
+        ``primary_behaviour`` goes to *node 0*, the primary of view 0
+        only.  After a view change the primary is another node, and a
+        Byzantine one leads with the accomplice ``behaviour``: with
+        ``nodes=(1, 2)`` the first primary is honest and views 1 and 2 are
+        led by double-voters that never equivocate
+        (``tests/test_golden_injection.py`` pins that campaign).
+        """
         return self.primary_behaviour if node == 0 else self.behaviour
 
     def to_dict(self) -> dict:
@@ -522,10 +532,6 @@ class FaultPlan:
             raise InvalidConfigurationError("adversary must be an Adversary instance")
         if self.mean_time_to_repair is not None and self.mean_time_to_repair <= 0:
             raise InvalidConfigurationError("mean_time_to_repair must be positive")
-
-    @property
-    def declares_byzantine(self) -> bool:
-        return self.adversary is not None and bool(self.adversary.nodes)
 
     def validate(self, n: int, duration: float) -> None:
         """Check every event (and the adversary set) fits the deployment.

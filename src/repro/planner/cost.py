@@ -87,23 +87,12 @@ class DeploymentPlan:
         return self.sku.price_per_hour * self.count
 
     @property
-    def annual_cost(self) -> float:
-        from repro.faults.curves import HOURS_PER_YEAR
-
-        return self.hourly_cost * HOURS_PER_YEAR
-
-    @property
     def power_watts(self) -> float:
         return self.sku.power_watts * self.count
 
     @property
     def embodied_carbon_kg(self) -> float:
         return self.sku.embodied_carbon_kg * self.count
-
-    def annual_energy_kwh(self) -> float:
-        from repro.faults.curves import HOURS_PER_YEAR
-
-        return self.power_watts * HOURS_PER_YEAR / 1_000.0
 
     def describe(self) -> str:
         return (

@@ -66,10 +66,6 @@ class PhiAccrualDetector:
         self.threshold = threshold
         self._min_std = min_std
 
-    @property
-    def observed_heartbeats(self) -> int:
-        return len(self._intervals)
-
     def heartbeat(self, arrival_time: float) -> None:
         """Record a heartbeat arrival (monotonically increasing times)."""
         if self._last_arrival is not None:

@@ -98,9 +98,6 @@ class CommitteeReliability:
         limit = math.ceil(self.max_faulty_fraction * self.committee_size) - 1
         return binom_cdf(limit, self.committee_size, self.p_fail)
 
-    def expected_committee_faulty(self) -> float:
-        return self.committee_size * self.p_fail
-
 
 def smallest_bft_committee(p_fail: float, target_nines: float, *, max_size: int = 2_000) -> int:
     """Smallest committee whose faulty fraction stays < 1/3 with target nines.

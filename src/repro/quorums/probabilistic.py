@@ -81,12 +81,6 @@ class ProbabilisticQuorums(QuorumSystem):
             total += mass * (1.0 - p_fail**m)
         return total
 
-    def contains_correct_probability(self, p_fail: float) -> float:
-        """P(a sampled quorum contains ≥1 correct node) = 1 - p^k (iid)."""
-        if not 0.0 <= p_fail <= 1.0:
-            raise InvalidConfigurationError("p_fail must be in [0, 1]")
-        return 1.0 - p_fail**self.k
-
     def __repr__(self) -> str:
         return f"ProbabilisticQuorums(n={self.n}, k={self.k})"
 

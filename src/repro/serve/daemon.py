@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from repro.engine import ExecutionPolicy, QuerySet, ReliabilityEngine
+from repro.engine.result import wire_row
 from repro.errors import InvalidConfigurationError, ReproError
 from repro.serve.coalesce import InflightRegistry, canonical_query_key
 from repro.serve.http import (
@@ -71,27 +72,13 @@ from repro.obs.trace import (
 )
 
 
-def _answer_row(answer) -> dict:
-    """Answer dict plus the supervision ``run`` report when one exists.
-
-    The report rides ``Provenance.report`` and is attached here — at the
-    wire layer — rather than inside ``Answer.to_dict``, so recovered and
-    clean campaigns keep byte-identical answer payloads.
-    """
-    row = answer.to_dict()
-    report = answer.provenance.report
-    if report is not None:
-        row["run"] = report.to_dict()
-    return row
-
-
 def _stream_line(outcome) -> bytes:
     """One ``(index, answer, error, joined)`` outcome as its ndjson line."""
     index, answer, error, _joined = outcome
     if error is not None:
         line = {"index": index, "error": str(error)}
     else:
-        line = {"index": index, **_answer_row(answer)}
+        line = {"index": index, **wire_row(answer)}
     return (json.dumps(line) + "\n").encode("utf-8")
 
 
@@ -402,7 +389,7 @@ class ReliabilityService:
             ).encode("utf-8")
             await write_response(writer, status, body, keep_alive=request.keep_alive)
             return status
-        rows = [_answer_row(answer) for _, answer, _, _ in outcomes]
+        rows = [wire_row(answer) for _, answer, _, _ in outcomes]
         coalesced = sum(1 for _, _, _, joined in outcomes if joined)
         body = json.dumps(
             {

@@ -151,10 +151,6 @@ class RunVerdict:
     def live(self) -> bool:
         return self.liveness.holds
 
-    @property
-    def live_outside_partitions(self) -> bool:
-        return self.liveness.holds_outside_partitions
-
 
 def audit_run(
     trace: TraceRecorder,

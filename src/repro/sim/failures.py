@@ -22,7 +22,6 @@ from repro._rng import SeedLike, as_generator
 from repro.analysis.config import FailureConfig, FaultKind
 from repro.errors import InvalidConfigurationError
 from repro.faults.curves import FaultCurve
-from repro.faults.mixture import Fleet
 from repro.sim.cluster import Cluster
 
 
@@ -151,11 +150,3 @@ def plan_from_curves(
             if recover_time < duration:
                 recovery_times[node_id] = recover_time
     return InjectionPlan(crash_times=crash_times, recovery_times=recovery_times)
-
-
-def sample_window_config(fleet: Fleet, seed: SeedLike = None) -> FailureConfig:
-    """Draw a window failure configuration from a fleet (trinomial per node)."""
-    from repro.analysis.montecarlo import sample_configuration
-
-    rng = as_generator(seed)
-    return sample_configuration(fleet, rng)

@@ -272,6 +272,30 @@ class TestQueryFile:
         with pytest.raises(SystemExit, match="invalid query file"):
             main(["query", str(path)])
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[[1]]",
+            '{"queries":[[]]}',
+            '[{"kind":"simulation","scenario":5}]',
+            '[{"spec": {"protocol": "raft", "n": 3}, "fleet": {"nodes": [5]}}]',
+            '[{"kind": "simulation", "replicas": 1e400,'
+            ' "scenario": {"spec": {"protocol": "raft", "n": 3},'
+            ' "fleet": {"uniform": {"n": 3, "p_fail": 0.0}}}}]',
+            '[{"spec": {"protocol": "raft", "n": 3}, "trials": 1e400,'
+            ' "fleet": {"uniform": {"n": 3, "p_fail": 0.0}}}]',
+        ],
+        ids=["row-is-a-list", "queries-row-is-a-list", "scenario-is-a-number",
+             "node-is-a-number", "replicas-inf", "trials-inf"],
+    )
+    def test_query_file_hostile_row_shapes_rejected(self, tmp_path, text):
+        # Each of these used to print an AttributeError / OverflowError
+        # traceback instead of the one-line refusal.
+        path = tmp_path / "hostile.json"
+        path.write_text(text)
+        with pytest.raises(SystemExit, match="invalid query file"):
+            main(["query", str(path)])
+
     def test_query_jobs_deterministic(self, capsys, tmp_path):
         import json
 

@@ -471,60 +471,6 @@ class TestExceptHygiene:
 
 
 # ---------------------------------------------------------------------------
-# registry-drift
-# ---------------------------------------------------------------------------
-_KIND_SOURCE = """
-from dataclasses import dataclass
-
-@register_query_kind
-@dataclass(frozen=True)
-class LatencyQuery:
-    kind = "latency"
-"""
-
-_BACKEND_SOURCE = """
-@register_backend("{kind}")
-def backend(engine, queries, policy):
-    return []
-"""
-
-
-class TestRegistryDrift:
-    def test_fires_on_kind_without_backend(self):
-        findings = lint_sources(
-            {
-                "app/query.py": textwrap.dedent(_KIND_SOURCE),
-                "app/backends.py": textwrap.dedent(_BACKEND_SOURCE.format(kind="other")),
-            },
-            rules=["registry-drift"],
-        )
-        messages = sorted(f.message for f in findings)
-        assert rule_ids(findings) == ["registry-drift"] * 2
-        assert any("'latency' has no register_backend" in m for m in messages)
-        assert any("kind 'other'" in m for m in messages)
-
-    def test_quiet_when_registries_agree(self):
-        findings = lint_sources(
-            {
-                "app/query.py": textwrap.dedent(_KIND_SOURCE),
-                "app/backends.py": textwrap.dedent(
-                    _BACKEND_SOURCE.format(kind="latency")
-                ),
-            },
-            rules=["registry-drift"],
-        )
-        assert findings == []
-
-    def test_quiet_when_only_one_registry_in_scope(self):
-        # Single-file lint of just the query module: no cross-check possible.
-        findings = lint_sources(
-            {"app/query.py": textwrap.dedent(_KIND_SOURCE)},
-            rules=["registry-drift"],
-        )
-        assert findings == []
-
-
-# ---------------------------------------------------------------------------
 # import-discipline
 # ---------------------------------------------------------------------------
 class TestImportDiscipline:
@@ -762,7 +708,6 @@ class TestReports:
             "pool-safety",
             "cache-key-coverage",
             "except-hygiene",
-            "registry-drift",
             "import-discipline",
             "lock-guard",
             "lock-order",

@@ -8,13 +8,12 @@ construction in engine.chaos / engine.backends) or justified in place
 ``src/repro`` therefore fails ``pytest -x -q`` with the offending
 file:line, and ``repro-analyze lint`` exits non-zero with the same list.
 
-The registry-drift rule is static; the runtime half of the same contract
-is asserted here directly: after importing the backend module, the query
-and backend registries must agree kind-for-kind, and every registered
-query class must round-trip through its dict codec and build a hashable
-cache key.
+One dynamic check rides along: every query class in the engine's kind
+table must round-trip through its dict codec and build a hashable cache
+key.
 """
 
+import ast
 import textwrap
 from pathlib import Path
 
@@ -30,9 +29,26 @@ BASELINE = REPO_ROOT / "tests" / "data" / "contracts_baseline.json"
 
 
 @pytest.fixture(scope="module")
-def package_lint():
-    """One lint of all of ``src/repro``, shared by the tests that read it."""
-    return lint_paths([PACKAGE_ROOT], baseline=BASELINE)
+def package_lint_run():
+    """One lint of all of ``src/repro``, shared by the tests that read it,
+    with every whole-module ``ast.walk`` it made recorded beside it."""
+    real_walk = ast.walk
+    module_walks = []
+
+    def recording_walk(node):
+        if isinstance(node, ast.Module):
+            module_walks.append(node)
+        return real_walk(node)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ast, "walk", recording_walk)
+        result = lint_paths([PACKAGE_ROOT], baseline=BASELINE)
+    return result, module_walks
+
+
+@pytest.fixture(scope="module")
+def package_lint(package_lint_run):
+    return package_lint_run[0]
 
 
 def test_package_is_contract_clean(package_lint):
@@ -45,6 +61,15 @@ def test_baseline_has_no_stale_entries(package_lint):
     # Fixed violations must be deleted from the baseline, not left as
     # standing permission to regress.
     assert package_lint.stale_baseline == ()
+
+
+def test_each_file_is_walked_exactly_once(package_lint_run):
+    """Every rule reads ``FileContext.nodes_of``: one whole-module
+    ``ast.walk`` per file checked, however many rules run.  Walks of one
+    function, class or handler body are a rule's own and are not counted."""
+    result, module_walks = package_lint_run
+    assert len(module_walks) == result.files_checked
+    assert len({id(tree) for tree in module_walks}) == result.files_checked
 
 
 def test_seeded_violation_is_caught(tmp_path):
@@ -99,26 +124,11 @@ def test_engine_core_reads_no_clock():
     assert result.files_checked >= 10 and result.new == ()
 
 
-# ---------------------------------------------------------------------------
-# Runtime registry agreement (the dynamic half of registry-drift)
-# ---------------------------------------------------------------------------
-def test_runtime_registries_agree():
-    import repro.engine.backends  # noqa: F401 — registers the built-ins
-
-    from repro.engine.query import registered_query_kinds
-    from repro.engine.registry import registered_backends
-
-    kinds = set(registered_query_kinds())
-    backends = set(registered_backends())
-    assert kinds == backends
-    assert {"reliability", "availability", "mttf", "simulation"} <= kinds
-
-
 def test_every_query_kind_round_trips_and_keys():
     import repro.engine.backends  # noqa: F401
 
-    from repro.engine.query import _QUERY_KINDS, query_from_dict
-    from repro.engine.registry import get_estimator
+    from repro.engine.query import query_from_dict
+    from repro.engine.registry import _KINDS, get_estimator
     from repro.engine.scenario import Scenario
     from repro.faults.mixture import uniform_fleet
     from repro.protocols.raft import RaftSpec
@@ -128,7 +138,7 @@ def test_every_query_kind_round_trips_and_keys():
         "availability": {"failure_rate_per_hour": 0.1, "repair_rate_per_hour": 1.0},
         "mttf": {"failure_rate_per_hour": 0.1, "repair_rate_per_hour": 1.0},
     }
-    for kind, cls in sorted(_QUERY_KINDS.items()):
+    for kind, (cls, _backend) in sorted(_KINDS.items()):
         query = cls(scenario=scenario, **extras.get(kind, {}))
         rebuilt = query_from_dict(query.to_dict())
         assert type(rebuilt) is cls

@@ -65,6 +65,26 @@ def _fault_plan_queries():
         commands=2,
         faults=FaultPlan(adversary=Adversary(nodes=(0, 2))),
     )
+    # The Byzantine role rule: ``Adversary.behaviour_for`` keys on node id.
+    # Node 0 — honest, and the primary of view 0 — crashes before the first
+    # command; views 1 and 2 are led by Byzantine nodes running the
+    # *accomplice* behaviour (double-vote, no equivocation), so the honest
+    # node 3 still executes both commands: safe and live where the §3
+    # predicate (3 of 4 faulty) says neither.  The cell's tallies fix the
+    # verdict list — six times "..M." in ``test_sim_event_counts``'s
+    # letters — and were recorded before the docstring that states the
+    # rule was written.
+    yield "pbft/n=4/adversary=(1,2)/primary-crash", SimulationQuery(
+        Scenario(spec=PBFTSpec(4), fleet=uniform_fleet(4, 0.0), seed=7,
+                 label="pbft/n=4/adversary=(1,2)/primary-crash"),
+        replicas=6,
+        duration=8.0,
+        commands=2,
+        faults=FaultPlan(
+            events=(CrashStop(node=0, at=0.5),),
+            adversary=Adversary(nodes=(1, 2)),
+        ),
+    )
     yield "raft/n=5/partition+repair", SimulationQuery(
         Scenario(spec=RaftSpec(5), fleet=uniform_fleet(5, 0.1), seed=11,
                  label="raft/n=5/partition+repair"),

@@ -5,12 +5,15 @@ metadata names NumPy as the only runtime dependency and wires the
 ``repro-analyze`` command every document mentions; and importing any entry
 point of the package loads no SciPy module — the contracts rule
 ``import-discipline`` proves that statically for the source tree, this file
-proves it for the interpreter that actually starts.  Nothing is built,
-downloaded or installed.
+proves it for the interpreter that actually starts.  A third: every module
+of the package is reachable from a door, or is on the short list of
+library surface kept on the record.  Nothing is built, downloaded or
+installed.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -68,3 +71,69 @@ def test_entry_point_import_loads_no_scipy(module):
     loaded = json.loads(done.stdout)
     assert [name for name in loaded if name.split(".")[0] == "scipy"] == []
     assert len(loaded) < MODULE_CEILING, f"{module} loads {len(loaded)} modules"
+
+
+# ---------------------------------------------------------------------------
+# Module reachability (ROADMAP item 7a, decided at module level)
+# ---------------------------------------------------------------------------
+ENTRY_POINTS = ("repro.cli", "repro.serve.daemon", "repro.engine")
+
+#: The modules no door imports, kept on purpose as library surface: the
+#: paper's §2 failure curves fitted from fleet telemetry and its §4 sampled
+#: quorums.  Their examples (``examples/telemetry_to_deployment.py``,
+#: ``examples/probability_native_store.py``), ``bench_sampled_quorums.py``
+#: and their tests are their door.  The set is exact: a new module that
+#: nothing imports fails here, and so does wiring one of these in without
+#: taking it off the list.
+LIBRARY_ONLY_MODULES = {
+    "repro.sim.sampled",
+    "repro.sim.sampled.node",
+    "repro.telemetry",
+    "repro.telemetry.datasets",
+    "repro.telemetry.fleet",
+    "repro.telemetry.ingest",
+}
+
+
+def _package_modules() -> dict[str, Path]:
+    source_root = REPO_ROOT / "src"
+    modules = {}
+    for path in (source_root / "repro").rglob("*.py"):
+        parts = path.relative_to(source_root).with_suffix("").parts
+        modules[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+    return modules
+
+
+def _imported_modules(name: str, modules: dict[str, Path]) -> set[str]:
+    """Every package module ``name`` imports, function-local imports and the
+    parent packages an import executes on the way included."""
+    path = modules[name]
+    package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+    targets = {name}
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            targets.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor = package.split(".")[: package.count(".") + 2 - node.level]
+                base = ".".join(anchor + ([node.module] if node.module else []))
+            targets.add(base)
+            targets.update(f"{base}.{alias.name}" for alias in node.names)
+    found = set()
+    for target in targets:
+        parts = target.split(".")
+        found.update(".".join(parts[:end]) for end in range(1, len(parts) + 1))
+    return found & set(modules)
+
+
+def test_every_module_is_reachable_from_a_door_or_listed():
+    modules = _package_modules()
+    reached: set[str] = set()
+    frontier = list(ENTRY_POINTS)
+    while frontier:
+        name = frontier.pop()
+        if name not in reached:
+            reached.add(name)
+            frontier.extend(_imported_modules(name, modules))
+    assert set(modules) - reached == LIBRARY_ONLY_MODULES

@@ -28,9 +28,10 @@ from repro.engine import (
     Scenario,
     ScenarioSet,
     SimulationQuery,
+    get_backend,
     query_from_dict,
-    registered_backends,
-    registered_query_kinds,
+    register_backend,
+    registered_kinds,
 )
 from repro.errors import EstimationError, InvalidConfigurationError
 from repro.faults.afr import afr_to_hourly_rate
@@ -45,9 +46,15 @@ def scenario(n=5, p=0.01, **kw):
 
 class TestQueryTypes:
     def test_registered_kinds_and_backends_align(self):
-        kinds = set(registered_query_kinds())
+        # One table: every kind it lists is both parseable and answerable.
+        kinds = set(registered_kinds())
         assert {"reliability", "availability", "mttf", "simulation"} <= kinds
-        assert kinds <= set(registered_backends())
+        for kind in kinds:
+            assert callable(get_backend(kind))
+        with pytest.raises(InvalidConfigurationError, match=r"registered: \["):
+            query_from_dict({"kind": "nope", "scenario": {}})
+        with pytest.raises(EstimationError, match=r"registered: \["):
+            get_backend("nope")
 
     def test_markov_query_validation(self):
         with pytest.raises(InvalidConfigurationError):
@@ -544,6 +551,53 @@ class TestEngineDispatch:
 
         with pytest.raises(EstimationError, match="no backend registered"):
             ReliabilityEngine().run([FnordQuery(scenario(3))])
+
+    def test_one_decorator_takes_a_third_party_kind_from_json_to_a_memo_hit(self):
+        from dataclasses import dataclass
+        from typing import ClassVar
+
+        from repro.engine import registry
+
+        @dataclass(frozen=True)
+        class QuorumSlackQuery(Query):
+            kind: ClassVar[str] = "test-quorum-slack"
+            spare: int = 0
+
+            def cache_key(self, estimator, shard_trials):
+                return (self.kind, self.scenario.fleet_key(), self.spare)
+
+            @classmethod
+            def _coerce(cls, payload):
+                if "spare" in payload:
+                    payload["spare"] = int(payload["spare"])
+                return payload
+
+        batches = []
+        try:
+
+            @register_backend(QuorumSlackQuery)
+            def slack_backend(engine, queries, policy):
+                batches.append(len(queries))
+                return [
+                    Answer(q, q.n - q.spare, Provenance("slack", backend=q.kind))
+                    for q in queries
+                ]
+
+            assert "test-quorum-slack" in registered_kinds()
+            text = json.dumps(
+                {"queries": [QuorumSlackQuery(scenario(5), spare=2).to_dict()]}
+            )
+            engine = ReliabilityEngine()
+            first = engine.run(QuerySet.from_json(text))[0]
+            second = engine.run(QuerySet.from_json(text))[0]
+        finally:
+            registry._KINDS.pop("test-quorum-slack", None)
+        assert type(first.query) is QuorumSlackQuery and first.query.spare == 2
+        assert first.value == second.value == 3
+        assert batches == [1]
+        assert not first.provenance.cache_hit and second.provenance.cache_hit
+        assert second.provenance.describe() == "test-quorum-slack:slack/cache"
+        assert "test-quorum-slack" not in registered_kinds()
 
     def test_backend_answer_count_mismatch_raises(self):
         engine = ReliabilityEngine()

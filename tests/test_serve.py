@@ -138,6 +138,45 @@ class TestRouting:
         # ...and the daemon is none the worse for it.
         assert post(server.port, GRID_PAYLOAD)[0] == 200
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            "[[1]]",
+            '{"queries":[[]]}',
+            '[{"kind":"simulation","scenario":5}]',
+            json.dumps([dict(scenario(3).to_dict(), fleet={"nodes": [5]})]),
+            json.dumps(
+                [{"kind": "simulation", "scenario": scenario(3).to_dict(), "replicas": 0}]
+            ).replace('"replicas": 0', '"replicas": 1e400'),
+            json.dumps([dict(scenario(3).to_dict(), trials=0)]).replace(
+                '"trials": 0', '"trials": 1e400'
+            ),
+        ],
+        ids=["row-is-a-list", "queries-row-is-a-list", "scenario-is-a-number",
+             "node-is-a-number", "replicas-inf", "trials-inf"],
+    )
+    def test_hostile_row_shapes_are_answered_400(self, server, payload):
+        """A list, a number or an infinity where a row's object or integer
+        belongs used to escape ``QuerySet.from_json`` as AttributeError /
+        OverflowError: a 500 and a dropped connection."""
+        _status, before = get(server.port, "/metrics")
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=60)
+        try:
+            conn.request("POST", "/v1/query", body=payload)
+            response = conn.getresponse()
+            body = json.loads(response.read())
+            assert response.status == 400
+            assert "invalid query payload" in body["error"]
+            # ...and the same connection still serves the next request.
+            conn.request("POST", "/v1/query", body=GRID_PAYLOAD)
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 200
+        finally:
+            conn.close()
+        _status, after = get(server.port, "/metrics")
+        assert after["error_responses"] == before["error_responses"] + 1
+
     def test_unanticipated_route_error_is_answered_500(self):
         def broken_snapshot(**kwargs):
             raise RuntimeError("snapshot exploded")
