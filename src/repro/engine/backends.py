@@ -273,7 +273,8 @@ def _campaign_chunk(payload):
     :func:`repro.obs.trace.resolve_context`).  Tracing never touches the
     generators, so verdicts are bit-identical with tracing on or off.  The
     span carries ``sim_seconds`` / ``horizon_seconds`` / ``early_exits`` /
-    ``events`` — how much virtual time the chunk actually simulated — and
+    ``events`` — how much virtual time the chunk actually simulated —
+    ``messages`` sent and certificate ``checkpoints`` evaluated in it, and
     ``reused``, the replicas it did not simulate at all.
 
     The fourth is the campaign's reuse table (see ``run_replica``): one
@@ -320,6 +321,8 @@ def _campaign_chunk(payload):
             "early_exits", sum(run.sim_seconds < query.duration for run in simulated)
         )
         span.set("events", sum(run.events for run in simulated))
+        span.set("messages", sum(run.messages for run in simulated))
+        span.set("checkpoints", sum(run.checkpoints for run in simulated))
         return verdicts
 
 

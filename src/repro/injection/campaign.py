@@ -291,12 +291,6 @@ def compile_faults(
     )
 
 
-#: Virtual seconds between the frozen-log checkpoints of a replica.  The
-#: certificate needs it wider than the network's delay bound; a network
-#: slower than this simply never lets a replica stop early.
-CHECKPOINT_INTERVAL = 0.25
-
-
 #: Most verdicts one campaign's reuse table holds.  A full table stops
 #: storing (what is in it keeps serving): a million replicas with a sampled
 #: crash time each are a million distinct realisations, none worth keeping.
@@ -307,16 +301,21 @@ REUSE_TABLE_CAP = 1024
 class ReplicaRun:
     """How much of a replica was simulated — observability, never an answer.
 
+    ``messages`` counts the messages nodes sent (the network's
+    ``messages_sent``) and ``checkpoints`` the frozen-log certificate's
+    evaluations (:meth:`repro.sim.cluster.Cluster.run_to_verdict`).
     ``reused`` marks a replica that was not simulated at all: its verdict
     is the stored one of an equal realisation of the same campaign.
     """
 
     sim_seconds: float
     events: int
+    messages: int
+    checkpoints: int
     reused: bool = False
 
 
-_REUSED = ReplicaRun(sim_seconds=0.0, events=0, reused=True)
+_REUSED = ReplicaRun(sim_seconds=0.0, events=0, messages=0, checkpoints=0, reused=True)
 
 
 @dataclass(frozen=True)
@@ -354,19 +353,20 @@ def run_replica(
     spawned stream — so the verdict depends only on that stream.
     ``commands`` is the ``(value, submit_time)`` workload schedule.
 
-    ``duration`` is a *horizon*, not a budget to burn: once the last
-    command is submitted the run is sliced every
-    :data:`CHECKPOINT_INTERVAL` and stops at the first checkpoint where
-    the cluster's frozen-log certificate holds
-    (:meth:`repro.sim.cluster.Cluster.verdict_final`, which carries the
-    proof) — every node that can still run holds the same log with every
-    command in it, every running node has applied all of it, and nothing
-    sent before the previous checkpoint is still in flight.  From there
-    the audit below cannot change, so the verdict is the one the full
-    horizon would give.  Only nodes that make the promise (Raft) ever
-    certify; PBFT, Byzantine overrides and third-party nodes run to
-    ``duration``, as does any replica whose certificate never holds
-    (a stalled one, an unbounded latency model).
+    ``duration`` is a *horizon*, not a budget to burn: from the last
+    command's submit the cluster runs until its frozen-log certificate
+    holds (:meth:`repro.sim.cluster.Cluster.run_to_verdict`, which owns
+    the checkpoint schedule; :meth:`~repro.sim.cluster.Cluster.verdict_final`
+    carries the proof) — every node that can still run holds the same log
+    with every command in it, every running node has applied all of it,
+    and nothing sent before the previous checkpoint is still in flight.  A
+    replica whose logs froze stops one delay bound after the checkpoint
+    that first saw them frozen.  From there the audit below cannot
+    change, so the verdict is the one the full horizon would give.  Only
+    nodes that make the promise (Raft) ever certify; PBFT, Byzantine
+    overrides and third-party nodes run to ``duration`` in one slice, as
+    does a replica under an unbounded latency model, and a replica whose
+    certificate never holds (a stalled one) runs there too.
 
     **A replica is sampled always and simulated once per distinct run.**
     ``reuse`` is the table of *one campaign* — replicas that share
@@ -402,7 +402,7 @@ def run_replica(
     a network op) is a realisation that is never reused, not an error.
     """
     from repro.sim.checker import audit_run
-    from repro.sim.cluster import MAX_EVENTS, Cluster
+    from repro.sim.cluster import Cluster
 
     compiled = compile_faults(
         plan,
@@ -435,17 +435,9 @@ def run_replica(
     cluster.start()
     for value, at in commands:
         cluster.submit(value, at=at)
-    scheduler = cluster.scheduler
-    checkpoint = max((at for _, at in commands), default=0.0)
-    while True:
-        checkpoint = min(checkpoint, duration)
-        # The livelock guard bounds the replica, not each slice.
-        cluster.run_until(
-            checkpoint, max_events=MAX_EVENTS - scheduler.processed_events
-        )
-        if checkpoint >= duration or cluster.verdict_final():
-            break
-        checkpoint += CHECKPOINT_INTERVAL
+    stopped = cluster.run_to_verdict(
+        max((at for _, at in commands), default=0.0), duration
+    )
 
     config = compiled.config
     correct = sorted(set(range(fleet.n)) - set(config.failed_indices))
@@ -464,7 +456,12 @@ def run_replica(
         stalled=not verdict.live,
         predicate_mismatch=verdict.live != predicted_live,
         partition_era_only=bool(missing) and set(missing) == set(partition_era),
-        run=ReplicaRun(sim_seconds=checkpoint, events=scheduler.processed_events),
+        run=ReplicaRun(
+            sim_seconds=stopped,
+            events=cluster.scheduler.processed_events,
+            messages=cluster.network.messages_sent,
+            checkpoints=cluster.checkpoints,
+        ),
     )
     # The one store: behind the stream check, so only a run that is a
     # function of its key is ever served to another replica.

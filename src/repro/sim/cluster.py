@@ -11,6 +11,7 @@ perturbing any other node's seeded stream.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -24,6 +25,12 @@ from repro.sim.trace import TraceRecorder
 
 #: Livelock guard: the most events one run may execute (see ``run_until``).
 MAX_EVENTS = 2_000_000
+
+#: Virtual seconds between the checkpoints of :meth:`Cluster.run_to_verdict`
+#: while clause (1) of the frozen-log certificate fails — the stride of the
+#: search for the instant the logs freeze.  Once clause (1) holds, the next
+#: checkpoint is not on this grid: it is the earliest one clause (3) accepts.
+CHECKPOINT_INTERVAL = 0.05
 
 #: Builds protocol node ``i`` of ``n``; receives its own RNG stream.
 NodeFactory = Callable[[int, int, EventScheduler, Network, np.random.Generator, TraceRecorder], Process]
@@ -77,6 +84,8 @@ class Cluster:
         self._recoveries: dict[int, float] = {}
         #: ``(time, token)`` of the last :meth:`verdict_final` checkpoint.
         self._checkpoint: tuple[float, object] | None = None
+        #: How many times :meth:`verdict_final` has been evaluated.
+        self.checkpoints = 0
 
     @property
     def n(self) -> int:
@@ -97,8 +106,58 @@ class Cluster:
     def run_until(self, t_end: float, *, max_events: int = MAX_EVENTS) -> None:
         self.scheduler.run_until(t_end, max_events=max_events)
 
+    def run_to_verdict(self, start: float, horizon: float) -> float:
+        """Run to ``start``, then on until the verdict is final or ``horizon``.
+
+        Returns the virtual time the run stopped at.  ``start`` is the last
+        client submit: the first checkpoint.  :meth:`verdict_final` is
+        evaluated at each checkpoint, and the schedule of checkpoints is
+        derived from it.  While clause (1) fails, the next checkpoint is
+        :data:`CHECKPOINT_INTERVAL` later.  Once it holds, the next is the
+        first one clause (3) accepts: ``max(now + 2 * delay_bound,
+        nextafter(now))`` — twice the bound clears it whatever the floats
+        round to, and ``nextafter`` still advances when the bound is 0 — so
+        a replica whose logs froze stops one confirmation later, not on the
+        next point of a fixed grid.  Where the checkpoints fall changes
+        nothing else: slicing a run never moves an event, and the proof in
+        :meth:`verdict_final` holds for any two checkpoints.
+
+        A cluster that can never certify runs to ``horizon`` in one slice
+        and evaluates the certificate zero times: an overridden node, a node
+        class that keeps :meth:`Process.frozen_log`'s "no promise" (PBFT),
+        or an unbounded latency model.  The livelock guard
+        (:data:`MAX_EVENTS`) bounds the whole run, not each slice.
+        """
+        scheduler = self.scheduler
+        checkpoint = min(start, horizon) if self._may_certify() else horizon
+        while True:
+            self.run_until(
+                checkpoint, max_events=MAX_EVENTS - scheduler.processed_events
+            )
+            if checkpoint >= horizon or self.verdict_final():
+                return checkpoint
+            if self._checkpoint[1] is None:
+                checkpoint += CHECKPOINT_INTERVAL
+            else:
+                checkpoint = max(
+                    checkpoint + 2 * self.network.delay_bound(),
+                    math.nextafter(checkpoint, math.inf),
+                )
+            checkpoint = min(checkpoint, horizon)
+
+    def _may_certify(self) -> bool:
+        """Can :meth:`verdict_final` ever hold on this cluster?"""
+        return (
+            not self._overridden
+            and self.network.delay_bound() < math.inf
+            and all(
+                type(process).frozen_log is not Process.frozen_log
+                for process in self.nodes
+            )
+        )
+
     def verdict_final(self) -> bool:
-        """Checkpoint between ``run_until`` slices: can the audit still change?
+        """One checkpoint of :meth:`run_to_verdict`: can the audit still change?
 
         The *frozen-log certificate*.  Call a node **live** if it is
         running or still has a recovery scheduled; any other node never
@@ -138,6 +197,7 @@ class Cluster:
         *L* again, but it has crashed, and dropped or delayed messages only
         remove deliveries.
         """
+        self.checkpoints += 1
         token = self._frozen_log_token()
         previous, self._checkpoint = self._checkpoint, (self.now, token)
         return (

@@ -60,6 +60,22 @@ class RaftLog:
             raise SimulationError(f"start_index must be >= 1, got {start_index}")
         return tuple(self._entries[start_index - 1 :])
 
+    def after(self, prev_index: int) -> tuple[int, tuple[LogEntry, ...]]:
+        """What an AppendEntries after ``prev_index`` carries, in one read.
+
+        ``(term_at(prev_index), entries_from(prev_index + 1))``, except that
+        the term past the end is 0 and the entries of a heartbeat are
+        ``()`` with no slice taken.
+        """
+        entries = self._entries
+        last = len(entries)
+        if prev_index >= last:
+            return (entries[-1].term if 0 < prev_index == last else 0), ()
+        if prev_index < 0:
+            raise SimulationError(f"start_index must be >= 1, got {prev_index + 1}")
+        term = entries[prev_index - 1].term if prev_index else 0
+        return term, tuple(entries[prev_index:])
+
     def append(self, entry: LogEntry) -> int:
         """Append one entry; returns its index."""
         self._entries.append(entry)

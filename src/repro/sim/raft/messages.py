@@ -1,18 +1,20 @@
 """Raft wire messages (Ongaro & Ousterhout, simulator dialect).
 
-Immutable dataclasses; ``entries`` travel as tuples so a message can never
-alias a node's live log.
+Immutable named tuples, built positionally on the hot path: a field
+cannot be assigned and no attribute can be added.  ``entries`` travel as
+tuples, so a message can never alias a node's live log.  Being tuples,
+two messages with equal fields compare equal whatever their class; a node
+tells them apart by exact type (``RaftNode.on_message``), never by value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.sim.raft.log import LogEntry
 
 
-@dataclass(frozen=True)
-class RequestVote:
+class RequestVote(NamedTuple):
     """Candidate solicits a vote for ``term``."""
 
     term: int
@@ -21,8 +23,7 @@ class RequestVote:
     last_log_term: int
 
 
-@dataclass(frozen=True)
-class VoteResponse:
+class VoteResponse(NamedTuple):
     """Reply to :class:`RequestVote`."""
 
     term: int
@@ -30,8 +31,7 @@ class VoteResponse:
     granted: bool
 
 
-@dataclass(frozen=True)
-class AppendEntries:
+class AppendEntries(NamedTuple):
     """Leader replicates ``entries`` after (``prev_log_index``, ``prev_log_term``).
 
     Also the heartbeat when ``entries`` is empty.
@@ -45,8 +45,7 @@ class AppendEntries:
     leader_commit: int
 
 
-@dataclass(frozen=True)
-class AppendResponse:
+class AppendResponse(NamedTuple):
     """Reply to :class:`AppendEntries`."""
 
     term: int

@@ -55,6 +55,7 @@ class RaftNode(Process):
         self.n = n
         self.q_per = (n // 2 + 1) if q_per is None else q_per
         self.q_vc = (n // 2 + 1) if q_vc is None else q_vc
+        self._peers = tuple(peer for peer in range(n) if peer != node_id)
         self._trace = trace
         # Persistent state
         self.current_term = 0
@@ -136,10 +137,7 @@ class RaftNode(Process):
         self._trace.record_event(self.now, self.node_id, "election", f"term={self.current_term}")
         self._arm_election_timer()
         request = RequestVote(
-            term=self.current_term,
-            candidate_id=self.node_id,
-            last_log_index=self.log.last_index,
-            last_log_term=self.log.last_term,
+            self.current_term, self.node_id, self.log.last_index, self.log.last_term
         )
         self.broadcast(request)
         self._maybe_win_election()
@@ -190,23 +188,32 @@ class RaftNode(Process):
     # ------------------------------------------------------------------
     # Replication
     # ------------------------------------------------------------------
+    # Only a leader replicates, and a leader holds a next index for every
+    # peer (``_become_leader``).
     def _broadcast_append_entries(self) -> None:
-        for peer in range(self.n):
-            if peer != self.node_id:
-                self._send_append_entries(peer)
+        # Peers with the same next index get the same immutable message: one
+        # heartbeat is built for every caught-up follower in a row.
+        message = None
+        next_indices = self._next_index
+        for peer in self._peers:
+            prev_index = next_indices[peer] - 1
+            if message is None or message.prev_log_index != prev_index:
+                message = self._append_entries(prev_index)
+            self.send(peer, message)
 
     def _send_append_entries(self, peer: int) -> None:
-        next_index = self._next_index.get(peer, self.log.last_index + 1)
-        prev_index = next_index - 1
-        message = AppendEntries(
-            term=self.current_term,
-            leader_id=self.node_id,
-            prev_log_index=prev_index,
-            prev_log_term=self.log.term_at(prev_index) if prev_index <= self.log.last_index else 0,
-            entries=self.log.entries_from(next_index),
-            leader_commit=self.commit_index,
+        self.send(peer, self._append_entries(self._next_index[peer] - 1))
+
+    def _append_entries(self, prev_index: int) -> AppendEntries:
+        prev_term, entries = self.log.after(prev_index)
+        return AppendEntries(
+            self.current_term,
+            self.node_id,
+            prev_index,
+            prev_term,
+            entries,
+            self.commit_index,
         )
-        self.send(peer, message)
 
     def _advance_commit_index(self) -> None:
         # Commit the highest index replicated on q_per nodes whose entry is
@@ -232,14 +239,9 @@ class RaftNode(Process):
     # Message handling
     # ------------------------------------------------------------------
     def on_message(self, src: int, payload: object) -> None:
-        if isinstance(payload, RequestVote):
-            self._handle_request_vote(payload)
-        elif isinstance(payload, VoteResponse):
-            self._handle_vote_response(payload)
-        elif isinstance(payload, AppendEntries):
-            self._handle_append_entries(payload)
-        elif isinstance(payload, AppendResponse):
-            self._handle_append_response(payload)
+        handler = self._HANDLERS.get(type(payload))
+        if handler is not None:
+            handler(self, payload)
 
     def _handle_request_vote(self, msg: RequestVote) -> None:
         if msg.term > self.current_term:
@@ -252,10 +254,7 @@ class RaftNode(Process):
         if granted:
             self.voted_for = msg.candidate_id
             self._arm_election_timer()
-        self.send(
-            msg.candidate_id,
-            VoteResponse(term=self.current_term, voter_id=self.node_id, granted=granted),
-        )
+        self.send(msg.candidate_id, VoteResponse(self.current_term, self.node_id, granted))
 
     def _handle_vote_response(self, msg: VoteResponse) -> None:
         if msg.term > self.current_term:
@@ -266,47 +265,29 @@ class RaftNode(Process):
             self._maybe_win_election()
 
     def _handle_append_entries(self, msg: AppendEntries) -> None:
-        if msg.term > self.current_term or (
-            msg.term == self.current_term and self.role is not Role.FOLLOWER
+        term = msg.term
+        if term > self.current_term or (
+            term == self.current_term and self.role is not Role.FOLLOWER
         ):
-            self._step_down(msg.term)
-        if msg.term < self.current_term:
-            self.send(
-                msg.leader_id,
-                AppendResponse(
-                    term=self.current_term,
-                    follower_id=self.node_id,
-                    success=False,
-                    match_index=0,
-                ),
-            )
+            self._step_down(term)
+        if term < self.current_term:
+            self.send(msg.leader_id, AppendResponse(self.current_term, self.node_id, False, 0))
             return
         self.leader_id = msg.leader_id
         self._arm_election_timer()
-        if not self.log.matches(msg.prev_log_index, msg.prev_log_term):
-            self.send(
-                msg.leader_id,
-                AppendResponse(
-                    term=self.current_term,
-                    follower_id=self.node_id,
-                    success=False,
-                    match_index=0,
-                ),
-            )
+        log = self.log
+        if not log.matches(msg.prev_log_index, msg.prev_log_term):
+            self.send(msg.leader_id, AppendResponse(term, self.node_id, False, 0))
             return
-        self.log.overwrite_from(msg.prev_log_index, msg.entries)
-        match_index = msg.prev_log_index + len(msg.entries)
+        entries = msg.entries
+        if entries:
+            log.overwrite_from(msg.prev_log_index, entries)
         if msg.leader_commit > self.commit_index:
-            self.commit_index = min(msg.leader_commit, self.log.last_index)
+            self.commit_index = min(msg.leader_commit, log.last_index)
             self._apply_committed()
         self.send(
             msg.leader_id,
-            AppendResponse(
-                term=self.current_term,
-                follower_id=self.node_id,
-                success=True,
-                match_index=match_index,
-            ),
+            AppendResponse(term, self.node_id, True, msg.prev_log_index + len(entries)),
         )
 
     def _handle_append_response(self, msg: AppendResponse) -> None:
@@ -327,6 +308,14 @@ class RaftNode(Process):
                 1, self._next_index.get(msg.follower_id, 1) - 1
             )
             self._send_append_entries(msg.follower_id)
+
+    #: Exact payload type -> handler; a payload of any other type is ignored.
+    _HANDLERS = {
+        RequestVote: _handle_request_vote,
+        VoteResponse: _handle_vote_response,
+        AppendEntries: _handle_append_entries,
+        AppendResponse: _handle_append_response,
+    }
 
 
 def raft_node_factory(*, q_per: int | None = None, q_vc: int | None = None) -> NodeFactory:

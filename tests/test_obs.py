@@ -360,6 +360,9 @@ class TestBitIdentity:
             assert 0 < chunk["sim_seconds"] <= chunk["horizon_seconds"]
             assert 0 <= chunk["early_exits"] <= chunk["replicas"]
             assert chunk["events"] > 0
+            assert 0 < chunk["messages"] < chunk["events"]
+            # Raft: every simulated replica evaluates its certificate.
+            assert chunk["checkpoints"] >= chunk["replicas"]
         # Raft replicas whose verdict is final stop short of the horizon.
         assert sum(chunk["early_exits"] for chunk in chunks) > 0
         assert sum(c["sim_seconds"] for c in chunks) < sum(
@@ -367,7 +370,7 @@ class TestBitIdentity:
         )
         # On the span only: the answer payload never mentions it.
         payload = json.dumps([answer.to_dict() for answer in answers])
-        for key in ("sim_seconds", "horizon_seconds", "early_exits"):
+        for key in ("sim_seconds", "horizon_seconds", "early_exits", "messages", "checkpoints"):
             assert key not in payload
 
     def test_reliability_backend_span_counts_memo_hits(self):

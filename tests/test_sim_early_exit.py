@@ -1,7 +1,7 @@
 """The frozen-log early exit: same verdicts, and a certificate with no
 clause that is not needed.
 
-Three parts.  *Equivalence*: for a grid of deployments, fault plans and
+Four parts.  *Equivalence*: for a grid of deployments, fault plans and
 seeds, the verdict ``run_replica`` returns (sliced run, stops when
 ``Cluster.verdict_final`` holds) equals the verdict assembled from the
 same public pieces with one ``run_until(duration)`` on the same spawned
@@ -9,11 +9,15 @@ stream — including replicas that end ``unsafe`` or ``stalled``.
 *Clauses*: one test per clause of the certificate in which that clause
 alone fails and the certificate refuses, next to the control in which it
 holds; a clause that cannot fail a test here should be deleted, not kept.
-*The guard*: ``Cluster.run_until`` alone never stops early, and the
-livelock budget bounds a whole replica, not each slice.
+*The schedule* ``Cluster.run_to_verdict`` derives from the certificate:
+a zero delay bound still certifies, and a cluster that can never certify
+is never checked.  *The guard*: ``Cluster.run_until`` alone never stops
+early, and the livelock budget bounds a whole replica, not each slice.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -32,10 +36,9 @@ from repro.injection import (
     PartitionEvent,
     run_replica,
 )
-from repro.injection.campaign import CHECKPOINT_INTERVAL
+from repro.sim.cluster import CHECKPOINT_INTERVAL, Cluster
 from repro.protocols.raft import FlexibleRaftSpec, RaftSpec
-from repro.sim.cluster import Cluster
-from repro.sim.network import LogNormalLatency
+from repro.sim.network import FixedLatency, LogNormalLatency
 from repro.sim.node import IdleProcess, Process
 from repro.sim.pbft import pbft_node_factory
 from repro.sim.raft import raft_node_factory
@@ -176,13 +179,43 @@ def test_fault_plan_grid_matches_on_more_seeds(name):
         assert served == reference, seed
 
 
-def test_healthy_raft_stops_two_checkpoints_after_the_last_submit():
+def _recording_clusters(monkeypatch) -> list[Cluster]:
+    """Every cluster built from here on, ``run_replica``'s included."""
+    clusters = []
+
+    class Recording(Cluster):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            clusters.append(self)
+
+    monkeypatch.setattr(cluster_module, "Cluster", Recording)
+    return clusters
+
+
+def test_healthy_raft_stops_one_confirmation_after_its_logs_freeze(monkeypatch):
+    """A healthy replica stops at the first checkpoint that finds its logs
+    frozen, plus one confirmation two delay bounds later.
+
+    This replaced the fixed-grid rule (two 0.25 s checkpoints after the
+    last submit: 1.6 s for every replica) when the schedule came to be
+    derived from the certificate: the search runs on a
+    ``CHECKPOINT_INTERVAL`` stride from the last submit, and the confirming
+    checkpoint is the earliest one clause (3) accepts.
+    """
+    clusters = _recording_clusters(monkeypatch)
     query = _query("crash_raft")
-    last_submit = 1.0 + 0.1
-    for verdict in _campaign_chunk((query, _replica_streams(query), None)):
-        assert verdict.run.sim_seconds == pytest.approx(
-            last_submit + 2 * CHECKPOINT_INTERVAL
-        )
+    verdicts = _campaign_chunk((query, _replica_streams(query), None))
+    last_submit, bound = 1.0 + 0.1, 0.001
+    for verdict, cluster in zip(verdicts, clusters, strict=True):
+        run = verdict.run
+        frozen_at = last_submit
+        for _ in range(run.checkpoints - 2):  # the search, then the confirmation
+            frozen_at += CHECKPOINT_INTERVAL
+        assert run.sim_seconds == frozen_at + 2 * bound
+        # The first frozen checkpoint: the stride before it preceded the
+        # last commit record, which it follows.
+        last_commit = max(record.time for record in cluster.trace.commits)
+        assert frozen_at - CHECKPOINT_INTERVAL < last_commit <= frozen_at
 
 
 def test_pbft_always_runs_to_the_horizon():
@@ -191,6 +224,8 @@ def test_pbft_always_runs_to_the_horizon():
     # Every run that is executed; a reused replica is not run at all.
     executed = [verdict.run for verdict in verdicts if not verdict.run.reused]
     assert executed and all(run.sim_seconds == HORIZON for run in executed)
+    # In one slice: PBFT makes no promise, so nothing is ever checked.
+    assert all(run.checkpoints == 0 for run in executed)
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +326,17 @@ class TestCertificate:
         # Wider than the bound: the same cluster certifies.
         assert _checkpoints(cluster, 2.25) == [True]
 
-    def test_a_delay_burst_as_wide_as_the_interval_runs_to_the_horizon(self):
-        burst = _plan(DelayBurst(at=0.1, until=0.2, extra_delay=CHECKPOINT_INTERVAL))
+    def test_a_delay_burst_wider_than_the_stride_certifies_later(self):
+        # Messages once delayed by 0.251 s, five strides: the confirming
+        # checkpoint comes twice that after the first frozen one (1.15 s and
+        # 1.2 s here), not at the horizon the fixed 0.25 s grid ran to.
+        burst = _plan(DelayBurst(at=0.1, until=0.2, extra_delay=0.25))
         served, reference = _compare(_raft_query(faults=burst, p_fail=0.0, replicas=2))
         assert served == reference
-        assert [v.run.sim_seconds for v in served] == [HORIZON] * 2
+        assert [v.run.sim_seconds for v in served] == [
+            pytest.approx(1.15 + 2 * 0.251),
+            pytest.approx(1.2 + 2 * 0.251),
+        ]
 
     def test_unbounded_latency_refuses(self):
         cluster = _cluster(latency=LogNormalLatency(median=0.001))
@@ -315,7 +356,53 @@ class TestCertificate:
 
 
 # ---------------------------------------------------------------------------
-# (iii) The guards around it
+# (iii) The schedule: its edges, and the clusters it never checks
+# ---------------------------------------------------------------------------
+def _at_latency(monkeypatch, latency) -> None:
+    """Build every cluster, ``run_replica``'s and the reference's, on ``latency``."""
+
+    class AtLatency(Cluster):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, latency=latency, **kwargs)
+
+    monkeypatch.setattr(cluster_module, "Cluster", AtLatency)
+
+
+class TestSchedule:
+    def test_a_zero_delay_bound_still_advances_and_certifies(self, monkeypatch):
+        # The confirming checkpoint is the next float after the frozen one:
+        # later than it, so clause (3) holds, and never the same instant.
+        _at_latency(monkeypatch, FixedLatency(0.0))
+        served, reference = _compare(_raft_query(p_fail=0.0, replicas=2))
+        assert served == reference
+        frozen = [1.0 + 0.1 + 0.05 + 0.05, 1.0 + 0.1 + 0.05]
+        assert [v.run.sim_seconds for v in served] == [
+            math.nextafter(time, math.inf) for time in frozen
+        ]
+
+    def test_an_unbounded_latency_model_is_never_checked(self, monkeypatch):
+        _at_latency(monkeypatch, LogNormalLatency(median=0.001))
+        served, reference = _compare(_raft_query(p_fail=0.0, replicas=2))
+        assert served == reference
+        assert [(v.run.sim_seconds, v.run.checkpoints) for v in served] == [
+            (HORIZON, 0)
+        ] * 2
+
+    def test_pbft_and_overridden_clusters_are_never_checked(self):
+        for cluster in (
+            _cluster(4, pbft_node_factory()),
+            _cluster(node_overrides={1: raft_node_factory()}),
+        ):
+            assert cluster.run_to_verdict(0.6, 3.0) == 3.0
+            assert cluster.checkpoints == 0
+        # The control: the same Raft cluster without the override stops early.
+        cluster = _cluster()
+        assert cluster.run_to_verdict(0.6, 3.0) < 3.0
+        assert cluster.checkpoints > 0
+
+
+# ---------------------------------------------------------------------------
+# (iv) The guards around it
 # ---------------------------------------------------------------------------
 def test_run_until_alone_never_stops_early():
     cluster = _cluster()
@@ -328,7 +415,14 @@ def test_run_until_alone_never_stops_early():
 
 
 class _Ticker(Process):
-    """Burns one event per millisecond for ever and decides nothing."""
+    """Burns one event per millisecond for ever and decides nothing.
+
+    It overrides :meth:`Process.frozen_log`, so its replica is run slice by
+    slice between checkpoints, and never promises anything.
+    """
+
+    def frozen_log(self, commands):
+        return None
 
     def on_start(self) -> None:
         self.set_timer("tick", 0.001)

@@ -33,7 +33,9 @@ over a whole horizon, and ``Cluster.run_until`` alone never stops early),
 and the counts the campaign path now runs are pinned once beside them in
 ``EARLY_EXIT`` (exit time, then the same four counters).  Every verdict
 column is unchanged, and so is every PBFT row on both paths: PBFT makes no
-frozen-log promise and runs to the horizon.
+frozen-log promise and runs to the horizon.  ``EARLY_EXIT`` was re-pinned
+once more when the checkpoint schedule came to be derived from the
+certificate (the reason is beside the table); ``EXPECTED`` did not move.
 
 Since replica reuse a campaign simulates each *distinct* run once: a
 replica whose compiled faults equal those of an earlier replica whose run
@@ -133,22 +135,37 @@ EXPECTED = {
     ],
 }
 
+#: The first checkpoint (the last submit, 1.1 s) and the search stride.
+_SUBMITTED, _STRIDE = 1.0 + 0.1, 0.05
+#: Where a replica stops: the first checkpoint that saw its logs frozen,
+#: plus twice the delay bound of ``FixedLatency(0.001)``.
+_FROZEN_AT_1_15 = _SUBMITTED + _STRIDE + 2 * 0.001
+_FROZEN_AT_1_2 = _SUBMITTED + _STRIDE + _STRIDE + 2 * 0.001
+
 #: What the campaign path runs of the Raft rows above: the virtual time at
 #: which the replica's frozen-log certificate held, then the four counters
 #: at that instant.  Same streams, same verdicts.
+#:
+#: Re-pinned once, by the change that derived the checkpoint schedule from
+#: the certificate: the search stride went from 0.25 s to
+#: ``CHECKPOINT_INTERVAL`` = 0.05 s, and once a checkpoint sees the logs
+#: frozen the confirming one comes one delay bound later instead of one
+#: stride later.  Every replica used to stop at 1.6 s; now at 1.152 s or
+#: 1.202 s.  Only the exit time and the four counters moved; the counters
+#: are still a prefix of ``EXPECTED``'s run, which is unchanged.
 EARLY_EXIT = {
     "crash_raft": [
-        (1.6, (416, 342, 300, 42)),
-        (1.6, (472, 392, 392, 0)),
-        (1.6, (482, 400, 400, 0)),
-        (1.6, (472, 392, 392, 0)),
+        (_FROZEN_AT_1_2, (306, 251, 222, 29)),
+        (_FROZEN_AT_1_2, (347, 288, 288, 0)),
+        (_FROZEN_AT_1_15, (337, 280, 280, 0)),
+        (_FROZEN_AT_1_15, (329, 272, 272, 0)),
     ],
-    # Every event of the outage plan falls after 1.6 s: the same prefix.
+    # Every event of the outage plan falls after 1.202 s: the same prefix.
     "outage_raft": [
-        (1.6, (416, 342, 300, 42)),
-        (1.6, (472, 392, 392, 0)),
-        (1.6, (482, 400, 400, 0)),
-        (1.6, (472, 392, 392, 0)),
+        (_FROZEN_AT_1_2, (306, 251, 222, 29)),
+        (_FROZEN_AT_1_2, (347, 288, 288, 0)),
+        (_FROZEN_AT_1_15, (337, 280, 280, 0)),
+        (_FROZEN_AT_1_15, (329, 272, 272, 0)),
     ],
 }
 

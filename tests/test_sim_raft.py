@@ -6,7 +6,16 @@ import pytest
 
 from repro.sim import Cluster, audit_run, run_scenario
 from repro.sim.checker import check_agreement, check_completion
-from repro.sim.raft import LogEntry, RaftLog, Role, raft_node_factory
+from repro.sim.raft import (
+    AppendEntries,
+    AppendResponse,
+    LogEntry,
+    RaftLog,
+    RequestVote,
+    Role,
+    VoteResponse,
+    raft_node_factory,
+)
 
 
 def _leader_ids(cluster):
@@ -45,6 +54,18 @@ class TestRaftLog:
         log.append(LogEntry(1, "a"))
         log.overwrite_from(0, (LogEntry(1, "a"), LogEntry(1, "b")))
         assert log.last_index == 2
+
+    def test_after_is_term_at_and_entries_from_in_one_read(self):
+        log = RaftLog()
+        assert log.after(0) == (0, ())
+        log.append(LogEntry(1, "a"))
+        log.append(LogEntry(2, "b"))
+        for prev_index in range(3):
+            assert log.after(prev_index) == (
+                log.term_at(prev_index),
+                log.entries_from(prev_index + 1),
+            )
+        assert log.after(5) == (0, ())  # past the end: no term, nothing to send
 
     def test_up_to_date_rule(self):
         log = RaftLog()
@@ -204,3 +225,68 @@ class TestFlexibleQuorums:
         trace = run_scenario(cluster, commands=commands, duration=8.0)
         liveness = check_completion(trace, commands, correct_nodes=[0, 1, 2, 3])
         assert liveness.holds
+
+
+class TestMessages:
+    """What ``repro.sim.raft.messages`` promises, and how a node reads them."""
+
+    MESSAGES = (
+        RequestVote(1, 0, 0, 0),
+        VoteResponse(1, 2, True),
+        AppendEntries(1, 0, 0, 0, (LogEntry(1, "a"),), 0),
+        AppendResponse(1, 2, True, 1),
+    )
+
+    @pytest.mark.parametrize("message", MESSAGES, ids=lambda m: type(m).__name__)
+    def test_no_attribute_can_be_assigned(self, message):
+        with pytest.raises(AttributeError):
+            message.term = 2
+        with pytest.raises(AttributeError):
+            message.note = "added"
+        assert message.term == 1
+
+    def test_entries_stay_as_sent_when_the_leader_writes_its_log(self):
+        cluster = Cluster(3, raft_node_factory(), seed=0)
+        sent = []
+        send = cluster.network.send
+
+        def recording_send(src, dst, payload):
+            sent.append(payload)
+            send(src, dst, payload)
+
+        cluster.network.send = recording_send
+        cluster.start()
+        cluster.submit("a", at=1.0)
+        cluster.run_until(1.05)
+        carrying = [m for m in sent if type(m) is AppendEntries and m.entries]
+        assert carrying
+        first = carrying[0]
+        assert type(first.entries) is tuple and [e.value for e in first.entries] == ["a"]
+        leader = cluster.nodes[first.leader_id]
+        leader.on_client_request("b")
+        leader.log.overwrite_from(0, (LogEntry(leader.current_term + 1, "c"),))
+        assert [e.value for e in first.entries] == ["a"]
+
+    def test_an_unknown_payload_is_ignored(self):
+        cluster = Cluster(3, raft_node_factory(), seed=0)
+        cluster.start()
+        cluster.run_until(1.0)
+        node = cluster.nodes[0]
+
+        def state():
+            return (
+                node.current_term,
+                node.voted_for,
+                node.role,
+                node.log.version,
+                node.commit_index,
+                cluster.network.messages_sent,
+                cluster.scheduler.pending_events,
+            )
+
+        before = state()
+        # A plain tuple with a RequestVote's fields — a term far ahead —
+        # is not a RequestVote: dispatch is on exact type, never on value.
+        for payload in (tuple(RequestVote(99, 1, 0, 0)), "vote", None, object()):
+            node.on_message(1, payload)
+        assert state() == before

@@ -60,7 +60,7 @@ from repro.injection import (
 )
 from repro.obs import InMemoryExporter, Tracer, use_tracer
 from repro.protocols.pbft import PBFTSpec
-from repro.protocols.raft import RaftSpec
+from repro.protocols.raft import FlexibleRaftSpec, RaftSpec
 from repro.sim.cluster import Cluster
 from repro.sim.network import FixedLatency, LogNormalLatency, UniformLatency
 from repro.sim.node import Process
@@ -316,11 +316,13 @@ def test_spans_say_what_was_reused_and_the_answer_says_nothing():
             assert reused == 0
         else:
             assert reused > 0
-            # Only simulated replicas count: none of PBFT's is an early exit.
+            # Only simulated replicas count: none of PBFT's is an early exit,
+            # and its certificate is never evaluated.
             assert sum(chunk["early_exits"] for chunk in chunks) == 0
+            assert sum(chunk["checkpoints"] for chunk in chunks) == 0
             assert sum(chunk["sim_seconds"] for chunk in chunks) == 6.0 * (16 - reused)
     payload = json.dumps([answer.to_dict() for answer in answers])
-    for key in ("reused", "distinct_runs"):
+    for key in ("reused", "distinct_runs", "messages", "checkpoints"):
         assert key not in payload
     untraced = ReliabilityEngine().run(_queries(seed=1000), policy=policy)
     assert payload == json.dumps([answer.to_dict() for answer in untraced])
@@ -334,20 +336,39 @@ def test_serial_campaign_spans_pin_the_distinct_runs():
     assert [r.attributes["distinct_runs"] for r in campaigns] == [
         DISTINCT_RUNS[name][1] for name in sorted(SHAPES)
     ]
+    # One replica a chunk; the first chunk of one Raft and one PBFT shape.
+    # Raft stops one delay bound after its third certificate evaluation —
+    # 1.1 s, 1.15 s (frozen), 1.152 s — and PBFT is never evaluated.
+    first_chunk = {
+        name: next(
+            r.attributes
+            for r in exporter.records
+            if r.name == "campaign.chunk" and r.parent_id == campaign.span_id
+        )
+        for name, campaign in zip(sorted(SHAPES), campaigns)
+    }
+    common = dict(replicas=1, horizon_seconds=6.0, reused=0)
+    assert first_chunk["crash_raft"] == dict(
+        common, sim_seconds=1.0 + 0.1 + 0.05 + 0.002, early_exits=1,
+        events=328, messages=272, checkpoints=3,
+    )
+    assert first_chunk["crash_pbft"] == dict(
+        common, sim_seconds=6.0, early_exits=0, events=74, messages=72, checkpoints=0
+    )
 
 
 # ---------------------------------------------------------------------------
-# (ii) Property: campaign verdicts == independent runs, on random PBFT plans
+# (ii) Property: campaign verdicts == independent runs, on random plans
 # ---------------------------------------------------------------------------
 _TIMES = st.sampled_from([0.2, 0.6, 0.95, 1.05, 1.4, 2.0, 3.5])
 
 
 @st.composite
-def _crash_events(draw):
+def _crash_events(draw, n=4):
     at = draw(_TIMES)
     repair = draw(st.sampled_from(["never", "at", "drawn"]))
     return CrashStop(
-        node=draw(st.integers(0, 3)),
+        node=draw(st.integers(0, n - 1)),
         at=at,
         recover_at=at + draw(st.sampled_from([0.3, 1.0, 2.5])) if repair == "at" else None,
         mean_time_to_repair=0.8 if repair == "drawn" else None,
@@ -361,14 +382,14 @@ def _window(draw):
 
 
 @st.composite
-def _fault_plans(draw):
-    """ROADMAP item 1b's generator, for PBFT: 0-3 crash / partition / loss /
-    delay events, an adversary subset, optional MTTR."""
-    events = [draw(_crash_events()) for _ in range(draw(st.integers(0, 2)))]
+def _events(draw, n, groups, delays):
+    """0-3 crash / partition / loss / delay events over ``n`` nodes."""
+    events = [draw(_crash_events(n)) for _ in range(draw(st.integers(0, 2)))]
     if draw(st.booleans()):
         at, heal_at = draw(_window())
-        groups = draw(st.sampled_from([((0, 1), (2, 3)), ((0,), (1, 2, 3)), ((0, 2, 3),)]))
-        events.append(PartitionEvent(groups=groups, at=at, heal_at=heal_at))
+        events.append(
+            PartitionEvent(groups=draw(st.sampled_from(groups)), at=at, heal_at=heal_at)
+        )
     if draw(st.booleans()):
         at, until = draw(_window())
         events.append(
@@ -377,13 +398,22 @@ def _fault_plans(draw):
     if draw(st.booleans()):
         at, until = draw(_window())
         events.append(
-            DelayBurst(at=at, until=until, extra_delay=draw(st.sampled_from([0.002, 0.05])))
+            DelayBurst(at=at, until=until, extra_delay=draw(st.sampled_from(delays)))
         )
-    events = draw(st.permutations(events))[:3]
+    return tuple(draw(st.permutations(events))[:3])
+
+
+@st.composite
+def _fault_plans(draw):
+    """ROADMAP item 1b's generator, for PBFT: 0-3 crash / partition / loss /
+    delay events, an adversary subset, optional MTTR."""
+    events = draw(
+        _events(4, [((0, 1), (2, 3)), ((0,), (1, 2, 3)), ((0, 2, 3),)], [0.002, 0.05])
+    )
     # (1, 2): an honest first primary with a Byzantine second (item 1d).
     nodes = draw(st.sampled_from([None, (), (0,), (2,), (0, 2), (1, 2)]))
     return FaultPlan(
-        events=tuple(events),
+        events=events,
         adversary=None if nodes is None else Adversary(nodes=nodes),
         mean_time_to_repair=draw(st.sampled_from([None, 0.5])),
         sample_faults=draw(st.sampled_from([True, True, False])),
@@ -424,6 +454,77 @@ def test_property_campaign_verdicts_equal_independent_runs_wide(
     plan, p_fail, commands, seed
 ):
     _check_plan_property(plan, p_fail, commands, seed)
+
+
+#: Five-node splits: two sides, one node cut off, a majority beside a
+#: minority, and three nodes grouped with the other two isolated.
+_RAFT_GROUPS = [
+    ((0, 1), (2, 3, 4)),
+    ((0,), (1, 2, 3, 4)),
+    ((0, 1, 2), (3, 4)),
+    ((0, 2, 4),),
+]
+
+
+@st.composite
+def _raft_campaigns(draw):
+    """Item 1b's generator, for Raft: ``RaftSpec(5)`` or any
+    ``FlexibleRaftSpec(5, q_per, q_vc)``, the PBFT generator's events over
+    five nodes with delay bursts wider than the checkpoint stride (0.05 s),
+    a crash window, optional MTTR."""
+    spec = draw(
+        st.one_of(
+            st.just(RaftSpec(5)),
+            st.builds(FlexibleRaftSpec, st.just(5), st.integers(1, 5), st.integers(1, 5)),
+        )
+    )
+    plan = FaultPlan(
+        events=draw(_events(5, _RAFT_GROUPS, [0.002, 0.05, 0.08, 0.25])),
+        mean_time_to_repair=draw(st.sampled_from([None, 0.5])),
+        sample_faults=draw(st.sampled_from([True, True, False])),
+    )
+    window = draw(st.sampled_from([(0.0, 0.4), (0.0, 1.2), (0.9, 1.6), (1.0, 3.0)]))
+    return spec, plan, window
+
+
+def _check_raft_property(campaign, p_fail, commands, seed):
+    spec, plan, window = campaign
+    scenario = Scenario(spec=spec, fleet=uniform_fleet(5, p_fail), seed=seed)
+    query = SimulationQuery(
+        scenario, faults=plan, replicas=4, duration=5.0, commands=commands,
+        crash_window=window,
+    )
+    served = _served(query, grain=2)
+    assert served == _reference(query)
+    return served
+
+
+_RAFT_ARGS = dict(
+    campaign=_raft_campaigns(),
+    p_fail=_PLAN_ARGS["p_fail"],
+    commands=_PLAN_ARGS["commands"],
+    seed=_PLAN_ARGS["seed"],
+)
+
+
+@settings(
+    max_examples=12, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(**_RAFT_ARGS)
+def test_property_raft_campaign_verdicts_equal_full_horizon_runs(
+    campaign, p_fail, commands, seed
+):
+    _check_raft_property(campaign, p_fail, commands, seed)
+
+
+@pytest.mark.slow
+@settings(max_examples=1500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(**_RAFT_ARGS)
+def test_property_raft_campaign_verdicts_equal_full_horizon_runs_wide(
+    campaign, p_fail, commands, seed
+):
+    _check_raft_property(campaign, p_fail, commands, seed)
 
 
 def test_the_property_is_not_vacuous():
