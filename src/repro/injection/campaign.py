@@ -360,7 +360,7 @@ def run_replica(
     carries the proof) — every node that can still run holds the same log
     with every command in it, every running node has applied all of it,
     and nothing sent before the previous checkpoint is still in flight.  A
-    replica whose logs froze stops one delay bound after the checkpoint
+    replica whose logs froze stops two delay bounds after the checkpoint
     that first saw them frozen.  From there the audit below cannot
     change, so the verdict is the one the full horizon would give.  Only
     nodes that make the promise (Raft) ever certify; PBFT, Byzantine

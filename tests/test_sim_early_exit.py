@@ -21,7 +21,13 @@ import math
 
 import numpy as np
 import pytest
-from test_sim_event_counts import SHAPES, _query, _replica_streams, full_horizon_replica
+from test_sim_event_counts import (
+    SHAPES,
+    _query,
+    _replica_streams,
+    full_horizon_replica,
+    recording_clusters,
+)
 
 import repro.sim.cluster as cluster_module
 from repro.engine import Scenario, SimulationQuery
@@ -36,8 +42,8 @@ from repro.injection import (
     PartitionEvent,
     run_replica,
 )
-from repro.sim.cluster import CHECKPOINT_INTERVAL, Cluster
 from repro.protocols.raft import FlexibleRaftSpec, RaftSpec
+from repro.sim.cluster import CHECKPOINT_INTERVAL, Cluster
 from repro.sim.network import FixedLatency, LogNormalLatency
 from repro.sim.node import IdleProcess, Process
 from repro.sim.pbft import pbft_node_factory
@@ -179,19 +185,6 @@ def test_fault_plan_grid_matches_on_more_seeds(name):
         assert served == reference, seed
 
 
-def _recording_clusters(monkeypatch) -> list[Cluster]:
-    """Every cluster built from here on, ``run_replica``'s included."""
-    clusters = []
-
-    class Recording(Cluster):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            clusters.append(self)
-
-    monkeypatch.setattr(cluster_module, "Cluster", Recording)
-    return clusters
-
-
 def test_healthy_raft_stops_one_confirmation_after_its_logs_freeze(monkeypatch):
     """A healthy replica stops at the first checkpoint that finds its logs
     frozen, plus one confirmation two delay bounds later.
@@ -202,7 +195,7 @@ def test_healthy_raft_stops_one_confirmation_after_its_logs_freeze(monkeypatch):
     ``CHECKPOINT_INTERVAL`` stride from the last submit, and the confirming
     checkpoint is the earliest one clause (3) accepts.
     """
-    clusters = _recording_clusters(monkeypatch)
+    clusters = recording_clusters(monkeypatch)
     query = _query("crash_raft")
     verdicts = _campaign_chunk((query, _replica_streams(query), None))
     last_submit, bound = 1.0 + 0.1, 0.001

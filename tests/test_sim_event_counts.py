@@ -149,7 +149,7 @@ _FROZEN_AT_1_2 = _SUBMITTED + _STRIDE + _STRIDE + 2 * 0.001
 #: Re-pinned once, by the change that derived the checkpoint schedule from
 #: the certificate: the search stride went from 0.25 s to
 #: ``CHECKPOINT_INTERVAL`` = 0.05 s, and once a checkpoint sees the logs
-#: frozen the confirming one comes one delay bound later instead of one
+#: frozen the confirming one comes two delay bounds later instead of one
 #: stride later.  Every replica used to stop at 1.6 s; now at 1.152 s or
 #: 1.202 s.  Only the exit time and the four counters moved; the counters
 #: are still a prefix of ``EXPECTED``'s run, which is unchanged.
@@ -235,10 +235,8 @@ def _replica_streams(query: SimulationQuery):
     )
 
 
-def _drive(query: SimulationQuery, monkeypatch):
-    """One chunk through the backend's own worker entry point, keeping the
-    clusters it builds so their counters can be read afterwards.  A reused
-    replica built none: its counters are ``None``."""
+def recording_clusters(monkeypatch) -> list:
+    """Every cluster built from here on, ``run_replica``'s included."""
     clusters = []
 
     class RecordingCluster(cluster_module.Cluster):
@@ -247,6 +245,14 @@ def _drive(query: SimulationQuery, monkeypatch):
             clusters.append(self)
 
     monkeypatch.setattr(cluster_module, "Cluster", RecordingCluster)
+    return clusters
+
+
+def _drive(query: SimulationQuery, monkeypatch):
+    """One chunk through the backend's own worker entry point, keeping the
+    clusters it builds so their counters can be read afterwards.  A reused
+    replica built none: its counters are ``None``."""
+    clusters = recording_clusters(monkeypatch)
     verdicts = _campaign_chunk((query, _replica_streams(query), None))
     assert len(verdicts) == query.replicas
     assert len(clusters) == sum(not verdict.run.reused for verdict in verdicts)

@@ -337,8 +337,8 @@ def test_serial_campaign_spans_pin_the_distinct_runs():
         DISTINCT_RUNS[name][1] for name in sorted(SHAPES)
     ]
     # One replica a chunk; the first chunk of one Raft and one PBFT shape.
-    # Raft stops one delay bound after its third certificate evaluation —
-    # 1.1 s, 1.15 s (frozen), 1.152 s — and PBFT is never evaluated.
+    # Raft's certificate is evaluated at 1.1 s, at 1.15 s (logs frozen) and
+    # at 1.152 s, where it holds; PBFT's is never evaluated.
     first_chunk = {
         name: next(
             r.attributes
