@@ -139,10 +139,16 @@ def importance_sample_violation(
     estimate depends on ``(trials, seed, shard_trials)`` but never on
     ``jobs`` or ``pool`` (which only pick where the shards run).
     """
+    from repro.analysis.kernels import (
+        plan_shards,
+        require_positive_int,
+        spawn_shard_generators,
+        verdict_masks,
+    )
+
     if fleet.n != spec.n:
         raise InvalidConfigurationError(f"fleet has {fleet.n} nodes but spec expects {spec.n}")
-    if trials <= 0:
-        raise InvalidConfigurationError(f"trials must be positive, got {trials}")
+    trials = require_positive_int(trials)
     if failure_kind is FaultKind.CORRECT:
         raise InvalidConfigurationError("failure_kind cannot be CORRECT")
 
@@ -180,12 +186,6 @@ def importance_sample_violation(
     if predicate not in checks:
         raise InvalidConfigurationError(f"unknown predicate {predicate!r}")
     check = checks[predicate]
-
-    from repro.analysis.kernels import (
-        plan_shards,
-        spawn_shard_generators,
-        verdict_masks,
-    )
 
     log_ratio_fail = np.log(np.maximum(p, 1e-300)) - np.log(tilt_arr)
     log_ratio_ok = np.log1p(-p) - np.log1p(-tilt_arr)

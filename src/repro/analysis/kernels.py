@@ -9,8 +9,9 @@ flexible estimator APIs in :mod:`repro.analysis` run at NumPy speed:
   arrays ``safe[c, b]`` / ``live[c, b]`` over crash/Byzantine count pairs.
   Computed once per spec (cached via :meth:`ProtocolSpec.verdict_masks`),
   they turn every counting aggregation into a ``(pmf * mask).sum()``
-  reduction and every symmetric Monte-Carlo tally into a fancy-indexed
-  lookup — predicates run ``O(n^2)`` times per *spec*, not per evaluation.
+  reduction and every symmetric Monte-Carlo tally into a read of a
+  count-pair histogram — predicates run ``O(n^2)`` times per *spec*, not
+  per evaluation.
 
 * **Batched joint-count DP** — :func:`joint_count_pmf_batch` runs the
   trinomial Poisson-binomial dynamic program for ``F`` fleets at once.
@@ -19,11 +20,14 @@ flexible estimator APIs in :mod:`repro.analysis` run at NumPy speed:
   bit-identical to the scalar path.
 
 * **Batched Monte-Carlo** — :func:`monte_carlo_tally` and friends draw
-  chunked ``(trials, n)`` uniforms and classify them vectorially.  The
-  uniform stream is consumed in the same (trial, node) order as the
-  historical per-trial loop, so seeded tallies are unchanged.  Asymmetric
-  specs get ``np.unique`` row dedup: Python predicates run once per
-  *distinct* configuration, not per trial.
+  chunked ``(trials, n)`` uniforms.  The uniform stream is consumed in the
+  same (trial, node) order as the historical per-trial loop, so seeded
+  tallies are unchanged.  Symmetric specs count each trial's crashes and
+  Byzantine nodes straight from the uniforms (two threshold passes, one
+  when the fleet has no Byzantine mass) and bin the count pairs into one
+  histogram; no node is ever classified.  Asymmetric specs classify every
+  node (:func:`classify_uniforms`) and get ``np.unique`` row dedup:
+  Python predicates run once per *distinct* configuration, not per trial.
 
 * **Sharded execution** — :func:`plan_shards` splits a trial budget into
   worker-count-independent shard blocks, :func:`spawn_shard_sequences`
@@ -299,6 +303,19 @@ class BatchTally:
     both: int
 
 
+def require_positive_int(value, name: str = "trials") -> int:
+    """``value`` as a positive ``int`` — the one check of a trial budget.
+
+    NumPy integers are accepted; ``bool`` and every non-integer
+    (``2.5``, ``1e4``) are rejected rather than truncated or used.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value <= 0:
+        raise InvalidConfigurationError(f"{name} must be positive, got {value}")
+    return int(value)
+
+
 def _chunk_sizes(trials: int, n: int) -> list[int]:
     """Split ``trials`` into chunk sizes bounded by the per-chunk draw budget.
 
@@ -326,7 +343,9 @@ def classify_uniforms(
 
     Matches the scalar sampler: ``u < p_crash`` is a crash,
     ``p_crash <= u < p_crash + p_byzantine`` is Byzantine, else correct.
-    Returns ``int8`` outcome codes.
+    Returns ``int8`` outcome codes.  Only the paths that need each node's
+    outcome use it — asymmetric tallies and :func:`predicate_tally`;
+    symmetric tallies count the same rule without building codes.
     """
     codes = np.zeros(uniforms.shape, dtype=np.int8)
     crash = uniforms < crash_p
@@ -340,13 +359,36 @@ def _config_from_codes(row: np.ndarray) -> FailureConfig:
     return FailureConfig(tuple(_CODE_TO_KIND[int(code)] for code in row))
 
 
+def _row_counts(hits: np.ndarray) -> np.ndarray:
+    """Per-row ``True`` counts of a boolean ``(m, n)`` block, as ``intp``.
+
+    ``einsum`` over the bytes is several times faster than
+    ``count_nonzero(axis=1)``; its ``uint8`` accumulator is exact while a
+    row holds at most 255 nodes.
+    """
+    if hits.shape[1] <= np.iinfo(np.uint8).max:
+        return np.einsum("ij->i", hits.view(np.uint8)).astype(np.intp)
+    return np.count_nonzero(hits, axis=1)
+
+
 def _tally_symmetric(
-    masks: VerdictMasks, crash_counts: np.ndarray, byz_counts: np.ndarray
+    masks: VerdictMasks, crash_counts, byz_counts
 ) -> tuple[int, int, int]:
-    safe = int(masks.safe[crash_counts, byz_counts].sum())
-    live = int(masks.live[crash_counts, byz_counts].sum())
-    both = int(masks.both[crash_counts, byz_counts].sum())
-    return safe, live, both
+    """Safe/live/both hits of per-trial count pairs, via one histogram.
+
+    The trials are binned over the ``(n+1)^2`` count pairs and the three
+    verdict masks read off the histogram.  Either count may be the scalar
+    ``0`` (a single-kind tally).
+    """
+    width = masks.n + 1
+    hist = np.bincount(
+        crash_counts * width + byz_counts, minlength=width * width
+    ).reshape(width, width)
+    return (
+        int(hist[masks.safe].sum()),
+        int(hist[masks.live].sum()),
+        int(hist[masks.both].sum()),
+    )
 
 
 def _tally_asymmetric(
@@ -378,23 +420,34 @@ def monte_carlo_tally(
 
     Draws chunked ``(m, n)`` uniforms — consuming the generator stream in
     the same (trial, node) order as a per-trial loop, so seeded tallies are
-    reproducible and match the historical sampler exactly.  Symmetric specs
-    are tallied by verdict-mask lookup on row counts; asymmetric specs go
-    through :func:`np.unique` row dedup.
+    reproducible and match the historical sampler exactly.
+
+    Symmetric specs never classify nodes: a trial's verdict depends only
+    on its (crashes, Byzantine) count pair, so each row's counts are taken
+    straight from the uniforms — ``count(u < p_crash)`` crashes and
+    ``count(u < p_crash + p_byzantine)`` minus that Byzantine nodes, the
+    same rule as :func:`classify_uniforms` (``p_byzantine >= 0``, so the
+    first set lies inside the second) — and tallied by one histogram over
+    the count pairs.  Asymmetric specs classify each node and go through
+    :func:`np.unique` row dedup.
     """
     crash_p = np.array(fleet.crash_probabilities)
     byz_p = np.array(fleet.byzantine_probabilities)
     masks = verdict_masks(spec) if spec.symmetric else None
+    fail_p = crash_p + byz_p if byz_p.any() else None
     safe = live = both = 0
     for size in _chunk_sizes(trials, fleet.n):
         uniforms = rng.random((size, fleet.n))
-        codes = classify_uniforms(uniforms, crash_p, byz_p)
         if masks is not None:
-            crash_counts = (codes == _CODE_CRASH).sum(axis=1)
-            byz_counts = (codes == _CODE_BYZANTINE).sum(axis=1)
+            crash_counts = _row_counts(uniforms < crash_p)
+            byz_counts = (
+                0 if fail_p is None else _row_counts(uniforms < fail_p) - crash_counts
+            )
             s, l, b = _tally_symmetric(masks, crash_counts, byz_counts)
         else:
-            s, l, b = _tally_asymmetric(spec, codes)
+            s, l, b = _tally_asymmetric(
+                spec, classify_uniforms(uniforms, crash_p, byz_p)
+            )
         safe += s
         live += l
         both += b
@@ -420,12 +473,11 @@ def correlated_tally(
     for size in _chunk_sizes(trials, spec.n):
         failed = np.asarray(model.sample_many(size, rng), dtype=bool)
         if masks is not None:
-            fail_counts = failed.sum(axis=1)
-            zeros = np.zeros_like(fail_counts)
+            fail_counts = _row_counts(failed)
             if failure_kind is FaultKind.CRASH:
-                s, l, b = _tally_symmetric(masks, fail_counts, zeros)
+                s, l, b = _tally_symmetric(masks, fail_counts, 0)
             else:
-                s, l, b = _tally_symmetric(masks, zeros, fail_counts)
+                s, l, b = _tally_symmetric(masks, 0, fail_counts)
         else:
             codes = np.where(failed, np.int8(code), np.int8(_CODE_CORRECT))
             s, l, b = _tally_asymmetric(spec, codes)
@@ -499,14 +551,11 @@ def plan_shards(trials: int, shard_trials: int | None = None) -> ShardPlan:
     shards but never shrinks a shard below :data:`_MIN_SHARD_TRIALS` — small
     budgets produce fewer (or one) shards instead of many tiny ones.
     """
-    if trials <= 0:
-        raise InvalidConfigurationError(f"trials must be positive, got {trials}")
+    trials = require_positive_int(trials)
     if shard_trials is None:
         shard_trials = max(_MIN_SHARD_TRIALS, -(-trials // _SHARD_GRAIN))
-    elif shard_trials <= 0:
-        raise InvalidConfigurationError(
-            f"shard_trials must be positive, got {shard_trials}"
-        )
+    else:
+        shard_trials = require_positive_int(shard_trials, "shard_trials")
     full, rest = divmod(trials, shard_trials)
     shards = (shard_trials,) * full + ((rest,) if rest else ())
     return ShardPlan(trials=trials, shard_trials=shard_trials, shards=shards)

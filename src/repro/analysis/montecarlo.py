@@ -8,8 +8,10 @@ violation count is zero (common when probing many-nines systems).
 
 Sampling itself is delegated to the vectorized kernels in
 :mod:`repro.analysis.kernels`: trials are drawn as chunked ``(m, n)``
-uniform blocks and classified with array ops, consuming each generator
-stream in the same (trial, node) order as a per-trial loop.
+uniform blocks, consuming each generator stream in the same (trial, node)
+order as a per-trial loop.  Symmetric specs tally each trial by its
+(crashes, Byzantine) counts, taken straight from the uniforms; asymmetric
+specs classify every node.
 
 Independent-trial budgets are always split into worker-count-independent
 shard blocks, each sampling its own ``SeedSequence``-spawned stream and
@@ -96,9 +98,11 @@ def monte_carlo_reliability(
     """Estimate Safe/Live/Safe&Live by sampling independent configurations.
 
     Sampling runs on the batched kernel (:mod:`repro.analysis.kernels`):
-    chunked ``(trials, n)`` uniform draws, vectorized trinomial
-    classification, verdict-mask tallies for symmetric specs and
-    unique-row dedup for asymmetric ones.
+    chunked ``(trials, n)`` uniform draws; symmetric specs count each
+    trial's crashes and Byzantine nodes from the uniforms and read the
+    verdict masks off a count-pair histogram, asymmetric ones classify
+    every node and dedup unique rows.  ``trials`` must be a positive
+    integer (NumPy integers included; ``bool`` and floats are rejected).
 
     The trial budget is split by :func:`repro.analysis.kernels.plan_shards`
     into blocks whose count depends only on ``(trials, shard_trials)``,
@@ -107,12 +111,11 @@ def monte_carlo_reliability(
     ``jobs`` (unset runs the shards in the calling thread) and any ``pool``
     (``"thread"``/``"process"``/``"serial"``).
     """
-    from repro.analysis.kernels import monte_carlo_tally_sharded
+    from repro.analysis.kernels import monte_carlo_tally_sharded, require_positive_int
 
     if fleet.n != spec.n:
         raise InvalidConfigurationError(f"fleet has {fleet.n} nodes but spec expects {spec.n}")
-    if trials <= 0:
-        raise InvalidConfigurationError(f"trials must be positive, got {trials}")
+    trials = require_positive_int(trials)
     tally, plan = monte_carlo_tally_sharded(
         spec,
         fleet,
@@ -155,14 +158,13 @@ def monte_carlo_correlated(
     blocked order) and tallied through the verdict-mask / unique-row
     kernels.
     """
-    from repro.analysis.kernels import correlated_tally
+    from repro.analysis.kernels import correlated_tally, require_positive_int
 
     if model.n != spec.n:
         raise InvalidConfigurationError(f"model has {model.n} nodes but spec expects {spec.n}")
     if failure_kind is FaultKind.CORRECT:
         raise InvalidConfigurationError("failure_kind cannot be CORRECT")
-    if trials <= 0:
-        raise InvalidConfigurationError(f"trials must be positive, got {trials}")
+    trials = require_positive_int(trials)
     rng = as_generator(seed)
     tally = correlated_tally(spec, model, trials, rng, failure_kind)
     return ReliabilityResult(

@@ -15,7 +15,6 @@ from repro.analysis.config import FailureConfig
 from repro.analysis.exact import DEFAULT_MAX_CONFIGS, enumerate_configurations
 from repro.analysis.montecarlo import estimate_from_counts
 from repro.analysis.result import Estimate
-from repro.errors import InvalidConfigurationError
 from repro.faults.mixture import Fleet
 
 Predicate = Callable[[FailureConfig], bool]
@@ -48,10 +47,9 @@ def monte_carlo_predicate(
     uniform stream as the historical per-trial loop) and deduped so the
     Python predicate runs once per distinct configuration.
     """
-    from repro.analysis.kernels import predicate_tally
+    from repro.analysis.kernels import predicate_tally, require_positive_int
 
-    if trials <= 0:
-        raise InvalidConfigurationError(f"trials must be positive, got {trials}")
+    trials = require_positive_int(trials)
     rng = as_generator(seed)
     hits = predicate_tally(fleet, predicate, trials, rng)
     return estimate_from_counts(hits, trials)

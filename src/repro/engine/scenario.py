@@ -171,8 +171,13 @@ def _require_mapping(what: str, data) -> Mapping:
 
 def _finite_int(name: str, value) -> int:
     """``int(value)``, with JSON's ``1e400`` / ``NaN`` (which ``int``
-    answers with ``OverflowError`` / ``ValueError``) rejected by name."""
-    if isinstance(value, float) and not math.isfinite(value):
+    answers with ``OverflowError`` / ``ValueError``), ``true`` / ``false``
+    and fractional numbers such as ``2.5`` (which ``int`` would silently
+    read as 1 / 0 / 2) rejected by name.  An integral float (``1e4``) is
+    accepted."""
+    if isinstance(value, bool) or (
+        isinstance(value, float) and not (math.isfinite(value) and value.is_integer())
+    ):
         raise InvalidConfigurationError(f"{name} must be a finite integer, got {value}")
     return int(value)
 
@@ -272,9 +277,10 @@ class Scenario:
         A tuple of primitive ``(p_crash, p_byzantine)`` pairs: node labels
         and costs do not participate (they never influence estimator
         output), and primitive tuples hash at C speed — this key sits on
-        the engine's per-scenario hot path.
+        the engine's per-scenario hot path, so the fleet builds it once
+        (:attr:`Fleet.probability_key <repro.faults.mixture.Fleet.probability_key>`).
         """
-        return tuple((node.p_crash, node.p_byzantine) for node in self.fleet.nodes)
+        return self.fleet.probability_key
 
     def cache_key(self, resolved_method: str) -> tuple | None:
         """Memo-cache key, or ``None`` when the outcome is not reusable.

@@ -15,6 +15,7 @@ standard "deployment description" consumed by :mod:`repro.analysis`,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from repro.errors import InvalidConfigurationError, InvalidProbabilityError
@@ -136,6 +137,21 @@ class Fleet:
     def n(self) -> int:
         """Number of nodes in the deployment."""
         return len(self.nodes)
+
+    @cached_property
+    def probability_key(self) -> tuple[tuple[float, float], ...]:
+        """Per-node ``(p_crash, p_byzantine)`` pairs: what every estimator
+        reads of the fleet (labels and costs left out).
+
+        Built once per fleet, since fleets are frozen; the cached tuple
+        stays out of equality, hashing and the pickled state.
+        """
+        return tuple((node.p_crash, node.p_byzantine) for node in self.nodes)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("probability_key", None)
+        return state
 
     @property
     def crash_probabilities(self) -> tuple[float, ...]:

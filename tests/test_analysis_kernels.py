@@ -9,6 +9,8 @@ the exact tallies the historical loops produced for the same seed.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro._rng import as_generator
 from repro.analysis import analyze, analyze_batch
+from repro.analysis import kernels
 from repro.analysis.config import FailureConfig, FaultKind
 from repro.analysis.counting import counting_reliability, joint_count_pmf
 from repro.analysis.exact import enumerate_configurations, worst_configurations
@@ -371,6 +374,129 @@ class TestMonteCarloKernel:
             spec, fleet, predicate="live", trials=5_000, seed=2
         )
         assert 0.0 < result.violation.value < 1.0
+
+
+# ---------------------------------------------------------------------------
+# Symmetric tallies counted from the uniforms == the code-matrix tally
+# ---------------------------------------------------------------------------
+def _ref_code_matrix_tally(spec, fleet, trials: int, rng) -> tuple[int, int, int]:
+    """The classify -> int8 codes -> mask-gather tally the count kernel
+    replaced, drawn as one block (chunking never changes the stream)."""
+    crash_p = np.array(fleet.crash_probabilities)
+    byz_p = np.array(fleet.byzantine_probabilities)
+    uniforms = rng.random((trials, fleet.n))
+    codes = np.zeros(uniforms.shape, dtype=np.int8)
+    crash = uniforms < crash_p
+    codes[crash] = 1
+    codes[~crash & (uniforms < crash_p + byz_p)] = 2
+    crash_counts = (codes == 1).sum(axis=1)
+    byz_counts = (codes == 2).sum(axis=1)
+    masks = verdict_masks(spec)
+    return tuple(
+        int(mask[crash_counts, byz_counts].sum())
+        for mask in (masks.safe, masks.live, masks.both)
+    )
+
+
+def _ref_correlated_gather(spec, model, trials: int, rng, kind) -> tuple[int, int, int]:
+    """The per-chunk count + zeros + mask-gather correlated tally."""
+    masks = verdict_masks(spec)
+    safe = live = both = 0
+    for size in kernels._chunk_sizes(trials, spec.n):
+        counts = np.asarray(model.sample_many(size, rng), dtype=bool).sum(axis=1)
+        zeros = np.zeros_like(counts)
+        pair = (counts, zeros) if kind is FaultKind.CRASH else (zeros, counts)
+        safe += int(masks.safe[pair].sum())
+        live += int(masks.live[pair].sum())
+        both += int(masks.both[pair].sum())
+    return safe, live, both
+
+
+_TALLY_SPECS = {
+    "raft": RaftSpec,
+    "pbft": PBFTSpec,
+    "benor": BenOrSpec,
+    "byz-benor": ByzantineBenOrSpec,
+}
+
+#: Per-node (p_crash, p_byzantine): the corners, pairs summing to 1, and
+#: arbitrary valid mixtures.
+_NODE_PAIRS = st.one_of(
+    st.sampled_from(
+        [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5), (0.3, 0.7), (0.05, 0.0), (0.0, 0.2)]
+    ),
+    st.floats(0.0, 1.0).map(lambda p: (p, 1.0 - p)),
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(
+        lambda t: (t[0], (1.0 - t[0]) * t[1])
+    ),
+)
+
+
+@st.composite
+def _tally_cases(draw):
+    """(spec, fleet, trials, chunk_draws, seed); ``chunk_draws`` replaces
+    ``_CHUNK_DRAWS`` so ``trials`` lands on either side of a chunk edge."""
+    spec = _TALLY_SPECS[draw(st.sampled_from(sorted(_TALLY_SPECS)))]
+    n = draw(st.integers(1, 41))
+    pairs = draw(st.lists(_NODE_PAIRS, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        pairs = [(crash, 0.0) for crash, _ in pairs]
+    chunk_draws = draw(st.integers(1, 64 * n))
+    chunk = max(1, chunk_draws // n)
+    trials = max(1, draw(st.integers(1, 3)) * chunk + draw(st.sampled_from([-1, 0, 1])))
+    fleet = Fleet(tuple(NodeModel(crash, byz) for crash, byz in pairs))
+    return spec(n), fleet, trials, chunk_draws, draw(st.integers(0, 2**32 - 1))
+
+
+class TestCountedSymmetricTally:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(case=_tally_cases())
+    def test_property_counted_tally_equals_code_matrix_tally(self, case):
+        spec, fleet, trials, chunk_draws, seed = case
+        with mock.patch.object(kernels, "_CHUNK_DRAWS", chunk_draws):
+            tally = monte_carlo_tally(spec, fleet, trials, as_generator(seed))
+        expected = _ref_code_matrix_tally(spec, fleet, trials, as_generator(seed))
+        assert (tally.trials, tally.safe, tally.live, tally.both) == (trials, *expected)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        case=_tally_cases(),
+        kind=st.sampled_from([FaultKind.CRASH, FaultKind.BYZANTINE]),
+        shock=st.floats(0.0, 1.0),
+    )
+    def test_property_correlated_tally_equals_gather(self, case, kind, shock):
+        spec, fleet, trials, chunk_draws, seed = case
+        model = CommonShockModel(fleet, (rollout_shock(fleet, shock, lethality=0.5),))
+        with mock.patch.object(kernels, "_CHUNK_DRAWS", chunk_draws):
+            tally = correlated_tally(spec, model, trials, as_generator(seed), kind)
+            expected = _ref_correlated_gather(spec, model, trials, as_generator(seed), kind)
+        assert (tally.safe, tally.live, tally.both) == expected
+
+    @pytest.mark.parametrize("n", [200, 300], ids=["uint8-counts", "wide-rows"])
+    def test_rows_past_the_int8_range_count_exactly(self, n):
+        """Counts above 127 (and rows past the 255-node byte counter)."""
+        spec = RaftSpec(n)
+        fleet = Fleet(tuple(NodeModel(0.9 if i % 7 else 0.0, 0.05) for i in range(n)))
+        tally = monte_carlo_tally(spec, fleet, 300, as_generator(8))
+        expected = _ref_code_matrix_tally(spec, fleet, 300, as_generator(8))
+        assert (tally.safe, tally.live, tally.both) == expected
+        assert tally.live < 300  # the counts really crossed Raft's majority
+
+    def test_symmetric_tallies_never_classify_nodes(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("classify_uniforms called")
+
+        monkeypatch.setattr(kernels, "classify_uniforms", refuse)
+        spec, fleet = PBFTSpec(7), _mixed_fleet(7)
+        tally = monte_carlo_tally(spec, fleet, 2_000, as_generator(4))
+        assert (tally.safe, tally.live, tally.both) == _ref_code_matrix_tally(
+            spec, fleet, 2_000, as_generator(4)
+        )
+        model = CommonShockModel(fleet, (rollout_shock(fleet, 0.1),))
+        correlated_tally(spec, model, 2_000, as_generator(4), FaultKind.BYZANTINE)
+        # Control: the asymmetric path does classify.
+        with pytest.raises(AssertionError, match="classify_uniforms"):
+            monte_carlo_tally(*_asymmetric_pair(), 10, as_generator(4))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.analysis.counting import counting_reliability
@@ -85,6 +86,43 @@ class TestMonteCarloReliability:
             monte_carlo_reliability(RaftSpec(3), small_cft_fleet, trials=0)
         with pytest.raises(InvalidConfigurationError):
             monte_carlo_reliability(RaftSpec(4), small_cft_fleet, trials=10)
+
+
+class TestTrialBudget:
+    """One check of every trial budget: no bool, no float, no truncation."""
+
+    @pytest.mark.parametrize("trials", [1e4, 2.5, True, False, "100"], ids=repr)
+    def test_monte_carlo_rejects_a_non_integer_budget(self, small_cft_fleet, trials):
+        with pytest.raises(InvalidConfigurationError, match="trials must be an integer"):
+            monte_carlo_reliability(RaftSpec(3), small_cft_fleet, trials=trials, seed=1)
+
+    @pytest.mark.parametrize("trials", [2.5, True], ids=repr)
+    def test_every_sampling_door_rejects_it(self, small_cft_fleet, trials):
+        from repro.analysis.importance import importance_sample_violation
+        from repro.analysis.kernels import plan_shards
+        from repro.analysis.predicates import monte_carlo_predicate
+
+        spec = RaftSpec(3)
+        model = CommonShockModel(small_cft_fleet, ())
+        calls = [
+            lambda: monte_carlo_correlated(spec, model, trials=trials, seed=1),
+            lambda: importance_sample_violation(spec, small_cft_fleet, trials=trials, seed=1),
+            lambda: monte_carlo_predicate(small_cft_fleet, bool, trials=trials, seed=1),
+            lambda: plan_shards(trials),
+            lambda: plan_shards(100, shard_trials=trials),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidConfigurationError, match="must be an integer"):
+                call()
+
+    def test_numpy_integer_budget_is_the_same_budget(self, small_cft_fleet):
+        spec = RaftSpec(3)
+        plain = monte_carlo_reliability(spec, small_cft_fleet, trials=5_000, seed=3)
+        numpy_int = monte_carlo_reliability(
+            spec, small_cft_fleet, trials=np.int64(5_000), seed=3
+        )
+        assert numpy_int == plain
+        assert numpy_int.detail.startswith("5000 independent trials")
 
 
 class TestCorrelated:

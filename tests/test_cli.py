@@ -296,6 +296,18 @@ class TestQueryFile:
         with pytest.raises(SystemExit, match="invalid query file"):
             main(["query", str(path)])
 
+    @pytest.mark.parametrize("trials", ["true", "2.5"])
+    def test_query_file_truncatable_trial_budget_rejected(self, tmp_path, trials):
+        # int() used to read these as 1 and 2 trials and print an answer.
+        path = tmp_path / "budget.json"
+        path.write_text(
+            '[{"spec": {"protocol": "raft", "n": 3}, "method": "monte-carlo",'
+            ' "seed": 1, "fleet": {"uniform": {"n": 3, "p_fail": 0.1}},'
+            f' "trials": {trials}}}]'
+        )
+        with pytest.raises(SystemExit, match="trials must be a finite integer"):
+            main(["query", str(path)])
+
     def test_query_jobs_deterministic(self, capsys, tmp_path):
         import json
 

@@ -23,6 +23,7 @@ from repro.engine import (
     ExecutionPolicy,
     Provenance,
     Query,
+    QuerySet,
     ReliabilityEngine,
     Scenario,
     ScenarioSet,
@@ -728,6 +729,32 @@ class TestSerialization:
                 {"spec": {"protocol": "fnord", "n": 3}, "fleet": {"nodes": []}}
             )
 
+    @pytest.mark.parametrize("trials", ["true", "false", "2.5"])
+    def test_json_trial_budget_that_int_would_truncate_is_rejected(self, trials):
+        """``int(True)`` is 1 and ``int(2.5)`` is 2: both used to be answered
+        from a budget nobody asked for."""
+        row = (
+            '{"spec": {"protocol": "raft", "n": 3}, "method": "monte-carlo",'
+            ' "seed": 1, "fleet": {"uniform": {"n": 3, "p_fail": 0.1}},'
+            f' "trials": {trials}}}'
+        )
+        grid = (
+            '{"grid": {"protocols": ["raft"], "sizes": [3],'
+            f' "method": "monte-carlo", "trials": {trials}}}}}'
+        )
+        for text in (f"[{row}]", grid):
+            with pytest.raises(InvalidConfigurationError, match="trials must be a finite integer"):
+                ScenarioSet.from_json(text)
+        with pytest.raises(InvalidConfigurationError, match="trials"):
+            QuerySet.from_json(f"[{row}]")
+
+    def test_json_integral_float_budget_is_accepted(self):
+        (scenario,) = ScenarioSet.from_json(
+            '[{"spec": {"protocol": "raft", "n": 3}, "trials": 1e4,'
+            ' "fleet": {"uniform": {"n": 3, "p_fail": 0.1}}}]'
+        )
+        assert scenario.trials == 10_000 and type(scenario.trials) is int
+
     def test_unregistered_spec_type_rejected(self):
         scenario = Scenario(
             spec=ReliabilityAwareRaftSpec(6, pinned=(0, 1)), fleet=_mixed_fleet(6)
@@ -746,6 +773,18 @@ class TestDefaultEngine:
         assert result.method == "counting"
         with pytest.raises(InvalidConfigurationError):
             analyze(RaftSpec(3), uniform_fleet(3, 0.01), method="monte-carlo", trials=0)
+
+    @pytest.mark.parametrize("trials", [1e4, 2.5, True], ids=repr)
+    def test_engine_sampling_row_rejects_a_non_integer_budget(self, trials):
+        scenario = Scenario(
+            spec=RaftSpec(3),
+            fleet=uniform_fleet(3, 0.01),
+            method="monte-carlo",
+            trials=trials,
+            seed=1,
+        )
+        with pytest.raises(InvalidConfigurationError, match="trials must be an integer"):
+            ReliabilityEngine().run([scenario])
 
     def test_analyze_shim_routes_through_default_engine(self):
         engine = default_engine()

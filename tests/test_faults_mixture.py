@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.errors import InvalidConfigurationError, InvalidProbabilityError
@@ -123,3 +125,29 @@ class TestFleet:
     def test_fleet_from_curves_length_mismatch(self):
         with pytest.raises(InvalidConfigurationError):
             fleet_from_curves([ConstantHazard(0.0)], 10.0, byzantine_curves=[None, None])
+
+
+class TestProbabilityKey:
+    def test_key_is_the_per_node_probability_pairs_built_once(self):
+        fleet = Fleet(
+            (NodeModel(0.01, 0.002, label="a", cost_per_hour=3.0), NodeModel(0.08))
+        )
+        key = fleet.probability_key
+        assert key == ((0.01, 0.002), (0.08, 0.0))
+        assert fleet.probability_key is key
+
+    def test_labels_and_costs_do_not_enter_the_key(self):
+        plain = Fleet((NodeModel(0.01),))
+        labelled = Fleet((NodeModel(0.01, label="db", cost_per_hour=2.0),))
+        assert plain.probability_key == labelled.probability_key
+
+    def test_cached_key_leaves_equality_hash_and_pickle_unchanged(self):
+        fleet = uniform_fleet(5, 0.03, byzantine_fraction=0.5)
+        twin = uniform_fleet(5, 0.03, byzantine_fraction=0.5)
+        before = pickle.dumps(fleet)
+        fleet.probability_key
+        assert pickle.dumps(fleet) == before
+        assert fleet == twin and hash(fleet) == hash(twin)
+        restored = pickle.loads(before)
+        assert restored == fleet
+        assert restored.probability_key == fleet.probability_key

@@ -177,6 +177,26 @@ class TestRouting:
         _status, after = get(server.port, "/metrics")
         assert after["error_responses"] == before["error_responses"] + 1
 
+    @pytest.mark.parametrize("trials", ["true", "2.5"])
+    def test_truncatable_trial_budget_is_answered_400(self, server, trials):
+        """``"trials": true`` / ``2.5`` used to be answered 200 from 1 / 2
+        trials; the same keep-alive connection then serves a 200."""
+        row = dict(scenario(3).to_dict(), method="monte-carlo", seed=1, trials=0)
+        payload = json.dumps([row]).replace('"trials": 0', f'"trials": {trials}')
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=60)
+        try:
+            conn.request("POST", "/v1/query", body=payload)
+            response = conn.getresponse()
+            body = json.loads(response.read())
+            assert response.status == 400
+            assert "trials must be a finite integer" in body["error"]
+            conn.request("POST", "/v1/query", body=GRID_PAYLOAD)
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 200
+        finally:
+            conn.close()
+
     def test_unanticipated_route_error_is_answered_500(self):
         def broken_snapshot(**kwargs):
             raise RuntimeError("snapshot exploded")
