@@ -144,9 +144,19 @@ class Fleet:
         reads of the fleet (labels and costs left out).
 
         Built once per fleet, since fleets are frozen; the cached tuple
-        stays out of equality, hashing and the pickled state.
+        stays out of equality, hashing and the pickled state.  Fleets are
+        mostly runs of one shared :class:`NodeModel` (``uniform_fleet``,
+        the JSON parser), so a run shares one pair: the key lives as long
+        as its fleet and should cost little more than ``n`` pointers.
         """
-        return tuple((node.p_crash, node.p_byzantine) for node in self.nodes)
+        key = []
+        previous = pair = None
+        for node in self.nodes:
+            if node is not previous:
+                pair = (node.p_crash, node.p_byzantine)
+                previous = node
+            key.append(pair)
+        return tuple(key)
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)

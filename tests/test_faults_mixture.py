@@ -136,6 +136,14 @@ class TestProbabilityKey:
         assert key == ((0.01, 0.002), (0.08, 0.0))
         assert fleet.probability_key is key
 
+    def test_a_run_of_one_shared_node_shares_one_pair(self):
+        fleet = heterogeneous_fleet([(3, NodeModel(0.01)), (2, NodeModel(0.02, 0.01))])
+        key = fleet.probability_key
+        assert key == ((0.01, 0.0),) * 3 + ((0.02, 0.01),) * 2
+        assert key[0] is key[2] and key[3] is key[4] and key[2] is not key[3]
+        # Equal but distinct node objects still give equal pairs.
+        assert Fleet((NodeModel(0.01), NodeModel(0.01))).probability_key == key[:2]
+
     def test_labels_and_costs_do_not_enter_the_key(self):
         plain = Fleet((NodeModel(0.01),))
         labelled = Fleet((NodeModel(0.01, label="db", cost_per_hour=2.0),))
