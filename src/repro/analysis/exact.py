@@ -9,9 +9,10 @@ it exists to (a) handle *asymmetric* predicates exactly at small N and
 
 :func:`exact_reliability` runs on a vectorized path (the engine's
 ``exact`` estimator): the configuration code matrix is enumerated once per
-(fleet size, per-node outcome support) pattern and memoised, per-config
-probabilities are NumPy products accumulated in node order, and symmetric
-specs read verdicts from their cached count masks.  The multiplication and
+(fleet size, per-node outcome support) pattern and memoised together with
+each row's crash and Byzantine counts, per-config probabilities are NumPy
+products accumulated in node order, and symmetric specs read verdicts from
+their cached count masks at the memoised counts.  The multiplication and
 summation orders reproduce the historical recursive walk exactly, so
 results are bit-identical to the pre-vectorized estimator.
 """
@@ -19,7 +20,7 @@ results are bit-identical to the pre-vectorized estimator.
 from __future__ import annotations
 
 import heapq
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -38,10 +39,22 @@ DEFAULT_MAX_CONFIGS = 1 << 22
 #: FaultKind outcome codes in the historical enumeration order.
 _KIND_ORDER = (FaultKind.CORRECT, FaultKind.CRASH, FaultKind.BYZANTINE)
 
-#: Memoised configuration matrices, keyed by per-node outcome support.
-#: Bounded: entries are evicted oldest-first beyond this count, and
-#: matrices larger than ``_ENUM_CACHE_MAX_ELEMENTS`` are never cached.
-_ENUM_CACHE: dict[tuple, np.ndarray] = {}
+
+class _Enumeration(NamedTuple):
+    """One support signature's configurations: the ``(K, n)`` int8 code
+    matrix and each row's crash / Byzantine count (read-only arrays)."""
+
+    codes: np.ndarray
+    crash_counts: np.ndarray
+    byz_counts: np.ndarray
+
+
+#: Memoised enumerations, keyed by per-node outcome support.  Bounded:
+#: entries are evicted oldest-first beyond this count, and enumerations
+#: whose code matrix is larger than ``_ENUM_CACHE_MAX_ELEMENTS`` are never
+#: cached.  The counts live in the same entry as the codes, so they are
+#: evicted with them.
+_ENUM_CACHE: dict[tuple, _Enumeration] = {}
 _ENUM_CACHE_MAX_ENTRIES = 16
 _ENUM_CACHE_MAX_ELEMENTS = 1 << 24
 
@@ -120,12 +133,12 @@ def _support_signature(fleet: Fleet) -> tuple:
     return tuple(signature)
 
 
-def _configuration_codes(signature: tuple) -> np.ndarray:
-    """All positive-support configurations as a ``(K, n)`` int8 code matrix.
+def _enumeration(signature: tuple) -> _Enumeration:
+    """All positive-support configurations of a signature, with their counts.
 
-    Rows appear in the historical recursion order (node 0's outcome varies
-    slowest), so ordered reductions over the rows reproduce the generator
-    walk of :func:`enumerate_configurations` exactly.
+    Code rows appear in the historical recursion order (node 0's outcome
+    varies slowest), so ordered reductions over the rows reproduce the
+    generator walk of :func:`enumerate_configurations` exactly.
     """
     cached = _ENUM_CACHE.get(signature)
     if cached is not None:
@@ -136,12 +149,16 @@ def _configuration_codes(signature: tuple) -> np.ndarray:
         codes = np.stack([m.reshape(-1) for m in mesh], axis=1)
     else:
         codes = np.zeros((1, 0), dtype=np.int8)
-    codes.setflags(write=False)
+    enumeration = _Enumeration(
+        codes, (codes == 1).sum(axis=1), (codes == 2).sum(axis=1)
+    )
+    for array in enumeration:
+        array.setflags(write=False)
     if codes.size <= _ENUM_CACHE_MAX_ELEMENTS:
         while len(_ENUM_CACHE) >= _ENUM_CACHE_MAX_ENTRIES:
             _ENUM_CACHE.pop(next(iter(_ENUM_CACHE)))
-        _ENUM_CACHE[signature] = codes
-    return codes
+        _ENUM_CACHE[signature] = enumeration
+    return enumeration
 
 
 def _configuration_probabilities(fleet: Fleet, codes: np.ndarray) -> np.ndarray:
@@ -161,16 +178,16 @@ def _configuration_probabilities(fleet: Fleet, codes: np.ndarray) -> np.ndarray:
 
 
 def _exact_verdicts(
-    spec: "ProtocolSpec", codes: np.ndarray
+    spec: "ProtocolSpec", enumeration: _Enumeration
 ) -> tuple[np.ndarray, np.ndarray]:
     """(safe, live) boolean vectors for every configuration row."""
+    codes = enumeration.codes
     if spec.symmetric:
         from repro.analysis.kernels import verdict_masks
 
         masks = verdict_masks(spec)
-        crash_counts = (codes == 1).sum(axis=1)
-        byz_counts = (codes == 2).sum(axis=1)
-        return masks.safe[crash_counts, byz_counts], masks.live[crash_counts, byz_counts]
+        counts = (enumeration.crash_counts, enumeration.byz_counts)
+        return masks.safe[counts], masks.live[counts]
     safe = np.empty(codes.shape[0], dtype=bool)
     live = np.empty(codes.shape[0], dtype=bool)
     for row_index, row in enumerate(codes):
@@ -186,11 +203,11 @@ def exact_reliability(
     """Safe/Live/Safe&Live probabilities by full enumeration.
 
     Works for any spec — symmetric or not — but is exponential in ``n``.
-    Vectorized: the configuration matrix comes from the per-(n, support)
-    enumeration cache, probabilities are NumPy products, and verdicts are
-    count-mask lookups for symmetric specs (per-configuration predicate
-    calls otherwise).  Values are bit-identical to the historical
-    per-configuration walk.
+    Vectorized: the configuration matrix and its per-row counts come from
+    the per-(n, support) enumeration cache, probabilities are NumPy
+    products, and verdicts are count-mask lookups for symmetric specs
+    (per-configuration predicate calls otherwise).  Values are
+    bit-identical to the historical per-configuration walk.
     """
     if fleet.n != spec.n:
         raise InvalidConfigurationError(f"fleet has {fleet.n} nodes but spec expects {spec.n}")
@@ -201,9 +218,10 @@ def exact_reliability(
         )
     from repro.analysis.kernels import masked_sum
 
-    codes = _configuration_codes(_support_signature(fleet))
+    enumeration = _enumeration(_support_signature(fleet))
+    codes = enumeration.codes
     probabilities = _configuration_probabilities(fleet, codes)
-    safe, live = _exact_verdicts(spec, codes)
+    safe, live = _exact_verdicts(spec, enumeration)
     p_safe = masked_sum(probabilities, safe)
     p_live = masked_sum(probabilities, live)
     p_both = masked_sum(probabilities, safe & live)

@@ -15,9 +15,13 @@ flexible estimator APIs in :mod:`repro.analysis` run at NumPy speed:
 
 * **Batched joint-count DP** — :func:`joint_count_pmf_batch` runs the
   trinomial Poisson-binomial dynamic program for ``F`` fleets at once.
-  Its elementwise update sequence is identical to the single-fleet DP in
-  :func:`repro.analysis.counting.joint_count_pmf`, so per-fleet results are
-  bit-identical to the scalar path.
+  Fleets with a single failure kind (crash-only or Byzantine-only — every
+  fleet :meth:`ScenarioSet.grid` builds by default) take a 1-D recursion
+  over ``n+1`` counts; only fleets carrying both kinds
+  (:func:`mixed_support`) sweep the ``(n+1)^2`` grid.  Either way the
+  elementwise update sequence of every nonzero entry is identical to the
+  single-fleet DP in :func:`repro.analysis.counting.joint_count_pmf`, so
+  per-fleet results are bit-identical to the scalar path.
 
 * **Batched Monte-Carlo** — :func:`monte_carlo_tally` and friends draw
   chunked ``(trials, n)`` uniforms.  The uniform stream is consumed in the
@@ -46,9 +50,10 @@ flexible estimator APIs in :mod:`repro.analysis` run at NumPy speed:
   times cheaper than re-running the counting DP per node.
 
 Ordering note: every reduction that feeds an *exact* estimator uses
-:func:`masked_sum`, a sequential row-major accumulation reproducing the
-historical nested-loop summation order, so exact results stay bit-identical
-across the scalar, batched, and masked paths.
+:func:`masked_sum` (or its batched twin :func:`masked_sum_batch`), a
+sequential row-major ``np.cumsum`` reproducing the historical nested-loop
+summation order, so exact results stay bit-identical across the scalar,
+batched, and masked paths on every supported interpreter.
 """
 
 from __future__ import annotations
@@ -155,9 +160,17 @@ def masked_sum(pmf: np.ndarray, mask: np.ndarray) -> float:
 
     Reproduces the historical ``for c: for b: total += mass`` accumulation
     exactly (IEEE addition is order-sensitive), which is what keeps the
-    exact estimators bit-identical to their pre-kernel values.
+    exact estimators bit-identical to their pre-kernel values.  The
+    accumulation is an explicit ``np.cumsum``, the same one
+    :func:`masked_sum_batch` runs per row: the builtin ``sum()`` is not
+    used because from Python 3.12 on it compensates float rounding
+    (Neumaier summation), which would make the scalar estimators disagree
+    in the last bits with the planner's batched rows.
     """
-    return float(sum(pmf[mask].tolist()))
+    selected = pmf[mask]
+    if selected.size == 0:
+        return 0.0
+    return float(np.cumsum(selected)[-1])
 
 
 def masked_sum_batch(pmfs: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -211,6 +224,16 @@ def fleet_probability_matrix(fleets: Sequence[Fleet]) -> tuple[np.ndarray, np.nd
     return crash, byz
 
 
+def mixed_support(crash: np.ndarray, byz: np.ndarray) -> np.ndarray:
+    """Which rows of an ``(F, n)`` batch carry both crash and Byzantine mass.
+
+    Those are the fleets :func:`joint_count_pmf_batch` sweeps over the
+    ``(n+1)^2`` grid; every other row (crash-only, Byzantine-only, or no
+    failure mass at all) runs the 1-D recursion.
+    """
+    return crash.any(axis=1) & byz.any(axis=1)
+
+
 def joint_count_pmf_batch(crash: np.ndarray, byz: np.ndarray) -> np.ndarray:
     """Joint crash/Byzantine count PMFs for ``F`` fleets at once.
 
@@ -220,6 +243,16 @@ def joint_count_pmf_batch(crash: np.ndarray, byz: np.ndarray) -> np.ndarray:
     :func:`repro.analysis.counting.joint_count_pmf` operation-for-operation
     (adding a zero-probability branch is an exact no-op), so each slice is
     bit-identical to the single-fleet result.
+
+    Rows are split by support.  A row with no Byzantine mass (crash-only,
+    or no mass at all) has its PMF in column 0; a row with no crash mass
+    in row 0.  Those rows run a 1-D Poisson-binomial recursion over
+    ``n+1`` counts and land in the zeroed output.  That is bit-identical
+    to the 2-D loop, where the absent kind only ever adds ``+0.0`` to
+    non-negative entries — an exact no-op — so the entries that can be
+    nonzero see the same multiplies and adds in the same order.  Rows
+    with both kinds (:func:`mixed_support`) run the 2-D loop.  Output
+    shape, row order and dtype do not depend on the split.
     """
     crash = np.asarray(crash, dtype=float)
     byz = np.asarray(byz, dtype=float)
@@ -227,6 +260,51 @@ def joint_count_pmf_batch(crash: np.ndarray, byz: np.ndarray) -> np.ndarray:
         raise InvalidConfigurationError("crash/byzantine arrays must share an (F, n) shape")
     fleets, n = crash.shape
     ok = np.maximum(0.0, 1.0 - crash - byz)
+    mixed = mixed_support(crash, byz)
+    if mixed.all():
+        return _joint_count_pmf_2d(crash, byz, ok)
+    # The 2-D sweep runs first so its scratch buffer is freed before the
+    # output is allocated: peak memory stays at two (F, n+1, n+1) arrays.
+    mixed_pmfs = None
+    if mixed.any():
+        mixed_pmfs = _joint_count_pmf_2d(crash[mixed], byz[mixed], ok[mixed])
+    out = np.zeros((fleets, n + 1, n + 1))
+    if mixed_pmfs is not None:
+        out[mixed] = mixed_pmfs
+    crash_only = ~byz.any(axis=1)
+    byz_only = ~mixed & ~crash_only
+    if crash_only.any():
+        out[crash_only, :, 0] = _count_pmf_1d(crash[crash_only], ok[crash_only])
+    if byz_only.any():
+        out[byz_only, 0, :] = _count_pmf_1d(byz[byz_only], ok[byz_only])
+    return out
+
+
+def _count_pmf_1d(fail: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """``(F, n+1)`` count PMFs of fleets with one failure kind.
+
+    The 2-D loop of :func:`_joint_count_pmf_2d` restricted to the one axis
+    that carries mass: the same growing window, the same ping-pong
+    buffers, the same multiply-by-``ok`` then add-the-shifted-failure step.
+    """
+    fleets, n = fail.shape
+    pmf = np.zeros((fleets, n + 1))
+    pmf[:, 0] = 1.0
+    scratch = np.empty_like(pmf)
+    for node in range(n):
+        k = node + 1  # entries [0, k) may be nonzero pre-update
+        src = pmf[:, :k]
+        dst = scratch[:, : k + 1]
+        dst[:, k] = 0.0
+        np.multiply(src, ok[:, node, None], out=dst[:, :k])
+        dst[:, 1 : k + 1] += src * fail[:, node, None]
+        pmf, scratch = scratch, pmf
+    return pmf
+
+
+def _joint_count_pmf_2d(crash: np.ndarray, byz: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """``(F, n+1, n+1)`` joint count PMFs by the windowed trinomial DP."""
+    fleets, n = crash.shape
     # Grow the active window with the node count: after k nodes only counts
     # in [0, k] x [0, k] carry mass, so the update runs on a (k+1)^2 view
     # instead of the full (n+1)^2 grid — a ~3x flop saving at large n.

@@ -8,7 +8,10 @@ folded repeats, within the batch and across runs), and the planner
 1. **batches** — symmetric counting scenarios of the same fleet size share
    one vectorized joint-count DP sweep (one DP per *fleet*, reused across
    every spec of that size), the multi-spec batching the kernel layer was
-   built for;
+   built for.  Inside the sweep, fleets with a single failure kind run a
+   1-D count recursion and only mixed-fault fleets the 2-D grid; the
+   ``engine.counting_group`` span reports how many took the 1-D path
+   (``fleets_1d``);
 2. **falls back** — everything else routes through the estimator registry
    one scenario at a time, fanned across the policy's pool when there is
    one.
@@ -205,6 +208,7 @@ def _run_counting_group(
     """
     from repro.analysis.kernels import (
         joint_count_pmf_batch,
+        mixed_support,
         reliability_values_batch,
         verdict_masks,
     )
@@ -233,6 +237,7 @@ def _run_counting_group(
         byz = np.array([fleet.byzantine_probabilities for fleet in unique_fleets])
         chunk = max(1, _BATCH_CHUNK_FLOATS // ((n + 1) * (n + 1)))
         total = crash.shape[0]
+        span.set("fleets_1d", total - int(np.count_nonzero(mixed_support(crash, byz))))
 
         def reduce_chunk(lo: int, hi: int, pmfs: np.ndarray) -> None:
             for members in by_spec.values():

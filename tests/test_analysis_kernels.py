@@ -9,6 +9,10 @@ the exact tallies the historical loops produced for the same seed.
 
 from __future__ import annotations
 
+import gc
+import itertools
+import math
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -21,7 +25,12 @@ from repro.analysis import analyze, analyze_batch
 from repro.analysis import kernels
 from repro.analysis.config import FailureConfig, FaultKind
 from repro.analysis.counting import counting_reliability, joint_count_pmf
-from repro.analysis.exact import enumerate_configurations, worst_configurations
+from repro.analysis import exact
+from repro.analysis.exact import (
+    enumerate_configurations,
+    exact_reliability,
+    worst_configurations,
+)
 from repro.analysis.horizon import reliability_over_horizon
 from repro.analysis.importance import importance_sample_violation
 from repro.analysis.kernels import (
@@ -32,6 +41,8 @@ from repro.analysis.kernels import (
     counting_reliability_batch,
     joint_count_pmf_batch,
     loo_weighted_products,
+    masked_sum,
+    masked_sum_batch,
     monte_carlo_tally,
     predicate_tally,
     upgrade_metric_values,
@@ -275,6 +286,212 @@ class TestCountingKernel:
         for point in points:
             fleet = fleet_for_window(curves, point.start_hours, 24.0)
             assert point.safe_and_live == counting_reliability(spec, fleet).safe_and_live.value
+
+
+# ---------------------------------------------------------------------------
+# Support-split DP: single-kind rows in 1-D, bit-identical to the 2-D loop
+# ---------------------------------------------------------------------------
+def _ref_joint_count_pmf_2d(crash: np.ndarray, byz: np.ndarray) -> np.ndarray:
+    """The windowed 2-D batch DP every row ran before the support split."""
+    fleets, n = crash.shape
+    ok = np.maximum(0.0, 1.0 - crash - byz)
+    pmf = np.zeros((fleets, n + 1, n + 1))
+    pmf[:, 0, 0] = 1.0
+    scratch = np.empty_like(pmf)
+    for node in range(n):
+        k = node + 1
+        src = pmf[:, :k, :k]
+        dst = scratch[:, : k + 1, : k + 1]
+        dst[:, k, :] = 0.0
+        dst[:, :k, k] = 0.0
+        np.multiply(src, ok[:, node, None, None], out=dst[:, :k, :k])
+        dst[:, 1 : k + 1, :k] += src * crash[:, node, None, None]
+        dst[:, :k, 1 : k + 1] += src * byz[:, node, None, None]
+        pmf, scratch = scratch, pmf
+    return pmf
+
+
+_ROW_KINDS = ("crash-only", "byzantine-only", "mixed", "all-zero", "p=1")
+
+
+@st.composite
+def _split_batches(draw):
+    """A shuffled ``(crash, byz)`` batch mixing every support kind."""
+    n = draw(st.integers(0, 41))
+    kinds = draw(st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=7))
+    probability = st.floats(0.0, 1.0)
+    crash_rows, byz_rows = [], []
+    for kind in kinds:
+        if kind == "mixed":
+            pairs = draw(st.lists(_NODE_PAIRS, min_size=n, max_size=n))
+        elif kind == "p=1":
+            pairs = [draw(st.sampled_from([(1.0, 0.0), (0.0, 1.0)]))] * n
+        elif kind == "all-zero":
+            pairs = [(0.0, 0.0)] * n
+        else:
+            ps = draw(st.lists(probability, min_size=n, max_size=n))
+            pairs = [(p, 0.0) if kind == "crash-only" else (0.0, p) for p in ps]
+        crash_rows.append([crash for crash, _ in pairs])
+        byz_rows.append([byz for _, byz in pairs])
+    order = draw(st.permutations(range(len(kinds))))
+    crash = np.array([crash_rows[i] for i in order], dtype=float).reshape(len(kinds), n)
+    byz = np.array([byz_rows[i] for i in order], dtype=float).reshape(len(kinds), n)
+    return crash, byz
+
+
+class TestSupportSplitDP:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(batch=_split_batches())
+    def test_property_split_dp_equals_the_2d_loop(self, batch):
+        crash, byz = batch
+        out = joint_count_pmf_batch(crash, byz)
+        reference = _ref_joint_count_pmf_2d(crash, byz)
+        assert out.shape == reference.shape and out.dtype == reference.dtype
+        assert np.array_equal(out, reference)
+        assert out.tobytes() == reference.tobytes()  # signed zeros too
+        # Row order: every row is its own fleet's PMF, wherever it sat.
+        for row in range(crash.shape[0]):
+            alone = _ref_joint_count_pmf_2d(crash[row : row + 1], byz[row : row + 1])
+            assert out[row].tobytes() == alone[0].tobytes()
+
+    def test_single_kind_batches_never_run_the_2d_loop(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("2-D DP called")
+
+        crash_only = np.array([[0.1, 0.0, 0.3], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        byz_only = np.array([[0.2, 0.05, 0.0], [0.5, 0.5, 0.5]])
+        expected_crash = _ref_joint_count_pmf_2d(crash_only, np.zeros_like(crash_only))
+        expected_byz = _ref_joint_count_pmf_2d(np.zeros_like(byz_only), byz_only)
+        monkeypatch.setattr(kernels, "_joint_count_pmf_2d", refuse)
+        assert np.array_equal(
+            joint_count_pmf_batch(crash_only, np.zeros_like(crash_only)), expected_crash
+        )
+        assert np.array_equal(
+            joint_count_pmf_batch(np.zeros_like(byz_only), byz_only), expected_byz
+        )
+        # A batch holding both single-kind shapes stays 1-D as well.
+        joint_count_pmf_batch(
+            np.vstack([crash_only, np.zeros_like(byz_only)]),
+            np.vstack([np.zeros_like(crash_only), byz_only]),
+        )
+        # Control: a mixed fleet does need the 2-D loop.
+        with pytest.raises(AssertionError, match="2-D DP called"):
+            joint_count_pmf_batch(np.array([[0.1, 0.0]]), np.array([[0.0, 0.1]]))
+
+    def test_mixed_support_flags_rows_with_both_kinds(self):
+        crash = np.array([[0.1, 0.0], [0.0, 0.0], [0.1, 0.0], [0.0, 0.0]])
+        byz = np.array([[0.0, 0.0], [0.0, 0.2], [0.0, 0.2], [0.0, 0.0]])
+        assert kernels.mixed_support(crash, byz).tolist() == [False, False, True, False]
+
+
+# ---------------------------------------------------------------------------
+# masked_sum: one ordered accumulation on every interpreter
+# ---------------------------------------------------------------------------
+class TestMaskedSum:
+    def test_accumulates_sequentially_without_compensation(self):
+        # Python >= 3.12's builtin sum() compensates and reads
+        # 1.000000000000001 here; the row-major sequential sum reads 1.0.
+        values = np.array([1.0] + [1e-16] * 10)
+        assert masked_sum(values, np.ones(values.shape, dtype=bool)) == 1.0
+
+    def test_empty_mask_sums_to_zero(self):
+        pmf = np.full((3, 3), 0.25)
+        total = masked_sum(pmf, np.zeros((3, 3), dtype=bool))
+        assert total == 0.0 and isinstance(total, float)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(0, 12),
+        fleets=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        density=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    def test_property_equals_the_batched_row(self, n, fleets, seed, density):
+        rng = np.random.default_rng(seed)
+        pmfs = rng.random((fleets, n + 1, n + 1)) ** 8
+        mask = rng.random((n + 1, n + 1)) < density
+        batched = masked_sum_batch(pmfs, mask)
+        for row, pmf in enumerate(pmfs):
+            total = masked_sum(pmf, mask)
+            assert isinstance(total, float)
+            assert total == batched[row]
+
+
+# ---------------------------------------------------------------------------
+# Exact enumeration: per-row counts memoised with the code matrix
+# ---------------------------------------------------------------------------
+def _ref_exact_symmetric(spec, fleet) -> tuple[float, float, float]:
+    """Symmetric exact reliability counting each code row itself."""
+    enumeration = exact._enumeration(exact._support_signature(fleet))
+    probabilities = exact._configuration_probabilities(fleet, enumeration.codes)
+    safe = live = both = 0.0
+    for row, probability in zip(enumeration.codes.tolist(), probabilities.tolist()):
+        crash, byz = row.count(1), row.count(2)
+        row_safe = spec.is_safe_counts(crash, byz)
+        row_live = spec.is_live_counts(crash, byz)
+        if row_safe:
+            safe += probability
+        if row_live:
+            live += probability
+        if row_safe and row_live:
+            both += probability
+    return min(safe, 1.0), min(live, 1.0), min(both, 1.0)
+
+
+class TestExactEnumerationCounts:
+    @pytest.mark.parametrize("n", [7, 11])
+    @pytest.mark.parametrize("support", ["crash-only", "byzantine-only", "mixed"])
+    @pytest.mark.parametrize("factory", [RaftSpec, PBFTSpec], ids=["raft", "pbft"])
+    def test_symmetric_exact_equals_per_row_counting(self, n, support, factory):
+        crash = [0.01 + 0.02 * (i % 5) for i in range(n)]
+        if support == "crash-only":
+            nodes = [NodeModel(p, 0.0) for p in crash]
+        elif support == "byzantine-only":
+            nodes = [NodeModel(0.0, p) for p in crash]
+        else:
+            nodes = [NodeModel(p, 0.004 * (1 + i % 3)) for i, p in enumerate(crash)]
+        spec, fleet = factory(n), Fleet(tuple(nodes))
+        result = exact_reliability(spec, fleet)
+        assert (
+            result.safe.value,
+            result.live.value,
+            result.safe_and_live.value,
+        ) == _ref_exact_symmetric(spec, fleet)
+
+    def test_counts_share_the_code_matrix_entry_and_its_eviction(self, monkeypatch):
+        monkeypatch.setattr(exact, "_ENUM_CACHE", {})
+        limit = exact._ENUM_CACHE_MAX_ENTRIES
+        # Two-node fleets, one distinct support signature each.
+        models = [
+            NodeModel(0.0, 0.0),
+            NodeModel(0.1, 0.0),
+            NodeModel(0.0, 0.1),
+            NodeModel(0.1, 0.1),
+            NodeModel(1.0, 0.0),
+        ]
+        fleets = [Fleet(pair) for pair in itertools.product(models, repeat=2)]
+        fleets = fleets[: limit + 3]
+        first = exact._support_signature(fleets[0])
+        exact_reliability(RaftSpec(2), fleets[0])
+        entry = exact._ENUM_CACHE[first]
+        counts_ref = weakref.ref(entry.crash_counts)
+        del entry
+        for fleet in fleets[1:]:
+            exact_reliability(RaftSpec(2), fleet)
+            assert len(exact._ENUM_CACHE) <= limit
+        assert len(exact._ENUM_CACHE) == limit
+        assert first not in exact._ENUM_CACHE
+        gc.collect()
+        assert counts_ref() is None  # evicted with its codes: no side table
+        for signature, cached in exact._ENUM_CACHE.items():
+            assert cached.codes.shape == (
+                math.prod(len(codes) for codes in signature),
+                len(signature),
+            )
+            assert cached.crash_counts.tolist() == (cached.codes == 1).sum(axis=1).tolist()
+            assert cached.byz_counts.tolist() == (cached.codes == 2).sum(axis=1).tolist()
+            assert not cached.crash_counts.flags.writeable
+            assert not cached.byz_counts.flags.writeable
 
 
 # ---------------------------------------------------------------------------

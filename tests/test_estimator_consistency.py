@@ -29,6 +29,7 @@ from repro.analysis.exact import exact_reliability
 from repro.analysis.montecarlo import monte_carlo_reliability
 from repro.engine import ReliabilityEngine, Scenario, ScenarioSet
 from repro.faults.mixture import Fleet, NodeModel
+from repro.protocols.benor import BenOrSpec, ByzantineBenOrSpec
 from repro.protocols.pbft import PBFTSpec
 from repro.protocols.quorum_based import QuorumSystemSpec
 from repro.protocols.raft import FlexibleRaftSpec, RaftSpec, majority
@@ -41,6 +42,15 @@ GRID_SEED = 20260730
 ULP_TOLERANCE = 5e-13
 
 METRICS = ("safe", "live", "safe_and_live")
+
+#: The counting part of the benchmark sweep: its protocols and sizes.
+SWEEP_SPECS = {
+    "raft": RaftSpec,
+    "pbft": PBFTSpec,
+    "benor": BenOrSpec,
+    "byz-benor": ByzantineBenOrSpec,
+}
+SWEEP_SIZES = (11, 25, 41)
 
 
 @dataclass(frozen=True)
@@ -115,6 +125,45 @@ class TestExactAgreement:
                 assert math.isclose(a, b, rel_tol=ULP_TOLERANCE, abs_tol=ULP_TOLERANCE), (
                     f"{cell.label}: counting {metric}={a!r} vs exact {b!r}"
                 )
+
+    @pytest.mark.parametrize("n", SWEEP_SIZES)
+    def test_every_door_agrees_on_the_sweeps_fleet_shapes(self, n):
+        # The benchmark sweep's protocols at its sizes, on crash-only,
+        # Byzantine-only and mixed fleets: the planner's shared sweep runs
+        # the 1-D count recursion for the first two and the 2-D grid for
+        # the third, and every row must still equal scalar counting.
+        rng = np.random.default_rng(GRID_SEED + n)
+        probabilities = rng.uniform(0.005, 0.2, n)
+        fleets = {
+            "crash-only": Fleet(tuple(NodeModel(p, 0.0) for p in probabilities)),
+            "byzantine-only": Fleet(tuple(NodeModel(0.0, p) for p in probabilities)),
+            "mixed": Fleet(tuple(NodeModel(0.75 * p, 0.25 * p) for p in probabilities)),
+        }
+        cells = [
+            (f"{name}/n={n}/{shape}", factory(n), fleet)
+            for name, factory in SWEEP_SPECS.items()
+            for shape, fleet in fleets.items()
+        ]
+        answers = ReliabilityEngine().run(
+            ScenarioSet.build(
+                Scenario(spec=spec, fleet=fleet, method="counting", label=label)
+                for label, spec, fleet in cells
+            )
+        )
+        for (label, spec, fleet), answer in zip(cells, answers):
+            assert answer.provenance.batched, label
+            scalar = counting_reliability(spec, fleet)
+            enumerated = exact_reliability(spec, fleet) if n == 11 else None
+            for metric in METRICS:
+                value = getattr(answer.value, metric).value
+                assert value == getattr(scalar, metric).value, (
+                    f"{label}: batched {metric} diverged from scalar counting"
+                )
+                if enumerated is not None:
+                    exact_value = getattr(enumerated, metric).value
+                    assert math.isclose(
+                        value, exact_value, rel_tol=ULP_TOLERANCE, abs_tol=ULP_TOLERANCE
+                    ), f"{label}: counting {metric}={value!r} vs exact {exact_value!r}"
 
     def test_quorum_system_spec_exact_matches_threshold_counting(self):
         # A majority quorum-system spec is semantically a Raft spec: its

@@ -25,6 +25,7 @@ from repro.engine import (
     ReliabilityEngine,
     ReliabilityQuery,
     Scenario,
+    ScenarioSet,
     SimulationQuery,
 )
 from repro.faults.mixture import uniform_fleet
@@ -390,6 +391,30 @@ class TestBitIdentity:
         assert all(r.attributes["mode"] == "thread" for r in runs)
         assert all(r.attributes["jobs"] == 2 for r in runs)
         assert not [r for r in exporter.records if r.name == "engine.run"]
+
+    @pytest.mark.parametrize(
+        "fraction,expect_1d", [(None, True), (0.5, False)], ids=["uniform", "mixed"]
+    )
+    def test_counting_group_says_which_dp_ran(self, fraction, expect_1d):
+        def grid():
+            return ScenarioSet.grid(
+                ("raft", "pbft"), (7,), (0.01, 0.05, 0.1),
+                byzantine_fraction=fraction, method="counting",
+            )
+
+        untraced = ReliabilityEngine().run(grid())
+        exporter = InMemoryExporter()
+        with use_tracer(Tracer.for_key(("counting-dp",), exporter=exporter)):
+            traced = ReliabilityEngine().run(grid())
+        (group,) = [r for r in exporter.records if r.name == "engine.counting_group"]
+        fleets = group.attributes["fleets"]
+        assert fleets == (6 if fraction is None else 3)
+        assert group.attributes["fleets_1d"] == (fleets if expect_1d else 0)
+        # On the span only: the answer bytes are the same either way.
+        untraced_bytes = json.dumps([a.to_dict() for a in untraced], sort_keys=True)
+        traced_bytes = json.dumps([a.to_dict() for a in traced], sort_keys=True)
+        assert traced_bytes == untraced_bytes
+        assert "fleets_1d" not in traced_bytes
 
 
     def test_recall_exports_the_run_tree_on_a_hit_and_nothing_on_a_miss(self):
