@@ -161,16 +161,14 @@ def masked_sum(pmf: np.ndarray, mask: np.ndarray) -> float:
     Reproduces the historical ``for c: for b: total += mass`` accumulation
     exactly (IEEE addition is order-sensitive), which is what keeps the
     exact estimators bit-identical to their pre-kernel values.  The
-    accumulation is an explicit ``np.cumsum``, the same one
-    :func:`masked_sum_batch` runs per row: the builtin ``sum()`` is not
+    accumulation is the strictly sequential ``np.add.accumulate`` behind
+    :func:`masked_sum_batch`'s ``np.cumsum``: the builtin ``sum()`` is not
     used because from Python 3.12 on it compensates float rounding
     (Neumaier summation), which would make the scalar estimators disagree
     in the last bits with the planner's batched rows.
     """
     selected = pmf[mask]
-    if selected.size == 0:
-        return 0.0
-    return float(np.cumsum(selected)[-1])
+    return float(np.add.accumulate(selected)[-1]) if selected.size else 0.0
 
 
 def masked_sum_batch(pmfs: np.ndarray, mask: np.ndarray) -> np.ndarray:

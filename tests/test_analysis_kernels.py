@@ -394,11 +394,6 @@ class TestMaskedSum:
         values = np.array([1.0] + [1e-16] * 10)
         assert masked_sum(values, np.ones(values.shape, dtype=bool)) == 1.0
 
-    def test_empty_mask_sums_to_zero(self):
-        pmf = np.full((3, 3), 0.25)
-        total = masked_sum(pmf, np.zeros((3, 3), dtype=bool))
-        assert total == 0.0 and isinstance(total, float)
-
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         n=st.integers(0, 12),
