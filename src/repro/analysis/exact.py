@@ -7,20 +7,24 @@ safe / live configurations.  Exponential, so guarded by a state budget —
 it exists to (a) handle *asymmetric* predicates exactly at small N and
 (b) cross-validate the polynomial counting estimator.
 
-:func:`exact_reliability` runs on a vectorized path (the engine's
-``exact`` estimator): the configuration code matrix is enumerated once per
-(fleet size, per-node outcome support) pattern and memoised together with
-each row's crash and Byzantine counts, per-config probabilities are NumPy
-products accumulated in node order, and symmetric specs read verdicts from
-their cached count masks at the memoised counts.  The multiplication and
-summation orders reproduce the historical recursive walk exactly, so
-results are bit-identical to the pre-vectorized estimator.
+:func:`exact_reliability_batch` runs on a vectorized path (the engine's
+``exact`` estimator batches its rows through it, and
+:func:`exact_reliability` is a batch of one): fleets are grouped by
+per-node outcome support; each pattern's configuration code matrix is
+enumerated once and memoised together with each row's crash and Byzantine
+counts, its verdicts are evaluated once per batch (symmetric specs read
+their cached count masks at the memoised counts), and a group's
+per-config probabilities are outer products accumulated in node order.
+The multiplication and summation orders reproduce the historical
+recursive walk exactly, so results are bit-identical to the
+pre-vectorized estimator.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterator, NamedTuple
+import math
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,10 +82,7 @@ def _outcome_choices(fleet: Fleet) -> list[list[tuple[FaultKind, float]]]:
 
 def configuration_count(fleet: Fleet) -> int:
     """Number of positive-probability configurations the fleet induces."""
-    count = 1
-    for node_choices in _outcome_choices(fleet):
-        count *= len(node_choices)
-    return count
+    return math.prod(len(codes) for codes in _support_signature(fleet))
 
 
 def enumerate_configurations(
@@ -111,25 +112,35 @@ def enumerate_configurations(
     yield from recurse(0, [], 1.0)
 
 
+def _support_codes(p_crash: float, p_byzantine: float) -> tuple[int, ...]:
+    """The outcome codes of one node that carry positive probability."""
+    p_correct = max(0.0, 1.0 - (p_crash + p_byzantine))  # NodeModel.p_correct
+    codes = tuple(
+        code
+        for code, p in enumerate((p_correct, p_crash, p_byzantine))
+        if p > 0.0
+    )
+    if not codes:
+        raise InvalidConfigurationError("node has no outcome with positive probability")
+    return codes
+
+
 def _support_signature(fleet: Fleet) -> tuple:
     """Per-node tuple of the outcome codes carrying positive probability.
 
     Two fleets with the same signature induce the *same* configuration
     matrix (only the probabilities differ), which is what lets the
-    enumeration be computed once per (n, support) and shared.
+    enumeration be computed once per (n, support) and shared.  Read off
+    :attr:`Fleet.probability_key`, whose runs of equal nodes share one
+    pair object, so a run costs one support computation.
     """
     signature = []
-    for node in fleet:
-        codes = []
-        if node.p_correct > 0.0:
-            codes.append(0)
-        if node.p_crash > 0.0:
-            codes.append(1)
-        if node.p_byzantine > 0.0:
-            codes.append(2)
-        if not codes:
-            raise InvalidConfigurationError("node has no outcome with positive probability")
-        signature.append(tuple(codes))
+    previous = codes = None
+    for pair in fleet.probability_key:
+        if pair is not previous:
+            codes = _support_codes(*pair)
+            previous = pair
+        signature.append(codes)
     return tuple(signature)
 
 
@@ -161,19 +172,27 @@ def _enumeration(signature: tuple) -> _Enumeration:
     return enumeration
 
 
-def _configuration_probabilities(fleet: Fleet, codes: np.ndarray) -> np.ndarray:
-    """Per-configuration probability products, accumulated in node order.
+def _configuration_probabilities(fleets: Sequence[Fleet], signature: tuple) -> np.ndarray:
+    """``(F, K)`` per-configuration probability products of same-signature fleets.
 
-    Multiplies one node at a time (vectorized across configurations), the
-    same operation sequence as the recursive enumeration, so each entry is
-    bit-identical to the probability the generator yields for that row.
+    Built as successive outer products over each node's positive-support
+    outcome probabilities, node 0 slowest — the row order of
+    :func:`_enumeration`'s code matrix.  Entry ``[f, k]`` is
+    ``((1.0·p0)·p1)·…``, the multiplication sequence of the recursive
+    enumeration, so it is bit-identical to the probability the generator
+    yields for that configuration.
     """
-    outcome_p = np.array(
-        [(node.p_correct, node.p_crash, node.p_byzantine) for node in fleet]
+    pairs = np.array([fleet.probability_array for fleet in fleets]).reshape(
+        len(fleets), len(signature), 2
     )
-    probabilities = np.ones(codes.shape[0])
-    for node_index in range(codes.shape[1]):
-        probabilities *= outcome_p[node_index, codes[:, node_index]]
+    p_correct = np.maximum(0.0, 1.0 - (pairs[:, :, 0] + pairs[:, :, 1]))
+    outcomes = np.concatenate((p_correct[:, :, None], pairs), axis=2)  # _KIND_ORDER
+    probabilities = np.ones((len(fleets), 1))
+    for node, codes in enumerate(signature):
+        factors = outcomes[:, node][:, list(codes)]
+        probabilities = (probabilities[:, :, None] * factors[:, None, :]).reshape(
+            len(fleets), -1
+        )
     return probabilities
 
 
@@ -197,43 +216,82 @@ def _exact_verdicts(
     return safe, live
 
 
+def exact_reliability_batch(
+    spec: "ProtocolSpec",
+    fleets: Sequence[Fleet],
+    *,
+    max_configs: int = DEFAULT_MAX_CONFIGS,
+) -> list[ReliabilityResult]:
+    """Safe/Live/Safe&Live probabilities of many fleets by full enumeration.
+
+    Works for any spec — symmetric or not — but is exponential in ``n``.
+    Fleets are grouped by support signature: each group shares one
+    memoised configuration matrix and one evaluation of the verdicts
+    (count-mask lookups for symmetric specs, per-configuration predicate
+    calls otherwise), builds its ``(F, K)`` probability table by outer
+    products (:func:`_configuration_probabilities`), and reduces it with
+    the ordered :func:`~repro.analysis.kernels.masked_sum_batch`.  A group
+    is cut into chunks of at most ``_BATCH_CHUNK_FLOATS`` table entries —
+    the default ``max_configs`` — or of one fleet where a single table is
+    larger, so a chunk never holds more than the largest table one fleet
+    may enumerate.  Values are bit-identical to the historical
+    per-configuration walk, whatever the batch, its order and its chunks.
+
+    Fleets are checked in order: one whose size does not match the spec,
+    or whose configuration count exceeds ``max_configs``, raises before
+    anything is enumerated.
+    """
+    from repro.analysis import kernels
+
+    groups: dict[tuple, list[int]] = {}
+    for index, fleet in enumerate(fleets):
+        if fleet.n != spec.n:
+            raise InvalidConfigurationError(
+                f"fleet has {fleet.n} nodes but spec expects {spec.n}"
+            )
+        signature = _support_signature(fleet)
+        total = math.prod(len(codes) for codes in signature)
+        if total > max_configs:
+            raise EstimationError(
+                f"{total} configurations exceed the exact-enumeration budget of {max_configs}"
+            )
+        groups.setdefault(signature, []).append(index)
+
+    results: list = [None] * len(fleets)
+    for signature, members in groups.items():
+        enumeration = _enumeration(signature)
+        configs = enumeration.codes.shape[0]
+        safe, live = _exact_verdicts(spec, enumeration)
+        masks = (safe, live, safe & live)
+        detail = f"enumerated {configs} configurations"
+        chunk = max(1, kernels._BATCH_CHUNK_FLOATS // configs)
+        for lo in range(0, len(members), chunk):
+            part = members[lo : lo + chunk]
+            probabilities = _configuration_probabilities(
+                [fleets[index] for index in part], signature
+            )
+            values = [
+                np.minimum(kernels.masked_sum_batch(probabilities, mask), 1.0).tolist()
+                for mask in masks
+            ]
+            for index, p_safe, p_live, p_both in zip(part, *values):
+                results[index] = ReliabilityResult(
+                    spec.name,
+                    spec.n,
+                    Estimate(p_safe),
+                    Estimate(p_live),
+                    Estimate(p_both),
+                    "exact",
+                    detail,
+                )
+    return results
+
+
 def exact_reliability(
     spec: "ProtocolSpec", fleet: Fleet, *, max_configs: int = DEFAULT_MAX_CONFIGS
 ) -> ReliabilityResult:
-    """Safe/Live/Safe&Live probabilities by full enumeration.
-
-    Works for any spec — symmetric or not — but is exponential in ``n``.
-    Vectorized: the configuration matrix and its per-row counts come from
-    the per-(n, support) enumeration cache, probabilities are NumPy
-    products, and verdicts are count-mask lookups for symmetric specs
-    (per-configuration predicate calls otherwise).  Values are
-    bit-identical to the historical per-configuration walk.
-    """
-    if fleet.n != spec.n:
-        raise InvalidConfigurationError(f"fleet has {fleet.n} nodes but spec expects {spec.n}")
-    total = configuration_count(fleet)
-    if total > max_configs:
-        raise EstimationError(
-            f"{total} configurations exceed the exact-enumeration budget of {max_configs}"
-        )
-    from repro.analysis.kernels import masked_sum
-
-    enumeration = _enumeration(_support_signature(fleet))
-    codes = enumeration.codes
-    probabilities = _configuration_probabilities(fleet, codes)
-    safe, live = _exact_verdicts(spec, enumeration)
-    p_safe = masked_sum(probabilities, safe)
-    p_live = masked_sum(probabilities, live)
-    p_both = masked_sum(probabilities, safe & live)
-    return ReliabilityResult(
-        protocol=spec.name,
-        n=fleet.n,
-        safe=Estimate.exact(min(p_safe, 1.0)),
-        live=Estimate.exact(min(p_live, 1.0)),
-        safe_and_live=Estimate.exact(min(p_both, 1.0)),
-        method="exact",
-        detail=f"enumerated {codes.shape[0]} configurations",
-    )
+    """:func:`exact_reliability_batch` of one fleet."""
+    return exact_reliability_batch(spec, [fleet], max_configs=max_configs)[0]
 
 
 def worst_configurations(

@@ -28,8 +28,9 @@ flexible estimator APIs in :mod:`repro.analysis` run at NumPy speed:
   same (trial, node) order as the historical per-trial loop, so seeded
   tallies are unchanged.  Symmetric specs count each trial's crashes and
   Byzantine nodes straight from the uniforms (two threshold passes, one
-  when the fleet has no Byzantine mass) and bin the count pairs into one
-  histogram; no node is ever classified.  Asymmetric specs classify every
+  when the fleet has no Byzantine mass; scalar thresholds when every node
+  shares one model) and bin the count pairs into one histogram; no node
+  is ever classified.  Asymmetric specs classify every
   node (:func:`classify_uniforms`) and get ``np.unique`` row dedup:
   Python predicates run once per *distinct* configuration, not per trial.
 
@@ -49,8 +50,9 @@ flexible estimator APIs in :mod:`repro.analysis` run at NumPy speed:
   (and the ranking / gradient / upgrade-planner APIs built on it) ~2n
   times cheaper than re-running the counting DP per node.
 
-Ordering note: every reduction that feeds an *exact* estimator uses
-:func:`masked_sum` (or its batched twin :func:`masked_sum_batch`), a
+Ordering note: every reduction that feeds an *exact* estimator (counting
+here, enumeration in :func:`repro.analysis.exact.exact_reliability_batch`)
+uses :func:`masked_sum` (or its batched twin :func:`masked_sum_batch`), a
 sequential row-major ``np.cumsum`` reproducing the historical nested-loop
 summation order, so exact results stay bit-identical across the scalar,
 batched, and masked paths on every supported interpreter.
@@ -74,6 +76,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Target number of uniform draws per Monte-Carlo chunk (~8 MB of float64).
 _CHUNK_DRAWS = 1 << 20
+
+#: Cap on floats materialised per batched chunk (~32 MB of float64): the
+#: engine's counting-group PMFs and the exact batch's probability tables.
+_BATCH_CHUNK_FLOATS = 1 << 22
 
 #: Outcome codes used by the vectorized trinomial classifier.
 _CODE_CORRECT, _CODE_CRASH, _CODE_BYZANTINE = 0, 1, 2
@@ -211,14 +217,17 @@ def reliability_values_batch(
 # Batched joint-count DP
 # ---------------------------------------------------------------------------
 def fleet_probability_matrix(fleets: Sequence[Fleet]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack per-node crash/Byzantine probabilities into (F, n) arrays."""
+    """Stack per-node crash/Byzantine probabilities into (F, n) arrays.
+
+    Stacks each fleet's cached :attr:`~repro.faults.mixture.Fleet.probability_array`.
+    """
     if not fleets:
         raise InvalidConfigurationError("need at least one fleet")
     n = fleets[0].n
     if any(fleet.n != n for fleet in fleets):
         raise InvalidConfigurationError("all fleets in a batch must have the same size")
-    crash = np.array([fleet.crash_probabilities for fleet in fleets], dtype=float)
-    byz = np.array([fleet.byzantine_probabilities for fleet in fleets], dtype=float)
+    pairs = np.array([fleet.probability_array for fleet in fleets]).reshape(len(fleets), n, 2)
+    crash, byz = np.ascontiguousarray(pairs.transpose(2, 0, 1))
     return crash, byz
 
 
@@ -504,20 +513,26 @@ def monte_carlo_tally(
     ``count(u < p_crash + p_byzantine)`` minus that Byzantine nodes, the
     same rule as :func:`classify_uniforms` (``p_byzantine >= 0``, so the
     first set lies inside the second) — and tallied by one histogram over
-    the count pairs.  Asymmetric specs classify each node and go through
-    :func:`np.unique` row dedup.
+    the count pairs.  When every node shares one ``(p_crash,
+    p_byzantine)`` pair, the uniforms are compared against those two
+    scalars rather than broadcast ``n``-vectors: each element meets the
+    same double either way, at a fraction of the cost.  Asymmetric specs
+    classify each node and go through :func:`np.unique` row dedup.
     """
-    crash_p = np.array(fleet.crash_probabilities)
-    byz_p = np.array(fleet.byzantine_probabilities)
+    pairs = fleet.probability_array
+    crash_p, byz_p = np.ascontiguousarray(pairs.T)
     masks = verdict_masks(spec) if spec.symmetric else None
-    fail_p = crash_p + byz_p if byz_p.any() else None
+    crash_t, byz_t = crash_p, byz_p  # the symmetric count's thresholds
+    if masks is not None and fleet.n and (pairs == pairs[0]).all():
+        crash_t, byz_t = pairs[0]
+    fail_t = crash_t + byz_t if byz_p.any() else None
     safe = live = both = 0
     for size in _chunk_sizes(trials, fleet.n):
         uniforms = rng.random((size, fleet.n))
         if masks is not None:
-            crash_counts = _row_counts(uniforms < crash_p)
+            crash_counts = _row_counts(uniforms < crash_t)
             byz_counts = (
-                0 if fail_p is None else _row_counts(uniforms < fail_p) - crash_counts
+                0 if fail_t is None else _row_counts(uniforms < fail_t) - crash_counts
             )
             s, l, b = _tally_symmetric(masks, crash_counts, byz_counts)
         else:

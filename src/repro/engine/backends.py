@@ -10,11 +10,13 @@ lives in :mod:`repro.engine.planner`):
 ``availability`` / ``mttf``
     CTMC questions batched *per chain*: queries whose
     :meth:`~repro.engine.query._MarkovQuery.chain_key` matches share one
-    :class:`~repro.markov.builders.ClusterMarkovModel` solve (one
-    steady-state system for availability; one absorption system per
-    distinct threshold for MTTF/MTTDL), and every per-query value is
-    produced by the same builder methods a direct caller would use — so
-    answers are bit-identical to :mod:`repro.markov.builders`.
+    :class:`~repro.markov.builders.ClusterMarkovModel` and its one chain
+    build (one steady-state system and one prefix pass over π for
+    availability; one absorption solve per distinct threshold, each on a
+    leading block of the same generator, for MTTF/MTTDL), and every
+    per-query value is produced by the same builder methods a direct
+    caller would use — so answers are bit-identical to
+    :mod:`repro.markov.builders`.
 ``simulation``
     Seeded discrete-event campaigns: replica ``i`` draws from child ``i``
     of the query seed's ``SeedSequence`` (the PR 3 spawned-stream
@@ -128,13 +130,14 @@ def availability_backend(
 ) -> list[Answer]:
     def answer_chain(chain: Sequence[AvailabilityQuery]):
         model = _cluster_model(chain[0])
-        pi = model.steady_state_distribution()  # the one solve for this chain
+        # One solve and one prefix pass over π for the whole chain.
+        availabilities = model.steady_state_availabilities(
+            [query.resolved_quorum for query in chain]
+        )
         return [
             AvailabilityAnswer(
                 quorum_size=query.resolved_quorum,
-                availability=model.steady_state_availability(
-                    query.resolved_quorum, pi=pi
-                ),
+                availability=availability,
                 window_hours=query.window_hours,
                 window_unavailability=(
                     None
@@ -144,7 +147,7 @@ def availability_backend(
                     )
                 ),
             )
-            for query in chain
+            for query, availability in zip(chain, availabilities)
         ]
 
     return _run_markov_kind(queries, kind="availability", answer_chain=answer_chain)
@@ -157,7 +160,7 @@ def mttf_backend(
     policy: "ExecutionPolicy",
 ) -> list[Answer]:
     def answer_chain(chain: Sequence[MTTFQuery]):
-        model = _cluster_model(chain[0])
+        model = _cluster_model(chain[0])  # builds its generator once
         hitting_times: dict[int, float] = {}  # threshold -> one solve each
 
         def mean_hours(threshold: int) -> float:

@@ -11,15 +11,18 @@ folded repeats, within the batch and across runs), and the planner
    built for.  Inside the sweep, fleets with a single failure kind run a
    1-D count recursion and only mixed-fault fleets the 2-D grid; the
    ``engine.counting_group`` span reports how many took the 1-D path
-   (``fleets_1d``);
+   (``fleets_1d``).  Exact-enumeration scenarios sharing a spec run as
+   one :func:`repro.analysis.exact.exact_reliability_batch` call, which
+   shares each support pattern's configurations and verdicts;
 2. **falls back** — everything else routes through the estimator registry
    one scenario at a time, fanned across the policy's pool when there is
    one.
 
 Values are bit-identical to calling the scalar estimators directly: the
 batched DP reproduces :func:`repro.analysis.counting.joint_count_pmf`
-operation-for-operation and the reductions use the ordered
-:func:`repro.analysis.kernels.masked_sum`.
+operation-for-operation, the enumeration batch multiplies in the scalar
+walk's order, and the reductions use the ordered
+:func:`repro.analysis.kernels.masked_sum` / ``masked_sum_batch``.
 
 Like every backend, the planner only computes: it returns one
 :class:`~repro.engine.result.Answer` per row it was given, takes nothing
@@ -32,10 +35,12 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
+from repro.analysis.exact import DEFAULT_MAX_CONFIGS, configuration_count
 from repro.analysis.result import Estimate, ReliabilityResult
 from repro.engine.query import Query, ReliabilityQuery
 from repro.engine.registry import (
     BUILTIN_COUNTING,
+    BUILTIN_EXACT,
     EstimatorFn,
     estimate_under_policy,
     is_stock_estimator,
@@ -49,10 +54,6 @@ from repro.runtime import run_supervised
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.engine import ReliabilityEngine
     from repro.engine.execution import ExecutionPolicy
-
-#: Cap on floats materialised per batched-DP chunk (~32 MB of float64).
-_BATCH_CHUNK_FLOATS = 1 << 22
-
 
 class _Row(NamedTuple):
     """One row of a batch, with its estimator resolved."""
@@ -76,40 +77,56 @@ def reliability_backend(
     """Plan and answer one batch of distinct reliability rows, in order.
 
     Counting scenarios are grouped by fleet size into shared DP sweeps
-    over the *unique* fleets of each group; every other scenario runs
-    through its estimator individually.  Values depend only on the
-    scenarios and the policy's ``shard_trials`` — never on the worker
-    count or executor mode.
+    over the *unique* fleets of each group, and exact-enumeration
+    scenarios by spec into one enumeration batch each; every other
+    scenario runs through its estimator individually.  Values depend
+    only on the scenarios and the policy's ``shard_trials`` — never on
+    the worker count or executor mode.
     """
     answers: list[Answer | None] = [None] * len(queries)
-    groups: dict[int, list[_Row]] = {}
+    counting_groups: dict[int, list[_Row]] = {}
+    exact_groups: dict[tuple, list[_Row]] = {}
     singles: list[_Row] = []
+    estimators: dict[str, EstimatorFn] = {}
     for index, query in enumerate(queries):
         scenario = query.scenario
         method = scenario.resolved_method()
-        estimator_fn = engine.estimator(method)
+        estimator_fn = estimators.get(method)
+        if estimator_fn is None:
+            estimator_fn = estimators[method] = engine.estimator(method)
         row = _Row(index, query, method, estimator_fn)
-        # Invalid counting combinations (asymmetric spec, size mismatch)
-        # fall through to the scalar estimator so they raise the exact
-        # errors counting_reliability always raised.  The shared DP sweep
-        # only substitutes for the *built-in* counting estimator; an
-        # override takes the per-scenario path.
-        if (
+        # The shared sweeps only substitute for the *built-in* counting and
+        # exact estimators; an override takes the per-scenario path.
+        # Invalid combinations (correlated, size mismatch, asymmetric
+        # counting, enumeration over budget) fall through to the scalar
+        # estimator so they raise the exact errors it always raised.
+        if scenario.correlation is not None or scenario.fleet.n != scenario.spec.n:
+            singles.append(row)
+        elif (
             estimator_fn is BUILTIN_COUNTING
             and method == "counting"
-            and scenario.correlation is None
-            and scenario.fleet.n == scenario.spec.n
             and scenario.spec.symmetric
         ):
-            groups.setdefault(scenario.fleet.n, []).append(row)
+            counting_groups.setdefault(scenario.fleet.n, []).append(row)
+        elif (
+            estimator_fn is BUILTIN_EXACT
+            and method == "exact"
+            and configuration_count(scenario.fleet) <= DEFAULT_MAX_CONFIGS
+        ):
+            exact_groups.setdefault(scenario.spec.grouping_key(), []).append(row)
         else:
             singles.append(row)
 
-    for group in groups.values():
+    for group in counting_groups.values():
         if len(group) == 1:
             singles.append(group[0])
         else:
             _run_counting_group(group, answers, policy)
+    for group in exact_groups.values():
+        if len(group) == 1:
+            singles.append(group[0])
+        else:
+            _run_exact_group(group, answers)
     _run_singles(singles, answers, policy)
     return answers  # type: ignore[return-value]
 
@@ -207,6 +224,8 @@ def _run_counting_group(
     left-to-right masked accumulation, same detail string).
     """
     from repro.analysis.kernels import (
+        _BATCH_CHUNK_FLOATS,
+        fleet_probability_matrix,
         joint_count_pmf_batch,
         mixed_support,
         reliability_values_batch,
@@ -233,8 +252,7 @@ def _run_counting_group(
             by_spec.setdefault(scenario.spec.grouping_key(), []).append((row, slot))
         span.set("fleets", len(unique_fleets))
 
-        crash = np.array([fleet.crash_probabilities for fleet in unique_fleets])
-        byz = np.array([fleet.byzantine_probabilities for fleet in unique_fleets])
+        crash, byz = fleet_probability_matrix(unique_fleets)
         chunk = max(1, _BATCH_CHUNK_FLOATS // ((n + 1) * (n + 1)))
         total = crash.shape[0]
         span.set("fleets_1d", total - int(np.count_nonzero(mixed_support(crash, byz))))
@@ -245,18 +263,20 @@ def _run_counting_group(
                 if not selected:
                     continue
                 spec = selected[0][0].query.scenario.spec
-                safe_v, live_v, both_v = reliability_values_batch(
+                values = reliability_values_batch(
                     pmfs[[slot - lo for _, slot in selected]], verdict_masks(spec)
                 )
-                for position, (row, _) in enumerate(selected):
+                for (row, _), p_safe, p_live, p_both in zip(
+                    selected, *(vector.tolist() for vector in values)
+                ):
                     result = ReliabilityResult(
-                        protocol=spec.name,
-                        n=n,
-                        safe=Estimate.exact(float(safe_v[position])),
-                        live=Estimate.exact(float(live_v[position])),
-                        safe_and_live=Estimate.exact(float(both_v[position])),
-                        method="counting",
-                        detail=detail,
+                        spec.name,
+                        n,
+                        Estimate(p_safe),
+                        Estimate(p_live),
+                        Estimate(p_both),
+                        "counting",
+                        detail,
                     )
                     answers[row.index] = Answer(row.query, result, provenance)
 
@@ -281,3 +301,21 @@ def _run_counting_group(
         else:
             for lo, hi in ranges:
                 reduce_chunk(lo, hi, joint_count_pmf_batch(crash[lo:hi], byz[lo:hi]))
+
+
+def _run_exact_group(group: Sequence[_Row], answers: list[Answer | None]) -> None:
+    """One :func:`~repro.analysis.exact.exact_reliability_batch` call for
+    enumeration scenarios sharing a spec (by grouping key).
+
+    The batch shares each support pattern's configuration matrix and
+    verdicts across the group's fleets; per-scenario values are
+    bit-identical to scalar :func:`~repro.analysis.exact.exact_reliability`.
+    """
+    from repro.analysis.exact import exact_reliability_batch
+
+    results = exact_reliability_batch(
+        group[0].query.scenario.spec, [row.query.scenario.fleet for row in group]
+    )
+    provenance = _provenance("exact", batched=True, batch_size=len(group))
+    for row, result in zip(group, results):
+        answers[row.index] = Answer(row.query, result, provenance)

@@ -149,6 +149,11 @@ def _exact(scenario: Scenario) -> ReliabilityResult:
     return exact_reliability(scenario.spec, scenario.fleet)
 
 
+#: Stable reference to the built-in exact estimator: the engine's batched
+#: enumeration only substitutes for *this* implementation.
+BUILTIN_EXACT = _exact
+
+
 @register_estimator("monte-carlo")
 def _monte_carlo(scenario: Scenario) -> ReliabilityResult:
     from repro.analysis.montecarlo import monte_carlo_correlated, monte_carlo_reliability

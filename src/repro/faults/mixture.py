@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.errors import InvalidConfigurationError, InvalidProbabilityError
 from repro.faults.curves import FaultCurve
 
@@ -158,9 +160,23 @@ class Fleet:
             key.append(pair)
         return tuple(key)
 
+    @cached_property
+    def probability_array(self) -> np.ndarray:
+        """:attr:`probability_key` as a read-only ``(n, 2)`` float array:
+        column 0 is ``p_crash``, column 1 ``p_byzantine``.
+
+        The array form the kernels stack and compare against.  Cached like
+        :attr:`probability_key`, and like it kept out of equality, hashing
+        and the pickled state.
+        """
+        array = np.array(self.probability_key, dtype=float).reshape(self.n, 2)
+        array.setflags(write=False)
+        return array
+
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("probability_key", None)
+        state.pop("probability_array", None)
         return state
 
     @property

@@ -11,10 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
+from typing import Iterable
 
 from repro._stats import binom_sf
 from repro.errors import InvalidConfigurationError
-from repro.markov.chain import ContinuousTimeMarkovChain, TransitionRates
+from repro.markov.chain import (
+    ContinuousTimeMarkovChain,
+    TransitionRates,
+    mean_time_to_absorption,
+)
 
 
 @dataclass(frozen=True)
@@ -72,13 +79,32 @@ class ClusterMarkovModel:
         states = list(range(top + 1))
         return ContinuousTimeMarkovChain(states, TransitionRates(rates))
 
+    @cached_property
+    def _repairable_chain(self) -> ContinuousTimeMarkovChain:
+        """The full chain (no absorbing state), built once per model and
+        shared by every MTTF, MTTDL and availability question asked of it."""
+        return self.chain()
+
     # ------------------------------------------------------------------
     # Storage-style metrics
     # ------------------------------------------------------------------
     def mean_time_to_failure_count(self, threshold: int) -> float:
-        """Mean hours from all-healthy until ``threshold`` replicas are down."""
-        chain = self.chain(absorbing_at=threshold)
-        return chain.expected_time_to_absorption(0, [threshold])
+        """Mean hours from all-healthy until ``threshold`` replicas are down.
+
+        Solved on the leading ``threshold × threshold`` block of the
+        repairable chain's generator.  That block *is* the transient block
+        of ``chain(absorbing_at=threshold)``: rows below the threshold
+        carry the same failure and repair rates in both chains, and each
+        diagonal entry is minus the sum of at most two nonzero rates, which
+        rounds once whatever zeros pad the row.  So every threshold of a
+        model shares one chain build, bit-identically.
+        """
+        if not 0 < threshold <= self.n:
+            raise InvalidConfigurationError(
+                f"threshold={threshold} outside (0, {self.n}]"
+            )
+        generator = self._repairable_chain.generator
+        return mean_time_to_absorption(generator[:threshold, :threshold], 0)
 
     def mttf_liveness(self, quorum_size: int) -> float:
         """MTTF for liveness: time until fewer than ``quorum_size`` replicas remain."""
@@ -102,33 +128,41 @@ class ClusterMarkovModel:
         return self.mean_time_to_failure_count(persistence_quorum)
 
     def steady_state_distribution(self) -> dict:
-        """Stationary distribution of the repairable chain (one CTMC solve).
-
-        Exposed so batched consumers (the engine's availability backend)
-        can solve the chain once and answer every quorum question against
-        the same π — see :meth:`steady_state_availability`'s ``pi``
-        parameter.
-        """
+        """Stationary distribution π of the repairable chain (one CTMC solve)."""
         if self.repair_rate_per_hour <= 0:
             raise InvalidConfigurationError("availability under repair needs μ > 0")
-        return self.chain().steady_state()
+        return self._repairable_chain.steady_state()
 
-    def steady_state_availability(
-        self, quorum_size: int, *, pi: dict | None = None
-    ) -> float:
-        """Long-run fraction of time a ``quorum_size`` quorum is formable.
+    def steady_state_availabilities(
+        self, quorum_sizes: Iterable[int], *, pi: dict | None = None
+    ) -> list[float]:
+        """Long-run fraction of time each ``quorum_size`` quorum is formable.
 
-        ``pi`` optionally supplies a precomputed
-        :meth:`steady_state_distribution`; passing it skips the linear
-        solve but changes nothing bit-wise (the reduction below is the
-        only other operation).
+        Every quorum is read off one prefix pass over π in failure-count
+        order.  The pass is a plain left-to-right accumulation: the builtin
+        ``sum()`` is not used because from Python 3.12 on it compensates
+        float rounding (Neumaier summation), which would make availability
+        depend on the interpreter.  ``pi`` optionally supplies a
+        precomputed :meth:`steady_state_distribution`; passing it skips the
+        linear solve but changes nothing bit-wise.  A quorum larger than
+        ``n`` is never formable: its value is the empty sum, ``0``.
         """
         if self.repair_rate_per_hour <= 0:
             raise InvalidConfigurationError("availability under repair needs μ > 0")
         if pi is None:
-            pi = self.chain().steady_state()
-        max_failed = self.n - quorum_size
-        return sum(p for failed, p in pi.items() if failed <= max_failed)
+            pi = self.steady_state_distribution()
+        # at_most[k]: the mass of the states with fewer than k replicas down.
+        at_most = list(accumulate((pi[failed] for failed in range(self.n + 1)), initial=0))
+        return [
+            at_most[min(max(self.n - quorum_size + 1, 0), self.n + 1)]
+            for quorum_size in quorum_sizes
+        ]
+
+    def steady_state_availability(
+        self, quorum_size: int, *, pi: dict | None = None
+    ) -> float:
+        """:meth:`steady_state_availabilities` of one quorum."""
+        return self.steady_state_availabilities((quorum_size,), pi=pi)[0]
 
     def window_unavailability(self, quorum_size: int, window_hours: float) -> float:
         """P(cluster has lost quorum at the end of a window, no repairs mid-window).

@@ -21,6 +21,22 @@ from repro.errors import InvalidConfigurationError
 State = Hashable
 
 
+def mean_time_to_absorption(q_tt: np.ndarray, start: int) -> float:
+    """Mean hitting time from transient row ``start`` of the block ``q_tt``.
+
+    Solves ``Q_tt · t = -1`` — the fundamental-matrix computation behind
+    MTTF/MTTDL figures.  Returns ``inf`` when the system is singular or
+    the solution is negative: either means the absorbing set is
+    unreachable from part of the transient block.
+    """
+    try:
+        times = np.linalg.solve(q_tt, -np.ones(q_tt.shape[0]))
+    except np.linalg.LinAlgError:
+        return float("inf")
+    value = float(times[start])
+    return float("inf") if value < 0 else value
+
+
 @dataclass(frozen=True)
 class TransitionRates:
     """Sparse rate description: ``rates[(src, dst)] = rate`` (per hour)."""
@@ -117,17 +133,7 @@ class ContinuousTimeMarkovChain:
         transient = [i for i in range(self.n_states) if i not in absorbing_idx]
         position = {i: k for k, i in enumerate(transient)}
         q_tt = self.generator[np.ix_(transient, transient)]
-        rhs = -np.ones(len(transient))
-        try:
-            times = np.linalg.solve(q_tt, rhs)
-        except np.linalg.LinAlgError:
-            return float("inf")
-        value = float(times[position[start_idx]])
-        if value < 0:
-            # Negative solution indicates the absorbing set is unreachable
-            # from part of the transient block (singular-ish system).
-            return float("inf")
-        return value
+        return mean_time_to_absorption(q_tt, position[start_idx])
 
     def absorption_probability(
         self, start: State, target: Sequence[State], absorbing: Sequence[State]

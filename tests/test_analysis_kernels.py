@@ -60,12 +60,13 @@ from repro.analysis.sensitivity import (
     importance_ranking,
     reliability_gradient,
 )
+from repro.engine import ReliabilityEngine, ScenarioSet
 from repro.errors import InvalidConfigurationError
 from repro.faults.correlation import CommonShockModel, rollout_shock
 from repro.faults.curves import ConstantHazard
 from repro.faults.mixture import Fleet, NodeModel, heterogeneous_fleet, uniform_fleet
 from repro.protocols.benor import BenOrSpec, ByzantineBenOrSpec
-from repro.protocols.hybrid import UprightSpec
+from repro.protocols.hybrid import StakeWeightedSpec, UprightSpec
 from repro.protocols.pbft import PBFTSpec
 from repro.protocols.raft import RaftSpec
 from repro.protocols.reliability_aware import ReliabilityAwareRaftSpec
@@ -415,10 +416,47 @@ class TestMaskedSum:
 # ---------------------------------------------------------------------------
 # Exact enumeration: per-row counts memoised with the code matrix
 # ---------------------------------------------------------------------------
+def _ref_support_signature(fleet) -> tuple:
+    """The node-by-node support signature the probability-key pass replaced."""
+    signature = []
+    for node in fleet:
+        codes = []
+        if node.p_correct > 0.0:
+            codes.append(0)
+        if node.p_crash > 0.0:
+            codes.append(1)
+        if node.p_byzantine > 0.0:
+            codes.append(2)
+        signature.append(tuple(codes))
+    return tuple(signature)
+
+
+def _ref_configuration_probabilities(fleet, codes: np.ndarray) -> np.ndarray:
+    """The per-node gather loop the outer-product table replaced: one
+    fleet, one ``outcome_p[node, codes[:, node]]`` multiply per node."""
+    outcome_p = np.array(
+        [(node.p_correct, node.p_crash, node.p_byzantine) for node in fleet]
+    ).reshape(fleet.n, 3)
+    probabilities = np.ones(codes.shape[0])
+    for node_index in range(codes.shape[1]):
+        probabilities *= outcome_p[node_index, codes[:, node_index]]
+    return probabilities
+
+
+def _ref_exact(spec, fleet) -> tuple[float, float, float]:
+    """Exact reliability of one fleet by the per-row walk."""
+    enumeration = exact._enumeration(_ref_support_signature(fleet))
+    probabilities = _ref_configuration_probabilities(fleet, enumeration.codes)
+    safe, live = exact._exact_verdicts(spec, enumeration)
+    return tuple(
+        min(masked_sum(probabilities, mask), 1.0) for mask in (safe, live, safe & live)
+    )
+
+
 def _ref_exact_symmetric(spec, fleet) -> tuple[float, float, float]:
     """Symmetric exact reliability counting each code row itself."""
-    enumeration = exact._enumeration(exact._support_signature(fleet))
-    probabilities = exact._configuration_probabilities(fleet, enumeration.codes)
+    enumeration = exact._enumeration(_ref_support_signature(fleet))
+    probabilities = _ref_configuration_probabilities(fleet, enumeration.codes)
     safe = live = both = 0.0
     for row, probability in zip(enumeration.codes.tolist(), probabilities.tolist()):
         crash, byz = row.count(1), row.count(2)
@@ -487,6 +525,144 @@ class TestExactEnumerationCounts:
             assert cached.byz_counts.tolist() == (cached.codes == 2).sum(axis=1).tolist()
             assert not cached.crash_counts.flags.writeable
             assert not cached.byz_counts.flags.writeable
+
+
+_EXACT_FLEET_KINDS = (
+    "heterogeneous", "mixed", "crash-only", "byzantine-only", "p=0", "p=1"
+)
+
+
+def _exact_spec(family: str, n: int, stakes):
+    if family == "raft":
+        return RaftSpec(n)
+    if family == "pbft":
+        return PBFTSpec(n)
+    if family == "reliability-aware":
+        return ReliabilityAwareRaftSpec(n, pinned=(0,))
+    return StakeWeightedSpec(stakes[:n])
+
+
+@st.composite
+def _exact_batches(draw):
+    """(spec, shuffled fleets) mixing every support kind; fleets of one
+    kind share a support signature, so groups hold several fleets."""
+    family = draw(st.sampled_from(["raft", "pbft", "reliability-aware", "stake"]))
+    symmetric = family in ("raft", "pbft")
+    n = draw(st.integers(1, 11 if symmetric else 6))
+    stakes = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    kinds = draw(st.lists(st.sampled_from(_EXACT_FLEET_KINDS), min_size=1, max_size=6))
+    probability = st.floats(0.0, 1.0)
+    fleets = []
+    for kind in kinds:
+        if kind == "heterogeneous":
+            pairs = draw(st.lists(_NODE_PAIRS, min_size=n, max_size=n))
+        elif kind == "mixed":
+            crash = draw(st.floats(0.001, 0.5))
+            pairs = [(crash, draw(st.floats(0.001, 0.5)))] * n  # one shared model
+        elif kind == "p=0":
+            pairs = [(0.0, 0.0)] * n
+        elif kind == "p=1":
+            pairs = draw(st.lists(st.sampled_from([(1.0, 0.0), (0.0, 1.0)]), min_size=n, max_size=n))
+        else:
+            ps = draw(st.lists(probability, min_size=n, max_size=n))
+            pairs = [(p, 0.0) if kind == "crash-only" else (0.0, p) for p in ps]
+        fleets.append(Fleet(tuple(NodeModel(crash, byz) for crash, byz in pairs)))
+    order = draw(st.permutations(range(len(fleets))))
+    return _exact_spec(family, n, stakes), [fleets[i] for i in order]
+
+
+def _values(result) -> tuple[float, float, float]:
+    return (result.safe.value, result.live.value, result.safe_and_live.value)
+
+
+class TestExactBatch:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(case=_exact_batches(), cap=st.integers(1, 4096))
+    def test_property_batch_equals_the_per_row_walk(self, case, cap):
+        spec, fleets = case
+        batch = exact.exact_reliability_batch(spec, fleets)
+        for fleet, result in zip(fleets, batch):
+            assert _values(result) == _ref_exact(spec, fleet)
+            assert result.detail == (
+                f"enumerated {exact.configuration_count(fleet)} configurations"
+            )
+            assert result.method == "exact" and result.n == spec.n
+        # Entries do not depend on batch order or on the chunk cap.
+        reversed_batch = exact.exact_reliability_batch(spec, fleets[::-1])
+        assert [_values(r) for r in reversed_batch[::-1]] == [_values(r) for r in batch]
+        with mock.patch.object(kernels, "_BATCH_CHUNK_FLOATS", cap):
+            chunked = exact.exact_reliability_batch(spec, fleets)
+        assert [_values(r) for r in chunked] == [_values(r) for r in batch]
+
+    def test_scalar_call_is_a_batch_of_one(self, monkeypatch):
+        calls = []
+        real = exact.exact_reliability_batch
+
+        def spy(spec, fleets, **kwargs):
+            calls.append(len(fleets))
+            return real(spec, fleets, **kwargs)
+
+        monkeypatch.setattr(exact, "exact_reliability_batch", spy)
+        spec, fleet = _asymmetric_pair()
+        assert _values(exact_reliability(spec, fleet)) == _ref_exact(spec, fleet)
+        assert calls == [1]
+
+    def test_invalid_fleets_raise_in_order(self):
+        from repro.errors import EstimationError
+
+        spec = RaftSpec(3)
+        with pytest.raises(InvalidConfigurationError, match="2 nodes"):
+            exact.exact_reliability_batch(spec, [uniform_fleet(3, 0.1), uniform_fleet(2, 0.1)])
+        with pytest.raises(EstimationError, match="8 configurations exceed"):
+            exact.exact_reliability_batch(spec, [uniform_fleet(3, 0.1)], max_configs=7)
+        assert exact.exact_reliability_batch(spec, []) == []
+
+
+class TestPlannerExactBatch:
+    """The planner answers exact rows with one batch per spec."""
+
+    @staticmethod
+    def _rows():
+        return ScenarioSet.grid(
+            ("raft", "pbft"), (7,), [0.01 * (i + 1) for i in range(10)], method="exact"
+        )
+
+    def test_a_20_row_batch_calls_the_batch_once_per_spec(self, monkeypatch):
+        calls = []
+        real = exact.exact_reliability_batch
+
+        def spy(spec, fleets, **kwargs):
+            calls.append((spec.name, len(fleets)))
+            return real(spec, fleets, **kwargs)
+
+        monkeypatch.setattr(exact, "exact_reliability_batch", spy)
+        answers = ReliabilityEngine().run(self._rows())
+        assert sorted(calls) == [("PBFT", 10), ("Raft", 10)]
+        for answer in answers:
+            scenario = answer.query.scenario
+            assert _values(answer.value) == _ref_exact(scenario.spec, scenario.fleet)
+            assert answer.provenance.batched and answer.provenance.batch_size == 10
+
+    def test_an_estimator_override_still_runs_per_row(self, monkeypatch):
+        calls = []
+        real = exact.exact_reliability_batch
+
+        def spy(spec, fleets, **kwargs):
+            calls.append(len(fleets))
+            return real(spec, fleets, **kwargs)
+
+        monkeypatch.setattr(exact, "exact_reliability_batch", spy)
+        engine = ReliabilityEngine()
+        overridden = []
+
+        def override(scenario):
+            overridden.append(scenario.label)
+            return exact_reliability(scenario.spec, scenario.fleet)
+
+        engine.register("exact", override)
+        answers = engine.run(self._rows())
+        assert len(overridden) == 20 and calls == [1] * 20
+        assert not any(answer.provenance.batched for answer in answers)
 
 
 # ---------------------------------------------------------------------------
@@ -709,6 +885,73 @@ class TestCountedSymmetricTally:
         # Control: the asymmetric path does classify.
         with pytest.raises(AssertionError, match="classify_uniforms"):
             monte_carlo_tally(*_asymmetric_pair(), 10, as_generator(4))
+
+
+def _ref_per_node_threshold_tally(spec, fleet, trials: int, rng) -> tuple[int, int, int]:
+    """The symmetric branch of ``monte_carlo_tally`` before single-model
+    fleets compared against scalars: every uniform meets its node's entry
+    of a broadcast ``n``-vector."""
+    crash_p = np.array(fleet.crash_probabilities)
+    byz_p = np.array(fleet.byzantine_probabilities)
+    masks = verdict_masks(spec)
+    fail_p = crash_p + byz_p if byz_p.any() else None
+    safe = live = both = 0
+    for size in kernels._chunk_sizes(trials, fleet.n):
+        uniforms = rng.random((size, fleet.n))
+        crash_counts = kernels._row_counts(uniforms < crash_p)
+        byz_counts = (
+            0 if fail_p is None else kernels._row_counts(uniforms < fail_p) - crash_counts
+        )
+        s, l, b = kernels._tally_symmetric(masks, crash_counts, byz_counts)
+        safe += s
+        live += l
+        both += b
+    return safe, live, both
+
+
+@st.composite
+def _uniform_tally_cases(draw):
+    """(spec, single-model fleet, trials, chunk_draws, seed), ``trials``
+    within one of a chunk edge."""
+    spec = _TALLY_SPECS[draw(st.sampled_from(sorted(_TALLY_SPECS)))]
+    n = draw(st.integers(1, 41))
+    kind = draw(st.sampled_from(["crash-only", "byzantine-only", "mixed"]))
+    p = draw(st.floats(0.0, 1.0))
+    pair = {
+        "crash-only": (p, 0.0),
+        "byzantine-only": (0.0, p),
+        "mixed": (p, (1.0 - p) * draw(st.floats(0.0, 1.0))),
+    }[kind]
+    chunk_draws = draw(st.integers(1, 64 * n))
+    chunk = max(1, chunk_draws // n)
+    trials = max(1, draw(st.integers(1, 3)) * chunk + draw(st.sampled_from([-1, 0, 1])))
+    fleet = Fleet((NodeModel(*pair),) * n)
+    return spec(n), fleet, trials, chunk_draws, draw(st.integers(0, 2**32 - 1))
+
+
+class TestScalarThresholdTally:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(case=_uniform_tally_cases())
+    def test_property_scalar_threshold_equals_per_node_threshold(self, case):
+        spec, fleet, trials, chunk_draws, seed = case
+        with mock.patch.object(kernels, "_CHUNK_DRAWS", chunk_draws):
+            tally = monte_carlo_tally(spec, fleet, trials, as_generator(seed))
+            expected = _ref_per_node_threshold_tally(
+                spec, fleet, trials, as_generator(seed)
+            )
+        assert (tally.trials, tally.safe, tally.live, tally.both) == (trials, *expected)
+
+    @pytest.mark.parametrize("n", [2, 4, 7, 25, 41])
+    def test_a_fleet_whose_last_node_differs_compares_per_node(self, n):
+        spec = RaftSpec(n)
+        common = NodeModel(0.05)
+        fleet = Fleet((common,) * (n - 1) + (NodeModel(0.9, 0.05),))
+        tally = monte_carlo_tally(spec, fleet, 3_000, as_generator(6))
+        expected = _ref_per_node_threshold_tally(spec, fleet, 3_000, as_generator(6))
+        assert (tally.safe, tally.live, tally.both) == expected
+        # Control: the last node is what moved the tally.
+        uniform = monte_carlo_tally(spec, Fleet((common,) * n), 3_000, as_generator(6))
+        assert (uniform.safe, uniform.live, uniform.both) != expected
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.errors import InvalidConfigurationError, InvalidProbabilityError
@@ -159,3 +160,22 @@ class TestProbabilityKey:
         restored = pickle.loads(before)
         assert restored == fleet
         assert restored.probability_key == fleet.probability_key
+
+    def test_probability_array_is_a_cached_readonly_view_of_the_key(self):
+        fleet = heterogeneous_fleet([(2, NodeModel(0.01)), (1, NodeModel(0.02, 0.01))])
+        array = fleet.probability_array
+        assert array.shape == (3, 2) and array.dtype == np.float64
+        assert array.tolist() == [list(pair) for pair in fleet.probability_key]
+        assert fleet.probability_array is array
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.5
+        assert Fleet(()).probability_array.shape == (0, 2)
+
+    def test_cached_array_leaves_equality_hash_and_pickle_unchanged(self):
+        fleet = uniform_fleet(5, 0.03, byzantine_fraction=0.5)
+        twin = uniform_fleet(5, 0.03, byzantine_fraction=0.5)
+        before = pickle.dumps(fleet)
+        fleet.probability_array
+        assert pickle.dumps(fleet) == before
+        assert fleet == twin and hash(fleet) == hash(twin)
+        assert np.array_equal(pickle.loads(before).probability_array, fleet.probability_array)

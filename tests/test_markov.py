@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 
@@ -133,3 +134,84 @@ class TestClusterModel:
             ClusterMarkovModel(3, -1e-3, 0.0)
         with pytest.raises(InvalidConfigurationError):
             ClusterMarkovModel(3, 1e-3, 0.0).mttdl(4)
+
+
+def _ref_truncated_mttf(model: ClusterMarkovModel, threshold: int) -> float:
+    """MTTF on the truncated chain, built for the one threshold."""
+    chain = model.chain(absorbing_at=threshold)
+    return chain.expected_time_to_absorption(0, [threshold])
+
+
+def _ref_sequential_availability(model: ClusterMarkovModel, quorum_size: int, pi) -> float:
+    """The per-quorum sum as Python 3.11's builtin ``sum()`` computed it:
+    strictly left to right, starting from the integer 0."""
+    total = 0
+    for failed, p in pi.items():
+        if failed <= model.n - quorum_size:
+            total += p
+    return total
+
+
+#: (λ, μ) per hour: repairable chains, μ = 0, and λ = 0 (never absorbed).
+_RATES = [(1e-3, 0.1), (2e-5, 0.05), (0.3, 0.002), (1e-3, 0.0), (0.0, 0.1)]
+
+
+class TestSharedChain:
+    """Every threshold and quorum of a model is read off one chain build."""
+
+    @pytest.mark.parametrize("rates", _RATES, ids=lambda r: f"lam={r[0]},mu={r[1]}")
+    @pytest.mark.parametrize("n", [1, 2, 5, 17, 79])
+    def test_shared_generator_equals_the_truncated_chain(self, n, rates):
+        for slots in sorted({0, 1, n}):
+            model = ClusterMarkovModel(n, *rates, repair_slots=slots)
+            for threshold in range(1, n + 1):
+                expected = _ref_truncated_mttf(model, threshold)
+                assert model.mean_time_to_failure_count(threshold) == expected
+            if rates[1] > 0 and (rates[0] > 0 or slots > 0):  # π exists
+                pi = model.steady_state_distribution()
+                quorums = list(range(-1, n + 3))
+                values = model.steady_state_availabilities(quorums)
+                for quorum, value in zip(quorums, values):
+                    reference = _ref_sequential_availability(model, quorum, pi)
+                    assert value == reference
+                    assert model.steady_state_availability(quorum, pi=pi) == reference
+                    if sys.version_info < (3, 12):
+                        assert value == sum(
+                            p for failed, p in pi.items() if failed <= n - quorum
+                        )
+
+    def test_threshold_outside_the_chain_is_rejected(self):
+        model = ClusterMarkovModel(5, 1e-3, 0.1)
+        for threshold in (0, 6):
+            with pytest.raises(InvalidConfigurationError, match="outside"):
+                model.mean_time_to_failure_count(threshold)
+
+    def test_availability_accumulates_sequentially(self):
+        # Python >= 3.12's builtin sum() compensates and reads
+        # 1.000000000000001 here; the sequential prefix reads 1.0.
+        pi = {0: 1.0, **{failed: 1e-16 for failed in range(1, 11)}}
+        model = ClusterMarkovModel(10, 1e-3, 0.1)
+        assert model.steady_state_availability(0, pi=pi) == 1.0
+        assert model.steady_state_availabilities([11, 1], pi=pi) == [0, 1.0]
+
+    def test_one_chain_build_per_chain_key(self, monkeypatch):
+        from repro.engine import AvailabilityQuery, MTTFQuery, ReliabilityEngine
+
+        builds = []
+        real = ClusterMarkovModel.chain
+
+        def counting_chain(self, **kwargs):
+            builds.append((self.n, self.failure_rate_per_hour, kwargs))
+            return real(self, **kwargs)
+
+        monkeypatch.setattr(ClusterMarkovModel, "chain", counting_chain)
+        for cls in (MTTFQuery, AvailabilityQuery):
+            builds.clear()
+            queries = [
+                cls.for_cluster(n, afr=afr, mttr_hours=24.0, quorum_size=quorum)
+                for n, afr in ((9, 0.05), (13, 0.1))
+                for quorum in range(n // 2 + 1, n + 1)
+            ]
+            answers = ReliabilityEngine().run(queries)
+            assert len(answers) == len(queries)
+            assert sorted((n, kwargs) for n, _, kwargs in builds) == [(9, {}), (13, {})]
