@@ -522,17 +522,16 @@ def monte_carlo_tally(
     pairs = fleet.probability_array
     crash_p, byz_p = np.ascontiguousarray(pairs.T)
     masks = verdict_masks(spec) if spec.symmetric else None
-    crash_t, byz_t = crash_p, byz_p  # the symmetric count's thresholds
     if masks is not None and fleet.n and (pairs == pairs[0]).all():
-        crash_t, byz_t = pairs[0]
-    fail_t = crash_t + byz_t if byz_p.any() else None
+        crash_p, byz_p = pairs[0]  # one model: compare against scalars
+    fail_p = crash_p + byz_p if byz_p.any() else None
     safe = live = both = 0
     for size in _chunk_sizes(trials, fleet.n):
         uniforms = rng.random((size, fleet.n))
         if masks is not None:
-            crash_counts = _row_counts(uniforms < crash_t)
+            crash_counts = _row_counts(uniforms < crash_p)
             byz_counts = (
-                0 if fail_t is None else _row_counts(uniforms < fail_t) - crash_counts
+                0 if fail_p is None else _row_counts(uniforms < fail_p) - crash_counts
             )
             s, l, b = _tally_symmetric(masks, crash_counts, byz_counts)
         else:
