@@ -82,7 +82,7 @@ def _outcome_choices(fleet: Fleet) -> list[list[tuple[FaultKind, float]]]:
 
 def configuration_count(fleet: Fleet) -> int:
     """Number of positive-probability configurations the fleet induces."""
-    return math.prod(len(codes) for codes in _support_signature(fleet))
+    return math.prod(map(len, _support_signature(fleet)))
 
 
 def enumerate_configurations(
@@ -182,18 +182,20 @@ def _configuration_probabilities(fleets: Sequence[Fleet], signature: tuple) -> n
     enumeration, so it is bit-identical to the probability the generator
     yields for that configuration.
     """
-    pairs = np.array([fleet.probability_array for fleet in fleets]).reshape(
-        len(fleets), len(signature), 2
-    )
+    count = len(fleets)
+    pairs = np.array([fleet.probability_array for fleet in fleets])  # (F, n, 2)
     p_correct = np.maximum(0.0, 1.0 - (pairs[:, :, 0] + pairs[:, :, 1]))
     outcomes = np.concatenate((p_correct[:, :, None], pairs), axis=2)  # _KIND_ORDER
-    probabilities = np.ones((len(fleets), 1))
-    for node, codes in enumerate(signature):
-        factors = outcomes[:, node][:, list(codes)]
-        probabilities = (probabilities[:, :, None] * factors[:, None, :]).reshape(
-            len(fleets), -1
-        )
-    return probabilities
+    # Every node's support columns in one gather; node i owns a slice.
+    columns = [3 * node + code for node, codes in enumerate(signature) for code in codes]
+    factors = outcomes.reshape(count, -1)[:, None, columns]
+    probabilities = np.ones((count, 1, 1))
+    start = 0
+    for codes in signature:
+        stop = start + len(codes)
+        probabilities = (probabilities * factors[:, :, start:stop]).reshape(count, -1, 1)
+        start = stop
+    return probabilities.reshape(count, -1)
 
 
 def _exact_verdicts(
@@ -250,7 +252,7 @@ def exact_reliability_batch(
                 f"fleet has {fleet.n} nodes but spec expects {spec.n}"
             )
         signature = _support_signature(fleet)
-        total = math.prod(len(codes) for codes in signature)
+        total = math.prod(map(len, signature))
         if total > max_configs:
             raise EstimationError(
                 f"{total} configurations exceed the exact-enumeration budget of {max_configs}"
@@ -270,10 +272,8 @@ def exact_reliability_batch(
             probabilities = _configuration_probabilities(
                 [fleets[index] for index in part], signature
             )
-            values = [
-                np.minimum(kernels.masked_sum_batch(probabilities, mask), 1.0).tolist()
-                for mask in masks
-            ]
+            sums = [kernels.masked_sum_batch(probabilities, mask) for mask in masks]
+            values = np.minimum(sums, 1.0).tolist()
             for index, p_safe, p_live, p_both in zip(part, *values):
                 results[index] = ReliabilityResult(
                     spec.name,

@@ -53,9 +53,9 @@ flexible estimator APIs in :mod:`repro.analysis` run at NumPy speed:
 Ordering note: every reduction that feeds an *exact* estimator (counting
 here, enumeration in :func:`repro.analysis.exact.exact_reliability_batch`)
 uses :func:`masked_sum` (or its batched twin :func:`masked_sum_batch`), a
-sequential row-major ``np.cumsum`` reproducing the historical nested-loop
-summation order, so exact results stay bit-identical across the scalar,
-batched, and masked paths on every supported interpreter.
+sequential row-major ``np.add.accumulate`` reproducing the historical
+nested-loop summation order, so exact results stay bit-identical across
+the scalar, batched, and masked paths on every supported interpreter.
 """
 
 from __future__ import annotations
@@ -168,8 +168,8 @@ def masked_sum(pmf: np.ndarray, mask: np.ndarray) -> float:
     exactly (IEEE addition is order-sensitive), which is what keeps the
     exact estimators bit-identical to their pre-kernel values.  The
     accumulation is the strictly sequential ``np.add.accumulate`` behind
-    :func:`masked_sum_batch`'s ``np.cumsum``: the builtin ``sum()`` is not
-    used because from Python 3.12 on it compensates float rounding
+    :func:`masked_sum_batch`: the builtin ``sum()`` is not used because
+    from Python 3.12 on it compensates float rounding
     (Neumaier summation), which would make the scalar estimators disagree
     in the last bits with the planner's batched rows.
     """
@@ -178,10 +178,11 @@ def masked_sum(pmf: np.ndarray, mask: np.ndarray) -> float:
 
 
 def masked_sum_batch(pmfs: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Per-PMF masked sums for a ``(F, n+1, n+1)`` stack, order-preserving.
+    """Per-PMF masked sums for a ``(F, ...)`` stack, order-preserving.
 
     Boolean indexing selects each PMF's masked entries in row-major scan
-    order and the cumulative sum accumulates them strictly left to right
+    order (a count grid, or an exact batch's configuration row) and the
+    cumulative sum accumulates them strictly left to right
     (``out[i] = out[i-1] + x[i]``), so every row reproduces the exact IEEE
     addition sequence of :func:`masked_sum` — bit-identical per fleet,
     one NumPy pass for the whole batch.
@@ -189,7 +190,7 @@ def masked_sum_batch(pmfs: np.ndarray, mask: np.ndarray) -> np.ndarray:
     selected = pmfs[:, mask]
     if selected.shape[1] == 0:
         return np.zeros(selected.shape[0])
-    return np.cumsum(selected, axis=1)[:, -1]
+    return np.add.accumulate(selected, axis=1)[:, -1]
 
 
 def reliability_values(pmf: np.ndarray, masks: VerdictMasks) -> tuple[float, float, float]:
