@@ -23,6 +23,13 @@ flexible estimator APIs in :mod:`repro.analysis` run at NumPy speed:
   single-fleet DP in :func:`repro.analysis.counting.joint_count_pmf`, so
   per-fleet results are bit-identical to the scalar path.
 
+* **One counting sweep** — :func:`counting_sweep` is the one place batched
+  counting rows are built: the engine's counting groups and
+  :func:`counting_reliability_batch` both call it.  It runs one DP per
+  unique fleet, chunk by chunk, and reduces each chunk against every spec
+  of the batch; its results equal the scalar
+  :func:`repro.analysis.counting.counting_reliability` whole.
+
 * **Batched Monte-Carlo** — :func:`monte_carlo_tally` and friends draw
   chunked ``(trials, n)`` uniforms.  The uniform stream is consumed in the
   same (trial, node) order as the historical per-trial loop, so seeded
@@ -61,7 +68,7 @@ the scalar, batched, and masked paths on every supported interpreter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -336,44 +343,95 @@ def _joint_count_pmf_2d(crash: np.ndarray, byz: np.ndarray, ok: np.ndarray) -> n
     return pmf
 
 
+class CountingSweep(NamedTuple):
+    """What one :func:`counting_sweep` computed.
+
+    ``results`` holds one counting result per row, in row order;
+    ``fleets`` counts the unique fleets swept and ``fleets_1d`` how many
+    of them took the 1-D count recursion.
+    """
+
+    results: list[ReliabilityResult]
+    fleets: int
+    fleets_1d: int
+
+
+def counting_sweep(rows: Sequence[tuple["ProtocolSpec", Fleet]]) -> CountingSweep:
+    """Counting reliability of same-size ``(spec, fleet)`` rows in one DP sweep.
+
+    The DP depends only on the fleet, so each *unique* fleet (by
+    :attr:`~repro.faults.mixture.Fleet.probability_key`) is swept once and
+    its PMF reduced against every spec asking about it: Raft and Ben-Or
+    share crash fleets, PBFT and Byzantine Ben-Or Byzantine ones.  Rows
+    sharing a spec (by grouping key) reduce together through
+    :func:`reliability_values_batch`.  The fleets are swept a chunk of at
+    most ``_BATCH_CHUNK_FLOATS`` PMF entries at a time, each chunk reduced
+    before the next is swept, so peak memory stays near the cap.  Per-row
+    results equal :func:`repro.analysis.counting.counting_reliability`
+    whole — same DP update sequence, same left-to-right masked
+    accumulation, same detail string.  No rows give no results.
+    """
+    if not rows:
+        return CountingSweep([], 0, 0)
+    slots: dict[tuple, int] = {}
+    unique: list[Fleet] = []
+    specs: dict[tuple, "ProtocolSpec"] = {}
+    members: dict[tuple, list[tuple[int, int]]] = {}  # (row index, fleet slot)
+    for index, (spec, fleet) in enumerate(rows):
+        slot = slots.setdefault(fleet.probability_key, len(unique))
+        if slot == len(unique):
+            unique.append(fleet)
+        key = spec.grouping_key()
+        specs.setdefault(key, spec)
+        members.setdefault(key, []).append((index, slot))
+    for spec in specs.values():
+        if not spec.symmetric:
+            raise InvalidConfigurationError(
+                f"{spec.name} is not symmetric; the counting estimator does not apply"
+            )
+    crash, byz = fleet_probability_matrix(unique)
+    total, n = crash.shape
+    for spec in specs.values():
+        if spec.n != n:
+            raise InvalidConfigurationError(
+                f"fleets have {n} nodes but spec expects {spec.n}"
+            )
+
+    results: list = [None] * len(rows)
+    detail = f"joint count DP over {(n + 1) * (n + 2) // 2} count pairs"
+    chunk = max(1, _BATCH_CHUNK_FLOATS // ((n + 1) * (n + 1)))
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        pmfs = joint_count_pmf_batch(crash[lo:hi], byz[lo:hi])
+        for key, spec in specs.items():
+            selected = [entry for entry in members[key] if lo <= entry[1] < hi]
+            if not selected:
+                continue
+            values = reliability_values_batch(
+                pmfs[[slot - lo for _, slot in selected]], verdict_masks(spec)
+            )
+            for (index, _), p_safe, p_live, p_both in zip(
+                selected, *(vector.tolist() for vector in values)
+            ):
+                results[index] = ReliabilityResult(
+                    spec.name,
+                    n,
+                    Estimate(p_safe),
+                    Estimate(p_live),
+                    Estimate(p_both),
+                    "counting",
+                    detail,
+                )
+    fleets_1d = total - int(np.count_nonzero(mixed_support(crash, byz)))
+    return CountingSweep(results, total, fleets_1d)
+
+
 def counting_reliability_batch(
     spec: "ProtocolSpec", fleets: Sequence[Fleet]
 ) -> list[ReliabilityResult]:
-    """Exact counting reliability for many same-size fleets in one DP sweep.
-
-    The batched analogue of
-    :func:`repro.analysis.counting.counting_reliability`; per-fleet values
-    are bit-identical to the scalar path.
-    """
-    if not spec.symmetric:
-        raise InvalidConfigurationError(
-            f"{spec.name} is not symmetric; the counting estimator does not apply"
-        )
-    crash, byz = fleet_probability_matrix(list(fleets))
-    if crash.shape[1] != spec.n:
-        raise InvalidConfigurationError(
-            f"fleets have {crash.shape[1]} nodes but spec expects {spec.n}"
-        )
-    masks = verdict_masks(spec)
-    pmfs = joint_count_pmf_batch(crash, byz)
-    results = []
-    for pmf in pmfs:
-        p_safe, p_live, p_both = reliability_values(pmf, masks)
-        results.append(
-            ReliabilityResult(
-                protocol=spec.name,
-                n=spec.n,
-                safe=Estimate.exact(p_safe),
-                live=Estimate.exact(p_live),
-                safe_and_live=Estimate.exact(p_both),
-                method="counting",
-                detail=(
-                    f"verdict-mask kernel, batch of {len(pmfs)} fleets over "
-                    f"{(spec.n + 1) * (spec.n + 2) // 2} count pairs"
-                ),
-            )
-        )
-    return results
+    """Counting reliability of one spec over many same-size fleets: the
+    one-spec :func:`counting_sweep`."""
+    return counting_sweep([(spec, fleet) for fleet in fleets]).results
 
 
 # ---------------------------------------------------------------------------

@@ -74,19 +74,27 @@ run_supervised(_simulate_chunk, payloads, jobs=4)
         return None
 
     @staticmethod
-    def _closures_around(ctx: FileContext, call: ast.Call) -> Set[str]:
-        """Names of the defs nested in any function or lambda enclosing
-        ``call`` — closures from the POV of a pool call made there."""
-        names: Set[str] = set()
+    def _closures_around(ctx: FileContext, call: ast.Call) -> Dict[str, str]:
+        """What each closure name of the functions or lambdas enclosing
+        ``call`` is bound to — a nested def (``"nested function"``) or a
+        lambda (``"lambda"``), from the POV of a pool call made there."""
+        names: Dict[str, str] = {}
         for scope in ctx.nodes_of(ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda):
             inner = list(ast.walk(scope))
-            if any(node is call for node in inner):
-                names.update(
-                    node.name
-                    for node in inner
-                    if node is not scope
-                    and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                )
+            if not any(node is call for node in inner):
+                continue
+            for node in inner:
+                if node is scope:
+                    continue
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names[node.name] = "nested function"
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(
+                    node.value, ast.Lambda
+                ):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    for target in targets:
+                        if isinstance(target, ast.Name):
+                            names[target.id] = "lambda"
         return names
 
     def _judge(
@@ -94,10 +102,10 @@ run_supervised(_simulate_chunk, payloads, jobs=4)
     ) -> Iterator[Finding]:
         if any(isinstance(sub, ast.Lambda) for sub in ast.walk(worker)):
             reason = "a lambda"
-        elif isinstance(worker, ast.Name) and worker.id in self._closures_around(
-            ctx, call
+        elif isinstance(worker, ast.Name) and worker.id in (
+            closures := self._closures_around(ctx, call)
         ):
-            reason = f"the nested function `{worker.id}`"
+            reason = f"the {closures[worker.id]} `{worker.id}`"
         else:
             return
         yield Finding(

@@ -6,8 +6,7 @@ executor (``serial`` / ``thread`` / ``process``), a worker count and an
 optional shard size, and :meth:`repro.engine.ReliabilityEngine.run` uses
 it to
 
-* fan independent single-estimator scenarios out over the pool,
-* sweep the chunks of a shared counting-DP group concurrently, and
+* fan independent single-estimator scenarios out over the pool, and
 * run the sampling estimators' spawned-stream shards and the simulation
   campaigns' replica chunks on that pool.
 

@@ -5,18 +5,18 @@ Every :class:`~repro.engine.query.ReliabilityQuery` that
 lands here as one batch of *distinct* questions (the engine has already
 folded repeats, within the batch and across runs), and the planner
 
-1. **batches** — symmetric counting scenarios of the same fleet size share
-   one vectorized joint-count DP sweep (one DP per *fleet*, reused across
-   every spec of that size), the multi-spec batching the kernel layer was
-   built for.  Inside the sweep, fleets with a single failure kind run a
-   1-D count recursion and only mixed-fault fleets the 2-D grid; the
-   ``engine.counting_group`` span reports how many took the 1-D path
+1. **batches** — symmetric counting scenarios of the same fleet size run
+   as one :func:`repro.analysis.kernels.counting_sweep` (one DP per
+   *fleet*, reused across every spec of that size); the
+   ``engine.counting_group`` span reports how many unique fleets it swept
+   (``fleets``) and how many took the 1-D count recursion
    (``fleets_1d``).  Exact-enumeration scenarios sharing a spec run as
    one :func:`repro.analysis.exact.exact_reliability_batch` call, which
-   shares each support pattern's configurations and verdicts;
-2. **falls back** — everything else routes through the estimator registry
-   one scenario at a time, fanned across the policy's pool when there is
-   one.
+   shares each support pattern's configurations and verdicts.  Both
+   kernels build the results themselves; the planner only wraps them;
+2. **falls back** — everything else, lone counting and exact rows
+   included, routes through the estimator registry one scenario at a
+   time, fanned across the policy's pool when there is one.
 
 Values are bit-identical to calling the scalar estimators directly: the
 batched DP reproduces :func:`repro.analysis.counting.joint_count_pmf`
@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 import numpy as np
 
 from repro.analysis.exact import DEFAULT_MAX_CONFIGS, configuration_count
-from repro.analysis.result import Estimate, ReliabilityResult
+from repro.analysis.result import ReliabilityResult
 from repro.engine.query import Query, ReliabilityQuery
 from repro.engine.registry import (
     BUILTIN_COUNTING,
@@ -121,7 +121,7 @@ def reliability_backend(
         if len(group) == 1:
             singles.append(group[0])
         else:
-            _run_counting_group(group, answers, policy)
+            _run_counting_group(group, answers)
     for group in exact_groups.values():
         if len(group) == 1:
             singles.append(group[0])
@@ -208,99 +208,31 @@ def _run_singles(
         )
 
 
-def _run_counting_group(
-    group: Sequence[_Row],
-    answers: list[Answer | None],
-    policy: "ExecutionPolicy",
-) -> None:
-    """One shared joint-count DP sweep for same-size counting scenarios.
+def _run_counting_group(group: Sequence[_Row], answers: list[Answer | None]) -> None:
+    """One :func:`~repro.analysis.kernels.counting_sweep` for same-size
+    counting scenarios.
 
-    The DP depends only on the fleet, so each *unique* fleet is swept
-    once and its PMF reused by every spec asking about it — the
-    "multi-spec batches" execution plan.  The reductions are batched
-    per spec through the order-preserving cumulative masked sum.
-    Per-scenario values are bit-identical to scalar
-    :func:`counting_reliability` (same DP update sequence, same
-    left-to-right masked accumulation, same detail string).
+    The sweep runs one DP per unique fleet and reduces it against every
+    spec of the group; per-scenario results equal scalar
+    :func:`~repro.analysis.counting.counting_reliability` whole.
     """
-    from repro.analysis.kernels import (
-        _BATCH_CHUNK_FLOATS,
-        fleet_probability_matrix,
-        joint_count_pmf_batch,
-        mixed_support,
-        reliability_values_batch,
-        verdict_masks,
-    )
+    from repro.analysis.kernels import counting_sweep
 
-    n = group[0].query.scenario.fleet.n
-    provenance = _provenance("counting", batched=True, batch_size=len(group))
-    detail = f"joint count DP over {(n + 1) * (n + 2) // 2} count pairs"
     # One span per shared DP sweep: how many scenarios amortised how many
     # unique-fleet DPs, and what the batch cost.
     with current_tracer().span(
-        "engine.counting_group", n=n, batch_size=len(group)
+        "engine.counting_group",
+        n=group[0].query.scenario.fleet.n,
+        batch_size=len(group),
     ) as span:
-        unique_index: dict[tuple, int] = {}
-        unique_fleets: list = []
-        # Scenarios sharing a spec (by grouping key) reduce together.
-        by_spec: dict[tuple, list[tuple[_Row, int]]] = {}
-        for row in group:
-            scenario = row.query.scenario
-            slot = unique_index.setdefault(scenario.fleet_key(), len(unique_fleets))
-            if slot == len(unique_fleets):
-                unique_fleets.append(scenario.fleet)
-            by_spec.setdefault(scenario.spec.grouping_key(), []).append((row, slot))
-        span.set("fleets", len(unique_fleets))
-
-        crash, byz = fleet_probability_matrix(unique_fleets)
-        chunk = max(1, _BATCH_CHUNK_FLOATS // ((n + 1) * (n + 1)))
-        total = crash.shape[0]
-        span.set("fleets_1d", total - int(np.count_nonzero(mixed_support(crash, byz))))
-
-        def reduce_chunk(lo: int, hi: int, pmfs: np.ndarray) -> None:
-            for members in by_spec.values():
-                selected = [entry for entry in members if lo <= entry[1] < hi]
-                if not selected:
-                    continue
-                spec = selected[0][0].query.scenario.spec
-                values = reliability_values_batch(
-                    pmfs[[slot - lo for _, slot in selected]], verdict_masks(spec)
-                )
-                for (row, _), p_safe, p_live, p_both in zip(
-                    selected, *(vector.tolist() for vector in values)
-                ):
-                    result = ReliabilityResult(
-                        spec.name,
-                        n,
-                        Estimate(p_safe),
-                        Estimate(p_live),
-                        Estimate(p_both),
-                        "counting",
-                        detail,
-                    )
-                    answers[row.index] = Answer(row.query, result, provenance)
-
-        # Sweep and reduce one fleet-chunk at a time so peak memory stays
-        # near the chunk cap: only a bounded number of chunks' PMFs are
-        # live, never the whole group's.  Per-fleet values are
-        # chunk-independent, so the split changes nothing bit-wise.  Under
-        # a parallel policy the DP sweeps of up to ``jobs`` chunks run
-        # concurrently in threads (the DP releases the GIL inside NumPy;
-        # PMFs never cross a process boundary) while every reduction
-        # happens here, in chunk order — bit-identical to the serial sweep.
-        ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-        if policy.parallel and len(ranges) > 1:
-            sweep = lambda bounds: joint_count_pmf_batch(  # noqa: E731
-                crash[bounds[0] : bounds[1]], byz[bounds[0] : bounds[1]]
-            )
-            for wave_start in range(0, len(ranges), policy.jobs):
-                wave = ranges[wave_start : wave_start + policy.jobs]
-                swept, _ = run_supervised(sweep, wave, jobs=policy.jobs, mode="thread")
-                for (lo, hi), pmfs in zip(wave, swept):
-                    reduce_chunk(lo, hi, pmfs)
-        else:
-            for lo, hi in ranges:
-                reduce_chunk(lo, hi, joint_count_pmf_batch(crash[lo:hi], byz[lo:hi]))
+        sweep = counting_sweep(
+            [(row.query.scenario.spec, row.query.scenario.fleet) for row in group]
+        )
+        span.set("fleets", sweep.fleets)
+        span.set("fleets_1d", sweep.fleets_1d)
+    provenance = _provenance("counting", batched=True, batch_size=len(group))
+    for row, result in zip(group, sweep.results):
+        answers[row.index] = Answer(row.query, result, provenance)
 
 
 def _run_exact_group(group: Sequence[_Row], answers: list[Answer | None]) -> None:

@@ -2,7 +2,7 @@
 
 Every sharded execution path in this repository — spawned-stream
 Monte-Carlo and importance-sampling shards, engine scenario fan-out,
-counting-DP waves, simulation campaigns — maps its payloads through
+simulation campaigns — maps its payloads through
 :func:`run_supervised`.  With the default :class:`Supervision` that is one
 attempt per shard and the chronologically first worker exception
 propagating *as itself*; the knobs add per-shard wall-clock **timeouts**,

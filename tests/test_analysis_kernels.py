@@ -60,11 +60,12 @@ from repro.analysis.sensitivity import (
     importance_ranking,
     reliability_gradient,
 )
-from repro.engine import ReliabilityEngine, ScenarioSet
+from repro.engine import ReliabilityEngine, Scenario, ScenarioSet
 from repro.errors import InvalidConfigurationError
 from repro.faults.correlation import CommonShockModel, rollout_shock
 from repro.faults.curves import ConstantHazard
 from repro.faults.mixture import Fleet, NodeModel, heterogeneous_fleet, uniform_fleet
+from repro.obs import InMemoryExporter, Tracer, use_tracer
 from repro.protocols.benor import BenOrSpec, ByzantineBenOrSpec
 from repro.protocols.hybrid import StakeWeightedSpec, UprightSpec
 from repro.protocols.pbft import PBFTSpec
@@ -247,13 +248,15 @@ class TestCountingKernel:
             uniform_fleet(7, 0.02),
             uniform_fleet(7, 0.3, byzantine_fraction=0.5),
         ]
-        for single, batched in zip(
-            [counting_reliability(spec, f) for f in fleets],
-            counting_reliability_batch(spec, fleets),
-        ):
-            assert batched.safe.value == single.safe.value
-            assert batched.live.value == single.live.value
-            assert batched.safe_and_live.value == single.safe_and_live.value
+        # Whole results, detail string included: the batch is the scalar.
+        assert counting_reliability_batch(spec, fleets) == [
+            counting_reliability(spec, f) for f in fleets
+        ]
+
+    def test_empty_batches_give_no_results(self):
+        assert counting_reliability_batch(RaftSpec(3), []) == []
+        assert kernels.counting_sweep([]) == ([], 0, 0)
+        assert exact.exact_reliability_batch(RaftSpec(3), []) == []
 
     def test_analyze_batch_matches_analyze(self):
         spec = PBFTSpec(7)
@@ -271,10 +274,15 @@ class TestCountingKernel:
         assert analyze_batch(RaftSpec(3), []) == []
 
     def test_batch_rejects_mismatched_sizes(self):
-        with pytest.raises(InvalidConfigurationError):
+        with pytest.raises(InvalidConfigurationError, match="same size"):
             counting_reliability_batch(
                 RaftSpec(5), [uniform_fleet(5, 0.1), uniform_fleet(3, 0.1)]
             )
+        with pytest.raises(InvalidConfigurationError, match="spec expects 5"):
+            counting_reliability_batch(RaftSpec(5), [uniform_fleet(3, 0.1)])
+        spec, fleet = _asymmetric_pair()
+        with pytest.raises(InvalidConfigurationError, match="not symmetric"):
+            counting_reliability_batch(spec, [fleet])
 
     def test_horizon_sweep_bit_identical_to_per_window(self):
         curves = [ConstantHazard(1e-4 * (i + 1)) for i in range(5)]
@@ -663,6 +671,65 @@ class TestPlannerExactBatch:
         answers = engine.run(self._rows())
         assert len(overridden) == 20 and calls == [1] * 20
         assert not any(answer.provenance.batched for answer in answers)
+
+
+class TestPlannerCountingChunks:
+    """A counting group spanning several DP chunks answers like one chunk."""
+
+    N = 11
+    #: One PMF per chunk entry cap of two fleets: (n + 1)^2 floats each.
+    CAP = 2 * (N + 1) ** 2
+
+    @classmethod
+    def _rows(cls):
+        n = cls.N
+        crash = [uniform_fleet(n, p) for p in (0.01, 0.05, 0.1, 0.2)]
+        byz = uniform_fleet(n, 0.03, byzantine_fraction=1.0)
+        mixed = _mixed_fleet(n)
+        raft, benor = RaftSpec(n), BenOrSpec(n)
+        pbft, byz_benor = PBFTSpec(n), ByzantineBenOrSpec(n)
+        # Unique fleets in first-seen order: crash[0], byz | crash[1],
+        # crash[2] | mixed, crash[3].  With two fleets a chunk, byz (shared
+        # by PBFT and Byzantine Ben-Or) ends the first chunk and crash[1]
+        # (shared by Raft and Ben-Or) starts the second.
+        return [
+            (raft, crash[0]),
+            (pbft, byz),
+            (benor, crash[1]),
+            (raft, crash[2]),
+            (byz_benor, byz),
+            (raft, crash[1]),
+            (pbft, mixed),
+            (byz_benor, mixed),
+            (benor, crash[3]),
+            (benor, crash[0]),
+        ]
+
+    def _run(self):
+        rows = self._rows()
+        exporter = InMemoryExporter()
+        with use_tracer(Tracer.for_key(("counting-chunks",), exporter=exporter)):
+            answers = ReliabilityEngine(cache_size=0).run(
+                [Scenario(spec, fleet, method="counting") for spec, fleet in rows]
+            )
+        (group,) = [r for r in exporter.records if r.name == "engine.counting_group"]
+        return rows, answers, group.attributes
+
+    def test_chunked_group_equals_the_scalar_and_the_one_chunk_run(self):
+        with mock.patch.object(kernels, "_BATCH_CHUNK_FLOATS", self.CAP), mock.patch.object(
+            kernels, "joint_count_pmf_batch", wraps=kernels.joint_count_pmf_batch
+        ) as dp:
+            rows, chunked, chunked_span = self._run()
+        assert [len(call.args[0]) for call in dp.call_args_list] == [2, 2, 2]
+        # Row order, and whole-object equality with the scalar per row.
+        assert [answer.value for answer in chunked] == [
+            counting_reliability(spec, fleet) for spec, fleet in rows
+        ]
+        assert all(answer.provenance.batch_size == len(rows) for answer in chunked)
+        _, whole, whole_span = self._run()
+        assert [a.to_dict() for a in chunked] == [a.to_dict() for a in whole]
+        assert chunked_span == whole_span
+        assert (whole_span["fleets"], whole_span["fleets_1d"]) == (6, 5)
 
 
 # ---------------------------------------------------------------------------

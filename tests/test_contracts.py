@@ -227,6 +227,35 @@ class TestPoolSafety:
         assert rule_ids(findings) == ["pool-safety"]
         assert "worker" in findings[0].message
 
+    def test_fires_on_lambda_bound_to_a_name(self):
+        findings = run(
+            """
+            def group(crash, ranges, jobs):
+                sweep = lambda bounds: crash[bounds[0] : bounds[1]]
+                return run_supervised(sweep, ranges, jobs=jobs, mode="process")
+            """,
+            rules=["pool-safety"],
+        )
+        assert rule_ids(findings) == ["pool-safety"]
+        assert "lambda `sweep`" in findings[0].message
+
+    def test_quiet_on_module_level_worker_named_like_a_local_lambda(self):
+        findings = run(
+            """
+            def sweep(bounds):
+                return bounds
+
+            def elsewhere(items):
+                sweep = lambda bounds: bounds
+                return [sweep(item) for item in items]
+
+            def group(ranges, jobs):
+                return run_supervised(sweep, ranges, jobs=jobs, mode="process")
+            """,
+            rules=["pool-safety"],
+        )
+        assert findings == []
+
     def test_fires_on_submit_lambda(self):
         findings = run(
             """
