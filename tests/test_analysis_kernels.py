@@ -677,7 +677,7 @@ class TestPlannerCountingChunks:
     """A counting group spanning several DP chunks answers like one chunk."""
 
     N = 11
-    #: One PMF per chunk entry cap of two fleets: (n + 1)^2 floats each.
+    #: A chunk cap that fits two fleets' (n + 1)^2-entry PMFs.
     CAP = 2 * (N + 1) ** 2
 
     @classmethod
