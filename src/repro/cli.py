@@ -61,7 +61,8 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.analysis import analyze, analyze_batch, format_probability
+from repro.analysis import format_probability
+from repro.errors import ReproError
 from repro.faults.mixture import byzantine_fleet, uniform_fleet
 from repro.protocols.pbft import PBFTSpec
 from repro.protocols.raft import RaftSpec
@@ -161,10 +162,14 @@ def _cmd_pbft(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(_args: argparse.Namespace) -> int:
+    from repro.engine import Scenario, default_engine
+
     rows = []
     for n in (4, 5, 7, 8):
         spec = PBFTSpec(n)
-        result = analyze(spec, byzantine_fleet(n, 0.01))
+        result = default_engine().run_query(
+            Scenario(spec=spec, fleet=byzantine_fleet(n, 0.01))
+        ).value
         rows.append(
             [
                 str(n),
@@ -185,13 +190,16 @@ def _cmd_table1(_args: argparse.Namespace) -> int:
 
 
 def _cmd_table2(_args: argparse.Namespace) -> int:
+    from repro.engine import Scenario, default_engine
+
     probabilities = (0.01, 0.02, 0.04, 0.08)
     rows = []
     for n in (3, 5, 7, 9):
         spec = RaftSpec(n)
         cells = [str(n), str(spec.q_per), str(spec.q_vc)]
         # One batched counting-DP sweep per row instead of a fleet at a time.
-        results = analyze_batch(spec, [uniform_fleet(n, p) for p in probabilities])
+        scenarios = [Scenario(spec=spec, fleet=uniform_fleet(n, p)) for p in probabilities]
+        results = default_engine().run(scenarios).values
         cells.extend(format_probability(r.safe_and_live.value) for r in results)
         rows.append(cells)
     print("Table 2: Raft reliability for uniform node failure p_u")
@@ -737,6 +745,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BrokenPipeError:
         # Output piped into a pager/head that closed early — not an error.
         return 0
+    except ReproError as exc:
+        # Invalid input (a flag value, a query row the engine refuses) is a
+        # one-line message and a non-zero exit, not a traceback.
+        raise SystemExit(f"error: {exc}")
 
 
 if __name__ == "__main__":

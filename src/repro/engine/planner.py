@@ -18,6 +18,15 @@ folded repeats, within the batch and across runs), and the planner
    included, routes through the estimator registry one scenario at a
    time, fanned across the policy's pool when there is one.
 
+Each row's function is the one :meth:`ReliabilityEngine.estimator`
+resolves for its method, and one question of the stock table,
+:func:`~repro.engine.registry.is_stock_estimator`, decides the three
+things that depend on it: only the stock counting and exact estimators
+are batched, only the stock ``monte-carlo`` and ``importance`` estimators
+are handed the policy's ``jobs`` / ``shard_trials`` / ``mode``, and only
+stock estimators may leave for a process pool.  An override or a
+third-party estimator is called as ``fn(scenario)``, where it lives.
+
 Values are bit-identical to calling the scalar estimators directly: the
 batched DP reproduces :func:`repro.analysis.counting.joint_count_pmf`
 operation-for-operation, the enumeration batch multiplies in the scalar
@@ -38,14 +47,7 @@ import numpy as np
 from repro.analysis.exact import DEFAULT_MAX_CONFIGS, configuration_count
 from repro.analysis.result import ReliabilityResult
 from repro.engine.query import Query, ReliabilityQuery
-from repro.engine.registry import (
-    BUILTIN_COUNTING,
-    BUILTIN_EXACT,
-    EstimatorFn,
-    estimate_under_policy,
-    is_stock_estimator,
-    register_backend,
-)
+from repro.engine.registry import EstimatorFn, is_stock_estimator, register_backend
 from repro.engine.result import Answer, Provenance
 from repro.engine.scenario import Scenario
 from repro.obs.trace import current_tracer
@@ -95,22 +97,19 @@ def reliability_backend(
         if estimator_fn is None:
             estimator_fn = estimators[method] = engine.estimator(method)
         row = _Row(index, query, method, estimator_fn)
-        # The shared sweeps only substitute for the *built-in* counting and
+        # The shared sweeps only substitute for the *stock* counting and
         # exact estimators; an override takes the per-scenario path.
-        # Invalid combinations (correlated, size mismatch, asymmetric
-        # counting, enumeration over budget) fall through to the scalar
-        # estimator so they raise the exact errors it always raised.
-        if scenario.correlation is not None or scenario.fleet.n != scenario.spec.n:
-            singles.append(row)
-        elif (
-            estimator_fn is BUILTIN_COUNTING
-            and method == "counting"
-            and scenario.spec.symmetric
+        # Invalid combinations (size mismatch, asymmetric counting,
+        # enumeration over budget) fall through to the scalar estimator so
+        # they raise the exact errors it always raised.
+        if scenario.fleet.n != scenario.spec.n or not is_stock_estimator(
+            method, estimator_fn
         ):
+            singles.append(row)
+        elif method == "counting" and scenario.spec.symmetric:
             counting_groups.setdefault(scenario.fleet.n, []).append(row)
         elif (
-            estimator_fn is BUILTIN_EXACT
-            and method == "exact"
+            method == "exact"
             and configuration_count(scenario.fleet) <= DEFAULT_MAX_CONFIGS
         ):
             exact_groups.setdefault(scenario.spec.grouping_key(), []).append(row)
@@ -132,16 +131,38 @@ def reliability_backend(
 
 
 def _run_single_in_worker(
-    payload: tuple[EstimatorFn, Scenario, "ExecutionPolicy", int | None]
+    payload: tuple[_Row, "ExecutionPolicy", int | None]
 ) -> tuple[ReliabilityResult, int]:
     """One estimation: ``(result, shards)``.
+
+    A stock ``monte-carlo`` or ``importance`` row without a correlation
+    model runs its spawned-stream shards on the policy's executor with the
+    policy's ``shard_trials``, and the shard count lands in its provenance;
+    ``jobs`` overrides the policy's worker count (1 when the planner is
+    already parallel at row granularity, so pools never nest).  Every other
+    row is ``estimator_fn(scenario)`` with ``shards=1``.
 
     Module-level so a process pool can pickle it; the stock estimators it
     is sent there with pickle by reference, so a child resolves them from
     its own registry import.
     """
-    estimator_fn, scenario, policy, jobs = payload
-    return estimate_under_policy(estimator_fn, scenario, policy, jobs=jobs)
+    row, policy, jobs = payload
+    scenario = row.query.scenario
+    if (
+        row.method not in ("monte-carlo", "importance")
+        or scenario.correlation is not None
+        or not is_stock_estimator(row.method, row.estimator_fn)
+    ):
+        return row.estimator_fn(scenario), 1
+    from repro.analysis.kernels import plan_shards
+
+    result = row.estimator_fn(
+        scenario,
+        jobs=policy.jobs if jobs is None else jobs,
+        shard_trials=policy.shard_trials,
+        pool=policy.mode,
+    )
+    return result, plan_shards(scenario.trials, policy.shard_trials).num_shards
 
 
 def _pool_safe(row: _Row, policy: "ExecutionPolicy") -> bool:
@@ -194,13 +215,12 @@ def _run_singles(
     if pooled:
         results, _ = run_supervised(
             _run_single_in_worker,
-            [(row.estimator_fn, row.query.scenario, policy, 1) for row in pooled],
+            [(row, policy, 1) for row in pooled],
             jobs=policy.jobs,
             mode=policy.mode,
         )
     results = list(results) + [
-        _run_single_in_worker((row.estimator_fn, row.query.scenario, policy, None))
-        for row in local
+        _run_single_in_worker((row, policy, None)) for row in local
     ]
     for row, (result, shards) in zip(pooled + local, results):
         answers[row.index] = Answer(

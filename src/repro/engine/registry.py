@@ -7,7 +7,13 @@ enumeration), ``monte-carlo`` (batched sampling; correlated when the
 scenario carries a model) and ``importance`` (tilted rare-event sampling)
 — and third parties can :func:`register_estimator` their own, which makes
 them addressable from ``Scenario.method`` and the CLI's JSON scenario
-files with no engine changes.
+files with no engine changes.  The two stock sampling estimators also
+take the keywords ``jobs``, ``shard_trials`` and ``pool``, which the
+planner fills from the :class:`~repro.engine.ExecutionPolicy`; a
+third-party estimator is only ever called with the scenario.  The
+function registered under a name is the one the engine calls for it —
+there is no second route — and :func:`is_stock_estimator` tells the
+planner whether that function is the stock one.
 
 The *kind* table is the same idea one level up: one
 :func:`register_backend` decorator takes a
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Sequence, Type, TYPE_CHECKING
 
+from repro.analysis.config import FaultKind
 from repro.analysis.result import ReliabilityResult
 from repro.errors import EstimationError, InvalidConfigurationError
 from repro.engine.scenario import Scenario
@@ -136,12 +143,6 @@ def _counting(scenario: Scenario) -> ReliabilityResult:
     return counting_reliability(scenario.spec, scenario.fleet)
 
 
-#: Stable reference to the built-in counting estimator: the engine's shared
-#: DP sweep only substitutes for *this* implementation, so a replacement
-#: registered under "counting" is honored instead of being bypassed.
-BUILTIN_COUNTING = _counting
-
-
 @register_estimator("exact")
 def _exact(scenario: Scenario) -> ReliabilityResult:
     from repro.analysis.exact import exact_reliability
@@ -149,13 +150,19 @@ def _exact(scenario: Scenario) -> ReliabilityResult:
     return exact_reliability(scenario.spec, scenario.fleet)
 
 
-#: Stable reference to the built-in exact estimator: the engine's batched
-#: enumeration only substitutes for *this* implementation.
-BUILTIN_EXACT = _exact
-
-
 @register_estimator("monte-carlo")
-def _monte_carlo(scenario: Scenario) -> ReliabilityResult:
+def _monte_carlo(
+    scenario: Scenario,
+    *,
+    jobs: int | None = None,
+    shard_trials: int | None = None,
+    pool: str = "process",
+) -> ReliabilityResult:
+    """Batched sampling; correlated when the scenario carries a model.
+
+    A correlation model draws from one shared stream, so the pool
+    keywords only shard independent sampling.
+    """
     from repro.analysis.montecarlo import monte_carlo_correlated, monte_carlo_reliability
 
     if scenario.correlation is not None:
@@ -167,25 +174,38 @@ def _monte_carlo(scenario: Scenario) -> ReliabilityResult:
             failure_kind=scenario.failure_kind,
         )
     return monte_carlo_reliability(
-        scenario.spec, scenario.fleet, trials=scenario.trials, seed=scenario.seed
+        scenario.spec,
+        scenario.fleet,
+        trials=scenario.trials,
+        seed=scenario.seed,
+        jobs=jobs,
+        shard_trials=shard_trials,
+        pool=pool,
     )
 
 
-#: Stable reference to the built-in Monte-Carlo estimator: the engine's
-#: policy-aware dispatch only shards *this* implementation.
-BUILTIN_MONTE_CARLO = _monte_carlo
-
-
-def _importance_impl(
+@register_estimator("importance")
+def _importance(
     scenario: Scenario,
     *,
     jobs: int | None = None,
     shard_trials: int | None = None,
     pool: str = "process",
 ) -> ReliabilityResult:
-    """Rare-event estimator: three tilted runs, one per reliability metric."""
+    """Rare-event estimator: three tilted runs, one per reliability metric.
+
+    Every tilted draw fails a node as ``scenario.failure_kind``, so a
+    fleet with mass of the other kind is refused rather than misread.
+    """
     from repro.analysis.importance import importance_sample_violation
 
+    other = "p_crash" if scenario.failure_kind is FaultKind.BYZANTINE else "p_byzantine"
+    if any(getattr(node, other) for node in scenario.fleet):
+        raise InvalidConfigurationError(
+            f"importance sampling draws every failure as failure_kind="
+            f"{scenario.failure_kind.name.lower()}, but the fleet has {other} mass; "
+            "set failure_kind to the fleet's one failure kind"
+        )
     estimates = {}
     for predicate in ("safe", "live", "safe_and_live"):
         outcome = importance_sample_violation(
@@ -211,14 +231,6 @@ def _importance_impl(
     )
 
 
-@register_estimator("importance")
-def _importance(scenario: Scenario) -> ReliabilityResult:
-    return _importance_impl(scenario)
-
-
-#: Stable reference to the built-in importance estimator (see above).
-BUILTIN_IMPORTANCE = _importance
-
 #: The stock estimators by name, frozen at import time.  A process-pool
 #: child started without fork re-imports this module and sees exactly
 #: these — so only (method, fn) pairs found here may be dispatched to a
@@ -230,55 +242,6 @@ _STOCK_ESTIMATORS: Dict[str, EstimatorFn] = dict(_ESTIMATORS)
 def is_stock_estimator(method: str, fn: EstimatorFn) -> bool:
     """Whether ``fn`` is the stock estimator shipped under ``method``."""
     return _STOCK_ESTIMATORS.get(method) is fn
-
-
-def estimate_under_policy(
-    estimator_fn: EstimatorFn,
-    scenario: Scenario,
-    policy,
-    *,
-    jobs: int | None = None,
-) -> tuple[ReliabilityResult, int]:
-    """Run one estimator under an :class:`~repro.engine.ExecutionPolicy`.
-
-    Returns ``(result, shards)``.  Only the built-in sampling estimators
-    understand policies: they run their spawned-stream shards on the
-    policy's executor with the policy's ``shard_trials``, and the shard
-    count lands in the scenario's provenance.  Everything else — exact
-    estimators, per-engine overrides, third-party registrations,
-    correlated scenarios (whose models draw from one shared stream) — runs
-    unchanged with ``shards=1``.  ``jobs`` overrides the estimator-level
-    worker count; the planner passes 1 when it is already parallel at
-    scenario granularity, so pools never nest.
-    """
-    if scenario.correlation is not None or estimator_fn not in (
-        BUILTIN_MONTE_CARLO,
-        BUILTIN_IMPORTANCE,
-    ):
-        return estimator_fn(scenario), 1
-    from repro.analysis.kernels import plan_shards
-
-    workers = policy.jobs if jobs is None else jobs
-    if estimator_fn is BUILTIN_MONTE_CARLO:
-        from repro.analysis.montecarlo import monte_carlo_reliability
-
-        result = monte_carlo_reliability(
-            scenario.spec,
-            scenario.fleet,
-            trials=scenario.trials,
-            seed=scenario.seed,
-            jobs=workers,
-            shard_trials=policy.shard_trials,
-            pool=policy.mode,
-        )
-    else:
-        result = _importance_impl(
-            scenario,
-            jobs=workers,
-            shard_trials=policy.shard_trials,
-            pool=policy.mode,
-        )
-    return result, plan_shards(scenario.trials, policy.shard_trials).num_shards
 
 
 __all__ = [

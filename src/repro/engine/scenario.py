@@ -40,9 +40,6 @@ from repro.protocols.benor import BenOrSpec, ByzantineBenOrSpec
 from repro.protocols.pbft import PBFTSpec
 from repro.protocols.raft import FlexibleRaftSpec, RaftSpec
 
-#: Estimator names the default registry provides (see repro.engine.registry).
-KNOWN_METHODS = ("auto", "counting", "exact", "monte-carlo", "importance")
-
 #: Above this configuration count, auto selection stops considering
 #: enumeration (the historical ``analyze`` threshold).
 EXACT_BUDGET = 1 << 20
@@ -221,8 +218,12 @@ class Scenario:
     resolves exactly like :func:`repro.analysis.analyze` always has:
     counting DP for symmetric specs, exact enumeration for small
     asymmetric fleets, Monte-Carlo otherwise).  ``trials``/``seed`` budget
-    the sampling estimators.  ``correlation`` switches Monte-Carlo to the
-    correlated sampler with ``failure_kind`` outcomes.  ``window_hours``
+    the sampling estimators.  ``correlation`` is a correlated-failure
+    model that replaces the fleet's independent draws, every failure
+    taking ``failure_kind``: only Monte-Carlo (``"auto"`` resolves to it)
+    and third-party estimators can honour one, so pairing it with
+    ``counting``, ``exact`` or ``importance`` is refused — they would
+    answer for independent failures.  ``window_hours``
     and ``label`` are provenance-only metadata (horizon sweeps stamp the
     window each scenario was projected for).
     """
@@ -241,10 +242,17 @@ class Scenario:
         # trials is deliberately not validated here: only the sampling
         # estimators read it, and they raise at estimation time exactly as
         # the pre-engine free functions did (exact paths ignore it).
-        if self.correlation is not None and self.correlation.n != self.spec.n:
+        if self.correlation is None:
+            return
+        if self.correlation.n != self.spec.n:
             raise InvalidConfigurationError(
                 f"correlation model has {self.correlation.n} nodes "
                 f"but spec expects {self.spec.n}"
+            )
+        if self.method in ("counting", "exact", "importance"):
+            raise InvalidConfigurationError(
+                f"method {self.method!r} assumes independent failures and would "
+                "ignore the correlation model; use 'monte-carlo' or 'auto'"
             )
 
     @property

@@ -37,6 +37,19 @@ class TestSingleAnalyses:
         out = capsys.readouterr().out
         assert "99.941%" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["raft", "--n", "5", "--p", "1.5"],
+            ["sweep", "--n", "5", "--p", "0.1,2"],
+        ],
+        ids=["raft", "sweep"],
+    )
+    def test_out_of_range_flag_value_is_an_error_line(self, argv):
+        # Used to end in an InvalidProbabilityError traceback.
+        with pytest.raises(SystemExit, match="^error: p_crash must be in"):
+            main(argv)
+
 
 class TestPlan:
     def test_feasible_plan(self, capsys):
@@ -306,6 +319,19 @@ class TestQueryFile:
             f' "trials": {trials}}}]'
         )
         with pytest.raises(SystemExit, match="trials must be a finite integer"):
+            main(["query", str(path)])
+
+    def test_query_file_row_refused_at_run_time_is_an_error_line(self, tmp_path):
+        # The row parses; the importance estimator refuses it when it runs
+        # (Byzantine mass under the default crash failure kind), which used
+        # to end in a traceback.
+        path = tmp_path / "importance.json"
+        path.write_text(
+            '[{"spec": {"protocol": "pbft", "n": 7}, "method": "importance",'
+            ' "fleet": {"uniform": {"n": 7, "p_fail": 0.05, "byzantine_fraction": 1.0}},'
+            ' "trials": 2000, "seed": 1}]'
+        )
+        with pytest.raises(SystemExit, match="^error: .*failure_kind"):
             main(["query", str(path)])
 
     def test_query_jobs_deterministic(self, capsys, tmp_path):

@@ -9,13 +9,14 @@ bit-identical to calling the legacy free functions directly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
 import pytest
 
 from repro.analysis import analyze, analyze_batch
+from repro.analysis.config import FaultKind
 from repro.analysis.result import Estimate, ReliabilityResult
 from repro.engine import (
     Answer,
@@ -38,8 +39,12 @@ from repro.errors import (
     InvalidConfigurationError,
     InvalidProbabilityError,
 )
-from repro.faults.correlation import CommonShockModel, rollout_shock
-from repro.faults.mixture import Fleet, NodeModel, uniform_fleet
+from repro.faults.correlation import (
+    BetaBinomialContagion,
+    CommonShockModel,
+    rollout_shock,
+)
+from repro.faults.mixture import Fleet, NodeModel, byzantine_fleet, uniform_fleet
 from repro.protocols.benor import BenOrSpec, ByzantineBenOrSpec
 from repro.protocols.hybrid import UprightSpec
 from repro.protocols.pbft import PBFTSpec
@@ -135,6 +140,25 @@ class TestEquivalence:
         )
         assert answer.value == monte_carlo_correlated(spec, model, trials=6_000, seed=2)
         assert answer.provenance.estimator == "monte-carlo"
+
+    @pytest.mark.parametrize("method", ["counting", "exact", "importance"])
+    def test_correlation_refused_by_independent_only_estimators(self, method):
+        """These estimators model independent failures.  Handed a contagion
+        model they used to answer S&L 0.99144 — the independent-failure
+        answer — where Monte-Carlo over the model reads 0.95745."""
+        with pytest.raises(InvalidConfigurationError, match="correlation model"):
+            Scenario(
+                spec=RaftSpec(5),
+                fleet=uniform_fleet(5, 0.1),
+                method=method,
+                correlation=BetaBinomialContagion(5, 0.5, 4.5),
+            )
+
+    @pytest.mark.parametrize("method", ["auto", "monte-carlo", "third-party"])
+    def test_correlation_kept_where_it_can_be_honoured(self, method):
+        model = BetaBinomialContagion(5, 0.5, 4.5)
+        scenario = Scenario(RaftSpec(5), uniform_fleet(5, 0.1), method=method, correlation=model)
+        assert scenario.correlation is model
 
     def test_unknown_method_raises_like_analyze(self, small_cft_fleet):
         with pytest.raises(EstimationError):
@@ -503,6 +527,55 @@ class TestRegistry:
         )
         assert answer.value.method == "importance"
         assert 0.0 <= answer.value.safe_and_live.value <= 1.0
+
+    def test_importance_refuses_mass_its_failure_kind_does_not_draw(self):
+        """PBFT(7) over a Byzantine fleet: under the default crash kind every
+        tilted draw was a crash, and P(unsafe) read 0.0 where counting reads
+        3.76e-3.  With ``failure_kind=BYZANTINE`` it agrees with counting."""
+        crash = Scenario(
+            spec=PBFTSpec(7),
+            fleet=byzantine_fleet(7, 0.05),
+            method="importance",
+            trials=20_000,
+            seed=1,
+        )
+        with pytest.raises(InvalidConfigurationError, match="failure_kind"):
+            ReliabilityEngine().run_query(crash)
+        byzantine = replace(crash, failure_kind=FaultKind.BYZANTINE)
+        sampled = ReliabilityEngine().run_query(byzantine).value.safe.value
+        counted = ReliabilityEngine().run_query(replace(crash, method="counting"))
+        assert 1 - sampled == pytest.approx(1 - counted.value.safe.value, rel=0.1)
+        # ...and crash mass is refused when every draw would be Byzantine.
+        with pytest.raises(InvalidConfigurationError, match="p_crash"):
+            ReliabilityEngine().run_query(
+                Scenario(
+                    spec=RaftSpec(5),
+                    fleet=uniform_fleet(5, 0.05),
+                    method="importance",
+                    failure_kind=FaultKind.BYZANTINE,
+                    seed=1,
+                )
+            )
+
+    @pytest.mark.parametrize("method", ["monte-carlo", "importance"])
+    def test_stock_sampler_is_the_one_call_the_engine_makes(self, method):
+        """The registered function takes the policy's keywords itself: with
+        them it answers what the engine answers under that policy, and
+        called bare it answers what the serial engine answers."""
+        scenario = Scenario(
+            spec=RaftSpec(5),
+            fleet=uniform_fleet(5, 0.05),
+            method=method,
+            trials=12_000,
+            seed=11,
+        )
+        estimator = get_estimator(method)
+        policy = ExecutionPolicy(mode="thread", jobs=2, shard_trials=3_000)
+        assert (
+            estimator(scenario, jobs=2, shard_trials=3_000, pool="thread")
+            == ReliabilityEngine().run_query(scenario, policy).value
+        )
+        assert estimator(scenario) == ReliabilityEngine().run_query(scenario).value
 
     def test_global_registration_reaches_engines(self):
         calls = []

@@ -295,7 +295,11 @@ class TestEnginePolicy:
 
         calls = []
 
-        def custom(scenario):
+        def custom(*args, **kwargs):
+            # An override is called with the scenario alone: the policy's
+            # keywords are for the stock sampling estimators only.
+            (scenario,) = args
+            assert kwargs == {}
             calls.append(scenario.label)
             return counting_reliability(scenario.spec, scenario.fleet)
 
@@ -313,6 +317,9 @@ class TestEnginePolicy:
         assert len(calls) == 3  # ran in-process, through the override
         reference = counting_reliability(RaftSpec(3), uniform_fleet(3, 0.01))
         assert all(o.value == reference for o in result)
+        threaded = engine.run(scenarios, policy=ExecutionPolicy(mode="thread", jobs=2))
+        assert len(calls) == 6
+        assert [o.provenance.shards for o in threaded] == [1, 1, 1]
 
     def test_generator_seed_scenarios_run_deterministically_in_order(self):
         def build(policy):

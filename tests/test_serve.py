@@ -197,6 +197,23 @@ class TestRouting:
         finally:
             conn.close()
 
+    def test_importance_row_with_mass_it_cannot_draw_is_answered_422(self, server):
+        """PBFT(7) over a Byzantine fleet under the default crash kind: the
+        importance sampler read every Byzantine draw as a crash, and the
+        daemon answered 200 with P(unsafe) = 0."""
+        row = {
+            "spec": {"protocol": "pbft", "n": 7},
+            "fleet": {"uniform": {"n": 7, "p_fail": 0.05, "byzantine_fraction": 1.0}},
+            "method": "importance",
+            "trials": 2_000,
+            "seed": 1,
+        }
+        status, body = post(server.port, json.dumps([row]))
+        assert status == 422
+        assert "failure_kind" in body["error"]
+        status, _body = post(server.port, json.dumps([dict(row, failure_kind="byzantine")]))
+        assert status == 200
+
     def test_unanticipated_route_error_is_answered_500(self):
         def broken_snapshot(**kwargs):
             raise RuntimeError("snapshot exploded")
