@@ -11,9 +11,9 @@ files with no engine changes.  The two stock sampling estimators also
 take the keywords ``jobs``, ``shard_trials`` and ``pool``, which the
 planner fills from the :class:`~repro.engine.ExecutionPolicy`; a
 third-party estimator is only ever called with the scenario.  The
-function registered under a name is the one the engine calls for it —
-there is no second route — and :func:`is_stock_estimator` tells the
-planner whether that function is the stock one.
+function registered under a name is the one the engine calls for it,
+and :func:`is_stock_estimator` tells the planner whether that function
+is the stock one.
 
 The *kind* table is the same idea one level up: one
 :func:`register_backend` decorator takes a

@@ -157,7 +157,9 @@ class TestEquivalence:
     @pytest.mark.parametrize("method", ["auto", "monte-carlo", "third-party"])
     def test_correlation_kept_where_it_can_be_honoured(self, method):
         model = BetaBinomialContagion(5, 0.5, 4.5)
-        scenario = Scenario(RaftSpec(5), uniform_fleet(5, 0.1), method=method, correlation=model)
+        scenario = Scenario(
+            RaftSpec(5), uniform_fleet(5, 0.1), method=method, correlation=model
+        )
         assert scenario.correlation is model
 
     def test_unknown_method_raises_like_analyze(self, small_cft_fleet):
