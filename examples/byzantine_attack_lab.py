@@ -19,7 +19,7 @@ Run:  python examples/byzantine_attack_lab.py
 
 import json
 
-from repro.analysis import analyze, format_probability
+from repro.analysis import format_probability
 from repro.engine import Scenario, SimulationQuery, default_engine
 from repro.faults.mixture import byzantine_fleet, uniform_fleet
 from repro.injection import Adversary, FaultPlan
@@ -89,7 +89,9 @@ def main() -> None:
     print("the probabilistic view of the same boundary (every failure Byzantine):")
     for n in (4, 7):
         for p in (0.01, 0.04):
-            result = analyze(PBFTSpec(n), byzantine_fleet(n, p))
+            result = default_engine().run_query(
+                Scenario(PBFTSpec(n), byzantine_fleet(n, p))
+            ).value
             print(
                 f"  n={n}, p={p:.0%}: P(enough Byzantine nodes to run attack 2) = "
                 f"{1 - result.safe.value:.2e}  "

@@ -15,7 +15,8 @@ The full pipeline the paper envisions:
 Run:  python examples/telemetry_to_deployment.py
 """
 
-from repro.analysis import analyze, format_probability, predicate_probability
+from repro.analysis import format_probability, predicate_probability
+from repro.engine import Scenario, default_engine
 from repro.faults.mixture import NodeModel
 from repro.planner.leader import rank_leaders
 from repro.planner.reconfig import PreemptiveReconfigPolicy
@@ -62,7 +63,7 @@ def main() -> None:
           f"{[round(node.p_fail, 4) for node in fleet]}")
 
     # -- 4. analyze it ------------------------------------------------------------
-    result = analyze(RaftSpec(7), fleet)
+    result = default_engine().run_query(Scenario(RaftSpec(7), fleet)).value
     print(f"oblivious Raft safe&live: {format_probability(result.safe_and_live.value)}")
 
     reliable_indices = [i for i, node in enumerate(fleet) if node.label == "HMS-D14"]

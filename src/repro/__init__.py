@@ -20,13 +20,6 @@ repeats and replies with an :class:`AnswerSet`:
 >>> scenario = Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, 0.01))
 >>> round(default_engine().run_query(scenario).value.safe_and_live.value, 6)
 0.999702
-
-The classic one-shot helper is a shim over the same engine:
-
->>> from repro import analyze
->>> result = analyze(RaftSpec(3), uniform_fleet(3, 0.01))
->>> round(result.safe_and_live.value, 6)
-0.999702
 """
 
 from repro.engine import (
@@ -48,7 +41,6 @@ from repro.analysis import (
     FailureConfig,
     FaultKind,
     ReliabilityResult,
-    analyze,
     counting_reliability,
     exact_reliability,
     format_probability,
@@ -94,7 +86,6 @@ __all__ = [
     "register_estimator",
     "register_backend",
     # analysis
-    "analyze",
     "counting_reliability",
     "exact_reliability",
     "monte_carlo_reliability",

@@ -26,11 +26,10 @@ This package provides the estimators the engine's registry plugs in:
 * :func:`repro.analysis.importance.importance_sample_violation` — tilted
   sampling for many-nines rare events.
 
-:func:`analyze` and :func:`analyze_batch` remain as thin shims over the
-default engine (same signatures, bit-identical outputs): auto selection
-still prefers exact answers — counting DP for symmetric specs, enumeration
-for small asymmetric fleets (≤ ``2^20`` positive-probability
-configurations), Monte-Carlo otherwise.
+A scenario's ``"auto"`` method prefers exact answers — counting DP for
+symmetric specs, enumeration for small asymmetric fleets (≤ ``2^20``
+positive-probability configurations), Monte-Carlo otherwise — and the
+engine's values are bit-identical to calling these estimators directly.
 
 The kernel layer (:mod:`repro.analysis.kernels`) stays the shared hot
 path: verdict masks turn per-(spec, fleet) predicate sweeps into one-time
@@ -43,7 +42,6 @@ path computes them.
 
 from __future__ import annotations
 
-from repro._rng import SeedLike
 from repro.analysis.config import FailureConfig, FaultKind, config_probability
 from repro.analysis.counting import (
     aggregate_counts,
@@ -102,77 +100,8 @@ from repro.analysis.result import (
     from_nines,
     nines,
 )
-from repro.errors import EstimationError
-from repro.faults.mixture import Fleet
-from typing import TYPE_CHECKING, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.protocols.base import ProtocolSpec
-
-
-def analyze(
-    spec: "ProtocolSpec",
-    fleet: Fleet,
-    *,
-    method: str = "auto",
-    trials: int = 100_000,
-    seed: SeedLike = None,
-) -> ReliabilityResult:
-    """Compute Safe/Live/Safe&Live reliability for a deployment.
-
-    .. deprecated:: prefer the Query/Engine API —
-       ``default_engine().run_query(Scenario(spec=spec, fleet=fleet))`` —
-       which adds batching, caching and provenance.  This shim submits a
-       single scenario to the default engine and stays for compatibility;
-       outputs are bit-identical to the historical estimator dispatch.
-
-    ``method`` is one of ``"auto"`` (default), ``"counting"``, ``"exact"``,
-    ``"monte-carlo"`` or any estimator registered with the engine.  Auto
-    selection prefers exact answers: counting DP for symmetric specs,
-    enumeration for small asymmetric ones, Monte-Carlo otherwise.
-    """
-    from repro.engine import Scenario, default_engine
-
-    scenario = Scenario(spec=spec, fleet=fleet, method=method, trials=trials, seed=seed)
-    return default_engine().run_query(scenario).value
-
-
-def analyze_batch(
-    spec: "ProtocolSpec",
-    fleets: "Sequence[Fleet]",
-    *,
-    method: str = "auto",
-    trials: int = 100_000,
-    seed: SeedLike = None,
-) -> list[ReliabilityResult]:
-    """Reliability for many same-size fleets against one spec, batched.
-
-    .. deprecated:: prefer the Query/Engine API —
-       ``default_engine().run(ScenarioSet(...))`` — which batches across
-       *specs* as well as fleets and reports provenance.  This shim wraps
-       the fleets into one scenario set; per-fleet values are bit-identical
-       to :func:`analyze`.
-
-    The sweep primitive behind horizon series, what-if grids and the CLI
-    tables.  Symmetric specs run the whole batch through one shared
-    counting-DP sweep; other spec/method combinations fall back to
-    per-scenario estimation inside the engine.
-    """
-    from repro.engine import Scenario, default_engine
-
-    fleets = list(fleets)
-    if not fleets:
-        return []
-    scenarios = [
-        Scenario(spec=spec, fleet=fleet, method=method, trials=trials, seed=seed)
-        for fleet in fleets
-    ]
-    return default_engine().run(scenarios).values
-
 
 __all__ = [
-    "analyze",
-    "analyze_batch",
     "FailureConfig",
     "FaultKind",
     "config_probability",

@@ -14,12 +14,16 @@ Subcommands::
     repro-analyze committee --n 100 --p 0.01 --target-nines 4
     repro-analyze mttf --n 5 --afr 0.08 --mttr-hours 24 [--json]
 
-Every estimation routes through the reliability engine
-(:mod:`repro.engine`), so sweeps and tables share batched DP sweeps and
-the engine's memo cache.  ``query`` (alias: ``scenarios``) is the front
-door for arbitrary workloads: one JSON file — a list of scenario dicts, a
-``{"grid": ...}`` description, or rows mixing ``reliability``,
-``availability``, ``mttf`` and ``simulation`` questions — runs through
+Every subcommand but ``table1``, ``table2`` and ``report`` estimates
+through the reliability engine (:mod:`repro.engine`), so sweeps share
+batched DP sweeps and the engine's memo cache; those three print
+:mod:`repro.report`'s text, computed with the scalar estimators the
+engine is pinned to.  Every table prints through
+:func:`repro.report.format_table`.  ``query`` (alias: ``scenarios``) is
+the front door for arbitrary workloads: one JSON file — a list of
+scenario dicts, a ``{"grid": ...}`` description, or rows mixing
+``reliability``, ``availability``, ``mttf`` and ``simulation`` questions
+— runs through
 :meth:`ReliabilityEngine.run`, each row routed to its engine backend
 (shared DP sweeps and CTMC solves; sharded simulation campaigns), and
 prints per-row answers with provenance.  ``mttf`` itself is answered by
@@ -43,13 +47,17 @@ decides where shards run: results are identical for any ``N`` and for
 what the ``serve`` daemon answers for the same query.
 
 ``query`` additionally takes the fault-tolerance flags of the shard
-runtime (:mod:`repro.runtime`): ``--timeout SECONDS``
-bounds each campaign shard's wall clock, ``--retries K`` re-executes a
-failed shard up to ``K`` times (bit-identically — retried shards replay
-the same spawned stream), ``--on-shard-failure degrade`` keeps a partial
-answer with ``degraded`` provenance instead of failing the run, and
-``--resume DIR`` journals completed shards to ``DIR`` so an interrupted
-campaign resumes from where it stopped.  None of these flags changes any
+runtime (:mod:`repro.runtime`): ``--retries K`` re-executes a failed
+shard up to ``K`` times (bit-identically — retried shards replay the same
+spawned stream), ``--on-shard-failure degrade`` keeps a partial answer
+with ``degraded`` provenance instead of failing the run, and ``--resume
+DIR`` journals completed shards to ``DIR`` so an interrupted campaign
+resumes from where it stopped.  ``--timeout SECONDS`` bounds each
+campaign shard's wall clock only when the shards run on a pool
+(``--jobs N`` with ``N >= 2``, and more than one shard): shards that run
+in the calling process cannot be interrupted, so without ``--jobs`` the
+timeout does nothing.  ``serve --timeout`` behaves the same way, and its
+default ``--jobs`` is one worker.  None of these flags changes any
 printed number.
 
 Prints paper-style tables to stdout; exits non-zero on invalid input.
@@ -106,24 +114,16 @@ def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _print_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
-    widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
-    line = "  ".join(h.ljust(w) for h, w in zip(headers, widths))
-    print(line)
-    print("-" * len(line))
-    for row in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-
-
 def _cmd_raft(args: argparse.Namespace) -> int:
     from repro.engine import Scenario, default_engine
+    from repro.report import format_table
 
     spec = RaftSpec(args.n, q_per=args.q_per, q_vc=args.q_vc)
     result = default_engine().run_query(
         Scenario(spec=spec, fleet=uniform_fleet(args.n, args.p)),
         policy=_policy_from_args(args),
     ).value
-    _print_table(
+    print(format_table(
         ["N", "|Qper|", "|Qvc|", "Safe %", "Live %", "Safe and Live %"],
         [[
             str(args.n),
@@ -133,19 +133,20 @@ def _cmd_raft(args: argparse.Namespace) -> int:
             format_probability(result.live.value),
             format_probability(result.safe_and_live.value),
         ]],
-    )
+    ))
     return 0
 
 
 def _cmd_pbft(args: argparse.Namespace) -> int:
     from repro.engine import Scenario, default_engine
+    from repro.report import format_table
 
     spec = PBFTSpec(args.n)
     result = default_engine().run_query(
         Scenario(spec=spec, fleet=byzantine_fleet(args.n, args.p)),
         policy=_policy_from_args(args),
     ).value
-    _print_table(
+    print(format_table(
         ["N", "|Qeq|", "|Qper|", "|Qvc|", "|Qvc_t|", "Safe %", "Live %", "Safe and Live %"],
         [[
             str(args.n),
@@ -157,55 +158,21 @@ def _cmd_pbft(args: argparse.Namespace) -> int:
             format_probability(result.live.value),
             format_probability(result.safe_and_live.value),
         ]],
-    )
+    ))
     return 0
 
 
 def _cmd_table1(_args: argparse.Namespace) -> int:
-    from repro.engine import Scenario, default_engine
+    from repro.report import table1_text
 
-    rows = []
-    for n in (4, 5, 7, 8):
-        spec = PBFTSpec(n)
-        result = default_engine().run_query(
-            Scenario(spec=spec, fleet=byzantine_fleet(n, 0.01))
-        ).value
-        rows.append(
-            [
-                str(n),
-                str(spec.q_eq),
-                str(spec.q_per),
-                str(spec.q_vc),
-                str(spec.q_vc_t),
-                format_probability(result.safe.value),
-                format_probability(result.live.value),
-                format_probability(result.safe_and_live.value),
-            ]
-        )
-    print("Table 1: PBFT reliability, uniform p_u = 1%")
-    _print_table(
-        ["N", "|Qeq|", "|Qper|", "|Qvc|", "|Qvc_t|", "Safe %", "Live %", "Safe and Live %"], rows
-    )
+    print(table1_text())
     return 0
 
 
 def _cmd_table2(_args: argparse.Namespace) -> int:
-    from repro.engine import Scenario, default_engine
+    from repro.report import table2_text
 
-    probabilities = (0.01, 0.02, 0.04, 0.08)
-    rows = []
-    for n in (3, 5, 7, 9):
-        spec = RaftSpec(n)
-        cells = [str(n), str(spec.q_per), str(spec.q_vc)]
-        # One batched counting-DP sweep per row instead of a fleet at a time.
-        scenarios = [Scenario(spec=spec, fleet=uniform_fleet(n, p)) for p in probabilities]
-        results = default_engine().run(scenarios).values
-        cells.extend(format_probability(r.safe_and_live.value) for r in results)
-        rows.append(cells)
-    print("Table 2: Raft reliability for uniform node failure p_u")
-    _print_table(
-        ["N", "|Qper|", "|Qvc|"] + [f"S&L p={p:.0%}" for p in probabilities], rows
-    )
+    print(table2_text())
     return 0
 
 
@@ -243,6 +210,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError:
         raise SystemExit(f"--p must be comma-separated floats, got {args.p!r}")
     from repro.engine import Scenario, default_engine
+    from repro.report import format_table
 
     if args.protocol == "raft":
         spec = RaftSpec(args.n)
@@ -264,13 +232,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for p, result in zip(probabilities, results)
     ]
     print(f"Sweep: {spec.name} n={args.n}, {len(fleets)} fleets in one kernel batch")
-    _print_table(["p_fail", "Safe %", "Live %", "Safe and Live %"], rows)
+    print(format_table(["p_fail", "Safe %", "Live %", "Safe and Live %"], rows))
     return 0
 
 
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
     from repro.analysis.sensitivity import importance_ranking
     from repro.faults.mixture import Fleet, NodeModel
+    from repro.report import format_table
 
     probabilities = _parse_probabilities(args.p, args.n)
     fleet = Fleet(tuple(NodeModel(p) for p in probabilities))
@@ -280,7 +249,7 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
         for rank, (node, score) in enumerate(ranking, start=1)
     ]
     print(f"Birnbaum importance (liveness), Raft n={args.n}")
-    _print_table(["rank", "node", "p_fail", "importance"], rows)
+    print(format_table(["rank", "node", "p_fail", "importance"], rows))
     return 0
 
 
@@ -340,6 +309,8 @@ def _cmd_mttf(args: argparse.Namespace) -> int:
             )
         )
         return 0
+    from repro.report import format_table
+
     rows = [
         [
             str(args.n),
@@ -349,7 +320,7 @@ def _cmd_mttf(args: argparse.Namespace) -> int:
         ]
     ]
     print(f"Markov metrics: AFR={args.afr:.1%}, MTTR={args.mttr_hours}h, majority quorums")
-    _print_table(["N", "MTTF-liveness (yr)", "MTTDL (yr)", "availability"], rows)
+    print(format_table(["N", "MTTF-liveness (yr)", "MTTDL (yr)", "availability"], rows))
     return 0
 
 
@@ -385,6 +356,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps([wire_row(answer) for answer in answers], indent=2))
         return 0
+    from repro.report import format_table
+
     rows = [
         [row["label"], row["kind"], row["N"], row["answer"], row["via"]]
         for row in answers.table()
@@ -393,7 +366,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         f"Queries: {len(answers)} answered through the engine "
         f"({answers.cache_hits} cache hits)"
     )
-    _print_table(["query", "kind", "N", "answer", "via"], rows)
+    print(format_table(["query", "kind", "N", "answer", "via"], rows))
     return 0
 
 
@@ -419,8 +392,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_report(_args: argparse.Namespace) -> int:
     from repro.report import evaluate_claims, full_report
 
-    print(full_report())
-    return 0 if all(c.matches for c in evaluate_claims()) else 1
+    claims = evaluate_claims()
+    print(full_report(claims))
+    return 0 if all(c.matches for c in claims) else 1
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -644,7 +618,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout",
         type=float,
         default=None,
-        help="per-shard wall-clock timeout in seconds for campaign shards",
+        help="per-shard wall-clock timeout in seconds for campaign shards; "
+        "enforced only with --jobs N (N >= 2) on a campaign of more than "
+        "one shard, since shards in the calling process cannot be interrupted",
     )
     query.add_argument(
         "--retries",
@@ -702,7 +678,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout",
         type=float,
         default=60.0,
-        help="per-shard wall-clock timeout in seconds for campaign shards",
+        help="per-shard wall-clock timeout in seconds for campaign shards; "
+        "enforced only with --jobs N (N >= 2) on a campaign of more than "
+        "one shard (at the default --jobs, shards run in the request's "
+        "thread and are never interrupted)",
     )
     serve.add_argument(
         "--retries",

@@ -36,10 +36,9 @@ solves; :class:`SimulationQuery` campaigns fan seeded replicas across the
 :class:`ExecutionPolicy` pool and accept a declarative
 :class:`repro.injection.FaultPlan` (``faults=``) describing outages,
 partitions, bursts and Byzantine adversary mixes.  Every consumer in this
-repository (``analyze``/``analyze_batch``, the planner, committee search,
-horizon sweeps, the CLI, the daemon) routes through here, and each
-answer's :class:`Provenance` records backend, estimator, batch and shard
-counts.
+repository (the planner, committee search, horizon sweeps, the CLI's
+queries, the daemon) routes through here, and each answer's
+:class:`Provenance` records backend, estimator, batch and shard counts.
 
 Every shard fan-out goes through one dispatcher,
 :func:`repro.runtime.run_supervised` (re-exported here), and campaign

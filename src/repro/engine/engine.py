@@ -315,10 +315,9 @@ _DEFAULT_ENGINE: ReliabilityEngine | None = None
 
 
 def default_engine() -> ReliabilityEngine:
-    """The process-wide engine behind ``analyze``/``analyze_batch`` and the
-    planner/horizon/CLI consumers.  Sharing one instance is what makes the
-    memo cache pay off across layers (a planner sweep warms the cache the
-    CLI then hits)."""
+    """The process-wide engine behind the planner/horizon/CLI consumers.
+    Sharing one instance is what makes the memo cache pay off across
+    layers (a planner sweep warms the cache the CLI then hits)."""
     global _DEFAULT_ENGINE
     if _DEFAULT_ENGINE is None:
         _DEFAULT_ENGINE = ReliabilityEngine()

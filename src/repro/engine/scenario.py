@@ -41,7 +41,7 @@ from repro.protocols.pbft import PBFTSpec
 from repro.protocols.raft import FlexibleRaftSpec, RaftSpec
 
 #: Above this configuration count, auto selection stops considering
-#: enumeration (the historical ``analyze`` threshold).
+#: enumeration.
 EXACT_BUDGET = 1 << 20
 
 
@@ -215,9 +215,10 @@ class Scenario:
     """One reliability question: a (spec, fleet) pair plus estimator budget.
 
     ``method`` is an estimator name from the engine registry (``"auto"``
-    resolves exactly like :func:`repro.analysis.analyze` always has:
-    counting DP for symmetric specs, exact enumeration for small
-    asymmetric fleets, Monte-Carlo otherwise).  ``trials``/``seed`` budget
+    resolves to Monte-Carlo under a correlation model, else the counting
+    DP for symmetric specs, exact enumeration for asymmetric fleets of at
+    most :data:`EXACT_BUDGET` configurations, Monte-Carlo beyond that;
+    see :meth:`resolved_method`).  ``trials``/``seed`` budget
     the sampling estimators.  ``correlation`` is a correlated-failure
     model that replaces the fleet's independent draws, every failure
     taking ``failure_kind``: only Monte-Carlo (``"auto"`` resolves to it)
@@ -262,10 +263,10 @@ class Scenario:
     def resolved_method(self) -> str:
         """The concrete estimator name ``method`` stands for.
 
-        ``"auto"`` picks exactly as ``analyze`` always has: Monte-Carlo
-        under a correlation model, the counting DP for symmetric specs,
-        enumeration while the fleet has at most :data:`EXACT_BUDGET`
-        configurations, Monte-Carlo beyond that.
+        ``"auto"`` picks Monte-Carlo under a correlation model, the
+        counting DP for symmetric specs, enumeration while the fleet has
+        at most :data:`EXACT_BUDGET` configurations, Monte-Carlo beyond
+        that.
         """
         if self.method != "auto":
             return self.method

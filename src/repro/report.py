@@ -36,7 +36,8 @@ class ClaimResult:
     matches: bool
 
 
-def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """Left-aligned columns under a dashed rule; every CLI table prints through it."""
     widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
     lines.append("-" * len(lines[0]))
@@ -64,7 +65,7 @@ def table1_text() -> str:
             ]
         )
     header = "Table 1: PBFT reliability, uniform p_u = 1%\n"
-    return header + _table(
+    return header + format_table(
         ["N", "|Qeq|", "|Qper|", "|Qvc|", "|Qvc_t|", "Safe %", "Live %", "Safe and Live %"],
         rows,
     )
@@ -82,7 +83,7 @@ def table2_text() -> str:
             cells.append(format_probability(result.safe_and_live.value))
         rows.append(cells)
     header = "Table 2: Raft reliability for uniform node failure p_u\n"
-    return header + _table(
+    return header + format_table(
         ["N", "|Qper|", "|Qvc|"] + [f"S&L p={p:.0%}" for p in probabilities], rows
     )
 
@@ -226,24 +227,28 @@ def evaluate_claims() -> list[ClaimResult]:
     return claims
 
 
-def claims_text() -> str:
-    """The in-text-claims comparison as a table."""
+def claims_text(claims: Sequence[ClaimResult] | None = None) -> str:
+    """The in-text-claims comparison as a table (``claims`` defaults to
+    :func:`evaluate_claims`)."""
+    if claims is None:
+        claims = evaluate_claims()
     rows = [
         [c.claim_id, c.description, c.paper_value, c.measured_value, "yes" if c.matches else "NO"]
-        for c in evaluate_claims()
+        for c in claims
     ]
-    return "In-text claims (paper vs measured)\n" + _table(
+    return "In-text claims (paper vs measured)\n" + format_table(
         ["id", "claim", "paper", "measured", "match"], rows
     )
 
 
-def full_report() -> str:
-    """Everything: both tables plus every claim."""
+def full_report(claims: Sequence[ClaimResult] | None = None) -> str:
+    """Everything: both tables plus every claim (evaluated here unless
+    ``claims`` already holds :func:`evaluate_claims`'s answer)."""
     sections = [
         "repro — reproduction report for 'Real Life Is Uncertain. "
         "Consensus Should Be Too!' (HotOS '25)",
         table1_text(),
         table2_text(),
-        claims_text(),
+        claims_text(claims),
     ]
     return "\n\n".join(sections) + "\n"

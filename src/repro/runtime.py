@@ -73,8 +73,12 @@ class Supervision:
         stray attempt's result is discarded when it eventually lands); a
         timed-out process attempt terminates the worker pool, and the
         other in-flight shards are requeued onto a rebuilt pool at no
-        cost to their retry budgets.  Serial execution cannot preempt the
-        calling thread, so ``timeout`` is inert there.
+        cost to their retry budgets.  Only a pooled run enforces it:
+        whenever ``jobs <= 1``, there is one shard, or ``mode ==
+        "serial"``, :func:`run_supervised` runs every shard in the calling
+        thread, which it cannot preempt, so ``timeout`` does nothing there
+        (three 0.5 s shards under ``timeout=0.1`` take 1.5 s at
+        ``jobs=1`` with no timeout recorded).
     ``retries``
         How many times one shard may be re-executed after a failed
         attempt (worker exception or timeout).  Retries re-execute the
@@ -435,8 +439,9 @@ def run_supervised(
     """Map ``worker`` over shard payloads: returns ``(results, report)``.
 
     ``jobs <= 1`` (or a single payload, or ``mode='serial'``) runs in the
-    calling thread; ``'thread'`` uses a thread pool, ``'process'`` a
-    fork-based process pool (payloads and results must pickle).
+    calling thread, where ``supervision.timeout`` is not enforced;
+    ``'thread'`` uses a thread pool, ``'process'`` a fork-based process
+    pool (payloads and results must pickle).
     ``results`` holds one entry per payload in shard order; dropped
     shards (degrade mode only) leave ``None`` in their slot and are
     listed in the report.  ``rebuild(index)`` must return a fresh,

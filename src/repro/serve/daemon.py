@@ -7,9 +7,12 @@ same engine into shared infrastructure: one long-lived
 cache) warm across *all* requests, the existing ``Query``/``QuerySet``
 JSON accepted over ``POST /v1/query``, identical in-flight queries
 coalesced into a single execution (:mod:`repro.serve.coalesce`), and
-every simulation campaign run under the supervised runtime — per-shard
-timeouts, retries and graceful degradation, so a hung shard costs one
-shard's deadline, never a wedged request thread.  Completed campaign
+every simulation campaign run under the supervised runtime — retries and
+graceful degradation, plus per-shard timeouts when the campaign's shards
+run on a pool (``jobs`` ≥ 2 and more than one shard).  At the default
+``jobs`` (one worker) every shard runs in the request's executor thread,
+which the runtime cannot preempt: the timeout does nothing there, and a
+hung shard holds its executor thread until it returns.  Completed campaign
 shards journal to the checkpoint directory, so a daemon restart resumes
 interrupted campaigns bit-identically instead of recomputing them.
 
@@ -90,7 +93,10 @@ class ServiceConfig:
     count); ``executor_workers`` bounds how many *requests'* queries
     execute concurrently.  ``shard_timeout`` / ``retries`` /
     ``on_shard_failure`` are the supervision knobs every campaign runs
-    under; ``checkpoint_dir`` enables the restart-resume journal.
+    under; ``shard_timeout`` is enforced only when ``jobs`` is 2 or more
+    and a campaign has more than one shard — at the default ``jobs``
+    (``None``, one worker) shards run in the executor thread and it does
+    nothing.  ``checkpoint_dir`` enables the restart-resume journal.
     ``trace_path`` turns on per-request tracing: every request, query
     and campaign shard is recorded and the trace is written on shutdown
     (Chrome trace-event JSON, or a JSONL span log when the path ends in

@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._rng import as_generator
-from repro.analysis import analyze, analyze_batch
 from repro.analysis import kernels
 from repro.analysis.config import FailureConfig, FaultKind
 from repro.analysis.counting import counting_reliability, joint_count_pmf
@@ -258,20 +257,24 @@ class TestCountingKernel:
         assert kernels.counting_sweep([]) == ([], 0, 0)
         assert exact.exact_reliability_batch(RaftSpec(3), []) == []
 
-    def test_analyze_batch_matches_analyze(self):
+    def test_engine_batch_matches_counting_scalar(self):
         spec = PBFTSpec(7)
         fleets = [uniform_fleet(7, p, byzantine_fraction=1.0) for p in (0.01, 0.05, 0.1)]
-        batch = analyze_batch(spec, fleets)
-        for fleet, batched in zip(fleets, batch):
-            assert batched.safe_and_live.value == analyze(spec, fleet).safe_and_live.value
+        answers = ReliabilityEngine().run([Scenario(spec=spec, fleet=f) for f in fleets])
+        assert all(a.provenance.batched for a in answers)
+        for fleet, batched in zip(fleets, answers.values):
+            scalar = counting_reliability(spec, fleet)
+            assert batched.safe_and_live.value == scalar.safe_and_live.value
 
-    def test_analyze_batch_asymmetric_falls_back(self):
+    def test_engine_batch_asymmetric_falls_back(self):
         spec, fleet = _asymmetric_pair()
-        batch = analyze_batch(spec, [fleet])
-        assert batch[0].safe_and_live.value == analyze(spec, fleet).safe_and_live.value
+        (answer,) = ReliabilityEngine().run([Scenario(spec=spec, fleet=fleet)])
+        assert answer.provenance.estimator == "exact"
+        scalar = exact_reliability(spec, fleet)
+        assert answer.value.safe_and_live.value == scalar.safe_and_live.value
 
-    def test_analyze_batch_empty(self):
-        assert analyze_batch(RaftSpec(3), []) == []
+    def test_engine_batch_empty(self):
+        assert ReliabilityEngine().run([]).values == []
 
     def test_batch_rejects_mismatched_sizes(self):
         with pytest.raises(InvalidConfigurationError, match="same size"):

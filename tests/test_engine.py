@@ -3,7 +3,7 @@
 The contract under test: the engine is a *planner*, never a different
 estimator — whatever execution plan it picks (shared DP sweep, memo
 cache, per-scenario fallback), every ``ReliabilityResult`` must be
-bit-identical to calling the legacy free functions directly.
+bit-identical to calling the scalar estimators directly.
 """
 
 from __future__ import annotations
@@ -15,8 +15,10 @@ from typing import ClassVar
 import numpy as np
 import pytest
 
-from repro.analysis import analyze, analyze_batch
 from repro.analysis.config import FaultKind
+from repro.analysis.counting import counting_reliability
+from repro.analysis.exact import exact_reliability
+from repro.analysis.montecarlo import monte_carlo_reliability
 from repro.analysis.result import Estimate, ReliabilityResult
 from repro.engine import (
     Answer,
@@ -75,12 +77,27 @@ ZOO = [
 ]
 
 
+def _scalar(spec, fleet, method, *, trials=100_000, seed=None) -> ReliabilityResult:
+    """What a stock ``method`` row must equal: the scalar estimator itself."""
+    if method == "counting":
+        return counting_reliability(spec, fleet)
+    if method == "exact":
+        return exact_reliability(spec, fleet)
+    assert method == "monte-carlo", method
+    return monte_carlo_reliability(spec, fleet, trials=trials, seed=seed)
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("spec,fleet", ZOO, ids=lambda v: repr(v))
     def test_run_one_matches_analyze(self, spec, fleet):
+        """An ``auto`` row of the zoo is the counting DP for symmetric specs
+        and enumeration otherwise (every zoo fleet is far below
+        ``EXACT_BUDGET``), bit for bit."""
+        method = "counting" if spec.symmetric else "exact"
         engine = ReliabilityEngine()
         answer = engine.run_query(Scenario(spec=spec, fleet=fleet, seed=11))
-        assert answer.value == analyze(spec, fleet, seed=11)
+        assert answer.provenance.estimator == method
+        assert answer.value == _scalar(spec, fleet, method)
 
     def test_batched_counting_bit_identical_to_analyze(self):
         """Mixed-protocol grid: shared DP sweeps, full dataclass equality."""
@@ -91,8 +108,8 @@ class TestEquivalence:
         )
         engine = ReliabilityEngine()
         results = engine.run(grid).values
-        legacy = [analyze(s.spec, s.fleet) for s in grid]
-        assert results == legacy  # Estimate values, method and detail alike
+        scalar = [counting_reliability(s.spec, s.fleet) for s in grid]
+        assert results == scalar  # Estimate values, method and detail alike
 
     def test_multi_spec_same_n_share_one_batch(self):
         """Raft and PBFT scenarios of one size land in the same DP group."""
@@ -108,16 +125,17 @@ class TestEquivalence:
         assert all(o.provenance.batched for o in answers)
         assert all(o.provenance.batch_size == 3 for o in answers)
         for answer in answers:
-            assert answer.value == analyze(answer.scenario.spec, answer.scenario.fleet)
+            assert answer.value == counting_reliability(
+                answer.scenario.spec, answer.scenario.fleet
+            )
 
-    def test_analyze_batch_matches_engine(self):
+    def test_default_engine_batch_matches_fresh_engine(self):
         spec = RaftSpec(5)
         fleets = [uniform_fleet(5, p) for p in (0.01, 0.02, 0.05)]
-        batch = analyze_batch(spec, fleets)
-        engine_results = ReliabilityEngine().run(
-            [Scenario(spec=spec, fleet=fleet) for fleet in fleets]
-        ).values
-        assert batch == engine_results
+        scenarios = [Scenario(spec=spec, fleet=fleet) for fleet in fleets]
+        batch = default_engine().run(scenarios).values
+        assert batch == ReliabilityEngine().run(scenarios).values
+        assert batch == [counting_reliability(spec, fleet) for fleet in fleets]
 
     def test_explicit_methods_match_legacy(self, mixed_fleet):
         spec = RaftSpec(7)
@@ -125,9 +143,7 @@ class TestEquivalence:
             answer = ReliabilityEngine().run_query(
                 Scenario(spec=spec, fleet=mixed_fleet, method=method, trials=4_000, seed=5)
             )
-            assert answer.value == analyze(
-                spec, mixed_fleet, method=method, trials=4_000, seed=5
-            )
+            assert answer.value == _scalar(spec, mixed_fleet, method, trials=4_000, seed=5)
 
     def test_correlated_scenario_matches_legacy(self):
         from repro.analysis.montecarlo import monte_carlo_correlated
@@ -220,8 +236,8 @@ class TestCache:
         # so back-to-back runs on one generator draw different samples.
         assert rng.bit_generator.seed_seq.n_children_spawned > spawned
         assert second.value != first.value
-        assert first.value == analyze(
-            spec, fleet, method="monte-carlo", trials=400, seed=np.random.default_rng(7)
+        assert first.value == monte_carlo_reliability(
+            spec, fleet, trials=400, seed=np.random.default_rng(7)
         )
 
     def test_equal_specs_share_cache_entries(self):
@@ -842,12 +858,15 @@ class TestDefaultEngine:
     def test_default_engine_is_shared(self):
         assert default_engine() is default_engine()
 
-    def test_analyze_shim_ignores_trials_on_exact_paths(self):
-        """Legacy compat: trials is only validated by sampling estimators."""
-        result = analyze(RaftSpec(3), uniform_fleet(3, 0.01), trials=0)
+    def test_default_engine_ignores_trials_on_exact_paths(self):
+        """trials is only validated by the sampling estimators."""
+        fleet = uniform_fleet(3, 0.01)
+        result = default_engine().run_query(Scenario(RaftSpec(3), fleet, trials=0)).value
         assert result.method == "counting"
         with pytest.raises(InvalidConfigurationError):
-            analyze(RaftSpec(3), uniform_fleet(3, 0.01), method="monte-carlo", trials=0)
+            default_engine().run_query(
+                Scenario(RaftSpec(3), fleet, method="monte-carlo", trials=0)
+            )
 
     @pytest.mark.parametrize("trials", [1e4, 2.5, True], ids=repr)
     def test_engine_sampling_row_rejects_a_non_integer_budget(self, trials):
@@ -860,13 +879,3 @@ class TestDefaultEngine:
         )
         with pytest.raises(InvalidConfigurationError, match="trials must be an integer"):
             ReliabilityEngine().run([scenario])
-
-    def test_analyze_shim_routes_through_default_engine(self):
-        engine = default_engine()
-        fleet = uniform_fleet(9, 0.037)
-        spec = RaftSpec(9)
-        analyze(spec, fleet)
-        # The shim warmed the shared cache: the engine now answers the
-        # same scenario without recomputing.
-        answer = engine.run_query(Scenario(spec=RaftSpec(9), fleet=fleet))
-        assert answer.provenance.cache_hit

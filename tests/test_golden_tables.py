@@ -39,16 +39,16 @@ HORIZON_NODES = 5
 
 def compute_table2() -> dict:
     """Table 2 values plus the CLI's verbatim rendering."""
-    from repro.analysis import analyze_batch
     from repro.cli import main
+    from repro.engine import Scenario, default_engine
     from repro.faults.mixture import uniform_fleet
     from repro.protocols.raft import RaftSpec
 
     values = {}
     for n in TABLE2_SIZES:
-        results = analyze_batch(
-            RaftSpec(n), [uniform_fleet(n, p) for p in TABLE2_PROBABILITIES]
-        )
+        results = default_engine().run(
+            [Scenario(RaftSpec(n), uniform_fleet(n, p)) for p in TABLE2_PROBABILITIES]
+        ).values
         values[str(n)] = {
             f"{p:g}": result.safe_and_live.value
             for p, result in zip(TABLE2_PROBABILITIES, results)

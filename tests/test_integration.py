@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import analyze, counting_reliability, monte_carlo_reliability, nines
+from repro.analysis import counting_reliability, monte_carlo_reliability, nines
+from repro.engine import Scenario, default_engine
 from repro.faults.mixture import uniform_fleet
 from repro.protocols.raft import RaftSpec
 
@@ -22,7 +23,7 @@ class TestTelemetryToPlanningPipeline:
         fleet = fleet_from_telemetry(
             telemetry, [("HMS-D14", 5)], window_hours=720.0, deployment_age_hours=8766.0
         )
-        result = analyze(RaftSpec(5), fleet)
+        result = default_engine().run_query(Scenario(RaftSpec(5), fleet)).value
         assert result.safe.value == 1.0
         assert result.safe_and_live.value > 0.99
 
@@ -141,9 +142,11 @@ class TestEstimatorConsistencyAtScale:
     def test_analyze_dispatches_sensibly(self, mixed_fleet):
         from repro.protocols.reliability_aware import ReliabilityAwareRaftSpec
 
-        symmetric = analyze(RaftSpec(7), mixed_fleet)
+        engine = default_engine()
+        symmetric = engine.run_query(Scenario(RaftSpec(7), mixed_fleet)).value
         assert symmetric.method == "counting"
-        asymmetric = analyze(ReliabilityAwareRaftSpec(7, pinned=[4, 5, 6]), mixed_fleet)
+        pinned = ReliabilityAwareRaftSpec(7, pinned=[4, 5, 6])
+        asymmetric = engine.run_query(Scenario(pinned, mixed_fleet)).value
         assert asymmetric.method == "exact"
 
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import analyze, nines, predicate_probability
+from repro.analysis import nines, predicate_probability
+from repro.engine import Scenario, default_engine
 from repro.faults.mixture import NodeModel, byzantine_fleet, heterogeneous_fleet, uniform_fleet
 from repro.protocols.pbft import PBFTSpec
 from repro.protocols.raft import RaftSpec
@@ -17,6 +18,11 @@ from repro.protocols.reliability_aware import (
     ObliviousDurabilityRaftSpec,
     ReliabilityAwareRaftSpec,
 )
+
+
+def _answer(spec, fleet):
+    """The default engine's result for one ``auto`` scenario."""
+    return default_engine().run_query(Scenario(spec, fleet)).value
 
 
 def _pct(value: float, digits: int) -> float:
@@ -37,7 +43,7 @@ class TestTable1PBFT:
 
     @pytest.mark.parametrize("n,safe,live,ds,dl", ROWS)
     def test_row(self, n, safe, live, ds, dl):
-        result = analyze(PBFTSpec(n), byzantine_fleet(n, 0.01))
+        result = _answer(PBFTSpec(n), byzantine_fleet(n, 0.01))
         assert _pct(result.safe.value, ds) == pytest.approx(safe)
         assert _pct(result.live.value, dl) == pytest.approx(live)
         # Safe&Live equals the Live column everywhere in Table 1.
@@ -64,7 +70,7 @@ class TestTable2Raft:
         [(n, p, e, d) for n, cells in ROWS.items() for p, e, d in cells],
     )
     def test_cell(self, n, p, expected, digits):
-        result = analyze(RaftSpec(n), uniform_fleet(n, p))
+        result = _answer(RaftSpec(n), uniform_fleet(n, p))
         # Within one unit of the paper's last printed digit (the paper
         # truncates some cells, e.g. 99.99887 -> "99.9988").
         assert abs(result.safe_and_live.value * 100 - expected) <= 10.0**-digits + 1e-12
@@ -79,14 +85,14 @@ class TestIntroClaims:
     def test_raft_three_nodes_only_three_nines(self):
         """§1: 'Raft ... is only 99.97% safe and live in three node
         deployments when nodes suffer a 1% failure rate.'"""
-        result = analyze(RaftSpec(3), uniform_fleet(3, 0.01))
+        result = _answer(RaftSpec(3), uniform_fleet(3, 0.01))
         assert _pct(result.safe_and_live.value, 2) == pytest.approx(99.97)
         assert 3.0 <= nines(result.safe_and_live.value) < 4.0
 
     def test_nine_cheap_nodes_match_three_reliable(self):
         """§1/§3: 9 nodes at 8% give the same 99.97% as 3 nodes at 1%."""
-        reliable = analyze(RaftSpec(3), uniform_fleet(3, 0.01))
-        cheap = analyze(RaftSpec(9), uniform_fleet(9, 0.08))
+        reliable = _answer(RaftSpec(3), uniform_fleet(3, 0.01))
+        cheap = _answer(RaftSpec(9), uniform_fleet(9, 0.08))
         assert _pct(cheap.safe_and_live.value, 2) == pytest.approx(99.97)
         # The 9-node cluster is at least as reliable.
         assert cheap.safe_and_live.value >= reliable.safe_and_live.value - 5e-5
@@ -110,10 +116,10 @@ class TestSection3Claims:
 
     def test_heterogeneous_upgrade_barely_helps_oblivious_raft(self):
         """§3: 7 nodes @8% = 99.88%; upgrading 3 nodes to 1% only ~99.98%."""
-        base = analyze(RaftSpec(7), uniform_fleet(7, 0.08))
+        base = _answer(RaftSpec(7), uniform_fleet(7, 0.08))
         assert _pct(base.safe_and_live.value, 2) == pytest.approx(99.88)
         upgraded_fleet = heterogeneous_fleet([(4, NodeModel(0.08)), (3, NodeModel(0.01))])
-        upgraded = analyze(RaftSpec(7), upgraded_fleet)
+        upgraded = _answer(RaftSpec(7), upgraded_fleet)
         assert 99.97 <= _pct(upgraded.safe_and_live.value, 2) <= 99.99
 
     def test_pinned_quorums_reach_99994_durability(self):
@@ -133,8 +139,8 @@ class TestSection3Claims:
 
     def test_five_node_pbft_safety_improvement_over_four(self):
         """§3: 5-node PBFT is 42–60× safer than 4-node, ~1.67× less live."""
-        four = analyze(PBFTSpec(4), byzantine_fleet(4, 0.01))
-        five = analyze(PBFTSpec(5), byzantine_fleet(5, 0.01))
+        four = _answer(PBFTSpec(4), byzantine_fleet(4, 0.01))
+        five = _answer(PBFTSpec(5), byzantine_fleet(5, 0.01))
         safety_gain = (1 - four.safe.value) / (1 - five.safe.value)
         liveness_loss = (1 - five.live.value) / (1 - four.live.value)
         assert 42.0 <= safety_gain <= 70.0  # the paper's upper bound is 60x at p=1%
@@ -142,8 +148,8 @@ class TestSection3Claims:
 
     def test_five_node_pbft_safer_than_seven(self):
         """§3: 'the 5-node system is more safe than a 7-node system.'"""
-        five = analyze(PBFTSpec(5), byzantine_fleet(5, 0.01))
-        seven = analyze(PBFTSpec(7), byzantine_fleet(7, 0.01))
+        five = _answer(PBFTSpec(5), byzantine_fleet(5, 0.01))
+        seven = _answer(PBFTSpec(7), byzantine_fleet(7, 0.01))
         assert five.safe.value > seven.safe.value
 
 
