@@ -139,26 +139,14 @@ def _cmd_raft(args: argparse.Namespace) -> int:
 
 def _cmd_pbft(args: argparse.Namespace) -> int:
     from repro.engine import Scenario, default_engine
-    from repro.report import format_table
+    from repro.report import pbft_table
 
     spec = PBFTSpec(args.n)
     result = default_engine().run_query(
         Scenario(spec=spec, fleet=byzantine_fleet(args.n, args.p)),
         policy=_policy_from_args(args),
     ).value
-    print(format_table(
-        ["N", "|Qeq|", "|Qper|", "|Qvc|", "|Qvc_t|", "Safe %", "Live %", "Safe and Live %"],
-        [[
-            str(args.n),
-            str(spec.q_eq),
-            str(spec.q_per),
-            str(spec.q_vc),
-            str(spec.q_vc_t),
-            format_probability(result.safe.value),
-            format_probability(result.live.value),
-            format_probability(result.safe_and_live.value),
-        ]],
-    ))
+    print(pbft_table([(spec, result)]))
     return 0
 
 

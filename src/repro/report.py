@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.analysis import (
+    ReliabilityResult,
     counting_reliability,
     format_probability,
     nines,
@@ -46,15 +47,14 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
-def table1_text() -> str:
-    """Table 1 reproduction as text."""
-    rows = []
-    for n in (4, 5, 7, 8):
-        spec = PBFTSpec(n)
-        result = counting_reliability(spec, byzantine_fleet(n, 0.01))
-        rows.append(
+def pbft_table(rows: Sequence[tuple[PBFTSpec, ReliabilityResult]]) -> str:
+    """Table 1's layout for any PBFT deployments: quorum sizes, then
+    Safe / Live / Safe and Live."""
+    return format_table(
+        ["N", "|Qeq|", "|Qper|", "|Qvc|", "|Qvc_t|", "Safe %", "Live %", "Safe and Live %"],
+        [
             [
-                str(n),
+                str(spec.n),
                 str(spec.q_eq),
                 str(spec.q_per),
                 str(spec.q_vc),
@@ -63,12 +63,16 @@ def table1_text() -> str:
                 format_probability(result.live.value),
                 format_probability(result.safe_and_live.value),
             ]
-        )
-    header = "Table 1: PBFT reliability, uniform p_u = 1%\n"
-    return header + format_table(
-        ["N", "|Qeq|", "|Qper|", "|Qvc|", "|Qvc_t|", "Safe %", "Live %", "Safe and Live %"],
-        rows,
+            for spec, result in rows
+        ],
     )
+
+
+def table1_text() -> str:
+    """Table 1 reproduction as text."""
+    specs = [PBFTSpec(n) for n in (4, 5, 7, 8)]
+    rows = [(spec, counting_reliability(spec, byzantine_fleet(spec.n, 0.01))) for spec in specs]
+    return "Table 1: PBFT reliability, uniform p_u = 1%\n" + pbft_table(rows)
 
 
 def table2_text() -> str:
