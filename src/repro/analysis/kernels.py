@@ -30,16 +30,20 @@ flexible estimator APIs in :mod:`repro.analysis` run at NumPy speed:
   of the batch; its results equal the scalar
   :func:`repro.analysis.counting.counting_reliability` whole.
 
-* **Batched Monte-Carlo** — :func:`monte_carlo_tally` and friends draw
-  chunked ``(trials, n)`` uniforms.  The uniform stream is consumed in the
-  same (trial, node) order as the historical per-trial loop, so seeded
-  tallies are unchanged.  Symmetric specs count each trial's crashes and
-  Byzantine nodes straight from the uniforms (two threshold passes, one
-  when the fleet has no Byzantine mass; scalar thresholds when every node
-  shares one model) and bin the count pairs into one histogram; no node
-  is ever classified.  Asymmetric specs classify every
-  node (:func:`classify_uniforms`) and get ``np.unique`` row dedup:
-  Python predicates run once per *distinct* configuration, not per trial.
+* **Batched Monte-Carlo** — symmetric specs tally each trial by its
+  (crashes, Byzantine) count pair, binned into one histogram; no node is
+  ever classified.  When every node shares one model with one failure
+  kind — crash-only ``(p, 0)`` or Byzantine-only ``(0, p)`` —
+  :func:`monte_carlo_tally` draws the count itself, one
+  ``Binomial(n, p)`` per trial.  Every other fleet (mixed kinds, several
+  models) draws chunked ``(trials, n)`` uniforms in the (trial, node)
+  order of the historical per-trial loop, so its seeded tallies equal
+  that loop's, and counts each trial's crashes and Byzantine nodes
+  straight from the uniforms (two threshold passes, one when the fleet
+  has no Byzantine mass; scalar thresholds when every node shares one
+  model).  Asymmetric specs draw the same uniforms, classify every node
+  (:func:`classify_uniforms`) and get ``np.unique`` row dedup: Python
+  predicates run once per *distinct* configuration, not per trial.
 
 * **Sharded execution** — :func:`plan_shards` splits a trial budget into
   worker-count-independent shard blocks, :func:`spawn_shard_sequences`
@@ -81,7 +85,8 @@ from repro.runtime import run_supervised
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.protocols.base import ProtocolSpec
 
-#: Target number of uniform draws per Monte-Carlo chunk (~8 MB of float64).
+#: Target number of draws per Monte-Carlo chunk: uniforms (~8 MB of
+#: float64), or binomial counts on the one-model, one-kind branch.
 _CHUNK_DRAWS = 1 << 20
 
 #: Cap on floats materialised per batched chunk (~32 MB of float64): the
@@ -554,6 +559,35 @@ def _tally_asymmetric(
     return safe, live, both
 
 
+def _binomial_tally(
+    masks: VerdictMasks,
+    n: int,
+    crash_p: float,
+    byz_p: float,
+    trials: int,
+    rng: np.random.Generator,
+) -> BatchTally:
+    """Symmetric tally of a one-model, one-kind fleet from failure counts.
+
+    Draws one ``Binomial(n, p)`` count per trial — ``p`` is whichever of
+    ``crash_p``/``byz_p`` is nonzero (``crash_p`` when both are 0) — and
+    bins it in that kind's column of the count-pair histogram.
+    """
+    byzantine = bool(byz_p)
+    p = byz_p if byzantine else crash_p
+    safe = live = both = 0
+    for size in _chunk_sizes(trials, 1):
+        counts = rng.binomial(n, p, size=size)
+        if byzantine:
+            s, l, b = _tally_symmetric(masks, 0, counts)
+        else:
+            s, l, b = _tally_symmetric(masks, counts, 0)
+        safe += s
+        live += l
+        both += b
+    return BatchTally(trials=trials, safe=safe, live=live, both=both)
+
+
 def monte_carlo_tally(
     spec: "ProtocolSpec",
     fleet: Fleet,
@@ -562,27 +596,37 @@ def monte_carlo_tally(
 ) -> BatchTally:
     """Batched independent-trinomial Monte-Carlo tally.
 
-    Draws chunked ``(m, n)`` uniforms — consuming the generator stream in
-    the same (trial, node) order as a per-trial loop, so seeded tallies are
-    reproducible and match the historical sampler exactly.
-
     Symmetric specs never classify nodes: a trial's verdict depends only
-    on its (crashes, Byzantine) count pair, so each row's counts are taken
-    straight from the uniforms — ``count(u < p_crash)`` crashes and
-    ``count(u < p_crash + p_byzantine)`` minus that Byzantine nodes, the
-    same rule as :func:`classify_uniforms` (``p_byzantine >= 0``, so the
-    first set lies inside the second) — and tallied by one histogram over
-    the count pairs.  When every node shares one ``(p_crash,
-    p_byzantine)`` pair, the uniforms are compared against those two
-    scalars rather than broadcast ``n``-vectors: each element meets the
-    same double either way, at a fraction of the cost.  Asymmetric specs
-    classify each node and go through :func:`np.unique` row dedup.
+    on its (crashes, Byzantine) count pair, tallied by one histogram over
+    the count pairs.  How a trial's counts are drawn depends on the fleet:
+
+    * **One model, one failure kind** — every node shares a crash-only
+      ``(p, 0)`` or Byzantine-only ``(0, p)`` pair, so the trial's failure
+      count is ``Binomial(n, p)``: one ``rng.binomial`` draw per trial
+      (chunked by trial; the stream does not depend on the chunking), in
+      the crash or the Byzantine column.  Each trial is still an
+      independent draw, so the tally stays an independent check on the
+      counting DP.
+    * **Every other fleet** (mixed kinds, several models) draws chunked
+      ``(m, n)`` uniforms in (trial, node) order, the stream of a per-trial
+      loop.  Each row's counts are taken straight from the uniforms —
+      ``count(u < p_crash)`` crashes and ``count(u < p_crash +
+      p_byzantine)`` minus that Byzantine nodes, the same rule as
+      :func:`classify_uniforms` (``p_byzantine >= 0``, so the first set
+      lies inside the second).  A single-model mixed-kind fleet compares
+      the uniforms against its two scalars rather than broadcast
+      ``n``-vectors: each element meets the same double either way.
+
+    Asymmetric specs draw the same uniforms, classify each node and go
+    through :func:`np.unique` row dedup.
     """
     pairs = fleet.probability_array
     crash_p, byz_p = np.ascontiguousarray(pairs.T)
     masks = verdict_masks(spec) if spec.symmetric else None
     if masks is not None and fleet.n and (pairs == pairs[0]).all():
         crash_p, byz_p = pairs[0]  # one model: compare against scalars
+        if not (crash_p and byz_p):  # one kind: count ~ Binomial(n, p)
+            return _binomial_tally(masks, fleet.n, crash_p, byz_p, trials, rng)
     fail_p = crash_p + byz_p if byz_p.any() else None
     safe = live = both = 0
     for size in _chunk_sizes(trials, fleet.n):
@@ -648,8 +692,7 @@ def predicate_tally(
     :func:`np.unique` and the predicate runs once per distinct
     configuration.
     """
-    crash_p = np.array(fleet.crash_probabilities)
-    byz_p = np.array(fleet.byzantine_probabilities)
+    crash_p, byz_p = np.ascontiguousarray(fleet.probability_array.T)
     hits = 0
     for size in _chunk_sizes(trials, fleet.n):
         uniforms = rng.random((size, fleet.n))

@@ -7,11 +7,13 @@ score confidence intervals, which behave sensibly even when the observed
 violation count is zero (common when probing many-nines systems).
 
 Sampling itself is delegated to the vectorized kernels in
-:mod:`repro.analysis.kernels`: trials are drawn as chunked ``(m, n)``
-uniform blocks, consuming each generator stream in the same (trial, node)
-order as a per-trial loop.  Symmetric specs tally each trial by its
-(crashes, Byzantine) counts, taken straight from the uniforms; asymmetric
-specs classify every node.
+:mod:`repro.analysis.kernels`.  Symmetric specs tally each trial by its
+(crashes, Byzantine) counts.  Over a fleet whose nodes share one model
+with one failure kind (crash-only or Byzantine-only) that count is drawn
+directly, one ``Binomial(n, p)`` per trial.  Every other fleet draws
+chunked ``(m, n)`` uniform blocks, consuming each generator stream in the
+same (trial, node) order as a per-trial loop, and counts from the
+uniforms; asymmetric specs classify every node.
 
 Independent-trial budgets are always split into worker-count-independent
 shard blocks, each sampling its own ``SeedSequence``-spawned stream and
@@ -97,12 +99,14 @@ def monte_carlo_reliability(
 ) -> ReliabilityResult:
     """Estimate Safe/Live/Safe&Live by sampling independent configurations.
 
-    Sampling runs on the batched kernel (:mod:`repro.analysis.kernels`):
-    chunked ``(trials, n)`` uniform draws; symmetric specs count each
-    trial's crashes and Byzantine nodes from the uniforms and read the
-    verdict masks off a count-pair histogram, asymmetric ones classify
-    every node and dedup unique rows.  ``trials`` must be a positive
-    integer (NumPy integers included; ``bool`` and floats are rejected).
+    Sampling runs on the batched kernel (:mod:`repro.analysis.kernels`).
+    Symmetric specs read the verdict masks off a histogram of each
+    trial's (crashes, Byzantine) counts: a one-model, one-kind fleet draws
+    that count as one ``Binomial(n, p)`` per trial, every other fleet
+    counts it from chunked ``(trials, n)`` uniform draws.  Asymmetric specs
+    classify every node of the uniform draws and dedup unique rows.
+    ``trials`` must be a positive integer (NumPy integers included;
+    ``bool`` and floats are rejected).
 
     The trial budget is split by :func:`repro.analysis.kernels.plan_shards`
     into blocks whose count depends only on ``(trials, shard_trials)``,

@@ -3,8 +3,14 @@
 Every kernel path is checked against a *reference implementation* — a copy
 of the pre-kernel per-trial / per-count-pair loops — across the protocol
 zoo (Raft, PBFT, Ben-Or, hybrid Upright, reliability-aware).  Exact
-estimators must be bit-identical; seeded Monte-Carlo paths must produce
-the exact tallies the historical loops produced for the same seed.
+estimators must be bit-identical.  Seeded Monte-Carlo paths that draw
+uniforms — asymmetric specs, mixed-kind and multi-model fleets, predicate
+and correlated tallies — must produce the exact tallies the historical
+loops produced for the same seed.  Symmetric specs over a single-model
+fleet with one failure kind draw one binomial failure count per trial
+instead: that branch is held to a goodness-of-fit test against the
+counting PMF, to chunk invariance, and to never counting uniforms
+(:class:`TestBinomialTally`).
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from repro._rng import as_generator
 from repro.analysis import kernels
@@ -91,6 +98,11 @@ SYMMETRIC_ZOO = [
     (ByzantineBenOrSpec(11), _mixed_fleet(11)),
     (UprightSpec(2, 1), _mixed_fleet(6)),
 ]
+
+#: Zoo entries whose tallies draw uniforms (mixed kinds, several models)
+#: and those that draw one binomial count per trial (one model, one kind).
+UNIFORM_ZOO = [SYMMETRIC_ZOO[0], SYMMETRIC_ZOO[3]]
+BINOMIAL_ZOO = [SYMMETRIC_ZOO[1], SYMMETRIC_ZOO[2], SYMMETRIC_ZOO[4]]
 
 #: Symmetric spec factories for the property test.
 SPEC_FACTORIES = [
@@ -736,10 +748,11 @@ class TestPlannerCountingChunks:
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo: seeded tallies identical to the historical per-trial loops
+# Monte-Carlo: seeded uniform-drawing tallies identical to the historical
+# per-trial loops
 # ---------------------------------------------------------------------------
 class TestMonteCarloKernel:
-    @pytest.mark.parametrize("spec,fleet", SYMMETRIC_ZOO[:4], ids=lambda v: repr(v))
+    @pytest.mark.parametrize("spec,fleet", UNIFORM_ZOO, ids=lambda v: repr(v))
     def test_symmetric_tally_matches_reference_loop(self, spec, fleet):
         ref = _ref_trials(spec, fleet, 4_000, as_generator(11))
         tally = monte_carlo_tally(spec, fleet, 4_000, as_generator(11))
@@ -979,29 +992,40 @@ def _ref_per_node_threshold_tally(spec, fleet, trials: int, rng) -> tuple[int, i
     return safe, live, both
 
 
+#: One model's ``(p_crash, p_byzantine)`` by failure kind.  ``p`` covers
+#: the corners and tiny values; mixed pairs carry both kinds.
+_SINGLE_MODEL_P = st.one_of(st.sampled_from([0.0, 1e-9, 1.0]), st.floats(0.0, 1.0))
+_SINGLE_MODEL_PAIRS = {
+    "crash-only": _SINGLE_MODEL_P.map(lambda p: (p, 0.0)),
+    "byzantine-only": _SINGLE_MODEL_P.map(lambda p: (0.0, p)),
+    "mixed": st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    .map(lambda t: (t[0], (1.0 - t[0]) * t[1]))
+    .filter(all),
+}
+
+
 @st.composite
-def _uniform_tally_cases(draw):
+def _single_model_cases(draw, kinds):
     """(spec, single-model fleet, trials, chunk_draws, seed), ``trials``
-    within one of a chunk edge."""
+    within one of a chunk edge.  A mixed-kind fleet draws ``n`` uniforms
+    per trial, a one-kind fleet one binomial count."""
     spec = _TALLY_SPECS[draw(st.sampled_from(sorted(_TALLY_SPECS)))]
     n = draw(st.integers(1, 41))
-    kind = draw(st.sampled_from(["crash-only", "byzantine-only", "mixed"]))
-    p = draw(st.floats(0.0, 1.0))
-    pair = {
-        "crash-only": (p, 0.0),
-        "byzantine-only": (0.0, p),
-        "mixed": (p, (1.0 - p) * draw(st.floats(0.0, 1.0))),
-    }[kind]
+    kind = draw(st.sampled_from(kinds))
+    pair = draw(_SINGLE_MODEL_PAIRS[kind])
     chunk_draws = draw(st.integers(1, 64 * n))
-    chunk = max(1, chunk_draws // n)
+    chunk = max(1, chunk_draws // (n if kind == "mixed" else 1))
     trials = max(1, draw(st.integers(1, 3)) * chunk + draw(st.sampled_from([-1, 0, 1])))
     fleet = Fleet((NodeModel(*pair),) * n)
     return spec(n), fleet, trials, chunk_draws, draw(st.integers(0, 2**32 - 1))
 
 
 class TestScalarThresholdTally:
+    """Single-model fleets that still draw uniforms: those with both kinds.
+    (One-kind fleets draw binomial counts: :class:`TestBinomialTally`.)"""
+
     @settings(max_examples=120, deadline=None, derandomize=True)
-    @given(case=_uniform_tally_cases())
+    @given(case=_single_model_cases(["mixed"]))
     def test_property_scalar_threshold_equals_per_node_threshold(self, case):
         spec, fleet, trials, chunk_draws, seed = case
         with mock.patch.object(kernels, "_CHUNK_DRAWS", chunk_draws):
@@ -1022,6 +1046,134 @@ class TestScalarThresholdTally:
         # Control: the last node is what moved the tally.
         uniform = monte_carlo_tally(spec, Fleet((common,) * n), 3_000, as_generator(6))
         assert (uniform.safe, uniform.live, uniform.both) != expected
+
+
+# ---------------------------------------------------------------------------
+# One model, one failure kind: one binomial count per trial
+# ---------------------------------------------------------------------------
+#: Significance floor of the goodness-of-fit test.  The examples are
+#: derandomized, so a pass is reproducible; a wrong ``n``, ``p`` or column
+#: sits many orders of magnitude below it at these trial counts.
+_FIT_ALPHA = 1e-6
+
+
+def _refuse_row_counts(*_args):
+    raise AssertionError("_row_counts called")
+
+
+def _drawn_count_histogram(spec, fleet, trials: int, seed: int) -> np.ndarray:
+    """The flattened ``(n+1)^2`` count-pair histogram ``monte_carlo_tally``
+    bins, captured at ``_tally_symmetric``; no uniform is ever counted."""
+    width = fleet.n + 1
+    hist = np.zeros(width * width, dtype=np.int64)
+    tally_symmetric = kernels._tally_symmetric
+
+    def spy(masks, crash_counts, byz_counts):
+        cells = np.asarray(crash_counts * width + byz_counts)
+        hist[:] += np.bincount(cells, minlength=width * width)
+        return tally_symmetric(masks, crash_counts, byz_counts)
+
+    with mock.patch.object(kernels, "_tally_symmetric", spy), mock.patch.object(
+        kernels, "_row_counts", _refuse_row_counts
+    ):
+        tally = monte_carlo_tally(spec, fleet, trials, as_generator(seed))
+    assert tally.trials == trials == hist.sum()
+    return hist
+
+
+def _assert_fits_counting_pmf(hist: np.ndarray, fleet: Fleet, trials: int) -> None:
+    """Chi-square fit of a drawn count-pair histogram to the fleet's
+    counting PMF (``joint_count_pmf_batch``).  Cells without mass must stay
+    empty, a one-cell PMF must be met exactly, and cells are pooled in
+    count order until each expects at least five draws."""
+    crash, byz = kernels.fleet_probability_matrix([fleet])
+    pmf = joint_count_pmf_batch(crash, byz)[0].ravel()
+    assert not hist[pmf == 0.0].any(), "draws outside the PMF's support"
+    support = np.flatnonzero(pmf)
+    if support.size == 1:
+        assert hist[support[0]] == trials
+        return
+    observed, expected = [], []
+    for o, e in zip(hist[support], trials * pmf[support]):
+        if expected and expected[-1] < 5.0:
+            observed[-1] += o
+            expected[-1] += e
+        else:
+            observed.append(o)
+            expected.append(e)
+    if len(expected) > 1 and expected[-1] < 5.0:
+        o, e = observed.pop(), expected.pop()
+        observed[-1] += o
+        expected[-1] += e
+    if len(expected) < 2:
+        return  # every draw is expected in one pooled cell
+    observed, expected = np.array(observed, dtype=float), np.array(expected)
+    statistic = float(((observed - expected) ** 2 / expected).sum())
+    p_value = stats.chi2.sf(statistic, len(expected) - 1)
+    assert p_value > _FIT_ALPHA, (statistic, observed.tolist(), expected.tolist())
+
+
+class TestBinomialTally:
+    """Symmetric specs over a one-model, one-kind fleet draw one
+    ``Binomial(n, p)`` failure count per trial.  The stream differs from
+    the uniform one, so the evidence is statistical and structural rather
+    than equality with a uniform loop."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 41),
+        kind=st.sampled_from(["crash-only", "byzantine-only"]),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_drawn_counts_fit_the_counting_pmf(self, n, kind, data, seed):
+        pair = data.draw(_SINGLE_MODEL_PAIRS[kind])
+        spec = (RaftSpec if kind == "crash-only" else PBFTSpec)(n)
+        fleet = Fleet((NodeModel(*pair),) * n)
+        hist = _drawn_count_histogram(spec, fleet, 20_000, seed)
+        _assert_fits_counting_pmf(hist, fleet, 20_000)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 25, 41])
+    @pytest.mark.parametrize("kind", ["crash-only", "byzantine-only"])
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_degenerate_probabilities_give_one_cell_exactly(self, n, kind, p):
+        pair = (p, 0.0) if kind == "crash-only" else (0.0, p)
+        fleet = Fleet((NodeModel(*pair),) * n)
+        hist = _drawn_count_histogram(PBFTSpec(n), fleet, 5_000, 3)
+        count = n if p == 1.0 else 0
+        cell = count * (n + 1) if kind == "crash-only" else count
+        assert hist[cell] == 5_000
+
+    @pytest.mark.parametrize("spec,fleet", BINOMIAL_ZOO, ids=lambda v: repr(v))
+    def test_zoo_single_kind_entries_fit_the_counting_pmf(self, spec, fleet):
+        hist = _drawn_count_histogram(spec, fleet, 40_000, 11)
+        _assert_fits_counting_pmf(hist, fleet, 40_000)
+
+    def test_single_kind_single_model_tallies_never_count_uniforms(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_row_counts", _refuse_row_counts)
+        for spec, fleet in [
+            (RaftSpec(25), uniform_fleet(25, 0.05)),
+            (PBFTSpec(7), uniform_fleet(7, 0.03, byzantine_fraction=1.0)),
+            (BenOrSpec(5), uniform_fleet(5, 0.0)),
+        ]:
+            assert monte_carlo_tally(spec, fleet, 2_000, as_generator(4)).trials == 2_000
+        # Controls: mixed kinds and several models still count uniforms.
+        for spec, fleet in [
+            (PBFTSpec(7), uniform_fleet(7, 0.03, byzantine_fraction=0.25)),
+            (RaftSpec(5), Fleet((NodeModel(0.05),) * 4 + (NodeModel(0.06),))),
+        ]:
+            with pytest.raises(AssertionError, match="_row_counts"):
+                monte_carlo_tally(spec, fleet, 10, as_generator(4))
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(case=_single_model_cases(["crash-only", "byzantine-only"]))
+    def test_property_chunking_never_changes_the_tally(self, case):
+        spec, fleet, trials, chunk_draws, seed = case
+        with mock.patch.object(kernels, "_CHUNK_DRAWS", chunk_draws):
+            assert len(kernels._chunk_sizes(trials, 1)) == -(-trials // chunk_draws)
+            chunked = monte_carlo_tally(spec, fleet, trials, as_generator(seed))
+        whole = monte_carlo_tally(spec, fleet, trials, as_generator(seed))
+        assert chunked == whole
 
 
 # ---------------------------------------------------------------------------

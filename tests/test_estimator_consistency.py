@@ -28,7 +28,7 @@ from repro.analysis.counting import counting_reliability
 from repro.analysis.exact import exact_reliability
 from repro.analysis.montecarlo import monte_carlo_reliability
 from repro.engine import ReliabilityEngine, Scenario, ScenarioSet
-from repro.faults.mixture import Fleet, NodeModel
+from repro.faults.mixture import Fleet, NodeModel, uniform_fleet
 from repro.protocols.benor import BenOrSpec, ByzantineBenOrSpec
 from repro.protocols.pbft import PBFTSpec
 from repro.protocols.quorum_based import QuorumSystemSpec
@@ -73,6 +73,34 @@ def _random_fleet(rng: np.random.Generator, n: int) -> Fleet:
             NodeModel(p_crash=p * (1.0 - byz_fraction), p_byzantine=p * byz_fraction)
         )
     return Fleet(tuple(nodes))
+
+
+def build_single_model_grid(count: int = 30) -> list[Cell]:
+    """A seeded grid of one-model, one-kind fleets — the fleets whose
+    Monte-Carlo tallies draw one binomial failure count per trial:
+    crash-only Raft and flexible-quorum Raft, Byzantine-only PBFT."""
+    rng = np.random.default_rng(GRID_SEED + 2)
+    cells = []
+    for index in range(count):
+        n = int(rng.integers(3, 26))
+        p = float(rng.uniform(0.005, 0.3))
+        kind = index % 3
+        if kind == 0:
+            spec, fleet = RaftSpec(n), uniform_fleet(n, p)
+        elif kind == 1:
+            q_per = int(rng.integers(majority(n), n + 1))
+            spec, fleet = FlexibleRaftSpec(n, q_per, n - q_per + 1), uniform_fleet(n, p)
+        else:
+            spec, fleet = PBFTSpec(n), uniform_fleet(n, p, byzantine_fraction=1.0)
+        cells.append(
+            Cell(
+                label=f"{spec.name}/n={n}/p={p:.3f}/{index}",
+                spec=spec,
+                fleet=fleet,
+                seed=int(rng.integers(0, 2**31)),
+            )
+        )
+    return cells
 
 
 def build_grid(count: int = 24) -> list[Cell]:
@@ -234,3 +262,26 @@ class TestWilsonCoverage:
                 total += 1
                 covered += int(estimate.ci_low <= truth <= estimate.ci_high)
         assert covered >= math.floor(0.8 * total)
+
+    def test_single_model_coverage_over_seeded_grid(self):
+        # ``_random_fleet`` jitters every node's p, so the grid above never
+        # reaches the one-model, one-kind branch; this grid is nothing else.
+        cells = build_single_model_grid(30)
+        covered = total = 0
+        misses = []
+        for cell in cells:
+            exact = counting_reliability(cell.spec, cell.fleet)
+            sampled = monte_carlo_reliability(
+                cell.spec, cell.fleet, trials=self.TRIALS, seed=cell.seed
+            )
+            for metric in METRICS:
+                truth = getattr(exact, metric).value
+                estimate = getattr(sampled, metric)
+                total += 1
+                if estimate.ci_low <= truth <= estimate.ci_high:
+                    covered += 1
+                else:
+                    misses.append((cell.label, metric, truth, estimate))
+        assert covered >= math.floor(0.84 * total), (
+            f"Wilson coverage {covered}/{total}; misses: {misses[:5]}"
+        )
