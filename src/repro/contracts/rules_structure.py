@@ -124,7 +124,7 @@ run_supervised(_simulate_chunk, payloads, jobs=4)
 # Cache-key field coverage
 # ---------------------------------------------------------------------------
 #: Calls that read every dataclass field generically.
-_FULL_COVERAGE_CALLS = frozenset({"fields", "asdict", "_fields_to_dict"})
+_FULL_COVERAGE_CALLS = frozenset({"fields", "asdict", "encode_fields"})
 
 
 class _ClassInfo:

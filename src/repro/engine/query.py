@@ -34,18 +34,18 @@ what the engine routes them to.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterable, Iterator, Mapping
 
 import numpy as np
 
+from repro._codec import decode_fields, encode_fields, require_mapping
 from repro.errors import InvalidConfigurationError
 from repro.faults.afr import afr_to_hourly_rate
 from repro.faults.mixture import uniform_fleet
 from repro.engine.registry import _KINDS
-from repro.engine.scenario import Scenario, ScenarioSet, _finite_int, _require_mapping
+from repro.engine.scenario import Scenario, ScenarioSet
 from repro.injection.plan import FaultPlan
-from repro.injection.plan import jsonable_value as _jsonable
 from repro.protocols.raft import RaftSpec, majority
 
 #: Client-command schedule the simulation backend uses for every replica:
@@ -104,50 +104,29 @@ class Query:
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> dict:
         """JSON-ready form: ``kind`` + scenario + question parameters."""
-        data: dict = {"kind": self.kind, "scenario": self.scenario.to_dict()}
-        for spec in fields(self):
-            if spec.name == "scenario":
-                continue
-            value = getattr(self, spec.name)
-            if value != spec.default:
-                data[spec.name] = _jsonable(value)
-        return data
+        return {"kind": self.kind, **encode_fields(self)}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Query":
-        """Rebuild a query of this class from its dict form."""
-        payload = dict(_require_mapping("query row", data))
-        payload.pop("kind", None)
-        scenario_data = payload.pop("scenario", None)
-        if scenario_data is None:
-            raise InvalidConfigurationError(
-                f"{cls.kind or cls.__name__} dict needs a 'scenario' field"
-            )
-        known = {spec.name for spec in fields(cls)} - {"scenario"}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise InvalidConfigurationError(
-                f"unknown {cls.kind} query fields {unknown}; "
-                f"expected a subset of {sorted(known)}"
-            )
-        return cls(scenario=Scenario.from_dict(scenario_data), **cls._coerce(payload))
-
-    @classmethod
-    def _coerce(cls, payload: dict) -> dict:
-        """Hook for subclasses to coerce JSON primitives into field types."""
-        return payload
+        """Rebuild a query of this class from its dict form, every field
+        read by its declared type (:mod:`repro._codec`)."""
+        return decode_fields(cls, data, f"{cls.kind or cls.__name__} query", tag="kind")
 
 
 def canonical_query_key(query: Query) -> str:
     """The process-independent identity of a query: its canonical JSON form.
 
-    Two queries with equal dict forms compile to bit-identical work (the
-    dict form round-trips every field, enforced by the cache-key-coverage
-    contract), so one execution can serve both.  Unlike the in-process
-    memo keys of :meth:`Query.cache_key` — which carry resolved function
-    objects so that re-registration invalidates them — this string means
-    the same thing in every interpreter: the daemon single-flights on it
-    and campaign checkpoint journals are named by its digest.
+    Two queries with equal dict forms compile to bit-identical work, so
+    one execution can serve both: the dict form carries every field —
+    :func:`repro._codec.encode_fields` writes each one not at its default
+    (the cache-key-coverage contract checks ``to_dict`` goes through it)
+    and :func:`repro._codec.decode_fields` reads each back by its
+    declared type.  Unlike the in-process memo keys of
+    :meth:`Query.cache_key` — which carry resolved function objects so
+    that re-registration invalidates them — this string means the same
+    thing in every interpreter: the daemon single-flights on it and
+    campaign checkpoint journals are named by its digest
+    (``tests/test_codec.py`` pins it for every kind).
     """
     return json.dumps(query.to_dict(), sort_keys=True, default=repr)
 
@@ -160,7 +139,7 @@ def query_from_dict(data: Mapping) -> Query:
     :class:`ReliabilityQuery` — the shape every pre-query scenario file
     already used.
     """
-    if "kind" not in _require_mapping("query row", data):
+    if "kind" not in require_mapping("query row", data):
         scenario_data = data.get("scenario", data)
         return ReliabilityQuery(Scenario.from_dict(scenario_data))
     kind = str(data["kind"])
@@ -287,17 +266,6 @@ class _MarkovQuery(Query):
         )
         return cls.from_afr(scenario, afr=afr, mttr_hours=mttr_hours, **params)
 
-    @classmethod
-    def _coerce(cls, payload: dict) -> dict:
-        for name in ("failure_rate_per_hour", "repair_rate_per_hour"):
-            if name in payload:
-                payload[name] = float(payload[name])
-        if "repair_slots" in payload:
-            payload["repair_slots"] = _finite_int("repair_slots", payload["repair_slots"])
-        if payload.get("quorum_size") is not None:
-            payload["quorum_size"] = _finite_int("quorum_size", payload["quorum_size"])
-        return payload
-
 
 @dataclass(frozen=True)
 class AvailabilityQuery(_MarkovQuery):
@@ -324,13 +292,6 @@ class AvailabilityQuery(_MarkovQuery):
 
     def cache_key(self, estimator: EstimatorLookup, shard_trials: int | None) -> tuple:
         return (self.kind, self.chain_key(), self.resolved_quorum, self.window_hours)
-
-    @classmethod
-    def _coerce(cls, payload: dict) -> dict:
-        payload = super()._coerce(payload)
-        if payload.get("window_hours") is not None:
-            payload["window_hours"] = float(payload["window_hours"])
-        return payload
 
 
 @dataclass(frozen=True)
@@ -370,15 +331,6 @@ class MTTFQuery(_MarkovQuery):
             self.resolved_quorum,
             self.resolved_persistence_quorum,
         )
-
-    @classmethod
-    def _coerce(cls, payload: dict) -> dict:
-        payload = super()._coerce(payload)
-        if payload.get("persistence_quorum") is not None:
-            payload["persistence_quorum"] = _finite_int(
-                "persistence_quorum", payload["persistence_quorum"]
-            )
-        return payload
 
 
 @dataclass(frozen=True)
@@ -604,20 +556,6 @@ class SimulationQuery(Query):
             correlation,
             scenario.failure_kind,
         )
-
-    @classmethod
-    def _coerce(cls, payload: dict) -> dict:
-        if "replicas" in payload:
-            payload["replicas"] = _finite_int("replicas", payload["replicas"])
-        if "duration" in payload:
-            payload["duration"] = float(payload["duration"])
-        if "commands" in payload:
-            payload["commands"] = _finite_int("commands", payload["commands"])
-        if "crash_window" in payload:
-            payload["crash_window"] = tuple(float(e) for e in payload["crash_window"])
-        if payload.get("faults") is not None:
-            payload["faults"] = FaultPlan.from_dict(payload["faults"])
-        return payload
 
 
 # ---------------------------------------------------------------------------

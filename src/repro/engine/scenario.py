@@ -24,12 +24,12 @@ serializable — correlation structures are process-local objects.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from repro._codec import decode_fields, finite_int, require_mapping
 from repro._rng import SeedLike
 from repro.analysis.config import FaultKind
 from repro.errors import InvalidConfigurationError
@@ -71,7 +71,9 @@ def register_spec_codec(
     """Register a protocol family for scenario (de)serialization.
 
     ``build(**params)`` must reconstruct a spec whose predicates are
-    identical to the one ``params`` was read from.  Registration is
+    identical to the one ``params`` was read from; the JSON parameters are
+    read by ``build``'s annotations (:mod:`repro._codec`), an unannotated
+    one as given, and an unknown one is refused.  Registration is
     idempotent per name (last registration wins), so downstream packages
     can override the built-ins.
     """
@@ -81,36 +83,28 @@ def register_spec_codec(
     return codec
 
 
+# The built-in families build from their typed constructors, so the codec
+# reads every parameter as an integer (a quorum override may be null).
 register_spec_codec(
     "raft",
     RaftSpec,
-    lambda n, q_per=None, q_vc=None: RaftSpec(n, q_per=q_per, q_vc=q_vc),
+    RaftSpec,
     lambda spec: {"n": spec.n, "q_per": spec.q_per, "q_vc": spec.q_vc},
 )
 register_spec_codec(
     "flexraft",
     FlexibleRaftSpec,
-    lambda n, q_per, q_vc: FlexibleRaftSpec(n, q_per, q_vc),
+    FlexibleRaftSpec,
     lambda spec: {"n": spec.n, "q_per": spec.q_per, "q_vc": spec.q_vc},
 )
+register_spec_codec("benor", BenOrSpec, BenOrSpec, lambda spec: {"n": spec.n})
 register_spec_codec(
-    "benor",
-    BenOrSpec,
-    lambda n: BenOrSpec(n),
-    lambda spec: {"n": spec.n},
-)
-register_spec_codec(
-    "byz-benor",
-    ByzantineBenOrSpec,
-    lambda n: ByzantineBenOrSpec(n),
-    lambda spec: {"n": spec.n},
+    "byz-benor", ByzantineBenOrSpec, ByzantineBenOrSpec, lambda spec: {"n": spec.n}
 )
 register_spec_codec(
     "pbft",
     PBFTSpec,
-    lambda n, q_eq=None, q_per=None, q_vc=None, q_vc_t=None: PBFTSpec(
-        n, q_eq=q_eq, q_per=q_per, q_vc=q_vc, q_vc_t=q_vc_t
-    ),
+    PBFTSpec,
     lambda spec: {
         "n": spec.n,
         "q_eq": spec.q_eq,
@@ -133,17 +127,18 @@ def spec_to_dict(spec: ProtocolSpec) -> dict:
 
 
 def spec_from_dict(data: Mapping) -> ProtocolSpec:
-    """Rebuild a protocol spec from its dict form."""
-    payload = dict(data)
-    name = payload.pop("protocol", None)
+    """Rebuild a protocol spec from its dict form: the codec's ``build``
+    reads each parameter by its annotation, and an unknown one is refused
+    by name."""
+    name = require_mapping("spec", data).get("protocol")
     if name is None:
         raise InvalidConfigurationError("spec dict needs a 'protocol' field")
-    codec = _SPEC_CODECS.get(name)
+    codec = _SPEC_CODECS.get(name) if isinstance(name, str) else None
     if codec is None:
         raise InvalidConfigurationError(
             f"unknown protocol {name!r}; registered: {sorted(_SPEC_CODECS)}"
         )
-    return codec.build(**payload)
+    return decode_fields(codec.build, data, f"{name} spec", tag="protocol")
 
 
 def _fleet_to_dict(fleet: Fleet) -> dict:
@@ -155,52 +150,25 @@ def _fleet_to_dict(fleet: Fleet) -> dict:
     }
 
 
-def _require_mapping(what: str, data) -> Mapping:
-    """``data`` if it is a JSON object.  Rows arrive from outside the
-    program, and a list or a number where an object belongs must be the
-    doors' ``InvalidConfigurationError``, not an ``AttributeError``."""
-    if not isinstance(data, (dict, Mapping)):
-        raise InvalidConfigurationError(
-            f"{what} must be an object, got {type(data).__name__}"
-        )
-    return data
-
-
-def _finite_int(name: str, value) -> int:
-    """``int(value)``, with JSON's ``1e400`` / ``NaN`` (which ``int``
-    answers with ``OverflowError`` / ``ValueError``), ``true`` / ``false``
-    and fractional numbers such as ``2.5`` (which ``int`` would silently
-    read as 1 / 0 / 2) rejected by name.  An integral float (``1e4``) is
-    accepted."""
-    if isinstance(value, bool) or (
-        isinstance(value, float) and not (math.isfinite(value) and value.is_integer())
-    ):
-        raise InvalidConfigurationError(f"{name} must be a finite integer, got {value}")
-    return int(value)
-
-
 def _fleet_from_dict(data: Mapping) -> Fleet:
-    if "nodes" in _require_mapping("fleet", data):
+    if "nodes" in require_mapping("fleet", data):
         # Fleets are mostly runs of equal nodes: build one frozen NodeModel
         # per run and share it.  The first of every run is validated, so
         # NaN and out-of-range input is rejected exactly as before.
         nodes: list[NodeModel] = []
         previous = model = None
         for node in data["nodes"]:
-            _require_mapping("fleet node", node)
-            pair = (
-                float(node.get("p_crash", 0.0)),
-                float(node.get("p_byzantine", 0.0)),
-            )
+            require_mapping("fleet node", node)
+            pair = (node.get("p_crash", 0.0), node.get("p_byzantine", 0.0))
             if pair != previous:
-                model = NodeModel(p_crash=pair[0], p_byzantine=pair[1])
+                model = NodeModel(p_crash=float(pair[0]), p_byzantine=float(pair[1]))
                 previous = pair
             nodes.append(model)
         return Fleet(tuple(nodes))
     if "uniform" in data:
-        spec = dict(data["uniform"])
+        spec = require_mapping("uniform fleet", data["uniform"])
         return uniform_fleet(
-            _finite_int("n", spec["n"]),
+            finite_int("n", spec["n"]),
             float(spec["p_fail"]),
             byzantine_fraction=float(spec.get("byzantine_fraction", 0.0)),
         )
@@ -229,8 +197,8 @@ class Scenario:
     window each scenario was projected for).
     """
 
-    spec: ProtocolSpec
-    fleet: Fleet
+    spec: ProtocolSpec = field(metadata={"decode": spec_from_dict})
+    fleet: Fleet = field(metadata={"decode": _fleet_from_dict})
     method: str = "auto"
     trials: int = 100_000
     seed: SeedLike = None
@@ -243,6 +211,10 @@ class Scenario:
         # trials is deliberately not validated here: only the sampling
         # estimators read it, and they raise at estimation time exactly as
         # the pre-engine free functions did (exact paths ignore it).
+        if isinstance(self.seed, (int, np.integer)) and self.seed < 0:
+            raise InvalidConfigurationError(
+                f"seed must be a non-negative integer, got {self.seed}"
+            )
         if self.correlation is None:
             return
         if self.correlation.n != self.spec.n:
@@ -342,22 +314,11 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Scenario":
-        _require_mapping("scenario", data)
-        kind_name = str(data.get("failure_kind", "crash")).upper()
-        try:
-            kind = FaultKind[kind_name]
-        except KeyError:
-            raise InvalidConfigurationError(f"unknown failure_kind {kind_name!r}")
-        return cls(
-            spec=spec_from_dict(data["spec"]),
-            fleet=_fleet_from_dict(data["fleet"]),
-            method=str(data.get("method", "auto")),
-            trials=_finite_int("trials", data.get("trials", 100_000)),
-            seed=data.get("seed"),
-            failure_kind=kind,
-            window_hours=data.get("window_hours"),
-            label=str(data.get("label", "")),
-        )
+        """Rebuild a scenario from its dict form, every field read by its
+        declared type (:mod:`repro._codec`): ``seed`` is an integer or
+        ``null``, ``failure_kind`` a kind name, and a ``correlation``
+        model cannot be given."""
+        return decode_fields(cls, data, "scenario")
 
 
 # ---------------------------------------------------------------------------
@@ -479,31 +440,7 @@ class ScenarioSet:
             return cls.from_dicts(data)
         if isinstance(data, Mapping):
             if "grid" in data:
-                grid = dict(data["grid"])
-                known = {
-                    "protocols",
-                    "sizes",
-                    "probabilities",
-                    "byzantine_fraction",
-                    "method",
-                    "trials",
-                    "seed",
-                }
-                unknown = sorted(set(grid) - known)
-                if unknown:
-                    raise InvalidConfigurationError(
-                        f"unknown grid fields {unknown}; expected a subset of {sorted(known)}"
-                    )
-                fraction = grid.get("byzantine_fraction")
-                return cls.grid(
-                    protocols=tuple(grid.get("protocols", ("raft",))),
-                    sizes=tuple(grid.get("sizes", (3, 5, 7))),
-                    probabilities=tuple(grid.get("probabilities", (0.01,))),
-                    byzantine_fraction=None if fraction is None else float(fraction),
-                    method=str(grid.get("method", "auto")),
-                    trials=_finite_int("trials", grid.get("trials", 100_000)),
-                    seed=grid.get("seed"),
-                )
+                return decode_fields(cls.grid, data["grid"], "grid")
             if "scenarios" in data:
                 return cls.from_dicts(data["scenarios"])
         raise InvalidConfigurationError(

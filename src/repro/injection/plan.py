@@ -19,25 +19,11 @@ campaign answers invariant to worker counts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import ClassVar, Mapping, Type
 
+from repro._codec import decode_fields, encode_fields, require_mapping
 from repro.errors import InvalidConfigurationError
-
-
-def jsonable_value(value):
-    """JSON-ready form of one codec field value.
-
-    The single helper behind every fault-plan and query codec: objects
-    exposing ``to_dict`` serialize through it, tuples become lists
-    (recursively — partition groups nest), everything else passes through.
-    """
-    to_dict = getattr(value, "to_dict", None)
-    if callable(to_dict):
-        return to_dict()
-    if isinstance(value, tuple):
-        return [jsonable_value(item) for item in value]
-    return value
 
 
 def _freeze(value):
@@ -47,24 +33,6 @@ def _freeze(value):
     if isinstance(value, (list, tuple)):
         return tuple(_freeze(item) for item in value)
     return value
-
-
-def _fields_to_dict(obj) -> dict:
-    """Serialize a frozen codec dataclass, omitting default-valued fields."""
-    data: dict = {}
-    for spec in fields(obj):
-        value = getattr(obj, spec.name)
-        if value != spec.default:
-            data[spec.name] = jsonable_value(value)
-    return data
-
-
-def _check_unknown_fields(label: str, payload: Mapping, known: set[str]) -> None:
-    unknown = sorted(set(payload) - known)
-    if unknown:
-        raise InvalidConfigurationError(
-            f"unknown {label} fields {unknown}; expected a subset of {sorted(known)}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -86,21 +54,15 @@ class FaultEvent:
 
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> dict:
-        return {"kind": self.kind, **_fields_to_dict(self)}
+        return {"kind": self.kind, **encode_fields(self)}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "FaultEvent":
-        payload = dict(data)
-        payload.pop("kind", None)
-        _check_unknown_fields(
-            f"{cls.kind} event", payload, {spec.name for spec in fields(cls)}
-        )
-        return cls(**cls._coerce(payload))
-
-    @classmethod
-    def _coerce(cls, payload: dict) -> dict:
-        """Hook for subclasses to coerce JSON primitives into field types."""
-        return payload
+        """Rebuild an event from its dict form; on the base class, the
+        row's ``kind`` picks the registered event class."""
+        if cls is FaultEvent:
+            return fault_event_from_dict(data)
+        return decode_fields(cls, data, f"{cls.kind} event", tag="kind")
 
     # -- compilation -------------------------------------------------------
     def validate(self, n: int, duration: float) -> None:
@@ -132,11 +94,7 @@ def registered_fault_events() -> tuple[str, ...]:
 
 def fault_event_from_dict(data: Mapping) -> FaultEvent:
     """Rebuild any registered fault event from its dict form."""
-    if not isinstance(data, Mapping):
-        raise InvalidConfigurationError(
-            f"fault event must be an object, got {type(data).__name__}"
-        )
-    kind = data.get("kind")
+    kind = require_mapping("fault event", data).get("kind")
     if kind is None:
         raise InvalidConfigurationError("fault event dict needs a 'kind' field")
     cls = _EVENT_KINDS.get(str(kind))
@@ -197,15 +155,6 @@ class CrashStop(FaultEvent):
         if self.mean_time_to_repair is not None and self.mean_time_to_repair <= 0:
             raise InvalidConfigurationError("mean_time_to_repair must be positive")
 
-    @classmethod
-    def _coerce(cls, payload: dict) -> dict:
-        if "node" in payload:
-            payload["node"] = int(payload["node"])
-        for name in ("at", "recover_at", "mean_time_to_repair"):
-            if payload.get(name) is not None:
-                payload[name] = float(payload[name])
-        return payload
-
     def validate(self, n: int, duration: float) -> None:
         _check_node(self.node, n)
         _check_time("at", self.at, duration)
@@ -256,15 +205,6 @@ class PartitionEvent(FaultEvent):
                 f"heal at {self.heal_at:g} precedes the partition at {self.at:g}"
             )
 
-    @classmethod
-    def _coerce(cls, payload: dict) -> dict:
-        if "groups" in payload:
-            payload["groups"] = tuple(tuple(g) for g in payload["groups"])
-        for name in ("at", "heal_at"):
-            if payload.get(name) is not None:
-                payload[name] = float(payload[name])
-        return payload
-
     def validate(self, n: int, duration: float) -> None:
         for group in self.groups:
             for node in group:
@@ -296,13 +236,6 @@ class LossBurst(FaultEvent):
         if not 0.0 <= self.drop_probability < 1.0:
             raise InvalidConfigurationError("drop_probability must be in [0, 1)")
 
-    @classmethod
-    def _coerce(cls, payload: dict) -> dict:
-        for name in ("at", "until", "drop_probability"):
-            if name in payload:
-                payload[name] = float(payload[name])
-        return payload
-
     def validate(self, n: int, duration: float) -> None:
         _check_time("at", self.at, duration)
 
@@ -333,13 +266,6 @@ class DelayBurst(FaultEvent):
             )
         if self.extra_delay < 0:
             raise InvalidConfigurationError("extra_delay must be non-negative")
-
-    @classmethod
-    def _coerce(cls, payload: dict) -> dict:
-        for name in ("at", "until", "extra_delay"):
-            if name in payload:
-                payload[name] = float(payload[name])
-        return payload
 
     def validate(self, n: int, duration: float) -> None:
         _check_time("at", self.at, duration)
@@ -386,15 +312,6 @@ class CorrelatedBurst(FaultEvent):
             raise InvalidConfigurationError("burst lethality must be in [0, 1]")
         if self.mean_time_to_repair is not None and self.mean_time_to_repair <= 0:
             raise InvalidConfigurationError("mean_time_to_repair must be positive")
-
-    @classmethod
-    def _coerce(cls, payload: dict) -> dict:
-        if "members" in payload:
-            payload["members"] = tuple(payload["members"])
-        for name in ("at", "probability", "lethality", "mean_time_to_repair"):
-            if payload.get(name) is not None:
-                payload[name] = float(payload[name])
-        return payload
 
     def validate(self, n: int, duration: float) -> None:
         for node in self.members:
@@ -484,17 +401,11 @@ class Adversary:
         return self.primary_behaviour if node == 0 else self.behaviour
 
     def to_dict(self) -> dict:
-        return _fields_to_dict(self)
+        return encode_fields(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Adversary":
-        payload = dict(data)
-        _check_unknown_fields(
-            "adversary", payload, {spec.name for spec in fields(cls)}
-        )
-        if "nodes" in payload:
-            payload["nodes"] = tuple(payload["nodes"])
-        return cls(**payload)
+        return decode_fields(cls, data, "adversary")
 
 
 #: Default behaviour mix for fleets that sample Byzantine outcomes without
@@ -580,48 +491,11 @@ class FaultPlan:
 
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> dict:
-        data: dict = {}
-        if self.events:
-            data["events"] = [event.to_dict() for event in self.events]
-        if self.adversary is not None:
-            data["adversary"] = self.adversary.to_dict()
-        if not self.sample_faults:
-            data["sample_faults"] = False
-        if self.mean_time_to_repair is not None:
-            data["mean_time_to_repair"] = self.mean_time_to_repair
-        return data
+        return encode_fields(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "FaultPlan":
-        payload = dict(data)
-        _check_unknown_fields(
-            "fault-plan",
-            payload,
-            {"events", "adversary", "sample_faults", "mean_time_to_repair"},
-        )
-        rows = payload.get("events", ())
-        if isinstance(rows, (Mapping, str)) or not hasattr(rows, "__iter__"):
-            raise InvalidConfigurationError(
-                "'events' must be a list of event objects "
-                "(a single event still needs the enclosing list)"
-            )
-        events = tuple(fault_event_from_dict(row) for row in rows)
-        adversary_data = payload.get("adversary")
-        adversary = None if adversary_data is None else Adversary.from_dict(adversary_data)
-        mttr = payload.get("mean_time_to_repair")
-        sample_faults = payload.get("sample_faults", True)
-        if not isinstance(sample_faults, bool):
-            # bool("false") is True: coercing strings would silently run the
-            # sampling the user disabled — reject like any malformed field.
-            raise InvalidConfigurationError(
-                f"sample_faults must be a JSON boolean, got {sample_faults!r}"
-            )
-        return cls(
-            events=events,
-            adversary=adversary,
-            sample_faults=sample_faults,
-            mean_time_to_repair=None if mttr is None else float(mttr),
-        )
+        return decode_fields(cls, data, "fault-plan")
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)

@@ -1325,19 +1325,28 @@ class TestChunkSizes:
         assert _chunk_sizes(-3, 5) == []
 
     def test_chunked_tally_equals_single_pass(self):
-        # The chunk split never changes seeded tallies: a fleet large enough
-        # to force several chunks gives the same counts as one big draw.
-        from repro.analysis.kernels import monte_carlo_tally
+        # The chunk split never changes seeded tallies: a mixed-kind fleet
+        # (which still draws uniforms, unlike a one-model, one-kind fleet's
+        # binomial counts) over a draw budget small enough to force several
+        # chunks gives the same counts as one big draw.
+        from repro.analysis import kernels
 
-        spec, fleet = RaftSpec(9), uniform_fleet(9, 0.05)
+        spec, fleet = RaftSpec(9), uniform_fleet(9, 0.3, byzantine_fraction=0.4)
         trials = 5000
-        tally = monte_carlo_tally(spec, fleet, trials, as_generator(123))
+        with mock.patch.object(kernels, "_CHUNK_DRAWS", 9 * 1600):
+            assert len(kernels._chunk_sizes(trials, 9)) >= 3
+            tally = kernels.monte_carlo_tally(spec, fleet, trials, as_generator(123))
         uniforms = as_generator(123).random((trials, 9))
         crash_p = np.array(fleet.crash_probabilities)
         byz_p = np.array(fleet.byzantine_probabilities)
         failed = (uniforms < crash_p).sum(axis=1)
         byz = ((uniforms >= crash_p) & (uniforms < crash_p + byz_p)).sum(axis=1)
-        safe = sum(
-            1 for c, b in zip(failed, byz) if spec.is_safe_counts(int(c), int(b))
-        )
-        assert tally.safe == safe
+        verdicts = [
+            (spec.is_safe_counts(int(c), int(b)), spec.is_live_counts(int(c), int(b)))
+            for c, b in zip(failed, byz)
+        ]
+        safe = sum(s for s, _ in verdicts)
+        live = sum(v for _, v in verdicts)
+        both = sum(s and v for s, v in verdicts)
+        assert 0 < safe < trials and 0 < live < trials
+        assert (tally.safe, tally.live, tally.both) == (safe, live, both)

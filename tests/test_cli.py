@@ -321,6 +321,20 @@ class TestQueryFile:
         with pytest.raises(SystemExit, match="trials must be a finite integer"):
             main(["query", str(path)])
 
+    def test_query_file_hostile_field_is_a_one_line_error(self, tmp_path):
+        # A crash event on node 1e400 used to end in an OverflowError
+        # traceback; the codec refuses it by name, on one line.
+        from test_queries import HOSTILE_ROWS
+
+        (_, field, text), = [row for row in HOSTILE_ROWS if row[0] == "crash-node-1e400"]
+        path = tmp_path / "hostile.json"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as refused:
+            main(["query", str(path)])
+        message = str(refused.value.code)
+        assert message.startswith("invalid query file") and "\n" not in message
+        assert f"{field} must be a finite integer" in message
+
     def test_query_file_row_refused_at_run_time_is_an_error_line(self, tmp_path):
         # The row parses; the importance estimator refuses it when it runs
         # (Byzantine mass under the default crash failure kind), which used

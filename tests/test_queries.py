@@ -9,6 +9,7 @@ a single JSON document mixing all four query kinds runs end-to-end.
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -35,13 +36,84 @@ from repro.engine import (
 )
 from repro.errors import EstimationError, InvalidConfigurationError
 from repro.faults.afr import afr_to_hourly_rate
-from repro.faults.mixture import uniform_fleet
+from repro.faults.mixture import byzantine_fleet, uniform_fleet
 from repro.markov.builders import ClusterMarkovModel
+from repro.protocols.pbft import PBFTSpec
 from repro.protocols.raft import RaftSpec
 
 
 def scenario(n=5, p=0.01, **kw):
     return Scenario(spec=RaftSpec(n), fleet=uniform_fleet(n, p), **kw)
+
+
+def _hostile(row: dict, token: str) -> str:
+    """``row`` as a one-row query file, its ``"@"`` value replaced by the
+    raw JSON ``token`` (``1e400``, ``NaN`` and ``Infinity`` have no Python
+    literal that ``json.dumps`` writes back verbatim)."""
+    return json.dumps([row]).replace('"@"', token)
+
+
+def _campaign(n=3, spec=None, **faults) -> dict:
+    fleet = uniform_fleet(n, 0.1) if spec is None else byzantine_fleet(n, 0.1)
+    base = Scenario(spec=spec or RaftSpec(n), fleet=fleet, seed=1)
+    row = SimulationQuery(base, replicas=2, duration=3.0, commands=1).to_dict()
+    if faults:
+        row["faults"] = faults
+    return row
+
+
+_MC = dict(scenario(3, 0.1, seed=1, trials=1000).to_dict(), method="monte-carlo")
+_AVAILABILITY = AvailabilityQuery.from_afr(
+    scenario(3), afr=0.08, mttr_hours=24.0
+).to_dict()
+_PBFT = Scenario(spec=PBFTSpec(4), fleet=byzantine_fleet(4, 0.01)).to_dict()
+_RAFT_1 = scenario(1, 0.1).to_dict()
+
+#: ``(id, field, query file)``: each file's one row is well-formed but for
+#: ``field``.  Before the typed field codec (``repro._codec``) the first
+#: five were a daemon 500 (an ``OverflowError`` at parse, or a seed NumPy
+#: refuses at run time) and the rest a 200 answered from a silently
+#: different value.  Every door must refuse each one by the field's name.
+HOSTILE_ROWS = [
+    ("crash-node-1e400", "node",
+     _hostile(_campaign(events=[{"kind": "crash", "node": "@", "at": 1.0}]), "1e400")),
+    ("partition-groups-1e400", "groups",
+     _hostile(_campaign(events=[{"kind": "partition", "groups": [["@"]], "at": 1.0}]),
+              "1e400")),
+    ("adversary-nodes-1e400", "nodes",
+     _hostile(_campaign(4, PBFTSpec(4), adversary={"nodes": ["@"]}), "1e400")),
+    ("seed-abc", "seed", _hostile(dict(_MC, seed="@"), '"abc"')),
+    ("seed-1.5", "seed", _hostile(dict(_MC, seed="@"), "1.5")),
+    ("crash-node-true", "node",
+     _hostile(_campaign(events=[{"kind": "crash", "node": "@", "at": 1.0}]), "true")),
+    ("crash-node-2.5", "node",
+     _hostile(_campaign(events=[{"kind": "crash", "node": "@", "at": 1.0}]), "2.5")),
+    ("burst-members-1.5", "members",
+     _hostile(_campaign(events=[{"kind": "correlated-burst", "members": ["@"], "at": 1.0}]),
+              "1.5")),
+    ("seed-true", "seed", _hostile(dict(_MC, seed="@"), "true")),
+    ("window-hours-string", "window_hours",
+     _hostile(dict(scenario(3).to_dict(), window_hours="@"), '"x"')),
+    ("loss-burst-at-string", "at",
+     _hostile(_campaign(events=[{"kind": "loss-burst", "at": "@", "until": 2.0,
+                                 "drop_probability": 0.1}]), '"0.5"')),
+    ("spec-n-true", "n",
+     _hostile(dict(_RAFT_1, spec={"protocol": "raft", "n": "@"}), "true")),
+    ("pbft-q-per-2.5", "q_per",
+     _hostile(dict(_PBFT, spec={"protocol": "pbft", "n": 4, "q_per": "@"}), "2.5")),
+    ("availability-repair-nan", "repair_rate_per_hour",
+     _hostile(dict(_AVAILABILITY, repair_rate_per_hour="@"), "NaN")),
+    ("availability-failure-infinity", "failure_rate_per_hour",
+     _hostile(dict(_AVAILABILITY, failure_rate_per_hour="@"), "Infinity")),
+    ("campaign-duration-1e400", "duration",
+     _hostile(dict(_campaign(), duration="@"), "1e400")),
+]
+
+
+def names_field(message: str, field: str) -> bool:
+    """Whether a refusal names ``field`` (``groups[][] must be ...`` names
+    ``groups``)."""
+    return re.search(rf"(^|\W){re.escape(field)}(\[\])* must be", message) is not None
 
 
 class TestQueryTypes:
@@ -200,6 +272,14 @@ class TestCodecs:
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidConfigurationError, match="unknown query kind"):
             query_from_dict({"kind": "fnord", "scenario": scenario(3).to_dict()})
+
+    @pytest.mark.parametrize(
+        "field, text", [row[1:] for row in HOSTILE_ROWS], ids=[row[0] for row in HOSTILE_ROWS]
+    )
+    def test_hostile_field_is_refused_by_name(self, field, text):
+        with pytest.raises(InvalidConfigurationError) as refused:
+            QuerySet.from_json(text)
+        assert names_field(str(refused.value), field), str(refused.value)
 
     def test_unknown_field_rejected(self):
         data = SimulationQuery(scenario(3)).to_dict()

@@ -32,6 +32,7 @@ from repro.faults.mixture import uniform_fleet
 from repro.protocols.raft import RaftSpec
 from repro.serve import BackgroundServer, ServiceConfig
 from repro.serve.coalesce import canonical_query_key
+from test_queries import HOSTILE_ROWS, names_field
 
 GRID_PAYLOAD = json.dumps(
     {"grid": {"protocols": ["raft"], "sizes": [3, 5, 7], "probabilities": [0.01]}}
@@ -176,6 +177,17 @@ class TestRouting:
             conn.close()
         _status, after = get(server.port, "/metrics")
         assert after["error_responses"] == before["error_responses"] + 1
+
+    @pytest.mark.parametrize(
+        "field, text", [row[1:] for row in HOSTILE_ROWS], ids=[row[0] for row in HOSTILE_ROWS]
+    )
+    def test_hostile_field_is_answered_400_naming_it(self, server, field, text):
+        """Each row of the regression table was a 500 or a 200 answered
+        from a different value; the codec refuses it at parse time."""
+        status, body = post(server.port, text)
+        assert status == 400, body
+        assert body["error"].startswith("invalid query payload")
+        assert names_field(body["error"], field), body["error"]
 
     @pytest.mark.parametrize("trials", ["true", "2.5"])
     def test_truncatable_trial_budget_is_answered_400(self, server, trials):
