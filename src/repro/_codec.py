@@ -287,8 +287,6 @@ def _table(target) -> _Table:
     else:
         hints = _type_hints(target.__init__ if isinstance(target, type) else target)
         for param in inspect.signature(target).parameters.values():
-            if param.kind in (param.VAR_POSITIONAL, param.VAR_KEYWORD):
-                continue
             hint = hints.get(param.name)
             readers[param.name] = _as_is if hint is None else reader(hint) or _unreadable
             if param.default is param.empty:
