@@ -1,9 +1,9 @@
 """One field codec: how a JSON value becomes a field value, stated once.
 
-Every row that arrives from outside the program — a query, its scenario
-and protocol spec, a fault plan, its events and adversary mix — is a
-frozen dataclass (or, for specs, a typed constructor) whose dict form is
-read here, field by field, by the field's declared type:
+Every row that arrives from outside the program — a query, its scenario,
+protocol spec and fleet, a fault plan, its events and adversary mix — is
+a frozen dataclass (or, for specs and fleets, a typed constructor) whose
+dict form is read here, field by field, by the field's declared type:
 
 ``int``
     A finite integer.  ``true``/``false``, fractions, ``NaN``,
@@ -47,7 +47,7 @@ import numbers
 import re
 import sys
 import typing
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import MISSING, fields, is_dataclass
 from types import NoneType, UnionType
 from typing import Callable, NamedTuple
@@ -70,6 +70,21 @@ def require_mapping(what: str, data) -> Mapping:
             f"{what} must be an object, got {type(data).__name__}"
         )
     return data
+
+
+def one_key(label: str, data, keys: Collection[str]) -> tuple[str, object]:
+    """The ``(key, value)`` of a JSON object that holds exactly one of
+    ``keys`` (a tagged union spelt by its key): any other key, or a
+    second one, is refused by name."""
+    if type(data) is not dict:
+        require_mapping(label, data)
+    if len(data) == 1:
+        ((key, value),) = data.items()
+        if key in keys:
+            return key, value
+    raise InvalidConfigurationError(
+        f"{label} must have exactly one of {sorted(set(keys))}, got {list(data)}"
+    )
 
 
 def finite_int(name: str, value) -> int:

@@ -44,7 +44,7 @@ from repro.errors import InvalidConfigurationError
 from repro.faults.afr import afr_to_hourly_rate
 from repro.faults.mixture import uniform_fleet
 from repro.engine.registry import _KINDS
-from repro.engine.scenario import Scenario, ScenarioSet
+from repro.engine.scenario import Scenario, ScenarioSet, read_file
 from repro.injection.plan import FaultPlan
 from repro.protocols.raft import RaftSpec, majority
 
@@ -139,7 +139,9 @@ def query_from_dict(data: Mapping) -> Query:
     :class:`ReliabilityQuery` — the shape every pre-query scenario file
     already used.
     """
-    if "kind" not in require_mapping("query row", data):
+    if type(data) is not dict:
+        require_mapping("query row", data)
+    if "kind" not in data:
         scenario_data = data.get("scenario", data)
         return ReliabilityQuery(Scenario.from_dict(scenario_data))
     kind = str(data["kind"])
@@ -440,7 +442,7 @@ class SimulationQuery(Query):
                     others = others or any(float(p) > 0.0 for p in marginals[1:])
             else:
                 probabilities = [node.p_byzantine for node in self.scenario.fleet]
-                primary = primary or probabilities[0] > 0.0
+                primary = primary or any(p > 0.0 for p in probabilities[:1])
                 others = others or any(p > 0.0 for p in probabilities[1:])
         return primary, others
 
@@ -575,8 +577,9 @@ class QuerySet:
     queries: tuple[Query, ...] = ()
 
     def __post_init__(self) -> None:
-        if not all(isinstance(q, Query) for q in self.queries):
-            raise InvalidConfigurationError("QuerySet entries must be Query instances")
+        for query in self.queries:
+            if not isinstance(query, Query):
+                raise InvalidConfigurationError("QuerySet entries must be Query instances")
 
     def __len__(self) -> int:
         return len(self.queries)
@@ -613,9 +616,10 @@ class QuerySet:
 
     @classmethod
     def from_json(cls, text: str) -> "QuerySet":
-        """Parse a query file — a superset of the scenario-file grammar.
+        """Parse a query file — a superset of the scenario-file grammar
+        (:func:`~repro.engine.scenario.read_file` states it once).
 
-        Accepted shapes::
+        Accepted shapes (an object holds exactly one key)::
 
             {"queries": [{...}, {...}]}          # mixed query dicts
             [{...}, {...}]                       # query or bare scenario dicts
@@ -626,21 +630,8 @@ class QuerySet:
         :class:`ReliabilityQuery` rows, so every existing scenario file is
         a valid query file.
         """
-        data = json.loads(text)
-        if isinstance(data, list):
-            return cls.from_dicts(data)
-        if isinstance(data, Mapping):
-            if "queries" in data:
-                rows = data["queries"]
-                if not isinstance(rows, list):
-                    raise InvalidConfigurationError("'queries' must be a list")
-                return cls.from_dicts(rows)
-            if "scenarios" in data or "grid" in data:
-                return cls.from_scenarios(ScenarioSet.from_json(text))
-        raise InvalidConfigurationError(
-            "query JSON must be a list, {'queries': [...]}, "
-            "{'scenarios': [...]} or {'grid': {...}}"
-        )
+        read = read_file(text, cls.from_dicts, rows="queries")
+        return read if isinstance(read, QuerySet) else cls.from_scenarios(read)
 
 
 def coerce_query(item) -> Query:

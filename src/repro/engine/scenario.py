@@ -15,21 +15,22 @@ sizes × probabilities × protocols sweeps every consumer of this library
 ends up writing.
 
 Serialization covers the protocol-zoo specs registered via
-:func:`register_spec_codec` (Raft, FlexRaft, PBFT out of the box; third
-parties can register their own).  Scenarios carrying a live
-:class:`~repro.faults.correlation.CorrelationModel` are *not*
-serializable — correlation structures are process-local objects.
+:func:`register_spec_codec` (Raft, FlexRaft, Ben-Or, Byzantine Ben-Or and
+PBFT out of the box; third parties can register their own).  Scenarios
+carrying a live :class:`~repro.faults.correlation.CorrelationModel` are
+*not* serializable — correlation structures are process-local objects.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro._codec import decode_fields, finite_int, require_mapping
+from repro._codec import decode_fields, one_key, require_mapping
 from repro._rng import SeedLike
 from repro.analysis.config import FaultKind
 from repro.errors import InvalidConfigurationError
@@ -65,18 +66,28 @@ _SPEC_CODECS_BY_TYPE: dict[type, SpecCodec] = {}
 def register_spec_codec(
     name: str,
     spec_type: type,
-    build: Callable[..., ProtocolSpec],
-    params: Callable[[ProtocolSpec], dict],
+    build: Callable[..., ProtocolSpec] | None = None,
+    params: Callable[[ProtocolSpec], dict] | None = None,
 ) -> SpecCodec:
     """Register a protocol family for scenario (de)serialization.
 
     ``build(**params)`` must reconstruct a spec whose predicates are
     identical to the one ``params`` was read from; the JSON parameters are
     read by ``build``'s annotations (:mod:`repro._codec`), an unannotated
-    one as given, and an unknown one is refused.  Registration is
-    idempotent per name (last registration wins), so downstream packages
-    can override the built-ins.
+    one as given, and an unknown one is refused.  ``build`` defaults to
+    ``spec_type`` itself, and ``params`` to the spec's attributes named by
+    ``build``'s parameters, in order.  Registration is idempotent per name
+    (last registration wins), so downstream packages can override the
+    built-ins.
     """
+    if build is None:
+        build = spec_type
+    if params is None:
+        names = tuple(inspect.signature(build).parameters)
+
+        def params(spec: ProtocolSpec) -> dict:
+            return {param: getattr(spec, param) for param in names}
+
     codec = SpecCodec(name=name, spec_type=spec_type, build=build, params=params)
     _SPEC_CODECS[name] = codec
     _SPEC_CODECS_BY_TYPE[spec_type] = codec
@@ -85,34 +96,11 @@ def register_spec_codec(
 
 # The built-in families build from their typed constructors, so the codec
 # reads every parameter as an integer (a quorum override may be null).
-register_spec_codec(
-    "raft",
-    RaftSpec,
-    RaftSpec,
-    lambda spec: {"n": spec.n, "q_per": spec.q_per, "q_vc": spec.q_vc},
-)
-register_spec_codec(
-    "flexraft",
-    FlexibleRaftSpec,
-    FlexibleRaftSpec,
-    lambda spec: {"n": spec.n, "q_per": spec.q_per, "q_vc": spec.q_vc},
-)
-register_spec_codec("benor", BenOrSpec, BenOrSpec, lambda spec: {"n": spec.n})
-register_spec_codec(
-    "byz-benor", ByzantineBenOrSpec, ByzantineBenOrSpec, lambda spec: {"n": spec.n}
-)
-register_spec_codec(
-    "pbft",
-    PBFTSpec,
-    PBFTSpec,
-    lambda spec: {
-        "n": spec.n,
-        "q_eq": spec.q_eq,
-        "q_per": spec.q_per,
-        "q_vc": spec.q_vc,
-        "q_vc_t": spec.q_vc_t,
-    },
-)
+register_spec_codec("raft", RaftSpec)
+register_spec_codec("flexraft", FlexibleRaftSpec)
+register_spec_codec("benor", BenOrSpec)
+register_spec_codec("byz-benor", ByzantineBenOrSpec)
+register_spec_codec("pbft", PBFTSpec)
 
 
 def spec_to_dict(spec: ProtocolSpec) -> dict:
@@ -130,7 +118,9 @@ def spec_from_dict(data: Mapping) -> ProtocolSpec:
     """Rebuild a protocol spec from its dict form: the codec's ``build``
     reads each parameter by its annotation, and an unknown one is refused
     by name."""
-    name = require_mapping("spec", data).get("protocol")
+    if type(data) is not dict:
+        require_mapping("spec", data)
+    name = data.get("protocol")
     if name is None:
         raise InvalidConfigurationError("spec dict needs a 'protocol' field")
     codec = _SPEC_CODECS.get(name) if isinstance(name, str) else None
@@ -141,6 +131,9 @@ def spec_from_dict(data: Mapping) -> ProtocolSpec:
     return decode_fields(codec.build, data, f"{name} spec", tag="protocol")
 
 
+# ---------------------------------------------------------------------------
+# Fleet codec: a list of node rows, or a uniform spec
+# ---------------------------------------------------------------------------
 def _fleet_to_dict(fleet: Fleet) -> dict:
     return {
         "nodes": [
@@ -150,29 +143,52 @@ def _fleet_to_dict(fleet: Fleet) -> dict:
     }
 
 
-def _fleet_from_dict(data: Mapping) -> Fleet:
-    if "nodes" in require_mapping("fleet", data):
-        # Fleets are mostly runs of equal nodes: build one frozen NodeModel
-        # per run and share it.  The first of every run is validated, so
-        # NaN and out-of-range input is rejected exactly as before.
-        nodes: list[NodeModel] = []
-        previous = model = None
-        for node in data["nodes"]:
-            require_mapping("fleet node", node)
-            pair = (node.get("p_crash", 0.0), node.get("p_byzantine", 0.0))
-            if pair != previous:
-                model = NodeModel(p_crash=float(pair[0]), p_byzantine=float(pair[1]))
-                previous = pair
-            nodes.append(model)
-        return Fleet(tuple(nodes))
-    if "uniform" in data:
-        spec = require_mapping("uniform fleet", data["uniform"])
-        return uniform_fleet(
-            finite_int("n", spec["n"]),
-            float(spec["p_fail"]),
-            byzantine_fraction=float(spec.get("byzantine_fraction", 0.0)),
+def _node(p_crash: float = 0.0, p_byzantine: float = 0.0) -> NodeModel:
+    """One row of a fleet's ``nodes`` list."""
+    return NodeModel(p_crash, p_byzantine)
+
+
+def _uniform(n: int, p_fail: float, byzantine_fraction: float = 0.0) -> Fleet:
+    """A fleet's ``uniform`` spec."""
+    return uniform_fleet(n, p_fail, byzantine_fraction=byzantine_fraction)
+
+
+_is_float = float.__instancecheck__
+
+
+def _nodes(rows) -> Fleet:
+    """A ``nodes`` list, each row read by :func:`_node`'s signature.
+
+    Fleets are mostly runs of equal nodes, so a row of floats equal to the
+    one before it shares that row's frozen :class:`NodeModel` instead of
+    being read again (any other row is read: ``true == 1.0``).  The first
+    row of every run is read, so a malformed or out-of-range row is
+    refused wherever its run starts.
+    """
+    if not isinstance(rows, (list, tuple)):
+        raise InvalidConfigurationError(
+            f"nodes must be a list of node objects, got {type(rows).__name__}"
         )
-    raise InvalidConfigurationError("fleet dict needs a 'nodes' list or a 'uniform' spec")
+    nodes: list[NodeModel] = []
+    previous = model = None
+    for row in rows:
+        if model is None or row != previous or not all(map(_is_float, row.values())):
+            model = decode_fields(_node, row, "fleet node")
+            previous = row
+        nodes.append(model)
+    return Fleet(tuple(nodes))
+
+
+_FLEET_FORMS = {
+    "nodes": _nodes,
+    "uniform": lambda spec: decode_fields(_uniform, spec, "uniform fleet"),
+}
+
+
+def _fleet_from_dict(data: Mapping) -> Fleet:
+    """A fleet object: exactly one of ``nodes`` or ``uniform``."""
+    form, value = one_key("fleet", data, _FLEET_FORMS)
+    return _FLEET_FORMS[form](value)
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +227,14 @@ class Scenario:
         # trials is deliberately not validated here: only the sampling
         # estimators read it, and they raise at estimation time exactly as
         # the pre-engine free functions did (exact paths ignore it).
-        if isinstance(self.seed, (int, np.integer)) and self.seed < 0:
-            raise InvalidConfigurationError(
-                f"seed must be a non-negative integer, got {self.seed}"
-            )
+        if isinstance(self.seed, (int, np.integer)):
+            if self.seed < 0:
+                raise InvalidConfigurationError(
+                    f"seed must be a non-negative integer, got {self.seed}"
+                )
+            if isinstance(self.seed, np.integer):
+                # The memo key reads int(seed); the canonical key must too.
+                object.__setattr__(self, "seed", int(self.seed))
         if self.correlation is None:
             return
         if self.correlation.n != self.spec.n:
@@ -428,21 +448,33 @@ class ScenarioSet:
     def from_json(cls, text: str) -> "ScenarioSet":
         """Parse a scenario file: a grid description or explicit scenarios.
 
-        Accepted shapes::
+        Accepted shapes (:func:`read_file` states the grammar)::
 
             {"scenarios": [{...}, {...}]}
             [{...}, {...}]
             {"grid": {"protocols": ["raft", "pbft"], "sizes": [3, 5],
                       "probabilities": [0.01, 0.05]}}
         """
-        data = json.loads(text)
-        if isinstance(data, list):
-            return cls.from_dicts(data)
-        if isinstance(data, Mapping):
-            if "grid" in data:
-                return decode_fields(cls.grid, data["grid"], "grid")
-            if "scenarios" in data:
-                return cls.from_dicts(data["scenarios"])
+        return read_file(text, cls.from_dicts)
+
+
+def read_file(text: str, read_rows: Callable[[list], object], rows: str = "scenarios"):
+    """Parse a query or scenario file: the one statement of its grammar.
+
+    The body is a list of rows, or an object with exactly one of ``rows``,
+    ``"scenarios"`` and ``"grid"``: ``rows`` and ``scenarios`` are lists,
+    ``grid`` is :meth:`ScenarioSet.grid`'s parameters.  Any other key, or a
+    second one, is refused by name.  ``read_rows`` reads a list of rows;
+    ``scenarios`` and ``grid`` read as a :class:`ScenarioSet`.
+    """
+    data = json.loads(text)
+    if type(data) is list:
+        return read_rows(data)
+    key, value = one_key("query file", data, (rows, "scenarios", "grid"))
+    if key == "grid":
+        return decode_fields(ScenarioSet.grid, value, "grid")
+    if type(value) is not list:
         raise InvalidConfigurationError(
-            "scenario JSON must be a list, {'scenarios': [...]} or {'grid': {...}}"
+            f"{key} must be a list, got {type(value).__name__}"
         )
+    return read_rows(value) if key == rows else ScenarioSet.from_dicts(value)

@@ -41,9 +41,12 @@ class NodeModel:
     cost_per_hour: float = 0.0
 
     def __post_init__(self) -> None:
-        for name, value in (("p_crash", self.p_crash), ("p_byzantine", self.p_byzantine)):
-            if not 0.0 <= value <= 1.0:
-                raise InvalidProbabilityError(f"{name} must be in [0, 1], got {value}")
+        if not 0.0 <= self.p_crash <= 1.0:
+            raise InvalidProbabilityError(f"p_crash must be in [0, 1], got {self.p_crash}")
+        if not 0.0 <= self.p_byzantine <= 1.0:
+            raise InvalidProbabilityError(
+                f"p_byzantine must be in [0, 1], got {self.p_byzantine}"
+            )
         if self.p_crash + self.p_byzantine > 1.0 + 1e-12:
             raise InvalidProbabilityError(
                 f"p_crash + p_byzantine = {self.p_crash + self.p_byzantine} exceeds 1"
@@ -121,8 +124,9 @@ class Fleet:
     nodes: tuple[NodeModel, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if not all(isinstance(n, NodeModel) for n in self.nodes):
-            raise InvalidConfigurationError("Fleet nodes must be NodeModel instances")
+        for node in self.nodes:
+            if not isinstance(node, NodeModel):
+                raise InvalidConfigurationError("Fleet nodes must be NodeModel instances")
 
     # -- container protocol -------------------------------------------------
     def __len__(self) -> int:

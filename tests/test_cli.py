@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import main
+from test_queries import HOSTILE_ROWS, KEY_ROWS, names_field
 
 
 class TestTables:
@@ -334,6 +335,29 @@ class TestQueryFile:
         message = str(refused.value.code)
         assert message.startswith("invalid query file") and "\n" not in message
         assert f"{field} must be a finite integer" in message
+
+    @staticmethod
+    def _one_line_refusal(tmp_path, text: str) -> str:
+        path = tmp_path / "hostile.json"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as refused:
+            main(["query", str(path)])
+        message = str(refused.value.code)
+        assert message.startswith("invalid query file") and "\n" not in message
+        return message
+
+    @pytest.mark.parametrize(
+        "field, text", [row[1:] for row in HOSTILE_ROWS], ids=[row[0] for row in HOSTILE_ROWS]
+    )
+    def test_every_hostile_field_is_a_one_line_error_naming_it(self, tmp_path, field, text):
+        message = self._one_line_refusal(tmp_path, text)
+        assert names_field(message, field), message
+
+    @pytest.mark.parametrize(
+        "key, text", [row[1:] for row in KEY_ROWS], ids=[row[0] for row in KEY_ROWS]
+    )
+    def test_every_hostile_key_is_a_one_line_error_naming_it(self, tmp_path, key, text):
+        assert repr(key) in self._one_line_refusal(tmp_path, text)
 
     def test_query_file_row_refused_at_run_time_is_an_error_line(self, tmp_path):
         # The row parses; the importance estimator refuses it when it runs

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,8 +40,13 @@ from repro.engine import (
     register_spec_codec,
 )
 from repro.engine.query import canonical_query_key
-from repro.engine.scenario import _SPEC_CODECS, _SPEC_CODECS_BY_TYPE, spec_from_dict
-from repro.errors import InvalidConfigurationError
+from repro.engine.scenario import (
+    _SPEC_CODECS,
+    _SPEC_CODECS_BY_TYPE,
+    spec_from_dict,
+    spec_to_dict,
+)
+from repro.errors import InvalidConfigurationError, InvalidProbabilityError
 from repro.faults.mixture import byzantine_fleet, uniform_fleet
 from repro.injection import (
     Adversary,
@@ -51,6 +57,7 @@ from repro.injection import (
     LossBurst,
     PartitionEvent,
 )
+from repro.protocols.benor import BenOrSpec, ByzantineBenOrSpec
 from repro.protocols.pbft import PBFTSpec
 from repro.protocols.raft import FlexibleRaftSpec, RaftSpec
 
@@ -331,6 +338,30 @@ class TestTypeRules:
         with pytest.raises(InvalidConfigurationError, match="seed must be a non-negative"):
             Scenario.from_dict(dict(RAFT.to_dict(), seed=-1))
 
+    def test_a_numpy_integer_seed_is_the_int_seed(self):
+        """Its memo key always was ``seed=5``'s; its canonical key (the
+        journal name and single-flight key) and its JSON now are too."""
+        as_int = ReliabilityQuery(replace(RAFT, method="monte-carlo", seed=5))
+        as_numpy = ReliabilityQuery(replace(RAFT, method="monte-carlo", seed=np.int64(5)))
+        assert canonical_query_key(as_numpy) == canonical_query_key(as_int)
+        assert QuerySet.build([as_numpy]).to_json() == QuerySet.build([as_int]).to_json()
+
+    @pytest.mark.parametrize(
+        "spec, form",
+        [
+            (RaftSpec(5, q_per=4), '{"protocol": "raft", "n": 5, "q_per": 4, "q_vc": 3}'),
+            (FlexibleRaftSpec(5, 4, 2), '{"protocol": "flexraft", "n": 5, "q_per": 4, "q_vc": 2}'),
+            (BenOrSpec(5), '{"protocol": "benor", "n": 5}'),
+            (ByzantineBenOrSpec(6), '{"protocol": "byz-benor", "n": 6}'),
+            (PBFTSpec(7, q_vc_t=2),
+             '{"protocol": "pbft", "n": 7, "q_eq": 5, "q_per": 5, "q_vc": 5, "q_vc_t": 2}'),
+        ],
+        ids=["raft", "flexraft", "benor", "byz-benor", "pbft"],
+    )
+    def test_a_built_in_spec_writes_its_constructor_parameters_in_order(self, spec, form):
+        assert json.dumps(spec_to_dict(spec)) == form
+        assert spec_from_dict(json.loads(form)).grouping_key() == spec.grouping_key()
+
     def test_encode_writes_every_field_off_its_default_in_order(self):
         event = CorrelatedBurst(members=(2, 0), at=1.0, lethality=0.5)
         assert encode_fields(event) == {"members": [2, 0], "at": 1.0, "lethality": 0.5}
@@ -361,14 +392,12 @@ _JSON = st.recursive(
 
 
 def _paths(node, prefix=()):
-    """Every key and list index of a row.  Fleet probabilities are read
-    by ``NodeModel`` (an ``InvalidProbabilityError``), not by the codec:
-    the fleet is replaced whole, never inside."""
+    """Every key and list index of a row, inside its fleet too."""
     items = node.items() if isinstance(node, dict) else enumerate(node)
     for key, child in items:
         path = prefix + (key,)
         yield path
-        if key != "fleet" and isinstance(child, (dict, list)):
+        if isinstance(child, (dict, list)):
             yield from _paths(child, path)
 
 
@@ -384,16 +413,22 @@ def test_any_json_value_in_any_field_parses_or_is_refused(data):
     """One valid row per query kind and fault-event kind, one field at a
     time replaced by any JSON value: the parser either builds a query
     whose dict form round-trips or raises ``InvalidConfigurationError`` —
-    never another exception (a daemon 500)."""
+    never another exception (a daemon 500).  Inside a fleet, an
+    out-of-range probability is ``NodeModel``'s ``InvalidProbabilityError``."""
     row = PINNED[data.draw(st.sampled_from(sorted(PINNED)), label="row")].to_dict()
     path = data.draw(st.sampled_from(list(_paths(row))), label="field")
     _replace(row, path, data.draw(_JSON, label="value"))
     text = json.dumps({"queries": [row]})
     for placeholder, token in _RAW.items():
         text = text.replace(placeholder, token)
+    refused = (
+        (InvalidConfigurationError, InvalidProbabilityError)
+        if "fleet" in path
+        else InvalidConfigurationError
+    )
     try:
         (query,) = QuerySet.from_json(text)
-    except InvalidConfigurationError:
+    except refused:
         return
     form = query.to_dict()
     rebuilt = query_from_dict(json.loads(json.dumps(form)))

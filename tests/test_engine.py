@@ -808,7 +808,7 @@ class TestSerialization:
         for bad in ({"p_crash": 1.5}, {"p_crash": -0.1}, {"p_crash": 0.6, "p_byzantine": 0.6}):
             with pytest.raises(InvalidProbabilityError):
                 parse([a, a, bad, bad])
-        with pytest.raises(InvalidProbabilityError):
+        with pytest.raises(InvalidConfigurationError, match="p_crash must be a finite number"):
             ScenarioSet.from_json(
                 '[{"spec": {"protocol": "raft", "n": 3}, "fleet": {"nodes": '
                 '[{"p_crash": 0.1}, {"p_crash": NaN}, {"p_crash": NaN}]}}]'

@@ -8,6 +8,7 @@ a single JSON document mixing all four query kinds runs end-to-end.
 
 from __future__ import annotations
 
+import http.client
 import json
 import re
 
@@ -40,6 +41,7 @@ from repro.faults.mixture import byzantine_fleet, uniform_fleet
 from repro.markov.builders import ClusterMarkovModel
 from repro.protocols.pbft import PBFTSpec
 from repro.protocols.raft import RaftSpec
+from repro.serve import BackgroundServer, ServiceConfig
 
 
 def scenario(n=5, p=0.01, **kw):
@@ -68,12 +70,20 @@ _AVAILABILITY = AvailabilityQuery.from_afr(
 ).to_dict()
 _PBFT = Scenario(spec=PBFTSpec(4), fleet=byzantine_fleet(4, 0.01)).to_dict()
 _RAFT_1 = scenario(1, 0.1).to_dict()
+_RAFT_3 = scenario(3).to_dict()
+
+
+def _fleet(**fleet) -> dict:
+    return dict(_RAFT_3, fleet=fleet)
+
 
 #: ``(id, field, query file)``: each file's one row is well-formed but for
 #: ``field``.  Before the typed field codec (``repro._codec``) the first
 #: five were a daemon 500 (an ``OverflowError`` at parse, or a seed NumPy
-#: refuses at run time) and the rest a 200 answered from a silently
-#: different value.  Every door must refuse each one by the field's name.
+#: refuses at run time) and the next eleven a 200 answered from a silently
+#: different value.  Of the fleet and file rows after them, the last two
+#: were a 400 that did not name the field (a ``TypeError``) and the rest a
+#: 200.  Every door must refuse each one by the field's name.
 HOSTILE_ROWS = [
     ("crash-node-1e400", "node",
      _hostile(_campaign(events=[{"kind": "crash", "node": "@", "at": 1.0}]), "1e400")),
@@ -107,6 +117,41 @@ HOSTILE_ROWS = [
      _hostile(dict(_AVAILABILITY, failure_rate_per_hour="@"), "Infinity")),
     ("campaign-duration-1e400", "duration",
      _hostile(dict(_campaign(), duration="@"), "1e400")),
+    # A ``true`` after an equal-valued ``1.0`` row must not share its node.
+    ("node-p-crash-true", "p_crash",
+     _hostile(_fleet(nodes=[{"p_crash": 1.0}, {"p_crash": "@"}, {"p_crash": 1.0}]),
+              "true")),
+    ("node-p-crash-string", "p_crash",
+     _hostile(_fleet(nodes=[{"p_crash": "@"}] * 3), '"0.5"')),
+    ("uniform-p-fail-true", "p_fail",
+     _hostile(_fleet(uniform={"n": 3, "p_fail": "@"}), "true")),
+    ("uniform-byzantine-fraction-string", "byzantine_fraction",
+     _hostile(_fleet(uniform={"n": 3, "p_fail": 0.1, "byzantine_fraction": "@"}),
+              '"0.5"')),
+    ("fleet-nodes-5", "nodes", _hostile(_fleet(nodes="@"), "5")),
+    ("scenarios-5", "scenarios", '{"scenarios": 5}'),
+]
+
+#: ``(id, key, query file)``: a misspelt, unknown, missing or second key
+#: of a fleet or of the file itself.  Before the fleet codec each was a
+#: 200 answered without the key (or, for ``uniform-without-n``, a 400 that
+#: did not name it).  Every door must refuse each one by the key's name.
+KEY_ROWS = [
+    ("node-p-crsh", "p_crsh",
+     json.dumps([_fleet(nodes=[{"p_crash": 0.1, "p_crsh": 0.9}] * 3)])),
+    ("uniform-unknown-key", "fnord",
+     json.dumps([_fleet(uniform={"n": 3, "p_fail": 0.1, "fnord": 1})])),
+    ("nodes-beside-unknown-key", "fnord",
+     json.dumps([_fleet(nodes=[{"p_crash": 0.1}] * 3, fnord=1)])),
+    ("fleet-nodes-and-uniform", "uniform",
+     json.dumps([_fleet(nodes=[{"p_crash": 0.1}] * 3, uniform={"n": 3, "p_fail": 0.1})])),
+    ("uniform-without-n", "n", json.dumps([_fleet(uniform={"p_fail": 0.1})])),
+    ("queries-and-grid", "grid",
+     json.dumps({"queries": [_RAFT_3], "grid": {"sizes": [3]}})),
+    ("scenarios-and-grid", "scenarios",
+     json.dumps({"scenarios": [_RAFT_3], "grid": {"sizes": [3]}})),
+    ("queries-and-querys", "querys",
+     json.dumps({"queries": [_RAFT_3], "querys": [_RAFT_3]})),
 ]
 
 
@@ -114,6 +159,12 @@ def names_field(message: str, field: str) -> bool:
     """Whether a refusal names ``field`` (``groups[][] must be ...`` names
     ``groups``)."""
     return re.search(rf"(^|\W){re.escape(field)}(\[\])* must be", message) is not None
+
+
+@pytest.fixture(scope="module")
+def server():
+    with BackgroundServer(ServiceConfig(port=0)) as running:
+        yield running
 
 
 class TestQueryTypes:
@@ -280,6 +331,22 @@ class TestCodecs:
         with pytest.raises(InvalidConfigurationError) as refused:
             QuerySet.from_json(text)
         assert names_field(str(refused.value), field), str(refused.value)
+
+    @pytest.mark.parametrize(
+        "key, text", [row[1:] for row in KEY_ROWS], ids=[row[0] for row in KEY_ROWS]
+    )
+    def test_unknown_missing_or_second_key_is_refused_by_name(self, server, key, text):
+        with pytest.raises(InvalidConfigurationError, match=repr(key)):
+            QuerySet.from_json(text)
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=60)
+        try:
+            conn.request("POST", "/v1/query", body=text)
+            response = conn.getresponse()
+            body = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 400, body
+        assert repr(key) in body["error"], body["error"]
 
     def test_unknown_field_rejected(self):
         data = SimulationQuery(scenario(3)).to_dict()
