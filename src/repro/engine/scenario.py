@@ -227,14 +227,13 @@ class Scenario:
         # trials is deliberately not validated here: only the sampling
         # estimators read it, and they raise at estimation time exactly as
         # the pre-engine free functions did (exact paths ignore it).
-        if isinstance(self.seed, (int, np.integer)):
-            if self.seed < 0:
-                raise InvalidConfigurationError(
-                    f"seed must be a non-negative integer, got {self.seed}"
-                )
-            if isinstance(self.seed, np.integer):
-                # The memo key reads int(seed); the canonical key must too.
-                object.__setattr__(self, "seed", int(self.seed))
+        if isinstance(self.seed, np.integer):
+            # The memo key reads int(seed); the canonical key must too.
+            object.__setattr__(self, "seed", int(self.seed))
+        if isinstance(self.seed, int) and self.seed < 0:
+            raise InvalidConfigurationError(
+                f"seed must be a non-negative integer, got {self.seed}"
+            )
         if self.correlation is None:
             return
         if self.correlation.n != self.spec.n:

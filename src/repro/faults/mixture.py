@@ -41,12 +41,9 @@ class NodeModel:
     cost_per_hour: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p_crash <= 1.0:
-            raise InvalidProbabilityError(f"p_crash must be in [0, 1], got {self.p_crash}")
-        if not 0.0 <= self.p_byzantine <= 1.0:
-            raise InvalidProbabilityError(
-                f"p_byzantine must be in [0, 1], got {self.p_byzantine}"
-            )
+        for name, value in (("p_crash", self.p_crash), ("p_byzantine", self.p_byzantine)):
+            if not 0.0 <= value <= 1.0:
+                raise InvalidProbabilityError(f"{name} must be in [0, 1], got {value}")
         if self.p_crash + self.p_byzantine > 1.0 + 1e-12:
             raise InvalidProbabilityError(
                 f"p_crash + p_byzantine = {self.p_crash + self.p_byzantine} exceeds 1"
@@ -124,9 +121,9 @@ class Fleet:
     nodes: tuple[NodeModel, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        for node in self.nodes:
-            if not isinstance(node, NodeModel):
-                raise InvalidConfigurationError("Fleet nodes must be NodeModel instances")
+        # isinstance over every node at C speed: every parsed fleet runs it.
+        if not all(map(NodeModel.__instancecheck__, self.nodes)):
+            raise InvalidConfigurationError("Fleet nodes must be NodeModel instances")
 
     # -- container protocol -------------------------------------------------
     def __len__(self) -> int:
