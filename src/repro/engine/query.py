@@ -441,8 +441,9 @@ class SimulationQuery(Query):
                     primary = primary or float(marginals[0]) > 0.0
                     others = others or any(float(p) > 0.0 for p in marginals[1:])
             else:
-                probabilities = [node.p_byzantine for node in self.scenario.fleet]
-                primary = primary or any(p > 0.0 for p in probabilities[:1])
+                # An empty fleet (``"nodes": []``) has no Byzantine node.
+                probabilities = [node.p_byzantine for node in self.scenario.fleet] or [0.0]
+                primary = primary or probabilities[0] > 0.0
                 others = others or any(p > 0.0 for p in probabilities[1:])
         return primary, others
 
@@ -609,7 +610,7 @@ class QuerySet:
 
     @classmethod
     def from_dicts(cls, rows: Iterable[Mapping]) -> "QuerySet":
-        return cls(tuple(query_from_dict(row) for row in rows))
+        return cls(tuple(map(query_from_dict, rows)))
 
     def to_json(self) -> str:
         return json.dumps({"queries": self.to_dicts()}, indent=2)
