@@ -363,7 +363,7 @@ def _campaign_checkpoint(policy: "ExecutionPolicy", query: SimulationQuery, shar
 
     digest = CampaignCheckpoint.digest(canonical_query_key(query))
     return CampaignCheckpoint(
-        Path(policy.checkpoint_dir) / f"campaign-{digest}.jsonl",
+        Path(policy.checkpoint_dir) / f"campaign-{digest}",
         key=digest,
         shards=shards,
         encode=_encode_verdicts,

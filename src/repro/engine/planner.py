@@ -99,12 +99,10 @@ def reliability_backend(
         row = _Row(index, query, method, estimator_fn)
         # The shared sweeps only substitute for the *stock* counting and
         # exact estimators; an override takes the per-scenario path.
-        # Invalid combinations (size mismatch, asymmetric counting,
-        # enumeration over budget) fall through to the scalar estimator so
-        # they raise the exact errors it always raised.
-        if scenario.fleet.n != scenario.spec.n or not is_stock_estimator(
-            method, estimator_fn
-        ):
+        # Invalid combinations (asymmetric counting, enumeration over
+        # budget) fall through to the scalar estimator so they raise the
+        # exact errors it always raised.
+        if not is_stock_estimator(method, estimator_fn):
             singles.append(row)
         elif method == "counting" and scenario.spec.symmetric:
             counting_groups.setdefault(scenario.fleet.n, []).append(row)

@@ -210,7 +210,8 @@ class Scenario:
     ``counting``, ``exact`` or ``importance`` is refused — they would
     answer for independent failures.  ``window_hours``
     and ``label`` are provenance-only metadata (horizon sweeps stamp the
-    window each scenario was projected for).
+    window each scenario was projected for).  A fleet whose size is not
+    the spec's is refused when the scenario is built.
     """
 
     spec: ProtocolSpec = field(metadata={"decode": spec_from_dict})
@@ -233,6 +234,10 @@ class Scenario:
         if isinstance(self.seed, int) and self.seed < 0:
             raise InvalidConfigurationError(
                 f"seed must be a non-negative integer, got {self.seed}"
+            )
+        if self.fleet.n != self.spec.n:
+            raise InvalidConfigurationError(
+                f"fleet has {self.fleet.n} nodes but spec expects {self.spec.n}"
             )
         if self.correlation is None:
             return

@@ -448,14 +448,13 @@ def run_replica(
         partition_windows=compiled.partition_windows,
         submit_times={value: at for value, at in commands},
     )
-    predicted_live = spec.is_live(config)
-    missing = verdict.liveness.missing
-    partition_era = verdict.liveness.partition_era
     result = ReplicaVerdict(
         unsafe=not verdict.safe,
         stalled=not verdict.live,
-        predicate_mismatch=verdict.live != predicted_live,
-        partition_era_only=bool(missing) and set(missing) == set(partition_era),
+        predicate_mismatch=verdict.live != spec.is_live(config),
+        partition_era_only=(
+            not verdict.live and verdict.liveness.holds_outside_partitions
+        ),
         run=ReplicaRun(
             sim_seconds=stopped,
             events=cluster.scheduler.processed_events,

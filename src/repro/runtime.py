@@ -11,7 +11,15 @@ bounded **retry** with exponential backoff, **worker-loss recovery** (a
 onto a rebuilt pool instead of raising), **graceful degradation** (a
 shard that exhausts its retries can be dropped and reported instead of
 failing the campaign) and **checkpoint/resume** through a
-:class:`CampaignCheckpoint` journal.
+:class:`CampaignCheckpoint`.
+
+**Checkpoint contract.**  A checkpoint is a directory holding one file
+per completed shard, each written under a private temp name, fsync'd
+and atomically renamed into place, then the directory fsync'd.  A shard
+file is therefore whole or absent: a crash loses at most the shard being
+recorded, and a damaged, oversized or foreign file is skipped and its
+shard recomputed (bit-identically, see below) instead of corrupting the
+resumed answer.
 
 **Determinism contract.**  A retried shard must be bit-identical to a
 first-try shard.  Workers may mutate their payload's generator in place
@@ -185,60 +193,44 @@ class RunReport:
 # ---------------------------------------------------------------------------
 # Checkpoint journal
 # ---------------------------------------------------------------------------
-#: Per-journal-path locks: concurrent `record` calls on the same journal
-#: (a long-running daemon sharing a checkpoint directory across request
-#: threads) serialize in-process, so header creation and row appends can
-#: never interleave.  Keyed by resolved path; never pruned (bounded by the
-#: number of distinct campaigns a process touches).
-_JOURNAL_LOCKS: dict[str, threading.Lock] = {}
-_JOURNAL_LOCKS_GUARD = threading.Lock()
-
-
-def _journal_lock(path: Path) -> threading.Lock:
-    key = str(path)
-    with _JOURNAL_LOCKS_GUARD:
-        lock = _JOURNAL_LOCKS.get(key)
-        if lock is None:
-            lock = _JOURNAL_LOCKS[key] = threading.Lock()
-        return lock
+def _fsync_dir(path: Path) -> None:
+    """Make the entries of directory ``path`` (creations, renames) durable."""
+    handle = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(handle)
+    finally:
+        os.close(handle)
 
 
 class CampaignCheckpoint:
-    """Append-only journal of completed shard results, keyed by campaign.
+    """Completed shard results of one campaign: a directory, one file per shard.
 
-    One JSON-lines file per campaign: a header line pinning the campaign
-    key digest and shard count, then one ``{"shard": i, "value": ...}``
-    line per completed shard.  :meth:`load` returns the completed shards
-    of a *matching* journal (a header from a different campaign or shard
-    plan discards the stale file), tolerating a torn *final* line from an
-    interrupted write; a malformed row anywhere earlier is real corruption
-    and discards the whole journal (the next :meth:`record` rewrites it
-    from scratch) rather than silently resuming from a damaged prefix.
-    Because every shard draws an independent ``SeedSequence.spawn``
-    stream, a resumed campaign — journalled shards loaded, only the
-    missing ones re-run — is bit-identical to an uninterrupted one.
+    Shard ``i`` lives in ``path/shard-{i}.json``, one JSON object naming
+    the format, campaign key, shard count and shard index beside the
+    ``value``.  :meth:`record` writes it under a temp name of its own
+    (pid plus thread id, so two writers never share one), fsyncs it,
+    renames it into place with ``os.replace`` and fsyncs the directory:
+    a shard file is whole or absent, so a crash loses at most the shard
+    being recorded and leaves at worst a temp file :meth:`load` never
+    reads.  Writers need no lock: each rename is atomic, and two writers
+    of one shard of one campaign write the same bytes.
 
-    Durability: :meth:`record` appends each row with a single
-    ``os.write`` on an ``O_APPEND`` descriptor (the header rides the
-    first row's write on a fresh file) and ``os.fsync``\\ s before
-    returning, so a crash loses at most the shard being recorded — the
-    same fsync-before-trust discipline as :mod:`repro.engine.chaos`'s
-    marker files.  Writers of the *same* campaign may interleave freely:
-    two racing first writes can at worst duplicate the header line, which
-    :meth:`load` tolerates; a writer that saw a stale (foreign or
-    corrupt) journal re-loads it under the journal lock before replacing
-    the file, so it can never truncate rows a concurrent same-campaign
-    writer already recorded.
+    :meth:`load` reads only ``shard-0`` … ``shard-{shards-1}`` and skips a
+    file that is over :attr:`MAX_SHARD_BYTES`, does not parse, or names
+    another format, key, shard count or index.  A skipped shard is
+    recomputed; because every shard draws an independent
+    ``SeedSequence.spawn`` stream, a resumed campaign is bit-identical to
+    an uninterrupted one.
 
     ``encode``/``decode`` convert one shard's result to/from its JSON
     form (identity by default).
     """
 
-    FORMAT = "repro-campaign-checkpoint/1"
+    FORMAT = "repro-campaign-checkpoint/2"
 
-    #: :meth:`load` refuses journals larger than this (corrupt or runaway
-    #: files must not be slurped whole into a request thread's memory).
-    MAX_JOURNAL_BYTES = 64 * 1024 * 1024
+    #: :meth:`load` skips shard files larger than this (a corrupt or
+    #: runaway file must not be slurped whole into a request thread).
+    MAX_SHARD_BYTES = 64 * 1024 * 1024
 
     def __init__(
         self,
@@ -254,128 +246,58 @@ class CampaignCheckpoint:
         self.shards = int(shards)
         self._encode = encode if encode is not None else (lambda value: value)
         self._decode = decode if decode is not None else (lambda value: value)
-        self._stale = False
-        self._loaded = False
 
     @staticmethod
     def digest(key: object) -> str:
         """Stable filename-safe digest of a campaign cache key."""
         return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:24]
 
-    def _header(self) -> str:
-        return json.dumps(
-            {"format": self.FORMAT, "key": self.key, "shards": self.shards}
-        )
+    def _shard_file(self, index: int) -> Path:
+        return self.path / f"shard-{index}.json"
 
     def load(self) -> dict[int, object]:
-        """Completed ``{shard_index: result}`` entries of a matching journal."""
-        self._loaded = True
-        with _journal_lock(self.path):
-            return self._load_locked()
-
-    def _load_locked(self) -> dict[int, object]:
-        if not self.path.exists():
-            return {}
+        """Completed ``{shard_index: result}`` entries of this campaign."""
         completed: dict[int, object] = {}
-        try:
-            if self.path.stat().st_size > self.MAX_JOURNAL_BYTES:
-                # A sane journal is header + one small row per shard; a
-                # file this large is corrupt or not ours.  Discard rather
-                # than read it whole into memory.
-                self._stale = True
-                return {}
-            lines = self.path.read_text().splitlines()
-        except OSError:
-            self._stale = True
-            return {}
-        if not lines:
-            return {}
-        header_text = self._header()
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError:
-            header = None
-        if (
-            not isinstance(header, dict)
-            or header.get("format") != self.FORMAT
-            or header.get("key") != self.key
-            or header.get("shards") != self.shards
-        ):
-            # A different campaign (or shard plan) owns this file: discard.
-            self._stale = True
-            return {}
-        last = len(lines) - 1
-        for position, line in enumerate(lines[1:], start=1):
-            if line == header_text:
-                # Duplicate header: two racing first writes on a fresh
-                # file each carried the header with their row.  Benign.
-                continue
+        for index in range(self.shards):
             try:
-                row = json.loads(line)
-                index = int(row["shard"])
-                value = self._decode(row["value"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                if position == last:
-                    # Torn final line from an interrupted write: the rows
-                    # before it are intact and fsync'd — keep them.
+                with open(self._shard_file(index), "rb") as handle:
+                    data = handle.read(self.MAX_SHARD_BYTES + 1)
+                if len(data) > self.MAX_SHARD_BYTES:
                     continue
-                # A malformed row *before* the tail is real corruption,
-                # not a torn write; nothing after it can be trusted.
-                self._stale = True
-                return {}
-            if not 0 <= index < self.shards:
-                if position == last:
+                row = json.loads(data)
+                if (row["format"], row["key"], row["shards"], row["shard"]) != (
+                    self.FORMAT, self.key, self.shards, index
+                ):
                     continue
-                self._stale = True
-                return {}
-            completed[index] = value
+                completed[index] = self._decode(row["value"])
+            except (OSError, KeyError, TypeError, ValueError):
+                continue  # absent, damaged or foreign: recompute the shard
         return completed
 
     def record(self, index: int, value: object) -> None:
-        """Append one completed shard (fsync'd so a crash loses at most it)."""
-        if not self._loaded:
-            # Callers normally load() first; keep the journal coherent anyway.
-            self.load()
-        row = json.dumps({"shard": int(index), "value": self._encode(value)}) + "\n"
-        with _journal_lock(self.path):
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            if self._stale:
-                # The journal we loaded was foreign, oversized or corrupt.
-                # Re-load under the lock before replacing: another writer
-                # of *our* campaign may have rewritten it cleanly since we
-                # loaded, and blindly truncating would lose its rows — the
-                # exact stale-truncation race the `"w"`-mode journal had.
-                self._stale = False
-                self._load_locked()
-                if self._stale:
-                    # Still foreign/corrupt on disk: ours now, from scratch.
-                    self._replace_with(self._header() + "\n" + row)
-                    self._stale = False
-                    return
-                # A clean journal of our campaign is on disk: append to it.
-            flags = os.O_WRONLY | os.O_CREAT | os.O_APPEND
-            handle = os.open(self.path, flags, 0o644)
-            try:
-                payload = row
-                if os.fstat(handle).st_size == 0:
-                    # Fresh file: the header rides the first row's write,
-                    # so no interleaving can separate them.
-                    payload = self._header() + "\n" + row
-                os.write(handle, payload.encode("utf-8"))
-                os.fsync(handle)
-            finally:
-                os.close(handle)
-
-    def _replace_with(self, text: str) -> None:
-        """Atomically install ``text`` as the whole journal (fsync'd)."""
-        tmp = self.path.with_name(f"{self.path.name}.tmp.{os.getpid()}")
-        handle = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+        """Install one completed shard's file (a crash loses at most it)."""
+        index = int(index)
+        row = {
+            "format": self.FORMAT,
+            "key": self.key,
+            "shards": self.shards,
+            "shard": index,
+            "value": self._encode(value),
+        }
+        target = self._shard_file(index)
         try:
-            os.write(handle, text.encode("utf-8"))
-            os.fsync(handle)
-        finally:
-            os.close(handle)
-        os.replace(tmp, self.path)
+            self.path.mkdir(parents=True)
+        except FileExistsError:
+            pass
+        else:
+            _fsync_dir(self.path.parent)
+        tmp = self.path / f"{target.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+        with open(tmp, "wb") as handle:
+            handle.write(json.dumps(row).encode("utf-8"))
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, target)
+        _fsync_dir(self.path)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ read take one lock — the same discipline the engine memo now follows.
 
 Latency keeps **per-route** bounded reservoirs (most recent ``reservoir``
 requests each) from which the snapshot derives nearest-rank percentiles.
-The headline ``latency_seconds`` summary covers only ``/v1/`` routes, so
+Routes and methods outside the daemon's own (``/v1/query``, ``/healthz``,
+``/metrics``; ``GET``, ``POST``) are counted as ``other``, so hostile
+paths and methods share one bucket instead of each growing state.  The
+headline ``latency_seconds`` summary covers only ``/v1/query``, so
 load-balancer ``/healthz`` and ``/metrics`` polls can never mask real
 query latency; every route's own summary appears under
 ``latency_by_route``.  Query execution times additionally feed fixed
@@ -51,11 +54,12 @@ HISTOGRAM_BUCKETS = (
     60.0,
 )
 
-#: Reservoir key for routes outside the known surface (scanners, typos):
-#: they share one bucket so arbitrary request paths cannot grow state.
-_OTHER_ROUTE = "other"
-
-_KNOWN_ROUTES = ("/healthz", "/metrics")
+#: The daemon's routes and methods.  Anything else (scanners, typos, a
+#: made-up method) counts as ``other``, so arbitrary requests cannot grow
+#: the response counters or the latency reservoirs.
+_ROUTES = frozenset(("/v1/query", "/healthz", "/metrics"))
+_METHODS = frozenset(("GET", "POST"))
+_OTHER = "other"
 
 
 def process_max_rss_bytes() -> int:
@@ -93,18 +97,13 @@ class ServiceMetrics:
         self.degraded_answers = 0
         self.dropped_shards = 0
 
-    @staticmethod
-    def _route_key(path: str) -> str:
-        if path.startswith("/v1/") or path in _KNOWN_ROUTES:
-            return path
-        return _OTHER_ROUTE
-
     # -- recording ---------------------------------------------------------
     def record_request(
         self, method: str, path: str, status: int, seconds: float
     ) -> None:
-        key = f"{method} {path} -> {status}"
-        route = self._route_key(path)
+        route = path if path in _ROUTES else _OTHER
+        method = method if method in _METHODS else _OTHER
+        key = f"{method} {route} -> {status}"
         with self._lock:
             self.requests_total += 1
             self._responses[key] = self._responses.get(key, 0) + 1
@@ -197,13 +196,9 @@ class ServiceMetrics:
                 },
             }
         # The headline latency excludes health/metrics polls by design.
-        service = [
-            value
-            for route, values in by_route.items()
-            if route.startswith("/v1/")
-            for value in values
-        ]
-        data["latency_seconds"] = _latency_summary(sorted(service))
+        data["latency_seconds"] = _latency_summary(
+            sorted(by_route.get("/v1/query", ()))
+        )
         data["latency_by_route"] = {
             route: _latency_summary(sorted(values))
             for route, values in by_route.items()

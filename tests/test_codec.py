@@ -4,7 +4,7 @@ and a fuzz of the parser it feeds.
 ``CANONICAL`` holds the canonical JSON key of one query of every kind and
 of one campaign per fault-event kind, recorded before the codec replaced
 the hand-written per-class coercions.  The daemon single-flights on that
-key and campaign checkpoint journals (``campaign-<digest>.jsonl``) are
+key and campaign checkpoint directories (``campaign-<digest>``) are
 named by its digest, so an edit that moves one byte of it fails here.
 """
 

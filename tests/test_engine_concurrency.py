@@ -13,14 +13,21 @@ PR 8 turns the engine into shared service infrastructure
   tail.
 
 Every test here fails on the pre-PR code and pins the fixed behaviour.
+The journal has since become a directory of atomically renamed shard
+files: the two race tests still run unchanged against it, and the
+damage tests pin its one rule — a damaged, oversized, foreign or
+never-renamed shard file costs that shard and nothing else.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import stat
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -173,68 +180,97 @@ class TestJournalDurability:
         loaded = self._checkpoint(path, shards=shards).load()
         assert loaded == {shard: f"row-{shard}" for shard in range(shards)}
 
-    def test_mid_file_corruption_discards_journal(self, tmp_path):
-        """A malformed row *before* the tail is corruption, not a torn write.
+    def test_each_shard_is_fsynced_renamed_then_its_directory_fsynced(
+        self, tmp_path, monkeypatch
+    ):
+        """The write protocol, call by call; the temp name is the writer's."""
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
 
-        Pre-PR, ``load`` skipped any undecodable line and resumed from
-        whatever rows happened to parse — silently trusting a damaged
-        journal.  Now only the final line may be torn; anything earlier
-        discards the file, and the next ``record`` rewrites it.
-        """
-        path = tmp_path / "journal.jsonl"
+        def fsync(fd):
+            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            calls.append(("fsync", kind))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", Path(src).name, Path(dst).name))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        checkpoint = self._checkpoint(tmp_path / "journal")
+        checkpoint.record(0, "alpha")
+        checkpoint.record(1, "beta")
+        tmp = f"{os.getpid()}.{threading.get_ident()}.tmp"
+        assert calls == [
+            ("fsync", "dir"),  # the new campaign directory's entry
+            ("fsync", "file"),
+            ("replace", f"shard-0.json.{tmp}", "shard-0.json"),
+            ("fsync", "dir"),
+            ("fsync", "file"),
+            ("replace", f"shard-1.json.{tmp}", "shard-1.json"),
+            ("fsync", "dir"),
+        ]
+
+    def test_damaged_shard_file_is_skipped_and_rewritten(self, tmp_path):
+        """A damaged shard file costs that shard, never the others."""
+        path = tmp_path / "journal"
         checkpoint = self._checkpoint(path)
         checkpoint.load()
         checkpoint.record(0, "alpha")
         checkpoint.record(1, "beta")
-        lines = path.read_text().splitlines()
-        lines[1] = lines[1][: len(lines[1]) // 2]  # damage a non-final row
-        path.write_text("\n".join(lines) + "\n")
+        damaged = path / "shard-1.json"
+        damaged.write_bytes(damaged.read_bytes()[: damaged.stat().st_size // 2])
 
         fresh = self._checkpoint(path)
-        assert fresh.load() == {}
-        fresh.record(2, "gamma")  # rewrites the journal from scratch
-        assert self._checkpoint(path).load() == {2: "gamma"}
-
-    def test_torn_final_line_keeps_fsynced_prefix(self, tmp_path):
-        """An interrupted last write loses only itself."""
-        path = tmp_path / "journal.jsonl"
-        checkpoint = self._checkpoint(path)
-        checkpoint.load()
-        checkpoint.record(0, "alpha")
-        checkpoint.record(1, "beta")
-        with path.open("a") as handle:
-            handle.write('{"shard": 2, "val')  # torn mid-write
+        assert fresh.load() == {0: "alpha"}
+        fresh.record(1, "beta")  # the recomputed shard replaces the damage
         assert self._checkpoint(path).load() == {0: "alpha", 1: "beta"}
 
-    def test_out_of_range_shard_mid_file_discards_journal(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        checkpoint = self._checkpoint(path, shards=2)
-        checkpoint.load()
-        checkpoint.record(0, "alpha")
-        with path.open("a") as handle:
-            handle.write(json.dumps({"shard": 99, "value": "bogus"}) + "\n")
-            handle.write(json.dumps({"shard": 1, "value": "beta"}) + "\n")
-        assert self._checkpoint(path, shards=2).load() == {}
-
-    def test_oversized_journal_is_refused(self, tmp_path, monkeypatch):
-        path = tmp_path / "journal.jsonl"
+    def test_crash_before_rename_loses_only_that_shard(self, tmp_path, monkeypatch):
+        """A write that never reached its rename leaves a temp file only."""
+        path = tmp_path / "journal"
         checkpoint = self._checkpoint(path)
         checkpoint.load()
         checkpoint.record(0, "alpha")
-        monkeypatch.setattr(CampaignCheckpoint, "MAX_JOURNAL_BYTES", 8)
+        checkpoint.record(1, "beta")
+
+        def crash(src, dst):
+            raise OSError("crashed before the rename")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", crash)
+            with pytest.raises(OSError, match="before the rename"):
+                checkpoint.record(2, "gamma")
+        assert [p.name for p in path.glob("*.tmp")]  # the torn write's remains
+        assert self._checkpoint(path).load() == {0: "alpha", 1: "beta"}
+
+        checkpoint.record(2, "gamma")
+        assert self._checkpoint(path).load() == {0: "alpha", 1: "beta", 2: "gamma"}
+        assert not list(path.glob("*.tmp"))
+
+    def test_foreign_and_misplaced_shard_files_are_skipped(self, tmp_path):
+        """A file naming another format, shard count or index is not ours."""
+        path = tmp_path / "journal"
+        checkpoint = self._checkpoint(path)
+        checkpoint.load()
+        checkpoint.record(0, "alpha")
+        row = json.loads((path / "shard-0.json").read_text())
+        (path / "shard-1.json").write_text(json.dumps(row))  # names shard 0
+        (path / "shard-2.json").write_text(
+            json.dumps(dict(row, shard=2, format="repro-campaign-checkpoint/1"))
+        )
+        (path / "shard-3.json").write_text(json.dumps(dict(row, shard=3, shards=8)))
+        assert self._checkpoint(path).load() == {0: "alpha"}
+
+    def test_oversized_shard_file_is_skipped(self, tmp_path, monkeypatch):
+        path = tmp_path / "journal"
+        checkpoint = self._checkpoint(path)
+        checkpoint.load()
+        checkpoint.record(0, "alpha")
+        checkpoint.record(1, "b" * 4096)
+        monkeypatch.setattr(CampaignCheckpoint, "MAX_SHARD_BYTES", 1024)
         fresh = self._checkpoint(path)
-        assert fresh.load() == {}
-        fresh.record(1, "beta")  # rewrites rather than appending to a monster
-        monkeypatch.setattr(CampaignCheckpoint, "MAX_JOURNAL_BYTES", 1 << 26)
-        assert self._checkpoint(path).load() == {1: "beta"}
-
-    def test_duplicate_header_from_racing_first_writes_is_benign(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        checkpoint = self._checkpoint(path)
-        checkpoint.load()
-        checkpoint.record(0, "alpha")
-        header = path.read_text().splitlines()[0]
-        with path.open("a") as handle:
-            handle.write(header + "\n")
-            handle.write(json.dumps({"shard": 1, "value": "beta"}) + "\n")
+        assert fresh.load() == {0: "alpha"}
+        fresh.record(1, "beta")  # replaces the monster rather than reading it
         assert self._checkpoint(path).load() == {0: "alpha", 1: "beta"}

@@ -487,6 +487,22 @@ class TestPerRouteReservoirs:
         assert snapshot["latency_by_route"]["other"]["count"] == 8  # bounded
         assert snapshot["latency_seconds"] == {"count": 0}
 
+    def test_hostile_paths_and_methods_grow_no_state(self):
+        """Made-up paths, ``/v1/`` paths and methods all land in ``other``."""
+        metrics = ServiceMetrics(reservoir=8)
+        for i in range(1000):
+            metrics.record_request("GET", f"/scan-{i}", 404, 0.001)
+            metrics.record_request("GET", f"/v1/scan-{i}", 404, 0.001)
+            metrics.record_request(f"M{i}", "/v1/query", 405, 0.001)
+        snapshot = metrics.snapshot()
+        assert snapshot["responses"] == {
+            "GET other -> 404": 2000,
+            "other /v1/query -> 405": 1000,
+        }
+        assert set(snapshot["latency_by_route"]) == {"other", "/v1/query"}
+        assert snapshot["latency_by_route"]["other"]["count"] == 8
+        assert snapshot["latency_seconds"]["count"] == 8
+
     def test_query_kind_histograms(self):
         metrics = ServiceMetrics()
         metrics.record_served("simulation", 0.3)

@@ -542,6 +542,18 @@ class TestSimulationBackend:
         assert second.provenance.cache_hit
         assert second.value is first.value
 
+    def test_fleet_of_another_size_is_refused_when_built(self):
+        """Before any replica runs: it used to raise from ``spec.is_live``
+        inside the worker, after a whole replica had been simulated."""
+        with pytest.raises(
+            InvalidConfigurationError, match="fleet has 3 nodes but spec expects 5"
+        ):
+            Scenario(spec=RaftSpec(5), fleet=uniform_fleet(3, 0.1), seed=1)
+        row = self.make_query().to_dict()
+        row["scenario"]["spec"]["n"] = 5
+        with pytest.raises(InvalidConfigurationError, match="spec expects 5"):
+            query_from_dict(row)
+
     def test_unsupported_spec_raises(self):
         from repro.protocols.benor import BenOrSpec
 

@@ -372,7 +372,7 @@ class TestCampaignCheckpoint:
     def _checkpoint(self, tmp_path, **kwargs):
         defaults = dict(key="k1", shards=4)
         defaults.update(kwargs)
-        return CampaignCheckpoint(tmp_path / "journal.jsonl", **defaults)
+        return CampaignCheckpoint(tmp_path / "campaign", **defaults)
 
     def test_round_trip(self, tmp_path):
         journal = self._checkpoint(tmp_path)
@@ -382,13 +382,14 @@ class TestCampaignCheckpoint:
         fresh = self._checkpoint(tmp_path)
         assert fresh.load() == {1: [1, 2], 3: [3]}
 
-    def test_mismatched_header_discards(self, tmp_path):
+    def test_foreign_key_is_never_loaded(self, tmp_path):
         journal = self._checkpoint(tmp_path)
         journal.record(0, "a")
         other = self._checkpoint(tmp_path, key="k2")
         assert other.load() == {}
-        other.record(2, "b")  # rewrites the journal under the new key
-        assert self._checkpoint(tmp_path, key="k2").load() == {2: "b"}
+        other.record(0, "b")  # replaces the foreign shard file
+        other.record(2, "c")
+        assert self._checkpoint(tmp_path, key="k2").load() == {0: "b", 2: "c"}
         assert self._checkpoint(tmp_path).load() == {}
 
     def test_different_shard_plan_discards(self, tmp_path):
@@ -396,12 +397,15 @@ class TestCampaignCheckpoint:
         journal.record(0, "a")
         assert self._checkpoint(tmp_path, shards=8).load() == {}
 
-    def test_torn_trailing_line_tolerated(self, tmp_path):
+    def test_torn_shard_file_is_skipped(self, tmp_path):
         journal = self._checkpoint(tmp_path)
         journal.record(0, "a")
         journal.record(1, "b")
-        with journal.path.open("a") as handle:
-            handle.write('{"shard": 2, "val')  # interrupted mid-write
+        assert sorted(p.name for p in journal.path.iterdir()) == [
+            "shard-0.json",
+            "shard-1.json",
+        ]
+        (journal.path / "shard-2.json").write_text('{"shard": 2, "val')  # torn
         assert self._checkpoint(tmp_path).load() == {0: "a", 1: "b"}
 
     def test_out_of_range_shards_ignored(self, tmp_path):
@@ -586,7 +590,8 @@ class TestCrossProcessResume:
         assert json.dumps(first["answer"], sort_keys=True) == json.dumps(
             second["answer"], sort_keys=True
         )
-        assert len(list(tmp_path.glob("campaign-*.jsonl"))) == 1
+        (journal,) = tmp_path.glob("campaign-*")
+        assert len(list(journal.glob("shard-*.json"))) == 8
 
 
 # ---------------------------------------------------------------------------

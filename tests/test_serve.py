@@ -121,6 +121,14 @@ class TestRouting:
         status, _body = post(server.port, '{"fnord": 1}')
         assert status == 400
 
+    def test_fleet_of_another_size_400(self, server):
+        """Refused at parse; it used to simulate a replica, then answer 422."""
+        row = SimulationQuery(scenario(5, seed=1), replicas=2).to_dict()
+        row["scenario"]["fleet"] = scenario(3).to_dict()["fleet"]
+        status, body = post(server.port, json.dumps([row]))
+        assert status == 400
+        assert "fleet has 3 nodes but spec expects 5" in body["error"]
+
     def test_empty_queries_400(self, server):
         status, body = post(server.port, '{"queries": []}')
         assert status == 400
@@ -587,10 +595,10 @@ class TestRestartResume:
         """Same journal dir across a daemon restart: same bytes out.
 
         Daemon A answers a simulation campaign and journals its shards.
-        The journal is then truncated to a single completed shard — the
-        crash-mid-campaign shape — and daemon B (fresh engine, cold memo)
-        must resume from that prefix and produce the identical answer,
-        which also matches a journal-free run.
+        All but one shard file is then deleted — the crash-mid-campaign
+        shape — and daemon B (fresh engine, cold memo) must resume from
+        the survivor and produce the identical answer, which also matches
+        a journal-free run.
         """
         checkpoint_dir = tmp_path / "journals"
         config = ServiceConfig(
@@ -609,11 +617,11 @@ class TestRestartResume:
         with BackgroundServer(config) as daemon_a:
             status_a, body_a = post(daemon_a.port, payload)
         assert status_a == 200
-        journals = list(checkpoint_dir.glob("campaign-*.jsonl"))
-        assert len(journals) == 1
-        lines = journals[0].read_text().splitlines()
-        assert len(lines) >= 3  # header + at least 48/16 shard rows
-        journals[0].write_text("\n".join(lines[:2]) + "\n")  # crash shape
+        (journal,) = checkpoint_dir.glob("campaign-*")
+        shard_files = sorted(journal.glob("shard-*.json"))
+        assert len(shard_files) == 48 // 16
+        for lost in shard_files[1:]:
+            lost.unlink()  # crash shape
 
         with BackgroundServer(config) as daemon_b:
             status_b, body_b = post(daemon_b.port, payload)

@@ -287,8 +287,10 @@ def test_a_campaign_resumed_in_a_second_interpreter_gives_the_same_bytes(tmp_pat
     assert second["degraded"] == [False] * 4 and second["restored"] == [6] * 4
     resumed = json.dumps(second["answers"], sort_keys=True)
     assert resumed == _answer_bytes(ExecutionPolicy()) and _holds_reference_counts(resumed)
-    for journal in (tmp_path / "journals").glob("campaign-*.jsonl"):
-        assert "reuse" not in journal.read_text(encoding="utf-8")
+    shard_files = list((tmp_path / "journals").glob("campaign-*/shard-*.json"))
+    assert shard_files
+    for shard_file in shard_files:
+        assert "reuse" not in shard_file.read_text(encoding="utf-8")
 
 
 def test_spans_say_what_was_reused_and_the_answer_says_nothing():
