@@ -285,12 +285,9 @@ class CampaignCheckpoint:
             "value": self._encode(value),
         }
         target = self._shard_file(index)
-        try:
-            self.path.mkdir(parents=True)
-        except FileExistsError:
-            pass
-        else:
-            _fsync_dir(self.path.parent)
+        if not self.path.is_dir():
+            self.path.mkdir(parents=True, exist_ok=True)
+            _fsync_dir(self.path.parent)  # the new directory's own entry
         tmp = self.path / f"{target.name}.{os.getpid()}.{threading.get_ident()}.tmp"
         with open(tmp, "wb") as handle:
             handle.write(json.dumps(row).encode("utf-8"))
