@@ -193,7 +193,7 @@ def importance_sample_violation(
     plan = plan_shards(trials, shard_trials)
     rngs = spawn_shard_generators(seed, plan.num_shards)
     if spec.symmetric:
-        verdict_masks(spec)  # warm the per-spec cache outside the pool
+        verdict_masks(spec)  # compute the masks once per grouping key, outside the pool
     payloads = [
         (
             spec,

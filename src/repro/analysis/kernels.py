@@ -7,10 +7,11 @@ flexible estimator APIs in :mod:`repro.analysis` run at NumPy speed:
 
 * **Verdict masks** — for symmetric specs, the ``(n+1) x (n+1)`` boolean
   arrays ``safe[c, b]`` / ``live[c, b]`` over crash/Byzantine count pairs.
-  Computed once per spec (cached via :meth:`ProtocolSpec.verdict_masks`),
-  they turn every counting aggregation into a ``(pmf * mask).sum()``
-  reduction and every symmetric Monte-Carlo tally into a read of a
-  count-pair histogram — predicates run ``O(n^2)`` times per *spec*, not
+  Computed once per spec grouping key and shared by every equal spec
+  (:func:`verdict_masks`, :meth:`ProtocolSpec.verdict_masks`), they turn
+  every counting aggregation into a ``(pmf * mask).sum()`` reduction and
+  every symmetric Monte-Carlo tally into a read of a count-pair
+  histogram — predicates run ``O(n^2)`` times per *grouping key*, not
   per evaluation.
 
 * **Batched joint-count DP** — :func:`joint_count_pmf_batch` runs the
@@ -27,7 +28,8 @@ flexible estimator APIs in :mod:`repro.analysis` run at NumPy speed:
   counting rows are built: the engine's counting groups and
   :func:`counting_reliability_batch` both call it.  It runs one DP per
   unique fleet, chunk by chunk, and reduces each chunk against every spec
-  of the batch; its results equal the scalar
+  of the batch — a single-kind fleet's PMF as the one line of the grid
+  that holds it; its results equal the scalar
   :func:`repro.analysis.counting.counting_reliability` whole.
 
 * **Batched Monte-Carlo** — symmetric specs tally each trial by its
@@ -71,6 +73,7 @@ the scalar, batched, and masked paths on every supported interpreter.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
@@ -79,7 +82,7 @@ import numpy as np
 from repro.analysis.config import FailureConfig, FaultKind
 from repro.analysis.result import Estimate, ReliabilityResult
 from repro.errors import InvalidConfigurationError
-from repro.faults.mixture import Fleet
+from repro.faults.mixture import Fleet, HashedKey
 from repro.runtime import run_supervised
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -134,8 +137,8 @@ class VerdictMasks:
 def compute_verdict_masks(spec: "ProtocolSpec") -> VerdictMasks:
     """Evaluate a symmetric spec's count predicates over every (c, b) pair.
 
-    ``O(n^2)`` predicate calls — done once per spec and cached by
-    :func:`verdict_masks`.
+    ``O(n^2)`` predicate calls — done once per spec grouping key and
+    shared through :func:`verdict_masks`.
     """
     if not spec.symmetric:
         raise InvalidConfigurationError(
@@ -157,17 +160,40 @@ def compute_verdict_masks(spec: "ProtocolSpec") -> VerdictMasks:
     return VerdictMasks(n=n, safe=safe, live=live, both=both, valid=valid)
 
 
-def verdict_masks(spec: "ProtocolSpec") -> VerdictMasks:
-    """Cached accessor for a spec's verdict masks.
+#: Verdict masks by spec grouping key, one table for the process.  Equal
+#: keys promise identical predicates (the engine's memo relies on the same
+#: promise), so every spec instance with a key shares one masks object: a
+#: spec parsed afresh for each daemon request does not re-run the
+#: ``O(n^2)`` predicate loop.  Locked, and bounded like
+#: :mod:`repro.analysis.exact`'s enumeration cache: the oldest entries are
+#: evicted beyond ``_MASKS_MAX_ENTRIES`` entries or ``_MASKS_MAX_CELLS``
+#: count-pair cells in all, and the newest entry is always kept.
+_MASKS: dict[tuple, VerdictMasks] = {}
+_MASKS_LOCK = threading.Lock()
+_MASKS_MAX_ENTRIES = 256
+_MASKS_MAX_CELLS = 1 << 22
 
-    Specs are immutable after construction, so the masks are computed once
-    and stashed on the instance (``_verdict_masks_cache``).
+
+def verdict_masks(spec: "ProtocolSpec") -> VerdictMasks:
+    """A spec's verdict masks, computed once per grouping key.
+
+    Specs are immutable after construction and equal grouping keys evaluate
+    every count pair alike, so two equal specs built separately get the
+    same masks object (see ``_MASKS``).
     """
-    cached = getattr(spec, "_verdict_masks_cache", None)
-    if cached is None:
-        cached = compute_verdict_masks(spec)
-        spec._verdict_masks_cache = cached  # type: ignore[attr-defined]
-    return cached
+    key = spec.grouping_key()
+    with _MASKS_LOCK:
+        masks = _MASKS.get(key)
+    if masks is None:
+        masks = compute_verdict_masks(spec)
+        with _MASKS_LOCK:
+            masks = _MASKS.setdefault(key, masks)
+            while len(_MASKS) > 1 and (
+                len(_MASKS) > _MASKS_MAX_ENTRIES
+                or sum((m.n + 1) ** 2 for m in _MASKS.values()) > _MASKS_MAX_CELLS
+            ):
+                del _MASKS[next(iter(_MASKS))]
+    return masks
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +219,11 @@ def masked_sum_batch(pmfs: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Per-PMF masked sums for a ``(F, ...)`` stack, order-preserving.
 
     Boolean indexing selects each PMF's masked entries in row-major scan
-    order (a count grid, or an exact batch's configuration row) and the
-    cumulative sum accumulates them strictly left to right
-    (``out[i] = out[i-1] + x[i]``), so every row reproduces the exact IEEE
-    addition sequence of :func:`masked_sum` — bit-identical per fleet,
-    one NumPy pass for the whole batch.
+    order (a count grid or one line of it, or an exact batch's
+    configuration row) and the cumulative sum accumulates them strictly
+    left to right (``out[i] = out[i-1] + x[i]``), so every row reproduces
+    the exact IEEE addition sequence of :func:`masked_sum` — bit-identical
+    per fleet, one NumPy pass for the whole batch.
     """
     selected = pmfs[:, mask]
     if selected.shape[1] == 0:
@@ -211,18 +237,6 @@ def reliability_values(pmf: np.ndarray, masks: VerdictMasks) -> tuple[float, flo
         min(masked_sum(pmf, masks.safe), 1.0),
         min(masked_sum(pmf, masks.live), 1.0),
         min(masked_sum(pmf, masks.both), 1.0),
-    )
-
-
-def reliability_values_batch(
-    pmfs: np.ndarray, masks: VerdictMasks
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched :func:`reliability_values`: three clamped vectors over ``F``
-    PMFs, each entry bit-identical to the scalar reduction."""
-    return (
-        np.minimum(masked_sum_batch(pmfs, masks.safe), 1.0),
-        np.minimum(masked_sum_batch(pmfs, masks.live), 1.0),
-        np.minimum(masked_sum_batch(pmfs, masks.both), 1.0),
     )
 
 
@@ -291,12 +305,16 @@ def joint_count_pmf_batch(crash: np.ndarray, byz: np.ndarray) -> np.ndarray:
     out = np.zeros((fleets, n + 1, n + 1))
     if mixed_pmfs is not None:
         out[mixed] = mixed_pmfs
+    # Crash-only and Byzantine-only rows share one 1-D recursion, each over
+    # the kind it carries: the update is elementwise, so a row's entries do
+    # not depend on which rows it is batched with.
     crash_only = ~byz.any(axis=1)
-    byz_only = ~mixed & ~crash_only
-    if crash_only.any():
-        out[crash_only, :, 0] = _count_pmf_1d(crash[crash_only], ok[crash_only])
-    if byz_only.any():
-        out[byz_only, 0, :] = _count_pmf_1d(byz[byz_only], ok[byz_only])
+    one_kind = ~mixed
+    lines = _count_pmf_1d(
+        np.where(crash_only[:, None], crash, byz)[one_kind], ok[one_kind]
+    )
+    out[crash_only, :, 0] = lines[crash_only[one_kind]]
+    out[one_kind & ~crash_only, 0, :] = lines[~crash_only[one_kind]]
     return out
 
 
@@ -306,20 +324,24 @@ def _count_pmf_1d(fail: np.ndarray, ok: np.ndarray) -> np.ndarray:
     The 2-D loop of :func:`_joint_count_pmf_2d` restricted to the one axis
     that carries mass: the same growing window, the same ping-pong
     buffers, the same multiply-by-``ok`` then add-the-shifted-failure step.
+    The buffers are count-major, ``(n+1, F)``, so each step multiplies
+    whole contiguous rows by one node's contiguous column; the result is
+    their transpose (a view).
     """
     fleets, n = fail.shape
-    pmf = np.zeros((fleets, n + 1))
-    pmf[:, 0] = 1.0
-    scratch = np.empty_like(pmf)
+    pmf = np.zeros((n + 1, fleets))
+    pmf[0] = 1.0
+    scratch, shifted = np.empty_like(pmf), np.empty_like(pmf)
+    ok, fail = np.ascontiguousarray(ok.T), np.ascontiguousarray(fail.T)
     for node in range(n):
         k = node + 1  # entries [0, k) may be nonzero pre-update
-        src = pmf[:, :k]
-        dst = scratch[:, : k + 1]
-        dst[:, k] = 0.0
-        np.multiply(src, ok[:, node, None], out=dst[:, :k])
-        dst[:, 1 : k + 1] += src * fail[:, node, None]
+        src = pmf[:k]
+        dst = scratch[: k + 1]
+        dst[k] = 0.0
+        np.multiply(src, ok[node], out=dst[:k])
+        dst[1:] += np.multiply(src, fail[node], out=shifted[:k])
         pmf, scratch = scratch, pmf
-    return pmf
+    return pmf.T
 
 
 def _joint_count_pmf_2d(crash: np.ndarray, byz: np.ndarray, ok: np.ndarray) -> np.ndarray:
@@ -361,74 +383,99 @@ class CountingSweep(NamedTuple):
     fleets_1d: int
 
 
+def _shared_estimates(values: np.ndarray, table: dict[float, Estimate]) -> list[Estimate]:
+    """One exact :class:`Estimate` per value, equal values sharing one frozen
+    object through ``table``: a sweep repeats few values (every Raft row is
+    safe with probability 1.0), and building an Estimate costs far more
+    than finding one."""
+    return [
+        table.get(value) or table.setdefault(value, Estimate(value))
+        for value in values.tolist()
+    ]
+
+
 def counting_sweep(rows: Sequence[tuple["ProtocolSpec", Fleet]]) -> CountingSweep:
     """Counting reliability of same-size ``(spec, fleet)`` rows in one DP sweep.
 
     The DP depends only on the fleet, so each *unique* fleet (by
-    :attr:`~repro.faults.mixture.Fleet.probability_key`) is swept once and
-    its PMF reduced against every spec asking about it: Raft and Ben-Or
-    share crash fleets, PBFT and Byzantine Ben-Or Byzantine ones.  Rows
-    sharing a spec (by grouping key) reduce together through
-    :func:`reliability_values_batch`.  The fleets are swept a chunk of at
-    most ``_BATCH_CHUNK_FLOATS`` PMF entries at a time, each chunk reduced
-    before the next is swept, so peak memory stays near the cap.  Per-row
-    results equal :func:`repro.analysis.counting.counting_reliability`
-    whole — same DP update sequence, same left-to-right masked
-    accumulation, same detail string.  No rows give no results.
+    :attr:`~repro.faults.mixture.Fleet.hashed_key`) is swept once and its
+    PMF reduced against every spec asking about it: Raft and Ben-Or share
+    crash fleets, PBFT and Byzantine Ben-Or Byzantine ones.  Rows sharing
+    a spec (by grouping key) reduce together through
+    :func:`masked_sum_batch`.  A crash-only fleet's PMF lives in column 0
+    of the count grid and a Byzantine-only one's in row 0, so those rows
+    reduce that line against the masks' matching line; the entries this
+    skips are ``+0.0`` terms, and the rest are summed in the same order,
+    so the sums are bit-identical to the whole-grid reduction.  The fleets
+    are swept a chunk of at most ``_BATCH_CHUNK_FLOATS`` PMF entries at a
+    time, each chunk reduced before the next is swept, so peak memory
+    stays near the cap.  Per-row results equal
+    :func:`repro.analysis.counting.counting_reliability` whole — same DP
+    update sequence, same left-to-right masked accumulation, same detail
+    string.  No rows give no results.
     """
     if not rows:
         return CountingSweep([], 0, 0)
-    slots: dict[tuple, int] = {}
+    slots: dict[HashedKey, int] = {}  # fleet key -> position in ``unique``
     unique: list[Fleet] = []
-    specs: dict[tuple, "ProtocolSpec"] = {}
-    members: dict[tuple, list[tuple[int, int]]] = {}  # (row index, fleet slot)
+    # spec grouping key -> (spec, its rows, their fleets' slots)
+    groups: dict[tuple, tuple["ProtocolSpec", list[int], list[int]]] = {}
     for index, (spec, fleet) in enumerate(rows):
-        slot = slots.setdefault(fleet.probability_key, len(unique))
+        slot = slots.setdefault(fleet.hashed_key, len(unique))
         if slot == len(unique):
             unique.append(fleet)
-        key = spec.grouping_key()
-        specs.setdefault(key, spec)
-        members.setdefault(key, []).append((index, slot))
-    for spec in specs.values():
+        group = groups.get(spec.grouping_key())
+        if group is None:
+            group = groups[spec.grouping_key()] = (spec, [], [])
+        group[1].append(index)
+        group[2].append(slot)
+    crash, byz = fleet_probability_matrix(unique)
+    total, n = crash.shape
+    for spec, _, _ in groups.values():
         if not spec.symmetric:
             raise InvalidConfigurationError(
                 f"{spec.name} is not symmetric; the counting estimator does not apply"
             )
-    crash, byz = fleet_probability_matrix(unique)
-    total, n = crash.shape
-    for spec in specs.values():
         if spec.n != n:
             raise InvalidConfigurationError(
                 f"fleets have {n} nodes but spec expects {spec.n}"
             )
+    # Where each unique fleet's PMF lives: 0 column 0 (crash-only or no
+    # mass), 1 row 0 (Byzantine-only), 2 the whole grid (both kinds).
+    support = np.where(byz.any(axis=1), np.where(crash.any(axis=1), 2, 1), 0)
+    line = (np.s_[:, :, 0], np.s_[:, 0, :], np.s_[:])  # per support
+    mask_line = (np.s_[:, 0], np.s_[0, :], np.s_[:])
 
     results: list = [None] * len(rows)
     detail = f"joint count DP over {(n + 1) * (n + 2) // 2} count pairs"
+    estimates: dict[float, Estimate] = {}  # see _shared_estimates
     chunk = max(1, _BATCH_CHUNK_FLOATS // ((n + 1) * (n + 1)))
     for lo in range(0, total, chunk):
         hi = min(lo + chunk, total)
         pmfs = joint_count_pmf_batch(crash[lo:hi], byz[lo:hi])
-        for key, spec in specs.items():
-            selected = [entry for entry in members[key] if lo <= entry[1] < hi]
-            if not selected:
-                continue
-            values = reliability_values_batch(
-                pmfs[[slot - lo for _, slot in selected]], verdict_masks(spec)
+        for spec, indices, fleet_slots in groups.values():
+            masks = verdict_masks(spec)
+            member_slots = np.array(fleet_slots)
+            member_support = np.where(
+                (member_slots >= lo) & (member_slots < hi), support[member_slots], -1
             )
-            for (index, _), p_safe, p_live, p_both in zip(
-                selected, *(vector.tolist() for vector in values)
-            ):
-                results[index] = ReliabilityResult(
-                    spec.name,
-                    n,
-                    Estimate(p_safe),
-                    Estimate(p_live),
-                    Estimate(p_both),
-                    "counting",
-                    detail,
+            for kind in np.unique(member_support[member_support >= 0]).tolist():
+                selected = member_support == kind
+                lines = pmfs[line[kind]][member_slots[selected] - lo]
+                p_safe, p_live, p_both = (
+                    _shared_estimates(
+                        np.minimum(masked_sum_batch(lines, mask[mask_line[kind]]), 1.0),
+                        estimates,
+                    )
+                    for mask in (masks.safe, masks.live, masks.both)
                 )
-    fleets_1d = total - int(np.count_nonzero(mixed_support(crash, byz)))
-    return CountingSweep(results, total, fleets_1d)
+                for index, safe, live, both in zip(
+                    np.array(indices)[selected].tolist(), p_safe, p_live, p_both
+                ):
+                    results[index] = ReliabilityResult(
+                        spec.name, n, safe, live, both, "counting", detail
+                    )
+    return CountingSweep(results, total, int(np.count_nonzero(support < 2)))
 
 
 def counting_reliability_batch(
@@ -848,7 +895,7 @@ def monte_carlo_tally_sharded(
     plan = plan_shards(trials, shard_trials)
     children = spawn_shard_sequences(seed, plan.num_shards)
     if spec.symmetric:
-        verdict_masks(spec)  # warm the per-spec cache once, outside the pool
+        verdict_masks(spec)  # compute the masks once per grouping key, outside the pool
 
     def build(index: int):
         # Thread/serial workers advance the payload generator in place, so a

@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.engine.execution import SERIAL, ExecutionPolicy
 from repro.engine.query import Query, QuerySet, coerce_query
-from repro.engine.registry import BackendFn, EstimatorFn, get_backend, get_estimator
+from repro.engine.registry import BackendFn, EstimatorFn, MemoMisses, get_backend, get_estimator
 from repro.engine.result import Answer, AnswerSet, Provenance
 from repro.engine.scenario import Scenario, ScenarioSet
 from repro.errors import EstimationError
@@ -130,7 +130,8 @@ class ReliabilityEngine:
         }
 
     def cache_lookup(self, key: tuple | None, *, count_miss: bool = True):
-        """The memo probe every row is answered through.
+        """The memo probe of one row (:meth:`run` probes a kind group in
+        one pass under the lock, with the same counting).
 
         Counts exactly one hit or one miss per call and refreshes LRU
         recency on a hit.  An uncacheable row (``key=None``) and a
@@ -216,9 +217,10 @@ class ReliabilityEngine:
         the global registry — which batches internally (shared DP sweeps,
         shared CTMC solves, sharded replica fan-out); computed answers are
         stored and everything is scattered back into submission order.
-        Each submitted row counts exactly one memo hit or one miss: an
-        in-batch duplicate counts one miss (the row that computes) and
-        then hits.
+        Each submitted row counts exactly one memo hit or one miss: of
+        in-batch duplicates the row that computes counts the miss and
+        every later one a hit, even when the first row's answer was not
+        stored (a disabled memo, a degraded answer, an eviction).
 
         ``policy`` (default: the engine's constructor policy, itself
         defaulting to serial) picks the executor the backends fan work
@@ -260,48 +262,64 @@ class ReliabilityEngine:
     ) -> int:
         """The memo path of one kind group; returns how many rows computed.
 
-        Probe, in-batch dedup, one backend call over the distinct misses,
-        store — all in submission order, so hit/miss counts and the LRU's
-        recency order are a pure function of the submission.  A row whose
+        Every row's key is built once.  One pass under the lock probes
+        every row, in submission order, and folds in-batch duplicates onto
+        the first row that asks; one backend call takes the distinct
+        misses; one more pass under the lock stores what came back and
+        refreshes the duplicates' recency — so hit/miss counts and the
+        LRU's order are a pure function of the submission.  A duplicate
+        counts a hit even when its first row was not stored.  A row whose
         key is ``None`` is never shared or stored, and neither is a
         ``degraded`` answer (a later run may complete the campaign).  If
         the backend raises, none of this group's rows is stored.
         """
-        firsts: list[tuple[int, tuple | None]] = []  # per miss: (row, key)
-        slots: dict[tuple, int] = {}  # key -> position in ``firsts``
-        duplicates: list[tuple[int, int, tuple]] = []  # (row, slot, key)
         estimator, shard_trials = self.estimator, policy.shard_trials
-        for index in indices:
-            query = queries[index]
-            key = query.cache_key(estimator, shard_trials)
-            slot = slots.get(key) if key is not None else None
-            if slot is not None:
-                duplicates.append((index, slot, key))
-                continue
-            cached = self.cache_lookup(key)
-            if cached is not None:
-                value, provenance = cached
-                answers[index] = Answer(query, value, provenance)
-                continue
-            if key is not None:
-                slots[key] = len(firsts)
-            firsts.append((index, key))
+        keys = [queries[index].cache_key(estimator, shard_trials) for index in indices]
+        misses, firsts = MemoMisses(), []  # the distinct misses and their rows
+        slots: dict[tuple, int] = {}  # key -> position in ``misses``
+        hits, duplicates = [], []  # (row, stored value), (row, slot)
+        with self._lock:
+            memo = self._memo
+            for index, key in zip(indices, keys):
+                cached = memo.get(key)  # a None key is never stored
+                if cached is not None:
+                    memo.move_to_end(key)
+                    hits.append((index, cached))
+                elif key is not None and slots.setdefault(key, len(firsts)) < len(firsts):
+                    duplicates.append((index, slots[key]))
+                else:
+                    firsts.append(index)
+                    misses.append(queries[index])
+                    misses.keys.append(key)
+            self.cache_hits += len(hits)
+            self.cache_misses += len(firsts)
+        for index, (value, provenance) in hits:
+            answers[index] = Answer(queries[index], value, provenance)
         if not firsts:
             return 0
-        computed = backend(self, [queries[index] for index, _ in firsts], policy)
+        computed = backend(self, misses, policy)
         if len(computed) != len(firsts):
             raise EstimationError(
                 f"backend for {kind!r} returned {len(computed)} answers "
                 f"for {len(firsts)} queries"
             )
-        for (index, key), answer in zip(firsts, computed):
-            answers[index] = answer
-            made = answer.provenance
-            if not made.degraded:
-                hit = _hit_provenance(made.estimator, made.backend)
-                self.cache_store(key, (answer.value, hit))
-        for index, slot, key in duplicates:
-            self.cache_lookup(key)  # the duplicate's memo hit (and recency)
+        hit = None
+        with self._lock:
+            for index, key, answer in zip(firsts, misses.keys, computed):
+                answers[index] = answer
+                made = answer.provenance
+                if key is None or made.degraded or not self._cache_size:
+                    continue
+                if hit is None or hit.estimator != made.estimator or hit.backend != made.backend:
+                    hit = _hit_provenance(made.estimator, made.backend)
+                memo[key] = (answer.value, hit)
+            while len(memo) > self._cache_size:
+                memo.popitem(last=False)
+            for _, slot in duplicates:  # each a hit; recency only if stored
+                if misses.keys[slot] in memo:
+                    memo.move_to_end(misses.keys[slot])
+            self.cache_hits += len(duplicates)
+        for index, slot in duplicates:
             source = computed[slot]
             answers[index] = Answer(
                 queries[index],

@@ -86,44 +86,38 @@ def reliability_backend(
     the worker count or executor mode.
     """
     answers: list[Answer | None] = [None] * len(queries)
-    counting_groups: dict[int, list[_Row]] = {}
-    exact_groups: dict[tuple, list[_Row]] = {}
+    groups: dict[tuple, list[_Row]] = {}  # ("counting", n) or ("exact", spec key)
     singles: list[_Row] = []
-    estimators: dict[str, EstimatorFn] = {}
-    for index, query in enumerate(queries):
+    estimators: dict[str, tuple[EstimatorFn, bool]] = {}  # method -> (fn, stock)
+    keys = getattr(queries, "keys", None) or [None] * len(queries)
+    for index, (query, key) in enumerate(zip(queries, keys)):
         scenario = query.scenario
-        method = scenario.resolved_method()
-        estimator_fn = estimators.get(method)
-        if estimator_fn is None:
-            estimator_fn = estimators[method] = engine.estimator(method)
-        row = _Row(index, query, method, estimator_fn)
+        # A reliability memo key is (spec, fleet, resolved method, ...):
+        # reuse the method the engine's probe resolved for a keyed row.
+        method = key[2] if key is not None else scenario.resolved_method()
+        resolved = estimators.get(method)
+        if resolved is None:
+            fn = engine.estimator(method)
+            resolved = estimators[method] = (fn, is_stock_estimator(method, fn))
+        row = _Row(index, query, method, resolved[0])
         # The shared sweeps only substitute for the *stock* counting and
         # exact estimators; an override takes the per-scenario path.
         # Invalid combinations (asymmetric counting, enumeration over
         # budget) fall through to the scalar estimator so they raise the
         # exact errors it always raised.
-        if not is_stock_estimator(method, estimator_fn):
+        if not resolved[1]:
             singles.append(row)
         elif method == "counting" and scenario.spec.symmetric:
-            counting_groups.setdefault(scenario.fleet.n, []).append(row)
-        elif (
-            method == "exact"
-            and configuration_count(scenario.fleet) <= DEFAULT_MAX_CONFIGS
-        ):
-            exact_groups.setdefault(scenario.spec.grouping_key(), []).append(row)
+            groups.setdefault((method, scenario.fleet.n), []).append(row)
+        elif method == "exact" and configuration_count(scenario.fleet) <= DEFAULT_MAX_CONFIGS:
+            groups.setdefault((method, scenario.spec.grouping_key()), []).append(row)
         else:
             singles.append(row)
-
-    for group in counting_groups.values():
+    for (method, _), group in groups.items():
         if len(group) == 1:
             singles.append(group[0])
         else:
-            _run_counting_group(group, answers)
-    for group in exact_groups.values():
-        if len(group) == 1:
-            singles.append(group[0])
-        else:
-            _run_exact_group(group, answers)
+            _run_group(method, group, answers)
     _run_singles(singles, answers, policy)
     return answers  # type: ignore[return-value]
 
@@ -226,46 +220,33 @@ def _run_singles(
         )
 
 
-def _run_counting_group(group: Sequence[_Row], answers: list[Answer | None]) -> None:
-    """One :func:`~repro.analysis.kernels.counting_sweep` for same-size
-    counting scenarios.
+def _run_group(method: str, group: Sequence[_Row], answers: list[Answer | None]) -> None:
+    """One shared kernel call for a batched group; each row's result equals
+    its scalar estimator's whole.
 
-    The sweep runs one DP per unique fleet and reduces it against every
-    spec of the group; per-scenario results equal scalar
-    :func:`~repro.analysis.counting.counting_reliability` whole.
-    """
-    from repro.analysis.kernels import counting_sweep
-
-    # One span per shared DP sweep: how many scenarios amortised how many
-    # unique-fleet DPs, and what the batch cost.
-    with current_tracer().span(
-        "engine.counting_group",
-        n=group[0].query.scenario.fleet.n,
-        batch_size=len(group),
-    ) as span:
-        sweep = counting_sweep(
-            [(row.query.scenario.spec, row.query.scenario.fleet) for row in group]
-        )
-        span.set("fleets", sweep.fleets)
-        span.set("fleets_1d", sweep.fleets_1d)
-    provenance = _provenance("counting", batched=True, batch_size=len(group))
-    for row, result in zip(group, sweep.results):
-        answers[row.index] = Answer(row.query, result, provenance)
-
-
-def _run_exact_group(group: Sequence[_Row], answers: list[Answer | None]) -> None:
-    """One :func:`~repro.analysis.exact.exact_reliability_batch` call for
-    enumeration scenarios sharing a spec (by grouping key).
-
-    The batch shares each support pattern's configuration matrix and
-    verdicts across the group's fleets; per-scenario values are
-    bit-identical to scalar :func:`~repro.analysis.exact.exact_reliability`.
+    A counting group (one fleet size) is one
+    :func:`~repro.analysis.kernels.counting_sweep`: one DP per unique fleet,
+    reduced against every spec of the group.  An exact group (one spec, by
+    grouping key) is one :func:`~repro.analysis.exact.exact_reliability_batch`
+    call, which shares each support pattern's configuration matrix and
+    verdicts across the group's fleets.
     """
     from repro.analysis.exact import exact_reliability_batch
+    from repro.analysis.kernels import counting_sweep
 
-    results = exact_reliability_batch(
-        group[0].query.scenario.spec, [row.query.scenario.fleet for row in group]
-    )
-    provenance = _provenance("exact", batched=True, batch_size=len(group))
+    scenarios = [row.query.scenario for row in group]
+    if method == "exact":
+        results = exact_reliability_batch(scenarios[0].spec, [s.fleet for s in scenarios])
+    else:
+        # One span per shared DP sweep: how many scenarios amortised how
+        # many unique-fleet DPs, and what the batch cost.
+        with current_tracer().span(
+            "engine.counting_group", n=scenarios[0].fleet.n, batch_size=len(group)
+        ) as span:
+            sweep = counting_sweep([(s.spec, s.fleet) for s in scenarios])
+            span.set("fleets", sweep.fleets)
+            span.set("fleets_1d", sweep.fleets_1d)
+        results = sweep.results
+    provenance = _provenance(method, batched=True, batch_size=len(group))
     for row, result in zip(group, results):
         answers[row.index] = Answer(row.query, result, provenance)

@@ -53,6 +53,21 @@ EstimatorFn = Callable[[Scenario], ReliabilityResult]
 #: :class:`~repro.engine.result.Answer` per query, in order.
 BackendFn = Callable[..., "Sequence[Answer]"]
 
+
+class MemoMisses(list):
+    """The ``queries`` a backend is handed: the distinct rows of its kind
+    that missed the memo, in submission order.  :attr:`keys` holds each
+    row's memo key as the engine's probe built it (``None`` for a row that
+    is never stored), so a backend can read what a key already says
+    instead of rebuilding it; a backend that does not sees a plain list."""
+
+    __slots__ = ("keys",)
+
+    def __init__(self):
+        super().__init__()
+        self.keys: list[tuple | None] = []
+
+
 _ESTIMATORS: Dict[str, EstimatorFn] = {}
 
 #: ``Query.kind`` → (query class, backend): the one place a kind is wired.
@@ -68,7 +83,8 @@ def register_backend(query_cls: Type[Query]) -> Callable[[BackendFn], BackendFn]
     ``fn(engine, queries, policy)`` receives the submitting
     :class:`~repro.engine.ReliabilityEngine` (for its ``estimator()``
     resolver), the *distinct* queries of its kind from one ``run`` call
-    that missed the memo, in submission order, and the active
+    that missed the memo, in submission order (a :class:`MemoMisses`,
+    which carries their keys), and the active
     :class:`~repro.engine.ExecutionPolicy`; it must return one
     :class:`~repro.engine.result.Answer` per query, in order.  Backends
     compute, the engine remembers: the engine probes, deduplicates and
@@ -247,6 +263,7 @@ def is_stock_estimator(method: str, fn: EstimatorFn) -> bool:
 __all__ = [
     "EstimatorFn",
     "BackendFn",
+    "MemoMisses",
     "register_estimator",
     "get_estimator",
     "registered_estimators",

@@ -35,7 +35,13 @@ from repro._rng import SeedLike
 from repro.analysis.config import FaultKind
 from repro.errors import InvalidConfigurationError
 from repro.faults.correlation import CorrelationModel
-from repro.faults.mixture import Fleet, NodeModel, byzantine_fleet, uniform_fleet
+from repro.faults.mixture import (
+    Fleet,
+    HashedKey,
+    NodeModel,
+    byzantine_fleet,
+    uniform_fleet,
+)
 from repro.protocols.base import ProtocolSpec
 from repro.protocols.benor import BenOrSpec, ByzantineBenOrSpec
 from repro.protocols.pbft import PBFTSpec
@@ -276,16 +282,18 @@ class Scenario:
             return "exact"
         return "monte-carlo"
 
-    def fleet_key(self) -> tuple:
+    def fleet_key(self) -> HashedKey:
         """Hashable identity of the fleet's failure probabilities.
 
-        A tuple of primitive ``(p_crash, p_byzantine)`` pairs: node labels
-        and costs do not participate (they never influence estimator
-        output), and primitive tuples hash at C speed — this key sits on
-        the engine's per-scenario hot path, so the fleet builds it once
-        (:attr:`Fleet.probability_key <repro.faults.mixture.Fleet.probability_key>`).
+        The primitive ``(p_crash, p_byzantine)`` pairs: node labels and
+        costs do not participate (they never influence estimator output).
+        This key sits on the engine's per-row hot path — every row's memo
+        key holds it, and a row takes several dict operations — so the
+        fleet builds it once and hashes it once
+        (:attr:`Fleet.hashed_key <repro.faults.mixture.Fleet.hashed_key>`,
+        equal to the plain tuple of pairs).
         """
-        return self.fleet.probability_key
+        return self.fleet.hashed_key
 
     def cache_key(self, resolved_method: str) -> tuple | None:
         """Memo-cache key, or ``None`` when the outcome is not reusable.
@@ -300,7 +308,9 @@ class Scenario:
         :meth:`ReliabilityQuery.cache_key
         <repro.engine.query.ReliabilityQuery.cache_key>` appends only what
         the engine side owns — the resolved estimator function and, for
-        seeded sampling, the policy's ``shard_trials``.
+        seeded sampling, the policy's ``shard_trials``.  Its third element
+        is ``resolved_method``, which the planner reads back rather than
+        resolving the method a second time.
         """
         if self.correlation is not None:
             return None

@@ -109,6 +109,38 @@ class NodeModel:
         )
 
 
+class HashedKey:
+    """A tuple of hashables as a dict key whose hash is computed once.
+
+    Equal to, and hashing the same as, the plain tuple it wraps
+    (:attr:`items`), so a dict entry stored under either is found by
+    the other.  A dict operation on a plain tuple rehashes every element;
+    on this key it reads one stored integer.  Slotted, so a key costs two
+    pointers and its hash, not a ``__dict__``.
+    """
+
+    __slots__ = ("items", "_hash")
+
+    def __init__(self, items: tuple):
+        self.items = items
+        self._hash = hash(items)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if type(other) is HashedKey:
+            return other is self or (
+                self._hash == other._hash and self.items == other.items
+            )
+        if isinstance(other, tuple):
+            return self.items == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"HashedKey({self.items!r})"
+
+
 @dataclass(frozen=True)
 class Fleet:
     """An ordered deployment of nodes, indexed 0..n-1.
@@ -162,6 +194,17 @@ class Fleet:
         return tuple(key)
 
     @cached_property
+    def hashed_key(self) -> HashedKey:
+        """:attr:`probability_key` with its hash computed once per fleet.
+
+        The fleet's part of every memo key and the counting sweep's fleet
+        index: equal to, and hashing the same as, the plain tuple of
+        pairs.  Cached like :attr:`probability_key`, and like it kept out
+        of equality, hashing and the pickled state.
+        """
+        return HashedKey(self.probability_key)
+
+    @cached_property
     def probability_array(self) -> np.ndarray:
         """:attr:`probability_key` as a read-only ``(n, 2)`` float array:
         column 0 is ``p_crash``, column 1 ``p_byzantine``.
@@ -176,8 +219,8 @@ class Fleet:
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state.pop("probability_key", None)
-        state.pop("probability_array", None)
+        for name in ("probability_key", "hashed_key", "probability_array"):
+            state.pop(name, None)
         return state
 
     @property

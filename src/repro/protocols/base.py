@@ -121,11 +121,11 @@ class ProtocolSpec(ABC):
         """Cached ``(n+1) x (n+1)`` safe/live truth tables over count pairs.
 
         The hook the vectorized kernels build on: predicates are evaluated
-        once per spec instance and every estimator afterwards reduces
-        against the boolean arrays.  Specs are immutable after
-        construction, so the cache never invalidates.  Symmetric specs
-        only; raises :class:`~repro.errors.InvalidConfigurationError`
-        otherwise.
+        once per :meth:`grouping_key` — equal specs built separately share
+        one masks object — and every estimator afterwards reduces against
+        the boolean arrays.  Specs are immutable after construction, so
+        the cache never invalidates.  Symmetric specs only; raises
+        :class:`~repro.errors.InvalidConfigurationError` otherwise.
         """
         from repro.analysis.kernels import verdict_masks
 

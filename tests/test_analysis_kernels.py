@@ -221,6 +221,42 @@ class TestVerdictMasks:
         assert verdict_masks(spec) is verdict_masks(spec)
         assert spec.verdict_masks() is verdict_masks(spec)
 
+    def test_equal_specs_built_separately_share_one_masks_object(self):
+        # A daemon parses a fresh spec for every request: the predicate
+        # loop must not run again for an equal one.
+        first, again = RaftSpec(9), RaftSpec(9)
+        assert first is not again
+        assert verdict_masks(again) is verdict_masks(first)
+        assert again.verdict_masks() is first.verdict_masks()
+        assert PBFTSpec(7).verdict_masks() is PBFTSpec(7).verdict_masks()
+        assert verdict_masks(RaftSpec(9, q_per=4, q_vc=6)) is not verdict_masks(first)
+
+    def test_spec_with_an_unhashable_attribute_keys_its_masks_by_identity(self):
+        class TaggedRaft(RaftSpec):
+            def __init__(self, n, tags):
+                super().__init__(n)
+                self.tags = list(tags)  # unhashable: an identity key
+
+        tagged, twin = TaggedRaft(5, ["a"]), TaggedRaft(5, ["a"])
+        masks = verdict_masks(tagged)
+        assert verdict_masks(tagged) is masks
+        assert verdict_masks(twin) is not masks
+        plain = verdict_masks(RaftSpec(5))
+        for name in ("safe", "live", "both", "valid"):
+            assert np.array_equal(getattr(masks, name), getattr(plain, name))
+
+    def test_masks_table_is_bounded_and_keeps_the_newest(self):
+        with mock.patch.dict(kernels._MASKS, clear=True), mock.patch.object(
+            kernels, "_MASKS_MAX_ENTRIES", 2
+        ):
+            specs = [RaftSpec(n) for n in (3, 5, 7)]
+            for spec in specs:
+                verdict_masks(spec)
+            assert list(kernels._MASKS) == [s.grouping_key() for s in specs[1:]]
+            with mock.patch.object(kernels, "_MASKS_MAX_CELLS", 10):
+                verdict_masks(RaftSpec(11))  # 144 cells: kept alone
+            assert list(kernels._MASKS) == [RaftSpec(11).grouping_key()]
+
     def test_masks_rejected_for_asymmetric_spec(self):
         spec, _ = _asymmetric_pair()
         with pytest.raises(InvalidConfigurationError):

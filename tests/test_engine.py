@@ -9,11 +9,15 @@ bit-identical to calling the scalar estimators directly.
 from __future__ import annotations
 
 import json
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.config import FaultKind
 from repro.analysis.counting import counting_reliability
@@ -439,6 +443,55 @@ class TestMemoSeam:
         assert not engine.run_query(scenario).provenance.cache_hit
         assert [len(batch) for batch in batches] == [1, 1]
 
+    def test_duplicate_counts_a_hit_when_its_first_row_is_not_stored(self):
+        scenario = Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, 0.01))
+        disabled = ReliabilityEngine(cache_size=0)
+        answers = disabled.run([scenario, scenario])
+        assert [a.provenance.cache_hit for a in answers] == [False, True]
+        assert (disabled.cache_hits, disabled.cache_misses) == (1, 1)
+        # The batch itself evicts the first row before its duplicate.
+        a, b, c = (
+            Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, p)) for p in (0.01, 0.02, 0.03)
+        )
+        small = ReliabilityEngine(cache_size=2)
+        answers = small.run([a, b, c, a])
+        assert [x.provenance.cache_hit for x in answers] == [False, False, False, True]
+        assert (small.cache_hits, small.cache_misses) == (1, 3)
+        assert list(small._memo) == [
+            x.cache_key("counting") + (get_estimator("counting"),) for x in (b, c)
+        ]
+        # A degraded first row is never stored; its duplicate still hits.
+        engine = ReliabilityEngine()
+        _recording(engine, "test-echo", degraded={0})
+        query = _EchoQuery(a)
+        answers = engine.run([query, query])
+        assert [x.provenance.cache_hit for x in answers] == [False, True]
+        assert (engine.cache_hits, engine.cache_misses) == (1, 1)
+        assert engine.cache_info()["size"] == 0
+
+    def test_one_run_probes_and_stores_under_one_lock_each(self):
+        class CountingLock:
+            def __init__(self):
+                self.inner, self.acquired = threading.RLock(), 0
+
+            def __enter__(self):
+                self.acquired += 1
+                return self.inner.__enter__()
+
+            def __exit__(self, *exc):
+                return self.inner.__exit__(*exc)
+
+        engine = ReliabilityEngine()
+        engine._lock = lock = CountingLock()
+        rows = [
+            Scenario(spec=spec, fleet=uniform_fleet(5, p))
+            for spec in (RaftSpec(5), BenOrSpec(5))
+            for p in (0.01, 0.02, 0.03)
+        ]
+        engine.run(rows + rows[:2])
+        assert lock.acquired == 2
+        assert (engine.cache_hits, engine.cache_misses) == (2, 6)
+
     def test_backend_override_drops_what_the_old_backend_answered(self):
         engine = ReliabilityEngine()
         scenario = Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, 0.01))
@@ -447,6 +500,87 @@ class TestMemoSeam:
         replaced = engine.run_query(scenario)
         assert not replaced.provenance.cache_hit
         assert replaced.value != builtin.value
+
+
+@dataclass(frozen=True)
+class _UnkeyedEcho(_EchoQuery):
+    """A row of the echo kind whose answer is never reusable."""
+
+    def cache_key(self, estimator, shard_trials):
+        return None
+
+
+def _memo_reference(cache_size, runs, degraded_calls):
+    """The documented memo contract replayed on plain keys.
+
+    Per run, each row in submission order is a memo hit (recency
+    refreshed), a duplicate of an earlier miss of the same run, or a miss.
+    One backend call takes the misses; their answers are stored, oldest
+    evicted past ``cache_size``, unless the key is ``None`` or the call
+    was degraded.  Then every duplicate counts a hit and refreshes its
+    recency if its key is stored.  Returns hits, misses, the memo's key
+    order and each run's per-row ``cache_hit`` flags.
+    """
+    memo, hits, misses, calls, flags = OrderedDict(), 0, 0, 0, []
+    for keys in runs:
+        firsts, duplicates, run_flags = [], [], []
+        for key in keys:
+            if key is not None and key in memo:
+                memo.move_to_end(key)
+                hits += 1
+            elif key is not None and key in firsts:
+                duplicates.append(key)
+            else:
+                firsts.append(key)
+                misses += 1
+                run_flags.append(False)
+                continue
+            run_flags.append(True)
+        flags.append(run_flags)
+        if firsts:
+            stored = calls not in degraded_calls and cache_size > 0
+            calls += 1
+            for key in firsts:
+                if key is not None and stored:
+                    memo[key] = True
+                    while len(memo) > cache_size:
+                        memo.popitem(last=False)
+        for key in duplicates:
+            hits += 1
+            if key in memo:
+                memo.move_to_end(key)
+    return hits, misses, list(memo), flags
+
+
+class TestMemoContract:
+    """One property over random batches: counts, LRU order and per-row
+    ``cache_hit`` equal a small model of the documented contract."""
+
+    POOL = [
+        _EchoQuery(Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, p)), factor=factor)
+        for p in (0.01, 0.02)
+        for factor in (1, 2)
+    ] + [_UnkeyedEcho(Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, 0.01)))]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        cache_size=st.sampled_from([0, 1, 2, 1024]),
+        runs=st.lists(
+            st.lists(st.integers(0, len(POOL) - 1), max_size=8), min_size=1, max_size=4
+        ),
+        degraded=st.sets(st.integers(0, 3)),
+    )
+    def test_memo_matches_the_reference_model(self, cache_size, runs, degraded):
+        engine = ReliabilityEngine(cache_size=cache_size)
+        _recording(engine, "test-echo", degraded=degraded)
+        flags = []
+        for rows in runs:
+            answers = engine.run([self.POOL[i] for i in rows])
+            flags.append([answer.provenance.cache_hit for answer in answers])
+        keys = [[self.POOL[i].cache_key(None, None) for i in rows] for rows in runs]
+        expected = _memo_reference(cache_size, keys, degraded)
+        assert (engine.cache_hits, engine.cache_misses, list(engine._memo), flags) == expected
+        assert engine.cache_hits + engine.cache_misses == sum(map(len, runs))
 
 
 class TestRecall:

@@ -11,6 +11,7 @@ from repro.errors import InvalidConfigurationError, InvalidProbabilityError
 from repro.faults.curves import ConstantHazard
 from repro.faults.mixture import (
     Fleet,
+    HashedKey,
     NodeModel,
     byzantine_fleet,
     fleet_from_curves,
@@ -179,3 +180,53 @@ class TestProbabilityKey:
         assert pickle.dumps(fleet) == before
         assert fleet == twin and hash(fleet) == hash(twin)
         assert np.array_equal(pickle.loads(before).probability_array, fleet.probability_array)
+
+
+class _CountedFloat(float):
+    """A probability that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self) -> int:
+        _CountedFloat.hashes += 1
+        return float.__hash__(self)
+
+
+class TestHashedKey:
+    def test_equal_to_the_plain_pairs_and_hashes_alike(self):
+        fleet = heterogeneous_fleet([(2, NodeModel(0.01)), (1, NodeModel(0.02, 0.01))])
+        key, plain = fleet.hashed_key, fleet.probability_key
+        assert isinstance(key, HashedKey) and key.items is plain
+        assert key == plain and plain == key and not key != plain
+        assert hash(key) == hash(plain)
+        # Either form finds an entry stored under the other.
+        assert {plain: "stored"}[key] == "stored"
+        assert {key: "stored"}[plain] == "stored"
+        assert {("spec", plain): 1}[("spec", key)] == 1
+        twin = heterogeneous_fleet([(2, NodeModel(0.01)), (1, NodeModel(0.02, 0.01))])
+        assert twin.hashed_key == key and twin.hashed_key is not key
+        assert uniform_fleet(3, 0.01).hashed_key != key
+        assert key != "not a key" and key != list(plain)
+
+    def test_the_pairs_are_hashed_once_per_fleet(self):
+        fleet = Fleet((NodeModel(_CountedFloat(0.05)),) * 4)
+        _CountedFloat.hashes = 0
+        key = fleet.hashed_key
+        once = _CountedFloat.hashes
+        assert once > 0
+        memo = {("spec", key, "counting"): 1}
+        for _ in range(5):
+            assert fleet.hashed_key is key
+            assert memo[("spec", fleet.hashed_key, "counting")] == 1
+            memo.setdefault(("spec", key, "exact"), 2)
+            hash(key)
+        assert _CountedFloat.hashes == once
+
+    def test_a_pickled_fleet_drops_the_key_and_builds_it_again(self):
+        fleet = uniform_fleet(5, 0.03, byzantine_fraction=0.5)
+        before = pickle.dumps(fleet)
+        key = fleet.hashed_key
+        assert pickle.dumps(fleet) == before
+        assert "hashed_key" not in pickle.loads(pickle.dumps(fleet)).__dict__
+        restored = pickle.loads(before)
+        assert restored.hashed_key == key and hash(restored.hashed_key) == hash(key)
