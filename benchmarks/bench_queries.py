@@ -156,19 +156,25 @@ def _legacy_campaign() -> tuple[int, int]:
     """The pre-query idiom: a hand-rolled per-replica loop (one shared
     spawned-stream family, same as the backend, so counts line up)."""
     from repro.analysis.kernels import spawn_shard_generators
-    from repro.analysis.montecarlo import sample_configuration
-    from repro.sim import Cluster, audit_run, plan_from_config
+    from repro.injection import compile_faults
+    from repro.sim import Cluster, audit_run
     from repro.sim.raft import raft_node_factory
 
     query = _campaign_query()
     scenario = query.scenario
     unsafe = stalled = 0
     for rng in spawn_shard_generators(scenario.seed, query.replicas):
-        config = sample_configuration(scenario.fleet, rng)
+        # The window outcome is drawn from the fleet, then the crash times.
+        compiled = compile_faults(
+            None,
+            fleet=scenario.fleet,
+            duration=query.duration,
+            crash_window=query.crash_window,
+            rng=rng,
+        )
+        config = compiled.config
         cluster = Cluster(scenario.fleet.n, raft_node_factory(), seed=rng)
-        plan_from_config(
-            config, duration=query.duration, crash_window=query.crash_window, seed=rng
-        ).apply(cluster)
+        compiled.apply(cluster)
         cluster.start()
         commands = [f"cmd-{i}" for i in range(query.commands)]
         at = 1.0

@@ -9,12 +9,15 @@ runs under seeded fault injection and check that the trace-level verdicts
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.analysis.config import FailureConfig
+from repro.analysis.config import FailureConfig, FaultKind
+from repro.faults.mixture import Fleet, NodeModel
+from repro.injection import compile_faults
 from repro.protocols.pbft import PBFTSpec
 from repro.protocols.raft import RaftSpec
-from repro.sim import Cluster, plan_from_config
+from repro.sim import Cluster
 from repro.sim.checker import audit_run
 from repro.sim.pbft import (
     DoubleVoter,
@@ -28,9 +31,17 @@ from repro.sim.raft import raft_node_factory
 from conftest import print_table
 
 
+def _apply_config(config: FailureConfig, cluster: Cluster, seed: int) -> None:
+    """A fleet failing with probability 0 or 1 samples exactly ``config``."""
+    crash, byzantine = FaultKind.CRASH, FaultKind.BYZANTINE
+    fleet = Fleet(tuple(NodeModel(float(k is crash), float(k is byzantine)) for k in config.kinds))
+    compile_faults(None, fleet=fleet, duration=12.0, crash_window=(0.0, 0.4),
+                   rng=np.random.default_rng(seed)).apply(cluster)
+
+
 def _run_raft(config: FailureConfig, seed: int) -> tuple[bool, bool]:
     cluster = Cluster(config.n, raft_node_factory(), seed=seed)
-    plan_from_config(config, duration=12.0, crash_window=(0.0, 0.4), seed=seed).apply(cluster)
+    _apply_config(config, cluster, seed)
     cluster.start()
     commands = [f"v{i}" for i in range(4)]
     at = 1.0

@@ -347,11 +347,11 @@ def _campaign_checkpoint(policy: "ExecutionPolicy", query: SimulationQuery, shar
     """The campaign's checkpoint journal, or ``None`` when not resumable.
 
     A journal must be found again by a *later process*, so it is named by
-    a digest of the query's canonical JSON form — the string the daemon
-    single-flights on — never by the memo key, whose resolved behaviour
-    functions ``repr`` to a memory address.  Resuming therefore needs a
-    policy ``checkpoint_dir``, a repeatable campaign (int seed) and a
-    serializable one: correlation models are process-local objects.
+    a digest of the query's canonical JSON form, never by the memo key,
+    whose resolved behaviour functions ``repr`` to a memory address.
+    Resuming therefore needs a policy ``checkpoint_dir``, a repeatable
+    campaign (int seed) and a serializable one: correlation models are
+    process-local objects.
     """
     if (
         policy.checkpoint_dir is None

@@ -123,9 +123,9 @@ def canonical_query_key(query: Query) -> str:
     and :func:`repro._codec.decode_fields` reads each back by its
     declared type.  Unlike the in-process memo keys of
     :meth:`Query.cache_key` — which carry resolved function objects so
-    that re-registration invalidates them — this string means the same
-    thing in every interpreter: the daemon single-flights on it and
-    campaign checkpoint journals are named by its digest
+    that re-registration invalidates them, and on which the daemon
+    single-flights — this string means the same thing in every
+    interpreter: campaign checkpoint journals are named by its digest
     (``tests/test_codec.py`` pins it for every kind).
     """
     return json.dumps(query.to_dict(), sort_keys=True, default=repr)

@@ -412,6 +412,7 @@ class ScenarioSet:
         scenarios = []
         sizes = tuple(sizes)
         probabilities = tuple(probabilities)
+        mixed = 0.0 if byzantine_fraction is None else byzantine_fraction
         codecs = []
         for name in protocols:
             codec = _SPEC_CODECS.get(name)
@@ -423,18 +424,18 @@ class ScenarioSet:
         for n in sizes:
             specs = [(name, codec.build(n)) for name, codec in codecs]
             for p in probabilities:
-                shared = (
-                    uniform_fleet(n, p, byzantine_fraction=byzantine_fraction)
-                    if byzantine_fraction is not None
-                    else None
-                )
+                # One fleet object per distinct fleet of the cell, shared by
+                # its specs: equal keys then match by identity downstream.
+                fleets: dict[bool, Fleet] = {}
                 for name, spec in specs:
-                    if shared is not None:
-                        fleet = shared
-                    elif isinstance(spec, PBFTSpec):
-                        fleet = byzantine_fleet(n, p)
-                    else:
-                        fleet = uniform_fleet(n, p)
+                    pbft = byzantine_fraction is None and isinstance(spec, PBFTSpec)
+                    fleet = fleets.get(pbft)
+                    if fleet is None:
+                        fleet = fleets[pbft] = (
+                            byzantine_fleet(n, p)
+                            if pbft
+                            else uniform_fleet(n, p, byzantine_fraction=mixed)
+                        )
                     scenarios.append(
                         Scenario(
                             spec=spec,

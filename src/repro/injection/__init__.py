@@ -9,8 +9,10 @@ This package packages that universe as one pluggable subsystem:
   :class:`FaultEvent` rows (:class:`CrashStop`, :class:`PartitionEvent`,
   :class:`LossBurst`, :class:`DelayBurst`, :class:`CorrelatedBurst`) plus
   an :class:`Adversary` mix for Byzantine outcomes;
+  :func:`plan_from_curves` builds one from per-node fault curves;
 * :func:`compile_faults` — per-replica compilation from
-  ``SeedSequence.spawn`` streams (campaign answers stay jobs-invariant);
+  ``SeedSequence.spawn`` streams (campaign answers stay jobs-invariant)
+  into :class:`CompiledFaults`, the one schedule a cluster applies;
 * :func:`run_replica` — the full compile → inject → execute → audit
   pipeline the engine's simulation backend fans across workers;
 * :func:`register_behaviour` — the registry resolving behaviour names
@@ -47,6 +49,7 @@ from repro.injection.plan import (
     LossBurst,
     PartitionEvent,
     fault_event_from_dict,
+    plan_from_curves,
     register_fault_event,
     registered_fault_events,
 )
@@ -61,6 +64,7 @@ __all__ = [
     "CorrelatedBurst",
     "Adversary",
     "DEFAULT_PLAN",
+    "plan_from_curves",
     "register_fault_event",
     "registered_fault_events",
     "fault_event_from_dict",

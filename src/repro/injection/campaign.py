@@ -40,7 +40,12 @@ import numpy as np
 from repro.analysis.config import FailureConfig, FaultKind
 from repro.errors import InvalidConfigurationError
 from repro.injection.behaviours import behaviour_factory
-from repro.injection.plan import DEFAULT_ADVERSARY, DEFAULT_PLAN, FaultPlan
+from repro.injection.plan import (
+    DEFAULT_ADVERSARY,
+    DEFAULT_PLAN,
+    FaultPlan,
+    draw_repair_time,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.correlation import CorrelationModel
@@ -77,7 +82,7 @@ class FaultSchedule:
     partition_windows: list[tuple[float, float]] = field(default_factory=list)
 
     def crash(self, node: int, at: float, *, recover_at: float | None = None) -> None:
-        # Crashing exactly at t=0 races node start (see plan_from_curves).
+        # Crashing exactly at t=0 races node start.
         at = max(float(at), 1e-9)
         recover = None if recover_at is None else float(recover_at)
         self.intervals.setdefault(node, []).append((at, recover))
@@ -174,9 +179,9 @@ class CompiledFaults:
     def apply(self, cluster: "Cluster") -> None:
         """Schedule the compiled outages on a cluster.
 
-        Crashes first, then recoveries, node-major — the same application
-        pattern as :meth:`repro.sim.failures.InjectionPlan.apply`, so the
-        default plan schedules its events in the historical order.
+        Crashes first, then recoveries, node-major — the order the
+        pre-fault-plan injector applied them in, so the default plan
+        schedules its events in the historical order.
         """
         for node, crash_time, _ in self.outages:
             cluster.crash_at(node, crash_time)
@@ -235,8 +240,10 @@ def compile_faults(
     rng: np.random.Generator,
 ) -> CompiledFaults:
     """Compile ``plan`` for one replica, drawing from its private stream."""
-    from repro.sim.failures import plan_from_config
-
+    if duration <= 0:
+        raise InvalidConfigurationError("duration must be positive")
+    if not 0.0 <= crash_window[0] < crash_window[1] <= duration:
+        raise InvalidConfigurationError(f"invalid crash window {crash_window}")
     if plan is None:
         plan = DEFAULT_PLAN
     n = fleet.n
@@ -256,17 +263,17 @@ def compile_faults(
             if config[node] is not FaultKind.BYZANTINE:
                 config = config.with_kind(node, FaultKind.BYZANTINE)
 
-    # 3. Sampled crash-stop (or crash-recovery) schedule.
-    injection = plan_from_config(
-        config,
-        duration=duration,
-        crash_window=crash_window,
-        mean_time_to_repair=plan.mean_time_to_repair,
-        seed=rng,
-    )
+    # 3. Sampled crash-stop (or crash-recovery) schedule: per CRASH node,
+    #    in index order, one crash-time uniform, then its repair draw.
     schedule = FaultSchedule(n=n, duration=duration)
-    for node, at in injection.crash_times.items():
-        schedule.crash(node, at, recover_at=injection.recovery_times.get(node))
+    mttr = plan.mean_time_to_repair
+    for node, kind in enumerate(config.kinds):
+        if kind is FaultKind.CRASH:
+            at = float(rng.uniform(*crash_window))
+            recover = (
+                None if mttr is None else draw_repair_time(at, mttr, duration, rng)
+            )
+            schedule.crash(node, at, recover_at=recover)
 
     # 4. Plan events, in declaration order.
     for event in plan.events:

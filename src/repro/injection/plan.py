@@ -1,13 +1,14 @@
 """Declarative fault plans: typed events + adversary mix, JSON-embeddable.
 
-The simulator's historical injector (:mod:`repro.sim.failures`) answered
-one question shape — window-sampled fail-stops.  A :class:`FaultPlan` is
-the declarative superset: an ordered tuple of typed :class:`FaultEvent`
-rows (crash-stop, crash-recovery, partition/heal, delay/loss bursts,
-correlated bursts) plus an :class:`Adversary` section mapping Byzantine
-outcomes to registered misbehaviour classes.  Plans are frozen values
-with dict/JSON codecs, so they embed directly in scenario/query files and
-hash into the engine's campaign cache keys.
+A :class:`FaultPlan` is the one way faults reach a simulated cluster:
+the per-replica window draw (sampled fail-stops, optionally repaired),
+then an ordered tuple of typed :class:`FaultEvent` rows (crash-stop,
+crash-recovery, partition/heal, delay/loss bursts, correlated bursts)
+plus an :class:`Adversary` section mapping Byzantine outcomes to
+registered misbehaviour classes.  Plans are frozen values with dict/JSON
+codecs, so they embed directly in scenario/query files and hash into the
+engine's campaign cache keys; :func:`plan_from_curves` builds one from
+per-node fault curves.
 
 Plans are *specifications*, not schedules: anything stochastic (sampled
 window outcomes, MTTR repair delays, burst lethality) is drawn at
@@ -20,10 +21,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import ClassVar, Mapping, Type
+from typing import TYPE_CHECKING, ClassVar, Mapping, Sequence, Type
 
 from repro._codec import decode_fields, encode_fields, require_mapping
+from repro._rng import SeedLike, as_generator
 from repro.errors import InvalidConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
+    from repro.faults.curves import FaultCurve
 
 
 def _freeze(value):
@@ -119,6 +126,23 @@ def _check_time(name: str, value: float, duration: float) -> None:
         )
 
 
+def draw_repair_time(
+    crash_time: float,
+    mean_time_to_repair: float,
+    duration: float,
+    rng: "np.random.Generator",
+) -> float | None:
+    """One exponential repair draw, or ``None`` when it lands past the run.
+
+    The single definition of the crash-recovery draw shared by the
+    sampled schedule of :func:`repro.injection.compile_faults` and the
+    :class:`CrashStop` and :class:`CorrelatedBurst` events, so the
+    drop-late-repairs guard cannot drift between them.
+    """
+    recover_time = crash_time + float(rng.exponential(mean_time_to_repair))
+    return recover_time if recover_time < duration else None
+
+
 @register_fault_event
 @dataclass(frozen=True)
 class CrashStop(FaultEvent):
@@ -126,10 +150,10 @@ class CrashStop(FaultEvent):
 
     ``recover_at`` schedules a deterministic repair; ``mean_time_to_repair``
     instead draws an exponential repair delay from the replica stream
-    (crash-recovery, the MTTR model of
-    :func:`repro.sim.failures.plan_from_curves`).  Repairs landing past the
-    run's duration are dropped — the node stays down, matching the
-    analysis model where an unrepaired window failure is terminal.
+    (crash-recovery, the MTTR model of :attr:`FaultPlan.mean_time_to_repair`
+    and :func:`plan_from_curves`).  Repairs landing past the run's duration
+    are dropped — the node stays down, matching the analysis model where
+    an unrepaired window failure is terminal.
     """
 
     kind: ClassVar[str] = "crash"
@@ -160,8 +184,6 @@ class CrashStop(FaultEvent):
         _check_time("at", self.at, duration)
 
     def schedule(self, schedule, rng) -> None:
-        from repro.sim.failures import draw_repair_time
-
         recover = self.recover_at
         if self.mean_time_to_repair is not None:
             recover = draw_repair_time(
@@ -344,8 +366,6 @@ class CorrelatedBurst(FaultEvent):
     def schedule(self, schedule, rng) -> None:
         import numpy as np
 
-        from repro.sim.failures import draw_repair_time
-
         victims = np.flatnonzero(self._shock_model(schedule.n).sample(rng))
         for node in victims:
             recover = None
@@ -525,3 +545,48 @@ class FaultPlan:
 
 #: The plan a ``SimulationQuery`` without a ``faults`` section runs.
 DEFAULT_PLAN = FaultPlan()
+
+
+def plan_from_curves(
+    curves: Sequence["FaultCurve"],
+    *,
+    duration: float,
+    hours_per_sim_second: float = 1.0,
+    mean_time_to_repair: float | None = None,
+    seed: SeedLike = None,
+) -> FaultPlan:
+    """The crash-stops that per-node fault curves sample for one run.
+
+    Each node ``i`` draws one failure time from ``curves[i]`` (hours,
+    mapped to sim seconds by ``hours_per_sim_second``); a node failing
+    inside the run becomes a :class:`CrashStop` there, and with
+    ``mean_time_to_repair`` (hours) set it then draws one exponential
+    repair delay.  A repair at or after ``duration`` is dropped — the
+    node stays down.  Everything is drawn here, so the result is a plain
+    deterministic plan (``sample_faults=False``) that embeds in a
+    :class:`repro.engine.SimulationQuery` like any other.
+    """
+    if duration <= 0:
+        raise InvalidConfigurationError("duration must be positive")
+    if hours_per_sim_second <= 0:
+        raise InvalidConfigurationError("hours_per_sim_second must be positive")
+    if mean_time_to_repair is not None and mean_time_to_repair <= 0:
+        raise InvalidConfigurationError("mean_time_to_repair must be positive")
+    rng = as_generator(seed)
+    horizon_hours = duration * hours_per_sim_second
+    events = []
+    for node, curve in enumerate(curves):
+        failure_hours = curve.sample_failure_time(rng, horizon=horizon_hours)
+        at = failure_hours / hours_per_sim_second
+        if not (failure_hours < horizon_hours and at < duration):
+            continue  # survives the run (``inf``: never fails)
+        # Crashing exactly at t=0 races node start.
+        at = max(at, 1e-9)
+        recover = None
+        if mean_time_to_repair is not None:
+            repair_hours = float(rng.exponential(mean_time_to_repair))
+            recover = (failure_hours + repair_hours) / hours_per_sim_second
+            if not at < recover < duration:
+                recover = None
+        events.append(CrashStop(node=node, at=at, recover_at=recover))
+    return FaultPlan(events=tuple(events), sample_faults=False)

@@ -11,7 +11,7 @@ resident behind a small stdlib-asyncio HTTP front end:
 * ``GET /metrics`` — request/latency/coalescing counters plus the engine
   cache and campaign-degradation aggregates.
 
-Identical in-flight queries coalesce into a single execution
+In-flight queries with one memo key coalesce into a single execution
 (:class:`InflightRegistry`), campaigns run under the supervised runtime
 (per-shard timeouts, retries, degradation), and with a checkpoint
 directory configured a daemon restart resumes interrupted campaigns
@@ -19,7 +19,7 @@ bit-identically.  Start it with ``repro-analyze serve`` or embed
 :class:`BackgroundServer` in tests and benchmarks.
 """
 
-from repro.serve.coalesce import InflightRegistry, canonical_query_key
+from repro.serve.coalesce import InflightRegistry
 from repro.serve.daemon import (
     BackgroundServer,
     ReliabilityService,
@@ -37,6 +37,5 @@ __all__ = [
     "ReliabilityService",
     "ServiceConfig",
     "ServiceMetrics",
-    "canonical_query_key",
     "serve_forever",
 ]

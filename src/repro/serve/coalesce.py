@@ -5,9 +5,11 @@ availability question from a hundred sessions at once.  The engine memo
 already deduplicates *completed* answers, but without coalescing, a
 burst of identical queries that all miss the cold cache would each start
 their own campaign — N executions of bit-identical work.  The registry
-below keys every execution by the query's canonical JSON form and hands
-latecomers the *same* future the first arrival started: one execution,
-fanned-out results, and a counter proving it.
+below keys every execution by the row's engine memo key — the key its
+answer is stored under, so a joiner is exactly a row the memo would
+answer once the execution finishes — and hands latecomers the *same*
+future the first arrival started: one execution, fanned-out results, and
+a counter proving it.
 
 The registry lives on the daemon's single event loop, so the in-flight
 dict needs no lock — only executor results cross threads, through the
@@ -19,22 +21,23 @@ execution (which still completes and warms the engine memo).
 from __future__ import annotations
 
 import asyncio
-from typing import Awaitable, Callable
+from typing import Awaitable, Callable, Hashable
 
-from repro.engine.query import canonical_query_key  # noqa: F401  (re-export)
+# Not used here: benchmarks/perf/layers.py times it from this module.
+from repro.engine.query import canonical_query_key  # noqa: F401
 
 
 class InflightRegistry:
-    """Map of canonical query key → the one task computing its answer."""
+    """Map of memo key → the one task computing its answer."""
 
     def __init__(self) -> None:
-        self._inflight: dict[str, asyncio.Task] = {}
+        self._inflight: dict[Hashable, asyncio.Task] = {}
 
     def __len__(self) -> int:
         return len(self._inflight)
 
     async def run(
-        self, key: str, start: Callable[[], Awaitable]
+        self, key: Hashable, start: Callable[[], Awaitable]
     ) -> tuple[object, bool]:
         """Await ``key``'s answer; returns ``(value, joined_existing)``.
 

@@ -21,9 +21,9 @@ hot paths release the GIL; campaign fan-out adds its own policy workers
 per query), while the asyncio loop parses, routes, streams — and answers
 what the memo already holds: every row is first put to
 :meth:`~repro.engine.ReliabilityEngine.recall`, which never computes, so
-a memoised row is answered on the loop without the canonical key,
-single-flight or the pool (and cannot queue behind a saturated one), and
-only the rows that miss are executed.
+a memoised row is answered on the loop without single-flight or the
+pool (and cannot queue behind a saturated one), and only the rows that
+miss are executed, single-flighted on the same memo key.
 Long campaigns can opt into progress streaming
 (``POST /v1/query?stream=1`` → chunked JSON lines, one per answer as it
 completes).  ``GET /healthz`` and ``GET /metrics`` expose liveness, the
@@ -49,9 +49,9 @@ from dataclasses import dataclass
 from functools import partial
 
 from repro.engine import ExecutionPolicy, QuerySet, ReliabilityEngine
-from repro.engine.result import wire_row
+from repro.engine.result import Answer, wire_row
 from repro.errors import InvalidConfigurationError, ReproError
-from repro.serve.coalesce import InflightRegistry, canonical_query_key
+from repro.serve.coalesce import InflightRegistry
 from repro.serve.http import (
     HttpError,
     HttpRequest,
@@ -446,12 +446,11 @@ class ReliabilityService:
         row goes on to :meth:`_tagged_answer`.  A hit is answered right
         here: :meth:`~repro.engine.ReliabilityEngine.recall` never
         computes and takes the engine lock for dict operations only, so
-        the loop does not block, and the row skips the canonical key,
-        single-flight and the executor hop (it cannot queue behind a
-        saturated pool either).  Traced, a hit exports the tree an
-        executed row does, its ``query.execute`` on ``track="loop"``;
-        ``use_tracer`` is what lets the engine's spans nest there, the
-        tracer being context-local.
+        the loop does not block, and the row skips single-flight and the
+        executor hop (it cannot queue behind a saturated pool either).
+        Traced, a hit exports the tree an executed row does, its
+        ``query.execute`` on ``track="loop"``; ``use_tracer`` is what lets
+        the engine's spans nest there, the tracer being context-local.
         """
         tracer = self.tracer
         started = time.perf_counter()
@@ -482,21 +481,31 @@ class ReliabilityService:
         return index, answer, None, False
 
     async def _tagged_answer(self, index: int, query):
-        """(index, answer, error, joined) — never raises, streams need all."""
-        key = canonical_query_key(query)
+        """(index, answer, error, joined) — never raises, streams need all.
+
+        Rows single-flight on the engine's memo key, the key the row is
+        then stored under: a joiner is exactly a row the memo would have
+        answered, and it gets the shared value under its own query (rows
+        that differ only in ``label`` or in a field their key ignores
+        coalesce).  A row without a key (unseeded sampling) is never
+        reused, so it runs on its own.
+        """
         loop = asyncio.get_running_loop()
         started = time.perf_counter()
         with self.tracer.span(
             "serve.query", kind=query.kind, label=query.label or ""
         ) as query_span:
             try:
-                (answer, executed_by), joined = await self.inflight.run(
-                    key,
-                    lambda: loop.run_in_executor(
-                        self._pool,
-                        partial(self._run_query, query, query_span.context()),
-                    ),
+                key = query.cache_key(self.engine.estimator, self.policy.shard_trials)
+                start = partial(
+                    loop.run_in_executor,
+                    self._pool,
+                    partial(self._run_query, query, query_span.context()),
                 )
+                if key is None:
+                    (answer, executed_by), joined = await start(), False
+                else:
+                    (answer, executed_by), joined = await self.inflight.run(key, start)
             except Exception as error:
                 query_span.set("error", type(error).__name__)
                 self.metrics.record_served(
@@ -508,6 +517,7 @@ class ReliabilityService:
                 # link to the one execution span that answered it.
                 query_span.set("coalesced", True)
                 query_span.link(executed_by)
+                answer = Answer(query, answer.value, answer.provenance)
         self.metrics.record_served(
             query.kind, time.perf_counter() - started, answer, coalesced=joined
         )

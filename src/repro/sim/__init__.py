@@ -1,8 +1,11 @@
 """Discrete-event consensus simulator (validation substrate).
 
-Deterministic seeded executions of full Raft and PBFT state machines under
-fault-curve-driven crash/Byzantine injection, with trace-level agreement
-and completion audits.  Exists to validate the analysis layer: predicate
+Deterministic seeded executions of full Raft and PBFT state machines with
+trace-level agreement and completion audits.  Faults reach a cluster
+only as the :class:`repro.injection.CompiledFaults` that
+:func:`repro.injection.compile_faults` makes of a fault plan; this
+package imports nothing from the analysis, fault-model, injection or
+engine layers.  Exists to validate the analysis layer: predicate
 verdicts (§3 theorems) must match what actual protocol runs exhibit.
 """
 
@@ -17,7 +20,6 @@ from repro.sim.checker import (
 )
 from repro.sim.cluster import Cluster, run_scenario
 from repro.sim.events import EventScheduler
-from repro.sim.failures import InjectionPlan, plan_from_config, plan_from_curves
 from repro.sim.network import (
     FixedLatency,
     LogNormalLatency,
@@ -53,9 +55,6 @@ __all__ = [
     "Process",
     "Cluster",
     "run_scenario",
-    "InjectionPlan",
-    "plan_from_config",
-    "plan_from_curves",
     "TraceRecorder",
     "LatencySummary",
     "LeadershipStats",

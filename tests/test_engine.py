@@ -115,6 +115,26 @@ class TestEquivalence:
         scalar = [counting_reliability(s.spec, s.fleet) for s in grid]
         assert results == scalar  # Estimate values, method and detail alike
 
+    def test_grid_cell_shares_one_fleet_object_per_distinct_fleet(self):
+        """The crash-only specs of a cell hold one fleet object; PBFT's
+        Byzantine fleet is its own, and equal fleets stay equal."""
+        grid = ScenarioSet.grid(
+            protocols=("raft", "benor", "byz-benor", "pbft"),
+            sizes=(5, 7),
+            probabilities=(0.01, 0.02),
+        )
+        for cell in range(0, len(grid), 4):
+            raft, benor, byz_benor, pbft = grid.scenarios[cell : cell + 4]
+            assert raft.fleet is benor.fleet is byz_benor.fleet
+            assert pbft.fleet is not raft.fleet
+            assert raft.fleet == uniform_fleet(raft.spec.n, raft.fleet[0].p_crash)
+            assert pbft.fleet == byzantine_fleet(pbft.spec.n, pbft.fleet[0].p_byzantine)
+        assert grid[0].fleet is not grid[4].fleet  # one object per cell
+        mixed = ScenarioSet.grid(
+            protocols=("raft", "pbft"), sizes=(5,), byzantine_fraction=0.5
+        )
+        assert mixed[0].fleet is mixed[1].fleet
+
     def test_multi_spec_same_n_share_one_batch(self):
         """Raft and PBFT scenarios of one size land in the same DP group."""
         fleet_a = uniform_fleet(5, 0.03)

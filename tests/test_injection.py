@@ -8,8 +8,9 @@ Covers the fault-injection acceptance criteria:
   (``|Byz| >= 2|Q_eq| - N``);
 * hypothesis round-trip properties for the fault-plan JSON codecs;
 * jobs-invariance of adversary/partition/burst campaigns;
-* the ``plan_from_config`` MTTR satellite and partition-era liveness
-  reporting in the checker.
+* the stream contract of the sampled schedule (window draw, crash
+  uniforms, MTTR repairs), fault plans built from curves, and
+  partition-era liveness reporting in the checker.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from repro.engine import (
     query_from_dict,
 )
 from repro.errors import InvalidConfigurationError
-from repro.faults.mixture import uniform_fleet
+from repro.faults.mixture import Fleet, NodeModel, uniform_fleet
 from repro.injection import (
     Adversary,
     CorrelatedBurst,
@@ -48,7 +49,6 @@ from repro.injection import (
 from repro.protocols.pbft import PBFTSpec
 from repro.protocols.raft import RaftSpec
 from repro.sim.checker import check_completion
-from repro.sim.failures import plan_from_config
 
 
 def _campaign(spec, *, faults=None, n=None, p=0.0, seed=13, replicas=1, **kw):
@@ -444,30 +444,41 @@ class TestCodecs:
 # Compilation
 # ---------------------------------------------------------------------------
 class TestCompileFaults:
-    def test_default_plan_matches_plan_from_config_draws(self):
-        fleet = uniform_fleet(5, 0.4)
-        compiled = compile_faults(
-            None,
-            fleet=fleet,
-            duration=10.0,
-            crash_window=(0.0, 4.0),
-            rng=np.random.default_rng(3),
-        )
-        # Re-draw by hand from the same stream: one config draw, then the
-        # crash-time uniforms — the historical backend order.
-        from repro.analysis.montecarlo import sample_configuration
+    @pytest.mark.parametrize("mttr", [None, 3.0])
+    def test_sampled_schedule_follows_the_stream_contract(self, mttr):
+        """The module docstring's draw order, drawn by hand on a second
+        generator: ``n`` window uniforms, then per CRASH node in index
+        order one crash-time uniform, followed by one repair exponential
+        when the plan sets an MTTR — and nothing else."""
+        from repro._rng import stream_position
 
+        n, duration, window = 8, 6.0, (0.0, 4.0)
         rng = np.random.default_rng(3)
-        config = sample_configuration(fleet, rng)
-        plan = plan_from_config(
-            config, duration=10.0, crash_window=(0.0, 4.0), seed=rng
+        compiled = compile_faults(
+            FaultPlan(mean_time_to_repair=mttr),
+            fleet=uniform_fleet(n, 0.5),
+            duration=duration,
+            crash_window=window,
+            rng=rng,
         )
-        assert compiled.config == config
-        assert compiled.outages == tuple(
-            (node, at, None) for node, at in sorted(plan.crash_times.items())
-        )
+        by_hand = np.random.default_rng(3)
+        crashed = [node for node, u in enumerate(by_hand.random(n)) if u < 0.5]
+        outages = []
+        for node in crashed:
+            at = float(by_hand.uniform(*window))
+            recover = None
+            if mttr is not None:
+                recover = at + float(by_hand.exponential(mttr))
+                recover = recover if recover < duration else None
+            outages.append((node, at, recover))
+        assert len(crashed) >= 3
+        assert compiled.config == FailureConfig.from_failed_indices(n, crashed)
+        assert compiled.outages == tuple(outages)
+        if mttr is not None:  # both repair branches are exercised
+            assert {recover is None for _, _, recover in outages} == {True, False}
         assert compiled.behaviours == {}
         assert compiled.network_ops == ()
+        assert stream_position(rng) == stream_position(by_hand)
 
     def test_event_crashes_join_the_window_config(self):
         compiled = compile_faults(
@@ -939,31 +950,91 @@ class TestCampaigns:
 
 
 # ---------------------------------------------------------------------------
-# Satellites: plan_from_config MTTR + checker partition windows
+# Sampled-crash MTTR + checker partition windows
 # ---------------------------------------------------------------------------
-class TestPlanFromConfigMTTR:
-    def test_mttr_draws_recoveries_with_duration_guard(self):
-        config = FailureConfig.from_failed_indices(6, [0, 2, 4])
-        plan = plan_from_config(
-            config, duration=5.0, mean_time_to_repair=2.0, seed=11
-        )
-        assert set(plan.crash_times) == {0, 2, 4}
-        for node, recover in plan.recovery_times.items():
-            assert plan.crash_times[node] < recover < 5.0
+def _fixed_fleet(n, crashed):
+    """A fleet whose window draw is exactly ``crashed`` (p = 1 or 0)."""
+    return Fleet(tuple(NodeModel(float(node in crashed)) for node in range(n)))
 
-    def test_mttr_none_stream_unchanged(self):
-        config = FailureConfig.from_failed_indices(4, [1, 3])
-        with_param = plan_from_config(config, duration=6.0, seed=3)
-        legacy = plan_from_config(
-            config, duration=6.0, crash_window=None, seed=3
+
+class TestPlanMTTR:
+    def _compile(self, plan, *, seed):
+        return compile_faults(
+            plan,
+            fleet=_fixed_fleet(6, {0, 2, 4}),
+            duration=5.0,
+            crash_window=(0.0, 2.5),
+            rng=np.random.default_rng(seed),
         )
-        assert with_param.crash_times == legacy.crash_times
-        assert with_param.recovery_times == {}
+
+    def test_mttr_draws_recoveries_with_duration_guard(self):
+        compiled = self._compile(FaultPlan(mean_time_to_repair=2.0), seed=11)
+        assert [node for node, _, _ in compiled.outages] == [0, 2, 4]
+        assert any(recover is not None for _, _, recover in compiled.outages)
+        for _, at, recover in compiled.outages:
+            assert recover is None or at < recover < 5.0
+
+    def test_mttr_only_appends_draws(self):
+        default = self._compile(FaultPlan(), seed=3)
+        repaired = self._compile(FaultPlan(mean_time_to_repair=2.0), seed=3)
+        assert all(recover is None for _, _, recover in default.outages)
+        assert repaired.config == default.config
+        # The first repair draw comes after the first crash uniform.
+        assert repaired.outages[0][:2] == default.outages[0][:2]
 
     def test_mttr_validation(self):
-        config = FailureConfig.from_failed_indices(3, [0])
         with pytest.raises(InvalidConfigurationError, match="positive"):
-            plan_from_config(config, duration=5.0, mean_time_to_repair=0.0)
+            FaultPlan(mean_time_to_repair=0.0)
+
+
+class TestPlanFromCurves:
+    """Curve-sampled outages are a plain fault plan: JSON-embeddable,
+    accepted by every ``CrashStop`` check, compiled like any other."""
+
+    def test_round_trips_through_json_and_a_query(self):
+        from repro.faults.curves import ConstantHazard
+        from repro.injection import plan_from_curves
+
+        plan = plan_from_curves(
+            [ConstantHazard(0.2)] * 5, duration=10.0, mean_time_to_repair=2.0, seed=7
+        )
+        assert plan.events and not plan.sample_faults
+        assert FaultPlan.from_json(plan.to_json()) == plan
+        query = SimulationQuery(
+            Scenario(spec=RaftSpec(5), fleet=uniform_fleet(5, 0.0), seed=3),
+            replicas=2,
+            duration=10.0,
+            commands=1,
+            faults=plan,
+        )
+        decoded = query_from_dict(query.to_dict())
+        assert decoded.faults == plan and decoded.to_dict() == query.to_dict()
+        assert ReliabilityEngine(cache_size=0).run_query(query).value.replicas == 2
+
+    def test_zero_hazard_gives_no_events(self):
+        from repro.faults.curves import ConstantHazard
+        from repro.injection import plan_from_curves
+
+        plan = plan_from_curves([ConstantHazard(0.0)] * 4, duration=50.0, seed=1)
+        assert plan == FaultPlan(sample_faults=False)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_repairs_land_inside_the_run_after_their_crash(self, seed):
+        from repro.faults.curves import ConstantHazard
+        from repro.injection import plan_from_curves
+
+        plan = plan_from_curves(
+            [ConstantHazard(0.3)] * 7,
+            duration=8.0,
+            hours_per_sim_second=2.0,
+            mean_time_to_repair=3.0,
+            seed=seed,
+        )
+        for event in plan.events:
+            assert isinstance(event, CrashStop) and 0.0 < event.at < 8.0
+            if event.recover_at is not None:
+                assert event.at < event.recover_at < 8.0
+        plan.validate(7, 8.0)
 
 
 class TestCheckerPartitionWindows:

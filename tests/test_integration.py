@@ -42,11 +42,21 @@ class TestAnalysisToSimulatorValidation:
     """Predicate-level S&L probability ≈ empirical frequency over seeded runs."""
 
     def test_raft_three_node_empirical_matches_analytic(self):
+        from repro.analysis.config import FaultKind
         from repro.analysis.montecarlo import sample_configuration, wilson_interval
         from repro._rng import as_generator
-        from repro.sim import Cluster, plan_from_config
+        from repro.faults.mixture import Fleet, NodeModel
+        from repro.injection import compile_faults
+        from repro.sim import Cluster
         from repro.sim.checker import audit_run
         from repro.sim.raft import raft_node_factory
+
+        def apply_config(config, cluster, seed):
+            """A fleet failing with probability 0 or 1 samples exactly ``config``."""
+            crash, byzantine = FaultKind.CRASH, FaultKind.BYZANTINE
+            fixed = Fleet(tuple(NodeModel(float(k is crash), float(k is byzantine)) for k in config.kinds))
+            compile_faults(None, fleet=fixed, duration=12.0, crash_window=(0.0, 0.4),
+                           rng=as_generator(seed)).apply(cluster)
 
         n, p = 3, 0.25  # inflated p so 60 runs give signal
         fleet = uniform_fleet(n, p)
@@ -59,9 +69,7 @@ class TestAnalysisToSimulatorValidation:
         for trial in range(runs):
             config = sample_configuration(fleet, rng)
             cluster = Cluster(n, raft_node_factory(), seed=1000 + trial)
-            plan_from_config(config, duration=12.0, crash_window=(0.0, 0.4), seed=trial).apply(
-                cluster
-            )
+            apply_config(config, cluster, seed=trial)
             cluster.start()
             at = 1.0
             for command in commands:

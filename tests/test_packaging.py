@@ -137,3 +137,28 @@ def test_every_module_is_reachable_from_a_door_or_listed():
             reached.add(name)
             frontier.extend(_imported_modules(name, modules))
     assert set(modules) - reached == LIBRARY_ONLY_MODULES
+
+
+# ---------------------------------------------------------------------------
+# Layering: the simulator sits below the fault model
+# ---------------------------------------------------------------------------
+#: What no module under ``repro.sim`` may import, not even function-locally
+#: or for typing: faults reach a cluster only as the ``CompiledFaults`` that
+#: ``repro.injection.compile_faults`` makes of a fault plan.
+LAYERS_ABOVE_THE_SIMULATOR = ("repro.analysis", "repro.faults", "repro.injection", "repro.engine")
+
+
+def test_simulator_imports_no_layer_above_it():
+    modules = _package_modules()
+    leaks = {}
+    for name in modules:
+        if name == "repro.sim" or name.startswith("repro.sim."):
+            above = sorted(
+                module
+                for module in _imported_modules(name, modules)
+                if any(module == layer or module.startswith(layer + ".")
+                       for layer in LAYERS_ABOVE_THE_SIMULATOR)
+            )
+            if above:
+                leaks[name] = above
+    assert leaks == {}

@@ -31,7 +31,7 @@ from repro.engine import (
 from repro.faults.mixture import uniform_fleet
 from repro.protocols.raft import RaftSpec
 from repro.serve import BackgroundServer, ServiceConfig
-from repro.serve.coalesce import canonical_query_key
+from repro.engine.query import canonical_query_key
 from test_queries import HOSTILE_ROWS, names_field
 
 GRID_PAYLOAD = json.dumps(
@@ -392,6 +392,56 @@ class TestCoalescing:
         assert len(values) == 1  # everyone got the one execution's answer
         assert sum(result[1]["coalesced"] for result in results) == clients - 1
         assert metrics["coalesced_total"] == clients - 1
+
+    @staticmethod
+    def _counting_backend(kind, executions, value):
+        """A slow stand-in backend for ``kind`` that records each call and
+        holds it open long enough for a concurrent row to arrive."""
+
+        def slow_backend(eng, queries, policy):
+            executions.append(len(queries))
+            time.sleep(0.5)
+            return [
+                Answer(q, value, Provenance(estimator="slow", backend=kind))
+                for q in queries
+            ]
+
+        return slow_backend
+
+    def test_rows_differing_only_in_label_run_once_and_keep_their_labels(self):
+        engine = ReliabilityEngine()
+        executions: list[int] = []
+        engine.register_backend("mttf", self._counting_backend("mttf", executions, 7.0))
+        payload = QuerySet.build(
+            [
+                MTTFQuery.from_afr(scenario(5, label=label), afr=0.08, mttr_hours=24.0)
+                for label in ("first", "second")
+            ]
+        ).to_json()
+        with BackgroundServer(ServiceConfig(port=0), engine=engine) as running:
+            status, body = post(running.port, payload)
+            _status, metrics = get(running.port, "/metrics")
+        assert status == 200 and executions == [1]
+        assert [row["label"] for row in body["answers"]] == ["first", "second"]
+        first, second = (row["answer"] for row in body["answers"])
+        assert first == second
+        assert body["coalesced"] == metrics["coalesced_total"] == 1
+
+    def test_unseeded_sampling_rows_never_join_a_flight(self):
+        """Equal JSON, but no memo key: each row is its own draw."""
+        engine = ReliabilityEngine()
+        executions: list[int] = []
+        engine.register_backend(
+            "reliability", self._counting_backend("reliability", executions, 0.5)
+        )
+        row = scenario(5, 0.01, method="monte-carlo", trials=1000)
+        assert row.seed is None
+        payload = ScenarioSet.build([row, row]).to_json()
+        with BackgroundServer(ServiceConfig(port=0), engine=engine) as running:
+            status, body = post(running.port, payload)
+            _status, metrics = get(running.port, "/metrics")
+        assert status == 200 and executions == [1, 1]
+        assert body["coalesced"] == metrics["coalesced_total"] == 0
 
     def test_canonical_key_distinguishes_different_queries(self):
         one = MTTFQuery.from_afr(scenario(5), afr=0.08, mttr_hours=24.0)

@@ -4,15 +4,27 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.analysis.config import FailureConfig, FaultKind
 from repro.errors import InvalidConfigurationError, SimulationError
 from repro.faults.curves import ConstantHazard
-from repro.sim import Cluster, plan_from_config, plan_from_curves
+from repro.faults.mixture import Fleet, NodeModel, uniform_fleet
+from repro.injection import FaultPlan, compile_faults, plan_from_curves
+from repro.sim import Cluster
 from repro.sim.checker import check_agreement, check_completion
 from repro.sim.raft import raft_node_factory
 from repro.sim.trace import TraceRecorder, merge_traces
+
+
+def compiled_for(config, *, duration, crash_window, seed):
+    """A fixed window outcome: a fleet failing with probability 0 or 1
+    samples exactly ``config``."""
+    crash, byzantine = FaultKind.CRASH, FaultKind.BYZANTINE
+    fleet = Fleet(tuple(NodeModel(float(k is crash), float(k is byzantine)) for k in config.kinds))
+    rng = np.random.default_rng(seed)
+    return compile_faults(None, fleet=fleet, duration=duration, crash_window=crash_window, rng=rng)
 
 
 class TestClusterHarness:
@@ -46,24 +58,27 @@ class TestClusterHarness:
             Cluster(0, raft_node_factory())
 
 
-class TestInjectionPlans:
-    def test_plan_from_config_only_crash_nodes(self):
+class TestFaultCompilation:
+    def test_fixed_config_crashes_only_crash_nodes(self):
         config = FailureConfig(
             (FaultKind.CORRECT, FaultKind.CRASH, FaultKind.BYZANTINE)
         )
-        plan = plan_from_config(config, duration=10.0, seed=0)
-        assert plan.crashed_nodes == {1}
+        compiled = compiled_for(config, duration=10.0, crash_window=(0.0, 5.0), seed=0)
+        assert compiled.config == config
+        assert compiled.crashed_nodes() == {1}
+        assert set(compiled.behaviours) == {2}
 
-    def test_plan_times_inside_window(self):
+    def test_crash_times_inside_window(self):
         config = FailureConfig.from_failed_indices(5, [0, 2, 4])
-        plan = plan_from_config(config, duration=10.0, crash_window=(1.0, 2.0), seed=1)
-        assert all(1.0 <= t <= 2.0 for t in plan.crash_times.values())
+        compiled = compiled_for(config, duration=10.0, crash_window=(1.0, 2.0), seed=1)
+        assert [node for node, _, _ in compiled.outages] == [0, 2, 4]
+        assert all(1.0 <= at <= 2.0 and recover is None for _, at, recover in compiled.outages)
 
-    def test_plan_applies_to_cluster(self):
+    def test_compiled_faults_apply_to_cluster(self):
         config = FailureConfig.from_failed_indices(3, [2])
-        plan = plan_from_config(config, duration=6.0, seed=2)
+        compiled = compiled_for(config, duration=6.0, crash_window=(0.0, 3.0), seed=2)
         cluster = Cluster(3, raft_node_factory(), seed=3)
-        plan.apply(cluster)
+        compiled.apply(cluster)
         cluster.start()
         cluster.run_until(6.0)
         assert cluster.crashed_node_ids() == {2}
@@ -71,7 +86,16 @@ class TestInjectionPlans:
     def test_plan_from_curves_samples_failures(self):
         curves = [ConstantHazard(0.5)] * 4  # 0.5 failures/hour: near-certain
         plan = plan_from_curves(curves, duration=100.0, hours_per_sim_second=1.0, seed=4)
-        assert len(plan.crashed_nodes) >= 3
+        assert isinstance(plan, FaultPlan) and not plan.sample_faults
+        assert len(plan.events) >= 3
+        compiled = compile_faults(
+            plan,
+            fleet=uniform_fleet(4, 0.0),
+            duration=100.0,
+            crash_window=(0.0, 50.0),
+            rng=np.random.default_rng(0),
+        )
+        assert compiled.crashed_nodes() == {event.node for event in plan.events}
 
     def test_plan_from_curves_with_repair(self):
         curves = [ConstantHazard(0.5)] * 3
@@ -82,22 +106,16 @@ class TestInjectionPlans:
             mean_time_to_repair=1.0,
             seed=5,
         )
-        assert set(plan.recovery_times) <= set(plan.crash_times)
-        for node, recover in plan.recovery_times.items():
-            assert recover > plan.crash_times[node]
-
-    def test_invalid_recovery_rejected(self):
-        from repro.sim.failures import InjectionPlan
-
-        plan = InjectionPlan(crash_times={0: 2.0}, recovery_times={0: 1.0})
-        cluster = Cluster(2, raft_node_factory(), seed=0)
-        with pytest.raises(InvalidConfigurationError):
-            plan.apply(cluster)
+        assert plan.events
+        assert any(event.recover_at is not None for event in plan.events)
+        for event in plan.events:
+            if event.recover_at is not None:
+                assert event.at < event.recover_at < 100.0
 
     def test_zero_hazard_no_crashes(self):
         curves = [ConstantHazard(0.0)] * 3
         plan = plan_from_curves(curves, duration=100.0, seed=6)
-        assert not plan.crashed_nodes
+        assert plan.events == ()
 
 
 class TestChecker:
@@ -174,8 +192,7 @@ class TestPredicateValidation:
 
         assert RaftSpec(5).is_live(config)  # sanity: these are live configs
         cluster = Cluster(5, raft_node_factory(), seed=42)
-        plan = plan_from_config(config, duration=12.0, crash_window=(0.0, 0.5), seed=1)
-        plan.apply(cluster)
+        compiled_for(config, duration=12.0, crash_window=(0.0, 0.5), seed=1).apply(cluster)
         cluster.start()
         commands = [f"k{i}" for i in range(5)]
         at = 1.0
@@ -194,8 +211,7 @@ class TestPredicateValidation:
 
         assert not RaftSpec(5).is_live(config)
         cluster = Cluster(5, raft_node_factory(), seed=43)
-        plan = plan_from_config(config, duration=12.0, crash_window=(0.0, 0.5), seed=2)
-        plan.apply(cluster)
+        compiled_for(config, duration=12.0, crash_window=(0.0, 0.5), seed=2).apply(cluster)
         cluster.start()
         commands = ["stall"]
         cluster.submit(commands[0], at=1.0)
