@@ -35,6 +35,27 @@ def binom_pmf(k: int, n: int, p: float) -> float:
     return math.exp(log_term)
 
 
+def binom_pmf_vector(n: int, p: float) -> np.ndarray:
+    """``P(X = k)`` for ``X ~ Binomial(n, p)`` at every ``k`` in ``0..n``.
+
+    The log-space terms of :func:`binom_pmf` as one array, each integer's
+    log-gamma taken once, then divided by their sum: the array sums to one
+    within a few ulps, so a sampler that checks ``sum(pvals[:-1]) <= 1``
+    accepts it.  ``p`` of 0 or 1 puts all the mass on one count exactly.
+    """
+    if p <= 0.0 or p >= 1.0:
+        pmf = np.zeros(n + 1)
+        pmf[0 if p <= 0.0 else n] = 1.0
+        return pmf
+    log_fact = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
+    k = np.arange(n + 1)
+    pmf = np.exp(
+        log_fact[n] - log_fact - log_fact[::-1]
+        + k * math.log(p) + (n - k) * math.log1p(-p)
+    )
+    return pmf / pmf.sum()
+
+
 def _binom_tail(k: int, n: int, p: float, upper: bool) -> float:
     """``P(X > k)`` if ``upper`` else ``P(X <= k)``.
 

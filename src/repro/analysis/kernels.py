@@ -36,8 +36,9 @@ flexible estimator APIs in :mod:`repro.analysis` run at NumPy speed:
   (crashes, Byzantine) count pair, binned into one histogram; no node is
   ever classified.  When every node shares one model with one failure
   kind — crash-only ``(p, 0)`` or Byzantine-only ``(0, p)`` —
-  :func:`monte_carlo_tally` draws the count itself, one
-  ``Binomial(n, p)`` per trial.  Every other fleet (mixed kinds, several
+  :func:`monte_carlo_tally` draws one multinomial histogram per shard
+  over the ``n + 1`` counts of ``Binomial(n, p)``, weighted by its closed
+  form, never the counting DP.  Every other fleet (mixed kinds, several
   models) draws chunked ``(trials, n)`` uniforms in the (trial, node)
   order of the historical per-trial loop, so its seeded tallies equal
   that loop's, and counts each trial's crashes and Byzantine nodes
@@ -79,6 +80,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from repro._stats import binom_pmf_vector
 from repro.analysis.config import FailureConfig, FaultKind
 from repro.analysis.result import Estimate, ReliabilityResult
 from repro.errors import InvalidConfigurationError
@@ -88,8 +90,8 @@ from repro.runtime import run_supervised
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.protocols.base import ProtocolSpec
 
-#: Target number of draws per Monte-Carlo chunk: uniforms (~8 MB of
-#: float64), or binomial counts on the one-model, one-kind branch.
+#: Target number of uniforms per Monte-Carlo chunk (~8 MB of float64); a
+#: one-model, one-kind fleet draws one multinomial histogram per shard.
 _CHUNK_DRAWS = 1 << 20
 
 #: Cap on floats materialised per batched chunk (~32 MB of float64): the
@@ -513,7 +515,8 @@ def require_positive_int(value, name: str = "trials") -> int:
 
 
 def _chunk_sizes(trials: int, n: int) -> list[int]:
-    """Split ``trials`` into chunk sizes bounded by the per-chunk draw budget.
+    """Split ``trials`` into chunk sizes bounded by the per-chunk draw budget
+    (a one-model, one-kind tally draws one multinomial histogram per shard).
 
     Invariants (see the boundary tests in ``tests/test_analysis_kernels.py``):
     the sizes sum to ``trials``, every chunk is positive, and no chunk draws
@@ -570,20 +573,22 @@ def _row_counts(hits: np.ndarray) -> np.ndarray:
 def _tally_symmetric(
     masks: VerdictMasks, crash_counts, byz_counts
 ) -> tuple[int, int, int]:
-    """Safe/live/both hits of per-trial count pairs, via one histogram.
-
-    The trials are binned over the ``(n+1)^2`` count pairs and the three
-    verdict masks read off the histogram.  Either count may be the scalar
-    ``0`` (a single-kind tally).
-    """
+    """Safe/live/both hits of per-trial count pairs, binned over the
+    ``(n+1)^2`` count pairs.  Either count may be the scalar ``0``."""
     width = masks.n + 1
     hist = np.bincount(
         crash_counts * width + byz_counts, minlength=width * width
     ).reshape(width, width)
+    return _tally_histogram(masks, hist)
+
+
+def _tally_histogram(masks: VerdictMasks, hist, line=np.s_[:]) -> tuple[int, int, int]:
+    """Safe/live/both hits of a trial histogram over the masks' cells at
+    ``line``: the whole grid, or one kind's column ``[:, 0]`` / row ``[0, :]``."""
     return (
-        int(hist[masks.safe].sum()),
-        int(hist[masks.live].sum()),
-        int(hist[masks.both].sum()),
+        int(hist[masks.safe[line]].sum()),
+        int(hist[masks.live[line]].sum()),
+        int(hist[masks.both[line]].sum()),
     )
 
 
@@ -607,31 +612,25 @@ def _tally_asymmetric(
 
 
 def _binomial_tally(
-    masks: VerdictMasks,
-    n: int,
-    crash_p: float,
-    byz_p: float,
-    trials: int,
+    masks: VerdictMasks, n: int, crash_p: float, byz_p: float, trials: int,
     rng: np.random.Generator,
 ) -> BatchTally:
-    """Symmetric tally of a one-model, one-kind fleet from failure counts.
+    """Symmetric tally of a one-model, one-kind fleet: each trial's failure
+    count is ``Binomial(n, p)`` (``p`` the nonzero of ``crash_p``/``byz_p``),
+    so the histogram of ``trials`` counts is one ``rng.multinomial`` over
+    the closed-form PMF, read against the kind's column or row of the masks.
 
-    Draws one ``Binomial(n, p)`` count per trial — ``p`` is whichever of
-    ``crash_p``/``byz_p`` is nonzero (``crash_p`` when both are 0) — and
-    bins it in that kind's column of the count-pair histogram.
+    ``O(n)`` whatever ``trials`` is: ~25 µs + 0.2 µs per count, against
+    0.03-0.1 µs per trial for one binomial per trial.  Crossover near
+    ``trials ~ 3 n`` (per shard, per-trial -> histogram, µs): ``n = 25``,
+    6 250 trials 205 -> 33, 64 trials 15 -> 33; ``n = 1 001``, 6 250
+    trials 596 -> 272, 256 trials 46 -> 278.  The default plan (>= 4 096
+    trials per shard) stays above it below ``n`` of about 1 400.
     """
     byzantine = bool(byz_p)
-    p = byz_p if byzantine else crash_p
-    safe = live = both = 0
-    for size in _chunk_sizes(trials, 1):
-        counts = rng.binomial(n, p, size=size)
-        if byzantine:
-            s, l, b = _tally_symmetric(masks, 0, counts)
-        else:
-            s, l, b = _tally_symmetric(masks, counts, 0)
-        safe += s
-        live += l
-        both += b
+    hist = rng.multinomial(trials, binom_pmf_vector(n, byz_p if byzantine else crash_p))
+    line = np.s_[0, :] if byzantine else np.s_[:, 0]
+    safe, live, both = _tally_histogram(masks, hist, line)
     return BatchTally(trials=trials, safe=safe, live=live, both=both)
 
 
@@ -647,13 +646,12 @@ def monte_carlo_tally(
     on its (crashes, Byzantine) count pair, tallied by one histogram over
     the count pairs.  How a trial's counts are drawn depends on the fleet:
 
-    * **One model, one failure kind** — every node shares a crash-only
-      ``(p, 0)`` or Byzantine-only ``(0, p)`` pair, so the trial's failure
-      count is ``Binomial(n, p)``: one ``rng.binomial`` draw per trial
-      (chunked by trial; the stream does not depend on the chunking), in
-      the crash or the Byzantine column.  Each trial is still an
-      independent draw, so the tally stays an independent check on the
-      counting DP.
+    * **One model, one failure kind** — each trial's failure count is
+      ``Binomial(n, p)``: one multinomial histogram per shard over the
+      ``n + 1`` counts (:func:`_binomial_tally`), distributed as the
+      histogram of ``trials`` independent trials.  It stays an
+      independent check on the counting DP: a closed-form PMF sampled by
+      NumPy, where the DP convolves the Poisson-binomial node by node.
     * **Every other fleet** (mixed kinds, several models) draws chunked
       ``(m, n)`` uniforms in (trial, node) order, the stream of a per-trial
       loop.  Each row's counts are taken straight from the uniforms —

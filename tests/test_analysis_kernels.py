@@ -7,14 +7,16 @@ estimators must be bit-identical.  Seeded Monte-Carlo paths that draw
 uniforms — asymmetric specs, mixed-kind and multi-model fleets, predicate
 and correlated tallies — must produce the exact tallies the historical
 loops produced for the same seed.  Symmetric specs over a single-model
-fleet with one failure kind draw one binomial failure count per trial
-instead: that branch is held to a goodness-of-fit test against the
-counting PMF, to chunk invariance, and to never counting uniforms
+fleet with one failure kind draw one multinomial histogram of failure
+counts per shard instead: that branch is held to a goodness-of-fit test
+against the counting PMF, to one draw per call whatever the chunk budget,
+to never counting uniforms and to never running the counting DP
 (:class:`TestBinomialTally`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import itertools
 import math
@@ -100,7 +102,7 @@ SYMMETRIC_ZOO = [
 ]
 
 #: Zoo entries whose tallies draw uniforms (mixed kinds, several models)
-#: and those that draw one binomial count per trial (one model, one kind).
+#: and those that draw one count histogram per shard (one model, one kind).
 UNIFORM_ZOO = [SYMMETRIC_ZOO[0], SYMMETRIC_ZOO[3]]
 BINOMIAL_ZOO = [SYMMETRIC_ZOO[1], SYMMETRIC_ZOO[2], SYMMETRIC_ZOO[4]]
 
@@ -1044,7 +1046,7 @@ _SINGLE_MODEL_PAIRS = {
 def _single_model_cases(draw, kinds):
     """(spec, single-model fleet, trials, chunk_draws, seed), ``trials``
     within one of a chunk edge.  A mixed-kind fleet draws ``n`` uniforms
-    per trial, a one-kind fleet one binomial count."""
+    per trial; a one-kind fleet draws one histogram, whatever the edges."""
     spec = _TALLY_SPECS[draw(st.sampled_from(sorted(_TALLY_SPECS)))]
     n = draw(st.integers(1, 41))
     kind = draw(st.sampled_from(kinds))
@@ -1058,7 +1060,7 @@ def _single_model_cases(draw, kinds):
 
 class TestScalarThresholdTally:
     """Single-model fleets that still draw uniforms: those with both kinds.
-    (One-kind fleets draw binomial counts: :class:`TestBinomialTally`.)"""
+    (One-kind fleets draw a count histogram: :class:`TestBinomialTally`.)"""
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(case=_single_model_cases(["mixed"]))
@@ -1085,7 +1087,7 @@ class TestScalarThresholdTally:
 
 
 # ---------------------------------------------------------------------------
-# One model, one failure kind: one binomial count per trial
+# One model, one failure kind: one count histogram per shard
 # ---------------------------------------------------------------------------
 #: Significance floor of the goodness-of-fit test.  The examples are
 #: derandomized, so a pass is reproducible; a wrong ``n``, ``p`` or column
@@ -1097,24 +1099,51 @@ def _refuse_row_counts(*_args):
     raise AssertionError("_row_counts called")
 
 
+def _refuse_counting_dp(*_args, **_kwargs):
+    raise AssertionError("counting DP called")
+
+
+def _refusing_counting_dp():
+    """Patches under which any run of the counting DP raises."""
+    return [
+        mock.patch.object(kernels, "joint_count_pmf_batch", _refuse_counting_dp),
+        mock.patch.object(kernels, "_count_pmf_1d", _refuse_counting_dp),
+    ]
+
+
+class _RecordingGenerator:
+    """A seeded generator that records the name of every method called."""
+
+    def __init__(self, seed: int, calls: list):
+        self._rng, self._calls = as_generator(seed), calls
+
+    def __getattr__(self, name):
+        self._calls.append(name)
+        return getattr(self._rng, name)
+
+
 def _drawn_count_histogram(spec, fleet, trials: int, seed: int) -> np.ndarray:
     """The flattened ``(n+1)^2`` count-pair histogram ``monte_carlo_tally``
-    bins, captured at ``_tally_symmetric``; no uniform is ever counted."""
+    reads its verdicts from, captured at ``_tally_histogram``; no uniform
+    is ever counted and the counting DP never runs."""
     width = fleet.n + 1
-    hist = np.zeros(width * width, dtype=np.int64)
-    tally_symmetric = kernels._tally_symmetric
+    hist = np.zeros((width, width), dtype=np.int64)
+    tally_histogram = kernels._tally_histogram
 
-    def spy(masks, crash_counts, byz_counts):
-        cells = np.asarray(crash_counts * width + byz_counts)
-        hist[:] += np.bincount(cells, minlength=width * width)
-        return tally_symmetric(masks, crash_counts, byz_counts)
+    def spy(masks, drawn, line=np.s_[:]):
+        hist[line] += drawn
+        return tally_histogram(masks, drawn, line)
 
-    with mock.patch.object(kernels, "_tally_symmetric", spy), mock.patch.object(
-        kernels, "_row_counts", _refuse_row_counts
-    ):
+    with contextlib.ExitStack() as stack:
+        for patch in [
+            mock.patch.object(kernels, "_tally_histogram", spy),
+            mock.patch.object(kernels, "_row_counts", _refuse_row_counts),
+            *_refusing_counting_dp(),
+        ]:
+            stack.enter_context(patch)
         tally = monte_carlo_tally(spec, fleet, trials, as_generator(seed))
     assert tally.trials == trials == hist.sum()
-    return hist
+    return hist.ravel()
 
 
 def _assert_fits_counting_pmf(hist: np.ndarray, fleet: Fleet, trials: int) -> None:
@@ -1150,10 +1179,10 @@ def _assert_fits_counting_pmf(hist: np.ndarray, fleet: Fleet, trials: int) -> No
 
 
 class TestBinomialTally:
-    """Symmetric specs over a one-model, one-kind fleet draw one
-    ``Binomial(n, p)`` failure count per trial.  The stream differs from
-    the uniform one, so the evidence is statistical and structural rather
-    than equality with a uniform loop."""
+    """Symmetric specs over a one-model, one-kind fleet draw the histogram
+    of their ``Binomial(n, p)`` failure counts, one multinomial per call.
+    The stream differs from the uniform one, so the evidence is
+    statistical and structural rather than equality with a uniform loop."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
@@ -1203,13 +1232,46 @@ class TestBinomialTally:
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(case=_single_model_cases(["crash-only", "byzantine-only"]))
-    def test_property_chunking_never_changes_the_tally(self, case):
+    def test_property_one_histogram_draw_whatever_the_chunk_budget(self, case):
         spec, fleet, trials, chunk_draws, seed = case
+        calls = []
         with mock.patch.object(kernels, "_CHUNK_DRAWS", chunk_draws):
-            assert len(kernels._chunk_sizes(trials, 1)) == -(-trials // chunk_draws)
-            chunked = monte_carlo_tally(spec, fleet, trials, as_generator(seed))
+            chunked = monte_carlo_tally(
+                spec, fleet, trials, _RecordingGenerator(seed, calls)
+            )
+        assert calls == ["multinomial"]
         whole = monte_carlo_tally(spec, fleet, trials, as_generator(seed))
         assert chunked == whole
+
+    def test_a_trillion_trials_cost_one_histogram_draw(self):
+        spec, fleet, trials = RaftSpec(25), uniform_fleet(25, 0.05), 10**12
+        calls = []
+        tally = monte_carlo_tally(spec, fleet, trials, _RecordingGenerator(5, calls))
+        assert calls == ["multinomial"] and tally.trials == trials
+        exact = counting_reliability(spec, fleet)
+        for hits, value in [
+            (tally.safe, exact.safe.value),
+            (tally.live, exact.live.value),
+            (tally.both, exact.safe_and_live.value),
+        ]:
+            assert abs(hits - trials * value) <= 6 * math.sqrt(trials * value * (1 - value)) + 1
+
+    def test_the_sampling_path_never_runs_the_counting_dp(self):
+        cases = [
+            (RaftSpec(25), uniform_fleet(25, 0.05)),
+            (PBFTSpec(7), uniform_fleet(7, 0.03, byzantine_fraction=1.0)),
+            (BenOrSpec(5), uniform_fleet(5, 0.0)),
+            (RaftSpec(5), uniform_fleet(5, 1.0)),
+        ]
+        with contextlib.ExitStack() as stack:
+            for patch in _refusing_counting_dp():
+                stack.enter_context(patch)
+            for spec, fleet in cases:
+                monte_carlo_tally(spec, fleet, 20_000, as_generator(2))
+                monte_carlo_reliability(spec, fleet, trials=20_000, seed=2, shard_trials=4_096)
+            # Control: the patches do reach the counting path.
+            with pytest.raises(AssertionError, match="counting DP"):
+                counting_reliability_batch(RaftSpec(25), [uniform_fleet(25, 0.05)])
 
 
 # ---------------------------------------------------------------------------

@@ -77,8 +77,9 @@ def _random_fleet(rng: np.random.Generator, n: int) -> Fleet:
 
 def build_single_model_grid(count: int = 30) -> list[Cell]:
     """A seeded grid of one-model, one-kind fleets — the fleets whose
-    Monte-Carlo tallies draw one binomial failure count per trial:
-    crash-only Raft and flexible-quorum Raft, Byzantine-only PBFT."""
+    Monte-Carlo tallies draw one multinomial histogram of binomial failure
+    counts per shard: crash-only Raft and flexible-quorum Raft,
+    Byzantine-only PBFT."""
     rng = np.random.default_rng(GRID_SEED + 2)
     cells = []
     for index in range(count):

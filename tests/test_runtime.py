@@ -593,6 +593,56 @@ class TestCrossProcessResume:
         (journal,) = tmp_path.glob("campaign-*")
         assert len(list(journal.glob("shard-*.json"))) == 8
 
+    @pytest.mark.chaos
+    def test_sigkilled_query_resumes_byte_identically(self, tmp_path):
+        """A ``query --resume DIR`` process killed mid-campaign loses at
+        most the shards it was running: a rerun restores the shard files
+        on disk and answers the bytes of a run that had no checkpoint."""
+        import os
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        (tmp_path / "campaign.json").write_text(json.dumps([{
+            "kind": "simulation", "replicas": 96, "duration": 8.0,
+            "scenario": {"spec": {"protocol": "raft", "n": 5},
+                         "fleet": {"uniform": {"n": 5, "p_fail": 0.2}}, "seed": 11},
+        }]))
+        checkpoint = tmp_path / "ck"
+
+        def cmd(*extra):
+            return [sys.executable, "-m", "repro.cli", "query",
+                    str(tmp_path / "campaign.json"), "--json", *extra]
+
+        def run(*extra):
+            done = subprocess.run(cmd(*extra), env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            return json.loads(done.stdout)[0]
+
+        def shards_on_disk():
+            return len(list(checkpoint.glob("campaign-*/shard-*.json")))
+
+        clean = run()
+        child = subprocess.Popen(cmd("--resume", str(checkpoint)), env=env,
+                                 stdout=subprocess.DEVNULL)
+        deadline = time.monotonic() + 60
+        while shards_on_disk() < 4 and child.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.005)
+        child.send_signal(signal.SIGKILL)
+        assert child.wait(timeout=60) == -signal.SIGKILL
+        assert 4 <= shards_on_disk() < 16
+
+        resumed = run("--resume", str(checkpoint))
+        assert resumed["run"]["shards"] == 16
+        assert 0 < resumed["run"]["restored"] < 16
+        assert json.dumps(resumed["answer"], sort_keys=True) == json.dumps(
+            clean["answer"], sort_keys=True
+        )
+
 
 # ---------------------------------------------------------------------------
 # Dogfooding: a declarative FaultPlan attacks the runtime itself

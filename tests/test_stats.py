@@ -11,7 +11,9 @@ every function with or without SciPy installed.
 Tolerances come from sizing runs against both oracles: binomial pmf/cdf/sf
 within 3e-13 relative of SciPy over 12 000 random ``(n <= 130, p, k)``
 cells above 1e-250 and within 2e-13 of the exact rational value (the
-limit is ``math.lgamma`` near 500); hypergeometric pmf within 1.1e-15;
+limit is ``math.lgamma`` near 500, and a log term's rounding grows with
+that magnitude: the whole-support pmf at ``n = 1001``, where ``lgamma``
+reaches 5 900, read 2.1e-12 of SciPy); hypergeometric pmf within 1.1e-15;
 ``ctmc_transient`` within 2e-11 absolute of ``scipy.linalg.expm``.
 """
 
@@ -29,6 +31,7 @@ from hypothesis import strategies as st
 from repro._stats import (
     binom_cdf,
     binom_pmf,
+    binom_pmf_vector,
     binom_sf,
     ctmc_transient,
     hypergeom_pmf,
@@ -43,6 +46,19 @@ from repro.markov.builders import ClusterMarkovModel
 from repro.planner.detector import PhiAccrualDetector
 
 BINOM_RTOL = 1e-12
+
+#: Whole-support pmf cells: ``n`` up to 1001 and the corners of ``p``.
+PMF_VECTOR_CELLS = [
+    (n, p)
+    for n in (0, 1, 7, 41, 1001)
+    for p in (0.0, 1e-12, 0.05, 0.5, 1.0 - 1e-12, 1.0)
+]
+
+
+def pmf_vector_rtol(n: int) -> float:
+    """``BINOM_RTOL``, scaled past ``n = 130`` (``lgamma`` ≈ 500, where it
+    was sized) by the magnitude of the log-gammas each term subtracts."""
+    return BINOM_RTOL * max(1.0, math.lgamma(n + 1) / math.lgamma(131))
 
 binomial_cells = st.tuples(
     st.integers(min_value=1, max_value=130),
@@ -123,6 +139,17 @@ class TestAgainstSciPy:
                 assert mine == pytest.approx(float(reference), rel=BINOM_RTOL)
             else:
                 assert mine <= 1e-249
+
+    @pytest.mark.parametrize("n, p", PMF_VECTOR_CELLS)
+    def test_binomial_pmf_vector_matches(self, stats, n, p):
+        mine = binom_pmf_vector(n, p)
+        reference = stats.binom.pmf(np.arange(n + 1), n, p)
+        if p in (0.0, 1.0):
+            np.testing.assert_array_equal(mine, reference)
+            return
+        shown = reference > 1e-250  # SciPy itself degrades below (see deep tail)
+        np.testing.assert_allclose(mine[shown], reference[shown], rtol=pmf_vector_rtol(n))
+        assert (mine[~shown] <= 1e-249).all()
 
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_binomial_degenerate_probabilities(self, stats, p):
@@ -249,6 +276,20 @@ class TestBinomialExact:
         assert binom_cdf(49, 50, 1.0 - 1e-9) == pytest.approx(
             -math.expm1(50 * math.log1p(-1e-9)), rel=1e-7
         )
+
+    @pytest.mark.parametrize("n, p", PMF_VECTOR_CELLS)
+    def test_pmf_vector_is_the_scalar_pmf_summing_to_one(self, n, p):
+        mine = binom_pmf_vector(n, p)
+        scalar = np.array([binom_pmf(k, n, p) for k in range(n + 1)])
+        assert mine.shape == (n + 1,) and (mine >= 0.0).all()
+        assert math.fsum(mine) == pytest.approx(1.0, abs=1e-12)
+        assert mine[:-1].sum() <= 1.0 + 1e-12  # NumPy's multinomial check
+        if p in (0.0, 1.0):
+            assert mine.tolist() == scalar.tolist()
+            return
+        shown = scalar > 1e-250
+        np.testing.assert_allclose(mine[shown], scalar[shown], rtol=pmf_vector_rtol(n))
+        assert (mine[~shown] <= 1e-249).all()
 
     @given(
         st.integers(min_value=1, max_value=25),
