@@ -48,7 +48,7 @@ def binom_pmf_vector(n: int, p: float) -> np.ndarray:
         pmf[0 if p <= 0.0 else n] = 1.0
         return pmf
     log_fact = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
-    k = np.arange(n + 1)
+    k = np.arange(n + 1.0)
     pmf = np.exp(
         log_fact[n] - log_fact - log_fact[::-1]
         + k * math.log(p) + (n - k) * math.log1p(-p)
