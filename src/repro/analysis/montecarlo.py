@@ -10,11 +10,11 @@ Sampling itself is delegated to the vectorized kernels in
 :mod:`repro.analysis.kernels`.  Symmetric specs tally each trial by its
 (crashes, Byzantine) counts.  Over a fleet whose nodes share one model
 with one failure kind (crash-only or Byzantine-only) that count is
-``Binomial(n, p)``, and each shard draws the histogram of its trials'
-counts directly: one multinomial histogram per shard, weighted by the
-closed-form binomial PMF rather than the counting DP.  Every other fleet draws
-chunked ``(m, n)`` uniform blocks, consuming each generator stream in the
-same (trial, node) order as a per-trial loop, and counts from the
+``Binomial(n, p)``, so each shard draws the histogram of its counts
+directly: one multinomial histogram per shard, weighted by the
+closed-form binomial PMF rather than the counting DP.  Every other fleet
+draws chunked ``(m, n)`` uniform blocks, consuming each generator stream
+in the same (trial, node) order as a per-trial loop, and counts from the
 uniforms; asymmetric specs classify every node.
 
 Independent-trial budgets are always split into worker-count-independent
@@ -104,10 +104,10 @@ def monte_carlo_reliability(
     Sampling runs on the batched kernel (:mod:`repro.analysis.kernels`).
     Symmetric specs read the verdict masks off a histogram of each
     trial's (crashes, Byzantine) counts: a one-model, one-kind fleet draws
-    that histogram as one multinomial histogram per shard over its
-    ``Binomial(n, p)`` counts, every other fleet counts each trial from
-    chunked ``(trials, n)`` uniform draws.  Asymmetric specs
-    classify every node of the uniform draws and dedup unique rows.
+    one multinomial histogram per shard over its ``Binomial(n, p)``
+    counts, every other fleet counts each trial from chunked ``(trials,
+    n)`` uniform draws.  Asymmetric specs classify every node of the
+    uniform draws and dedup unique rows.
     ``trials`` must be a positive integer (NumPy integers included;
     ``bool`` and floats are rejected).
 

@@ -1103,12 +1103,13 @@ def _refuse_counting_dp(*_args, **_kwargs):
     raise AssertionError("counting DP called")
 
 
-def _refusing_counting_dp():
-    """Patches under which any run of the counting DP raises."""
-    return [
-        mock.patch.object(kernels, "joint_count_pmf_batch", _refuse_counting_dp),
-        mock.patch.object(kernels, "_count_pmf_1d", _refuse_counting_dp),
-    ]
+@contextlib.contextmanager
+def _counting_dp_refused():
+    """Any run of the counting DP raises inside this block."""
+    with mock.patch.object(
+        kernels, "joint_count_pmf_batch", _refuse_counting_dp
+    ), mock.patch.object(kernels, "_count_pmf_1d", _refuse_counting_dp):
+        yield
 
 
 class _RecordingGenerator:
@@ -1134,13 +1135,9 @@ def _drawn_count_histogram(spec, fleet, trials: int, seed: int) -> np.ndarray:
         hist[line] += drawn
         return tally_histogram(masks, drawn, line)
 
-    with contextlib.ExitStack() as stack:
-        for patch in [
-            mock.patch.object(kernels, "_tally_histogram", spy),
-            mock.patch.object(kernels, "_row_counts", _refuse_row_counts),
-            *_refusing_counting_dp(),
-        ]:
-            stack.enter_context(patch)
+    with mock.patch.object(kernels, "_tally_histogram", spy), mock.patch.object(
+        kernels, "_row_counts", _refuse_row_counts
+    ), _counting_dp_refused():
         tally = monte_carlo_tally(spec, fleet, trials, as_generator(seed))
     assert tally.trials == trials == hist.sum()
     return hist.ravel()
@@ -1254,7 +1251,8 @@ class TestBinomialTally:
             (tally.live, exact.live.value),
             (tally.both, exact.safe_and_live.value),
         ]:
-            assert abs(hits - trials * value) <= 6 * math.sqrt(trials * value * (1 - value)) + 1
+            sigma = math.sqrt(trials * value * (1 - value))
+            assert abs(hits - trials * value) <= 6 * sigma + 1
 
     def test_the_sampling_path_never_runs_the_counting_dp(self):
         cases = [
@@ -1263,12 +1261,12 @@ class TestBinomialTally:
             (BenOrSpec(5), uniform_fleet(5, 0.0)),
             (RaftSpec(5), uniform_fleet(5, 1.0)),
         ]
-        with contextlib.ExitStack() as stack:
-            for patch in _refusing_counting_dp():
-                stack.enter_context(patch)
+        with _counting_dp_refused():
             for spec, fleet in cases:
                 monte_carlo_tally(spec, fleet, 20_000, as_generator(2))
-                monte_carlo_reliability(spec, fleet, trials=20_000, seed=2, shard_trials=4_096)
+                monte_carlo_reliability(
+                    spec, fleet, trials=20_000, seed=2, shard_trials=4_096
+                )
             # Control: the patches do reach the counting path.
             with pytest.raises(AssertionError, match="counting DP"):
                 counting_reliability_batch(RaftSpec(25), [uniform_fleet(25, 0.05)])
@@ -1425,7 +1423,7 @@ class TestChunkSizes:
     def test_chunked_tally_equals_single_pass(self):
         # The chunk split never changes seeded tallies: a mixed-kind fleet
         # (which still draws uniforms, unlike a one-model, one-kind fleet's
-        # binomial counts) over a draw budget small enough to force several
+        # count histogram) over a draw budget small enough to force several
         # chunks gives the same counts as one big draw.
         from repro.analysis import kernels
 
