@@ -38,21 +38,17 @@ def binom_pmf(k: int, n: int, p: float) -> float:
 def binom_pmf_vector(n: int, p: float) -> np.ndarray:
     """``P(X = k)`` for ``X ~ Binomial(n, p)`` at every ``k`` in ``0..n``.
 
-    The log-space terms of :func:`binom_pmf` as one array, each integer's
-    log-gamma taken once, then divided by their sum: the array sums to one
-    within a few ulps, so a sampler that checks ``sum(pvals[:-1]) <= 1``
-    accepts it.  ``p`` of 0 or 1 puts all the mass on one count exactly.
+    The log-space terms of :func:`binom_pmf` as one array, then divided by
+    their sum: the array sums to one within a few ulps, so a sampler that
+    checks ``sum(pvals[:-1]) <= 1`` accepts it.  ``p`` of 0 or 1 puts all
+    the mass on one count exactly.
     """
     if p <= 0.0 or p >= 1.0:
         pmf = np.zeros(n + 1)
         pmf[0 if p <= 0.0 else n] = 1.0
         return pmf
-    log_fact = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
-    k = np.arange(n + 1.0)
-    pmf = np.exp(
-        log_fact[n] - log_fact - log_fact[::-1]
-        + k * math.log(p) + (n - k) * math.log1p(-p)
-    )
+    k = np.arange(n + 1)
+    pmf = np.exp(log_binom(n, k) + k * math.log(p) + (n - k) * math.log1p(-p))
     return pmf / pmf.sum()
 
 
@@ -100,8 +96,10 @@ def hypergeom_pmf(k: int, total: int, marked: int, draws: int) -> float:
 
 
 def log_binom(n: int, k: np.ndarray) -> np.ndarray:
-    """``log C(n, k)`` element-wise."""
-    return _lgamma(n + 1) - _lgamma(k + 1) - _lgamma(n - k + 1)
+    """``log C(n, k)`` element-wise for integers ``0 <= k <= n``, each
+    ``log j!`` taken once from ``math.lgamma``."""
+    log_fact = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
+    return log_fact[n] - log_fact[k] - log_fact[n - k]
 
 
 def log_beta(a: np.ndarray, b: np.ndarray) -> np.ndarray:
