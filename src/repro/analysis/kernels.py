@@ -574,8 +574,17 @@ def _tally_symmetric(
     masks: VerdictMasks, crash_counts, byz_counts
 ) -> tuple[int, int, int]:
     """Safe/live/both hits of per-trial count pairs, binned over the
-    ``(n+1)^2`` count pairs.  Either count may be the scalar ``0``."""
+    ``(n+1)^2`` count pairs.  Either count may be the scalar ``0``: then
+    every trial lies on one line of that grid, so the trials are binned
+    over the other kind's ``n + 1`` counts and read against that line —
+    the same integer hits in ``O(n)`` rather than ``O(n^2)``."""
     width = masks.n + 1
+    if np.ndim(byz_counts) == 0:  # crash only: the column [:, 0]
+        hist = np.bincount(crash_counts, minlength=width)
+        return _tally_histogram(masks, hist, np.s_[:, 0])
+    if np.ndim(crash_counts) == 0:  # Byzantine only: the row [0, :]
+        hist = np.bincount(byz_counts, minlength=width)
+        return _tally_histogram(masks, hist, np.s_[0, :])
     hist = np.bincount(
         crash_counts * width + byz_counts, minlength=width * width
     ).reshape(width, width)

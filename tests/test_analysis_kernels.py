@@ -991,6 +991,31 @@ class TestCountedSymmetricTally:
         assert (tally.safe, tally.live, tally.both) == expected
         assert tally.live < 300  # the counts really crossed Raft's majority
 
+    @pytest.mark.parametrize("kind", ["crash", "byzantine"])
+    @pytest.mark.parametrize("n", [1, 4, 25, 300])
+    def test_one_kind_counts_bin_over_one_line_of_the_grid(self, n, kind, monkeypatch):
+        """Single-kind count arrays (the other side the scalar ``0``) are
+        binned over ``n + 1`` counts and read against the kind's line of the
+        masks: the same hits as the full ``(n+1)^2`` grid."""
+        counts = as_generator(n).integers(0, n + 1, size=5_000)
+        crash, byz = (counts, 0) if kind == "crash" else (0, counts)
+        width = n + 1
+        for spec in (RaftSpec(n), PBFTSpec(n)):
+            masks = verdict_masks(spec)
+            grid = np.bincount(crash * width + byz, minlength=width * width)
+            expected = kernels._tally_histogram(masks, grid.reshape(width, width))
+            lengths = []
+            bincount = np.bincount
+
+            def recording(values, minlength=0):
+                lengths.append(minlength)
+                return bincount(values, minlength=minlength)
+
+            monkeypatch.setattr(kernels.np, "bincount", recording)
+            assert kernels._tally_symmetric(masks, crash, byz) == expected
+            monkeypatch.undo()
+            assert lengths == [width]
+
     def test_symmetric_tallies_never_classify_nodes(self, monkeypatch):
         def refuse(*_args):
             raise AssertionError("classify_uniforms called")
