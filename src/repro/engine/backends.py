@@ -278,7 +278,10 @@ def _campaign_chunk(payload):
     span carries ``sim_seconds`` / ``horizon_seconds`` / ``early_exits`` /
     ``events`` — how much virtual time the chunk actually simulated —
     ``messages`` sent and certificate ``checkpoints`` evaluated in it, and
-    ``reused``, the replicas it did not simulate at all.
+    ``reused``, the replicas it did not simulate at all.  A chunk that ran
+    quiet Raft heartbeat rounds in closed form (their events are in
+    ``events``) carries one ``closed_form`` event with their sum,
+    ``rounds_skipped``.
 
     The fourth is the campaign's reuse table (see ``run_replica``): one
     dict for every shard of the campaign in serial and thread mode, a
@@ -326,6 +329,9 @@ def _campaign_chunk(payload):
         span.set("events", sum(run.events for run in simulated))
         span.set("messages", sum(run.messages for run in simulated))
         span.set("checkpoints", sum(run.checkpoints for run in simulated))
+        rounds_skipped = sum(run.rounds_skipped for run in simulated)
+        if rounds_skipped:
+            span.event("closed_form", rounds_skipped=rounds_skipped)
         return verdicts
 
 

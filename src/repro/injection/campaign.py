@@ -313,6 +313,9 @@ class ReplicaRun:
     evaluations (:meth:`repro.sim.cluster.Cluster.run_to_verdict`).
     ``reused`` marks a replica that was not simulated at all: its verdict
     is the stored one of an equal realisation of the same campaign.
+    ``rounds_skipped`` counts the quiet Raft heartbeat rounds run in
+    closed form (:attr:`repro.sim.cluster.Cluster.rounds_skipped`): their
+    events are in ``events`` all the same.
     """
 
     sim_seconds: float
@@ -320,6 +323,7 @@ class ReplicaRun:
     messages: int
     checkpoints: int
     reused: bool = False
+    rounds_skipped: int = field(default=0, compare=False)
 
 
 _REUSED = ReplicaRun(sim_seconds=0.0, events=0, messages=0, checkpoints=0, reused=True)
@@ -467,6 +471,7 @@ def run_replica(
             events=cluster.scheduler.processed_events,
             messages=cluster.network.messages_sent,
             checkpoints=cluster.checkpoints,
+            rounds_skipped=cluster.rounds_skipped,
         ),
     )
     # The one store: behind the stream check, so only a run that is a

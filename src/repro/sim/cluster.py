@@ -11,6 +11,7 @@ perturbing any other node's seeded stream.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -80,8 +81,8 @@ class Cluster:
         self._overridden = bool(overrides)
         #: Every value handed to :meth:`submit`, fired yet or not.
         self._commands: list[object] = []
-        #: Latest scheduled recovery per node (absent = none scheduled).
-        self._recoveries: dict[int, float] = {}
+        #: Every scheduled recovery per node, ascending (absent = none).
+        self._recoveries: dict[int, list[float]] = {}
         #: ``(time, token)`` of the last :meth:`verdict_final` checkpoint.
         self._checkpoint: tuple[float, object] | None = None
         #: How many times :meth:`verdict_final` has been evaluated.
@@ -94,6 +95,11 @@ class Cluster:
     @property
     def now(self) -> float:
         return self.scheduler.now
+
+    @property
+    def rounds_skipped(self) -> int:
+        """Heartbeat rounds the nodes ran in closed form (observability)."""
+        return sum(getattr(process, "rounds_skipped", 0) for process in self.nodes)
 
     # ------------------------------------------------------------------
     # Execution control
@@ -137,13 +143,50 @@ class Cluster:
             if checkpoint >= horizon or self.verdict_final():
                 return checkpoint
             if self._checkpoint[1] is None:
-                checkpoint += CHECKPOINT_INTERVAL
+                checkpoint = self._next_grid_checkpoint(checkpoint, horizon)
             else:
                 checkpoint = max(
                     checkpoint + 2 * self.network.delay_bound(),
                     math.nextafter(checkpoint, math.inf),
                 )
             checkpoint = min(checkpoint, horizon)
+
+    def _next_grid_checkpoint(self, checkpoint: float, horizon: float) -> float:
+        """The next checkpoint on the grid after one where clause (1) failed.
+
+        ``checkpoint + CHECKPOINT_INTERVAL``, walked on by the same float
+        additions past every grid point before the next recovery of a
+        crashed node whose :meth:`Process.frozen_log` answer is ``None``
+        (the latest such recovery, and never past ``horizon``).  Such a node
+        is live at each of those points and, by the promise, answers
+        ``None`` until it recovers, so clause (1) fails at every one of
+        them: evaluating them would change nothing but :attr:`checkpoints`
+        (each failed checkpoint only records ``(now, None)``, and the next
+        comparison with a ``None`` token fails alike), and slicing the run
+        there moves no event.
+        """
+        checkpoint += CHECKPOINT_INTERVAL
+        now = self.now
+        blocked = -math.inf
+        for process in self.nodes:
+            if process.is_crashed:
+                recovery = self._next_recovery(process.node_id, now)
+                if (
+                    recovery is not None
+                    and recovery > blocked
+                    and process.frozen_log(self._commands) is None
+                ):
+                    blocked = recovery
+        blocked = min(blocked, horizon)
+        while checkpoint < blocked:
+            checkpoint += CHECKPOINT_INTERVAL
+        return checkpoint
+
+    def _next_recovery(self, node_id: int, now: float) -> float | None:
+        """The first recovery of ``node_id`` scheduled after ``now``, if any."""
+        recoveries = self._recoveries.get(node_id, ())
+        index = bisect.bisect_right(recoveries, now)
+        return recoveries[index] if index < len(recoveries) else None
 
     def _may_certify(self) -> bool:
         """Can :meth:`verdict_final` ever hold on this cluster?"""
@@ -232,7 +275,7 @@ class Cluster:
         token = []
         for process in self.nodes:
             node_id = process.node_id
-            if process.is_crashed and self._recoveries.get(node_id, 0.0) <= now:
+            if process.is_crashed and self._next_recovery(node_id, now) is None:
                 continue  # down for good: no recovery still to come
             promise = process.frozen_log(self._commands)
             if promise is None:
@@ -269,7 +312,7 @@ class Cluster:
                 self.trace.record_event(self.scheduler.now, node_id, "recover")
 
         self.scheduler.schedule_at(time, do_recover)
-        self._recoveries[node_id] = max(time, self._recoveries.get(node_id, time))
+        bisect.insort(self._recoveries.setdefault(node_id, []), time)
 
     # ------------------------------------------------------------------
     # Network control (partitions and degradation bursts)

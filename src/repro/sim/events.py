@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Optional
+import math
+import sys
+from typing import Callable, Collection, Optional
 
 from repro.errors import SimulationError
 
@@ -54,6 +56,11 @@ class EventScheduler:
         self._now = 0.0
         self._processed = 0
         self._pending = 0
+        #: What the running :meth:`run_until` may still execute: events due
+        #: at or before ``_until``, while ``_processed`` stays below
+        #: ``_limit``.  Outside a run both read "nothing more".
+        self._until = 0.0
+        self._limit = 0
 
     @property
     def now(self) -> float:
@@ -73,6 +80,45 @@ class EventScheduler:
         scanned from the queue, so busy simulations can poll it per step.
         """
         return self._pending
+
+    def reach(self) -> tuple[float, int]:
+        """How far the run in progress goes: ``(t_end, events_left)``.
+
+        ``t_end`` is the slice end of the :meth:`run_until` call executing
+        the current event, and ``events_left`` how many more events it may
+        execute before its livelock guard trips.  An action that stands in
+        for later events (:meth:`count_events`) must keep them inside
+        both.  Outside :meth:`run_until` — under :meth:`step` or between
+        runs — ``t_end`` is not after ``now`` and nothing more is allowed.
+        """
+        return self._until, self._limit - self._processed
+
+    def next_event_time(self, skip: Collection[EventHandle] = ()) -> float:
+        """Due time of the earliest live event not in ``skip`` (``inf`` if none).
+
+        Live means scheduled, not cancelled and not yet run; events posted
+        with :meth:`post_after` (in-flight messages) are always live.  An
+        event at the returned time with a handle outside ``skip`` was
+        scheduled before anything the caller schedules now, so it runs
+        first among equal times.
+        """
+        best = math.inf
+        for time, _, _, handle in self._queue:
+            if time < best and (
+                handle is None or not (handle.cancelled or handle in skip)
+            ):
+                best = time
+        return best
+
+    def count_events(self, count: int) -> None:
+        """Count ``count`` events an action ran in closed form.
+
+        For an action that computes the effect of events it never
+        schedules (:meth:`repro.sim.raft.RaftNode.on_timer`): they count
+        in :attr:`processed_events` and against the livelock guard of the
+        run in progress exactly as if they had been executed.
+        """
+        self._processed += count
 
     def schedule_at(self, time: float, action: Action) -> EventHandle:
         """Schedule ``action`` at absolute virtual time ``time``."""
@@ -113,6 +159,8 @@ class EventScheduler:
             self._pending -= 1
             self._now = time
             self._processed += 1
+            # This event alone: nothing may be run in closed form beyond it.
+            self._until, self._limit = time, self._processed
             action()
             return True
         return False
@@ -128,25 +176,30 @@ class EventScheduler:
             raise SimulationError(f"t_end={t_end} precedes now={self._now}")
         queue = self._queue
         heappop = heapq.heappop
-        executed = 0
-        # The body of ``step`` inlined: this loop is the simulator's hot path.
-        while queue and queue[0][0] <= t_end:
-            time, _, action, handle = queue[0]
-            if handle is not None and handle.cancelled:
+        # Counted on ``_processed``, which actions may also advance
+        # (:meth:`count_events`); ``reach`` reads the same two bounds.
+        limit = self._processed + (sys.maxsize if max_events is None else max_events)
+        self._until, self._limit = t_end, limit
+        try:
+            # The body of ``step`` inlined: this loop is the simulator's hot path.
+            while queue and queue[0][0] <= t_end:
+                time, _, action, handle = queue[0]
+                if handle is not None and handle.cancelled:
+                    heappop(queue)
+                    continue
+                if self._processed >= limit:
+                    raise SimulationError(
+                        f"exceeded {max_events} events before t={t_end}; likely livelock"
+                    )
                 heappop(queue)
-                continue
-            if executed == max_events:
-                raise SimulationError(
-                    f"exceeded {max_events} events before t={t_end}; likely livelock"
-                )
-            heappop(queue)
-            if handle is not None:
-                handle._fired = True
-            executed += 1
-            self._pending -= 1
-            self._now = time
-            self._processed += 1
-            action()
+                if handle is not None:
+                    handle._fired = True
+                self._pending -= 1
+                self._now = time
+                self._processed += 1
+                action()
+        finally:
+            self._until, self._limit = self._now, self._processed
         self._now = t_end
 
     def run_to_completion(self, *, max_events: int = 1_000_000) -> None:

@@ -175,6 +175,31 @@ class Network:
         """
         return self._latency.upper_bound + self._max_extra_delay
 
+    def fixed_delay(self) -> float | None:
+        """The delay of every message sent now, if the fabric is steady.
+
+        Steady means deterministic and lossless right now: a
+        :class:`FixedLatency` model (exactly — a subclass may sample),
+        no loss probability, no extra delay and no partition in force.
+        Then :meth:`send` reads no stream and every message is delivered
+        ``delay`` after it was sent unless its destination is down; a
+        scheduled burst or partition changes that only when its event
+        runs.  ``None`` when any of the four does not hold.
+        """
+        latency = self._latency
+        if (
+            type(latency) is FixedLatency
+            and self._drop_probability == 0.0
+            and self._extra_delay == 0.0
+            and self._partition is None
+        ):
+            return latency.delay
+        return None
+
+    def process(self, node_id: int) -> "Process":
+        """The attached process with id ``node_id``."""
+        return self._processes[node_id]
+
     def _partitioned(self, src: int, dst: int) -> bool:
         """Whether the installed partition separates ``src`` from ``dst``."""
         for group in self._partition:
@@ -206,6 +231,13 @@ class Network:
             if node_id == src and not include_self:
                 continue
             self.send(src, node_id, payload)
+
+    def count_messages(self, sent: int, delivered: int, dropped: int) -> None:
+        """Count messages a node ran in closed form, as :meth:`send` and
+        delivery would have (see :meth:`fixed_delay`)."""
+        self.messages_sent += sent
+        self.messages_delivered += delivered
+        self.messages_dropped += dropped
 
     def _deliver(self, src: int, dst: int, payload: object) -> None:
         process = self._processes[dst]

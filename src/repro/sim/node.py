@@ -9,6 +9,7 @@ scheduler.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from functools import partial
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -122,6 +123,72 @@ class Process(ABC):
             if handle is not None:
                 handle.cancel()
         self._deadlines[name] = deadline
+
+    def emulate_timer(
+        self,
+        name: str,
+        times: Sequence[float],
+        deadlines: Sequence[float],
+        until: float,
+    ) -> Optional[tuple[int, Optional[float]]]:
+        """What :meth:`set_timer` re-arms would do over a stretch, without the events.
+
+        Say ``set_timer(name, deadlines[i] - times[i])`` runs at each of the
+        increasing instants ``times`` (none before now, and ``deadlines[i]``
+        being what that call computes), nothing else touches the timer, and
+        the stretch ends just before ``until`` (after the last of
+        ``times``).  Under :meth:`set_timer`'s contract this returns
+        ``(wake_ups, wake)``: how many early wake-ups the timer's queued
+        events take before ``until``, and when its queued wake-up is due at
+        the end — ``None`` if that is still the wake-up queued now.  The
+        deadline at the end is ``deadlines[-1]``.  It returns ``None``
+        instead if the timer would fire (call :meth:`on_timer`) before
+        ``until``; a wake-up due exactly at ``until`` is left queued.
+
+        *Tie rule*: a wake-up due exactly at one of ``times`` runs before
+        that re-arm.  It is the scheduler's order when the event that
+        re-arms was queued after the wake-up was.  Nothing is changed
+        here; :meth:`settle_timer` installs a result.
+        """
+        handle = self._timers.get(name)
+        wake = math.inf if handle is None else handle.time
+        deadline = self._deadlines.get(name, math.inf)
+        wake_ups = 0
+        moved = False
+        # Invariant: wake <= deadline.  A wake-up before the deadline re-posts
+        # itself at the deadline, so the timer fires iff the deadline comes.
+        for time, rearmed in zip(times, deadlines):
+            if deadline <= time:
+                return None
+            if wake <= time:
+                wake_ups += 1
+                wake = deadline
+                moved = True
+            deadline = rearmed
+            if rearmed < wake:
+                wake = rearmed
+                moved = True
+        if wake < until:
+            if deadline < until:
+                return None
+            wake_ups += 1
+            wake = deadline
+            moved = True
+        return wake_ups, (wake if moved else None)
+
+    def settle_timer(self, name: str, wake: Optional[float], deadline: float) -> None:
+        """Install an :meth:`emulate_timer` result: the timer's deadline, and
+        a new wake-up at ``wake`` in place of the queued one unless ``None``."""
+        if wake is not None:
+            handle = self._timers.get(name)
+            self._wake_at(name, wake)
+            if handle is not None:
+                handle.cancel()
+        self._deadlines[name] = deadline
+
+    def wake_up(self, name: str) -> Optional[EventHandle]:
+        """The queued wake-up of timer ``name`` (``None`` when it is not armed)."""
+        return self._timers.get(name)
 
     def cancel_timer(self, name: str) -> None:
         handle = self._timers.pop(name, None)

@@ -70,6 +70,8 @@ class RaftNode(Process):
         self._match_index: dict[int, int] = {}
         self._pending: list[object] = []  # client values awaiting a leader
         self._recorded_commit = 0  # high-water mark of trace records
+        #: Heartbeat rounds this node led in closed form (observability).
+        self.rounds_skipped = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -122,8 +124,185 @@ class RaftNode(Process):
         if name == "election":
             self._start_election()
         elif name == "heartbeat" and self.role is Role.LEADER:
+            if self._skip_quiet_rounds():
+                return
             self._broadcast_append_entries()
             self.set_timer("heartbeat", self.HEARTBEAT_INTERVAL)
+
+    # ------------------------------------------------------------------
+    # Quiet heartbeat rounds in closed form
+    # ------------------------------------------------------------------
+    def _skip_quiet_rounds(self) -> bool:
+        """Run this heartbeat and the next ones at once while they change nothing.
+
+        Called as the heartbeat fires at ``t0 = now``.  The stretch is
+        **quiet** when all of these hold:
+
+        * every node is exactly a :class:`RaftNode` (no override, no
+          subclass); this leader's log is all committed
+          (``commit_index == last_index``) and it holds no pending client
+          value;
+        * :meth:`Network.fixed_delay` gives a delay ``d`` (no loss, extra
+          delay or partition in force, a :class:`FixedLatency` model);
+        * every running peer is a follower of this term and this leader,
+          its log has the leader's length and last term, its commit index
+          is the leader's, and the leader's next and match index for it are
+          ``last_index + 1`` and ``last_index``.
+
+        Then let ``t[k+1] = t[k] + HEARTBEAT_INTERVAL`` (the float
+        :meth:`set_timer` computes), ``s[k] = t[k] + d`` and
+        ``r[k] = s[k] + d``, and take the most rounds ``K`` with ``t[K]``
+        no later than the slice end (:meth:`EventScheduler.reach`) nor than
+        the first live event that is not a running follower's election
+        wake-up (:meth:`EventScheduler.next_event_time`), and with the
+        events of ``K`` rounds — ``K * (1 + (n - 1) + R) - 1`` (this
+        heartbeat already counted; ``R`` running followers) plus at most
+        ``R * (K + 1)`` wake-ups — within the events the slice may still
+        run.  Each follower draws its ``K`` timeouts with one
+        ``rng.random(K)`` (the doubles of ``K`` scalar draws, in order),
+        and :meth:`Process.emulate_timer` replays its election timer over
+        the arrivals ``s`` up to ``t[K]``.  Then, if every round has
+        ``t[k] < s[k] < r[k] < t[k+1]``, no follower's timer fires, and no
+        two new wake-ups, nor one and ``t[K]``, fall at one instant, this
+        installs what ``K`` eager rounds leave — counters, streams, timers,
+        the next heartbeat at ``t[K]`` — and returns True.  Otherwise it
+        puts the followers' streams back and returns False: the heartbeat
+        runs as usual.
+
+        *Proof.*  Until the event that runs ``t[K]``'s heartbeat, the only
+        events are this heartbeat and its successors at ``t[k]``, each
+        running follower's delivery at ``s[k]`` and its answer at ``r[k]``,
+        each silent (not running) peer's delivery at ``s[k]``, and the
+        followers' early wake-ups: every other live event is due at or
+        after ``t[K]`` and was queued before all of these, and these
+        queue nothing else — provided each leaves the state above as it
+        found it, which it does, by induction.  A heartbeat sends ``n - 1``
+        copies of one empty ``AppendEntries`` (no stream read: the fabric
+        cannot change before a scheduled event runs).  A follower takes it
+        without stepping down (same term, follower), keeps ``leader_id``,
+        matches the leader's last entry, writes nothing (no entries),
+        commits nothing (equal commit index) and answers success at
+        ``last_index``; its one change is the election re-arm, one draw.
+        A silent peer's copy is dropped on arrival.  The leader takes each
+        answer without a change: its match index already is
+        ``last_index``, so the commit loop runs over an empty range.  No
+        message is in flight at ``t[k+1]`` (``r[k] < t[k+1]``), so every
+        round starts like the first, and no trace record is written.
+
+        The followers' timers and streams are their own, the counters are
+        sums, and nothing else changes, so the order of these events
+        within the stretch is immaterial — except a follower's wake-up
+        against its own re-arm at ``s[k]``.  **Tie rule**: a wake-up due at
+        exactly ``s[k]`` runs first.  It was queued before the heartbeat
+        at ``t[k]`` queued that delivery: by a re-arm at some
+        ``s[j] < t[k]``, before ``t0``, or by an early wake-up re-posting
+        itself at the deadline then in force — and a deadline at or before
+        ``s[k]`` at the re-arm is a timer that fires, which
+        ``emulate_timer`` refuses.  So ``emulate_timer`` gives each
+        follower's early wake-ups, queued wake-up and deadline, and no
+        election starts.  Counts: each round runs ``1 + (n - 1) + R``
+        events, sends ``(n - 1) + R`` messages, delivers ``2 R`` and drops
+        ``n - 1 - R``; the wake-ups are events too, and the guard of
+        :meth:`EventScheduler.run_until` counts them all alike.
+
+        What is left queued at the cut: every event queued before ``t0``
+        as it was, the heartbeat at ``t[K]`` and the followers' new
+        wake-ups, all after every event of the stretch.  The eager run
+        queues the same, later than everything queued before ``t0``, as
+        this does; and among themselves no two share an instant, so the
+        heap pops both in the same order for ever.  Every event of the
+        stretch is due before ``t[K]``, itself inside the slice, so a
+        checkpoint at the slice end sees the same state.
+        """
+        log = self.log
+        last_index = log.last_index
+        if type(self) is not RaftNode or self._pending or self.commit_index != last_index:
+            return False
+        network = self._network
+        delay = network.fixed_delay()
+        if delay is None:
+            return False
+        term, last_term = self.current_term, log.last_term
+        followers = []
+        for peer_id in self._peers:
+            peer = network.process(peer_id)
+            if type(peer) is not RaftNode:
+                return False
+            if not peer.is_running:
+                continue
+            peer_log = peer.log
+            if not (
+                peer.role is Role.FOLLOWER
+                and peer.current_term == term
+                and peer.leader_id == self.node_id
+                and peer_log.last_index == last_index
+                and peer_log.matches(last_index, last_term)
+                and peer.commit_index == self.commit_index
+                and self._next_index[peer_id] == last_index + 1
+                and self._match_index[peer_id] == last_index
+            ):
+                return False
+            followers.append(peer)
+
+        scheduler = self._scheduler
+        t_end, events_left = scheduler.reach()
+        end = min(
+            t_end,
+            scheduler.next_event_time({peer.wake_up("election") for peer in followers}),
+        )
+        peers, running = len(self._peers), len(followers)
+        # Rounds whose events (and the followers' wake-ups) fit the budget.
+        most = (events_left + 1 - running) // (1 + peers + 2 * running)
+        interval = self.HEARTBEAT_INTERVAL
+        beats = [self.now]  # t[0], ..., t[K]
+        arrivals = []  # s[k]
+        while len(arrivals) < most:
+            beat = beats[-1]
+            following = beat + interval
+            if following > end:
+                break
+            arrival = beat + delay
+            if not beat < arrival < arrival + delay < following:
+                return False
+            beats.append(following)
+            arrivals.append(arrival)
+        rounds = len(arrivals)
+        if not rounds:
+            return False
+
+        cut = beats[-1]
+        streams = [peer._rng.bit_generator for peer in followers]
+        saved = [stream.state for stream in streams]
+        at = np.array(arrivals)
+        plans = [peer._heard_quietly(arrivals, at, cut) for peer in followers]
+        # New wake-ups: none may share an instant with another or with t[K].
+        wakes = [plan[1] for plan, _ in plans if plan is not None and plan[1] is not None]
+        if any(plan is None for plan, _ in plans) or len(set(wakes) | {cut}) <= len(wakes):
+            for stream, state in zip(streams, saved):
+                stream.state = state
+            return False
+
+        self.settle_timer("heartbeat", cut, cut)
+        wake_ups = 0
+        for peer, ((woken, wake), deadline) in zip(followers, plans):
+            peer.settle_timer("election", wake, deadline)
+            wake_ups += woken
+        network.count_messages(
+            rounds * (peers + running), rounds * 2 * running, rounds * (peers - running)
+        )
+        scheduler.count_events(rounds * (1 + peers + running) - 1 + wake_ups)
+        self.rounds_skipped += rounds
+        return True
+
+    def _heard_quietly(self, arrivals: list[float], at: np.ndarray, until: float):
+        """Draw this follower's election timeouts for heartbeats arriving at
+        ``arrivals`` (``at`` as an array) — one ``rng.random(len(arrivals))``,
+        the doubles of that many :meth:`_arm_election_timer` draws, turned
+        into deadlines by the same float operations — and emulate its timer
+        up to ``until``: ``(emulate_timer(...), last deadline)``."""
+        low, high = self.ELECTION_TIMEOUT
+        deadlines = (at + (low + (high - low) * self._rng.random(len(arrivals)))).tolist()
+        return self.emulate_timer("election", arrivals, deadlines, until), deadlines[-1]
 
     # ------------------------------------------------------------------
     # Elections
