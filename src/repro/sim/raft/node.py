@@ -218,6 +218,11 @@ class RaftNode(Process):
         last_index = log.last_index
         if type(self) is not RaftNode or self._pending or self.commit_index != last_index:
             return False
+        scheduler = self._scheduler
+        t_end, events_left = scheduler.reach()
+        interval = self.HEARTBEAT_INTERVAL
+        if self.now + interval > t_end:
+            return False  # not one round fits the slice
         network = self._network
         delay = network.fixed_delay()
         if delay is None:
@@ -244,8 +249,6 @@ class RaftNode(Process):
                 return False
             followers.append(peer)
 
-        scheduler = self._scheduler
-        t_end, events_left = scheduler.reach()
         end = min(
             t_end,
             scheduler.next_event_time({peer.wake_up("election") for peer in followers}),
@@ -253,7 +256,6 @@ class RaftNode(Process):
         peers, running = len(self._peers), len(followers)
         # Rounds whose events (and the followers' wake-ups) fit the budget.
         most = (events_left + 1 - running) // (1 + peers + 2 * running)
-        interval = self.HEARTBEAT_INTERVAL
         beats = [self.now]  # t[0], ..., t[K]
         arrivals = []  # s[k]
         while len(arrivals) < most:
