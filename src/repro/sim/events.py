@@ -58,7 +58,8 @@ class EventScheduler:
         self._pending = 0
         #: What the running :meth:`run_until` may still execute: events due
         #: at or before ``_until``, while ``_processed`` stays below
-        #: ``_limit``.  Outside a run both read "nothing more".
+        #: ``_limit``.  Outside a run (and so under :meth:`step`) ``_until``
+        #: is not after ``now`` and ``_limit`` not above ``_processed``.
         self._until = 0.0
         self._limit = 0
 
@@ -159,8 +160,6 @@ class EventScheduler:
             self._pending -= 1
             self._now = time
             self._processed += 1
-            # This event alone: nothing may be run in closed form beyond it.
-            self._until, self._limit = time, self._processed
             action()
             return True
         return False

@@ -251,7 +251,13 @@ class Process(ABC):
         * while every node it hears from holds an equal log, nothing it
           receives makes it write its own;
         * if it is running, it has decided its whole log and decides a
-          slot at most once between restarts.
+          slot at most once between restarts;
+
+        and, whatever it returns, that while it is crashed its answer for
+        the same ``commands`` does not change until it recovers
+        (:meth:`repro.sim.cluster.Cluster.run_to_verdict` walks past the
+        checkpoints before the recovery of a crashed node answering
+        ``None``).
 
         The default makes no promise, so a cluster with any such node
         (PBFT, a Byzantine override, a third-party protocol) always runs

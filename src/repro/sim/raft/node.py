@@ -101,7 +101,10 @@ class RaftNode(Process):
         is a no-op when the leader's log equals this one.  A running node
         with ``_recorded_commit == commit_index == last_index`` has
         recorded every slot, and ``commit_index`` never exceeds
-        ``last_index`` again once the log stops changing.
+        ``last_index`` again once the log stops changing.  A crashed node
+        receives nothing (deliveries to it are dropped, its timers were
+        cancelled, clients reach running nodes only), so its log, and with
+        it this answer, stays as it is until it recovers.
         """
         log = self.log
         if self.is_running and not (

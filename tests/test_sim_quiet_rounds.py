@@ -398,6 +398,17 @@ class TestRefusals:
             end = math.nextafter(end, -math.inf)
         assert _first_call(cluster, end)[0] == rounds - short
 
+    def test_events_run_one_by_one_have_no_slice(self):
+        # ``step`` (and ``run_to_completion``) executes one event: nothing
+        # may be run past it, so every heartbeat runs eagerly.
+        stepped = Cluster(5, raft_node_factory(), seed=11)
+        stepped.start()
+        stepped.submit("a", at=0.5)
+        while stepped.now < 1.5 and stepped.scheduler.step():
+            pass
+        assert stepped.rounds_skipped == 0
+        assert stepped.scheduler.processed_events > 400
+
     @pytest.mark.parametrize("left, skips", [(15, 0), (16, 1), (28, 1), (29, 2)])
     def test_the_event_budget(self, left, skips):
         # A round here is 1 heartbeat + 4 deliveries + 4 answers, and 4
