@@ -58,7 +58,7 @@ def test_one_vector_draw_is_k_scalar_election_draws(seed, k):
 # ---------------------------------------------------------------------------
 # (ii) Equivalence with the eager run, checkpoint by checkpoint
 # ---------------------------------------------------------------------------
-def _eager_plan_grid(self, checkpoint, horizon):
+def _eager_grid_step(self, checkpoint, horizon):
     return checkpoint + CHECKPOINT_INTERVAL
 
 
@@ -103,7 +103,7 @@ def _observed(query: SimulationQuery, index: int, *, eager: bool):
         patch.setattr(cluster_module, "Cluster", Recording)
         if eager:
             patch.setattr(RaftNode, "_skip_quiet_rounds", lambda self: False)
-            patch.setattr(Cluster, "_next_grid_checkpoint", _eager_plan_grid)
+            patch.setattr(Cluster, "_next_grid_checkpoint", _eager_grid_step)
         scenario = query.scenario
         verdict = run_replica(
             scenario.spec,
@@ -456,7 +456,7 @@ def _verdict_run(*outages, eager=False):
     cluster.submit("a", at=0.5)
     with pytest.MonkeyPatch.context() as patch:
         if eager:
-            patch.setattr(Cluster, "_next_grid_checkpoint", _eager_plan_grid)
+            patch.setattr(Cluster, "_next_grid_checkpoint", _eager_grid_step)
         stopped = cluster.run_to_verdict(0.5, 6.0)
     return stopped, times
 
