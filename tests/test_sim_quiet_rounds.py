@@ -36,6 +36,7 @@ from repro.injection.campaign import ReplicaRun
 from repro.obs import InMemoryExporter, Tracer, use_tracer
 from repro.sim.cluster import CHECKPOINT_INTERVAL, Cluster
 from repro.sim.network import FixedLatency, UniformLatency
+from repro.sim.node import Process
 from repro.sim.raft import RaftNode, Role, raft_node_factory
 
 
@@ -397,6 +398,21 @@ class TestRefusals:
         if short:
             end = math.nextafter(end, -math.inf)
         assert _first_call(cluster, end)[0] == rounds - short
+
+    @pytest.mark.parametrize("at, skips", [(None, 16), (0.0, 0), (1.0, 0)])
+    def test_new_wake_ups_at_one_instant(self, at, skips, monkeypatch):
+        # Every follower's new wake-up forced to ``until + at``: at the next
+        # heartbeat's instant, or all at one later instant, the heap's order
+        # among them would be the eager run's queueing order, which the
+        # closed form does not know; the draws are then put back.
+        real = Process.emulate_timer
+
+        def tied(self, name, times, deadlines, until):
+            plan = real(self, name, times, deadlines, until)
+            return plan if at is None else (plan[0], until + at)
+
+        monkeypatch.setattr(Process, "emulate_timer", tied)
+        assert _skips(_cluster()) == skips
 
     def test_events_run_one_by_one_have_no_slice(self):
         # ``step`` (and ``run_to_completion``) executes one event: nothing
