@@ -18,10 +18,11 @@ mechanically:
 - ``lock-order``: build a project-wide acquired-while-holding graph over
   named locks and report cycles as potential deadlocks.
 - ``async-hygiene``: inside ``async def``, ban blocking calls
-  (``time.sleep``, ``os.fsync``, direct engine runs, file I/O,
-  ``subprocess``) unless routed through ``run_in_executor`` /
-  ``asyncio.to_thread``, and flag coroutine calls and ``create_task``
-  results whose value is silently discarded.
+  (``time.sleep``, ``os.fsync``, engine runs — direct, or one hop away
+  through a sync method of the same class — file I/O, ``subprocess``)
+  unless routed through ``run_in_executor`` / ``asyncio.to_thread``,
+  and flag coroutine calls and ``create_task`` results whose value is
+  silently discarded.
 - ``journal-durability``: in checkpoint/journal modules, every write on
   a journal handle must be followed by ``os.fsync`` on the same handle
   before the guarding lock is released (``flush()`` is not durability).
@@ -657,10 +658,13 @@ _BLOCKING_IO_METHODS = frozenset(
 )
 
 #: Engine entry points: a direct call runs a full batch computation on
-#: the event loop thread.  ``recall`` is deliberately absent — it answers
-#: from the memo or returns ``None``, never computing, and holds the engine
-#: lock for dict operations only — so it is the one engine call an
-#: ``async def`` may make directly.
+#: the event loop thread.  ``recall`` and ``answer_inline`` are
+#: deliberately absent: ``recall`` answers from the memo or returns
+#: ``None``, and ``answer_inline`` adds only the misses whose work the
+#: engine bounds (``INLINE_MAX_N``: a stock counting, exact or Markov row
+#: of small ``n``, well under a millisecond) and returns ``None`` for the
+#: rest; both hold the engine lock for dict operations only.
+#: ``answer_inline`` is the one engine call on the loop that computes.
 _ENGINE_RUN_METHODS = frozenset({"run", "run_query", "run_queries"})
 
 _TASK_SPAWNERS = frozenset({"create_task", "ensure_future"})
@@ -691,6 +695,33 @@ def _engineish(expr: ast.AST) -> bool:
     return False
 
 
+def _engine_run(call: ast.Call) -> Optional[str]:
+    """``engine.run(...)``-style call -> the method name; else ``None``."""
+    func = call.func
+    if (
+        isinstance(func, ast.Attribute)
+        and func.attr in _ENGINE_RUN_METHODS
+        and _engineish(func.value)
+    ):
+        return func.attr
+    return None
+
+
+def _engine_runners(cls: ast.ClassDef) -> Dict[str, str]:
+    """Sync methods of ``cls`` whose own body runs the engine directly,
+    each mapped to the engine method it calls: what an ``async def`` of
+    the class may not call inline."""
+    runners: Dict[str, str] = {}
+    for item in cls.body:
+        if not isinstance(item, ast.FunctionDef):
+            continue
+        for node in _own_nodes(item):
+            if isinstance(node, ast.Call) and (method := _engine_run(node)):
+                runners[item.name] = method
+                break
+    return runners
+
+
 @register_rule
 class AsyncHygieneRule(Rule):
     id = "async-hygiene"
@@ -700,9 +731,15 @@ One blocking call inside ``async def`` stalls *every* request the daemon
 is serving — the event loop has exactly one thread.  ``time.sleep``,
 ``os.fsync``, file I/O, ``subprocess`` and direct engine runs belong in
 ``asyncio.to_thread``/``run_in_executor`` (handing the *function* to the
-executor, never calling it inline).  The one engine call allowed on the
-loop is ``engine.recall(...)``: a memo probe that never computes.  The
-rule also flags coroutine calls
+executor, never calling it inline) — and so does a sync method of the
+same class whose body runs the engine: calling it from ``async def`` is
+one hop from the same stall, and is flagged at the call site.  Two
+engine calls are allowed on the loop: ``engine.recall(...)``, a memo
+probe that never computes, and ``engine.answer_inline(...)``, the probe
+plus the misses whose work the engine bounds (``INLINE_MAX_N``: a stock
+counting, exact or Markov row of small ``n``, well under a millisecond);
+it returns ``None`` for every other row, which then goes to the
+executor.  The rule also flags coroutine calls
 whose result is discarded (the coroutine never runs — Python only warns
 at garbage-collection time) and ``create_task``/``ensure_future``
 results that are neither stored nor awaited (the task is eligible for GC
@@ -712,12 +749,14 @@ are exempt: they typically *are* the executor payload.
     bad_example = """
 async def handle(self, request):
     answers = self.engine.run(queries)     # blocks the whole event loop
+    answer = self._compute(query)          # a sync method that runs the engine
     asyncio.create_task(self._audit())     # task dropped: GC + lost errors
 """
     good_example = """
 async def handle(self, request):
-    answer = self.engine.recall(query)     # memo only: never computes
-    answers = await asyncio.to_thread(self.engine.run, queries)
+    answer = self.engine.answer_inline(query)  # a hit or a bounded miss
+    if answer is None:                          # anything else: the executor
+        answer = await asyncio.to_thread(self._compute, query)
     self._audit_task = asyncio.create_task(self._audit())
 """
 
@@ -733,19 +772,37 @@ async def handle(self, request):
             sync_names.update(f.name for f in ctx.nodes_of(ast.FunctionDef))
         coroutine_names = async_names - sync_names
         for ctx in project.files:
+            # Methods of a class with an async method: the sync ones that
+            # run the engine may not be called from it inline.
+            runners_of: Dict[int, Dict[str, str]] = {}
+            for cls in ctx.nodes_of(ast.ClassDef):
+                methods = [
+                    item for item in cls.body if isinstance(item, ast.AsyncFunctionDef)
+                ]
+                runners = _engine_runners(cls) if methods else {}
+                for method in methods:
+                    runners_of[id(method)] = runners
             for func in ctx.nodes_of(ast.AsyncFunctionDef):
-                yield from self._check_async_def(ctx, func, coroutine_names)
+                yield from self._check_async_def(
+                    ctx, func, coroutine_names, runners_of.get(id(func), {})
+                )
 
     def _check_async_def(
-        self, ctx: FileContext, func: ast.AsyncFunctionDef, coroutine_names: Set[str]
+        self,
+        ctx: FileContext,
+        func: ast.AsyncFunctionDef,
+        coroutine_names: Set[str],
+        runners: Dict[str, str],
     ) -> Iterator[Finding]:
         for node in _own_nodes(func):
             if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
                 yield from self._check_discard(ctx, node.value, coroutine_names)
             if isinstance(node, ast.Call):
-                yield from self._check_blocking(ctx, node)
+                yield from self._check_blocking(ctx, node, runners)
 
-    def _check_blocking(self, ctx: FileContext, call: ast.Call) -> Iterator[Finding]:
+    def _check_blocking(
+        self, ctx: FileContext, call: ast.Call, runners: Dict[str, str]
+    ) -> Iterator[Finding]:
         qualified = ctx.qualified_name(call.func)
         reason = None
         if qualified in _BLOCKING_QUALIFIED:
@@ -753,13 +810,21 @@ async def handle(self, request):
         elif isinstance(call.func, ast.Name) and call.func.id == "open":
             reason = "`open()` is synchronous file I/O"
         elif isinstance(call.func, ast.Attribute):
+            method = _engine_run(call)
+            helper = _self_attr(call.func)
             if call.func.attr in _BLOCKING_IO_METHODS:
                 reason = f"`.{call.func.attr}()` is synchronous file I/O"
-            elif call.func.attr in _ENGINE_RUN_METHODS and _engineish(call.func.value):
+            elif method is not None:
                 reason = (
-                    f"direct `.{call.func.attr}()` on an engine runs a full "
+                    f"direct `.{method}()` on an engine runs a full "
                     "batch computation on the event loop thread (only "
-                    "`.recall()`, which never computes, may run there)"
+                    "`.recall()` and `.answer_inline()`, which compute "
+                    "nothing past the engine's bound, may run there)"
+                )
+            elif helper in runners:
+                reason = (
+                    f"`self.{helper}()` runs the engine (its body calls "
+                    f"`.{runners[helper]}()`) on the event loop thread"
                 )
         if reason is None:
             return

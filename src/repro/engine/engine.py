@@ -15,7 +15,9 @@ back.  Backends compute, the engine remembers: the scenario planner
 :mod:`repro.engine.backends`, and none of them reads or writes the memo
 or calls back into :meth:`run`.  :meth:`ReliabilityEngine.recall` is the
 probe alone — one row from the memo or ``None``, never a computation —
-for callers that must not block (the daemon's event loop).  What stays
+and :meth:`ReliabilityEngine.answer_inline` adds to it only the rows
+whose work :data:`INLINE_MAX_N` bounds, for callers that must not block
+(the daemon's event loop).  What stays
 here is what every kind shares: the memo, the per-engine
 estimator/backend overrides, and the kind router.  The engine package
 reads no clock — spans time what runs.
@@ -31,7 +33,14 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.engine.execution import SERIAL, ExecutionPolicy
 from repro.engine.query import Query, QuerySet, coerce_query
-from repro.engine.registry import BackendFn, EstimatorFn, MemoMisses, get_backend, get_estimator
+from repro.engine.registry import (
+    BackendFn,
+    EstimatorFn,
+    MemoMisses,
+    get_backend,
+    get_estimator,
+    is_stock_estimator,
+)
 from repro.engine.result import Answer, AnswerSet, Provenance
 from repro.engine.scenario import Scenario, ScenarioSet
 from repro.errors import EstimationError
@@ -41,6 +50,31 @@ from repro.obs.trace import current_tracer
 # (reliability; availability / mttf / simulation) with the registry.
 import repro.engine.backends  # noqa: F401  (import-for-effect)
 import repro.engine.planner  # noqa: F401  (import-for-effect)
+
+#: The bound of :meth:`ReliabilityEngine.answer_inline`: the largest ``n``
+#: whose memo miss it computes on the calling thread, by stock estimator
+#: (a ``reliability`` row's resolved method) or by kind (the Markov rows).
+#: On a 2-vCPU host (best of 30, one row, service policy) the slowest row
+#: at a limit took 0.61 ms (PBFT counting with mixed failures, n = 32);
+#: one past each limit, counting at n = 33 took 0.32 ms (Raft) and
+#: 0.65 ms (PBFT, mixed), a Markov chain at n = 33 at most 0.25 ms and
+#: exact at n = 9 0.95 ms (PBFT, mixed) — a fifth of the interpreter's
+#: 5 ms switch interval, which an executor thread may already hold the
+#: GIL for.  Past the bound the work grows without limit (scalar counting
+#: at n = 257: 78 ms; exact at n = 13: 0.28 s), and every other method or
+#: kind is never bounded.
+INLINE_MAX_N: Mapping[str, int] = {
+    "counting": 32,
+    "exact": 8,
+    "availability": 32,
+    "mttf": 32,
+}
+
+#: The backends the bound was measured on, by kind, frozen at import: a
+#: kind re-registered globally or overridden per engine is never bounded.
+_STOCK_BACKENDS: Mapping[str, BackendFn] = {
+    kind: get_backend(kind) for kind in ("reliability", "availability", "mttf")
+}
 
 
 @lru_cache(maxsize=256)
@@ -174,6 +208,9 @@ class ReliabilityEngine:
     ) -> Answer | None:
         """Answer one row from the memo alone, or ``None``; never computes.
 
+        :meth:`answer_inline` is the same probe followed, on a miss, by the
+        row itself when its work is bounded.
+
         A hit is the answer :meth:`run` would give for the same row — same
         key, one hit counted, LRU recency refreshed — without a backend
         lookup or a batch around it, so it is safe on a thread that must
@@ -202,6 +239,46 @@ class ReliabilityEngine:
                 backend_span.set("memo_misses", 0)
         value, provenance = cached
         return Answer(query, value, provenance)
+
+    def answer_inline(
+        self, query: Query | Scenario, policy: ExecutionPolicy | None = None
+    ) -> Answer | None:
+        """:meth:`recall`, and on a miss the row itself when its work is
+        bounded; ``None`` otherwise.  Safe on a thread that must not block.
+
+        A miss is computed here, on the calling thread, only when the row
+        runs a stock backend with the stock ``counting`` or ``exact``
+        estimator (``reliability``) or is an ``availability`` / ``mttf``
+        row, no per-engine or global override replaces either, and its
+        ``n`` is within :data:`INLINE_MAX_N`.  Such a row is answered
+        exactly as :meth:`run` answers it — same value, same provenance,
+        one miss counted, the answer stored.  Every other miss (sampling,
+        simulation, an override, anything larger) returns ``None`` and
+        counts nothing, like :meth:`recall`: the caller runs it where
+        blocking is allowed.
+        """
+        active = policy if policy is not None else self._policy
+        query = coerce_query(query)
+        answer = self.recall(query, active)
+        if answer is None and self._bounded(query):
+            answer = self.run([query], policy=active)[0]
+        return answer
+
+    def _bounded(self, query: Query) -> bool:
+        """Whether :meth:`answer_inline` may compute ``query`` in place."""
+        kind = query.kind
+        if kind == "reliability":
+            name = query.scenario.resolved_method()
+            if not is_stock_estimator(name, self.estimator(name)):
+                return False
+        else:
+            name = kind
+        limit = INLINE_MAX_N.get(name)
+        return (
+            limit is not None
+            and query.n <= limit
+            and self.backend(kind) is _STOCK_BACKENDS[kind]
+        )
 
     def run(
         self,

@@ -16,14 +16,18 @@ hung shard holds its executor thread until it returns.  Completed campaign
 shards journal to the checkpoint directory, so a daemon restart resumes
 interrupted campaigns bit-identically instead of recomputing them.
 
-Request execution happens on a bounded thread pool (the engine's NumPy
-hot paths release the GIL; campaign fan-out adds its own policy workers
-per query), while the asyncio loop parses, routes, streams — and answers
-what the memo already holds: every row is first put to
-:meth:`~repro.engine.ReliabilityEngine.recall`, which never computes, so
-a memoised row is answered on the loop without single-flight or the
-pool (and cannot queue behind a saturated one), and only the rows that
-miss are executed, single-flighted on the same memo key.
+The asyncio loop parses, routes, streams — and answers every row whose
+work is bounded: each row is first put to
+:meth:`~repro.engine.ReliabilityEngine.answer_inline`, which returns
+what the memo holds and computes on the loop only a stock counting,
+exact or Markov row under its small-``n`` bound (well under a
+millisecond, less than an executor thread may hold the GIL for).  Such
+a row is answered without single-flight or the pool (and cannot queue
+behind a saturated one).  Only the rows it declines — sampling,
+simulation campaigns, overridden estimators or backends, anything
+larger — execute on a bounded thread pool (the engine's NumPy hot
+paths release the GIL; campaign fan-out adds its own policy workers per
+query), single-flighted on the memo key they are stored under.
 Long campaigns can opt into progress streaming
 (``POST /v1/query?stream=1`` → chunked JSON lines, one per answer as it
 completes).  ``GET /healthz`` and ``GET /metrics`` expose liveness, the
@@ -90,8 +94,9 @@ class ServiceConfig:
     """Tunables of one daemon process.
 
     ``jobs`` is the per-campaign shard fan-out (the policy's worker
-    count); ``executor_workers`` bounds how many *requests'* queries
-    execute concurrently.  ``shard_timeout`` / ``retries`` /
+    count); ``executor_workers`` bounds how many rows execute on the
+    request pool concurrently — the rows the event loop does not answer
+    itself (memo hits and bounded analytic misses never take a worker).  ``shard_timeout`` / ``retries`` /
     ``on_shard_failure`` are the supervision knobs every campaign runs
     under; ``shard_timeout`` is enforced only when ``jobs`` is 2 or more
     and a campaign has more than one shard — at the default ``jobs``
@@ -354,8 +359,8 @@ class ReliabilityService:
             return await self._error_response(writer, 400, "no queries in payload")
         stream = request.query.get("stream") not in (None, "", "0")
         started = time.perf_counter()
-        # One pass on the loop resolves every row the memo already holds;
-        # only the rows that miss pay for single-flight and the executor.
+        # One pass on the loop answers every memo hit and bounded miss;
+        # only the rows left pay for single-flight and the executor.
         outcomes, missed = [], []
         for index, query in enumerate(query_set):
             outcome = self._recall(index, query)
@@ -414,8 +419,8 @@ class ReliabilityService:
     ) -> int:
         """Chunked JSON-lines: one row per answer as it completes.
 
-        Completion order — rows the memo held (``outcomes``) first, then
-        the ``tasks`` of the rows that missed as each finishes — each line
+        Completion order — rows answered on the loop (``outcomes``) first,
+        then the ``tasks`` of the executor rows as each finishes — each line
         tagged with its submission ``index``: a long campaign's finished
         answers arrive while slower ones still run; the final line is the
         run summary.
@@ -440,17 +445,20 @@ class ReliabilityService:
         return 200
 
     def _recall(self, index: int, query):
-        """Loop-side half of a row: its outcome if the memo holds the answer.
+        """Loop-side half of a row: its outcome if it is answered right here.
 
-        ``None`` is a miss — nothing counted, no span exported — and the
-        row goes on to :meth:`_tagged_answer`.  A hit is answered right
-        here: :meth:`~repro.engine.ReliabilityEngine.recall` never
-        computes and takes the engine lock for dict operations only, so
-        the loop does not block, and the row skips single-flight and the
-        executor hop (it cannot queue behind a saturated pool either).
-        Traced, a hit exports the tree an executed row does, its
-        ``query.execute`` on ``track="loop"``; ``use_tracer`` is what lets
-        the engine's spans nest there, the tracer being context-local.
+        :meth:`~repro.engine.ReliabilityEngine.answer_inline` returns a
+        memo hit, or computes a miss whose work the engine bounds (a stock
+        counting, exact or Markov row of small ``n``, well under a
+        millisecond); it takes the engine lock for dict operations only.
+        Such a row skips single-flight and the executor hop and cannot
+        queue behind a saturated pool.  ``None`` is a row it declines —
+        nothing counted, no span exported — and the row goes on to
+        :meth:`_tagged_answer`.  Traced, an answered row exports the tree
+        an executed row does, its ``query.execute`` on ``track="loop"``
+        and its ``serve.query`` marked ``memo_hit`` or ``inline``;
+        ``use_tracer`` is what lets the engine's spans nest there, the
+        tracer being context-local.
         """
         tracer = self.tracer
         started = time.perf_counter()
@@ -459,12 +467,12 @@ class ReliabilityService:
         ) as query_span:
             try:
                 if not tracer.enabled:
-                    answer = self.engine.recall(query, self.policy)
+                    answer = self.engine.answer_inline(query, self.policy)
                 else:
                     with tracer.span(
                         "query.execute", track="loop", kind=query.kind
                     ) as execute_span, use_tracer(tracer):
-                        answer = self.engine.recall(query, self.policy)
+                        answer = self.engine.answer_inline(query, self.policy)
                         if answer is None:
                             execute_span.discard()
             except Exception as error:
@@ -476,14 +484,18 @@ class ReliabilityService:
             if answer is None:
                 query_span.discard()
                 return None
-            query_span.set("memo_hit", True)
-        self.metrics.record_served(query.kind, time.perf_counter() - started, answer)
+            inline = not answer.provenance.cache_hit
+            query_span.set("inline" if inline else "memo_hit", True)
+        self.metrics.record_served(
+            query.kind, time.perf_counter() - started, answer, inline=inline
+        )
         return index, answer, None, False
 
     async def _tagged_answer(self, index: int, query):
         """(index, answer, error, joined) — never raises, streams need all.
 
-        Rows single-flight on the engine's memo key, the key the row is
+        The executor path of a row :meth:`_recall` declined.  Rows
+        single-flight on the engine's memo key, the key the row is
         then stored under: a joiner is exactly a row the memo would have
         answered, and it gets the shared value under its own query (rows
         that differ only in ``label`` or in a field their key ignores

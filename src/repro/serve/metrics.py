@@ -89,6 +89,9 @@ class ServiceMetrics:
         #: Queries served by joining an identical in-flight execution
         #: instead of starting their own (the single-flight proof).
         self.coalesced_total = 0
+        #: Memo misses computed on the event loop (bounded analytic rows)
+        #: instead of on the request pool.
+        self.inline_total = 0
         self.streamed_requests = 0
         self.error_responses = 0
         # Campaign aggregates from answer provenance.
@@ -115,15 +118,22 @@ class ServiceMetrics:
                 self.error_responses += 1
 
     def record_served(
-        self, kind: str, seconds: float, answer=None, *, coalesced: bool = False
+        self,
+        kind: str,
+        seconds: float,
+        answer=None,
+        *,
+        coalesced: bool = False,
+        inline: bool = False,
     ) -> None:
         """One served row, under one lock round trip.
 
         ``seconds`` always lands in the kind's latency histogram; a row
         that produced an ``answer`` (``None``: it failed) also counts as a
         query and an answer, and its provenance folds into the campaign
-        aggregates.  Rows answered from the memo on the event loop and
-        rows that went through the executor record the same way.
+        aggregates.  Rows answered on the event loop and rows that went
+        through the executor record the same way; ``inline`` marks a miss
+        the loop computed itself, which also counts in ``inline_total``.
         """
         slot = len(HISTOGRAM_BUCKETS)  # +Inf
         for index, bound in enumerate(HISTOGRAM_BUCKETS):
@@ -148,6 +158,8 @@ class ServiceMetrics:
             self.answers_total += 1
             if coalesced:
                 self.coalesced_total += 1
+            if inline:
+                self.inline_total += 1
             if provenance.cache_hit:
                 self.answer_cache_hits += 1
             self.campaign_shards += provenance.shards
@@ -184,6 +196,7 @@ class ServiceMetrics:
                 "queries_total": self.queries_total,
                 "answers_total": answers,
                 "coalesced_total": self.coalesced_total,
+                "inline_total": self.inline_total,
                 "streamed_requests": self.streamed_requests,
                 "campaigns": {
                     "shards_total": self.campaign_shards,
@@ -295,6 +308,7 @@ def render_prometheus(snapshot: dict) -> str:
         ("repro_queries_total", "queries_total", "Queries received."),
         ("repro_answers_total", "answers_total", "Answers produced."),
         ("repro_coalesced_total", "coalesced_total", "Queries coalesced onto an in-flight execution."),
+        ("repro_inline_total", "inline_total", "Memo misses computed on the event loop."),
         ("repro_streamed_requests_total", "streamed_requests", "Requests answered as ndjson streams."),
     )
     for name, key, help_text in counters:

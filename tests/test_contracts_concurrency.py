@@ -534,6 +534,73 @@ class TestAsyncHygiene:
         assert ".run()" in findings[1].message
         assert all(".recall()" in f.message for f in findings)
 
+    def test_answer_inline_is_allowed_on_the_loop(self):
+        findings = run(
+            """
+            import asyncio
+
+            async def handle(self, query):
+                answer = self.engine.answer_inline(query, self.policy)
+                if answer is None:
+                    answer = await asyncio.to_thread(self.engine.run_query, query)
+                return answer
+            """,
+            rules=["async-hygiene"],
+        )
+        assert findings == []
+
+    def test_fires_on_a_sync_method_that_runs_the_engine(self):
+        findings = run(
+            """
+            class Service:
+                def _compute(self, query):
+                    return self.engine.run([query])[0]
+
+                def _describe(self, query):
+                    return query.label
+
+                async def handle(self, query):
+                    label = self._describe(query)
+                    return label, self._compute(query)
+            """,
+            rules=["async-hygiene"],
+        )
+        assert rule_ids(findings) == ["async-hygiene"]
+        assert findings[0].line == 11  # the call site, not the helper
+        assert "self._compute()" in findings[0].message
+        assert ".run()" in findings[0].message
+
+    def test_a_sync_method_that_runs_the_engine_may_go_to_the_executor(self):
+        findings = run(
+            """
+            import asyncio
+            from functools import partial
+
+            class Service:
+                def _compute(self, query):
+                    return self.engine.run([query])[0]
+
+                async def handle(self, query):
+                    loop = asyncio.get_running_loop()
+                    first = await loop.run_in_executor(None, partial(self._compute, query))
+                    second = await asyncio.to_thread(self._compute, query)
+
+                    def payload():
+                        return self._compute(query)
+
+                    return first, second, await asyncio.to_thread(payload)
+
+            class Other:
+                async def handle(self, query):
+                    return self._compute(query)  # another class's method
+
+                def _compute(self, query):
+                    return query
+            """,
+            rules=["async-hygiene"],
+        )
+        assert findings == []
+
     def test_stays_quiet_when_routed_through_executor(self):
         findings = run(
             """

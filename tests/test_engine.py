@@ -28,6 +28,7 @@ from repro.engine import (
     Answer,
     AvailabilityQuery,
     ExecutionPolicy,
+    MTTFQuery,
     Provenance,
     Query,
     QuerySet,
@@ -39,7 +40,8 @@ from repro.engine import (
     register_estimator,
     registered_estimators,
 )
-from repro.engine.registry import get_backend, get_estimator
+from repro.engine import registry
+from repro.engine.registry import get_backend, get_estimator, register_backend
 from repro.errors import (
     EstimationError,
     InvalidConfigurationError,
@@ -679,6 +681,81 @@ class TestRecall:
         engine.run_query(scenario)
         _recording(engine, "reliability")
         assert engine.recall(scenario) is None
+
+
+class TestAnswerInline:
+    """``answer_inline`` is ``recall`` plus, on a miss, the row itself when
+    its work is bounded: stock counting / exact estimator or Markov
+    backend, no override, ``n`` within ``INLINE_MAX_N``.  Inside the bound
+    it is exactly ``run``; outside it is exactly ``recall``'s miss."""
+
+    @staticmethod
+    def row(name, n):
+        if name in ("counting", "exact"):
+            return Scenario(spec=RaftSpec(n), fleet=uniform_fleet(n, 0.03), method=name)
+        query_cls = AvailabilityQuery if name == "availability" else MTTFQuery
+        return query_cls.for_cluster(n, afr=0.08, mttr_hours=24.0)
+
+    LIMITS = [("counting", 32), ("exact", 8), ("availability", 32), ("mttf", 32)]
+
+    @pytest.mark.parametrize("name, n", LIMITS)
+    def test_a_miss_inside_the_bound_is_runs_answer_and_one_miss(self, name, n):
+        engine = ReliabilityEngine()
+        inline = engine.answer_inline(self.row(name, n))
+        assert (engine.cache_hits, engine.cache_misses) == (0, 1)
+        reference = ReliabilityEngine().run_query(self.row(name, n))
+        assert inline.to_dict() == reference.to_dict()
+        assert inline.provenance == reference.provenance
+        assert not inline.provenance.cache_hit
+        again = engine.answer_inline(self.row(name, n))  # stored: now a hit
+        assert again.provenance.cache_hit and again.value == inline.value
+        assert (engine.cache_hits, engine.cache_misses) == (1, 1)
+
+    @pytest.mark.parametrize("name, n", [(name, n + 1) for name, n in LIMITS])
+    def test_a_miss_one_past_the_bound_returns_none_and_counts_nothing(self, name, n):
+        engine = ReliabilityEngine()
+        assert engine.answer_inline(self.row(name, n)) is None
+        assert engine.cache_info()["size"] == 0
+        assert (engine.cache_hits, engine.cache_misses) == (0, 0)
+        engine.run_query(self.row(name, n))  # the caller runs it elsewhere
+        assert engine.answer_inline(self.row(name, n)).provenance.cache_hit
+        assert (engine.cache_hits, engine.cache_misses) == (1, 1)
+
+    def test_sampling_and_simulation_rows_are_never_bounded(self):
+        small = Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, 0.1), seed=5)
+        for query in (
+            replace(small, method="monte-carlo", trials=500),
+            SimulationQuery(small, replicas=4, duration=2.0),
+        ):
+            engine = ReliabilityEngine()
+            assert engine.answer_inline(query) is None
+            assert (engine.cache_hits, engine.cache_misses) == (0, 0)
+
+    def test_per_engine_overrides_are_never_bounded(self):
+        counting = get_estimator("counting")
+        engine = ReliabilityEngine()
+        engine.register("counting", lambda scenario: counting(scenario))
+        assert engine.answer_inline(self.row("counting", 5)) is None
+        mttf = get_backend("mttf")
+        engine.register_backend("mttf", lambda *args: mttf(*args))
+        assert engine.answer_inline(self.row("mttf", 5)) is None
+        assert (engine.cache_hits, engine.cache_misses) == (0, 0)
+        stock = ReliabilityEngine(estimators={"counting": counting})
+        assert stock.answer_inline(self.row("counting", 5)) is not None
+
+    def test_global_overrides_are_never_bounded(self):
+        counting, mttf = get_estimator("counting"), registry._KINDS["mttf"]
+        try:
+            register_estimator("counting")(lambda scenario: counting(scenario))
+            register_backend(MTTFQuery)(lambda *args: mttf[1](*args))
+            engine = ReliabilityEngine()
+            assert engine.answer_inline(self.row("counting", 5)) is None
+            assert engine.answer_inline(self.row("mttf", 5)) is None
+            assert (engine.cache_hits, engine.cache_misses) == (0, 0)
+        finally:
+            registry._ESTIMATORS["counting"] = counting
+            registry._KINDS["mttf"] = mttf
+        assert ReliabilityEngine().answer_inline(self.row("mttf", 5)) is not None
 
 
 class TestRegistry:

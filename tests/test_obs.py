@@ -518,6 +518,18 @@ class TestPerRouteReservoirs:
         assert kinds["reliability"]["buckets"]["0.005"] == 1
         assert kinds["simulation"]["sum"] == pytest.approx(120.3)
 
+    def test_inline_rows_count_once_and_are_exposed(self):
+        metrics = ServiceMetrics()
+        metrics.record_served("reliability", 0.001, _answer_stub(), inline=True)
+        metrics.record_served("reliability", 0.001, _answer_stub(cache_hit=True))
+        metrics.record_served("mttf", 0.001, inline=True)  # failed: not served
+        snapshot = metrics.snapshot()
+        assert snapshot["inline_total"] == 1
+        assert snapshot["queries_total"] == 2
+        text = render_prometheus(snapshot)
+        assert "# TYPE repro_inline_total counter" in text
+        assert "repro_inline_total 1" in text
+
 
 def _answer_stub(*, cache_hit=False, shards=1, degraded=False, dropped=()):
     provenance = Provenance(
@@ -681,10 +693,11 @@ class TestServeObservability:
     def test_warm_hit_and_miss_span_trees(self, tmp_path):
         """A row the memo holds is answered on the loop and still exports
         the tree an executed row does; the probe of a row that misses
-        leaves no span of its own."""
+        leaves no span of its own.  The row is past ``answer_inline``'s
+        bound, so its miss executes on the pool."""
         trace_path = tmp_path / "serve-trace.jsonl"
         payload = QuerySet.build(
-            [ReliabilityQuery(scenario(5, 0.05, seed=None))]
+            [ReliabilityQuery(scenario(33, 0.05, seed=None))]
         ).to_json()
         bodies = []
         for config in (
@@ -735,6 +748,35 @@ class TestServeObservability:
         assert execute.attributes["kind"] == "reliability"
         assert backend.attributes["memo_hits"] == 1
         assert backend.attributes["memo_misses"] == 0
+
+    def test_bounded_miss_is_computed_on_the_loop_and_says_so(self, tmp_path):
+        """A miss under ``answer_inline``'s bound exports the loop tree of a
+        hit, its ``serve.query`` marked ``inline`` rather than ``memo_hit``;
+        the second request's hit is marked ``memo_hit`` alone."""
+        trace_path = tmp_path / "inline-trace.jsonl"
+        payload = QuerySet.build(
+            [ReliabilityQuery(scenario(5, 0.05, seed=None))]
+        ).to_json()
+        with BackgroundServer(ServiceConfig(port=0, trace_path=str(trace_path))) as running:
+            assert [_post(running.port, payload)[0] for _ in range(2)] == [200, 200]
+        records = read_jsonl_spans(trace_path)
+        queries = sorted(
+            (r for r in records if r.name == "serve.query"), key=lambda r: r.start
+        )
+        executions = sorted(
+            (r for r in records if r.name == "query.execute"), key=lambda r: r.start
+        )
+        backends = sorted(
+            (r for r in records if r.name == "backend.reliability"),
+            key=lambda r: r.start,
+        )
+        assert [r.track for r in executions] == ["loop", "loop"]
+        computed, hit = queries
+        assert computed.attributes["inline"] is True
+        assert "memo_hit" not in computed.attributes
+        assert hit.attributes["memo_hit"] is True
+        assert "inline" not in hit.attributes
+        assert [b.attributes["memo_misses"] for b in backends] == [1, 0]
 
     def test_coalesced_joiner_links_the_single_execution(self, tmp_path):
         trace_path = tmp_path / "coalesce-trace.json"

@@ -19,11 +19,13 @@ import pytest
 
 from repro.engine import (
     Answer,
+    AvailabilityQuery,
     ExecutionPolicy,
     MTTFQuery,
     Provenance,
     QuerySet,
     ReliabilityEngine,
+    ReliabilityQuery,
     Scenario,
     ScenarioSet,
     SimulationQuery,
@@ -463,15 +465,17 @@ class TestRecallOnTheLoop:
     def test_engine_cache_moves_once_per_submitted_row(self):
         """Hits (one of them an in-batch duplicate), misses and a coalesced
         joiner in one request, plain and streamed: every submitted row is
-        one hit, one miss, or one join of an in-flight execution."""
+        one hit, one miss, or one join of an in-flight execution.  The rows
+        are past ``answer_inline``'s bound, so their misses take the
+        executor and single-flight."""
         with BackgroundServer(ServiceConfig(port=0)) as running:
-            status, warm = post(running.port, self.rows((3, 0.01), (5, 0.01)))
+            status, warm = post(running.port, self.rows((33, 0.01), (35, 0.01)))
             assert (status, warm["cache_hits"]) == (200, 0)
             _status, metrics = get(running.port, "/metrics")
             cache = metrics["engine_cache"]
             assert (cache["hits"], cache["misses"]) == (0, 2)
 
-            mixed = self.rows((3, 0.01), (7, 0.02), (7, 0.02), (5, 0.01), (3, 0.01))
+            mixed = self.rows((33, 0.01), (37, 0.02), (37, 0.02), (35, 0.01), (33, 0.01))
             status, body = post(running.port, mixed)
             assert status == 200
             assert [row["cache_hit"] for row in body["answers"]] == [
@@ -484,7 +488,7 @@ class TestRecallOnTheLoop:
             assert metrics["coalesced_total"] == 1
             assert metrics["queries_total"] == metrics["answers_total"] == 7
 
-            streamed = self.rows((3, 0.01), (9, 0.02), (9, 0.02), (7, 0.02))
+            streamed = self.rows((33, 0.01), (39, 0.02), (39, 0.02), (37, 0.02))
             lines = post_stream(running.port, streamed)
             assert lines[-1] == {
                 "done": True, "answers": 4, "errors": 0, "coalesced": 1,
@@ -526,17 +530,9 @@ class TestRecallOnTheLoop:
         assert executor_only.cache_hits == 4
 
     def test_warm_requests_submit_nothing_to_the_pool(self):
-        payload = self.rows((5, 0.03))
+        payload = self.rows((33, 0.03))  # past the bound: the miss is pooled
         with BackgroundServer(ServiceConfig(port=0)) as running:
-            pool = running.service._pool
-            submitted = []
-            submit = pool.submit
-
-            def counting_submit(fn, *args, **kwargs):
-                submitted.append(fn)
-                return submit(fn, *args, **kwargs)
-
-            pool.submit = counting_submit
+            submitted = self.spy_on(running.service._pool)
             assert post(running.port, payload)[0] == 200
             assert len(submitted) == 1  # the cold one computed on the pool
             for _ in range(64):
@@ -544,6 +540,54 @@ class TestRecallOnTheLoop:
                 assert (status, body["cache_hits"]) == (200, 1)
             assert len(submitted) == 1
             assert len(running.service.inflight) == 0
+
+    @staticmethod
+    def spy_on(pool) -> list:
+        """Record every function the request pool is handed."""
+        submitted, submit = [], pool.submit
+
+        def counting_submit(fn, *args, **kwargs):
+            submitted.append(fn)
+            return submit(fn, *args, **kwargs)
+
+        pool.submit = counting_submit
+        return submitted
+
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_bounded_misses_are_computed_on_the_loop(self, jobs):
+        """Counting at n = 32, exact at n = 8 and the two Markov kinds at
+        n = 32 are computed on the event loop: nothing reaches the pool,
+        every row is one miss, and ``/metrics`` counts them inline."""
+        bounded = QuerySet.build(
+            [
+                ReliabilityQuery(scenario(32, 0.02)),
+                ReliabilityQuery(scenario(8, 0.02, method="exact")),
+                AvailabilityQuery.for_cluster(32, afr=0.08, mttr_hours=24.0),
+                MTTFQuery.for_cluster(32, afr=0.08, mttr_hours=24.0),
+            ]
+        ).to_json()
+        with BackgroundServer(ServiceConfig(port=0, jobs=jobs)) as running:
+            submitted = self.spy_on(running.service._pool)
+            status, cold = post(running.port, bounded)
+            assert (status, cold["cache_hits"]) == (200, 0)
+            assert submitted == []
+            _status, metrics = get(running.port, "/metrics")
+            assert metrics["inline_total"] == 4
+            assert (metrics["engine_cache"]["hits"], metrics["engine_cache"]["misses"]) == (0, 4)
+
+            status, body = post(running.port, bounded)  # now all memo hits
+            assert (status, body["cache_hits"]) == (200, 4)
+            status, body = post(running.port, self.rows((33, 0.02)))
+            assert (status, body["cache_hits"]) == (200, 0)
+            assert len(submitted) == 1  # past the bound: the pool, once
+            _status, metrics = get(running.port, "/metrics")
+            assert metrics["inline_total"] == 4
+        direct = ReliabilityEngine().run(
+            QuerySet.from_json(bounded), policy=ExecutionPolicy.for_service(jobs)
+        )
+        assert answer_values(cold["answers"]) == answer_values(
+            [answer.to_dict() for answer in direct]
+        )
 
     def test_memoised_query_does_not_queue_behind_a_saturated_pool(self):
         engine = ReliabilityEngine()
@@ -558,7 +602,7 @@ class TestRecallOnTheLoop:
             ]
 
         engine.register_backend("mttf", parked_backend)
-        memoised = self.rows((5, 0.04))
+        memoised, bounded = self.rows((5, 0.04)), self.rows((7, 0.04))
         blocking = QuerySet.build(
             [MTTFQuery.from_afr(scenario(5), afr=0.08, mttr_hours=24.0)]
         ).to_json()
@@ -572,16 +616,21 @@ class TestRecallOnTheLoop:
             holder.start()
             try:
                 assert entered.wait(timeout=30)  # the one worker is taken
-                conn = http.client.HTTPConnection(
-                    "127.0.0.1", running.port, timeout=10
-                )
-                try:
-                    conn.request("POST", "/v1/query", body=memoised)
-                    response = conn.getresponse()
-                    body = json.loads(response.read())
-                finally:
-                    conn.close()
-                assert (response.status, body["cache_hits"]) == (200, 1)
+                replies = []
+                for payload in (memoised, bounded):
+                    conn = http.client.HTTPConnection(
+                        "127.0.0.1", running.port, timeout=10
+                    )
+                    try:
+                        conn.request("POST", "/v1/query", body=payload)
+                        response = conn.getresponse()
+                        body = json.loads(response.read())
+                    finally:
+                        conn.close()
+                    replies.append((response.status, body["cache_hits"]))
+                # A memo hit and a never-seen bounded row (computed on the
+                # loop) are both answered...
+                assert replies == [(200, 1), (200, 0)]
                 assert not parked  # ...while the worker is still parked
             finally:
                 release.set()
