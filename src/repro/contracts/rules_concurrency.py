@@ -662,7 +662,7 @@ _BLOCKING_IO_METHODS = frozenset(
 #: deliberately absent: ``recall`` answers from the memo or returns
 #: ``None``, and ``answer_inline`` adds only the misses whose work the
 #: engine bounds (``INLINE_MAX_N``: a stock counting, exact or Markov row
-#: of small ``n``, well under a millisecond) and returns ``None`` for the
+#: of small ``n``, under a millisecond) and returns ``None`` for the
 #: rest; both hold the engine lock for dict operations only.
 #: ``answer_inline`` is the one engine call on the loop that computes.
 _ENGINE_RUN_METHODS = frozenset({"run", "run_query", "run_queries"})
@@ -737,7 +737,7 @@ one hop from the same stall, and is flagged at the call site.  Two
 engine calls are allowed on the loop: ``engine.recall(...)``, a memo
 probe that never computes, and ``engine.answer_inline(...)``, the probe
 plus the misses whose work the engine bounds (``INLINE_MAX_N``: a stock
-counting, exact or Markov row of small ``n``, well under a millisecond);
+counting, exact or Markov row of small ``n``, under a millisecond);
 it returns ``None`` for every other row, which then goes to the
 executor.  The rule also flags coroutine calls
 whose result is discarded (the coroutine never runs — Python only warns

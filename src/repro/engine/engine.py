@@ -17,10 +17,9 @@ or calls back into :meth:`run`.  :meth:`ReliabilityEngine.recall` is the
 probe alone — one row from the memo or ``None``, never a computation —
 and :meth:`ReliabilityEngine.answer_inline` adds to it only the rows
 whose work :data:`INLINE_MAX_N` bounds, for callers that must not block
-(the daemon's event loop).  What stays
-here is what every kind shares: the memo, the per-engine
-estimator/backend overrides, and the kind router.  The engine package
-reads no clock — spans time what runs.
+(the daemon's event loop).  What stays here is what every kind shares:
+the memo, the per-engine estimator/backend overrides, and the kind
+router.  The engine package reads no clock — spans time what runs.
 """
 
 from __future__ import annotations

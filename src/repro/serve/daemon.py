@@ -20,8 +20,8 @@ The asyncio loop parses, routes, streams — and answers every row whose
 work is bounded: each row is first put to
 :meth:`~repro.engine.ReliabilityEngine.answer_inline`, which returns
 what the memo holds and computes on the loop only a stock counting,
-exact or Markov row under its small-``n`` bound (well under a
-millisecond, less than an executor thread may hold the GIL for).  Such
+exact or Markov row under its small-``n`` bound (under a millisecond,
+less than an executor thread may hold the GIL for).  Such
 a row is answered without single-flight or the pool (and cannot queue
 behind a saturated one).  Only the rows it declines — sampling,
 simulation campaigns, overridden estimators or backends, anything
@@ -96,12 +96,13 @@ class ServiceConfig:
     ``jobs`` is the per-campaign shard fan-out (the policy's worker
     count); ``executor_workers`` bounds how many rows execute on the
     request pool concurrently — the rows the event loop does not answer
-    itself (memo hits and bounded analytic misses never take a worker).  ``shard_timeout`` / ``retries`` /
-    ``on_shard_failure`` are the supervision knobs every campaign runs
-    under; ``shard_timeout`` is enforced only when ``jobs`` is 2 or more
-    and a campaign has more than one shard — at the default ``jobs``
-    (``None``, one worker) shards run in the executor thread and it does
-    nothing.  ``checkpoint_dir`` enables the restart-resume journal.
+    itself (memo hits and bounded analytic misses never take a worker).
+    ``shard_timeout`` / ``retries`` / ``on_shard_failure`` are the
+    supervision knobs every campaign runs under; ``shard_timeout`` is
+    enforced only when ``jobs`` is 2 or more and a campaign has more than
+    one shard — at the default ``jobs`` (``None``, one worker) shards run
+    in the executor thread and it does nothing.  ``checkpoint_dir``
+    enables the restart-resume journal.
     ``trace_path`` turns on per-request tracing: every request, query
     and campaign shard is recorded and the trace is written on shutdown
     (Chrome trace-event JSON, or a JSONL span log when the path ends in
@@ -449,7 +450,7 @@ class ReliabilityService:
 
         :meth:`~repro.engine.ReliabilityEngine.answer_inline` returns a
         memo hit, or computes a miss whose work the engine bounds (a stock
-        counting, exact or Markov row of small ``n``, well under a
+        counting, exact or Markov row of small ``n``, under a
         millisecond); it takes the engine lock for dict operations only.
         Such a row skips single-flight and the executor hop and cannot
         queue behind a saturated pool.  ``None`` is a row it declines —
