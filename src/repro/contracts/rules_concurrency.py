@@ -776,11 +776,11 @@ async def handle(self, request):
             # run the engine may not be called from it inline.
             runners_of: Dict[int, Dict[str, str]] = {}
             for cls in ctx.nodes_of(ast.ClassDef):
-                methods = [
+                async_methods = [
                     item for item in cls.body if isinstance(item, ast.AsyncFunctionDef)
                 ]
-                runners = _engine_runners(cls) if methods else {}
-                for method in methods:
+                runners = _engine_runners(cls) if async_methods else {}
+                for method in async_methods:
                     runners_of[id(method)] = runners
             for func in ctx.nodes_of(ast.AsyncFunctionDef):
                 yield from self._check_async_def(

@@ -757,7 +757,8 @@ class TestServeObservability:
         payload = QuerySet.build(
             [ReliabilityQuery(scenario(5, 0.05, seed=None))]
         ).to_json()
-        with BackgroundServer(ServiceConfig(port=0, trace_path=str(trace_path))) as running:
+        config = ServiceConfig(port=0, trace_path=str(trace_path))
+        with BackgroundServer(config) as running:
             assert [_post(running.port, payload)[0] for _ in range(2)] == [200, 200]
         records = read_jsonl_spans(trace_path)
         queries = sorted(

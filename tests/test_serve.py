@@ -572,8 +572,9 @@ class TestRecallOnTheLoop:
             assert (status, cold["cache_hits"]) == (200, 0)
             assert submitted == []
             _status, metrics = get(running.port, "/metrics")
+            cache = metrics["engine_cache"]
             assert metrics["inline_total"] == 4
-            assert (metrics["engine_cache"]["hits"], metrics["engine_cache"]["misses"]) == (0, 4)
+            assert (cache["hits"], cache["misses"]) == (0, 4)
 
             status, body = post(running.port, bounded)  # now all memo hits
             assert (status, body["cache_hits"]) == (200, 4)
