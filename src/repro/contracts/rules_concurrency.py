@@ -658,13 +658,11 @@ _BLOCKING_IO_METHODS = frozenset(
 )
 
 #: Engine entry points: a direct call runs a full batch computation on
-#: the event loop thread.  ``recall`` and ``answer_inline`` are
-#: deliberately absent: ``recall`` answers from the memo or returns
-#: ``None``, and ``answer_inline`` adds only the misses whose work the
-#: engine bounds (``INLINE_MAX_N``: a stock counting, exact or Markov row
-#: of small ``n``, under a millisecond) and returns ``None`` for the
-#: rest; both hold the engine lock for dict operations only.
-#: ``answer_inline`` is the one engine call on the loop that computes.
+#: the event loop thread.  ``recall`` (a memo probe) and
+#: ``answer_inline`` (the probe plus only the misses ``INLINE_MAX_N``
+#: bounds, ``None`` for the rest) are deliberately absent: both hold the
+#: engine lock for dict operations only, and ``answer_inline`` is the one
+#: engine call on the loop that computes.
 _ENGINE_RUN_METHODS = frozenset({"run", "run_query", "run_queries"})
 
 _TASK_SPAWNERS = frozenset({"create_task", "ensure_future"})
