@@ -23,9 +23,11 @@ what the memo holds and computes on the loop only a stock counting,
 exact or Markov row under its small-``n`` bound (under a millisecond,
 less than an executor thread may hold the GIL for).  Such
 a row is answered without single-flight or the pool (and cannot queue
-behind a saturated one).  Only the rows it declines — sampling,
+behind a saturated one); between two rows of one request computed this
+way the loop serves whatever else is ready, so a request of many rows
+holds it for one row at a time.  Only the rows it declines — sampling,
 simulation campaigns, overridden estimators or backends, anything
-larger — execute on a bounded thread pool (the engine's NumPy hot
+larger — start at once and execute on a bounded thread pool (the engine's NumPy hot
 paths release the GIL; campaign fan-out adds its own policy workers per
 query), single-flighted on the memo key they are stored under.
 Long campaigns can opt into progress streaming
@@ -360,32 +362,23 @@ class ReliabilityService:
             return await self._error_response(writer, 400, "no queries in payload")
         stream = request.query.get("stream") not in (None, "", "0")
         started = time.perf_counter()
-        # One pass on the loop answers every memo hit and bounded miss;
-        # only the rows left pay for single-flight and the executor.
-        outcomes, missed = [], []
-        for index, query in enumerate(query_set):
-            outcome = self._recall(index, query)
-            if outcome is None:
-                missed.append((index, query))
-            else:
-                outcomes.append(outcome)
         if stream:
             self.metrics.record_streamed_request()
-            tasks = [
-                asyncio.ensure_future(self._tagged_answer(index, query))
-                for index, query in missed
+            return await self._stream_answers(request, writer, query_set, started)
+        if len(query_set) == 1:
+            # The common one-row POST: no generator, no task.
+            outcome = self._recall(0, query_set[0])
+            if outcome is None:
+                outcome = await self._tagged_answer(0, query_set[0])
+            outcomes = [outcome]
+        else:
+            tasks: list = []
+            outcomes = [
+                outcome async for outcome in self._answer_on_loop(query_set, tasks)
             ]
-            return await self._stream_answers(request, writer, outcomes, tasks, started)
-        if missed:
-            if len(missed) == 1:
-                outcomes.append(await self._tagged_answer(*missed[0]))
-            else:
-                outcomes.extend(
-                    await asyncio.gather(
-                        *(self._tagged_answer(index, query) for index, query in missed)
-                    )
-                )
-            outcomes.sort(key=lambda outcome: outcome[0])
+            if tasks:
+                outcomes.extend(await asyncio.gather(*tasks))
+                outcomes.sort(key=lambda outcome: outcome[0])
         failures = [
             (index, error) for index, _, error, _ in outcomes if error is not None
         ]
@@ -416,18 +409,21 @@ class ReliabilityService:
         return 200
 
     async def _stream_answers(
-        self, request: HttpRequest, writer, outcomes, tasks, started: float
+        self, request: HttpRequest, writer, query_set, started: float
     ) -> int:
         """Chunked JSON-lines: one row per answer as it completes.
 
-        Completion order — rows answered on the loop (``outcomes``) first,
-        then the ``tasks`` of the executor rows as each finishes — each line
-        tagged with its submission ``index``: a long campaign's finished
-        answers arrive while slower ones still run; the final line is the
-        run summary.
+        The header goes out first.  Then each row answered on the loop is
+        written as :meth:`_answer_on_loop` answers it, in submission order,
+        while the rows it declines already run; their lines follow as each
+        finishes — each line tagged with its submission ``index``: a long
+        campaign's finished answers arrive while slower ones still run;
+        the final line is the run summary.
         """
         await start_chunked_response(writer, 200, keep_alive=request.keep_alive)
-        for outcome in outcomes:
+        outcomes, tasks = [], []
+        async for outcome in self._answer_on_loop(query_set, tasks):
+            outcomes.append(outcome)
             await write_chunk(writer, _stream_line(outcome))
         for finished in asyncio.as_completed(tasks):
             outcome = await finished
@@ -444,6 +440,28 @@ class ReliabilityService:
         await write_chunk(writer, (json.dumps(summary) + "\n").encode("utf-8"))
         await end_chunked_response(writer)
         return 200
+
+    async def _answer_on_loop(self, query_set, tasks: list):
+        """Yield, in submission order, the outcome of every row
+        :meth:`_recall` answers; start each row it declines at once, as a
+        :meth:`_tagged_answer` task appended to ``tasks``.
+
+        One row's work on the loop is bounded, a request's row count is
+        not: after each row computed here (anything but a memo hit), when
+        more rows follow, the loop first serves whatever else is ready —
+        ``/healthz``, other connections, the started tasks — so a request
+        of many bounded rows never holds it for more than one row.
+        """
+        last = len(query_set) - 1
+        for index, query in enumerate(query_set):
+            outcome = self._recall(index, query)
+            if outcome is None:
+                tasks.append(asyncio.ensure_future(self._tagged_answer(index, query)))
+                continue
+            yield outcome
+            answer = outcome[1]
+            if index < last and (answer is None or not answer.provenance.cache_hit):
+                await asyncio.sleep(0)
 
     def _recall(self, index: int, query):
         """Loop-side half of a row: its outcome if it is answered right here.

@@ -639,6 +639,65 @@ class TestRecallOnTheLoop:
             assert not holder.is_alive()
             assert parked[0][0] == 200
 
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_many_bounded_rows_do_not_hold_the_loop(self, stream):
+        """One row's work on the loop is bounded, a request's row count is
+        not: between two rows computed on the loop the loop serves other
+        connections, and a row it declines starts at once.  Each computed
+        row is made to take 2 ms, so the request's 400 bounded rows hold
+        it for at least 0.8 s; ``/healthz`` is answered, and the declined
+        first row reaches the pool, while most of them are still to come."""
+        engine = ReliabilityEngine()
+        computed, answer_inline = [], engine.answer_inline
+
+        def slow_answer_inline(query, policy=None):
+            answer = answer_inline(query, policy)
+            if answer is not None:
+                time.sleep(0.002)
+                computed.append(query)
+            return answer
+
+        engine.answer_inline = slow_answer_inline
+        rows = 400
+        payload = QuerySet.build(
+            [ReliabilityQuery(scenario(33, 0.01))]
+            + [ReliabilityQuery(scenario(5, 0.001 * (i + 1))) for i in range(rows)]
+        ).to_json()
+        with BackgroundServer(ServiceConfig(port=0), engine=engine) as running:
+            pool = running.service._pool
+            submitted_at, submit = [], pool.submit
+
+            def timed_submit(fn, *args, **kwargs):
+                submitted_at.append(len(computed))
+                return submit(fn, *args, **kwargs)
+
+            pool.submit = timed_submit
+            replies: list = []
+            send = post_stream if stream else post
+            client = threading.Thread(
+                target=lambda: replies.append(send(running.port, payload))
+            )
+            client.start()
+            try:
+                deadline = time.monotonic() + 30
+                while not computed and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                status, health = get(running.port, "/healthz")
+                answered_at = len(computed)
+            finally:
+                client.join(timeout=120)
+            assert (status, health["status"]) == (200, "ok")
+            assert 0 < answered_at < rows // 2
+            assert len(submitted_at) == 1 and submitted_at[0] < rows // 2
+            _status, metrics = get(running.port, "/metrics")
+            assert metrics["inline_total"] == rows
+        if stream:
+            summary = replies[0][-1]
+            assert (summary["answers"], summary["errors"]) == (rows + 1, 0)
+        else:
+            status, body = replies[0]
+            assert (status, body["count"], body["cache_hits"]) == (200, rows + 1, 0)
+
     def test_error_raised_on_the_loop_is_the_rows_outcome(self):
         """``cache_key``/``recall`` raising on the loop reads like the
         executor path raising: 422 for a library error, 500 otherwise."""
