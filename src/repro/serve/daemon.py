@@ -24,10 +24,10 @@ exact or Markov row under its small-``n`` bound (under a millisecond,
 less than an executor thread may hold the GIL for).  Such
 a row is answered without single-flight or the pool (and cannot queue
 behind a saturated one); between two rows of one request computed this
-way the loop serves whatever else is ready, so a request of many rows
-holds it for one row at a time.  Only the rows it declines — sampling,
-simulation campaigns, overridden estimators or backends, anything
-larger — start at once and execute on a bounded thread pool (the engine's NumPy hot
+way the loop serves whatever else is ready, so it never runs two of
+them back to back.  Only the rows it declines — sampling, simulation
+campaigns, overridden estimators or backends, anything larger — start
+at once and execute on a bounded thread pool (the engine's NumPy hot
 paths release the GIL; campaign fan-out adds its own policy workers per
 query), single-flighted on the memo key they are stored under.
 Long campaigns can opt into progress streaming
@@ -449,8 +449,8 @@ class ReliabilityService:
         One row's work on the loop is bounded, a request's row count is
         not: after each row computed here (anything but a memo hit), when
         more rows follow, the loop first serves whatever else is ready —
-        ``/healthz``, other connections, the started tasks — so a request
-        of many bounded rows never holds it for more than one row.
+        ``/healthz``, other connections, the started tasks — so no two
+        computed rows of a request run back to back.
         """
         last = len(query_set) - 1
         for index, query in enumerate(query_set):
