@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from repro.analysis.config import FailureConfig, FaultKind, config_probability
 from repro.analysis.counting import (
-    aggregate_counts,
     counting_reliability,
     joint_count_pmf,
     poisson_binomial_pmf,
@@ -114,7 +113,6 @@ __all__ = [
     "BatchTally",
     "birnbaum_importances",
     "poisson_binomial_pmf",
-    "aggregate_counts",
     "exact_reliability",
     "enumerate_configurations",
     "configuration_count",

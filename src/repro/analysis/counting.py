@@ -12,7 +12,7 @@ the paper.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,24 +67,6 @@ def joint_count_pmf(fleet: Fleet) -> np.ndarray:
             updated[:, 1:] += pmf[:, :-1] * p_byz
         pmf = updated
     return pmf
-
-
-def aggregate_counts(
-    fleet: Fleet, predicate: Callable[[int, int], bool]
-) -> float:
-    """Total probability of configurations whose counts satisfy ``predicate``.
-
-    The predicate is evaluated only on count pairs carrying probability
-    mass; the reduction itself is the ordered masked sum from
-    :mod:`repro.analysis.kernels`, bit-identical to the historical loop.
-    """
-    from repro.analysis.kernels import masked_sum
-
-    pmf = joint_count_pmf(fleet)
-    mask = pmf > 0.0
-    for crash, byz in np.argwhere(mask):
-        mask[crash, byz] = predicate(int(crash), int(byz))
-    return float(min(masked_sum(pmf, mask), 1.0))
 
 
 def counting_reliability(spec: "ProtocolSpec", fleet: Fleet) -> ReliabilityResult:

@@ -123,7 +123,6 @@ class VerdictMasks:
     safe: np.ndarray
     live: np.ndarray
     both: np.ndarray
-    valid: np.ndarray
 
     def for_metric(self, metric: str) -> np.ndarray:
         """The boolean mask backing one reliability metric."""
@@ -149,17 +148,15 @@ def compute_verdict_masks(spec: "ProtocolSpec") -> VerdictMasks:
     n = spec.n
     safe = np.zeros((n + 1, n + 1), dtype=bool)
     live = np.zeros((n + 1, n + 1), dtype=bool)
-    valid = np.zeros((n + 1, n + 1), dtype=bool)
     for crash in range(n + 1):
         for byz in range(n + 1 - crash):
-            valid[crash, byz] = True
             safe[crash, byz] = spec.is_safe_counts(crash, byz)
             live[crash, byz] = spec.is_live_counts(crash, byz)
-    for mask in (safe, live, valid):
+    for mask in (safe, live):
         mask.setflags(write=False)
     both = safe & live
     both.setflags(write=False)
-    return VerdictMasks(n=n, safe=safe, live=live, both=both, valid=valid)
+    return VerdictMasks(n=n, safe=safe, live=live, both=both)
 
 
 #: Verdict masks by spec grouping key, one table for the process.  Equal

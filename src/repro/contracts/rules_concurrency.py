@@ -658,11 +658,10 @@ _BLOCKING_IO_METHODS = frozenset(
 )
 
 #: Engine entry points: a direct call runs a full batch computation on
-#: the event loop thread.  ``recall`` (a memo probe) and
-#: ``answer_inline`` (the probe plus only the misses ``INLINE_MAX_N``
-#: bounds, ``None`` for the rest) are deliberately absent: both hold the
-#: engine lock for dict operations only, and ``answer_inline`` is the one
-#: engine call on the loop that computes.
+#: the event loop thread.  ``answer_inline`` (a memo hit, or a miss
+#: ``INLINE_MAX_N`` bounds; ``None`` for the rest) is deliberately absent:
+#: it holds the engine lock for dict operations only and is the one
+#: engine call allowed on the loop.
 _ENGINE_RUN_METHODS = frozenset({"run", "run_query", "run_queries"})
 
 _TASK_SPAWNERS = frozenset({"create_task", "ensure_future"})
@@ -731,13 +730,12 @@ is serving — the event loop has exactly one thread.  ``time.sleep``,
 ``asyncio.to_thread``/``run_in_executor`` (handing the *function* to the
 executor, never calling it inline) — and so does a sync method of the
 same class whose body runs the engine: calling it from ``async def`` is
-one hop from the same stall, and is flagged at the call site.  Two
-engine calls are allowed on the loop: ``engine.recall(...)``, a memo
-probe that never computes, and ``engine.answer_inline(...)``, the probe
-plus the misses whose work the engine bounds (``INLINE_MAX_N``: a stock
-counting, exact or Markov row of small ``n``, under a millisecond);
-it returns ``None`` for every other row, which then goes to the
-executor.  The rule also flags coroutine calls
+one hop from the same stall, and is flagged at the call site.  One
+engine call is allowed on the loop: ``engine.answer_inline(...)``, a
+memo hit or a miss whose work the engine bounds (``INLINE_MAX_N``: a
+stock counting, exact or Markov row of small ``n``, under a
+millisecond); it returns ``None`` for every other row, which then goes
+to the executor.  The rule also flags coroutine calls
 whose result is discarded (the coroutine never runs — Python only warns
 at garbage-collection time) and ``create_task``/``ensure_future``
 results that are neither stored nor awaited (the task is eligible for GC
@@ -816,8 +814,8 @@ async def handle(self, request):
                 reason = (
                     f"direct `.{method}()` on an engine runs a full "
                     "batch computation on the event loop thread (only "
-                    "`.recall()` and `.answer_inline()`, which compute "
-                    "nothing past the engine's bound, may run there)"
+                    "`.answer_inline()`, which computes nothing past the "
+                    "engine's bound, may run there)"
                 )
             elif helper in runners:
                 reason = (

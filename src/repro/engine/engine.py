@@ -13,13 +13,13 @@ back.  Backends compute, the engine remembers: the scenario planner
 (shared counting-DP sweeps, pool fan-out) is the ``reliability`` backend
 (:mod:`repro.engine.planner`), the CTMC and simulation backends live in
 :mod:`repro.engine.backends`, and none of them reads or writes the memo
-or calls back into :meth:`run`.  :meth:`ReliabilityEngine.recall` is the
-probe alone — one row from the memo or ``None``, never a computation —
-and :meth:`ReliabilityEngine.answer_inline` adds to it only the rows
-whose work :data:`INLINE_MAX_N` bounds, for callers that must not block
-(the daemon's event loop).  What stays here is what every kind shares:
-the memo, the per-engine estimator/backend overrides, and the kind
-router.  The engine package reads no clock — spans time what runs.
+or calls back into :meth:`run`.  :meth:`ReliabilityEngine.answer_inline`
+is the one call for a thread that must not block (the daemon's event
+loop): one row from the memo, or computed in place when
+:data:`INLINE_MAX_N` bounds its work, else ``None``.  What stays here is
+what every kind shares: the memo, the per-engine estimator/backend
+overrides, and the kind router.  The engine package reads no clock —
+spans time what runs.
 """
 
 from __future__ import annotations
@@ -162,39 +162,6 @@ class ReliabilityEngine:
             "hit_rate": (hits / lookups) if lookups else 0.0,
         }
 
-    def cache_lookup(self, key: tuple | None, *, count_miss: bool = True):
-        """The memo probe of one row (:meth:`run` probes a kind group in
-        one pass under the lock, with the same counting).
-
-        Counts exactly one hit or one miss per call and refreshes LRU
-        recency on a hit.  An uncacheable row (``key=None``) and a
-        disabled memo (``cache_size=0``) are misses like any other: the
-        row is about to be computed.  :meth:`recall` passes
-        ``count_miss=False`` — the :meth:`run` that follows a failed
-        recall counts the row's one miss.  Kinds other than
-        ``reliability`` prefix their keys with the kind; reliability keys
-        start with a spec grouping tuple, so kinds never collide.
-        """
-        with self._lock:
-            value = self._memo.get(key)
-            if value is not None:
-                self._memo.move_to_end(key)
-                self.cache_hits += 1
-            elif count_miss:
-                self.cache_misses += 1
-        return value
-
-    def cache_store(self, key: tuple | None, value) -> None:
-        """Memo insert (bounded, LRU eviction); a ``None`` key is a no-op."""
-        if key is None or self._cache_size == 0:
-            return
-        # Fresh keys land at the end (insertion order); cache_lookup already
-        # refreshes recency on hits, so no extra move is needed here.
-        with self._lock:
-            self._memo[key] = value
-            while len(self._memo) > self._cache_size:
-                self._memo.popitem(last=False)
-
     # -- execution ---------------------------------------------------------
     def run_query(
         self, query: Query | Scenario, policy: ExecutionPolicy | None = None
@@ -202,24 +169,30 @@ class ReliabilityEngine:
         """Answer a single query (cache-aware, no cross-query batching)."""
         return self.run([query], policy=policy)[0]
 
-    def recall(
+    def answer_inline(
         self, query: Query | Scenario, policy: ExecutionPolicy | None = None
     ) -> Answer | None:
-        """Answer one row from the memo alone, or ``None``; never computes.
-
-        :meth:`answer_inline` is the same probe followed, on a miss, by the
-        row itself when its work is bounded.
+        """One row from the memo, or computed here when its work is
+        bounded; ``None`` otherwise.  Safe on a thread that must not block
+        (the daemon's event loop).
 
         A hit is the answer :meth:`run` would give for the same row — same
         key, one hit counted, LRU recency refreshed — without a backend
-        lookup or a batch around it, so it is safe on a thread that must
-        not block (the daemon's event loop).  A miss counts nothing: the
-        caller follows it with :meth:`run`, which counts the row's one
-        miss, so every submitted row is still exactly one hit or one miss.
+        lookup or a batch around it.  A miss is computed here, on the
+        calling thread, only when the row runs a stock backend with the
+        stock ``counting`` or ``exact`` estimator (``reliability``) or is
+        an ``availability`` / ``mttf`` row, no per-engine or global
+        override replaces either, and its ``n`` is within
+        :data:`INLINE_MAX_N`.  Such a row is :meth:`run` of that one row —
+        same value, same provenance, one miss counted, the answer stored.
+        Every other miss (sampling, simulation, an override, anything
+        larger) returns ``None`` and counts nothing: the caller runs it
+        where blocking is allowed, and that :meth:`run` counts the row's
+        one miss, so every submitted row is still one hit or one miss.
 
         Traced, a hit exports the ``engine.queries`` → ``backend.<kind>``
-        pair :meth:`run` would; a miss exports nothing (the ``run`` that
-        follows opens its own).
+        pair :meth:`run` would; a miss exports nothing of its own (a
+        bounded miss's :meth:`run` opens its own pair).
         """
         active = policy if policy is not None else self._policy
         query = coerce_query(query)
@@ -229,39 +202,21 @@ class ReliabilityEngine:
             with tracer.span(
                 f"backend.{query.kind}", queries=1, mode=active.mode, jobs=active.jobs
             ) as backend_span:
-                cached = self.cache_lookup(key, count_miss=False)
+                with self._lock:
+                    cached = self._memo.get(key)  # a None key is never stored
+                    if cached is not None:
+                        self._memo.move_to_end(key)
+                        self.cache_hits += 1
                 if cached is None:
                     backend_span.discard()
                     queries_span.discard()
-                    return None
-                backend_span.set("memo_hits", 1)
-                backend_span.set("memo_misses", 0)
+                else:
+                    backend_span.set("memo_hits", 1)
+                    backend_span.set("memo_misses", 0)
+        if cached is None:
+            return self.run([query], policy=active)[0] if self._bounded(query) else None
         value, provenance = cached
         return Answer(query, value, provenance)
-
-    def answer_inline(
-        self, query: Query | Scenario, policy: ExecutionPolicy | None = None
-    ) -> Answer | None:
-        """:meth:`recall`, and on a miss the row itself when its work is
-        bounded; ``None`` otherwise.  Safe on a thread that must not block.
-
-        A miss is computed here, on the calling thread, only when the row
-        runs a stock backend with the stock ``counting`` or ``exact``
-        estimator (``reliability``) or is an ``availability`` / ``mttf``
-        row, no per-engine or global override replaces either, and its
-        ``n`` is within :data:`INLINE_MAX_N`.  Such a row is answered
-        exactly as :meth:`run` answers it — same value, same provenance,
-        one miss counted, the answer stored.  Every other miss (sampling,
-        simulation, an override, anything larger) returns ``None`` and
-        counts nothing, like :meth:`recall`: the caller runs it where
-        blocking is allowed.
-        """
-        active = policy if policy is not None else self._policy
-        query = coerce_query(query)
-        answer = self.recall(query, active)
-        if answer is None and self._bounded(query):
-            answer = self.run([query], policy=active)[0]
-        return answer
 
     def _bounded(self, query: Query) -> bool:
         """Whether :meth:`answer_inline` may compute ``query`` in place."""

@@ -97,7 +97,9 @@ class Query:
         depends on the shard plan — and on nothing else about the policy).
         ``None`` means the answer is not reusable: the row is computed
         every time and never stored.  That is the default — a kind opts
-        into the memo by overriding this.
+        into the memo by overriding this.  Kinds other than
+        ``reliability`` start their keys with the kind; reliability keys
+        start with a spec grouping tuple, so kinds never collide.
         """
         return None
 

@@ -17,25 +17,25 @@ shards journal to the checkpoint directory, so a daemon restart resumes
 interrupted campaigns bit-identically instead of recomputing them.
 
 The asyncio loop parses, routes, streams — and answers every row whose
-work is bounded: each row is first put to
-:meth:`~repro.engine.ReliabilityEngine.answer_inline`, which returns
-what the memo holds and computes on the loop only a stock counting,
-exact or Markov row under its small-``n`` bound (under a millisecond,
-less than an executor thread may hold the GIL for).  Such
-a row is answered without single-flight or the pool (and cannot queue
-behind a saturated one); between two rows of one request computed this
-way the loop serves whatever else is ready, so it never runs two of
-them back to back.  Only the rows it declines — sampling, simulation
-campaigns, overridden estimators or backends, anything larger — start
-at once and execute on a bounded thread pool (the engine's NumPy hot
-paths release the GIL; campaign fan-out adds its own policy workers per
-query), single-flighted on the memo key they are stored under.
-Long campaigns can opt into progress streaming
-(``POST /v1/query?stream=1`` → chunked JSON lines, one per answer as it
-completes).  ``GET /healthz`` and ``GET /metrics`` expose liveness, the
-process's peak resident set size and the service counters (request
-counts, latency percentiles, engine cache hit rate, coalescing and
-campaign/degradation aggregates).
+work is bounded: each row of every query POST, in one pass whatever the
+row count, is first put to
+:meth:`~repro.engine.ReliabilityEngine.answer_inline`, the one engine
+call on the loop, which returns what the memo holds and computes on the
+loop only a stock counting, exact or Markov row under its small-``n``
+bound (under a millisecond, less than an executor thread may hold the
+GIL for).  Such a row is answered without single-flight or the pool (and
+cannot queue behind a saturated one); between two rows of one request
+computed this way the loop serves whatever else is ready, so it never
+runs two of them back to back.  Only the rows it declines — sampling,
+simulation campaigns, overridden estimators or backends, anything larger
+— start at once and execute on a bounded thread pool (the engine's NumPy
+hot paths release the GIL; campaign fan-out adds its own policy workers
+per query), single-flighted on the memo key they are stored under.  Long
+campaigns can opt into progress streaming (``POST /v1/query?stream=1`` →
+chunked JSON lines, one per answer as it completes).  ``GET /healthz``
+and ``GET /metrics`` expose liveness, the process's peak resident set
+size and the service counters (request counts, latency percentiles,
+engine cache hit rate, coalescing and campaign/degradation aggregates).
 
 Determinism note: the daemon never changes any answer value.  Its
 policy (:meth:`~repro.engine.ExecutionPolicy.for_service`) is a
@@ -223,6 +223,13 @@ class ReliabilityService:
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        # asyncio's socket transport reads with ``recv(256 KiB)``: on some
+        # heap layouts each read grows and then trims the main-thread
+        # heap, ≈ 2 minor faults per request.  64 KiB reads take none and
+        # still hold any request head (``MAX_HEAD_BYTES``) in one read.  A
+        # BufferedProtocol with one reused receive buffer is the later
+        # replacement (ROADMAP 17).
+        writer.transport.max_size = 64 * 1024
         try:
             while True:
                 try:
@@ -344,6 +351,11 @@ class ReliabilityService:
 
     # -- the query route ---------------------------------------------------
     async def _handle_query(self, request: HttpRequest, writer) -> int:
+        """``POST /v1/query``: every row, of a one-row POST as of a batch,
+        goes through the one :meth:`_answer_on_loop` pass, and the reply is
+        written in submission order once the rows it declined finish —
+        or, with ``?stream=1``, line by line (:meth:`_stream_answers`).
+        """
         try:
             text = request.body.decode("utf-8")
             query_set = QuerySet.from_json(text)
@@ -365,20 +377,13 @@ class ReliabilityService:
         if stream:
             self.metrics.record_streamed_request()
             return await self._stream_answers(request, writer, query_set, started)
-        if len(query_set) == 1:
-            # The common one-row POST: no generator, no task.
-            outcome = self._recall(0, query_set[0])
-            if outcome is None:
-                outcome = await self._tagged_answer(0, query_set[0])
-            outcomes = [outcome]
-        else:
-            tasks: list = []
-            outcomes = [
-                outcome async for outcome in self._answer_on_loop(query_set, tasks)
-            ]
-            if tasks:
-                outcomes.extend(await asyncio.gather(*tasks))
-                outcomes.sort(key=lambda outcome: outcome[0])
+        tasks: list = []
+        outcomes = [
+            outcome async for outcome in self._answer_on_loop(query_set, tasks)
+        ]
+        if tasks:
+            outcomes.extend(await asyncio.gather(*tasks))
+            outcomes.sort(key=lambda outcome: outcome[0])
         failures = [
             (index, error) for index, _, error, _ in outcomes if error is not None
         ]
@@ -444,7 +449,8 @@ class ReliabilityService:
     async def _answer_on_loop(self, query_set, tasks: list):
         """Yield, in submission order, the outcome of every row
         :meth:`_recall` answers; start each row it declines at once, as a
-        :meth:`_tagged_answer` task appended to ``tasks``.
+        :meth:`_tagged_answer` task appended to ``tasks``.  Every query
+        POST, plain or streamed, one row or many, takes this one pass.
 
         One row's work on the loop is bounded, a request's row count is
         not: after each row computed here (anything but a memo hit), when
@@ -466,7 +472,8 @@ class ReliabilityService:
     def _recall(self, index: int, query):
         """Loop-side half of a row: its outcome if it is answered right here.
 
-        :meth:`~repro.engine.ReliabilityEngine.answer_inline` returns a
+        The row's one engine call on the loop is
+        :meth:`~repro.engine.ReliabilityEngine.answer_inline`: it returns a
         memo hit, or computes a miss whose work the engine bounds (a stock
         counting, exact or Markov row of small ``n``, under a
         millisecond); it takes the engine lock for dict operations only.

@@ -10,7 +10,6 @@ import pytest
 from scipy import stats
 
 from repro.analysis.counting import (
-    aggregate_counts,
     binomial_tail,
     counting_reliability,
     joint_count_pmf,
@@ -93,11 +92,6 @@ class TestJointCountPMF:
 
 
 class TestAggregation:
-    def test_aggregate_counts_with_tail_predicate(self):
-        fleet = uniform_fleet(10, 0.2)
-        p = aggregate_counts(fleet, lambda crash, byz: crash <= 3)
-        assert p == pytest.approx(binomial_tail(10, 0.2, 3))
-
     def test_counting_reliability_raft_n3(self, small_cft_fleet):
         result = counting_reliability(RaftSpec(3), small_cft_fleet)
         assert result.safe.value == pytest.approx(1.0)

@@ -201,7 +201,6 @@ class TestVerdictMasks:
         masks = compute_verdict_masks(spec)
         for crash in range(n + 1):
             for byz in range(n + 1 - crash):
-                assert masks.valid[crash, byz]
                 assert bool(masks.safe[crash, byz]) == bool(
                     spec.is_safe_counts(crash, byz)
                 )
@@ -214,7 +213,6 @@ class TestVerdictMasks:
         for crash in range(6):
             for byz in range(6):
                 if crash + byz > 5:
-                    assert not masks.valid[crash, byz]
                     assert not masks.safe[crash, byz]
                     assert not masks.live[crash, byz]
 
@@ -244,7 +242,7 @@ class TestVerdictMasks:
         assert verdict_masks(tagged) is masks
         assert verdict_masks(twin) is not masks
         plain = verdict_masks(RaftSpec(5))
-        for name in ("safe", "live", "both", "valid"):
+        for name in ("safe", "live", "both"):
             assert np.array_equal(getattr(masks, name), getattr(plain, name))
 
     def test_masks_table_is_bounded_and_keeps_the_newest(self):

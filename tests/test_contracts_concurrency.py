@@ -503,26 +503,11 @@ class TestAsyncHygiene:
         assert rule_ids(findings) == ["async-hygiene", "async-hygiene"]
         assert "open()" in messages and "engine" in messages
 
-    def test_recall_is_the_one_engine_call_allowed_on_the_loop(self):
-        findings = run(
-            """
-            import asyncio
-
-            async def handle(self, query):
-                answer = self._engine.recall(query, self.policy)
-                if answer is None:
-                    answer = await asyncio.to_thread(self._engine.run_query, query)
-                return answer
-            """,
-            rules=["async-hygiene"],
-        )
-        assert findings == []
-
     def test_a_recall_miss_does_not_license_running_inline(self):
         findings = run(
             """
             async def handle(self, query):
-                answer = self.engine.recall(query)
+                answer = self.engine.answer_inline(query)
                 if answer is None:
                     answer = self.engine.run_query(query)
                 return answer or self.engine.run([query])[0]
@@ -532,7 +517,7 @@ class TestAsyncHygiene:
         assert rule_ids(findings) == ["async-hygiene", "async-hygiene"]
         assert ".run_query()" in findings[0].message
         assert ".run()" in findings[1].message
-        assert all(".recall()" in f.message for f in findings)
+        assert all(".answer_inline()" in f.message for f in findings)
 
     def test_answer_inline_is_allowed_on_the_loop(self):
         findings = run(

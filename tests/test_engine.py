@@ -606,14 +606,16 @@ class TestMemoContract:
 
 
 class TestRecall:
-    """``recall`` answers one row from the memo alone: a hit is ``run``'s
-    hit, a miss is silent, and the ``run`` that follows counts it."""
+    """``answer_inline``'s memo side: a hit is ``run``'s hit, a declined
+    miss is silent, and the ``run`` that follows counts it.  Every miss
+    here is one ``answer_inline`` declines — past ``INLINE_MAX_N``,
+    sampled, or under a backend override — so the probe is seen alone."""
 
     def test_hit_is_the_answer_run_gives_and_counts_one_hit(self):
         engine = ReliabilityEngine()
         scenario = Scenario(spec=RaftSpec(5), fleet=uniform_fleet(5, 0.02))
         computed = engine.run_query(scenario)
-        recalled = engine.recall(scenario)
+        recalled = engine.answer_inline(scenario)
         assert (engine.cache_hits, engine.cache_misses) == (1, 1)
         assert recalled.value is computed.value
         assert recalled.provenance.cache_hit
@@ -625,8 +627,8 @@ class TestRecall:
         engine = ReliabilityEngine()
         batches = _recording(engine, "reliability", delegate=True)
         scenario = Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, 0.01))
-        assert engine.recall(scenario) is None
-        assert engine.recall(scenario) is None
+        assert engine.answer_inline(scenario) is None
+        assert engine.answer_inline(scenario) is None
         assert (engine.cache_hits, engine.cache_misses) == (0, 0)
         assert batches == []  # never computes
         engine.run_query(scenario)
@@ -635,14 +637,14 @@ class TestRecall:
     def test_recall_refreshes_recency(self):
         engine = ReliabilityEngine(cache_size=2)
         old, neighbour, newcomer = (
-            Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, p))
+            Scenario(spec=RaftSpec(33), fleet=uniform_fleet(33, p))
             for p in (0.01, 0.02, 0.03)
         )
         engine.run([old, neighbour])
-        assert engine.recall(old) is not None  # now younger than its neighbour
+        assert engine.answer_inline(old) is not None  # now younger than its neighbour
         engine.run_query(newcomer)  # evicts the least recently used entry
-        assert engine.recall(old) is not None
-        assert engine.recall(neighbour) is None
+        assert engine.answer_inline(old) is not None
+        assert engine.answer_inline(neighbour) is None
 
     def test_policy_shard_trials_is_part_of_the_key(self):
         engine = ReliabilityEngine()
@@ -651,26 +653,26 @@ class TestRecall:
             method="monte-carlo", trials=500, seed=9,
         )
         engine.run_query(sampled, policy=ExecutionPolicy(shard_trials=250))
-        assert engine.recall(sampled, ExecutionPolicy(shard_trials=100)) is None
-        assert engine.recall(sampled, ExecutionPolicy(shard_trials=250)) is not None
+        assert engine.answer_inline(sampled, ExecutionPolicy(shard_trials=100)) is None
+        assert engine.answer_inline(sampled, ExecutionPolicy(shard_trials=250)) is not None
 
     def test_rows_that_are_never_stored_are_never_recalled(self):
-        spec, fleet = RaftSpec(3), uniform_fleet(3, 0.05)
+        spec, fleet = RaftSpec(33), uniform_fleet(33, 0.05)
         unseeded = Scenario(spec=spec, fleet=fleet, method="monte-carlo", trials=10)
         engine = ReliabilityEngine()
         engine.run_query(unseeded)  # key=None
-        assert engine.recall(unseeded) is None
+        assert engine.answer_inline(unseeded) is None
 
         disabled = ReliabilityEngine(cache_size=0)
         scenario = Scenario(spec=spec, fleet=fleet)
         disabled.run_query(scenario)
-        assert disabled.recall(scenario) is None
+        assert disabled.answer_inline(scenario) is None
 
         partial = ReliabilityEngine()
         _recording(partial, "test-echo", degraded={0})
         query = _EchoQuery(scenario)
         assert partial.run_query(query).provenance.degraded
-        assert partial.recall(query) is None
+        assert partial.answer_inline(query) is None
 
         for probe in (engine, disabled, partial):
             assert probe.cache_hits == 0
@@ -680,14 +682,14 @@ class TestRecall:
         scenario = Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, 0.01))
         engine.run_query(scenario)
         _recording(engine, "reliability")
-        assert engine.recall(scenario) is None
+        assert engine.answer_inline(scenario) is None
 
 
 class TestAnswerInline:
-    """``answer_inline`` is ``recall`` plus, on a miss, the row itself when
-    its work is bounded: stock counting / exact estimator or Markov
-    backend, no override, ``n`` within ``INLINE_MAX_N``.  Inside the bound
-    it is exactly ``run``; outside it is exactly ``recall``'s miss."""
+    """On a miss ``answer_inline`` computes the row itself when its work is
+    bounded: stock counting / exact estimator or Markov backend, no
+    override, ``n`` within ``INLINE_MAX_N``.  Inside the bound it is
+    exactly ``run``; outside it is a declined miss (``TestRecall``)."""
 
     @staticmethod
     def row(name, n):

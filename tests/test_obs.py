@@ -422,13 +422,13 @@ class TestBitIdentity:
         tracer = Tracer.for_key(("recall",), exporter=exporter)
         engine = ReliabilityEngine()
         policy = ExecutionPolicy(mode="thread", jobs=2)
-        row = scenario(3, 0.1, seed=None)
+        row = scenario(33, 0.1, seed=None)  # past INLINE_MAX_N: a miss is declined
         with use_tracer(tracer):
-            assert engine.recall(row, policy) is None
+            assert engine.answer_inline(row, policy) is None
             assert exporter.records == []
             engine.run([row], policy=policy)
             exporter.clear()
-            assert engine.recall(row, policy) is not None
+            assert engine.answer_inline(row, policy) is not None
         queries, backend = sorted(exporter.records, key=lambda r: r.name, reverse=True)
         assert (queries.name, backend.name) == ("engine.queries", "backend.reliability")
         assert backend.parent_id == queries.span_id

@@ -14,6 +14,7 @@ import http.client
 import json
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -454,7 +455,7 @@ class TestCoalescing:
 
 
 class TestRecallOnTheLoop:
-    """A memoised row is answered on the event loop — ``engine.recall``
+    """A memoised row is answered on the event loop — ``engine.answer_inline``
     before single-flight and the executor — and nothing a client or
     ``/metrics`` can see tells the two paths apart."""
 
@@ -525,7 +526,7 @@ class TestRecallOnTheLoop:
             return json.dumps(body), json.dumps(lines)
 
         executor_only = ReliabilityEngine()
-        executor_only.recall = lambda query, policy=None: None  # every row misses
+        executor_only.answer_inline = lambda query, policy=None: None  # all pooled
         assert warm_reply(ReliabilityEngine()) == warm_reply(executor_only)
         assert executor_only.cache_hits == 4
 
@@ -540,6 +541,34 @@ class TestRecallOnTheLoop:
                 assert (status, body["cache_hits"]) == (200, 1)
             assert len(submitted) == 1
             assert len(running.service.inflight) == 0
+
+    def test_warm_hits_take_no_minor_faults_on_the_loop_thread(self):
+        """The loop thread reads at most 64 KiB per readable event: with
+        asyncio's 256 KiB ``recv`` a warm hit could grow and then trim the
+        thread's heap, ≈ 2 minor faults per request on some layouts."""
+        payload = self.rows((5, 0.01))
+        hits = 300
+        with BackgroundServer(ServiceConfig(port=0)) as running:
+            stat = Path(f"/proc/self/task/{running._thread.native_id}/stat")
+            if not stat.exists():
+                pytest.skip("needs /proc")
+
+            def minor_faults() -> int:  # field 10, counted after ``comm``
+                return int(stat.read_text().rsplit(")", 1)[1].split()[7])
+
+            conn = http.client.HTTPConnection("127.0.0.1", running.port, timeout=60)
+            try:
+                for round_ in range(hits + 20):  # the first rows warm up
+                    if round_ == 20:
+                        before = minor_faults()
+                    conn.request("POST", "/v1/query", body=payload)
+                    response = conn.getresponse()
+                    assert response.status == 200
+                    assert json.loads(response.read())["cache_hits"] == (round_ > 0)
+                after = minor_faults()
+            finally:
+                conn.close()
+        assert (after - before) / hits < 0.5
 
     @staticmethod
     def spy_on(pool) -> list:
@@ -699,20 +728,20 @@ class TestRecallOnTheLoop:
             assert (status, body["count"], body["cache_hits"]) == (200, rows + 1, 0)
 
     def test_error_raised_on_the_loop_is_the_rows_outcome(self):
-        """``cache_key``/``recall`` raising on the loop reads like the
-        executor path raising: 422 for a library error, 500 otherwise."""
+        """``answer_inline`` raising on the loop reads like the executor
+        path raising: 422 for a library error, 500 otherwise."""
         from repro.errors import EstimationError
 
         for error, expected in (
             (EstimationError("no such estimator"), 422),
-            (RuntimeError("recall exploded"), 500),
+            (RuntimeError("answer_inline exploded"), 500),
         ):
             engine = ReliabilityEngine()
 
             def raising(query, policy=None, error=error):
                 raise error
 
-            engine.recall = raising
+            engine.answer_inline = raising
             with BackgroundServer(ServiceConfig(port=0), engine=engine) as running:
                 status, body = post(running.port, self.rows((3, 0.01), (5, 0.01)))
                 lines = post_stream(running.port, self.rows((3, 0.01)))
