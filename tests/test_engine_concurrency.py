@@ -96,6 +96,29 @@ class TestMemoThreadSafety:
         # Every submitted row counted exactly once despite the contention.
         assert info["hits"] + info["misses"] == 8 * calls
 
+    def test_hit_counter_is_exact_under_contention(self, tight_switching):
+        """Lost-update check: N threads x M warm hits count N*M.
+
+        Every hit goes through ``answer_inline``, the daemon's loop-side
+        call, on one hot row the memo holds.  The hit count is what
+        ``/metrics`` reports as the engine cache hit rate, so a dropped
+        increment would make that rate lie.
+        """
+        engine = ReliabilityEngine(cache_size=8)
+        hot = scenario(3, 0.01)
+        expected = engine.run_query(hot)
+        barrier = threading.Barrier(8)
+
+        def hit(_worker: int) -> None:
+            barrier.wait(timeout=30)
+            for _ in range(500):
+                assert engine.answer_inline(hot).value == expected.value
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            list(pool.map(hit, range(8)))
+        assert engine.cache_hits == 8 * 500
+        assert engine.cache_misses == 1  # the warm-up run
+
     def test_concurrent_runs_share_one_engine_bit_identically(self):
         """Many threads through one warm engine = the serial answers."""
         queries = [

@@ -753,6 +753,41 @@ class TestRecallOnTheLoop:
             assert metrics["queries_total"] == 0
             assert metrics["query_latency_by_kind"]["reliability"]["count"] == 3
 
+    def test_one_row_post_takes_the_same_pass_as_a_batch(self):
+        """A plain one-row POST has no path of its own: a bounded miss is
+        computed on the loop, a row past the bound goes to the pool once,
+        each answers as it does inside a many-row POST, and an error
+        raised on the loop reads like a batch's."""
+        from repro.errors import EstimationError
+
+        with BackgroundServer(ServiceConfig(port=0)) as running:
+            submitted = self.spy_on(running.service._pool)
+            status, bounded = post(running.port, self.rows((5, 0.02)))
+            assert (status, bounded["count"], bounded["cache_hits"]) == (200, 1, 0)
+            assert submitted == []
+            status, declined = post(running.port, self.rows((33, 0.02)))
+            assert (status, declined["count"], declined["cache_hits"]) == (200, 1, 0)
+            assert len(submitted) == 1
+            status, batch = post(running.port, self.rows((5, 0.02), (33, 0.02)))
+            assert (status, batch["cache_hits"]) == (200, 2)
+            assert len(submitted) == 1
+            _status, metrics = get(running.port, "/metrics")
+            assert metrics["inline_total"] == 1
+        assert answer_values(bounded["answers"] + declined["answers"]) == (
+            answer_values(batch["answers"])
+        )
+
+        engine = ReliabilityEngine()
+
+        def raising(query, policy=None):
+            raise EstimationError("no such estimator")
+
+        engine.answer_inline = raising
+        with BackgroundServer(ServiceConfig(port=0), engine=engine) as running:
+            status, body = post(running.port, self.rows((3, 0.01)))
+        assert status == 422
+        assert body == {"error": "no such estimator", "failed_index": 0, "failures": 1}
+
 
 class TestStreaming:
     def test_stream_emits_one_line_per_answer(self, server):
