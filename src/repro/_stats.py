@@ -10,7 +10,9 @@ against exact rational arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
 from statistics import NormalDist
 from typing import Callable
 
@@ -36,20 +38,62 @@ def binom_pmf(k: int, n: int, p: float) -> float:
 
 
 def binom_pmf_vector(n: int, p: float) -> np.ndarray:
-    """``P(X = k)`` for ``X ~ Binomial(n, p)`` at every ``k`` in ``0..n``.
+    """``P(X = k)`` for ``X ~ Binomial(n, p)`` at every ``k`` in ``0..n``:
+    the one row of :func:`binom_pmf_matrix`."""
+    return binom_pmf_matrix(n, (p,))[0]
 
-    The log-space terms of :func:`binom_pmf` as one array, then divided by
-    their sum: the array sums to one within a few ulps, so a sampler that
-    checks ``sum(pvals[:-1]) <= 1`` accepts it.  ``p`` of 0 or 1 puts all
-    the mass on one count exactly.
+
+def binom_pmf_matrix(n: int, ps) -> np.ndarray:
+    """Row ``i`` holds ``P(X = k)`` for ``X ~ Binomial(n, ps[i])``, ``k`` in ``0..n``.
+
+    The log-space terms of :func:`binom_pmf`, one row per probability, each
+    row divided by its own sum: a row sums to one within a few ulps, so a
+    sampler that checks ``sum(pvals[:-1]) <= 1`` accepts it.  Every step is
+    elementwise (the logs of each ``p`` are taken by ``math``, a row's sum
+    runs over that row alone), so a row does not depend on the rows beside
+    it.  A ``p`` of 0 or 1 puts all of its row's mass on one count exactly.
     """
-    if p <= 0.0 or p >= 1.0:
-        pmf = np.zeros(n + 1)
-        pmf[0 if p <= 0.0 else n] = 1.0
-        return pmf
-    k = np.arange(n + 1)
-    pmf = np.exp(log_binom(n, k) + k * math.log(p) + (n - k) * math.log1p(-p))
-    return pmf / pmf.sum()
+    ps = [float(p) for p in ps]
+    inner = [p if 0.0 < p < 1.0 else 0.5 for p in ps]  # degenerate rows redone below
+    logs = itertools.chain.from_iterable((math.log(p), math.log1p(-p)) for p in inner)
+    logs = np.fromiter(logs, float, 2 * len(inner)).reshape(len(inner), 2)
+    k, n_minus_k, log_choose = _binom_terms(n)
+    out = k * logs[:, :1]
+    out += log_choose  # IEEE addition commutes: log C + k log p, then + (n-k) log q
+    out += n_minus_k * logs[:, 1:]
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)
+    for row, p in enumerate(ps):
+        if not 0.0 < p < 1.0:
+            out[row] = 0.0
+            out[row, 0 if p <= 0.0 else n] = 1.0
+    return out
+
+
+#: :func:`_binom_terms` by ``n``: a served counting row costs mostly
+#: per-call overhead, and rows repeat a few cluster sizes.  Locked, and
+#: bounded by size rather than entry count (``n`` comes with the request):
+#: the oldest entries go beyond ``_TERMS_MAX_FLOATS`` floats in all (512 KB),
+#: and the newest entry is always kept.
+_TERMS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_TERMS_LOCK = threading.Lock()
+_TERMS_MAX_FLOATS = 1 << 16
+
+
+def _binom_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``k``, ``n - k`` (exact as floats) and ``log C(n, k)`` for every
+    ``k`` in ``0..n``, read-only."""
+    terms = _TERMS.get(n)
+    if terms is None:
+        k = np.arange(n + 1)
+        terms = (k.astype(float), (n - k).astype(float), log_binom(n, k))
+        for array in terms:
+            array.setflags(write=False)
+        with _TERMS_LOCK:
+            _TERMS[n] = terms
+            while len(_TERMS) > 1 and sum(3 * (m + 1) for m in _TERMS) > _TERMS_MAX_FLOATS:
+                del _TERMS[next(iter(_TERMS))]
+    return terms
 
 
 def _binom_tail(k: int, n: int, p: float, upper: bool) -> float:

@@ -75,29 +75,17 @@ def minimal_violating_failures(
     Returns ``None`` when no count violates (e.g. Raft safety with majority
     quorums is unconditionally safe under crash failures).
     """
+    from repro.analysis.kernels import verdict_masks
+
     if not spec.symmetric:
         raise InvalidConfigurationError("minimal_violating_failures needs a symmetric spec")
-    check = _count_predicate(spec, predicate)
-    for failures in range(spec.n + 1):
-        if failure_kind is FaultKind.CRASH:
-            splits = [(failures, 0)]
-        elif failure_kind is FaultKind.BYZANTINE:
-            splits = [(0, failures)]
-        else:
-            splits = [(failures - byz, byz) for byz in range(failures + 1)]
-        if any(not check(crash, byz) for crash, byz in splits):
-            return failures
-    return None
-
-
-def _count_predicate(spec: "ProtocolSpec", predicate: str) -> Callable[[int, int], bool]:
-    if predicate == "safe":
-        return spec.is_safe_counts
-    if predicate == "live":
-        return spec.is_live_counts
-    if predicate == "safe_and_live":
-        return lambda c, b: spec.is_safe_counts(c, b) and spec.is_live_counts(c, b)
-    raise InvalidConfigurationError(f"unknown predicate {predicate!r}")
+    masks = verdict_masks(spec)
+    if failure_kind in (FaultKind.CRASH, FaultKind.BYZANTINE):  # one line: n + 1 verdicts
+        holds = masks.line(failure_kind is FaultKind.BYZANTINE).for_metric(predicate)
+    else:  # every split of each count, read from the grid
+        grid = masks.for_metric(predicate)
+        holds = (all(grid[k - b, b] for b in range(k + 1)) for k in range(spec.n + 1))
+    return next((failures for failures, ok in enumerate(holds) if not ok), None)
 
 
 def default_tilt(fleet: Fleet, target_failures: int) -> tuple[float, ...]:
@@ -193,7 +181,9 @@ def importance_sample_violation(
     plan = plan_shards(trials, shard_trials)
     rngs = spawn_shard_generators(seed, plan.num_shards)
     if spec.symmetric:
-        verdict_masks(spec)  # compute the masks once per grouping key, outside the pool
+        # Evaluate the line the shards read before they fan out: forked
+        # workers inherit it and thread shards do not each evaluate it again.
+        verdict_masks(spec).line(failure_kind is FaultKind.BYZANTINE)
     payloads = [
         (
             spec,
@@ -288,15 +278,14 @@ def _tilted_violation_weights(
     """
     from repro.analysis.kernels import _chunk_sizes, verdict_masks
 
-    mask = verdict_masks(spec).for_metric(predicate) if spec.symmetric else None
+    byzantine = failure_kind is FaultKind.BYZANTINE
+    mask = verdict_masks(spec).line(byzantine).for_metric(predicate) if spec.symmetric else None
     weights = np.zeros(trials)
     offset = 0
     for size in _chunk_sizes(trials, spec.n):
         failed = rng.random((size, spec.n)) < tilt_arr
         if mask is not None:
-            k = failed.sum(axis=1)
-            zeros = np.zeros_like(k)
-            holds = mask[k, zeros] if failure_kind is FaultKind.CRASH else mask[zeros, k]
+            holds = mask[failed.sum(axis=1)]  # every failure takes the one kind
         else:
             rows, inverse = np.unique(failed, axis=0, return_inverse=True)
             verdicts = np.fromiter(

@@ -6,30 +6,30 @@ This module provides the batched linear-algebra primitives that make the
 flexible estimator APIs in :mod:`repro.analysis` run at NumPy speed:
 
 * **Verdict masks** — for symmetric specs, the ``(n+1) x (n+1)`` boolean
-  arrays ``safe[c, b]`` / ``live[c, b]`` over crash/Byzantine count pairs.
-  Computed once per spec grouping key and shared by every equal spec
-  (:func:`verdict_masks`, :meth:`ProtocolSpec.verdict_masks`), they turn
-  every counting aggregation into a ``(pmf * mask).sum()`` reduction and
-  every symmetric Monte-Carlo tally into a read of a count-pair
-  histogram — predicates run ``O(n^2)`` times per *grouping key*, not
-  per evaluation.
+  arrays ``safe[c, b]`` / ``live[c, b]`` over crash/Byzantine count pairs,
+  and each failure kind's line of them.  Shared by every equal spec
+  (:func:`verdict_masks`, :meth:`ProtocolSpec.verdict_masks`) and each
+  evaluated on its first read, they turn every counting aggregation into
+  a ``(pmf * mask).sum()`` reduction and every symmetric Monte-Carlo tally
+  into a read of a count histogram — predicates run ``O(n)`` times per
+  *grouping key* for a line, ``O(n^2)`` for the grid, not per evaluation.
 
-* **Batched joint-count DP** — :func:`joint_count_pmf_batch` runs the
-  trinomial Poisson-binomial dynamic program for ``F`` fleets at once.
-  Fleets with a single failure kind (crash-only or Byzantine-only — every
-  fleet :meth:`ScenarioSet.grid` builds by default) take a 1-D recursion
-  over ``n+1`` counts; only fleets carrying both kinds
-  (:func:`mixed_support`) sweep the ``(n+1)^2`` grid.  Either way the
-  elementwise update sequence of every nonzero entry is identical to the
-  single-fleet DP in :func:`repro.analysis.counting.joint_count_pmf`, so
-  per-fleet results are bit-identical to the scalar path.
+* **Count PMFs** — a fleet with one failure kind (crash-only or
+  Byzantine-only — every fleet :meth:`ScenarioSet.grid` builds by
+  default) has its PMF on one line of ``n+1`` counts (:func:`count_lines`):
+  ``Binomial(n, p)`` in closed form when its nodes share one model, a 1-D
+  recursion otherwise (:func:`_count_pmf_1d`, the joint DP's loop on one
+  axis).  :func:`joint_count_pmf_batch` runs the trinomial
+  Poisson-binomial dynamic program over the ``(n+1)^2`` grid for ``F``
+  fleets at once, each bit-identical to the node-by-node loop; only
+  fleets carrying both kinds (:func:`mixed_support`) need it.
 
 * **One counting sweep** — :func:`counting_sweep` is the one place batched
   counting rows are built: the engine's counting groups and
-  :func:`counting_reliability_batch` both call it.  It runs one DP per
-  unique fleet, chunk by chunk, and reduces each chunk against every spec
-  of the batch — a single-kind fleet's PMF as the one line of the grid
-  that holds it; its results equal the scalar
+  :func:`counting_reliability_batch` both call it.  It reads every
+  one-kind fleet's count line in one call and runs the joint DP for the
+  others chunk by chunk, and reduces each PMF against every spec of the
+  batch; its results equal the scalar
   :func:`repro.analysis.counting.counting_reliability` whole.
 
 * **Batched Monte-Carlo** — symmetric specs tally each trial by its
@@ -42,20 +42,22 @@ flexible estimator APIs in :mod:`repro.analysis` run at NumPy speed:
   models) draws chunked ``(trials, n)`` uniforms in the (trial, node)
   order of the historical per-trial loop, so its seeded tallies equal
   that loop's, and counts each trial's crashes and Byzantine nodes
-  straight from the uniforms (two threshold passes, one when the fleet
-  has no Byzantine mass; scalar thresholds when every node shares one
-  model).  Asymmetric specs draw the same uniforms, classify every node
-  (:func:`classify_uniforms`) and get ``np.unique`` row dedup: Python
-  predicates run once per *distinct* configuration, not per trial.
+  straight from the uniforms (two threshold passes, one binned over its
+  kind's line when the fleet has one failure kind; scalar thresholds when
+  every node shares one model).  Asymmetric specs draw the same uniforms,
+  classify every node (:func:`classify_uniforms`) and get ``np.unique``
+  row dedup: Python predicates run once per *distinct* configuration, not
+  per trial.
 
 * **Sharded execution** — :func:`plan_shards` splits a trial budget into
   worker-count-independent shard blocks, :func:`spawn_shard_sequences`
   gives each shard an independent ``SeedSequence``-spawned stream, and
   :func:`monte_carlo_tally_sharded` maps the shards through
   :func:`repro.runtime.run_supervised` (in the calling thread, or over a
-  thread or process pool), merging tallies in shard order.  Spawned
-  streams are the only sampling contract: a seeded estimate is a function
-  of ``(trials, seed, shard_trials)`` and never of where the shards ran.
+  thread or process pool), merging tallies in shard order, after
+  evaluating the masks its shards read.  Spawned streams are the only
+  sampling contract: a seeded estimate is a function of ``(trials, seed,
+  shard_trials)`` and never of where the shards ran.
 
 * **One-pass Birnbaum** — :func:`loo_weighted_products` combines prefix
   count-DPs with a backward weight recursion to produce all ``n``
@@ -76,11 +78,12 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from repro._stats import binom_pmf_vector
+from repro._stats import binom_pmf_matrix, binom_pmf_vector
 from repro.analysis.config import FailureConfig, FaultKind
 from repro.analysis.result import Estimate, ReliabilityResult
 from repro.errors import InvalidConfigurationError
@@ -110,63 +113,95 @@ _CODE_TO_KIND = {
 # ---------------------------------------------------------------------------
 # Verdict masks
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class VerdictMasks:
-    """Count-pair truth tables of one symmetric spec's predicates.
+class MaskLine(NamedTuple):
+    """One failure kind's line of a spec's verdict masks: entry ``k`` is
+    the verdict for ``k`` failures of that kind and none of the other.
+    (The masks' whole grid is held in one too, as 2-D arrays.)"""
 
-    ``safe[c, b]`` / ``live[c, b]`` hold the predicate verdicts for ``c``
-    crashes and ``b`` Byzantine nodes; entries outside the valid triangle
-    ``c + b <= n`` are ``False``.  ``both`` is the elementwise AND.
-    """
-
-    n: int
     safe: np.ndarray
     live: np.ndarray
     both: np.ndarray
 
     def for_metric(self, metric: str) -> np.ndarray:
         """The boolean mask backing one reliability metric."""
-        if metric == "safe":
-            return self.safe
-        if metric == "live":
-            return self.live
-        if metric == "safe_and_live":
-            return self.both
-        raise InvalidConfigurationError(f"unknown metric {metric!r}")
+        if metric not in ("safe", "live", "safe_and_live"):
+            raise InvalidConfigurationError(f"unknown metric {metric!r}")
+        return getattr(self, "both" if metric == "safe_and_live" else metric)
 
 
-def compute_verdict_masks(spec: "ProtocolSpec") -> VerdictMasks:
-    """Evaluate a symmetric spec's count predicates over every (c, b) pair.
+class VerdictMasks:
+    """Count-pair truth tables of one symmetric spec's predicates.
 
-    ``O(n^2)`` predicate calls — done once per spec grouping key and
-    shared through :func:`verdict_masks`.
+    ``safe[c, b]`` / ``live[c, b]`` hold the predicate verdicts for ``c``
+    crashes and ``b`` Byzantine nodes; entries outside the valid triangle
+    ``c + b <= n`` are ``False``.  ``both`` is the elementwise AND.  The
+    ``(n+1)^2`` grid is evaluated on its first read; a row whose fleet
+    carries one failure kind reads only that kind's :class:`MaskLine`
+    (:meth:`line`, ``O(n)`` predicate calls), so it never builds the grid.
     """
-    if not spec.symmetric:
-        raise InvalidConfigurationError(
-            f"{spec.name} is not symmetric; verdict masks do not apply"
+
+    def __init__(self, spec: "ProtocolSpec"):
+        if not spec.symmetric:
+            raise InvalidConfigurationError(
+                f"{spec.name} is not symmetric; verdict masks do not apply"
+            )
+        self.n = spec.n
+        self._spec = spec
+
+    def _evaluate(self, shape, cells) -> MaskLine:
+        """Verdicts at ``(index, (crashes, byzantine))`` cells of a
+        ``shape`` array of ``False``."""
+        safe, live = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
+        for index, pair in cells:
+            safe[index] = self._spec.is_safe_counts(*pair)
+            live[index] = self._spec.is_live_counts(*pair)
+        both = safe & live
+        for mask in (safe, live, both):
+            mask.setflags(write=False)
+        return MaskLine(safe, live, both)
+
+    @cached_property
+    def _grid(self) -> MaskLine:
+        counts = range(self.n + 1)
+        pairs = ((c, b) for c in counts for b in range(self.n + 1 - c))
+        return self._evaluate((self.n + 1,) * 2, ((pair, pair) for pair in pairs))
+
+    safe = property(lambda self: self._grid.safe)
+    live = property(lambda self: self._grid.live)
+    both = property(lambda self: self._grid.both)
+
+    @cached_property
+    def _lines(self) -> tuple[MaskLine, MaskLine]:
+        counts = range(self.n + 1)
+        return (
+            self._evaluate(self.n + 1, ((k, (k, 0)) for k in counts)),
+            self._evaluate(self.n + 1, ((k, (0, k)) for k in counts)),
         )
-    n = spec.n
-    safe = np.zeros((n + 1, n + 1), dtype=bool)
-    live = np.zeros((n + 1, n + 1), dtype=bool)
-    for crash in range(n + 1):
-        for byz in range(n + 1 - crash):
-            safe[crash, byz] = spec.is_safe_counts(crash, byz)
-            live[crash, byz] = spec.is_live_counts(crash, byz)
-    for mask in (safe, live):
-        mask.setflags(write=False)
-    both = safe & live
-    both.setflags(write=False)
-    return VerdictMasks(n=n, safe=safe, live=live, both=both)
+
+    def line(self, byzantine: bool) -> MaskLine:
+        """The grid's column ``[:, 0]`` (crashes only) or, with
+        ``byzantine``, its row ``[0, :]`` (Byzantine nodes only)."""
+        return self._lines[bool(byzantine)]
+
+    def for_kind(self, kind: int) -> MaskLine:
+        """What a row over a fleet of :func:`fleet_kind` ``kind`` reads,
+        evaluated: the crash (0) or Byzantine (1) line, or (2) the grid."""
+        return self._grid if kind == 2 else self._lines[kind]
+
+    def for_metric(self, metric: str) -> np.ndarray:
+        """The boolean mask backing one reliability metric."""
+        return self._grid.for_metric(metric)
 
 
 #: Verdict masks by spec grouping key, one table for the process.  Equal
 #: keys promise identical predicates (the engine's memo relies on the same
 #: promise), so every spec instance with a key shares one masks object: a
 #: spec parsed afresh for each daemon request does not re-run the
-#: ``O(n^2)`` predicate loop.  Locked, and bounded like
+#: predicate loops.  Locked, and bounded like
 #: :mod:`repro.analysis.exact`'s enumeration cache: the oldest entries are
 #: evicted beyond ``_MASKS_MAX_ENTRIES`` entries or ``_MASKS_MAX_CELLS``
-#: count-pair cells in all, and the newest entry is always kept.
+#: count-pair cells in all (an entry counts the grid it may build), and
+#: the newest entry is always kept.
 _MASKS: dict[tuple, VerdictMasks] = {}
 _MASKS_LOCK = threading.Lock()
 _MASKS_MAX_ENTRIES = 256
@@ -174,19 +209,18 @@ _MASKS_MAX_CELLS = 1 << 22
 
 
 def verdict_masks(spec: "ProtocolSpec") -> VerdictMasks:
-    """A spec's verdict masks, computed once per grouping key.
+    """A spec's verdict masks, one object per grouping key.
 
     Specs are immutable after construction and equal grouping keys evaluate
     every count pair alike, so two equal specs built separately get the
-    same masks object (see ``_MASKS``).
+    same masks object (see ``_MASKS``).  Building one evaluates nothing:
+    its grid and lines are evaluated on first read, outside the lock.
     """
     key = spec.grouping_key()
     with _MASKS_LOCK:
         masks = _MASKS.get(key)
-    if masks is None:
-        masks = compute_verdict_masks(spec)
-        with _MASKS_LOCK:
-            masks = _MASKS.setdefault(key, masks)
+        if masks is None:
+            masks = _MASKS[key] = VerdictMasks(spec)
             while len(_MASKS) > 1 and (
                 len(_MASKS) > _MASKS_MAX_ENTRIES
                 or sum((m.n + 1) ** 2 for m in _MASKS.values()) > _MASKS_MAX_CELLS
@@ -257,64 +291,39 @@ def fleet_probability_matrix(fleets: Sequence[Fleet]) -> tuple[np.ndarray, np.nd
     return crash, byz
 
 
+def fleet_kind(pairs: np.ndarray) -> int:
+    """Where an ``(n, 2)`` fleet's failure counts lie on the count grid:
+    ``0`` crashes only (or no failure mass), ``1`` Byzantine nodes only,
+    ``2`` both kinds, filling the grid."""
+    crash, byz = pairs.any(axis=0).tolist()
+    return 2 if crash and byz else int(byz)
+
+
 def mixed_support(crash: np.ndarray, byz: np.ndarray) -> np.ndarray:
     """Which rows of an ``(F, n)`` batch carry both crash and Byzantine mass.
 
-    Those are the fleets :func:`joint_count_pmf_batch` sweeps over the
-    ``(n+1)^2`` grid; every other row (crash-only, Byzantine-only, or no
-    failure mass at all) runs the 1-D recursion.
+    Those are the fleets whose count PMF fills the ``(n+1)^2`` grid; every
+    other row (crash-only, Byzantine-only, or no failure mass at all) has
+    its PMF on one line of it (:func:`count_lines`).
     """
     return crash.any(axis=1) & byz.any(axis=1)
 
 
 def joint_count_pmf_batch(crash: np.ndarray, byz: np.ndarray) -> np.ndarray:
-    """Joint crash/Byzantine count PMFs for ``F`` fleets at once.
+    """Joint crash/Byzantine count PMFs for ``F`` fleets at once, by the
+    node-by-node trinomial DP.
 
     ``crash`` and ``byz`` are ``(F, n)`` probability arrays; the result is
     ``(F, n+1, n+1)`` with ``out[f, c, b] = P[c crashes, b byz]`` for fleet
-    ``f``.  The update sequence per fleet matches the scalar DP in
-    :func:`repro.analysis.counting.joint_count_pmf` operation-for-operation
-    (adding a zero-probability branch is an exact no-op), so each slice is
-    bit-identical to the single-fleet result.
-
-    Rows are split by support.  A row with no Byzantine mass (crash-only,
-    or no mass at all) has its PMF in column 0; a row with no crash mass
-    in row 0.  Those rows run a 1-D Poisson-binomial recursion over
-    ``n+1`` counts and land in the zeroed output.  That is bit-identical
-    to the 2-D loop, where the absent kind only ever adds ``+0.0`` to
-    non-negative entries — an exact no-op — so the entries that can be
-    nonzero see the same multiplies and adds in the same order.  Rows
-    with both kinds (:func:`mixed_support`) run the 2-D loop.  Output
-    shape, row order and dtype do not depend on the split.
+    ``f``.  Every update is elementwise per fleet, so each slice is
+    bit-identical to the single-fleet result
+    (:func:`repro.analysis.counting.joint_count_pmf`).
     """
     crash = np.asarray(crash, dtype=float)
     byz = np.asarray(byz, dtype=float)
     if crash.shape != byz.shape or crash.ndim != 2:
         raise InvalidConfigurationError("crash/byzantine arrays must share an (F, n) shape")
-    fleets, n = crash.shape
-    ok = np.maximum(0.0, 1.0 - crash - byz)
-    mixed = mixed_support(crash, byz)
-    if mixed.all():
-        return _joint_count_pmf_2d(crash, byz, ok)
-    # The 2-D sweep runs first so its scratch buffer is freed before the
-    # output is allocated: peak memory stays at two (F, n+1, n+1) arrays.
-    mixed_pmfs = None
-    if mixed.any():
-        mixed_pmfs = _joint_count_pmf_2d(crash[mixed], byz[mixed], ok[mixed])
-    out = np.zeros((fleets, n + 1, n + 1))
-    if mixed_pmfs is not None:
-        out[mixed] = mixed_pmfs
-    # Crash-only and Byzantine-only rows share one 1-D recursion, each over
-    # the kind it carries: the update is elementwise, so a row's entries do
-    # not depend on which rows it is batched with.
-    crash_only = ~byz.any(axis=1)
-    one_kind = ~mixed
-    lines = _count_pmf_1d(
-        np.where(crash_only[:, None], crash, byz)[one_kind], ok[one_kind]
-    )
-    out[crash_only, :, 0] = lines[crash_only[one_kind]]
-    out[one_kind & ~crash_only, 0, :] = lines[~crash_only[one_kind]]
-    return out
+    return _joint_count_pmf_2d(crash, byz, np.maximum(0.0, 1.0 - crash - byz))
 
 
 def _count_pmf_1d(fail: np.ndarray, ok: np.ndarray) -> np.ndarray:
@@ -323,6 +332,9 @@ def _count_pmf_1d(fail: np.ndarray, ok: np.ndarray) -> np.ndarray:
     The 2-D loop of :func:`_joint_count_pmf_2d` restricted to the one axis
     that carries mass: the same growing window, the same ping-pong
     buffers, the same multiply-by-``ok`` then add-the-shifted-failure step.
+    The absent kind only ever adds ``+0.0`` to non-negative entries in the
+    2-D loop — an exact no-op — so each line is bit-identical to the
+    grid's.
     The buffers are count-major, ``(n+1, F)``, so each step multiplies
     whole contiguous rows by one node's contiguous column; the result is
     their transpose (a view).
@@ -369,12 +381,37 @@ def _joint_count_pmf_2d(crash: np.ndarray, byz: np.ndarray, ok: np.ndarray) -> n
     return pmf
 
 
+def count_lines(fail: np.ndarray) -> np.ndarray:
+    """``(F, n+1)`` failure-count PMFs of ``F`` fleets with one failure kind.
+
+    ``fail`` is ``(F, n)``: each node's probability of failing in the
+    fleet's one kind.  A fleet whose nodes share one probability ``p``
+    counts ``Binomial(n, p)`` failures: its row is the closed form, one
+    :func:`~repro._stats.binom_pmf_matrix` call for every such fleet of the
+    batch, so it equals ``binom_pmf_vector(n, p)`` bit for bit.  The other
+    fleets run the node-by-node recursion :func:`_count_pmf_1d`.  Every
+    step is row-wise, so a fleet's line does not depend on its batch: the
+    scalar :func:`~repro.analysis.counting.counting_reliability` (a batch
+    of one) and :func:`counting_sweep` read the same bits.
+    """
+    fleets, n = fail.shape
+    one_model = (fail == fail[:, :1]).all(axis=1)
+    if one_model.all():
+        return binom_pmf_matrix(n, fail[:, 0].tolist())
+    several = fail[~one_model]
+    lines = np.empty((fleets, n + 1))
+    lines[~one_model] = _count_pmf_1d(several, np.maximum(0.0, 1.0 - several))
+    if one_model.any():
+        lines[one_model] = binom_pmf_matrix(n, fail[one_model, 0].tolist())
+    return lines
+
+
 class CountingSweep(NamedTuple):
     """What one :func:`counting_sweep` computed.
 
     ``results`` holds one counting result per row, in row order;
     ``fleets`` counts the unique fleets swept and ``fleets_1d`` how many
-    of them took the 1-D count recursion.
+    of them were read as one count line (:func:`count_lines`).
     """
 
     results: list[ReliabilityResult]
@@ -394,24 +431,22 @@ def _shared_estimates(values: np.ndarray, table: dict[float, Estimate]) -> list[
 
 
 def counting_sweep(rows: Sequence[tuple["ProtocolSpec", Fleet]]) -> CountingSweep:
-    """Counting reliability of same-size ``(spec, fleet)`` rows in one DP sweep.
+    """Counting reliability of same-size ``(spec, fleet)`` rows in one sweep.
 
-    The DP depends only on the fleet, so each *unique* fleet (by
-    :attr:`~repro.faults.mixture.Fleet.hashed_key`) is swept once and its
-    PMF reduced against every spec asking about it: Raft and Ben-Or share
+    The count PMF depends only on the fleet, so each *unique* fleet (by
+    :attr:`~repro.faults.mixture.Fleet.hashed_key`) is computed once and
+    reduced against every spec asking about it: Raft and Ben-Or share
     crash fleets, PBFT and Byzantine Ben-Or Byzantine ones.  Rows sharing
     a spec (by grouping key) reduce together through
-    :func:`masked_sum_batch`.  A crash-only fleet's PMF lives in column 0
-    of the count grid and a Byzantine-only one's in row 0, so those rows
-    reduce that line against the masks' matching line; the entries this
-    skips are ``+0.0`` terms, and the rest are summed in the same order,
-    so the sums are bit-identical to the whole-grid reduction.  The fleets
-    are swept a chunk of at most ``_BATCH_CHUNK_FLOATS`` PMF entries at a
-    time, each chunk reduced before the next is swept, so peak memory
-    stays near the cap.  Per-row results equal
-    :func:`repro.analysis.counting.counting_reliability` whole — same DP
-    update sequence, same left-to-right masked accumulation, same detail
-    string.  No rows give no results.
+    :func:`masked_sum_batch`.  A crash-only or Byzantine-only fleet's PMF
+    is one count line (:func:`count_lines`, every such fleet of the sweep
+    at once), reduced against that kind's :class:`MaskLine`.  A fleet
+    carrying both kinds runs the joint DP, a chunk of at most
+    ``_BATCH_CHUNK_FLOATS`` PMF entries at a time, each chunk reduced
+    before the next is swept, so peak memory stays near the cap.  Per-row
+    results equal :func:`repro.analysis.counting.counting_reliability`
+    whole — same PMF bits, same left-to-right masked accumulation.  No
+    rows give no results.
     """
     if not rows:
         return CountingSweep([], 0, 0)
@@ -439,31 +474,26 @@ def counting_sweep(rows: Sequence[tuple["ProtocolSpec", Fleet]]) -> CountingSwee
             raise InvalidConfigurationError(
                 f"fleets have {n} nodes but spec expects {spec.n}"
             )
-    # Where each unique fleet's PMF lives: 0 column 0 (crash-only or no
-    # mass), 1 row 0 (Byzantine-only), 2 the whole grid (both kinds).
-    support = np.where(byz.any(axis=1), np.where(crash.any(axis=1), 2, 1), 0)
-    line = (np.s_[:, :, 0], np.s_[:, 0, :], np.s_[:])  # per support
-    mask_line = (np.s_[:, 0], np.s_[0, :], np.s_[:])
-
+    # A fleet's PMF is one count line (one kind) or the whole grid (both
+    # kinds): ``kind`` 0 / 1 reads the masks' crash / Byzantine line, 2 the
+    # grid.  ``at`` is the fleet's row in the block of PMFs holding it.
+    mixed = mixed_support(crash, byz)
+    kind = np.where(mixed, 2, byz.any(axis=1))
+    at = np.empty(total, dtype=np.intp)
     results: list = [None] * len(rows)
-    detail = f"joint count DP over {(n + 1) * (n + 2) // 2} count pairs"
     estimates: dict[float, Estimate] = {}  # see _shared_estimates
-    chunk = max(1, _BATCH_CHUNK_FLOATS // ((n + 1) * (n + 1)))
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        pmfs = joint_count_pmf_batch(crash[lo:hi], byz[lo:hi])
-        for spec, indices, fleet_slots in groups.values():
-            masks = verdict_masks(spec)
-            member_slots = np.array(fleet_slots)
-            member_support = np.where(
-                (member_slots >= lo) & (member_slots < hi), support[member_slots], -1
-            )
-            for kind in np.unique(member_support[member_support >= 0]).tolist():
-                selected = member_support == kind
-                lines = pmfs[line[kind]][member_slots[selected] - lo]
+
+    def reduce(fleets: np.ndarray, pmfs: np.ndarray) -> None:
+        at[fleets] = np.arange(fleets.size)
+        for spec, indices, slots in groups.values():
+            slots = np.array(slots)
+            held = np.isin(slots, fleets)
+            for k in np.unique(kind[slots[held]]).tolist():
+                selected = held & (kind[slots] == k)
+                masks = verdict_masks(spec).for_kind(k)
                 p_safe, p_live, p_both = (
                     _shared_estimates(
-                        np.minimum(masked_sum_batch(lines, mask[mask_line[kind]]), 1.0),
+                        np.minimum(masked_sum_batch(pmfs[at[slots[selected]]], mask), 1.0),
                         estimates,
                     )
                     for mask in (masks.safe, masks.live, masks.both)
@@ -471,10 +501,15 @@ def counting_sweep(rows: Sequence[tuple["ProtocolSpec", Fleet]]) -> CountingSwee
                 for index, safe, live, both in zip(
                     np.array(indices)[selected].tolist(), p_safe, p_live, p_both
                 ):
-                    results[index] = ReliabilityResult(
-                        spec.name, n, safe, live, both, "counting", detail
-                    )
-    return CountingSweep(results, total, int(np.count_nonzero(support < 2)))
+                    results[index] = ReliabilityResult(spec.name, n, safe, live, both, "counting")
+
+    one_kind, many = np.flatnonzero(~mixed), np.flatnonzero(mixed)
+    reduce(one_kind, count_lines((crash + byz)[one_kind]))  # the other kind is all zeros
+    chunk = max(1, _BATCH_CHUNK_FLOATS // ((n + 1) * (n + 1)))
+    for lo in range(0, many.size, chunk):
+        chosen = many[lo : lo + chunk]
+        reduce(chosen, joint_count_pmf_batch(crash[chosen], byz[chosen]))
+    return CountingSweep(results, total, one_kind.size)
 
 
 def counting_reliability_batch(
@@ -576,25 +611,31 @@ def _tally_symmetric(
     over the other kind's ``n + 1`` counts and read against that line —
     the same integer hits in ``O(n)`` rather than ``O(n^2)``."""
     width = masks.n + 1
-    if np.ndim(byz_counts) == 0:  # crash only: the column [:, 0]
-        hist = np.bincount(crash_counts, minlength=width)
-        return _tally_histogram(masks, hist, np.s_[:, 0])
-    if np.ndim(crash_counts) == 0:  # Byzantine only: the row [0, :]
-        hist = np.bincount(byz_counts, minlength=width)
-        return _tally_histogram(masks, hist, np.s_[0, :])
+    if np.ndim(crash_counts) == 0 or np.ndim(byz_counts) == 0:  # one kind
+        byzantine = np.ndim(crash_counts) == 0
+        hist = np.bincount(byz_counts if byzantine else crash_counts, minlength=width)
+        return _tally_histogram(masks, hist, _BYZANTINE_LINE if byzantine else _CRASH_LINE)
     hist = np.bincount(
         crash_counts * width + byz_counts, minlength=width * width
     ).reshape(width, width)
     return _tally_histogram(masks, hist)
 
 
+#: One failure kind's line of the count grid: the crash column, the
+#: Byzantine row.
+_CRASH_LINE, _BYZANTINE_LINE = np.s_[:, 0], np.s_[0, :]
+
+
 def _tally_histogram(masks: VerdictMasks, hist, line=np.s_[:]) -> tuple[int, int, int]:
     """Safe/live/both hits of a trial histogram over the masks' cells at
-    ``line``: the whole grid, or one kind's column ``[:, 0]`` / row ``[0, :]``."""
+    ``line``: the whole grid, or one kind's column ``[:, 0]`` / row
+    ``[0, :]``, read from that kind's :class:`MaskLine` (the grid is not
+    built for a line)."""
+    read = masks if line == np.s_[:] else masks.line(line == _BYZANTINE_LINE)
     return (
-        int(hist[masks.safe[line]].sum()),
-        int(hist[masks.live[line]].sum()),
-        int(hist[masks.both[line]].sum()),
+        int(hist[read.safe].sum()),
+        int(hist[read.live].sum()),
+        int(hist[read.both].sum()),
     )
 
 
@@ -624,7 +665,7 @@ def _binomial_tally(
     """Symmetric tally of a one-model, one-kind fleet: each trial's failure
     count is ``Binomial(n, p)`` (``p`` the nonzero of ``crash_p``/``byz_p``),
     so the histogram of ``trials`` counts is one ``rng.multinomial`` over
-    the closed-form PMF, read against the kind's column or row of the masks.
+    the closed-form PMF, read against the kind's :class:`MaskLine`.
 
     ``O(n)`` whatever ``trials`` is: ~25 µs + 0.2 µs per count, against
     0.03-0.1 µs per trial for one binomial per trial.  Crossover near
@@ -633,11 +674,9 @@ def _binomial_tally(
     trials 596 -> 272, 256 trials 46 -> 278.  The default plan (>= 4 096
     trials per shard) stays above it below ``n`` of about 1 400.
     """
-    byzantine = bool(byz_p)
-    hist = rng.multinomial(trials, binom_pmf_vector(n, byz_p if byzantine else crash_p))
-    line = np.s_[0, :] if byzantine else np.s_[:, 0]
-    safe, live, both = _tally_histogram(masks, hist, line)
-    return BatchTally(trials=trials, safe=safe, live=live, both=both)
+    hist = rng.multinomial(trials, binom_pmf_vector(n, crash_p + byz_p))  # one of them is 0
+    line = _BYZANTINE_LINE if byz_p else _CRASH_LINE
+    return BatchTally(trials, *_tally_histogram(masks, hist, line))
 
 
 def monte_carlo_tally(
@@ -666,7 +705,9 @@ def monte_carlo_tally(
       :func:`classify_uniforms` (``p_byzantine >= 0``, so the first set
       lies inside the second).  A single-model mixed-kind fleet compares
       the uniforms against its two scalars rather than broadcast
-      ``n``-vectors: each element meets the same double either way.
+      ``n``-vectors: each element meets the same double either way.  A
+      fleet with one kind and several models counts only its failures,
+      binned over that kind's line (the other kind counts 0 in every trial).
 
     Asymmetric specs draw the same uniforms, classify each node and go
     through :func:`np.unique` row dedup.
@@ -674,20 +715,23 @@ def monte_carlo_tally(
     pairs = fleet.probability_array
     crash_p, byz_p = np.ascontiguousarray(pairs.T)
     masks = verdict_masks(spec) if spec.symmetric else None
+    kind = fleet_kind(pairs)
     if masks is not None and fleet.n and (pairs == pairs[0]).all():
         crash_p, byz_p = pairs[0]  # one model: compare against scalars
-        if not (crash_p and byz_p):  # one kind: count ~ Binomial(n, p)
+        if kind < 2:  # one kind: count ~ Binomial(n, p)
             return _binomial_tally(masks, fleet.n, crash_p, byz_p, trials, rng)
-    fail_p = crash_p + byz_p if byz_p.any() else None
+    fail_p = crash_p + byz_p  # on a one-kind fleet the other kind adds exact zeros
     safe = live = both = 0
     for size in _chunk_sizes(trials, fleet.n):
         uniforms = rng.random((size, fleet.n))
         if masks is not None:
-            crash_counts = _row_counts(uniforms < crash_p)
-            byz_counts = (
-                0 if fail_p is None else _row_counts(uniforms < fail_p) - crash_counts
-            )
-            s, l, b = _tally_symmetric(masks, crash_counts, byz_counts)
+            fail_counts = _row_counts(uniforms < fail_p)
+            if kind < 2:  # the absent kind counts 0 in every trial
+                counts = (0, fail_counts) if kind else (fail_counts, 0)
+                s, l, b = _tally_symmetric(masks, *counts)
+            else:
+                crash_counts = _row_counts(uniforms < crash_p)
+                s, l, b = _tally_symmetric(masks, crash_counts, fail_counts - crash_counts)
         else:
             s, l, b = _tally_asymmetric(
                 spec, classify_uniforms(uniforms, crash_p, byz_p)
@@ -899,7 +943,9 @@ def monte_carlo_tally_sharded(
     plan = plan_shards(trials, shard_trials)
     children = spawn_shard_sequences(seed, plan.num_shards)
     if spec.symmetric:
-        verdict_masks(spec)  # compute the masks once per grouping key, outside the pool
+        # Evaluate what the shards read before they fan out: forked workers
+        # inherit it and thread shards do not each evaluate it again.
+        verdict_masks(spec).for_kind(fleet_kind(fleet.probability_array))
 
     def build(index: int):
         # Thread/serial workers advance the payload generator in place, so a

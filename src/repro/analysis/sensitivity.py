@@ -38,18 +38,14 @@ Metric = str  # "safe" | "live" | "safe_and_live"
 
 
 def _metric_value(spec: "ProtocolSpec", fleet: Fleet, metric: Metric) -> float:
+    if metric not in ("safe", "live", "safe_and_live"):  # ReliabilityResult fields
+        raise InvalidConfigurationError(f"unknown metric {metric!r}")
     result = (
         counting_reliability(spec, fleet)
         if spec.symmetric
         else exact_reliability(spec, fleet)
     )
-    if metric == "safe":
-        return result.safe.value
-    if metric == "live":
-        return result.live.value
-    if metric == "safe_and_live":
-        return result.safe_and_live.value
-    raise InvalidConfigurationError(f"unknown metric {metric!r}")
+    return getattr(result, metric).value
 
 
 def birnbaum_importance(

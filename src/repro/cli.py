@@ -25,7 +25,7 @@ scenario dicts, a ``{"grid": ...}`` description, or rows mixing
 ``reliability``, ``availability``, ``mttf`` and ``simulation`` questions
 — runs through
 :meth:`ReliabilityEngine.run`, each row routed to its engine backend
-(shared DP sweeps and CTMC solves; sharded simulation campaigns), and
+(shared DP sweeps and CTMC models; sharded simulation campaigns), and
 prints per-row answers with provenance.  ``mttf`` itself is answered by
 those backends.  ``simulation`` rows accept a ``"faults"``
 section — a declarative :mod:`repro.injection` fault plan of typed events

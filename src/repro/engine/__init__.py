@@ -32,7 +32,7 @@ from JSON rows (:func:`query_from_dict`) and answerable
 same-size symmetric scenarios, the pluggable estimator registry for
 everything else);
 :class:`AvailabilityQuery` and :class:`MTTFQuery` batch same-chain CTMC
-solves; :class:`SimulationQuery` campaigns fan seeded replicas across the
+questions; :class:`SimulationQuery` campaigns fan seeded replicas across the
 :class:`ExecutionPolicy` pool and accept a declarative
 :class:`repro.injection.FaultPlan` (``faults=``) describing outages,
 partitions, bursts and Byzantine adversary mixes.  Every consumer in this

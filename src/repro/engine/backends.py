@@ -10,13 +10,12 @@ lives in :mod:`repro.engine.planner`):
 ``availability`` / ``mttf``
     CTMC questions batched *per chain*: queries whose
     :meth:`~repro.engine.query._MarkovQuery.chain_key` matches share one
-    :class:`~repro.markov.builders.ClusterMarkovModel` and its one chain
-    build (one steady-state system and one prefix pass over π for
-    availability; one absorption solve per distinct threshold, each on a
-    leading block of the same generator, for MTTF/MTTDL), and every
-    per-query value is produced by the same builder methods a direct
-    caller would use — so answers are bit-identical to
-    :mod:`repro.markov.builders`.
+    :class:`~repro.markov.builders.ClusterMarkovModel` and its closed
+    forms (one product-form π and one prefix pass over it for
+    availability; one first-passage pass for every MTTF/MTTDL threshold),
+    so no generator is built; every per-query value is produced by the
+    same builder methods a direct caller would use — so answers are
+    bit-identical to :mod:`repro.markov.builders`.
 ``simulation``
     Seeded discrete-event campaigns: replica ``i`` draws from child ``i``
     of the query seed's ``SeedSequence`` (the PR 3 spawned-stream
@@ -84,7 +83,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 # ---------------------------------------------------------------------------
-# Markov backends: one CTMC solve per chain
+# Markov backends: one closed-form pass per chain
 # ---------------------------------------------------------------------------
 def _cluster_model(query):
     from repro.markov.builders import ClusterMarkovModel
@@ -101,9 +100,8 @@ def _run_markov_kind(queries: Sequence[Query], *, kind: str, answer_chain) -> li
     """Shared per-chain scaffolding of the two CTMC backends.
 
     Groups queries by :meth:`~repro.engine.query._MarkovQuery.chain_key`
-    and hands each chain's queries to ``answer_chain`` — which performs at
-    most one CTMC solve per distinct linear system and returns one value
-    per query, in order.
+    and hands each chain's queries to ``answer_chain`` — which reads them
+    all off one model and returns one value per query, in order.
     """
     answers: list[Answer | None] = [None] * len(queries)
     chains: dict[tuple, list[int]] = {}
@@ -130,7 +128,7 @@ def availability_backend(
 ) -> list[Answer]:
     def answer_chain(chain: Sequence[AvailabilityQuery]):
         model = _cluster_model(chain[0])
-        # One solve and one prefix pass over π for the whole chain.
+        # One π and one prefix pass over it for the whole chain.
         availabilities = model.steady_state_availabilities(
             [query.resolved_quorum for query in chain]
         )
@@ -160,19 +158,12 @@ def mttf_backend(
     policy: "ExecutionPolicy",
 ) -> list[Answer]:
     def answer_chain(chain: Sequence[MTTFQuery]):
-        model = _cluster_model(chain[0])  # builds its generator once
-        hitting_times: dict[int, float] = {}  # threshold -> one solve each
+        model = _cluster_model(chain[0])  # one first-passage pass
 
         def mean_hours(threshold: int) -> float:
             # MTTF with an unreachable threshold is 0.0 by the same
             # convention as ClusterMarkovModel.mttf_liveness.
-            if threshold <= 0:
-                return 0.0
-            value = hitting_times.get(threshold)
-            if value is None:
-                value = model.mean_time_to_failure_count(threshold)
-                hitting_times[threshold] = value
-            return value
+            return model.mean_time_to_failure_count(threshold) if threshold > 0 else 0.0
 
         return [
             MTTFAnswer(

@@ -246,7 +246,7 @@ class ReliabilityEngine:
         own ``cache_key``; the distinct misses go, in one call, to the
         backend registered for the kind — per-engine overrides first, then
         the global registry — which batches internally (shared DP sweeps,
-        shared CTMC solves, sharded replica fan-out); computed answers are
+        shared CTMC models, sharded replica fan-out); computed answers are
         stored and everything is scattered back into submission order.
         Each submitted row counts exactly one memo hit or one miss: of
         in-batch duplicates the row that computes counts the miss and

@@ -6,11 +6,11 @@ lands here as one batch of *distinct* questions (the engine has already
 folded repeats, within the batch and across runs), and the planner
 
 1. **batches** — symmetric counting scenarios of the same fleet size run
-   as one :func:`repro.analysis.kernels.counting_sweep` (one DP per
-   *fleet*, reused across every spec of that size); the
+   as one :func:`repro.analysis.kernels.counting_sweep` (one count PMF
+   per *fleet*, reused across every spec of that size); the
    ``engine.counting_group`` span reports how many unique fleets it swept
-   (``fleets``) and how many took the 1-D count recursion
-   (``fleets_1d``).  Exact-enumeration scenarios sharing a spec run as
+   (``fleets``) and how many were read as one count line (``fleets_1d``:
+   the closed form or the 1-D recursion).  Exact-enumeration scenarios sharing a spec run as
    one :func:`repro.analysis.exact.exact_reliability_batch` call, which
    shares each support pattern's configurations and verdicts.  Both
    kernels build the results themselves; the planner only wraps them;
@@ -28,9 +28,11 @@ stock estimators may leave for a process pool.  An override or a
 third-party estimator is called as ``fn(scenario)``, where it lives.
 
 Values are bit-identical to calling the scalar estimators directly: the
-batched DP reproduces :func:`repro.analysis.counting.joint_count_pmf`
-operation-for-operation, the enumeration batch multiplies in the scalar
-walk's order, and the reductions use the ordered
+sweep reads each fleet's count PMF from the same kernels as
+:func:`repro.analysis.counting.counting_reliability`, row by row (the
+closed-form count line, the 1-D recursion or the joint DP), the
+enumeration batch multiplies in the scalar walk's order, and the
+reductions use the ordered
 :func:`repro.analysis.kernels.masked_sum` / ``masked_sum_batch``.
 
 Like every backend, the planner only computes: it returns one
@@ -225,8 +227,8 @@ def _run_group(method: str, group: Sequence[_Row], answers: list[Answer | None])
     its scalar estimator's whole.
 
     A counting group (one fleet size) is one
-    :func:`~repro.analysis.kernels.counting_sweep`: one DP per unique fleet,
-    reduced against every spec of the group.  An exact group (one spec, by
+    :func:`~repro.analysis.kernels.counting_sweep`: one count PMF per unique
+    fleet, reduced against every spec of the group.  An exact group (one spec, by
     grouping key) is one :func:`~repro.analysis.exact.exact_reliability_batch`
     call, which shares each support pattern's configuration matrix and
     verdicts across the group's fleets.
@@ -238,8 +240,8 @@ def _run_group(method: str, group: Sequence[_Row], answers: list[Answer | None])
     if method == "exact":
         results = exact_reliability_batch(scenarios[0].spec, [s.fleet for s in scenarios])
     else:
-        # One span per shared DP sweep: how many scenarios amortised how
-        # many unique-fleet DPs, and what the batch cost.
+        # One span per shared sweep: how many scenarios amortised how
+        # many unique-fleet PMFs, and what the batch cost.
         with current_tracer().span(
             "engine.counting_group", n=scenarios[0].fleet.n, batch_size=len(group)
         ) as span:

@@ -189,7 +189,7 @@ class _MarkovQuery(Query):
     :class:`repro.markov.builders.ClusterMarkovModel`: per-replica hazard
     ``failure_rate_per_hour`` (λ), per-repair-slot rate
     ``repair_rate_per_hour`` (μ), and ``repair_slots`` concurrent repairs.
-    Queries sharing :meth:`chain_key` share one CTMC solve inside the
+    Queries sharing :meth:`chain_key` share one closed-form pass inside the
     engine's Markov backends.
     """
 
@@ -573,7 +573,7 @@ class QuerySet:
     The engine's time-domain unit of work: submitting one of these to
     :meth:`repro.engine.ReliabilityEngine.run` answers every row, routing
     each kind to its backend and batching within kinds (shared DP sweeps
-    for reliability, shared CTMC solves for Markov questions, sharded
+    for reliability, shared CTMC models for Markov questions, sharded
     replica fan-out for simulation campaigns).
     """
 

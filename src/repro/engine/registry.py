@@ -25,7 +25,7 @@ answers it — a kind that parses but can never be answered, or the
 converse, cannot be written down.  A backend computes a whole same-kind
 batch of queries at once — the distinct rows of one ``run`` call that the
 engine's memo could not answer — which is what lets the Markov backends
-share one CTMC solve across a batch and the simulation backend fan
+share one CTMC model across a batch and the simulation backend fan
 replicas over an :class:`~repro.engine.ExecutionPolicy` pool.  The
 built-ins live in :mod:`repro.engine.planner` (``reliability``) and
 :mod:`repro.engine.backends` (``availability``, ``mttf``,

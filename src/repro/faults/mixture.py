@@ -14,6 +14,7 @@ standard "deployment description" consumed by :mod:`repro.analysis`,
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -213,7 +214,8 @@ class Fleet:
         :attr:`probability_key`, and like it kept out of equality, hashing
         and the pickled state.
         """
-        array = np.array(self.probability_key, dtype=float).reshape(self.n, 2)
+        pairs = itertools.chain.from_iterable(self.probability_key)
+        array = np.fromiter(pairs, float, 2 * self.n).reshape(self.n, 2)
         array.setflags(write=False)
         return array
 

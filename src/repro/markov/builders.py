@@ -1,10 +1,20 @@
 """Markov-model builders for replicated clusters (paper §2, §5 Zorfu).
 
-States count failed replicas; failure transitions run at ``(n - k)·λ`` and
-repairs at ``min(k, repair_slots)·μ``.  From these chains we derive the
-metrics the storage community uses — and the paper says consensus should
-adopt — MTTF (time to losing liveness), MTTDL (time to losing data), and
-steady-state availability under repair.
+States count failed replicas; failure transitions run at ``λ_k = (n - k)·λ``
+and repairs at ``μ_k = min(k, repair_slots)·μ``.  From these chains we
+derive the metrics the storage community uses — and the paper says
+consensus should adopt — MTTF (time to losing liveness), MTTDL (time to
+losing data), and steady-state availability under repair.
+
+The chain is birth–death, so every metric has a closed form that costs
+its arithmetic and solves nothing: the stationary distribution is the
+product form ``π_k ∝ Π_{i<k} λ_i / μ_{i+1}``, and the mean time to ``t``
+failures is ``Σ_{k<t} T_k`` over the first-passage times ``T_0 = 1/λ_0``,
+``T_k = (1 + μ_k·T_{k-1}) / λ_k``.  Every term is positive, so nothing
+cancels: the values hold to a few ulps per state where a dense solve of
+the generator loses the MTTF of a stiff chain (λ ≪ μ) entirely.
+:meth:`ClusterMarkovModel.chain` still builds the generator, for
+:mod:`repro.markov.simulate` and for generic chain questions.
 """
 
 from __future__ import annotations
@@ -17,11 +27,7 @@ from typing import Iterable
 
 from repro._stats import binom_sf
 from repro.errors import InvalidConfigurationError
-from repro.markov.chain import (
-    ContinuousTimeMarkovChain,
-    TransitionRates,
-    mean_time_to_absorption,
-)
+from repro.markov.chain import ContinuousTimeMarkovChain, TransitionRates
 
 
 @dataclass(frozen=True)
@@ -54,6 +60,15 @@ class ClusterMarkovModel:
         if self.repair_slots < 0:
             raise InvalidConfigurationError("repair_slots must be non-negative")
 
+    @cached_property
+    def _rates(self) -> tuple[list[float], list[float]]:
+        """``λ_k`` for ``k`` in ``0..n-1`` and ``μ_k`` for ``k`` in ``0..n``."""
+        lam, mu, slots = self.failure_rate_per_hour, self.repair_rate_per_hour, self.repair_slots
+        return (
+            [(self.n - failed) * lam for failed in range(self.n)],
+            [min(failed, slots) * mu for failed in range(self.n + 1)],
+        )
+
     def chain(self, *, absorbing_at: int | None = None) -> ContinuousTimeMarkovChain:
         """Build the CTMC on states ``0..n`` failed.
 
@@ -67,23 +82,29 @@ class ClusterMarkovModel:
         # States beyond the absorbing boundary are unreachable; excluding
         # them keeps the transient block non-singular.
         top = self.n if absorbing_at is None else absorbing_at
-        rates: dict[tuple[int, int], float] = {}
-        for failed in range(top):
-            rates[(failed, failed + 1)] = (self.n - failed) * self.failure_rate_per_hour
-        for failed in range(1, top + 1):
-            if absorbing_at is not None and failed >= absorbing_at:
-                continue
-            slots = min(failed, self.repair_slots)
-            if slots > 0 and self.repair_rate_per_hour > 0:
-                rates[(failed, failed - 1)] = slots * self.repair_rate_per_hour
-        states = list(range(top + 1))
-        return ContinuousTimeMarkovChain(states, TransitionRates(rates))
+        up, down = self._rates
+        rates = {(failed, failed + 1): up[failed] for failed in range(top)}
+        repairable = range(1, top + 1 if absorbing_at is None else top)
+        rates.update(((k, k - 1), down[k]) for k in repairable if down[k] > 0)
+        return ContinuousTimeMarkovChain(list(range(top + 1)), TransitionRates(rates))
 
     @cached_property
-    def _repairable_chain(self) -> ContinuousTimeMarkovChain:
-        """The full chain (no absorbing state), built once per model and
-        shared by every MTTF, MTTDL and availability question asked of it."""
-        return self.chain()
+    def _hitting_times(self) -> tuple[float, ...]:
+        """Mean hours from all-healthy to ``t`` failures, at index ``t - 1``.
+
+        The running sums of the first-passage times ``T_k`` from ``k`` to
+        ``k + 1`` failures: leaving ``k`` takes ``1 / (λ_k + μ_k)`` and
+        returns to ``k - 1`` with probability ``μ_k / (λ_k + μ_k)``, so
+        ``λ_k·T_k = 1 + μ_k·T_{k-1}``.  A chain that never fails never
+        reaches any threshold.
+        """
+        if self.failure_rate_per_hour == 0:
+            return (math.inf,) * self.n
+        passage, passages = 0.0, []
+        for up, down in zip(*self._rates):
+            passage = (1.0 + down * passage) / up
+            passages.append(passage)
+        return tuple(accumulate(passages))
 
     # ------------------------------------------------------------------
     # Storage-style metrics
@@ -91,20 +112,14 @@ class ClusterMarkovModel:
     def mean_time_to_failure_count(self, threshold: int) -> float:
         """Mean hours from all-healthy until ``threshold`` replicas are down.
 
-        Solved on the leading ``threshold × threshold`` block of the
-        repairable chain's generator.  That block *is* the transient block
-        of ``chain(absorbing_at=threshold)``: rows below the threshold
-        carry the same failure and repair rates in both chains, and each
-        diagonal entry is minus the sum of at most two nonzero rates, which
-        rounds once whatever zeros pad the row.  So every threshold of a
-        model shares one chain build, bit-identically.
+        The sum of the first-passage times below the threshold (see the
+        module docstring); every threshold of a model reads one pass.
         """
         if not 0 < threshold <= self.n:
             raise InvalidConfigurationError(
                 f"threshold={threshold} outside (0, {self.n}]"
             )
-        generator = self._repairable_chain.generator
-        return mean_time_to_absorption(generator[:threshold, :threshold], 0)
+        return self._hitting_times[threshold - 1]
 
     def mttf_liveness(self, quorum_size: int) -> float:
         """MTTF for liveness: time until fewer than ``quorum_size`` replicas remain."""
@@ -128,10 +143,31 @@ class ClusterMarkovModel:
         return self.mean_time_to_failure_count(persistence_quorum)
 
     def steady_state_distribution(self) -> dict:
-        """Stationary distribution π of the repairable chain (one CTMC solve)."""
+        """Stationary distribution π of the repairable chain, by failure count.
+
+        The product form ``π_k / π_{k-1} = λ_{k-1} / μ_k``, walked out from
+        the most likely count (the ratio falls as ``k`` grows, so every
+        weight is at most one and none overflows), then normalised.
+        Without repair slots the chain ends at ``n`` failures; without
+        failures it stays at zero; with neither no state is stationary.
+        """
         if self.repair_rate_per_hour <= 0:
             raise InvalidConfigurationError("availability under repair needs μ > 0")
-        return self._repairable_chain.steady_state()
+        up, down = self._rates
+        steps = list(zip(up, down[1:]))  # π_{k+1} / π_k = λ_k / μ_{k+1}
+        if any(a == 0 == b for a, b in steps):
+            raise InvalidConfigurationError(
+                "steady state undefined (chain reducible or absorbing)"
+            )
+        mode = sum(a > b for a, b in steps)
+        weights = [1.0]
+        for a, b in reversed(steps[:mode]):
+            weights.append(weights[-1] * b / a)
+        weights.reverse()
+        for a, b in steps[mode:]:
+            weights.append(weights[-1] * a / b)
+        total = math.fsum(weights)
+        return {failed: weight / total for failed, weight in enumerate(weights)}
 
     def steady_state_availabilities(
         self, quorum_sizes: Iterable[int], *, pi: dict | None = None
@@ -143,18 +179,19 @@ class ClusterMarkovModel:
         ``sum()`` is not used because from Python 3.12 on it compensates
         float rounding (Neumaier summation), which would make availability
         depend on the interpreter.  ``pi`` optionally supplies a
-        precomputed :meth:`steady_state_distribution`; passing it skips the
-        linear solve but changes nothing bit-wise.  A quorum larger than
+        precomputed :meth:`steady_state_distribution`; passing it skips
+        computing π again but changes nothing bit-wise.  A quorum larger than
         ``n`` is never formable: its value is the empty sum, ``0``.
         """
         if self.repair_rate_per_hour <= 0:
             raise InvalidConfigurationError("availability under repair needs μ > 0")
         if pi is None:
             pi = self.steady_state_distribution()
-        # at_most[k]: the mass of the states with fewer than k replicas down.
+        # at_most[k]: the mass of the states with fewer than k replicas down;
+        # capped at one, since normalised π may sum an ulp past it.
         at_most = list(accumulate((pi[failed] for failed in range(self.n + 1)), initial=0))
         return [
-            at_most[min(max(self.n - quorum_size + 1, 0), self.n + 1)]
+            min(at_most[min(max(self.n - quorum_size + 1, 0), self.n + 1)], 1.0)
             for quorum_size in quorum_sizes
         ]
 

@@ -4,8 +4,9 @@ The storage community quantifies reliability with Markov models whose
 states are system configurations and whose transitions carry failure (λ)
 and repair (μ) rates.  This module is a small, exact CTMC toolkit:
 steady-state distributions, absorption times (the mean-time-to-X family)
-and hitting probabilities — solved with dense linear algebra, which is
-ample for the few-dozen-state chains reliability models produce.
+and hitting probabilities — solved with dense linear algebra, for any
+small chain.  The replicated-cluster chains of
+:mod:`repro.markov.builders` are birth–death, and answer in closed form.
 """
 
 from __future__ import annotations
@@ -25,9 +26,14 @@ def mean_time_to_absorption(q_tt: np.ndarray, start: int) -> float:
     """Mean hitting time from transient row ``start`` of the block ``q_tt``.
 
     Solves ``Q_tt · t = -1`` — the fundamental-matrix computation behind
-    MTTF/MTTDL figures.  Returns ``inf`` when the system is singular or
-    the solution is negative: either means the absorbing set is
-    unreachable from part of the transient block.
+    MTTF/MTTDL figures — densely, which is kept for generic chains.  It
+    loses precision on stiff birth–death chains (failure rates far below
+    repair rates): the solve cancels, so a cluster's MTTF can come out
+    many times too low, or as ``inf``.
+    :class:`repro.markov.builders.ClusterMarkovModel` answers its chains
+    in closed form instead.  Returns ``inf`` when the system is singular
+    or the solution is negative: either means the absorbing set is
+    unreachable from part of the transient block (or the solve lost it).
     """
     try:
         times = np.linalg.solve(q_tt, -np.ones(q_tt.shape[0]))

@@ -571,7 +571,7 @@ class ReliabilityService:
         Per-query submissions (rather than whole request batches) are
         what make single-flight coalescing and streaming possible; the
         in-batch sharing they give up (same-size DP groups, same-chain
-        CTMC solves) is exactly what the engine memo provides across
+        CTMC models) is exactly what the engine memo provides across
         requests instead, and per-query values are bit-identical to
         batched ones by the engine's batching contracts.
 

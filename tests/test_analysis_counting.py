@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from repro._stats import binom_cdf
 from repro.analysis.counting import (
-    binomial_tail,
     counting_reliability,
     joint_count_pmf,
     poisson_binomial_pmf,
@@ -96,7 +96,7 @@ class TestAggregation:
         result = counting_reliability(RaftSpec(3), small_cft_fleet)
         assert result.safe.value == pytest.approx(1.0)
         # P(at most 1 of 3 fails at 1%)
-        expected = binomial_tail(3, 0.01, 1)
+        expected = binom_cdf(1, 3, 0.01)
         assert result.live.value == pytest.approx(expected)
         assert result.safe_and_live.value == pytest.approx(expected)
 

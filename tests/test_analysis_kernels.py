@@ -20,6 +20,7 @@ import contextlib
 import gc
 import itertools
 import math
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -30,6 +31,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from repro._rng import as_generator
+from repro._stats import binom_pmf_vector
 from repro.analysis import kernels
 from repro.analysis.config import FailureConfig, FaultKind
 from repro.analysis.counting import counting_reliability, joint_count_pmf
@@ -44,7 +46,6 @@ from repro.analysis.importance import importance_sample_violation
 from repro.analysis.kernels import (
     VerdictMasks,
     birnbaum_importances,
-    compute_verdict_masks,
     correlated_tally,
     counting_reliability_batch,
     joint_count_pmf_batch,
@@ -105,6 +106,9 @@ SYMMETRIC_ZOO = [
 #: and those that draw one count histogram per shard (one model, one kind).
 UNIFORM_ZOO = [SYMMETRIC_ZOO[0], SYMMETRIC_ZOO[3]]
 BINOMIAL_ZOO = [SYMMETRIC_ZOO[1], SYMMETRIC_ZOO[2], SYMMETRIC_ZOO[4]]
+#: Zoo entries whose counting PMF is the node-by-node DP (several models,
+#: or both failure kinds); the rest read the closed-form binomial.
+DP_ZOO = [entry for entry in SYMMETRIC_ZOO if entry not in BINOMIAL_ZOO]
 
 #: Symmetric spec factories for the property test.
 SPEC_FACTORIES = [
@@ -198,7 +202,7 @@ class TestVerdictMasks:
             spec = SPEC_FACTORIES[factory_index](n)
         except InvalidConfigurationError:
             return  # factory rejects this n (e.g. Upright parity); nothing to check
-        masks = compute_verdict_masks(spec)
+        masks = VerdictMasks(spec)
         for crash in range(n + 1):
             for byz in range(n + 1 - crash):
                 assert bool(masks.safe[crash, byz]) == bool(
@@ -207,6 +211,17 @@ class TestVerdictMasks:
                 assert bool(masks.live[crash, byz]) == bool(
                     spec.is_live_counts(crash, byz)
                 )
+
+    @pytest.mark.parametrize("spec,fleet", SYMMETRIC_ZOO, ids=lambda v: repr(v))
+    def test_lines_are_the_grids_crash_column_and_byzantine_row(self, spec, fleet):
+        masks = VerdictMasks(spec)
+        crash_line, byz_line = masks.line(False), masks.line(True)
+        assert "_grid" not in masks.__dict__  # n + 1 predicate calls per line
+        for name in ("safe", "live", "both"):
+            assert np.array_equal(getattr(crash_line, name), getattr(masks, name)[:, 0])
+            assert np.array_equal(getattr(byz_line, name), getattr(masks, name)[0, :])
+            with pytest.raises(ValueError):
+                getattr(crash_line, name)[0] = False
 
     def test_masks_false_outside_valid_triangle(self):
         masks = verdict_masks(RaftSpec(5))
@@ -272,13 +287,24 @@ class TestVerdictMasks:
 # Counting: scalar and batched, bit-identical to the seed loop
 # ---------------------------------------------------------------------------
 class TestCountingKernel:
-    @pytest.mark.parametrize("spec,fleet", SYMMETRIC_ZOO, ids=lambda v: repr(v))
+    @pytest.mark.parametrize("spec,fleet", DP_ZOO, ids=lambda v: repr(v))
     def test_counting_reliability_bit_identical(self, spec, fleet):
         result = counting_reliability(spec, fleet)
         ref_safe, ref_live, ref_both = _ref_counting(spec, fleet)
         assert result.safe.value == ref_safe
         assert result.live.value == ref_live
         assert result.safe_and_live.value == ref_both
+
+    @pytest.mark.parametrize("spec,fleet", BINOMIAL_ZOO, ids=lambda v: repr(v))
+    def test_one_model_rows_match_the_dp_within_tolerance(self, spec, fleet):
+        # A one-model, one-kind fleet reads the closed-form binomial, which
+        # rounds differently from the node-by-node DP.
+        result = counting_reliability(spec, fleet)
+        for value, reference in zip(
+            (result.safe.value, result.live.value, result.safe_and_live.value),
+            _ref_counting(spec, fleet),
+        ):
+            assert value == pytest.approx(reference, rel=1e-13, abs=1e-15)
 
     def test_joint_count_pmf_batch_bit_identical(self):
         fleets = [fleet for _, fleet in SYMMETRIC_ZOO if fleet.n == 7]
@@ -304,6 +330,7 @@ class TestCountingKernel:
         assert counting_reliability_batch(RaftSpec(3), []) == []
         assert kernels.counting_sweep([]) == ([], 0, 0)
         assert exact.exact_reliability_batch(RaftSpec(3), []) == []
+        assert kernels.count_lines(np.zeros((0, 5))).shape == (0, 6)  # a sweep of mixed fleets
 
     def test_engine_batch_matches_counting_scalar(self):
         spec = PBFTSpec(7)
@@ -346,6 +373,183 @@ class TestCountingKernel:
         for point in points:
             fleet = fleet_for_window(curves, point.start_hours, 24.0)
             assert point.safe_and_live == counting_reliability(spec, fleet).safe_and_live.value
+
+
+# ---------------------------------------------------------------------------
+# One model, one failure kind: the count line in closed form
+# ---------------------------------------------------------------------------
+def _one_model_fleet(n: int, p: float, kind: str) -> Fleet:
+    return Fleet((NodeModel(*((p, 0.0) if kind == "crash-only" else (0.0, p))),) * n)
+
+
+class TestClosedFormCounting:
+    """A fleet whose nodes share one model with one failure kind counts
+    ``Binomial(n, p)`` failures, read from ``binom_pmf_matrix``: held to the
+    node-by-node DP within 1e-13, to ``binom_pmf_vector`` bit for bit, and
+    the scalar row to the sweep's row bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 5, 33, 257])
+    @pytest.mark.parametrize("kind", ["crash-only", "byzantine-only"])
+    def test_closed_form_matches_the_node_by_node_dp(self, n, kind):
+        spec = RaftSpec(n) if kind == "crash-only" else PBFTSpec(n)
+        masks = verdict_masks(spec)
+        for p in (1e-6, 0.01, 0.05, 0.3, 0.5, 0.9):
+            fleet = _one_model_fleet(n, p, kind)
+            crash, byz = kernels.fleet_probability_matrix([fleet])
+            line = kernels.count_lines(crash + byz)[0]
+            grid = joint_count_pmf_batch(crash, byz)[0]  # the DP, node by node
+            dp_line = grid[:, 0] if kind == "crash-only" else grid[0, :]
+            assert np.abs(line - dp_line).max() <= 1e-13
+            result = counting_reliability(spec, fleet)
+            values = (result.safe.value, result.live.value, result.safe_and_live.value)
+            for value, reference in zip(values, kernels.reliability_values(grid, masks)):
+                assert abs(value - reference) <= 1e-13
+
+    @pytest.mark.parametrize("batch", [1, 2, 7, 160])
+    def test_lines_equal_binom_pmf_vector_bit_for_bit(self, batch):
+        rng = np.random.default_rng(batch)
+        for n in (1, 5, 17, 33, 257):
+            ps = np.concatenate([rng.uniform(0, 1, batch - batch // 2),
+                                 10.0 ** rng.uniform(-12, 0, batch // 2)])
+            if batch >= 7:
+                ps[:2] = 0.0, 1.0
+            lines = kernels.count_lines(np.repeat(ps[:, None], n, axis=1))
+            for p, line in zip(ps.tolist(), lines):
+                assert line.tobytes() == binom_pmf_vector(n, p).tobytes()
+
+    def test_scalar_row_equals_the_sweep_row_bit_for_bit(self):
+        for n in (1, 4, 5, 7, 13, 17, 33):
+            specs = [RaftSpec(n), BenOrSpec(n), PBFTSpec(n), ByzantineBenOrSpec(n)]
+            fleets = [
+                _one_model_fleet(n, p, kind)
+                for p in (0.0, 1e-4, 0.01, 0.05, 0.2, 0.5, 1.0)
+                for kind in ("crash-only", "byzantine-only")
+            ]
+            rows = [(spec, fleet) for spec in specs for fleet in fleets]
+            sweep = kernels.counting_sweep(rows)
+            assert sweep.fleets_1d == sweep.fleets
+            assert sweep.results == [counting_reliability(s, f) for s, f in rows]
+
+    def test_scalar_and_sweep_tell_one_model_fleets_alike(self):
+        """The scalar row tells a one-model fleet from its key before it
+        falls back to ``count_lines``, the sweep from its arrays: distinct
+        but equal nodes, signed zeros and a fleet that differs in one node
+        must read the same row.  (A rule that took the last fleet for one
+        model failed here in a scratch copy.)"""
+        n = 9
+
+        def fleet_of(pairs):
+            return Fleet(tuple(NodeModel(*pair) for pair in pairs))
+
+        fleets = [
+            fleet_of([(0.05, 0.0)] * n),  # n distinct, equal node objects
+            fleet_of([(0.0, 0.05)] * n),
+            fleet_of([(0.05, -0.0)] * 4 + [(0.05, 0.0)] * (n - 4)),
+            fleet_of([(-0.0, 0.05)] * 4 + [(0.0, 0.05)] * (n - 4)),
+            fleet_of([(0.05, 0.0)] * (n - 1) + [(0.05 + 1e-17, 0.0)]),  # rounds to 0.05
+            fleet_of([(0.05, 0.0)] * (n - 1) + [(0.06, 0.0)]),  # two models
+            fleet_of([(0.0, 0.0)] * n),
+        ]
+        rows = [(spec, fleet) for spec in (RaftSpec(n), PBFTSpec(n)) for fleet in fleets]
+        assert kernels.counting_sweep(rows).results == [
+            counting_reliability(s, f) for s, f in rows
+        ]
+
+    def test_a_one_kind_row_never_builds_the_count_grid(self):
+        # The (n+1)^2 boolean grid alone would be 100 MB; the line reads
+        # a few (n+1)-float arrays.
+        n = 10_001
+        spec, fleet = RaftSpec(n), uniform_fleet(n, 0.05)
+        fleet.probability_array  # noqa: B018 - the fleet's own cached array
+        tracemalloc.start()
+        try:
+            result = counting_reliability(spec, fleet)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (n + 1) ** 2 // 50
+        assert "_grid" not in verdict_masks(spec).__dict__
+        assert result.safe.value == 1.0
+        assert result.live.value == pytest.approx(1.0)
+
+
+def _two_model_fleet(n: int, kind: str) -> Fleet:
+    models = [(0.02 + 0.05 * (i % 2), 0.0) for i in range(n)]
+    return Fleet(tuple(NodeModel(*(m if kind == "crash" else m[::-1])) for m in models))
+
+
+class TestMasksReadByLine:
+    """One-kind rows read their kind's mask line, and the sharded tallies
+    evaluate what their shards read before the shards fan out."""
+
+    @pytest.mark.parametrize("kind", ["crash", "byzantine"])
+    @pytest.mark.parametrize("spec", [RaftSpec(9), PBFTSpec(7)], ids=repr)
+    def test_one_kind_tallies_never_build_the_grid(self, spec, kind):
+        fleet = _two_model_fleet(spec.n, kind)
+        with mock.patch.dict(kernels._MASKS, clear=True):
+            tally = monte_carlo_tally(spec, fleet, 3_000, as_generator(5))
+            assert "_grid" not in verdict_masks(spec).__dict__
+            # Control: a fleet carrying both kinds reads the grid.
+            monte_carlo_tally(spec, _mixed_fleet(spec.n), 10, as_generator(5))
+            assert "_grid" in verdict_masks(spec).__dict__
+        assert (tally.safe, tally.live, tally.both) == _ref_code_matrix_tally(
+            spec, fleet, 3_000, as_generator(5)
+        )
+
+    @pytest.mark.parametrize(
+        "fleet,evaluated",
+        [
+            (uniform_fleet(7, 0.05), {"_lines"}),
+            (_two_model_fleet(7, "byzantine"), {"_lines"}),
+            (_mixed_fleet(7), {"_grid"}),
+        ],
+        ids=["one-model", "two-model-byzantine", "mixed"],
+    )
+    def test_sharded_tally_evaluates_the_masks_before_the_shards(
+        self, fleet, evaluated, monkeypatch
+    ):
+        seen = []
+        run = kernels.run_supervised
+
+        def spy(*args, **kwargs):
+            seen.append(set(verdict_masks(spec).__dict__) & {"_lines", "_grid"})
+            return run(*args, **kwargs)
+
+        spec = PBFTSpec(7)
+        monkeypatch.setattr(kernels, "run_supervised", spy)
+        with mock.patch.dict(kernels._MASKS, clear=True):
+            kernels.monte_carlo_tally_sharded(spec, fleet, 8_192, 3, mode="serial")
+        assert seen == [evaluated]
+
+    @pytest.mark.parametrize("spec,fleet", SYMMETRIC_ZOO, ids=lambda v: repr(v))
+    def test_importance_rows_of_one_kind_read_one_line(self, spec, fleet, monkeypatch):
+        from repro.analysis import importance
+
+        seen = []
+        run = importance.run_supervised
+
+        def spy(*args, **kwargs):
+            seen.append("_grid" in verdict_masks(spec).__dict__)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(importance, "run_supervised", spy)
+        tilt = [0.3] * spec.n
+        for kind in (FaultKind.CRASH, FaultKind.BYZANTINE):
+            with mock.patch.dict(kernels._MASKS, clear=True):
+                for metric in ("safe", "live", "safe_and_live"):
+                    first = importance.minimal_violating_failures(
+                        spec, predicate=metric, failure_kind=kind
+                    )
+                    importance_sample_violation(
+                        spec, fleet, predicate=metric, trials=500, seed=1,
+                        tilt=tilt, failure_kind=kind,
+                    )
+                    assert "_grid" not in verdict_masks(spec).__dict__
+                    # The grid's scan along the same line agrees.
+                    holds = VerdictMasks(spec).for_metric(metric)
+                    line = holds[:, 0] if kind is FaultKind.CRASH else holds[0, :]
+                    assert first == next((k for k, ok in enumerate(line) if not ok), None)
+        assert seen and not any(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -413,30 +617,34 @@ class TestSupportSplitDP:
         for row in range(crash.shape[0]):
             alone = _ref_joint_count_pmf_2d(crash[row : row + 1], byz[row : row + 1])
             assert out[row].tobytes() == alone[0].tobytes()
+        # A one-kind row's 1-D recursion is the line of the grid holding it.
+        one_kind = ~kernels.mixed_support(crash, byz)
+        fail = (crash + byz)[one_kind]
+        lines = kernels._count_pmf_1d(fail, np.maximum(0.0, 1.0 - fail))
+        byzantine = byz[one_kind].any(axis=1)
+        for line, grid, on_row in zip(lines, reference[one_kind], byzantine):
+            assert line.tobytes() == (grid[0, :] if on_row else grid[:, 0]).tobytes()
 
-    def test_single_kind_batches_never_run_the_2d_loop(self, monkeypatch):
+    def test_single_kind_rows_never_run_the_2d_loop(self, monkeypatch):
         def refuse(*_args):
             raise AssertionError("2-D DP called")
 
-        crash_only = np.array([[0.1, 0.0, 0.3], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-        byz_only = np.array([[0.2, 0.05, 0.0], [0.5, 0.5, 0.5]])
-        expected_crash = _ref_joint_count_pmf_2d(crash_only, np.zeros_like(crash_only))
-        expected_byz = _ref_joint_count_pmf_2d(np.zeros_like(byz_only), byz_only)
+        n = 5
+        fleets = [
+            uniform_fleet(n, 0.1),
+            Fleet((NodeModel(0.1),) * (n - 1) + (NodeModel(0.3),)),
+            uniform_fleet(n, 0.2, byzantine_fraction=1.0),
+            Fleet((NodeModel(0.0, 0.2),) * (n - 1) + (NodeModel(0.0, 0.05),)),
+            uniform_fleet(n, 0.0),
+        ]
+        rows = [(spec, fleet) for spec in (RaftSpec(n), PBFTSpec(n)) for fleet in fleets]
+        expected = [counting_reliability(spec, fleet) for spec, fleet in rows]
         monkeypatch.setattr(kernels, "_joint_count_pmf_2d", refuse)
-        assert np.array_equal(
-            joint_count_pmf_batch(crash_only, np.zeros_like(crash_only)), expected_crash
-        )
-        assert np.array_equal(
-            joint_count_pmf_batch(np.zeros_like(byz_only), byz_only), expected_byz
-        )
-        # A batch holding both single-kind shapes stays 1-D as well.
-        joint_count_pmf_batch(
-            np.vstack([crash_only, np.zeros_like(byz_only)]),
-            np.vstack([np.zeros_like(crash_only), byz_only]),
-        )
+        assert [counting_reliability(spec, fleet) for spec, fleet in rows] == expected
+        assert kernels.counting_sweep(rows).results == expected
         # Control: a mixed fleet does need the 2-D loop.
         with pytest.raises(AssertionError, match="2-D DP called"):
-            joint_count_pmf_batch(np.array([[0.1, 0.0]]), np.array([[0.0, 0.1]]))
+            counting_reliability(RaftSpec(n), uniform_fleet(n, 0.1, byzantine_fraction=0.5))
 
     def test_mixed_support_flags_rows_with_both_kinds(self):
         crash = np.array([[0.1, 0.0], [0.0, 0.0], [0.1, 0.0], [0.0, 0.0]])
@@ -735,24 +943,37 @@ class TestPlannerCountingChunks:
     def _rows(cls):
         n = cls.N
         crash = [uniform_fleet(n, p) for p in (0.01, 0.05, 0.1, 0.2)]
+        two_models = Fleet((NodeModel(0.05),) * (n - 1) + (NodeModel(0.3),))
         byz = uniform_fleet(n, 0.03, byzantine_fraction=1.0)
-        mixed = _mixed_fleet(n)
+        mixed = [
+            _mixed_fleet(n),
+            uniform_fleet(n, 0.1, byzantine_fraction=0.5),
+            uniform_fleet(n, 0.2, byzantine_fraction=0.25),
+            _mixed_fleet(n).replace(0, NodeModel(0.3, 0.01)),
+            Fleet(tuple(NodeModel(0.01 * (i + 1), 0.002) for i in range(n))),
+        ]
         raft, benor = RaftSpec(n), BenOrSpec(n)
         pbft, byz_benor = PBFTSpec(n), ByzantineBenOrSpec(n)
-        # Unique fleets in first-seen order: crash[0], byz | crash[1],
-        # crash[2] | mixed, crash[3].  With two fleets a chunk, byz (shared
-        # by PBFT and Byzantine Ben-Or) ends the first chunk and crash[1]
-        # (shared by Raft and Ben-Or) starts the second.
+        # Only the five mixed fleets run the joint DP: with two fleets a
+        # chunk they sweep as 2, 2, 1, and mixed[1] (shared by PBFT and
+        # Byzantine Ben-Or) ends the first chunk.  The six one-kind fleets
+        # are count lines, crash and Byzantine, one model and two.
         return [
             (raft, crash[0]),
+            (pbft, mixed[0]),
             (pbft, byz),
+            (byz_benor, mixed[1]),
             (benor, crash[1]),
+            (raft, two_models),
+            (pbft, mixed[2]),
             (raft, crash[2]),
             (byz_benor, byz),
+            (pbft, mixed[1]),
             (raft, crash[1]),
-            (pbft, mixed),
-            (byz_benor, mixed),
+            (byz_benor, mixed[3]),
+            (raft, mixed[4]),
             (benor, crash[3]),
+            (benor, two_models),
             (benor, crash[0]),
         ]
 
@@ -771,7 +992,7 @@ class TestPlannerCountingChunks:
             kernels, "joint_count_pmf_batch", wraps=kernels.joint_count_pmf_batch
         ) as dp:
             rows, chunked, chunked_span = self._run()
-        assert [len(call.args[0]) for call in dp.call_args_list] == [2, 2, 2]
+        assert [len(call.args[0]) for call in dp.call_args_list] == [2, 2, 1]
         # Row order, and whole-object equality with the scalar per row.
         assert [answer.value for answer in chunked] == [
             counting_reliability(spec, fleet) for spec, fleet in rows
@@ -780,7 +1001,7 @@ class TestPlannerCountingChunks:
         _, whole, whole_span = self._run()
         assert [a.to_dict() for a in chunked] == [a.to_dict() for a in whole]
         assert chunked_span == whole_span
-        assert (whole_span["fleets"], whole_span["fleets_1d"]) == (6, 5)
+        assert (whole_span["fleets"], whole_span["fleets_1d"]) == (11, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -1290,9 +1511,12 @@ class TestBinomialTally:
                 monte_carlo_reliability(
                     spec, fleet, trials=20_000, seed=2, shard_trials=4_096
                 )
-            # Control: the patches do reach the counting path.
+            # Control: the patches do reach the counting path.  A one-model
+            # fleet's counting row reads the closed form, so the control
+            # takes a fleet of two models.
+            two_models = Fleet((NodeModel(0.05),) * 24 + (NodeModel(0.06),))
             with pytest.raises(AssertionError, match="counting DP"):
-                counting_reliability_batch(RaftSpec(25), [uniform_fleet(25, 0.05)])
+                counting_reliability_batch(RaftSpec(25), [two_models])
 
 
 # ---------------------------------------------------------------------------

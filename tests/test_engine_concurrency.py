@@ -26,6 +26,7 @@ import os
 import stat
 import sys
 import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -118,6 +119,40 @@ class TestMemoThreadSafety:
             list(pool.map(hit, range(8)))
         assert engine.cache_hits == 8 * 500
         assert engine.cache_misses == 1  # the warm-up run
+
+    def test_answer_inline_holds_the_lock_from_probe_to_recency(self):
+        """A hit's ``get`` and ``move_to_end`` run under one acquisition.
+
+        The memo's ``get`` starts a thread that evicts the key under the
+        engine lock, then waits 50 ms for it.  Held, the lock keeps the
+        evictor out until ``answer_inline`` has refreshed the key; dropped,
+        the key is gone by then and ``move_to_end`` raises ``KeyError`` —
+        which the thread-racing tests above do not reliably catch.
+        """
+        engine = ReliabilityEngine()
+        row = scenario(3, 0.01)
+        expected = engine.run_query(row)
+        evictors: list[threading.Thread] = []
+
+        class EvictingMemo(OrderedDict):
+            def get(self, key, default=None):
+                value = super().get(key, default)
+                if value is not None and not evictors:
+                    def evict() -> None:
+                        with engine._lock:
+                            self.pop(key, None)
+
+                    evictors.append(threading.Thread(target=evict))
+                    evictors[0].start()
+                    evictors[0].join(timeout=0.05)
+                return value
+
+        engine._memo = EvictingMemo(engine._memo)
+        answer = engine.answer_inline(row)
+        evictors[0].join(timeout=30)
+        assert answer.value == expected.value and answer.provenance.cache_hit
+        assert engine.cache_hits == 1
+        assert not evictors[0].is_alive() and len(engine._memo) == 0
 
     def test_concurrent_runs_share_one_engine_bit_identically(self):
         """Many threads through one warm engine = the serial answers."""

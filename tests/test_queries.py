@@ -452,7 +452,14 @@ class TestMarkovBackends:
         model = ClusterMarkovModel(3, 1e-5, 0.1)
         assert model.mttf_liveness(3) == model.mean_time_to_failure_count(1)
 
-    def test_same_chain_queries_batch_into_one_solve(self):
+    def test_same_chain_queries_batch_without_building_a_generator(self, monkeypatch):
+        from repro.markov.chain import ContinuousTimeMarkovChain
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("generator built")
+
+        # The birth–death closed forms read the rates; no chain is built.
+        monkeypatch.setattr(ContinuousTimeMarkovChain, "__init__", refuse)
         engine = ReliabilityEngine()
         base = scenario(9)
         queries = [

@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 from repro._stats import (
     binom_cdf,
     binom_pmf,
+    binom_pmf_matrix,
     binom_pmf_vector,
     binom_sf,
     ctmc_transient,
@@ -40,7 +41,7 @@ from repro._stats import (
     minimize_bounded,
     normal_isf,
 )
-from repro.analysis.counting import binomial_tail, poisson_binomial_pmf
+from repro.analysis.counting import poisson_binomial_pmf
 from repro.faults.fitting import fit_weibull
 from repro.markov.builders import ClusterMarkovModel
 from repro.planner.detector import PhiAccrualDetector
@@ -291,6 +292,81 @@ class TestBinomialExact:
         np.testing.assert_allclose(mine[shown], scalar[shown], rtol=pmf_vector_rtol(n))
         assert (mine[~shown] <= 1e-249).all()
 
+    def test_pmf_vector_bytes_are_the_one_probability_formula(self):
+        # The Monte-Carlo histogram draws are seeded multinomials over this
+        # vector: its bytes must not move when it is read off the matrix.
+        def one_probability(n, p):
+            if p <= 0.0 or p >= 1.0:
+                pmf = np.zeros(n + 1)
+                pmf[0 if p <= 0.0 else n] = 1.0
+                return pmf
+            k = np.arange(n + 1)
+            pmf = np.exp(log_binom(n, k) + k * math.log(p) + (n - k) * math.log1p(-p))
+            return pmf / pmf.sum()
+
+        rng = np.random.default_rng(41)
+        cells = PMF_VECTOR_CELLS + [
+            (n, float(p)) for n in (2, 5, 25, 257) for p in rng.uniform(0, 1, 12)
+        ]
+        for n, p in cells:
+            assert binom_pmf_vector(n, p).tobytes() == one_probability(n, p).tobytes()
+        ps = [p for _, p in cells]
+        for n in (1, 25, 257):
+            rows = binom_pmf_matrix(n, ps)
+            for p, row in zip(ps, rows):
+                assert row.tobytes() == one_probability(n, p).tobytes()
+
+    def test_binomial_terms_table_is_bounded_by_size_and_keeps_the_newest(self, monkeypatch):
+        from repro import _stats
+
+        monkeypatch.setattr(_stats, "_TERMS", {})
+        monkeypatch.setattr(_stats, "_TERMS_MAX_FLOATS", 3 * (6 + 10 + 12))
+        for n in (5, 9, 11):
+            binom_pmf_vector(n, 0.1)
+        assert list(_stats._TERMS) == [5, 9, 11]  # 84 floats: at the bound
+        binom_pmf_vector(3, 0.1)
+        assert list(_stats._TERMS) == [9, 11, 3]
+        binom_pmf_vector(40, 0.1)  # 123 floats alone: kept, and alone
+        assert list(_stats._TERMS) == [40]
+        k, n_minus_k, log_choose = _stats._TERMS[40]
+        with pytest.raises(ValueError):
+            log_choose[0] = 0.0
+        assert binom_pmf_vector(40, 0.1).tobytes() == binom_pmf_matrix(40, [0.1])[0].tobytes()
+
+    def test_binomial_terms_table_under_racing_threads(self, monkeypatch):
+        # Without the table's lock, 3 of 3 runs of a scratch copy raised
+        # "dictionary changed size during iteration" in the eviction loop.
+        import sys
+        import threading
+
+        from repro import _stats
+
+        monkeypatch.setattr(_stats, "_TERMS", {})
+        monkeypatch.setattr(_stats, "_TERMS_MAX_FLOATS", 3 * 12)  # a few entries at most
+        expected = {n: binom_pmf_vector(n, 0.3).tobytes() for n in range(1, 30)}
+        errors = []
+
+        def worker(seed):
+            try:
+                for n in np.random.default_rng(seed).integers(1, 30, 3000).tolist():
+                    assert binom_pmf_vector(n, 0.3).tobytes() == expected[n]
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(16)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sum(3 * (n + 1) for n in _stats._TERMS) <= 3 * 12 or len(_stats._TERMS) == 1
+
     @given(
         st.integers(min_value=1, max_value=25),
         st.floats(min_value=0.0, max_value=1.0),
@@ -299,7 +375,7 @@ class TestBinomialExact:
         dp = poisson_binomial_pmf([p] * n)
         for k in range(n + 1):
             assert binom_pmf(k, n, p) == pytest.approx(float(dp[k]), rel=1e-10, abs=1e-300)
-            assert binomial_tail(n, p, k) == pytest.approx(float(dp[: k + 1].sum()), rel=1e-10)
+            assert binom_cdf(k, n, p) == pytest.approx(float(dp[: k + 1].sum()), rel=1e-10)
 
 
 class TestHypergeometricExact:
