@@ -200,12 +200,19 @@ class VerdictMasks:
 #: predicate loops.  Locked, and bounded like
 #: :mod:`repro.analysis.exact`'s enumeration cache: the oldest entries are
 #: evicted beyond ``_MASKS_MAX_ENTRIES`` entries or ``_MASKS_MAX_CELLS``
-#: count-pair cells in all (an entry counts the grid it may build), and
-#: the newest entry is always kept.
+#: count-pair cells in all, and the newest entry is always kept.  An entry
+#: is charged, on each insert, what it holds: its two ``n + 1`` lines, and
+#: its ``(n+1)^2`` grid once a row has built it.
 _MASKS: dict[tuple, VerdictMasks] = {}
 _MASKS_LOCK = threading.Lock()
 _MASKS_MAX_ENTRIES = 256
 _MASKS_MAX_CELLS = 1 << 22
+
+
+def _masks_cells(masks: VerdictMasks) -> int:
+    """The count-pair cells one ``_MASKS`` entry is charged."""
+    side = masks.n + 1
+    return 2 * side + (side * side if "_grid" in masks.__dict__ else 0)
 
 
 def verdict_masks(spec: "ProtocolSpec") -> VerdictMasks:
@@ -223,7 +230,7 @@ def verdict_masks(spec: "ProtocolSpec") -> VerdictMasks:
             masks = _MASKS[key] = VerdictMasks(spec)
             while len(_MASKS) > 1 and (
                 len(_MASKS) > _MASKS_MAX_ENTRIES
-                or sum((m.n + 1) ** 2 for m in _MASKS.values()) > _MASKS_MAX_CELLS
+                or sum(map(_masks_cells, _MASKS.values())) > _MASKS_MAX_CELLS
             ):
                 del _MASKS[next(iter(_MASKS))]
     return masks

@@ -85,7 +85,6 @@ from repro.engine.result import (
     Provenance,
     SimulationAnswer,
 )
-from repro.engine.backends import register_simulation_factory
 from repro.engine.scenario import (
     Scenario,
     ScenarioSet,
@@ -134,7 +133,6 @@ __all__ = [
     "get_backend",
     "registered_kinds",
     "query_from_dict",
-    "register_simulation_factory",
     "SpecCodec",
     "register_spec_codec",
     "spec_to_dict",

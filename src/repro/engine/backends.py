@@ -53,7 +53,7 @@ from the memo is the engine's.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -181,52 +181,26 @@ def mttf_backend(
 # ---------------------------------------------------------------------------
 # Simulation backend: sharded seeded campaigns
 # ---------------------------------------------------------------------------
-#: spec type -> node-factory builder for simulation campaigns.
-_SIM_FACTORIES: list[tuple[type, Callable]] = []
-
-
-def register_simulation_factory(spec_type: type, build: Callable) -> None:
-    """Make a protocol family runnable by :class:`SimulationQuery`.
-
-    ``build(spec)`` must return a :data:`repro.sim.cluster.NodeFactory`
-    whose nodes realise ``spec``'s quorum rules.  Later registrations take
-    precedence, and subclasses are matched most-derived-first.
-    """
-    _SIM_FACTORIES.insert(0, (spec_type, build))
-
-
-def _builtin_factories() -> None:
+def _node_factory_for(spec: "ProtocolSpec"):
+    """The simulator node factory whose nodes realise ``spec``'s quorum
+    rules; :class:`~repro.protocols.raft.FlexibleRaftSpec` rides the
+    :class:`~repro.protocols.raft.RaftSpec` branch."""
     from repro.protocols.pbft import PBFTSpec
     from repro.protocols.raft import RaftSpec
 
-    def build_raft(spec):
-        from repro.sim.raft import raft_node_factory
-
-        return raft_node_factory(q_per=spec.q_per, q_vc=spec.q_vc)
-
-    def build_pbft(spec):
+    if isinstance(spec, PBFTSpec):
         from repro.sim.pbft import pbft_node_factory
 
         return pbft_node_factory(
             q_eq=spec.q_eq, q_per=spec.q_per, q_vc=spec.q_vc, q_vc_t=spec.q_vc_t
         )
+    if isinstance(spec, RaftSpec):
+        from repro.sim.raft import raft_node_factory
 
-    # RaftSpec registered first so PBFT (and any third-party family)
-    # matches ahead of it; FlexibleRaftSpec rides the RaftSpec entry.
-    register_simulation_factory(RaftSpec, build_raft)
-    register_simulation_factory(PBFTSpec, build_pbft)
-
-
-_builtin_factories()
-
-
-def _node_factory_for(spec: "ProtocolSpec"):
-    for spec_type, build in _SIM_FACTORIES:
-        if isinstance(spec, spec_type):
-            return build(spec)
+        return raft_node_factory(q_per=spec.q_per, q_vc=spec.q_vc)
     raise EstimationError(
-        f"no simulation node factory registered for {type(spec).__qualname__}; "
-        "use repro.engine.backends.register_simulation_factory() to add one"
+        f"no simulation node factory for {type(spec).__qualname__}; "
+        "simulation campaigns run Raft and PBFT specs"
     )
 
 

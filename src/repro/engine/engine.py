@@ -176,47 +176,27 @@ class ReliabilityEngine:
         bounded; ``None`` otherwise.  Safe on a thread that must not block
         (the daemon's event loop).
 
-        A hit is the answer :meth:`run` would give for the same row — same
-        key, one hit counted, LRU recency refreshed — without a backend
-        lookup or a batch around it.  A miss is computed here, on the
-        calling thread, only when the row runs a stock backend with the
-        stock ``counting`` or ``exact`` estimator (``reliability``) or is
-        an ``availability`` / ``mttf`` row, no per-engine or global
-        override replaces either, and its ``n`` is within
-        :data:`INLINE_MAX_N`.  Such a row is :meth:`run` of that one row —
-        same value, same provenance, one miss counted, the answer stored.
+        This is :meth:`run`'s memo path for one row, plus one rule: a miss
+        is computed here, on the calling thread, only when the row runs a
+        stock backend with the stock ``counting`` or ``exact`` estimator
+        (``reliability``) or is an ``availability`` / ``mttf`` row, no
+        per-engine or global override replaces either, and its ``n`` is
+        within :data:`INLINE_MAX_N`.  A hit or such a miss is the answer
+        :meth:`run` gives for the row — same value, provenance, counts,
+        LRU recency and ``engine.queries`` → ``backend.<kind>`` span pair.
         Every other miss (sampling, simulation, an override, anything
-        larger) returns ``None`` and counts nothing: the caller runs it
-        where blocking is allowed, and that :meth:`run` counts the row's
-        one miss, so every submitted row is still one hit or one miss.
-
-        Traced, a hit exports the ``engine.queries`` → ``backend.<kind>``
-        pair :meth:`run` would; a miss exports nothing of its own (a
-        bounded miss's :meth:`run` opens its own pair).
+        larger) is declined at the probe and returns ``None`` with nothing
+        counted, stored or exported: the caller runs it where blocking is
+        allowed, and that :meth:`run` counts the row's one miss, so every
+        submitted row is still one hit or one miss.
         """
         active = policy if policy is not None else self._policy
         query = coerce_query(query)
-        key = query.cache_key(self.estimator, active.shard_trials)
-        tracer = current_tracer()
-        with tracer.span("engine.queries", queries=1, kinds=1) as queries_span:
-            with tracer.span(
-                f"backend.{query.kind}", queries=1, mode=active.mode, jobs=active.jobs
-            ) as backend_span:
-                with self._lock:
-                    cached = self._memo.get(key)  # a None key is never stored
-                    if cached is not None:
-                        self._memo.move_to_end(key)
-                        self.cache_hits += 1
-                if cached is None:
-                    backend_span.discard()
-                    queries_span.discard()
-                else:
-                    backend_span.set("memo_hits", 1)
-                    backend_span.set("memo_misses", 0)
-        if cached is None:
-            return self.run([query], policy=active)[0] if self._bounded(query) else None
-        value, provenance = cached
-        return Answer(query, value, provenance)
+        answers = [None]
+        with current_tracer().span("engine.queries", queries=1, kinds=1) as span:
+            if not self._answer_group(query.kind, [query], [0], answers, active, inline=True):
+                span.discard()
+        return answers[0]
 
     def _bounded(self, query: Query) -> bool:
         """Whether :meth:`answer_inline` may compute ``query`` in place."""
@@ -265,22 +245,36 @@ class ReliabilityEngine:
         by_kind: dict[str, list[int]] = {}
         for index, query in enumerate(queries):
             by_kind.setdefault(query.kind, []).append(index)
-        tracer = current_tracer()
-        with tracer.span("engine.queries", queries=len(queries), kinds=len(by_kind)):
+        with current_tracer().span(
+            "engine.queries", queries=len(queries), kinds=len(by_kind)
+        ):
             for kind, indices in by_kind.items():
-                backend = self.backend(kind)
-                with tracer.span(
-                    f"backend.{kind}",
-                    queries=len(indices),
-                    mode=active.mode,
-                    jobs=active.jobs,
-                ) as span:
-                    misses = self._answer_kind(
-                        kind, backend, queries, indices, answers, active
-                    )
-                    span.set("memo_hits", len(indices) - misses)
-                    span.set("memo_misses", misses)
+                self._answer_group(kind, queries, indices, answers, active)
         return AnswerSet(tuple(answers))
+
+    def _answer_group(
+        self,
+        kind: str,
+        queries: Sequence[Query],
+        indices: Sequence[int],
+        answers: list,
+        policy: ExecutionPolicy,
+        inline: bool = False,
+    ) -> bool:
+        """One kind group under its ``backend.<kind>`` span; ``False`` (the
+        span discarded) when :meth:`_answer_kind` declines an ``inline``
+        row."""
+        backend = self.backend(kind)
+        with current_tracer().span(
+            f"backend.{kind}", queries=len(indices), mode=policy.mode, jobs=policy.jobs
+        ) as span:
+            misses = self._answer_kind(kind, backend, queries, indices, answers, policy, inline)
+            if misses is None:
+                span.discard()
+                return False
+            span.set("memo_hits", len(indices) - misses)
+            span.set("memo_misses", misses)
+        return True
 
     def _answer_kind(
         self,
@@ -290,7 +284,8 @@ class ReliabilityEngine:
         indices: Sequence[int],
         answers: list,
         policy: ExecutionPolicy,
-    ) -> int:
+        inline: bool = False,
+    ) -> int | None:
         """The memo path of one kind group; returns how many rows computed.
 
         Every row's key is built once.  One pass under the lock probes
@@ -302,7 +297,10 @@ class ReliabilityEngine:
         counts a hit even when its first row was not stored.  A row whose
         key is ``None`` is never shared or stored, and neither is a
         ``degraded`` answer (a later run may complete the campaign).  If
-        the backend raises, none of this group's rows is stored.
+        the backend raises, none of this group's rows is stored.  With
+        ``inline`` (:meth:`answer_inline`'s one row) a miss that
+        :meth:`_bounded` refuses returns ``None`` before anything is
+        counted.
         """
         estimator, shard_trials = self.estimator, policy.shard_trials
         keys = [queries[index].cache_key(estimator, shard_trials) for index in indices]
@@ -316,6 +314,8 @@ class ReliabilityEngine:
                 if cached is not None:
                     memo.move_to_end(key)
                     hits.append((index, cached))
+                elif inline and not self._bounded(queries[index]):
+                    return None
                 elif key is not None and slots.setdefault(key, len(firsts)) < len(firsts):
                     duplicates.append((index, slots[key]))
                 else:

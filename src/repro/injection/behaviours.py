@@ -5,9 +5,9 @@ this registry resolves a name against a protocol spec into the
 :data:`repro.sim.cluster.NodeFactory` that builds the misbehaving node
 with the spec's quorum parameters.  The built-ins wrap the
 :mod:`repro.sim.pbft.byzantine` classes for :class:`~repro.protocols.pbft.PBFTSpec`
-fleets; third-party protocol families register their own via
-:func:`register_behaviour`, exactly as simulation node factories register
-via :func:`repro.engine.backends.register_simulation_factory`.
+fleets; other spec types register their own via :func:`register_behaviour`
+(simulation campaigns themselves run Raft and PBFT specs only: the node
+factory comes from :func:`repro.engine.backends._node_factory_for`).
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ shards journal to the checkpoint directory, so a daemon restart resumes
 interrupted campaigns bit-identically instead of recomputing them.
 
 The asyncio loop parses, routes, streams — and answers every row whose
-work is bounded: each row of every query POST, in one pass whatever the
-row count, is first put to
+work is bounded: the query route walks the rows of every POST, plain or
+streamed, one row or many, in one loop, and puts each row first to
 :meth:`~repro.engine.ReliabilityEngine.answer_inline`, the one engine
 call on the loop, which returns what the memo holds and computes on the
 loop only a stock counting, exact or Markov row under its small-``n``
@@ -351,10 +351,21 @@ class ReliabilityService:
 
     # -- the query route ---------------------------------------------------
     async def _handle_query(self, request: HttpRequest, writer) -> int:
-        """``POST /v1/query``: every row, of a one-row POST as of a batch,
-        goes through the one :meth:`_answer_on_loop` pass, and the reply is
-        written in submission order once the rows it declined finish —
-        or, with ``?stream=1``, line by line (:meth:`_stream_answers`).
+        """``POST /v1/query``: one pass over the rows, plain or streamed.
+
+        Each row, in submission order, is first put to :meth:`_recall`;
+        a row it declines starts at once as a :meth:`_tagged_answer`
+        task.  One row's work on the loop is bounded, a request's row
+        count is not: after each row computed here (anything but a memo
+        hit), when more rows follow, the loop first serves whatever else
+        is ready — ``/healthz``, other connections, the started tasks — so
+        no two computed rows of a request run back to back.  The plain
+        reply is written in submission order once the declined rows
+        finish.  With ``?stream=1`` the header goes out first, then one
+        chunked JSON line per answer tagged with its submission ``index``:
+        the loop's rows as they are answered, the declined rows as each
+        finishes (a long campaign's finished answers arrive while slower
+        ones still run), and last the run summary.
         """
         try:
             text = request.body.decode("utf-8")
@@ -376,11 +387,36 @@ class ReliabilityService:
         started = time.perf_counter()
         if stream:
             self.metrics.record_streamed_request()
-            return await self._stream_answers(request, writer, query_set, started)
-        tasks: list = []
-        outcomes = [
-            outcome async for outcome in self._answer_on_loop(query_set, tasks)
-        ]
+            await start_chunked_response(writer, 200, keep_alive=request.keep_alive)
+        outcomes, tasks = [], []
+        last = len(query_set) - 1
+        for index, query in enumerate(query_set):
+            outcome = self._recall(index, query)
+            if outcome is None:
+                tasks.append(asyncio.ensure_future(self._tagged_answer(index, query)))
+                continue
+            outcomes.append(outcome)
+            if stream:
+                await write_chunk(writer, _stream_line(outcome))
+            answer = outcome[1]
+            if index < last and (answer is None or not answer.provenance.cache_hit):
+                await asyncio.sleep(0)
+        if stream:
+            for finished in asyncio.as_completed(tasks):
+                outcome = await finished
+                outcomes.append(outcome)
+                await write_chunk(writer, _stream_line(outcome))
+            errors = sum(1 for _, _, error, _ in outcomes if error is not None)
+            summary = {
+                "done": True,
+                "answers": len(outcomes) - errors,
+                "errors": errors,
+                "coalesced": sum(1 for _, _, _, joined in outcomes if joined),
+                "seconds": time.perf_counter() - started,
+            }
+            await write_chunk(writer, (json.dumps(summary) + "\n").encode("utf-8"))
+            await end_chunked_response(writer)
+            return 200
         if tasks:
             outcomes.extend(await asyncio.gather(*tasks))
             outcomes.sort(key=lambda outcome: outcome[0])
@@ -413,62 +449,6 @@ class ReliabilityService:
         await write_response(writer, 200, body, keep_alive=request.keep_alive)
         return 200
 
-    async def _stream_answers(
-        self, request: HttpRequest, writer, query_set, started: float
-    ) -> int:
-        """Chunked JSON-lines: one row per answer as it completes.
-
-        The header goes out first.  Then each row answered on the loop is
-        written as :meth:`_answer_on_loop` answers it, in submission order,
-        while the rows it declines already run; their lines follow as each
-        finishes — each line tagged with its submission ``index``: a long
-        campaign's finished answers arrive while slower ones still run;
-        the final line is the run summary.
-        """
-        await start_chunked_response(writer, 200, keep_alive=request.keep_alive)
-        outcomes, tasks = [], []
-        async for outcome in self._answer_on_loop(query_set, tasks):
-            outcomes.append(outcome)
-            await write_chunk(writer, _stream_line(outcome))
-        for finished in asyncio.as_completed(tasks):
-            outcome = await finished
-            outcomes.append(outcome)
-            await write_chunk(writer, _stream_line(outcome))
-        errors = sum(1 for _, _, error, _ in outcomes if error is not None)
-        summary = {
-            "done": True,
-            "answers": len(outcomes) - errors,
-            "errors": errors,
-            "coalesced": sum(1 for _, _, _, joined in outcomes if joined),
-            "seconds": time.perf_counter() - started,
-        }
-        await write_chunk(writer, (json.dumps(summary) + "\n").encode("utf-8"))
-        await end_chunked_response(writer)
-        return 200
-
-    async def _answer_on_loop(self, query_set, tasks: list):
-        """Yield, in submission order, the outcome of every row
-        :meth:`_recall` answers; start each row it declines at once, as a
-        :meth:`_tagged_answer` task appended to ``tasks``.  Every query
-        POST, plain or streamed, one row or many, takes this one pass.
-
-        One row's work on the loop is bounded, a request's row count is
-        not: after each row computed here (anything but a memo hit), when
-        more rows follow, the loop first serves whatever else is ready —
-        ``/healthz``, other connections, the started tasks — so no two
-        computed rows of a request run back to back.
-        """
-        last = len(query_set) - 1
-        for index, query in enumerate(query_set):
-            outcome = self._recall(index, query)
-            if outcome is None:
-                tasks.append(asyncio.ensure_future(self._tagged_answer(index, query)))
-                continue
-            yield outcome
-            answer = outcome[1]
-            if index < last and (answer is None or not answer.provenance.cache_hit):
-                await asyncio.sleep(0)
-
     def _recall(self, index: int, query):
         """Loop-side half of a row: its outcome if it is answered right here.
 
@@ -476,7 +456,8 @@ class ReliabilityService:
         :meth:`~repro.engine.ReliabilityEngine.answer_inline`: it returns a
         memo hit, or computes a miss whose work the engine bounds (a stock
         counting, exact or Markov row of small ``n``, under a
-        millisecond); it takes the engine lock for dict operations only.
+        millisecond); it takes the engine lock for the memo's dict
+        operations and, on a miss, the bound check only.
         Such a row skips single-flight and the executor hop and cannot
         queue behind a saturated pool.  ``None`` is a row it declines —
         nothing counted, no span exported — and the row goes on to

@@ -269,8 +269,32 @@ class TestVerdictMasks:
                 verdict_masks(spec)
             assert list(kernels._MASKS) == [s.grouping_key() for s in specs[1:]]
             with mock.patch.object(kernels, "_MASKS_MAX_CELLS", 10):
-                verdict_masks(RaftSpec(11))  # 144 cells: kept alone
+                verdict_masks(RaftSpec(11))  # 24 cells of lines: kept alone
             assert list(kernels._MASKS) == [RaftSpec(11).grouping_key()]
+
+    def test_masks_table_charges_each_entry_what_it_evaluated(self):
+        """A one-kind row evaluates two ``n + 1`` lines and is charged
+        those, not the ``(n+1)^2`` grid it never builds: one such row at
+        n = 2049 (a 2050^2 grid would pass the budget alone) keeps the
+        eight small entries before it.  A grid is charged once a
+        mixed-kind row has built it, and evicts on the next insert."""
+        with mock.patch.dict(kernels._MASKS, clear=True):
+            small = [cls(n) for cls in (RaftSpec, PBFTSpec) for n in (5, 9, 13, 17)]
+            for spec in small:
+                counting_reliability(spec, uniform_fleet(spec.n, 0.05))
+            counting_reliability(RaftSpec(2049), uniform_fleet(2049, 0.05))
+            assert 2050**2 > kernels._MASKS_MAX_CELLS
+            assert len(kernels._MASKS) == 9
+            assert "_grid" not in kernels._MASKS[RaftSpec(2049).grouping_key()].__dict__
+
+            mixed, newest = PBFTSpec(65), RaftSpec(3)
+            with mock.patch.object(kernels, "_MASKS_MAX_CELLS", 5000):
+                counting_reliability(mixed, uniform_fleet(65, 0.05, byzantine_fraction=0.5))
+                assert len(kernels._MASKS) == 10  # its grid is charged from here on
+                verdict_masks(newest)
+            # 4292 cells of lines, 132 + 66^2 for the grid's entry, 8 for
+            # the newest: the nine oldest go.
+            assert list(kernels._MASKS) == [mixed.grouping_key(), newest.grouping_key()]
 
     def test_masks_rejected_for_asymmetric_spec(self):
         spec, _ = _asymmetric_pair()

@@ -723,6 +723,32 @@ class TestAnswerInline:
         assert engine.answer_inline(self.row(name, n)).provenance.cache_hit
         assert (engine.cache_hits, engine.cache_misses) == (1, 1)
 
+    def test_the_memo_is_probed_once_per_row(self):
+        """``answer_inline`` is ``run``'s memo pass for one row: a bounded
+        miss is probed once (not once to decline and again to compute), a
+        declined miss is probed once and counts nothing, and ``run`` of
+        one row probes once."""
+
+        class CountingMemo(OrderedDict):
+            gets = 0
+
+            def get(self, key, default=None):
+                self.gets += 1
+                return super().get(key, default)
+
+        def gets(engine, call):
+            memo = engine._memo = CountingMemo(engine._memo)
+            call()
+            return memo.gets
+
+        engine = ReliabilityEngine()
+        assert gets(engine, lambda: engine.answer_inline(self.row("counting", 5))) == 1
+        assert (engine.cache_hits, engine.cache_misses) == (0, 1)
+        assert gets(engine, lambda: engine.answer_inline(self.row("counting", 33))) == 1
+        assert (engine.cache_hits, engine.cache_misses) == (0, 1)
+        assert gets(engine, lambda: engine.run([self.row("mttf", 5)])) == 1
+        assert (engine.cache_hits, engine.cache_misses) == (0, 2)
+
     def test_sampling_and_simulation_rows_are_never_bounded(self):
         small = Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, 0.1), seed=5)
         for query in (

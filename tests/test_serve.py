@@ -788,6 +788,59 @@ class TestRecallOnTheLoop:
         assert status == 422
         assert body == {"error": "no such estimator", "failed_index": 0, "failures": 1}
 
+    def test_plain_and_streamed_replies_come_from_one_loop(self):
+        """One body — a memo hit, a bounded miss computed on the loop and a
+        seeded campaign the loop declines — posted plain and then with
+        ``?stream=1``, each to a fresh daemon warmed alike: the streamed
+        lines, keyed by ``index``, are the plain ``answers`` and the
+        summary counts what the plain reply counts.  With a row whose
+        ``answer_inline`` raises, the streamed error line names the row
+        the plain 422 names."""
+        from repro.errors import EstimationError
+
+        warm = ReliabilityQuery(scenario(3, 0.01))
+        rows = [
+            warm,
+            ReliabilityQuery(scenario(5, 0.02)),
+            SimulationQuery(scenario(3, 0.1, seed=5), replicas=4, duration=2.0),
+        ]
+        failing = ReliabilityQuery(scenario(7, 0.03, label="fails"))
+
+        def reply(queries, stream, fail=False):
+            engine = ReliabilityEngine()
+            if fail:
+                answer_inline = engine.answer_inline
+
+                def raising(query, policy=None):
+                    if query.label == "fails":
+                        raise EstimationError("no such estimator")
+                    return answer_inline(query, policy)
+
+                engine.answer_inline = raising
+            payload = QuerySet.build(queries).to_json()
+            with BackgroundServer(ServiceConfig(port=0), engine=engine) as running:
+                assert post(running.port, QuerySet.build([warm]).to_json())[0] == 200
+                return (post_stream if stream else post)(running.port, payload)
+
+        status, plain = reply(rows, stream=False)
+        lines = reply(rows, stream=True)
+        assert status == 200
+        assert [row["cache_hit"] for row in plain["answers"]] == [True, False, False]
+        summary = lines[-1]
+        by_index = {line.pop("index"): line for line in lines[:-1]}
+        assert [by_index[index] for index in range(len(rows))] == plain["answers"]
+        assert (summary["answers"], summary["errors"], summary["coalesced"]) == (
+            plain["count"], 0, plain["coalesced"],
+        )
+
+        with_error = rows[:2] + [failing] + rows[2:]
+        status, plain = reply(with_error, stream=False, fail=True)
+        lines = reply(with_error, stream=True, fail=True)
+        assert (status, plain["failed_index"], plain["failures"]) == (422, 2, 1)
+        (error_line,) = [line for line in lines[:-1] if "error" in line]
+        assert error_line == {"index": plain["failed_index"], "error": plain["error"]}
+        assert (lines[-1]["answers"], lines[-1]["errors"]) == (len(with_error) - 1, 1)
+
 
 class TestStreaming:
     def test_stream_emits_one_line_per_answer(self, server):
