@@ -34,7 +34,6 @@ from repro.engine import (
     SimulationQuery,
     default_engine,
     register_backend,
-    register_estimator,
 )
 from repro.analysis import (
     Estimate,
@@ -83,7 +82,6 @@ __all__ = [
     "ReliabilityEngine",
     "AnswerSet",
     "default_engine",
-    "register_estimator",
     "register_backend",
     # analysis
     "counting_reliability",

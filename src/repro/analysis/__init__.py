@@ -14,7 +14,7 @@ same-size symmetric scenarios into shared counting-DP sweeps::
     for answer in default_engine().run(grid):
         print(answer.scenario.label, answer.value, answer.provenance.describe())
 
-This package provides the estimators the engine's registry plugs in:
+This package provides the estimators behind the engine's estimator table:
 
 * :func:`repro.analysis.counting.counting_reliability` — exact, polynomial,
   for symmetric predicates (the paper's tables);

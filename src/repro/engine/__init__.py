@@ -29,8 +29,8 @@ the memo.  A kind is registered once: :func:`register_backend` takes the
 from JSON rows (:func:`query_from_dict`) and answerable
 (:func:`registered_kinds` lists them):
 ``reliability`` is the scenario planner (shared counting-DP sweeps for
-same-size symmetric scenarios, the pluggable estimator registry for
-everything else);
+same-size symmetric scenarios, one call per row into the fixed
+:data:`ESTIMATORS` table for everything else);
 :class:`AvailabilityQuery` and :class:`MTTFQuery` batch same-chain CTMC
 questions; :class:`SimulationQuery` campaigns fan seeded replicas across the
 :class:`ExecutionPolicy` pool and accept a declarative
@@ -70,11 +70,10 @@ from repro.engine.query import (
     query_from_dict,
 )
 from repro.engine.registry import (
+    ESTIMATORS,
     get_backend,
     get_estimator,
     register_backend,
-    register_estimator,
-    registered_estimators,
     registered_kinds,
 )
 from repro.engine.result import (
@@ -126,9 +125,8 @@ __all__ = [
     "SimulationAnswer",
     "Provenance",
     "default_engine",
-    "register_estimator",
+    "ESTIMATORS",
     "get_estimator",
-    "registered_estimators",
     "register_backend",
     "get_backend",
     "registered_kinds",

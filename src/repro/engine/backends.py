@@ -77,7 +77,6 @@ from repro.obs.trace import current_tracer, resolve_context
 from repro.runtime import CampaignCheckpoint, run_supervised
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.engine import ReliabilityEngine
     from repro.engine.execution import ExecutionPolicy
     from repro.protocols.base import ProtocolSpec
 
@@ -122,7 +121,6 @@ def _run_markov_kind(queries: Sequence[Query], *, kind: str, answer_chain) -> li
 
 @register_backend(AvailabilityQuery)
 def availability_backend(
-    engine: "ReliabilityEngine",
     queries: Sequence[AvailabilityQuery],
     policy: "ExecutionPolicy",
 ) -> list[Answer]:
@@ -153,7 +151,6 @@ def availability_backend(
 
 @register_backend(MTTFQuery)
 def mttf_backend(
-    engine: "ReliabilityEngine",
     queries: Sequence[MTTFQuery],
     policy: "ExecutionPolicy",
 ) -> list[Answer]:
@@ -344,7 +341,6 @@ def _campaign_checkpoint(policy: "ExecutionPolicy", query: SimulationQuery, shar
 
 @register_backend(SimulationQuery)
 def simulation_backend(
-    engine: "ReliabilityEngine",
     queries: Sequence[SimulationQuery],
     policy: "ExecutionPolicy",
 ) -> list[Answer]:

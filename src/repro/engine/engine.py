@@ -17,8 +17,8 @@ or calls back into :meth:`run`.  :meth:`ReliabilityEngine.answer_inline`
 is the one call for a thread that must not block (the daemon's event
 loop): one row from the memo, or computed in place when
 :data:`INLINE_MAX_N` bounds its work, else ``None``.  What stays here is
-what every kind shares: the memo, the per-engine estimator/backend
-overrides, and the kind router.  The engine package reads no clock —
+what every kind shares: the memo, the per-engine backend overrides, and
+the kind router.  The engine package reads no clock —
 spans time what runs.
 """
 
@@ -32,14 +32,7 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.engine.execution import SERIAL, ExecutionPolicy
 from repro.engine.query import Query, QuerySet, coerce_query
-from repro.engine.registry import (
-    BackendFn,
-    EstimatorFn,
-    MemoMisses,
-    get_backend,
-    get_estimator,
-    is_stock_estimator,
-)
+from repro.engine.registry import BackendFn, MemoMisses, get_backend
 from repro.engine.result import Answer, AnswerSet, Provenance
 from repro.engine.scenario import Scenario, ScenarioSet
 from repro.errors import EstimationError
@@ -51,8 +44,8 @@ import repro.engine.backends  # noqa: F401  (import-for-effect)
 import repro.engine.planner  # noqa: F401  (import-for-effect)
 
 #: The bound of :meth:`ReliabilityEngine.answer_inline`: the largest ``n``
-#: whose memo miss it computes on the calling thread, by stock estimator
-#: (a ``reliability`` row's resolved method) or by kind (the Markov rows).
+#: whose memo miss it computes on the calling thread, by estimator (a
+#: ``reliability`` row's resolved method) or by kind (the Markov rows).
 #: On a 2-vCPU host (best of 30, one row, service policy) the slowest row
 #: at a limit took 0.61 ms (PBFT counting with mixed failures, n = 32);
 #: one past each limit, counting at n = 33 took 0.32 ms (Raft) and
@@ -88,10 +81,6 @@ class ReliabilityEngine:
 
     Parameters
     ----------
-    estimators:
-        Optional per-engine estimator overrides (name → callable); names
-        not present fall back to the global registry, so a custom engine
-        still sees late third-party registrations.
     cache_size:
         Bound on the memo cache (least-recently-used eviction).  ``0``
         disables cross-run caching; in-run deduplication still applies.
@@ -104,11 +93,9 @@ class ReliabilityEngine:
     def __init__(
         self,
         *,
-        estimators: Mapping[str, EstimatorFn] | None = None,
         cache_size: int = 1024,
         policy: ExecutionPolicy | None = None,
     ):
-        self._overrides: dict[str, EstimatorFn] = dict(estimators or {})
         self._backend_overrides: dict[str, BackendFn] = {}
         self._cache_size = max(0, int(cache_size))
         self._policy = policy if policy is not None else SERIAL
@@ -121,15 +108,7 @@ class ReliabilityEngine:
         self.cache_hits = 0
         self.cache_misses = 0
 
-    # -- estimator / backend resolution -----------------------------------
-    def estimator(self, name: str) -> EstimatorFn:
-        override = self._overrides.get(name)
-        return override if override is not None else get_estimator(name)
-
-    def register(self, name: str, fn: EstimatorFn) -> None:
-        """Install a per-engine estimator override."""
-        self._overrides[name] = fn
-
+    # -- backend resolution ------------------------------------------------
     def backend(self, kind: str) -> BackendFn:
         override = self._backend_overrides.get(kind)
         return override if override is not None else get_backend(kind)
@@ -177,15 +156,15 @@ class ReliabilityEngine:
         (the daemon's event loop).
 
         This is :meth:`run`'s memo path for one row, plus one rule: a miss
-        is computed here, on the calling thread, only when the row runs a
-        stock backend with the stock ``counting`` or ``exact`` estimator
-        (``reliability``) or is an ``availability`` / ``mttf`` row, no
-        per-engine or global override replaces either, and its ``n`` is
-        within :data:`INLINE_MAX_N`.  A hit or such a miss is the answer
+        is computed here, on the calling thread, only when the row is a
+        ``counting`` or ``exact`` ``reliability`` row or an
+        ``availability`` / ``mttf`` row, no per-engine or global override
+        replaces its kind's stock backend, and its ``n`` is within
+        :data:`INLINE_MAX_N`.  A hit or such a miss is the answer
         :meth:`run` gives for the row — same value, provenance, counts,
         LRU recency and ``engine.queries`` → ``backend.<kind>`` span pair.
-        Every other miss (sampling, simulation, an override, anything
-        larger) is declined at the probe and returns ``None`` with nothing
+        Every other miss (sampling, simulation, a backend override,
+        anything larger) is declined at the probe and returns ``None`` with nothing
         counted, stored or exported: the caller runs it where blocking is
         allowed, and that :meth:`run` counts the row's one miss, so every
         submitted row is still one hit or one miss.
@@ -199,14 +178,12 @@ class ReliabilityEngine:
         return answers[0]
 
     def _bounded(self, query: Query) -> bool:
-        """Whether :meth:`answer_inline` may compute ``query`` in place."""
+        """Whether :meth:`answer_inline` may compute ``query`` in place:
+        its method (a ``reliability`` row) or kind has a bound in
+        :data:`INLINE_MAX_N`, its ``n`` is within it, and its kind's
+        backend is the stock one the bound was measured on."""
         kind = query.kind
-        if kind == "reliability":
-            name = query.scenario.resolved_method()
-            if not is_stock_estimator(name, self.estimator(name)):
-                return False
-        else:
-            name = kind
+        name = query.scenario.resolved_method() if kind == "reliability" else kind
         limit = INLINE_MAX_N.get(name)
         return (
             limit is not None
@@ -302,8 +279,8 @@ class ReliabilityEngine:
         :meth:`_bounded` refuses returns ``None`` before anything is
         counted.
         """
-        estimator, shard_trials = self.estimator, policy.shard_trials
-        keys = [queries[index].cache_key(estimator, shard_trials) for index in indices]
+        shard_trials = policy.shard_trials
+        keys = [queries[index].cache_key(shard_trials) for index in indices]
         misses, firsts = MemoMisses(), []  # the distinct misses and their rows
         slots: dict[tuple, int] = {}  # key -> position in ``misses``
         hits, duplicates = [], []  # (row, stored value), (row, slot)
@@ -328,7 +305,7 @@ class ReliabilityEngine:
             answers[index] = Answer(queries[index], value, provenance)
         if not firsts:
             return 0
-        computed = backend(self, misses, policy)
+        computed = backend(misses, policy)
         if len(computed) != len(firsts):
             raise EstimationError(
                 f"backend for {kind!r} returned {len(computed)} answers "

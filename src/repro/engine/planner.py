@@ -1,4 +1,4 @@
-"""The ``reliability`` backend: a planner over the estimator registry.
+"""The ``reliability`` backend: a planner over the estimator table.
 
 Every :class:`~repro.engine.query.ReliabilityQuery` that
 :meth:`~repro.engine.ReliabilityEngine.run` could not answer from its memo
@@ -15,17 +15,14 @@ folded repeats, within the batch and across runs), and the planner
    shares each support pattern's configurations and verdicts.  Both
    kernels build the results themselves; the planner only wraps them;
 2. **falls back** — everything else, lone counting and exact rows
-   included, routes through the estimator registry one scenario at a
-   time, fanned across the policy's pool when there is one.
+   included, runs its method's estimator from
+   :data:`~repro.engine.registry.ESTIMATORS` one scenario at a time,
+   fanned across the policy's pool when there is one.
 
-Each row's function is the one :meth:`ReliabilityEngine.estimator`
-resolves for its method, and one question of the stock table,
-:func:`~repro.engine.registry.is_stock_estimator`, decides the three
-things that depend on it: only the stock counting and exact estimators
-are batched, only the stock ``monte-carlo`` and ``importance`` estimators
-are handed the policy's ``jobs`` / ``shard_trials`` / ``mode``, and only
-stock estimators may leave for a process pool.  An override or a
-third-party estimator is called as ``fn(scenario)``, where it lives.
+A row's method decides how it runs: counting and exact rows are batched,
+``monte-carlo`` and ``importance`` rows are handed the policy's ``jobs``
+/ ``shard_trials`` / ``mode``, and a row may leave for a process pool
+unless its seed is a generator or it carries a correlation model.
 
 Values are bit-identical to calling the scalar estimators directly: the
 sweep reads each fleet's count PMF from the same kernels as
@@ -36,8 +33,8 @@ reductions use the ordered
 :func:`repro.analysis.kernels.masked_sum` / ``masked_sum_batch``.
 
 Like every backend, the planner only computes: it returns one
-:class:`~repro.engine.result.Answer` per row it was given, takes nothing
-from the engine but ``estimator()``, and never reads or writes the memo.
+:class:`~repro.engine.result.Answer` per row it was given and never
+reads or writes the memo.
 """
 
 from __future__ import annotations
@@ -49,23 +46,20 @@ import numpy as np
 from repro.analysis.exact import DEFAULT_MAX_CONFIGS, configuration_count
 from repro.analysis.result import ReliabilityResult
 from repro.engine.query import Query, ReliabilityQuery
-from repro.engine.registry import EstimatorFn, is_stock_estimator, register_backend
+from repro.engine.registry import ESTIMATORS, register_backend
 from repro.engine.result import Answer, Provenance
-from repro.engine.scenario import Scenario
 from repro.obs.trace import current_tracer
 from repro.runtime import run_supervised
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.engine import ReliabilityEngine
     from repro.engine.execution import ExecutionPolicy
 
 class _Row(NamedTuple):
-    """One row of a batch, with its estimator resolved."""
+    """One row of a batch, with its method resolved."""
 
     index: int  # position in the batch
     query: Query
     method: str  # resolved: never "auto"
-    estimator_fn: EstimatorFn
 
 
 def _provenance(method: str, **fields) -> Provenance:
@@ -74,7 +68,6 @@ def _provenance(method: str, **fields) -> Provenance:
 
 @register_backend(ReliabilityQuery)
 def reliability_backend(
-    engine: "ReliabilityEngine",
     queries: Sequence[Query],
     policy: "ExecutionPolicy",
 ) -> list[Answer]:
@@ -90,26 +83,17 @@ def reliability_backend(
     answers: list[Answer | None] = [None] * len(queries)
     groups: dict[tuple, list[_Row]] = {}  # ("counting", n) or ("exact", spec key)
     singles: list[_Row] = []
-    estimators: dict[str, tuple[EstimatorFn, bool]] = {}  # method -> (fn, stock)
     keys = getattr(queries, "keys", None) or [None] * len(queries)
     for index, (query, key) in enumerate(zip(queries, keys)):
         scenario = query.scenario
         # A reliability memo key is (spec, fleet, resolved method, ...):
         # reuse the method the engine's probe resolved for a keyed row.
         method = key[2] if key is not None else scenario.resolved_method()
-        resolved = estimators.get(method)
-        if resolved is None:
-            fn = engine.estimator(method)
-            resolved = estimators[method] = (fn, is_stock_estimator(method, fn))
-        row = _Row(index, query, method, resolved[0])
-        # The shared sweeps only substitute for the *stock* counting and
-        # exact estimators; an override takes the per-scenario path.
+        row = _Row(index, query, method)
         # Invalid combinations (asymmetric counting, enumeration over
         # budget) fall through to the scalar estimator so they raise the
         # exact errors it always raised.
-        if not resolved[1]:
-            singles.append(row)
-        elif method == "counting" and scenario.spec.symmetric:
+        if method == "counting" and scenario.spec.symmetric:
             groups.setdefault((method, scenario.fleet.n), []).append(row)
         elif method == "exact" and configuration_count(scenario.fleet) <= DEFAULT_MAX_CONFIGS:
             groups.setdefault((method, scenario.spec.grouping_key()), []).append(row)
@@ -129,28 +113,24 @@ def _run_single_in_worker(
 ) -> tuple[ReliabilityResult, int]:
     """One estimation: ``(result, shards)``.
 
-    A stock ``monte-carlo`` or ``importance`` row without a correlation
-    model runs its spawned-stream shards on the policy's executor with the
+    A ``monte-carlo`` or ``importance`` row without a correlation model
+    runs its spawned-stream shards on the policy's executor with the
     policy's ``shard_trials``, and the shard count lands in its provenance;
     ``jobs`` overrides the policy's worker count (1 when the planner is
     already parallel at row granularity, so pools never nest).  Every other
-    row is ``estimator_fn(scenario)`` with ``shards=1``.
+    row is its estimator called with the scenario alone, ``shards=1``.
 
-    Module-level so a process pool can pickle it; the stock estimators it
-    is sent there with pickle by reference, so a child resolves them from
-    its own registry import.
+    Module-level so a process pool can pickle it; a child looks the
+    estimator up by method in its own import of the table.
     """
     row, policy, jobs = payload
     scenario = row.query.scenario
-    if (
-        row.method not in ("monte-carlo", "importance")
-        or scenario.correlation is not None
-        or not is_stock_estimator(row.method, row.estimator_fn)
-    ):
-        return row.estimator_fn(scenario), 1
+    estimator = ESTIMATORS[row.method]
+    if row.method not in ("monte-carlo", "importance") or scenario.correlation is not None:
+        return estimator(scenario), 1
     from repro.analysis.kernels import plan_shards
 
-    result = row.estimator_fn(
+    result = estimator(
         scenario,
         jobs=policy.jobs if jobs is None else jobs,
         shard_trials=policy.shard_trials,
@@ -163,20 +143,13 @@ def _pool_safe(row: _Row, policy: "ExecutionPolicy") -> bool:
     """Whether a pool can execute ``row`` faithfully.
 
     Generator-object seeds are stateful — they must advance in submission
-    order, in the calling thread.  Under a process pool only a stock
-    estimator on an uncorrelated scenario may leave the process: a child
-    started without fork resolves estimators from a *fresh* registry
-    import, so overrides, shadowed built-ins and third-party registrations
-    must stay with their function objects, and correlation models are
-    process-local.
+    order, in the calling thread.  Correlation models are process-local,
+    so a correlated scenario never leaves for a process pool.
     """
     scenario = row.query.scenario
     if isinstance(scenario.seed, np.random.Generator):
         return False
-    return policy.mode != "process" or (
-        is_stock_estimator(row.method, row.estimator_fn)
-        and scenario.correlation is None
-    )
+    return policy.mode != "process" or scenario.correlation is None
 
 
 def _run_singles(

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterable, Iterator, Mapping
+from typing import ClassVar, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -53,9 +53,6 @@ from repro.protocols.raft import RaftSpec, majority
 #: ``_COMMAND_INTERVAL`` after that (the bench_sim_validation cadence).
 _COMMANDS_START = 1.0
 _COMMAND_INTERVAL = 0.1
-
-#: What the engine hands :meth:`Query.cache_key`: estimator name → function.
-EstimatorLookup = Callable[[str], Callable]
 
 
 # ---------------------------------------------------------------------------
@@ -83,18 +80,14 @@ class Query:
     def label(self) -> str:
         return self.scenario.label
 
-    def cache_key(
-        self, estimator: EstimatorLookup, shard_trials: int | None
-    ) -> tuple | None:
+    def cache_key(self, shard_trials: int | None) -> tuple | None:
         """The engine's memo key for this question, or ``None``.
 
         Each kind builds its key here, in one place, from its own fields
-        plus the two things only the engine side knows, which
-        :meth:`~repro.engine.ReliabilityEngine.run` passes in: its
-        ``estimator`` resolver (name → function, so a key can carry the
-        resolved *function* and re-registering an estimator invalidates
-        its answers) and the policy's ``shard_trials`` (seeded sampling
-        depends on the shard plan — and on nothing else about the policy).
+        plus the one thing only the engine side knows, which
+        :meth:`~repro.engine.ReliabilityEngine.run` passes in: the
+        policy's ``shard_trials`` (seeded sampling depends on the shard
+        plan — and on nothing else about the policy).
         ``None`` means the answer is not reusable: the row is computed
         every time and never stored.  That is the default — a kind opts
         into the memo by overriding this.  Kinds other than
@@ -124,10 +117,10 @@ def canonical_query_key(query: Query) -> str:
     (the cache-key-coverage contract checks ``to_dict`` goes through it)
     and :func:`repro._codec.decode_fields` reads each back by its
     declared type.  Unlike the in-process memo keys of
-    :meth:`Query.cache_key` — which carry resolved function objects so
-    that re-registration invalidates them, and on which the daemon
-    single-flights — this string means the same thing in every
-    interpreter: campaign checkpoint journals are named by its digest
+    :meth:`Query.cache_key` — which may carry process-local objects (a
+    campaign's resolved behaviour builds, a correlation model), and on
+    which the daemon single-flights — this string means the same thing in
+    every interpreter: campaign checkpoint journals are named by its digest
     (``tests/test_codec.py`` pins it for every kind).
     """
     return json.dumps(query.to_dict(), sort_keys=True, default=repr)
@@ -167,18 +160,14 @@ class ReliabilityQuery(Query):
 
     kind: ClassVar[str] = "reliability"
 
-    def cache_key(
-        self, estimator: EstimatorLookup, shard_trials: int | None
-    ) -> tuple | None:
-        """:meth:`Scenario.cache_key` plus the resolved estimator function
-        and, when the estimator samples, ``shard_trials``."""
+    def cache_key(self, shard_trials: int | None) -> tuple | None:
+        """:meth:`Scenario.cache_key` of the resolved method, plus
+        ``shard_trials`` when the estimator samples."""
         method = self.scenario.resolved_method()
         key = self.scenario.cache_key(method)
-        if key is None:
-            return None
-        if method == "counting" or method == "exact":
-            return key + (estimator(method),)
-        return key + (estimator(method), shard_trials)
+        if key is None or method == "counting" or method == "exact":
+            return key
+        return key + (shard_trials,)
 
 
 @dataclass(frozen=True)
@@ -294,7 +283,7 @@ class AvailabilityQuery(_MarkovQuery):
         if self.window_hours is not None and self.window_hours <= 0:
             raise InvalidConfigurationError("window_hours must be positive")
 
-    def cache_key(self, estimator: EstimatorLookup, shard_trials: int | None) -> tuple:
+    def cache_key(self, shard_trials: int | None) -> tuple:
         return (self.kind, self.chain_key(), self.resolved_quorum, self.window_hours)
 
 
@@ -328,7 +317,7 @@ class MTTFQuery(_MarkovQuery):
             else self.persistence_quorum
         )
 
-    def cache_key(self, estimator: EstimatorLookup, shard_trials: int | None) -> tuple:
+    def cache_key(self, shard_trials: int | None) -> tuple:
         return (
             self.kind,
             self.chain_key(),
@@ -496,8 +485,7 @@ class SimulationQuery(Query):
         resolves only when it can materialise (see :meth:`_byzantine_slots`).
         Keys carry the registered build callables, not the names, so
         shadowing a behaviour via :func:`repro.injection.register_behaviour`
-        naturally invalidates cached campaign answers — the same
-        re-registration invariant the engine's estimator cache keys uphold.
+        naturally invalidates cached campaign answers.
         """
         from repro.injection import behaviour_build
 
@@ -522,9 +510,7 @@ class SimulationQuery(Query):
 
         return (DEFAULT_PLAN if self.faults is None else self.faults).cache_key()
 
-    def cache_key(
-        self, estimator: EstimatorLookup, shard_trials: int | None
-    ) -> tuple | None:
+    def cache_key(self, shard_trials: int | None) -> tuple | None:
         """Memo key for a seeded campaign, or ``None`` when not reusable.
 
         The key distinguishes everything that changes compiled faults: the
@@ -534,8 +520,8 @@ class SimulationQuery(Query):
         models only — a third-party unhashable model simply opts the
         campaign out of the memo) and the sampled-outcome kind, alongside
         spec, fleet, budget and seed.  Replica ``i`` draws from child ``i``
-        of the seed, so neither argument matters: verdicts do not depend
-        on the shard plan and no estimator is involved.
+        of the seed, so ``shard_trials`` does not matter: verdicts do not
+        depend on the shard plan.
         """
         scenario = self.scenario
         seed = scenario.seed

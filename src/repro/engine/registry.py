@@ -1,21 +1,18 @@
-"""The estimator registry and the query-kind table of the reliability engine.
+"""The estimator table and the query-kind table of the reliability engine.
 
-Every estimator is a callable ``(Scenario) -> ReliabilityResult`` published
-under a name.  The four built-ins mirror the historical free functions —
-``counting`` (exact DP, symmetric specs), ``exact`` (vectorized
+:data:`ESTIMATORS` is the one fixed table of estimators, each a callable
+``(Scenario) -> ReliabilityResult`` under the name ``Scenario.method``
+gives it: ``counting`` (exact DP, symmetric specs), ``exact`` (vectorized
 enumeration), ``monte-carlo`` (batched sampling; correlated when the
-scenario carries a model) and ``importance`` (tilted rare-event sampling)
-— and third parties can :func:`register_estimator` their own, which makes
-them addressable from ``Scenario.method`` and the CLI's JSON scenario
-files with no engine changes.  The two stock sampling estimators also
-take the keywords ``jobs``, ``shard_trials`` and ``pool``, which the
-planner fills from the :class:`~repro.engine.ExecutionPolicy`; a
-third-party estimator is only ever called with the scenario.  The
-function registered under a name is the one the engine calls for it,
-and :func:`is_stock_estimator` tells the planner whether that function
-is the stock one.
+scenario carries a model) and ``importance`` (tilted rare-event
+sampling).  Its keys, plus ``"auto"``, are the methods a
+:class:`~repro.engine.Scenario` accepts, so a name means the same
+function in every engine and every process, and a memo key need only
+carry the name.  The two sampling estimators also take the keywords
+``jobs``, ``shard_trials`` and ``pool``, which the planner fills from
+the :class:`~repro.engine.ExecutionPolicy`.
 
-The *kind* table is the same idea one level up: one
+The *kind* table is open: one
 :func:`register_backend` decorator takes a
 :class:`~repro.engine.query.Query` subclass and publishes, under its
 ``kind`` string, both the class (so
@@ -35,21 +32,21 @@ no engine changes.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence, Type, TYPE_CHECKING
+from typing import Callable, Dict, Mapping, Sequence, Type, TYPE_CHECKING
 
 from repro.analysis.config import FaultKind
 from repro.analysis.result import ReliabilityResult
-from repro.errors import EstimationError, InvalidConfigurationError
-from repro.engine.scenario import Scenario
+from repro.errors import EstimationError, InvalidConfigurationError, UnknownMethodError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.query import Query
     from repro.engine.result import Answer
+    from repro.engine.scenario import Scenario
 
-EstimatorFn = Callable[[Scenario], ReliabilityResult]
+EstimatorFn = Callable[["Scenario"], ReliabilityResult]
 
 #: A backend computes one same-kind batch of distinct memo misses:
-#: ``(engine, queries, policy)`` → one
+#: ``(queries, policy)`` → one
 #: :class:`~repro.engine.result.Answer` per query, in order.
 BackendFn = Callable[..., "Sequence[Answer]"]
 
@@ -68,8 +65,6 @@ class MemoMisses(list):
         self.keys: list[tuple | None] = []
 
 
-_ESTIMATORS: Dict[str, EstimatorFn] = {}
-
 #: ``Query.kind`` → (query class, backend): the one place a kind is wired.
 _KINDS: Dict[str, tuple[Type[Query], BackendFn]] = {}
 
@@ -80,17 +75,15 @@ def register_backend(query_cls: Type[Query]) -> Callable[[BackendFn], BackendFn]
     One registration makes the kind both parseable —
     :func:`~repro.engine.query.query_from_dict` rebuilds ``query_cls``
     from rows whose ``"kind"`` is ``query_cls.kind`` — and answerable.
-    ``fn(engine, queries, policy)`` receives the submitting
-    :class:`~repro.engine.ReliabilityEngine` (for its ``estimator()``
-    resolver), the *distinct* queries of its kind from one ``run`` call
-    that missed the memo, in submission order (a :class:`MemoMisses`,
-    which carries their keys), and the active
+    ``fn(queries, policy)`` receives the *distinct* queries of its kind
+    from one ``run`` call that missed the memo, in submission order (a
+    :class:`MemoMisses`, which carries their keys), and the active
     :class:`~repro.engine.ExecutionPolicy`; it must return one
     :class:`~repro.engine.result.Answer` per query, in order.  Backends
     compute, the engine remembers: the engine probes, deduplicates and
     stores under each row's :meth:`~repro.engine.query.Query.cache_key`
     (never a ``degraded`` answer), so a backend must not read or write the
-    memo, and it never calls ``engine.run``.  Re-registering a kind
+    memo, and it never calls back into the engine.  Re-registering a kind
     replaces the previous class and backend; engines that already answered
     rows of the kind keep them until ``cache_clear()``.
     """
@@ -123,52 +116,23 @@ def registered_kinds() -> tuple[str, ...]:
     return tuple(sorted(_KINDS))
 
 
-def register_estimator(name: str) -> Callable[[EstimatorFn], EstimatorFn]:
-    """Decorator: publish ``fn`` as the estimator behind ``name``.
-
-    Re-registering a name replaces the previous estimator, so tests and
-    downstream packages can shadow the built-ins.
-    """
-
-    def decorator(fn: EstimatorFn) -> EstimatorFn:
-        _ESTIMATORS[name] = fn
-        return fn
-
-    return decorator
-
-
-def get_estimator(name: str) -> EstimatorFn:
-    """Look up the estimator published under ``name``."""
-    try:
-        return _ESTIMATORS[name]
-    except KeyError:
-        raise EstimationError(f"unknown analysis method {name!r}")
-
-
-def registered_estimators() -> tuple[str, ...]:
-    return tuple(sorted(_ESTIMATORS))
-
-
 # ---------------------------------------------------------------------------
-# Built-ins
+# Estimators
 # ---------------------------------------------------------------------------
-@register_estimator("counting")
-def _counting(scenario: Scenario) -> ReliabilityResult:
+def _counting(scenario: "Scenario") -> ReliabilityResult:
     from repro.analysis.counting import counting_reliability
 
     return counting_reliability(scenario.spec, scenario.fleet)
 
 
-@register_estimator("exact")
-def _exact(scenario: Scenario) -> ReliabilityResult:
+def _exact(scenario: "Scenario") -> ReliabilityResult:
     from repro.analysis.exact import exact_reliability
 
     return exact_reliability(scenario.spec, scenario.fleet)
 
 
-@register_estimator("monte-carlo")
 def _monte_carlo(
-    scenario: Scenario,
+    scenario: "Scenario",
     *,
     jobs: int | None = None,
     shard_trials: int | None = None,
@@ -200,9 +164,8 @@ def _monte_carlo(
     )
 
 
-@register_estimator("importance")
 def _importance(
-    scenario: Scenario,
+    scenario: "Scenario",
     *,
     jobs: int | None = None,
     shard_trials: int | None = None,
@@ -247,26 +210,29 @@ def _importance(
     )
 
 
-#: The stock estimators by name, frozen at import time.  A process-pool
-#: child started without fork re-imports this module and sees exactly
-#: these — so only (method, fn) pairs found here may be dispatched to a
-#: process pool; anything else (per-engine overrides, shadowed built-ins,
-#: third-party registrations) must run where its function object lives.
-_STOCK_ESTIMATORS: Dict[str, EstimatorFn] = dict(_ESTIMATORS)
+#: The estimators by name: the one table ``Scenario.method`` names.
+ESTIMATORS: Mapping[str, EstimatorFn] = {
+    "counting": _counting,
+    "exact": _exact,
+    "monte-carlo": _monte_carlo,
+    "importance": _importance,
+}
 
 
-def is_stock_estimator(method: str, fn: EstimatorFn) -> bool:
-    """Whether ``fn`` is the stock estimator shipped under ``method``."""
-    return _STOCK_ESTIMATORS.get(method) is fn
+def get_estimator(name: str) -> EstimatorFn:
+    """Look up the estimator behind ``name``."""
+    try:
+        return ESTIMATORS[name]
+    except KeyError:
+        raise UnknownMethodError(f"unknown analysis method {name!r}")
 
 
 __all__ = [
     "EstimatorFn",
     "BackendFn",
     "MemoMisses",
-    "register_estimator",
+    "ESTIMATORS",
     "get_estimator",
-    "registered_estimators",
     "register_backend",
     "get_backend",
     "registered_kinds",

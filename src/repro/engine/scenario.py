@@ -33,7 +33,8 @@ import numpy as np
 from repro._codec import decode_fields, one_key, require_mapping
 from repro._rng import SeedLike
 from repro.analysis.config import FaultKind
-from repro.errors import InvalidConfigurationError
+from repro.engine.registry import ESTIMATORS
+from repro.errors import InvalidConfigurationError, UnknownMethodError
 from repro.faults.correlation import CorrelationModel
 from repro.faults.mixture import (
     Fleet,
@@ -50,6 +51,9 @@ from repro.protocols.raft import FlexibleRaftSpec, RaftSpec
 #: Above this configuration count, auto selection stops considering
 #: enumeration.
 EXACT_BUDGET = 1 << 20
+
+#: The methods a scenario accepts: ``"auto"`` and every estimator's name.
+METHODS = frozenset(("auto", *ESTIMATORS))
 
 
 # ---------------------------------------------------------------------------
@@ -204,20 +208,21 @@ def _fleet_from_dict(data: Mapping) -> Fleet:
 class Scenario:
     """One reliability question: a (spec, fleet) pair plus estimator budget.
 
-    ``method`` is an estimator name from the engine registry (``"auto"``
+    ``method`` is one of :data:`METHODS`: an estimator name from
+    :data:`~repro.engine.registry.ESTIMATORS`, or ``"auto"``, which
     resolves to Monte-Carlo under a correlation model, else the counting
     DP for symmetric specs, exact enumeration for asymmetric fleets of at
-    most :data:`EXACT_BUDGET` configurations, Monte-Carlo beyond that;
-    see :meth:`resolved_method`).  ``trials``/``seed`` budget
-    the sampling estimators.  ``correlation`` is a correlated-failure
-    model that replaces the fleet's independent draws, every failure
-    taking ``failure_kind``: only Monte-Carlo (``"auto"`` resolves to it)
-    and third-party estimators can honour one, so pairing it with
-    ``counting``, ``exact`` or ``importance`` is refused — they would
-    answer for independent failures.  ``window_hours``
-    and ``label`` are provenance-only metadata (horizon sweeps stamp the
-    window each scenario was projected for).  A fleet whose size is not
-    the spec's is refused when the scenario is built.
+    most :data:`EXACT_BUDGET` configurations, Monte-Carlo beyond that
+    (see :meth:`resolved_method`).  ``trials``/``seed`` budget the
+    sampling estimators.  ``correlation`` is a correlated-failure model
+    that replaces the fleet's independent draws, every failure taking
+    ``failure_kind``: only Monte-Carlo (``"auto"`` resolves to it) can
+    honour one, so pairing it with ``counting``, ``exact`` or
+    ``importance`` is refused — they would answer for independent
+    failures.  ``window_hours`` and ``label`` are provenance-only
+    metadata (horizon sweeps stamp the window each scenario was projected
+    for).  A fleet whose size is not the spec's, or an unknown
+    ``method``, is refused when the scenario is built.
     """
 
     spec: ProtocolSpec = field(metadata={"decode": spec_from_dict})
@@ -234,6 +239,8 @@ class Scenario:
         # trials is deliberately not validated here: only the sampling
         # estimators read it, and they raise at estimation time exactly as
         # the pre-engine free functions did (exact paths ignore it).
+        if self.method not in METHODS:
+            raise UnknownMethodError(f"unknown analysis method {self.method!r}")
         if isinstance(self.seed, np.integer):
             # The memo key reads int(seed); the canonical key must too.
             object.__setattr__(self, "seed", int(self.seed))
@@ -307,10 +314,10 @@ class Scenario:
         This *is* the key a reliability row is memoised under:
         :meth:`ReliabilityQuery.cache_key
         <repro.engine.query.ReliabilityQuery.cache_key>` appends only what
-        the engine side owns — the resolved estimator function and, for
-        seeded sampling, the policy's ``shard_trials``.  Its third element
-        is ``resolved_method``, which the planner reads back rather than
-        resolving the method a second time.
+        the engine side owns — for seeded sampling, the policy's
+        ``shard_trials``.  Its third element is ``resolved_method``, which
+        the planner reads back rather than resolving the method a second
+        time.
         """
         if self.correlation is not None:
             return None

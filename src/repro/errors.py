@@ -28,6 +28,12 @@ class EstimationError(ReproError, RuntimeError):
     """A probability estimator could not produce a usable estimate."""
 
 
+class UnknownMethodError(EstimationError, InvalidConfigurationError):
+    """An analysis method no estimator answers.  Refused where a scenario
+    is built, so it is a configuration error as well as the estimation
+    error an unknown method has always raised."""
+
+
 class SimulationError(ReproError, RuntimeError):
     """The discrete-event simulator reached an inconsistent internal state."""
 

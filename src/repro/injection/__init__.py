@@ -40,6 +40,7 @@ from repro.injection.campaign import (
 )
 from repro.injection.plan import (
     DEFAULT_PLAN,
+    FAULT_EVENTS,
     Adversary,
     CorrelatedBurst,
     CrashStop,
@@ -50,8 +51,6 @@ from repro.injection.plan import (
     PartitionEvent,
     fault_event_from_dict,
     plan_from_curves,
-    register_fault_event,
-    registered_fault_events,
 )
 
 __all__ = [
@@ -65,8 +64,7 @@ __all__ = [
     "Adversary",
     "DEFAULT_PLAN",
     "plan_from_curves",
-    "register_fault_event",
-    "registered_fault_events",
+    "FAULT_EVENTS",
     "fault_event_from_dict",
     "register_behaviour",
     "registered_behaviours",

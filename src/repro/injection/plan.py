@@ -66,7 +66,7 @@ class FaultEvent:
     @classmethod
     def from_dict(cls, data: Mapping) -> "FaultEvent":
         """Rebuild an event from its dict form; on the base class, the
-        row's ``kind`` picks the registered event class."""
+        row's ``kind`` picks the event class from :data:`FAULT_EVENTS`."""
         if cls is FaultEvent:
             return fault_event_from_dict(data)
         return decode_fields(cls, data, f"{cls.kind} event", tag="kind")
@@ -80,34 +80,15 @@ class FaultEvent:
         raise NotImplementedError
 
 
-_EVENT_KINDS: dict[str, Type[FaultEvent]] = {}
-
-
-def register_fault_event(cls: Type[FaultEvent]) -> Type[FaultEvent]:
-    """Class decorator: make ``cls`` addressable by its :attr:`kind`.
-
-    Feeds :func:`fault_event_from_dict` (and therefore JSON fault-plan
-    sections).  Idempotent per kind — last registration wins.
-    """
-    if not cls.kind:
-        raise InvalidConfigurationError(f"{cls.__name__} must define a non-empty kind")
-    _EVENT_KINDS[cls.kind] = cls
-    return cls
-
-
-def registered_fault_events() -> tuple[str, ...]:
-    return tuple(sorted(_EVENT_KINDS))
-
-
 def fault_event_from_dict(data: Mapping) -> FaultEvent:
-    """Rebuild any registered fault event from its dict form."""
+    """Rebuild any built-in fault event from its dict form."""
     kind = require_mapping("fault event", data).get("kind")
     if kind is None:
         raise InvalidConfigurationError("fault event dict needs a 'kind' field")
-    cls = _EVENT_KINDS.get(str(kind))
+    cls = FAULT_EVENTS.get(str(kind))
     if cls is None:
         raise InvalidConfigurationError(
-            f"unknown fault event kind {kind!r}; registered: {sorted(_EVENT_KINDS)}"
+            f"unknown fault event kind {kind!r}; registered: {sorted(FAULT_EVENTS)}"
         )
     return cls.from_dict(data)
 
@@ -143,7 +124,6 @@ def draw_repair_time(
     return recover_time if recover_time < duration else None
 
 
-@register_fault_event
 @dataclass(frozen=True)
 class CrashStop(FaultEvent):
     """Fail-stop one node at ``at``; optionally recover it.
@@ -194,7 +174,6 @@ class CrashStop(FaultEvent):
         schedule.crash(self.node, self.at, recover_at=recover)
 
 
-@register_fault_event
 @dataclass(frozen=True)
 class PartitionEvent(FaultEvent):
     """Split the network into ``groups`` at ``at``; heal at ``heal_at``.
@@ -238,7 +217,6 @@ class PartitionEvent(FaultEvent):
         schedule.partition(self.groups, self.at, min(heal, schedule.duration))
 
 
-@register_fault_event
 @dataclass(frozen=True)
 class LossBurst(FaultEvent):
     """Raise the network's message-drop probability to ``drop_probability``
@@ -269,7 +247,6 @@ class LossBurst(FaultEvent):
             schedule.network_op("drop", self.until, None, closing=True)
 
 
-@register_fault_event
 @dataclass(frozen=True)
 class DelayBurst(FaultEvent):
     """Add ``extra_delay`` seconds to every message over ``[at, until)``
@@ -298,7 +275,6 @@ class DelayBurst(FaultEvent):
             schedule.network_op("delay", self.until, 0.0, closing=True)
 
 
-@register_fault_event
 @dataclass(frozen=True)
 class CorrelatedBurst(FaultEvent):
     """A correlated group outage at ``at``, drawn per replica via
@@ -374,6 +350,13 @@ class CorrelatedBurst(FaultEvent):
                     self.at, self.mean_time_to_repair, schedule.duration, rng
                 )
             schedule.crash(int(node), self.at, recover_at=recover)
+
+
+#: Every fault event class by its :attr:`~FaultEvent.kind`: what
+#: :func:`fault_event_from_dict` (and so a JSON fault-plan section) reads.
+FAULT_EVENTS: Mapping[str, Type[FaultEvent]] = {
+    cls.kind: cls for cls in (CrashStop, PartitionEvent, LossBurst, DelayBurst, CorrelatedBurst)
+}
 
 
 # ---------------------------------------------------------------------------
@@ -532,10 +515,8 @@ class FaultPlan:
 
         Built from the codec form *plus the concrete event classes*: two
         plans that serialize identically share cache entries only when
-        their events are the same implementations, so shadowing a kind via
-        :func:`register_fault_event` never serves answers computed with
-        the replaced event class (the re-registration invariant the
-        behaviour registry and the engine's estimator keys uphold).
+        their events are the same implementations, so a subclass of a
+        built-in event never serves the answers its parent computed.
         """
         return (
             _freeze(self.to_dict()),

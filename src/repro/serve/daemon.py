@@ -27,7 +27,7 @@ GIL for).  Such a row is answered without single-flight or the pool (and
 cannot queue behind a saturated one); between two rows of one request
 computed this way the loop serves whatever else is ready, so it never
 runs two of them back to back.  Only the rows it declines — sampling,
-simulation campaigns, overridden estimators or backends, anything larger
+simulation campaigns, overridden backends, anything larger
 — start at once and execute on a bounded thread pool (the engine's NumPy
 hot paths release the GIL; campaign fan-out adds its own policy workers
 per query), single-flighted on the memo key they are stored under.  Long
@@ -515,7 +515,7 @@ class ReliabilityService:
             "serve.query", kind=query.kind, label=query.label or ""
         ) as query_span:
             try:
-                key = query.cache_key(self.engine.estimator, self.policy.shard_trials)
+                key = query.cache_key(self.policy.shard_trials)
                 start = partial(
                     loop.run_in_executor,
                     self._pool,

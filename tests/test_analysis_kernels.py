@@ -934,27 +934,6 @@ class TestPlannerExactBatch:
             assert _values(answer.value) == _ref_exact(scenario.spec, scenario.fleet)
             assert answer.provenance.batched and answer.provenance.batch_size == 10
 
-    def test_an_estimator_override_still_runs_per_row(self, monkeypatch):
-        calls = []
-        real = exact.exact_reliability_batch
-
-        def spy(spec, fleets, **kwargs):
-            calls.append(len(fleets))
-            return real(spec, fleets, **kwargs)
-
-        monkeypatch.setattr(exact, "exact_reliability_batch", spy)
-        engine = ReliabilityEngine()
-        overridden = []
-
-        def override(scenario):
-            overridden.append(scenario.label)
-            return exact_reliability(scenario.spec, scenario.fleet)
-
-        engine.register("exact", override)
-        answers = engine.run(self._rows())
-        assert len(overridden) == 20 and calls == [1] * 20
-        assert not any(answer.provenance.batched for answer in answers)
-
 
 class TestPlannerCountingChunks:
     """A counting group spanning several DP chunks answers like one chunk."""

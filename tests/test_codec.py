@@ -229,11 +229,6 @@ CANONICAL = {
 }
 
 
-
-def _estimator(name):
-    return name
-
-
 class TestCanonicalForms:
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_canonical_key_is_the_pinned_bytes(self, name):
@@ -247,7 +242,7 @@ class TestCanonicalForms:
         rebuilt = query_from_dict(json.loads(json.dumps(query.to_dict())))
         assert type(rebuilt) is type(query)
         assert rebuilt.to_dict() == query.to_dict()
-        assert rebuilt.cache_key(_estimator, None) == query.cache_key(_estimator, None)
+        assert rebuilt.cache_key(None) == query.cache_key(None)
         if isinstance(query, SimulationQuery):
             assert rebuilt.faults == query.faults
             assert rebuilt.fault_key() == query.fault_key()

@@ -420,7 +420,7 @@ class TestCacheKeyCoverage:
                 def fault_key(self):
                     return self.faults
 
-                def cache_key(self, estimator, shard_trials):
+                def cache_key(self, shard_trials):
                     return ("campaign", self.seed_key(), self.replicas, {tail})
         """
         kwargs = dict(

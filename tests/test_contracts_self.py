@@ -128,7 +128,7 @@ def test_every_query_kind_round_trips_and_keys():
     import repro.engine.backends  # noqa: F401
 
     from repro.engine.query import query_from_dict
-    from repro.engine.registry import _KINDS, get_estimator
+    from repro.engine.registry import _KINDS
     from repro.engine.scenario import Scenario
     from repro.faults.mixture import uniform_fleet
     from repro.protocols.raft import RaftSpec
@@ -147,7 +147,7 @@ def test_every_query_kind_round_trips_and_keys():
         assert rebuilt.to_dict() == query.to_dict(), (
             f"{kind} does not round-trip through to_dict"
         )
-        key = query.cache_key(get_estimator, None)
+        key = query.cache_key(None)
         assert key is not None and hash(key) == hash(
-            rebuilt.cache_key(get_estimator, None)
+            rebuilt.cache_key(None)
         ), f"{kind} cache_key unstable across the codec"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import threading
+import types
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import ClassVar
@@ -23,7 +24,7 @@ from repro.analysis.config import FaultKind
 from repro.analysis.counting import counting_reliability
 from repro.analysis.exact import exact_reliability
 from repro.analysis.montecarlo import monte_carlo_reliability
-from repro.analysis.result import Estimate, ReliabilityResult
+from repro.analysis.result import ReliabilityResult
 from repro.engine import (
     Answer,
     AvailabilityQuery,
@@ -37,11 +38,10 @@ from repro.engine import (
     ScenarioSet,
     SimulationQuery,
     default_engine,
-    register_estimator,
-    registered_estimators,
 )
 from repro.engine import registry
-from repro.engine.registry import get_backend, get_estimator, register_backend
+from repro.engine.registry import ESTIMATORS, get_backend, get_estimator, register_backend
+from repro.engine.scenario import METHODS
 from repro.errors import (
     EstimationError,
     InvalidConfigurationError,
@@ -196,7 +196,7 @@ class TestEquivalence:
                 correlation=BetaBinomialContagion(5, 0.5, 4.5),
             )
 
-    @pytest.mark.parametrize("method", ["auto", "monte-carlo", "third-party"])
+    @pytest.mark.parametrize("method", ["auto", "monte-carlo"])
     def test_correlation_kept_where_it_can_be_honoured(self, method):
         model = BetaBinomialContagion(5, 0.5, 4.5)
         scenario = Scenario(
@@ -312,9 +312,10 @@ class TestCache:
         ).provenance.cache_hit
 
     def test_memo_key_is_scenario_cache_key(self):
-        """The planner stores under ``Scenario.cache_key`` — the method the
-        cache-key-coverage contract lints — plus only what the engine side
-        owns: the estimator function and, when sampling, ``shard_trials``."""
+        """A reliability row is stored under ``Scenario.cache_key`` — the
+        method the cache-key-coverage contract lints — plus, when sampling,
+        ``shard_trials``; no reliability, Markov or simulation key holds a
+        function object."""
         engine = ReliabilityEngine()
         exact = Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, 0.01))
         sampled = Scenario(
@@ -324,11 +325,20 @@ class TestCache:
             trials=500,
             seed=9,
         )
-        engine.run([exact, sampled], policy=ExecutionPolicy(shard_trials=250))
-        assert set(engine._memo) == {
-            exact.cache_key("counting") + (get_estimator("counting"),),
-            sampled.cache_key("monte-carlo") + (get_estimator("monte-carlo"), 250),
-        }
+        markov = dict(failure_rate_per_hour=0.1, repair_rate_per_hour=1.0)
+        rows = [
+            exact,
+            sampled,
+            AvailabilityQuery(exact, **markov),
+            MTTFQuery(exact, **markov),
+            SimulationQuery(replace(exact, seed=3), replicas=2, duration=2.0),
+        ]
+        engine.run(rows, policy=ExecutionPolicy(shard_trials=250))
+        assert exact.cache_key("counting") in engine._memo
+        assert sampled.cache_key("monte-carlo") + (250,) in engine._memo
+        assert len(engine._memo) == len(rows)
+        for key in engine._memo:
+            assert not any(isinstance(part, types.FunctionType) for part in key), key
 
     def test_cache_clear(self):
         engine = ReliabilityEngine()
@@ -346,7 +356,7 @@ class _EchoQuery(Query):
     kind: ClassVar[str] = "test-echo"
     factor: int = 1
 
-    def cache_key(self, estimator, shard_trials):
+    def cache_key(self, shard_trials):
         return (self.kind, self.scenario.fleet_key(), self.factor)
 
 
@@ -359,10 +369,10 @@ def _recording(engine, kind, *, degraded=(), delegate=False):
     """
     batches: list[list] = []
 
-    def backend(eng, queries, policy):
+    def backend(queries, policy):
         batches.append(list(queries))
         if delegate:
-            return get_backend(kind)(eng, queries, policy)
+            return get_backend(kind)(queries, policy)
         flag = len(batches) - 1 in degraded
         return [
             Answer(q, ("stub", len(batches)), Provenance("stub", backend=kind, degraded=flag))
@@ -479,9 +489,7 @@ class TestMemoSeam:
         answers = small.run([a, b, c, a])
         assert [x.provenance.cache_hit for x in answers] == [False, False, False, True]
         assert (small.cache_hits, small.cache_misses) == (1, 3)
-        assert list(small._memo) == [
-            x.cache_key("counting") + (get_estimator("counting"),) for x in (b, c)
-        ]
+        assert list(small._memo) == [x.cache_key("counting") for x in (b, c)]
         # A degraded first row is never stored; its duplicate still hits.
         engine = ReliabilityEngine()
         _recording(engine, "test-echo", degraded={0})
@@ -528,7 +536,7 @@ class TestMemoSeam:
 class _UnkeyedEcho(_EchoQuery):
     """A row of the echo kind whose answer is never reusable."""
 
-    def cache_key(self, estimator, shard_trials):
+    def cache_key(self, shard_trials):
         return None
 
 
@@ -599,7 +607,7 @@ class TestMemoContract:
         for rows in runs:
             answers = engine.run([self.POOL[i] for i in rows])
             flags.append([answer.provenance.cache_hit for answer in answers])
-        keys = [[self.POOL[i].cache_key(None, None) for i in rows] for rows in runs]
+        keys = [[self.POOL[i].cache_key(None) for i in rows] for rows in runs]
         expected = _memo_reference(cache_size, keys, degraded)
         assert (engine.cache_hits, engine.cache_misses, list(engine._memo), flags) == expected
         assert engine.cache_hits + engine.cache_misses == sum(map(len, runs))
@@ -760,37 +768,34 @@ class TestAnswerInline:
             assert (engine.cache_hits, engine.cache_misses) == (0, 0)
 
     def test_per_engine_overrides_are_never_bounded(self):
-        counting = get_estimator("counting")
         engine = ReliabilityEngine()
-        engine.register("counting", lambda scenario: counting(scenario))
-        assert engine.answer_inline(self.row("counting", 5)) is None
         mttf = get_backend("mttf")
         engine.register_backend("mttf", lambda *args: mttf(*args))
         assert engine.answer_inline(self.row("mttf", 5)) is None
         assert (engine.cache_hits, engine.cache_misses) == (0, 0)
-        stock = ReliabilityEngine(estimators={"counting": counting})
-        assert stock.answer_inline(self.row("counting", 5)) is not None
 
     def test_global_overrides_are_never_bounded(self):
-        counting, mttf = get_estimator("counting"), registry._KINDS["mttf"]
+        mttf = registry._KINDS["mttf"]
         try:
-            register_estimator("counting")(lambda scenario: counting(scenario))
             register_backend(MTTFQuery)(lambda *args: mttf[1](*args))
             engine = ReliabilityEngine()
-            assert engine.answer_inline(self.row("counting", 5)) is None
             assert engine.answer_inline(self.row("mttf", 5)) is None
             assert (engine.cache_hits, engine.cache_misses) == (0, 0)
         finally:
-            registry._ESTIMATORS["counting"] = counting
             registry._KINDS["mttf"] = mttf
         assert ReliabilityEngine().answer_inline(self.row("mttf", 5)) is not None
 
 
 class TestRegistry:
     def test_builtins_registered(self):
-        names = registered_estimators()
-        for name in ("counting", "exact", "monte-carlo", "importance"):
-            assert name in names
+        """The estimator table, the methods a scenario accepts and the
+        methods ``resolved_method`` picks are one set of names."""
+        resolved = {
+            Scenario(spec=spec, fleet=fleet, method=method).resolved_method()
+            for spec, fleet in ZOO
+            for method in METHODS
+        }
+        assert set(ESTIMATORS) == METHODS - {"auto"} == resolved
 
     def test_importance_estimator_produces_result(self):
         answer = ReliabilityEngine().run_query(
@@ -853,110 +858,6 @@ class TestRegistry:
             == ReliabilityEngine().run_query(scenario, policy).value
         )
         assert estimator(scenario) == ReliabilityEngine().run_query(scenario).value
-
-    def test_global_registration_reaches_engines(self):
-        calls = []
-
-        @register_estimator("test-constant")
-        def _constant(scenario):
-            calls.append(scenario)
-            value = Estimate.exact(0.5)
-            return ReliabilityResult(
-                protocol=scenario.spec.name,
-                n=scenario.fleet.n,
-                safe=value,
-                live=value,
-                safe_and_live=value,
-                method="test-constant",
-            )
-
-        try:
-            answer = ReliabilityEngine().run_query(
-                Scenario(
-                    spec=RaftSpec(3),
-                    fleet=uniform_fleet(3, 0.01),
-                    method="test-constant",
-                )
-            )
-            assert answer.value.safe.value == 0.5
-            assert len(calls) == 1
-        finally:
-            from repro.engine import registry
-
-            registry._ESTIMATORS.pop("test-constant", None)
-
-    def test_reregistration_invalidates_cached_answers(self):
-        """Cache keys carry the estimator function, so shadowing a built-in
-        never serves the replaced implementation's memoized results."""
-        engine = ReliabilityEngine()
-        scenario = Scenario(
-            spec=RaftSpec(3), fleet=uniform_fleet(3, 0.01), method="counting"
-        )
-        warm = engine.run_query(scenario)
-        assert warm.value.method == "counting"
-
-        def stub(s):
-            value = Estimate.exact(0.125)
-            return ReliabilityResult(
-                protocol=s.spec.name,
-                n=s.fleet.n,
-                safe=value,
-                live=value,
-                safe_and_live=value,
-                method="stub",
-            )
-
-        engine.register("counting", stub)
-        shadowed = engine.run_query(scenario)
-        assert not shadowed.provenance.cache_hit
-        assert shadowed.value.method == "stub"
-
-    def test_counting_override_honored_for_batchable_scenarios(self):
-        """The shared DP sweep must not bypass a shadowed counting estimator."""
-
-        def stub(s):
-            value = Estimate.exact(0.25)
-            return ReliabilityResult(
-                protocol=s.spec.name,
-                n=s.fleet.n,
-                safe=value,
-                live=value,
-                safe_and_live=value,
-                method="stub",
-            )
-
-        engine = ReliabilityEngine(estimators={"counting": stub})
-        scenarios = [
-            Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, p), method="counting")
-            for p in (0.01, 0.02, 0.03)
-        ]
-        results = engine.run(scenarios).values
-        assert all(r.method == "stub" for r in results)
-
-    def test_per_engine_override_shadows_builtin(self):
-        def fake_counting(scenario):
-            value = Estimate.exact(0.25)
-            return ReliabilityResult(
-                protocol=scenario.spec.name,
-                n=scenario.fleet.n,
-                safe=value,
-                live=value,
-                safe_and_live=value,
-                method="fake",
-            )
-
-        engine = ReliabilityEngine(estimators={"exact": fake_counting})
-        answer = engine.run_query(
-            Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, 0.01), method="exact")
-        )
-        assert answer.value.method == "fake"
-        # The global registry is untouched.
-        assert get_estimator("exact") is not fake_counting
-        clean = ReliabilityEngine().run_query(
-            Scenario(spec=RaftSpec(3), fleet=uniform_fleet(3, 0.01), method="exact")
-        )
-        assert clean.value.method == "exact"
-
 
 class TestSerialization:
     @pytest.mark.parametrize(

@@ -11,7 +11,9 @@ import pytest
 
 import repro
 
-EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+EXAMPLES_DIR = ROOT / "examples"
+BENCHMARKS_DIR = ROOT / "benchmarks"
 
 
 class TestDoctests:
@@ -40,3 +42,31 @@ class TestExamples:
         names = {path.name for path in EXAMPLES_DIR.glob("*.py")}
         assert "quickstart.py" in names
         assert len(names) >= 4  # quickstart + ≥3 scenario scripts
+
+
+class TestLegacyBenchmarks:
+    def test_every_bench_script_imports(self):
+        """``benchmarks/bench_*.py`` never matches the ``test_*.py``
+        pattern, so removing an API one of them uses would break nothing
+        visible; one interpreter imports them all and names every failure."""
+        names = sorted(path.stem for path in BENCHMARKS_DIR.glob("bench_*.py"))
+        assert names
+        code = (
+            "import importlib, sys, traceback\n"
+            f"sys.path[:0] = [{str(BENCHMARKS_DIR)!r}, {str(ROOT / 'src')!r}]\n"
+            "failed = 0\n"
+            "for name in sys.argv[1:]:\n"
+            "    try:\n"
+            "        importlib.import_module(name)\n"
+            "    except Exception:\n"
+            "        failed += 1\n"
+            "        print(name, traceback.format_exc(limit=-1))\n"
+            "sys.exit(1 if failed else 0)\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code, *names],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stdout[-4000:] + completed.stderr[-2000:]

@@ -34,6 +34,7 @@ from repro.injection import (
     Adversary,
     CorrelatedBurst,
     CrashStop,
+    FAULT_EVENTS,
     DelayBurst,
     FaultPlan,
     LossBurst,
@@ -43,7 +44,6 @@ from repro.injection import (
     fault_event_from_dict,
     register_behaviour,
     registered_behaviours,
-    registered_fault_events,
     supports_byzantine,
 )
 from repro.protocols.pbft import PBFTSpec
@@ -205,7 +205,7 @@ class TestCodecs:
         assert rebuilt == event
 
     def test_registered_event_kinds(self):
-        assert set(registered_fault_events()) >= {
+        assert set(FAULT_EVENTS) == {
             "crash",
             "partition",
             "loss-burst",

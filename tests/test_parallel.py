@@ -290,37 +290,6 @@ class TestEnginePolicy:
         )
         assert engine.run(scenarios).values == baseline.values
 
-    def test_overrides_still_honored_under_process_policy(self):
-        from repro.analysis.counting import counting_reliability
-
-        calls = []
-
-        def custom(*args, **kwargs):
-            # An override is called with the scenario alone: the policy's
-            # keywords are for the stock sampling estimators only.
-            (scenario,) = args
-            assert kwargs == {}
-            calls.append(scenario.label)
-            return counting_reliability(scenario.spec, scenario.fleet)
-
-        engine = ReliabilityEngine(estimators={"monte-carlo": custom})
-        scenarios = [
-            Scenario(
-                spec=RaftSpec(3),
-                fleet=uniform_fleet(3, 0.01),
-                method="monte-carlo",
-                label=f"s{i}",
-            )
-            for i in range(3)
-        ]
-        result = engine.run(scenarios, policy=ExecutionPolicy(mode="process", jobs=2))
-        assert len(calls) == 3  # ran in-process, through the override
-        reference = counting_reliability(RaftSpec(3), uniform_fleet(3, 0.01))
-        assert all(o.value == reference for o in result)
-        threaded = engine.run(scenarios, policy=ExecutionPolicy(mode="thread", jobs=2))
-        assert len(calls) == 6
-        assert [o.provenance.shards for o in threaded] == [1, 1, 1]
-
     def test_generator_seed_scenarios_run_deterministically_in_order(self):
         def build(policy):
             rng = np.random.default_rng(123)

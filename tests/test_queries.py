@@ -614,7 +614,7 @@ class TestEngineDispatch:
         engine = ReliabilityEngine()
         marker = object()
 
-        def fake_backend(eng, queries, policy):
+        def fake_backend(queries, policy):
             return [
                 Answer(q, marker, Provenance(estimator="fake", backend="reliability"))
                 for q in queries
@@ -690,7 +690,7 @@ class TestEngineDispatch:
         engine = ReliabilityEngine()
         marker = object()
 
-        def fake_backend(eng, queries, policy):
+        def fake_backend(queries, policy):
             return [
                 Answer(q, marker, Provenance(estimator="fake", backend="mttf"))
                 for q in queries
@@ -729,7 +729,7 @@ class TestEngineDispatch:
             kind: ClassVar[str] = "test-quorum-slack"
             spare: int = 0
 
-            def cache_key(self, estimator, shard_trials):
+            def cache_key(self, shard_trials):
                 return (self.kind, self.scenario.fleet_key(), self.spare)
 
             @classmethod
@@ -742,7 +742,7 @@ class TestEngineDispatch:
         try:
 
             @register_backend(QuorumSlackQuery)
-            def slack_backend(engine, queries, policy):
+            def slack_backend(queries, policy):
                 batches.append(len(queries))
                 return [
                     Answer(q, q.n - q.spare, Provenance("slack", backend=q.kind))
@@ -767,7 +767,7 @@ class TestEngineDispatch:
 
     def test_backend_answer_count_mismatch_raises(self):
         engine = ReliabilityEngine()
-        engine.register_backend("reliability", lambda eng, queries, policy: [])
+        engine.register_backend("reliability", lambda queries, policy: [])
         with pytest.raises(EstimationError, match="returned 0 answers"):
             engine.run([ReliabilityQuery(scenario(3))])
 

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -260,6 +263,38 @@ class TestRouting:
             assert "exceeds limit" in body["error"]
 
 
+class TestUnknownMethod:
+    def test_refused_where_the_scenario_is_built(self, server, tmp_path):
+        """The library, ``repro-analyze query`` and the daemon refuse an
+        unknown ``method`` at parse, with one message: the daemon answers
+        400 and counts no query (it used to compute the batch's other rows,
+        then answer 422)."""
+        from repro.errors import EstimationError
+
+        message = "unknown analysis method 'fnord'"
+        row = {**scenario(3).to_dict(), "method": "fnord"}
+        with pytest.raises(EstimationError, match=message):
+            Scenario.from_dict(row)
+        payload = json.dumps([scenario(5).to_dict(), row])
+        path = tmp_path / "fnord.json"
+        path.write_text(payload)
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "query", str(path)],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode != 0
+        assert message in done.stderr
+        _status, before = get(server.port, "/metrics")
+        status, body = post(server.port, payload)
+        _status, after = get(server.port, "/metrics")
+        assert status == 400
+        assert message in body["error"]
+        assert after["queries_total"] == before["queries_total"]
+
+
 class TestAnswers:
     def test_round_trip_matches_direct_engine_run(self, server):
         """The wire adds nothing: daemon rows == direct engine rows."""
@@ -360,7 +395,7 @@ class TestCoalescing:
         executions: list[str] = []
         lock = threading.Lock()
 
-        def slow_backend(eng, queries, policy):
+        def slow_backend(queries, policy):
             with lock:
                 executions.append("run")
             time.sleep(1.0)  # hold the execution open for the latecomers
@@ -401,7 +436,7 @@ class TestCoalescing:
         """A slow stand-in backend for ``kind`` that records each call and
         holds it open long enough for a concurrent row to arrive."""
 
-        def slow_backend(eng, queries, policy):
+        def slow_backend(queries, policy):
             executions.append(len(queries))
             time.sleep(0.5)
             return [
@@ -623,7 +658,7 @@ class TestRecallOnTheLoop:
         engine = ReliabilityEngine()
         entered, release = threading.Event(), threading.Event()
 
-        def parked_backend(eng, queries, policy):
+        def parked_backend(queries, policy):
             entered.set()
             release.wait(timeout=60)
             return [
