@@ -18,8 +18,8 @@ is the one call for a thread that must not block (the daemon's event
 loop): one row from the memo, or computed in place when
 :data:`INLINE_MAX_N` bounds its work, else ``None``.  What stays here is
 what every kind shares: the memo, the per-engine backend overrides, and
-the kind router.  The engine package reads no clock —
-spans time what runs.
+the kind router.  The engine package reads no clock — spans time what
+runs.
 """
 
 from __future__ import annotations
@@ -164,10 +164,10 @@ class ReliabilityEngine:
         :meth:`run` gives for the row — same value, provenance, counts,
         LRU recency and ``engine.queries`` → ``backend.<kind>`` span pair.
         Every other miss (sampling, simulation, a backend override,
-        anything larger) is declined at the probe and returns ``None`` with nothing
-        counted, stored or exported: the caller runs it where blocking is
-        allowed, and that :meth:`run` counts the row's one miss, so every
-        submitted row is still one hit or one miss.
+        anything larger) is declined at the probe and returns ``None`` with
+        nothing counted, stored or exported: the caller runs it where
+        blocking is allowed, and that :meth:`run` counts the row's one
+        miss, so every submitted row is still one hit or one miss.
         """
         active = policy if policy is not None else self._policy
         query = coerce_query(query)
