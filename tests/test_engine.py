@@ -797,6 +797,25 @@ class TestRegistry:
         }
         assert set(ESTIMATORS) == METHODS - {"auto"} == resolved
 
+    @pytest.mark.parametrize("method", sorted(ESTIMATORS))
+    def test_every_estimator_answers_and_keys_under_its_name(self, method):
+        """Each table entry answers under its own name, and its row is
+        stored under ``Scenario.cache_key(method)`` alone, plus
+        ``shard_trials`` for the two samplers."""
+        scenario = Scenario(
+            spec=RaftSpec(5),
+            fleet=uniform_fleet(5, 0.05),
+            method=method,
+            trials=2_000,
+            seed=1,
+        )
+        engine = ReliabilityEngine()
+        answer = engine.run_query(scenario, ExecutionPolicy(shard_trials=500))
+        assert answer.value.method == method
+        sampling = method in ("monte-carlo", "importance")
+        key = scenario.cache_key(method) + ((500,) if sampling else ())
+        assert list(engine._memo) == [key]
+
     def test_importance_estimator_produces_result(self):
         answer = ReliabilityEngine().run_query(
             Scenario(

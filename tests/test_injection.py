@@ -263,6 +263,15 @@ class TestCodecs:
         with pytest.raises(InvalidConfigurationError, match="adversary"):
             FaultPlan.from_dict({"adversary": {"fnord": []}})
 
+    def test_unknown_event_kind_names_the_built_ins(self):
+        """The refusal lists the five built-in kinds, sorted."""
+        with pytest.raises(InvalidConfigurationError) as refused:
+            fault_event_from_dict({"kind": "fnord"})
+        assert str(refused.value) == (
+            "unknown fault event kind 'fnord'; registered: ['correlated-burst', "
+            "'crash', 'delay-burst', 'loss-burst', 'partition']"
+        )
+
     def test_event_validation(self):
         with pytest.raises(InvalidConfigurationError, match="not both"):
             CrashStop(node=0, at=1.0, recover_at=3.0, mean_time_to_repair=1.0)

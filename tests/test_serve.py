@@ -17,6 +17,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -264,20 +265,24 @@ class TestRouting:
 
 
 class TestUnknownMethod:
-    def test_refused_where_the_scenario_is_built(self, server, tmp_path):
-        """The library, ``repro-analyze query`` and the daemon refuse an
-        unknown ``method`` at parse, with one message: the daemon answers
-        400 and counts no query (it used to compute the batch's other rows,
-        then answer 422)."""
+    """The library, ``repro-analyze query`` and the daemon refuse an
+    unknown ``method`` where the scenario is built, with one message."""
+
+    MESSAGE = "unknown analysis method 'fnord'"
+    ROW = {**scenario(3).to_dict(), "method": "fnord"}
+    PAYLOAD = json.dumps([scenario(5).to_dict(), ROW])
+
+    def test_refused_where_the_scenario_is_built(self):
         from repro.errors import EstimationError
 
-        message = "unknown analysis method 'fnord'"
-        row = {**scenario(3).to_dict(), "method": "fnord"}
-        with pytest.raises(EstimationError, match=message):
-            Scenario.from_dict(row)
-        payload = json.dumps([scenario(5).to_dict(), row])
+        with pytest.raises(EstimationError, match=self.MESSAGE):
+            Scenario.from_dict(self.ROW)
+        with pytest.raises(EstimationError, match=self.MESSAGE):
+            replace(scenario(3), method="fnord")
+
+    def test_cli_query_exits_nonzero_with_the_message(self, tmp_path):
         path = tmp_path / "fnord.json"
-        path.write_text(payload)
+        path.write_text(self.PAYLOAD)
         done = subprocess.run(
             [sys.executable, "-m", "repro.cli", "query", str(path)],
             env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
@@ -286,12 +291,15 @@ class TestUnknownMethod:
             timeout=120,
         )
         assert done.returncode != 0
-        assert message in done.stderr
+        assert self.MESSAGE in done.stderr
+
+    def test_daemon_answers_400_and_counts_no_query(self, server):
+        """It used to compute the batch's other rows, then answer 422."""
         _status, before = get(server.port, "/metrics")
-        status, body = post(server.port, payload)
+        status, body = post(server.port, self.PAYLOAD)
         _status, after = get(server.port, "/metrics")
         assert status == 400
-        assert message in body["error"]
+        assert self.MESSAGE in body["error"]
         assert after["queries_total"] == before["queries_total"]
 
 
